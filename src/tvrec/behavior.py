@@ -1,14 +1,17 @@
-"""Per-user viewing-behavior distributions over (slot, channel) and behavior
-matching scores for new programs."""
+"""Per-user viewing-behavior distributions over (slot, channel).
+
+A program's behavior matching score is the user's maximum viewing probability
+over the program's slot span on its channel; :mod:`tvrec.ranker` computes it
+for every candidate at once from the distribution built here.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
 
-from .datamodel import InteractionTensor, ProgramMeta
+from .datamodel import InteractionTensor
 from .errors import DataError
-from .timegrid import TimeGrid, slots_of_span
 
 
 @dataclass(frozen=True)
@@ -20,19 +23,6 @@ class BehaviorMatrix:
 
     user: str
     probs: Mapping[tuple[int, str], float]
-
-
-@dataclass(frozen=True)
-class BehaviorScore:
-    """Behavior matching score for one program: the user's maximum viewing
-    probability over the program's slot span on its channel, with the
-    maximizing (slot, channel). A zero score still carries a well-defined
-    argmax (first span slot, program channel) so downstream grouping is total.
-    """
-
-    score: float
-    argmax_slot: int
-    argmax_channel: str
 
 
 def behavior_matrix(tensor: InteractionTensor, user: str) -> BehaviorMatrix:
@@ -48,23 +38,3 @@ def behavior_matrix(tensor: InteractionTensor, user: str) -> BehaviorMatrix:
     total = sum(marginal.values())
     return BehaviorMatrix(user=user, probs={k: v / total for k, v in marginal.items()})
 
-
-def behavior_score(bm: BehaviorMatrix, meta: ProgramMeta, grid: TimeGrid) -> BehaviorScore:
-    """Score a program against a behavior matrix.
-
-    Equivalent to the maximum of the element-wise product between the user's
-    distribution and the program's indicator matrix, but computed directly
-    over the program's slot span on its channel without materializing either
-    matrix. Argmax ties break to the earliest slot in span order.
-    """
-    span = slots_of_span(meta.start, meta.end, grid)
-    channel = meta.channel
-    probs = bm.probs
-    best_slot = span[0]
-    best = probs.get((best_slot, channel), 0.0)
-    for slot in span[1:]:
-        p = probs.get((slot, channel), 0.0)
-        if p > best:
-            best = p
-            best_slot = slot
-    return BehaviorScore(score=best, argmax_slot=best_slot, argmax_channel=channel)

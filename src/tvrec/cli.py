@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pickle
 import sys
 import tempfile
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -53,7 +56,7 @@ EXIT_INTERNAL = 4
 _CONFIG_SECTIONS = {
     "grid": ("n_slots", "utc_offset"),
     "preprocessing": ("min_duration_secs", "t_split", "train_days", "test_days", "binarize"),
-    "encoder": ("tokenizer", "min_df", "max_vocab", "l2_normalize"),
+    "encoder": ("min_df", "max_vocab", "l2_normalize"),
     "ranking": ("k", "method", "mode", "eta", "xi"),
     "evaluation": ("cutoffs",),
     "paths": ("logs", "programs", "out_dir", "model"),
@@ -72,7 +75,6 @@ class EngineConfig:
     train_days: float = 90.0
     test_days: float = 7.0
     binarize: bool = False
-    tokenizer: str = "default"
     min_df: int = 1
     max_vocab: int | None = None
     l2_normalize: bool = True
@@ -101,8 +103,6 @@ class EngineConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.mode not in preference_mod.MODES:
             raise ConfigError(f"mode must be one of {preference_mod.MODES}, got {self.mode!r}")
-        if self.tokenizer not in textenc_mod.TOKENIZERS:
-            raise ConfigError(f"unknown tokenizer {self.tokenizer!r}")
         if self.min_df < 1:
             raise ConfigError("min_df must be >= 1")
         if self.max_vocab is not None and self.max_vocab < 1:
@@ -148,6 +148,29 @@ class EngineConfig:
         return {"config_hash": self.config_hash(), "seed": self.seed}
 
 
+_FIELD_TYPES = typing.get_type_hints(EngineConfig)
+
+
+def _fits(value: object, hint: object) -> bool:
+    """Whether ``value`` fits a config field's type; a bool is not a number."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _set_field(cfg: EngineConfig, key: str, value: object) -> None:
+    hint = _FIELD_TYPES[key]
+    if not _fits(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ConfigError(f"config value {key}={value!r} is not of type {name}")
+    setattr(cfg, key, tuple(value) if key == "cutoffs" else value)
+
+
 def load_config(path: str | None, overrides: Mapping[str, object]) -> EngineConfig:
     """Build the effective config: file values first, then flag overrides."""
     cfg = EngineConfig()
@@ -163,7 +186,7 @@ def load_config(path: str | None, overrides: Mapping[str, object]) -> EngineConf
             raise ConfigError("config root must be a JSON object")
         for section, value in raw.items():
             if section == "seed":
-                cfg.seed = value
+                _set_field(cfg, "seed", value)
                 continue
             fields = _CONFIG_SECTIONS.get(section)
             if fields is None:
@@ -173,10 +196,10 @@ def load_config(path: str | None, overrides: Mapping[str, object]) -> EngineConf
             for key, v in value.items():
                 if key not in fields:
                     raise ConfigError(f"unknown key {key!r} in config section {section!r}")
-                setattr(cfg, key, tuple(v) if key == "cutoffs" else v)
+                _set_field(cfg, key, v)
     for key, value in overrides.items():
         if value is not None:
-            setattr(cfg, key, value)
+            _set_field(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -227,11 +250,14 @@ def _read_jsonl(path: Path) -> list[dict]:
         raise DataError(f"input file {path} does not exist")
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from None
             if isinstance(rec, dict) and "_meta" in rec:
                 continue
             rows.append(rec)
@@ -272,7 +298,10 @@ def _cmd_synth(args: argparse.Namespace) -> None:
         if not Path(args.config).exists():
             raise DataError(f"synth config {args.config!r} does not exist")
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"synth config {args.config!r} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("synth config root must be a JSON object")
         raw.update(overrides)
@@ -342,16 +371,13 @@ def _cmd_build(args: argparse.Namespace) -> None:
     prepared, _, _ = _prepare_from_config(cfg)
     sp = prepared.split
 
-    tokenizer = textenc_mod.TOKENIZERS[cfg.tokenizer]
     # The encoder is fitted on train + test metadata: program text is known
     # before broadcast, so this leaks no interaction labels.
     corpus_ids = sorted(sp.i_train | sp.i_test)
     corpus = [(pid, prepared.metas[pid].text) for pid in corpus_ids]
-    vocab = textenc_mod.fit(
-        corpus, min_df=cfg.min_df, max_vocab=cfg.max_vocab, tokenizer=tokenizer
-    )
+    vocab = textenc_mod.fit(corpus, min_df=cfg.min_df, max_vocab=cfg.max_vocab)
     embeddings = {
-        pid: textenc_mod.encode(vocab, prepared.metas[pid].text, l2_normalize=cfg.l2_normalize, tokenizer=tokenizer)
+        pid: textenc_mod.encode(vocab, prepared.metas[pid].text, l2_normalize=cfg.l2_normalize)
         for pid in corpus_ids
     }
     prefs = {m: preference_mod.build(prepared.tensor, embeddings, mode=m) for m in modes}
@@ -417,35 +443,26 @@ def _rank_user_fn(cfg: EngineConfig, bundle: ModelBundle, cand: ranker_mod.Candi
         return bm
 
     if method == "behavior":
-        return lambda u: ranker_mod.rank_behavior(bm_of(u), cand)[:k]
-    if method == "preference":
-        model = _pref_model(bundle, cfg.mode)
-        index = ranker_mod.build_item_index(model.item_embeddings, cand)
-        return lambda u: ranker_mod.rank_preference(model, u, cand, index)[:k]
+        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_behavior(bm_of(u), cand), k)
+    model = _pref_model(bundle, cfg.mode)
     if method == "two-stage":
-        model = _pref_model(bundle, cfg.mode)
-        return lambda u: ranker_mod.two_stage(bm_of(u), model, cand, k)
+        return lambda u: ranker_mod.top_k(cand, ranker_mod.two_stage(bm_of(u), model, cand, k), k)
+    index = ranker_mod.build_item_index(model.item_embeddings, cand)
+    if method == "preference":
+        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_preference(model, u, cand, index), k)
     if method == "rrf":
-        model = _pref_model(bundle, cfg.mode)
-        index = ranker_mod.build_item_index(model.item_embeddings, cand)
+        fuse = functools.partial(ranker_mod.rrf, eta=cfg.eta)
+    elif method == "rrf-weighted":
+        fuse = functools.partial(ranker_mod.rrf_weighted, eta=cfg.eta, xi=cfg.xi)
+    else:
+        raise ConfigError(f"unknown method {method!r}")
 
-        def run_rrf(u: str):
-            kb = ranker_mod.rank_behavior(bm_of(u), cand)
-            kp = ranker_mod.rank_preference(model, u, cand, index)
-            return ranker_mod.rrf(kb, kp, cand, eta=cfg.eta)[:k]
+    def run_rrf(u: str) -> ranker_mod.RankedList:
+        kb = ranker_mod.rank_behavior(bm_of(u), cand)
+        kp = ranker_mod.rank_preference(model, u, cand, index)
+        return ranker_mod.top_k(cand, fuse(kb, kp, cand), k)
 
-        return run_rrf
-    if method == "rrf-weighted":
-        model = _pref_model(bundle, cfg.mode)
-        index = ranker_mod.build_item_index(model.item_embeddings, cand)
-
-        def run_rrfw(u: str):
-            kb = ranker_mod.rank_behavior(bm_of(u), cand)
-            kp = ranker_mod.rank_preference(model, u, cand, index)
-            return ranker_mod.rrf_weighted(kb, kp, cand, eta=cfg.eta, xi=cfg.xi)[:k]
-
-        return run_rrfw
-    raise ConfigError(f"unknown method {method!r}")
+    return run_rrf
 
 
 def _cmd_recommend(args: argparse.Namespace) -> None:
@@ -493,6 +510,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
 def _cmd_bench(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
+    if args.users_sample < 1 or args.reps < 1:
+        raise ConfigError("--users-sample and --reps must be >= 1")
     bundle = _load_bundle(cfg)
     cand = ranker_mod.build_candidates(bundle.test_metas, bundle.grid, bundle.tensor.channels)
     users = sorted(bundle.tensor.users)
@@ -565,7 +584,7 @@ def _cmd_tune(args: argparse.Namespace) -> None:
         if not truth:
             continue
         fused = ranker_mod.rrf_weighted(*rankings[user], cand, eta=eta, xi=xi)
-        recalls.append(evaluate_mod.recall_at(fused, truth, args.cutoff))
+        recalls.append(evaluate_mod.recall_at(ranker_mod.top_k(cand, fused, args.cutoff), truth, args.cutoff))
     best_recall = sum(recalls) / len(recalls) if recalls else 0.0
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "tuned.json"
     _write_json(
@@ -731,4 +750,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Run through the imported module, not this `__main__` copy of it, so that
+    # pickled bundles name the class `tvrec.cli.ModelBundle` however they were built.
+    from tvrec import cli
+
+    sys.exit(cli.main())

@@ -88,9 +88,6 @@ class InteractionTensor:
     channels: frozenset[str]
     n_slots: int
 
-    def total(self) -> int:
-        return sum(sum(cells.values()) for cells in self.by_user.values())
-
     def binarize(self) -> "InteractionTensor":
         """Collapse every positive count to 1 (implicit-feedback view)."""
         return InteractionTensor(
@@ -224,21 +221,6 @@ def build_tensor(
         channels=frozenset(channels),
         n_slots=grid.n,
     )
-
-
-def ground_truth(
-    d_test: Iterable[ViewingLog], u: str, items: frozenset[str] | None = None
-) -> set[str]:
-    """Distinct test programs user ``u`` interacted with (set semantics).
-
-    ``items`` restricts to the test item set, excluding programs that started
-    before the split but were watched after it.
-    """
-    return {
-        log.program
-        for log in d_test
-        if log.user == u and (items is None or log.program in items)
-    }
 
 
 def ground_truth_map(

@@ -1,12 +1,14 @@
-"""User preference embeddings (global and time-aware) and preference
-matching scores.
+"""User preference embeddings (global and time-aware).
 
 A user's global preference vector is the plain arithmetic mean of the
 embeddings of the distinct programs they watched in training. The time-aware
 variant keeps one mean per (user, slot) over the programs watched in that
 slot, capturing accounts shared by several household members with different
 habits; slots without history fall back to the global vector so that every
-program can be scored.
+program can be scored. A program's preference matching score is the dot
+product of its embedding with the user vector (in time-aware mode, the one for
+the slot in which the program starts); :mod:`tvrec.ranker` computes it over
+the candidate set.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .datamodel import InteractionTensor, ProgramMeta
+from .datamodel import InteractionTensor
 from .errors import DataError
-from .textenc import Embedding, dot, mean_embedding
-from .timegrid import TimeGrid, slot_of
+from .textenc import Embedding, mean_embedding
 
 MODES = ("global", "time-aware")
 
@@ -72,25 +73,3 @@ def build(
         item_embeddings=dict(embeddings),
     )
 
-
-def user_vector(model: PreferenceModel, user: str, slot: int | None = None) -> Embedding:
-    """Resolve the preference vector used to score a program starting in
-    ``slot`` (global vector when slot is None, the model is global, or the
-    user has no history in that slot)."""
-    gv = model.global_prefs.get(user)
-    if gv is None:
-        raise DataError(f"user {user!r} is not in the preference model")
-    if model.mode == "time-aware" and slot is not None:
-        return model.slot_prefs.get(user, {}).get(slot, gv)
-    return gv
-
-
-def score(model: PreferenceModel, user: str, meta: ProgramMeta, grid: TimeGrid) -> float:
-    """Preference matching score: dot product between the user vector and the
-    program embedding; the time-aware variant keys on the slot in which the
-    program begins playing."""
-    emb = model.item_embeddings.get(meta.program)
-    if emb is None:
-        raise DataError(f"program {meta.program!r} has no embedding")
-    slot = slot_of(meta.start, grid) if model.mode == "time-aware" else None
-    return dot(user_vector(model, user, slot), emb)

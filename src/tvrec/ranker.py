@@ -6,6 +6,11 @@ inference touches only precomputed arrays, mirroring a production setup where
 everything derivable from the schedule is indexed in advance. Every ranker is
 deterministic: score ties break by earlier start time, then by program id.
 
+Rankers take and return a :class:`Ranking`: ``rows``, candidate rows best
+first, and ``scores``, indexed by row. RRF reads its input ranks off the rows
+by inverse permutation. Program ids appear only in :func:`top_k`, which turns
+the first ``k`` rows of a ranking into ``(program id, score)`` pairs.
+
 Two-stage ranking scans the behavior-ordered candidates and collapses each
 maximal consecutive run sharing one (slot, channel) group key down to the run
 member with the highest preference score. Preference scores are evaluated
@@ -17,7 +22,7 @@ incurs a dot product; the evaluation count is exposed via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,9 +34,19 @@ from .textenc import dot
 from .timegrid import TimeGrid, slot_of, slots_of_span
 
 RankedList = list[tuple[str, float]]
-GroupKey = tuple[int, str]
 
 DEFAULT_RRF_ETA = 60.0  # customary damping constant when no tuning is run
+
+
+class Ranking(NamedTuple):
+    """Candidate rows in rank order, best first, plus scores indexed by row.
+
+    Full-list rankers order every row; :func:`two_stage` returns only its
+    winners. ``scores`` always covers every row.
+    """
+
+    rows: np.ndarray
+    scores: np.ndarray
 
 
 @dataclass
@@ -204,22 +219,9 @@ def _dense_grid(bm: BehaviorMatrix, cand: Candidates) -> np.ndarray:
     return dense
 
 
-def _behavior_scores(bm: BehaviorMatrix, cand: Candidates) -> np.ndarray:
-    vals = _dense_grid(bm, cand)[cand.span_flat]
-    return np.maximum.reduceat(vals, cand.seg_starts)
-
-
-def _behavior_scores_groups(bm: BehaviorMatrix, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
-    # Argmax slot per segment with earliest-slot tie-break: take the first
-    # span position whose value equals the segment maximum.
-    vals = _dense_grid(bm, cand)[cand.span_flat]
-    scores = np.maximum.reduceat(vals, cand.seg_starts)
-    seg_max = np.repeat(scores, cand.span_lens)
-    positions = np.arange(vals.size)
-    first = np.minimum.reduceat(
-        np.where(vals == seg_max, positions, vals.size), cand.seg_starts
-    )
-    return scores, cand.span_slots[first]
+def _span_values(bm: BehaviorMatrix, cand: Candidates) -> np.ndarray:
+    # The user's probability at every span cell, segmented per row by seg_starts.
+    return _dense_grid(bm, cand)[cand.span_flat]
 
 
 def _stage_one_order(cand: Candidates, scores: np.ndarray) -> np.ndarray:
@@ -227,10 +229,15 @@ def _stage_one_order(cand: Candidates, scores: np.ndarray) -> np.ndarray:
     return np.lexsort((cand.id_rank, cand.starts, -scores))
 
 
-def _materialize(cand: Candidates, scores: np.ndarray, order: np.ndarray) -> RankedList:
+def _ranking(cand: Candidates, scores: np.ndarray) -> Ranking:
+    return Ranking(_stage_one_order(cand, scores), scores)
+
+
+def top_k(cand: Candidates, ranking: Ranking, k: int) -> RankedList:
+    """The first ``k`` rows of ``ranking`` as (program id, score) pairs."""
+    rows = ranking.rows[:k]
     ids = cand.ids
-    vals = scores.tolist()
-    return [(ids[i], vals[i]) for i in order.tolist()]
+    return [(ids[r], s) for r, s in zip(rows.tolist(), ranking.scores[rows].tolist())]
 
 
 def _pref_scorer(model: PreferenceModel, user: str, cand: Candidates):
@@ -256,37 +263,17 @@ def _pref_scorer(model: PreferenceModel, user: str, cand: Candidates):
     return score_row
 
 
-def rank_behavior(bm: BehaviorMatrix, cand: Candidates) -> RankedList:
+def rank_behavior(bm: BehaviorMatrix, cand: Candidates) -> Ranking:
     """Rank all candidates by behavior score, descending."""
-    if not cand.ids:
-        return []
-    scores = _behavior_scores(bm, cand)
-    return _materialize(cand, scores, _stage_one_order(cand, scores))
+    return _ranking(cand, np.maximum.reduceat(_span_values(bm, cand), cand.seg_starts))
 
 
-def rank_preference(
-    model: PreferenceModel, user: str, cand: Candidates, index: ItemIndex | None = None
-) -> RankedList:
-    """Rank all candidates by preference score, descending.
-
-    Pass a prebuilt :class:`ItemIndex` to score all candidates in one batched
-    pass; without one, candidates are scored one dot product at a time.
-    """
-    if not cand.ids:
-        return []
-    if index is not None:
-        if index.idx.shape[0] != len(cand.ids):
-            raise ValueError("item index does not match the candidate set")
-        scores = _indexed_pref_scores(model, user, cand, index)
-    else:
-        score_row = _pref_scorer(model, user, cand)
-        try:
-            scores = np.fromiter(
-                (score_row(i) for i in range(len(cand.ids))), dtype=np.float64, count=len(cand.ids)
-            )
-        except KeyError as exc:
-            raise DataError(f"candidate program {exc.args[0]!r} has no embedding") from exc
-    return _materialize(cand, scores, _stage_one_order(cand, scores))
+def rank_preference(model: PreferenceModel, user: str, cand: Candidates, index: ItemIndex) -> Ranking:
+    """Rank all candidates by preference score, descending, scoring them in
+    one batched pass over the prebuilt :class:`ItemIndex`."""
+    if index.idx.shape[0] != len(cand.ids):
+        raise ValueError("item index does not match the candidate set")
+    return _ranking(cand, _indexed_pref_scores(model, user, cand, index))
 
 
 def two_stage(
@@ -295,7 +282,7 @@ def two_stage(
     cand: Candidates,
     k: int,
     stats: TwoStageStats | None = None,
-) -> RankedList:
+) -> Ranking:
     """Two-stage ranking: behavior-ordered scan with per-(slot, channel)-run
     preference dedup.
 
@@ -305,19 +292,22 @@ def two_stage(
     ties break to the earlier start, then id. Winners are emitted in run
     order until ``k`` items are out. When the scan exhausts the candidates
     with a run still pending, that run is flushed, so the output only falls
-    short of ``k`` when the candidate groups themselves run out. Emitted
-    scores are the winners' behavior scores.
+    short of ``k`` when the candidate groups themselves run out. The returned
+    scores are the behavior scores. The argmax slot is found only for the
+    rows the scan visits, earliest slot first on ties.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not cand.ids:
-        return []
     score_row = _pref_scorer(model, bm.user, cand)
-    scores, group_slots = _behavior_scores_groups(bm, cand)
+    vals = _span_values(bm, cand)
+    seg_starts = cand.seg_starts
+    scores = np.maximum.reduceat(vals, seg_starts)
     order = _stage_one_order(cand, scores)
     starts = cand.starts
     id_rank = cand.id_rank
     chan_col = cand.chan_col
+    span_ends = seg_starts + cand.span_lens
+    span_slots = cand.span_slots
 
     winners: list[int] = []
     run_key: tuple[int, int] | None = None
@@ -326,7 +316,9 @@ def two_stage(
     evals = 0
     for np_row in order:
         row = int(np_row)
-        key = (int(group_slots[row]), int(chan_col[row]))
+        lo = int(seg_starts[row])
+        slot = int(span_slots[lo + int(np.argmax(vals[lo : span_ends[row]]))])
+        key = (slot, int(chan_col[row]))
         if best_row >= 0 and key != run_key:
             winners.append(best_row)
             best_row = -1
@@ -343,42 +335,38 @@ def two_stage(
         winners.append(best_row)  # flush the pending run
     if stats is not None:
         stats.preference_evals += evals
-    vals = scores
-    return [(cand.ids[r], float(vals[r])) for r in winners]
+    return Ranking(np.asarray(winners, dtype=np.int64), scores)
 
 
-def _positions(ranked: Sequence[tuple[str, float]], cand: Candidates, name: str) -> np.ndarray:
-    if len(ranked) != len(cand.ids):
-        raise ValueError(
-            f"{name} ranking covers {len(ranked)} items, expected {len(cand.ids)}"
-        )
-    pos = np.zeros(len(cand.ids))
-    row_of = cand.pos
-    for rank, (pid, _) in enumerate(ranked, 1):
-        row = row_of.get(pid)
-        if row is None:
-            raise ValueError(f"{name} ranking contains unknown program {pid!r}")
-        if pos[row]:
-            raise ValueError(f"{name} ranking lists program {pid!r} twice")
-        pos[row] = rank
+def _rank_of_row(ranking: Ranking, n: int, name: str) -> np.ndarray:
+    # 1-based rank of every row: the inverse permutation of ranking.rows.
+    rows = ranking.rows
+    if len(rows) != n:
+        raise ValueError(f"{name} ranking covers {len(rows)} rows, expected {n}")
+    if n and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"{name} ranking has a row outside the candidate set")
+    pos = np.zeros(n)
+    pos[rows] = np.arange(1, n + 1)
+    if not pos.all():
+        raise ValueError(f"{name} ranking lists a row twice")
     return pos
 
 
 def _fuse(
-    kappa_b: RankedList,
-    kappa_p: RankedList,
+    kappa_b: Ranking,
+    kappa_p: Ranking,
     cand: Candidates,
     eta: float,
     w_b: float,
     w_p: float,
-) -> RankedList:
-    pb = _positions(kappa_b, cand, "behavior")
-    pp = _positions(kappa_p, cand, "preference")
-    scores = w_b / (pb + eta) + w_p / (pp + eta)
-    return _materialize(cand, scores, _stage_one_order(cand, scores))
+) -> Ranking:
+    n = len(cand.ids)
+    pb = _rank_of_row(kappa_b, n, "behavior")
+    pp = _rank_of_row(kappa_p, n, "preference")
+    return _ranking(cand, w_b / (pb + eta) + w_p / (pp + eta))
 
 
-def rrf(kappa_b: RankedList, kappa_p: RankedList, cand: Candidates, eta: float = DEFAULT_RRF_ETA) -> RankedList:
+def rrf(kappa_b: Ranking, kappa_p: Ranking, cand: Candidates, eta: float = DEFAULT_RRF_ETA) -> Ranking:
     """Reciprocal rank fusion of the two rankings: sum of 1/(rank + eta)."""
     if eta < 0:
         raise ValueError("eta must be non-negative")
@@ -386,12 +374,12 @@ def rrf(kappa_b: RankedList, kappa_p: RankedList, cand: Candidates, eta: float =
 
 
 def rrf_weighted(
-    kappa_b: RankedList,
-    kappa_p: RankedList,
+    kappa_b: Ranking,
+    kappa_p: Ranking,
     cand: Candidates,
     eta: float = DEFAULT_RRF_ETA,
     xi: float = 0.5,
-) -> RankedList:
+) -> Ranking:
     """Weighted RRF: xi/(rank_b + eta) + (1 - xi)/(rank_p + eta)."""
     if eta < 0:
         raise ValueError("eta must be non-negative")
@@ -401,7 +389,7 @@ def rrf_weighted(
 
 
 def tune_rrf(
-    rankings: Mapping[str, tuple[RankedList, RankedList]],
+    rankings: Mapping[str, tuple[Ranking, Ranking]],
     truths: Mapping[str, Collection[str]],
     cand: Candidates,
     eta_grid: Iterable[float] | None = None,
@@ -419,23 +407,22 @@ def tune_rrf(
     if not etas or not xis:
         raise ValueError("hyperparameter grids must be non-empty")
 
+    n = len(cand.ids)
     per_user = []
     for user in sorted(rankings):
         truth = truths.get(user)
         if not truth:
             continue
         kb, kp = rankings[user]
-        mask = np.zeros(len(cand.ids), dtype=bool)
+        mask = np.zeros(n, dtype=bool)
         for pid in truth:
             row = cand.pos.get(pid)
             if row is not None:
                 mask[row] = True
-        per_user.append((_positions(kb, cand, "behavior"), _positions(kp, cand, "preference"), mask, len(truth)))
+        per_user.append((_rank_of_row(kb, n, "behavior"), _rank_of_row(kp, n, "preference"), mask, len(truth)))
     if not per_user:
         raise ValueError("development set is empty or has no ground truth")
 
-    id_rank = cand.id_rank
-    starts = cand.starts
     best_score = -1.0
     best = (etas[0], xis[0])
     for eta in etas:
@@ -443,8 +430,7 @@ def tune_rrf(
         for xi in xis:
             total = 0.0
             for inv_b, inv_p, mask, tsize in inv:
-                scores = xi * inv_b + (1.0 - xi) * inv_p
-                top = np.lexsort((id_rank, starts, -scores))[:cutoff]
+                top = _stage_one_order(cand, xi * inv_b + (1.0 - xi) * inv_p)[:cutoff]
                 total += mask[top].sum() / tsize
             mean_recall = total / len(inv)
             if mean_recall > best_score:

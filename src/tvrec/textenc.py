@@ -12,12 +12,11 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DataError
 
 Embedding = dict[int, float]
-Tokenizer = Callable[[str], list[str]]
 
 # Hiragana, katakana, and the main CJK ideograph blocks: treated as unigrams;
 # everything else tokenizes as lowercased alphanumeric runs.
@@ -26,11 +25,9 @@ _TOKEN_RE = re.compile(f"[{_CJK}]|[^\\W_{_CJK}]+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Default tokenizer: lowercased alphanumeric runs, CJK chars as unigrams."""
+    """Lowercased alphanumeric runs, CJK chars as unigrams."""
     return _TOKEN_RE.findall(text.lower())
 
-
-TOKENIZERS: dict[str, Tokenizer] = {"default": tokenize}
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,6 @@ class Vocabulary:
 
     index: Mapping[str, int]
     idf: Mapping[str, float]
-    tokenizer: str = "default"
 
     @property
     def size(self) -> int:
@@ -47,16 +43,13 @@ class Vocabulary:
 
     def to_dict(self) -> dict:
         tokens = sorted(self.index, key=self.index.__getitem__)
-        return {
-            "tokenizer": self.tokenizer,
-            "tokens": [[t, self.index[t], self.idf[t]] for t in tokens],
-        }
+        return {"tokens": [[t, self.index[t], self.idf[t]] for t in tokens]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Vocabulary":
         index = {t: i for t, i, _ in data["tokens"]}
         idf = {t: w for t, _, w in data["tokens"]}
-        return cls(index=index, idf=idf, tokenizer=data.get("tokenizer", "default"))
+        return cls(index=index, idf=idf)
 
 
 def fit(
@@ -64,7 +57,6 @@ def fit(
     *,
     min_df: int = 1,
     max_vocab: int | None = None,
-    tokenizer: Tokenizer = tokenize,
 ) -> Vocabulary:
     """Fit idf weights over a corpus of ``(program_id, text)`` pairs.
 
@@ -76,7 +68,7 @@ def fit(
     n_docs = 0
     for _, text in corpus:
         n_docs += 1
-        df.update(set(tokenizer(text)))
+        df.update(set(tokenize(text)))
     if n_docs == 0:
         raise DataError("cannot fit a vocabulary on an empty corpus")
     if not df:
@@ -89,8 +81,7 @@ def fit(
     kept.sort()
     index = {t: i for i, t in enumerate(kept)}
     idf = {t: math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in kept}
-    name = next((n for n, f in TOKENIZERS.items() if f is tokenizer), "custom")
-    return Vocabulary(index=index, idf=idf, tokenizer=name)
+    return Vocabulary(index=index, idf=idf)
 
 
 def encode(
@@ -98,11 +89,10 @@ def encode(
     text: str,
     *,
     l2_normalize: bool = True,
-    tokenizer: Tokenizer = tokenize,
 ) -> Embedding:
     """Encode text as a sparse tf-idf vector; out-of-vocabulary tokens are
     ignored and a text with no known tokens encodes to the zero vector."""
-    tf = Counter(tokenizer(text))
+    tf = Counter(tokenize(text))
     vec: Embedding = {}
     index = vocab.index
     idf = vocab.idf

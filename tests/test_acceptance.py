@@ -73,12 +73,16 @@ def rank_and_score(ds: Dataset) -> dict[str, float]:
     recs = {name: {} for name in ("behavior", "preferences", "two-stage-global", "two-stage-time")}
     for user in sorted(ds.prep.tensor.users):
         bm = behavior.behavior_matrix(ds.prep.tensor, user)
-        recs["behavior"][user] = ranker.rank_behavior(bm, ds.cand)[:K]
-        recs["preferences"][user] = ranker.rank_preference(
-            ds.models["time-aware"], user, ds.cand, ds.index
-        )[:K]
-        recs["two-stage-global"][user] = ranker.two_stage(bm, ds.models["global"], ds.cand, K)
-        recs["two-stage-time"][user] = ranker.two_stage(bm, ds.models["time-aware"], ds.cand, K)
+        recs["behavior"][user] = ranker.top_k(ds.cand, ranker.rank_behavior(bm, ds.cand), K)
+        recs["preferences"][user] = ranker.top_k(
+            ds.cand, ranker.rank_preference(ds.models["time-aware"], user, ds.cand, ds.index), K
+        )
+        recs["two-stage-global"][user] = ranker.top_k(
+            ds.cand, ranker.two_stage(bm, ds.models["global"], ds.cand, K), K
+        )
+        recs["two-stage-time"][user] = ranker.top_k(
+            ds.cand, ranker.two_stage(bm, ds.models["time-aware"], ds.cand, K), K
+        )
     return {
         name: evaluate.evaluate_rankings(r, ds.prep.truths, cutoffs=(10,), method=name).ndcg[10]
         for name, r in recs.items()
@@ -99,7 +103,7 @@ def test_criterion_1_two_stage_matches_brute_force_oracle():
         cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
         k = rng.choice((1, 3, 10, 30))
         mode = rng.choice(("global", "time-aware"))
-        got = ranker.two_stage(bm, models[mode], cand, k)
+        got = ranker.top_k(cand, ranker.two_stage(bm, models[mode], cand, k), k)
         want = brute_two_stage(bm, models[mode], metas, grid, k)
         assert got == want, f"two-stage mismatch on instance {checked}"
         checked += 1
@@ -120,8 +124,10 @@ def test_criterion_2_behavior_score_matches_dense_product():
     while checked < 1000:
         grid, metas, bm, _ = random_instance(rng, max_programs=10)
         channels = sorted({m.channel for m in metas} | {c for _, c in bm.probs})
+        cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
+        scores = ranker.rank_behavior(bm, cand).scores
         for meta in metas:
-            efficient = behavior.behavior_score(bm, meta, grid).score
+            efficient = float(scores[cand.pos[meta.program]])
             dense = dense_behavior_score(bm, meta, channels, grid)
             worst = max(worst, abs(efficient - dense))
             assert abs(efficient - dense) <= 1e-12
@@ -199,13 +205,17 @@ def test_criterion_5_efficiency_ratios(dataset_a):
     index = dataset_a.index
     matrices = {u: behavior.behavior_matrix(dataset_a.prep.tensor, u) for u in sample}
 
-    t_behavior = evaluate.bench(lambda u: ranker.rank_behavior(matrices[u], cand)[:K], sample, 3)
-    t_two_stage = evaluate.bench(lambda u: ranker.two_stage(matrices[u], model, cand, K), sample, 3)
+    t_behavior = evaluate.bench(
+        lambda u: ranker.top_k(cand, ranker.rank_behavior(matrices[u], cand), K), sample, 3
+    )
+    t_two_stage = evaluate.bench(
+        lambda u: ranker.top_k(cand, ranker.two_stage(matrices[u], model, cand, K), K), sample, 3
+    )
 
     def rrf_pipeline(u):
         kb = ranker.rank_behavior(matrices[u], cand)
         kp = ranker.rank_preference(model, u, cand, index)
-        return ranker.rrf(kb, kp, cand)[:K]
+        return ranker.top_k(cand, ranker.rrf(kb, kp, cand), K)
 
     t_rrf = evaluate.bench(rrf_pipeline, sample, 3)
 
@@ -263,16 +273,18 @@ def test_criterion_7_rrf_algebra():
     for trial in range(100):
         grid, metas, bm, models = random_instance(rng, max_programs=40)
         cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
+        index = ranker.build_item_index(models["global"].item_embeddings, cand)
         kb = ranker.rank_behavior(bm, cand)
-        kp = ranker.rank_preference(models["global"], "u", cand)
+        kp = ranker.rank_preference(models["global"], "u", cand, index)
         eta = rng.randint(1, 100)
-        ids_b = [pid for pid, _ in kb]
-        ids_p = [pid for pid, _ in kp]
-        assert [p for p, _ in ranker.rrf_weighted(kb, kp, cand, eta, xi=1.0)] == ids_b
-        assert [p for p, _ in ranker.rrf_weighted(kb, kp, cand, eta, xi=0.0)] == ids_p
-        assert [p for p, _ in ranker.rrf_weighted(kb, kp, cand, eta, xi=0.5)] == [
-            p for p, _ in ranker.rrf(kb, kp, cand, eta)
-        ]
+        rows_b = kb.rows.tolist()
+        rows_p = kp.rows.tolist()
+        assert ranker.rrf_weighted(kb, kp, cand, eta, xi=1.0).rows.tolist() == rows_b
+        assert ranker.rrf_weighted(kb, kp, cand, eta, xi=0.0).rows.tolist() == rows_p
+        assert (
+            ranker.rrf_weighted(kb, kp, cand, eta, xi=0.5).rows.tolist()
+            == ranker.rrf(kb, kp, cand, eta).rows.tolist()
+        )
     _report(7, "RRF algebra", True, "xi in {1, 0, 0.5} reproduced kb / kp / unweighted orders on 100 instances each")
 
 

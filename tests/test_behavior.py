@@ -3,9 +3,11 @@ import random
 import pytest
 
 from oracles import MONDAY, dense_behavior_score, random_instance
-from tvrec.behavior import BehaviorMatrix, behavior_matrix, behavior_score
+from tvrec.behavior import BehaviorMatrix, behavior_matrix
 from tvrec.datamodel import InteractionTensor, ProgramMeta, ViewingLog, build_tensor
 from tvrec.errors import DataError
+from tvrec.preference import PreferenceModel
+from tvrec.ranker import build_candidates, rank_behavior, top_k, two_stage
 from tvrec.timegrid import TimeGrid
 
 GRID = TimeGrid(n=672)
@@ -70,29 +72,50 @@ def test_behavior_matrix_invariant_to_log_order():
     assert bm1.probs == bm2.probs
 
 
-def program(channel="c2", start_slot=5, n_slots=2):
+def flat_model(metas, items=None):
+    """A global preference model; every program scores 0 unless ``items`` says otherwise."""
+    items = items or {m.program: {} for m in metas}
+    return PreferenceModel(mode="global", global_prefs={"u": {0: 1.0}}, slot_prefs={}, item_embeddings=items)
+
+
+def program(pid="px", channel="c2", start_slot=5, n_slots=2):
     start = MONDAY + (start_slot - 1) * 900
-    return ProgramMeta("px", channel, start, start + n_slots * 900 - 1, "")
+    return ProgramMeta(pid, channel, start, start + n_slots * 900 - 1, "")
+
+
+def behavior_scores(bm, metas, grid=GRID):
+    """Behavior score of each program, computed over the candidate index."""
+    cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+    scores = rank_behavior(bm, cand).scores
+    return [float(scores[cand.pos[m.program]]) for m in metas]
 
 
 def test_behavior_score_takes_span_maximum():
     bm = BehaviorMatrix("u", {(5, "c2"): 0.75, (6, "c2"): 0.10, (5, "c1"): 0.9})
-    score = behavior_score(bm, program(), GRID)
-    assert score.score == 0.75
-    assert (score.argmax_slot, score.argmax_channel) == (5, "c2")
+    assert behavior_scores(bm, [program()]) == [0.75]
 
 
 def test_behavior_score_unwatched_channel_is_zero_with_total_argmax():
+    # The zero-score program still has a group key: it forms its own
+    # two-stage run and is emitted after the watched one.
     bm = BehaviorMatrix("u", {(5, "c1"): 1.0})
-    score = behavior_score(bm, program(channel="c9"), GRID)
-    assert score.score == 0.0
-    assert (score.argmax_slot, score.argmax_channel) == (5, "c9")
+    metas = [program("pa", channel="c1", n_slots=1), program("pz", channel="c9")]
+    assert behavior_scores(bm, metas) == [1.0, 0.0]
+    cand = build_candidates(metas, GRID, {"c1"})
+    ranked = top_k(cand, two_stage(bm, flat_model(metas), cand, 5), 5)
+    assert ranked == [("pa", 1.0), ("pz", 0.0)]
 
 
 def test_behavior_score_tie_takes_earliest_slot():
-    bm = BehaviorMatrix("u", {(5, "c2"): 0.4, (6, "c2"): 0.4})
-    score = behavior_score(bm, program(), GRID)
-    assert score.argmax_slot == 5
+    # A spans slots 1-2 and B slot 2 alone; both score 0.5. The earliest-slot
+    # tie rule gives A argmax slot 1 and B slot 2: two two-stage runs, two
+    # winners. Taking slot 2 for A would put both in one run and emit only
+    # the preferred B.
+    bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (2, "c1"): 0.5})
+    metas = [program("A", channel="c1", start_slot=1), program("B", channel="c1", start_slot=2, n_slots=1)]
+    model = flat_model(metas, {"A": {0: 0.1}, "B": {0: 0.9}})
+    cand = build_candidates(metas, GRID, {"c1"})
+    assert top_k(cand, two_stage(bm, model, cand, 5), 5) == [("A", 0.5), ("B", 0.5)]
 
 
 def test_behavior_score_equals_dense_elementwise_product_oracle():
@@ -100,9 +123,9 @@ def test_behavior_score_equals_dense_elementwise_product_oracle():
     for _ in range(300):
         grid, metas, bm, _ = random_instance(rng)
         channels = sorted({m.channel for m in metas} | {c for (_, c) in bm.probs})
-        for meta in metas[:10]:
-            efficient = behavior_score(bm, meta, grid)
+        efficient = behavior_scores(bm, metas, grid)
+        for meta, score in zip(metas[:10], efficient):
             dense = dense_behavior_score(bm, meta, channels, grid)
-            assert efficient.score == pytest.approx(dense, abs=1e-12)
-            assert 0.0 <= efficient.score <= 1.0
-            assert efficient.score <= max(bm.probs.values())
+            assert score == pytest.approx(dense, abs=1e-12)
+            assert 0.0 <= score <= 1.0
+            assert score <= max(bm.probs.values())

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tvrec
 from tvrec.cli import EngineConfig, load_config, main
+from tvrec.errors import ConfigError
 
 SYNTH_CFG = {
     "n_users": 25,
@@ -142,6 +147,77 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"ranking": {"strength": 11}}))
     assert run(["prep", "--config", bad]) == 2
+
+
+def _malformed_argv(case, cfg, tmp_path):
+    """The argv of one malformed-input case; its bad file goes in tmp_path."""
+    good_rows = '{"_meta": {}}\n{"user": "u1", "items": ["p1"], "scores": [1.0]}\n'
+    bad_rows = good_rows + "{not json\n"
+    if case in ("rec line not JSON", "truth line not JSON"):
+        rec = tmp_path / "recs.jsonl"
+        truth = tmp_path / "truth.jsonl"
+        rec.write_text(bad_rows if case.startswith("rec") else good_rows)
+        truth.write_text(bad_rows if case.startswith("truth") else good_rows)
+        return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
+    if case == "synth config not JSON":
+        bad = tmp_path / "synth.json"
+        bad.write_text('{"n_users": 5,')
+        return ["synth", "--config", bad, "--out-dir", tmp_path / "data"]
+    if case.startswith("config value"):
+        value = {"config value str for int": {"ranking": {"k": "30"}},
+                 "config value bool for int": {"ranking": {"k": True}},
+                 "config value str for float": {"ranking": {"eta": "60"}},
+                 "config value str seed": {"seed": "7"}}[case]
+        bad = tmp_path / "engine.json"
+        bad.write_text(json.dumps(value))
+        return ["prep", "--config", bad]
+    flag = {"bench zero users": "--users-sample", "bench zero reps": "--reps"}[case]
+    return ["bench", "--config", cfg, "--method", "behavior", flag, 0]
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("rec line not JSON", 3),
+        ("truth line not JSON", 3),
+        ("synth config not JSON", 2),
+        ("config value str for int", 2),
+        ("config value bool for int", 2),
+        ("config value str for float", 2),
+        ("config value str seed", 2),
+        ("bench zero users", 2),
+        ("bench zero reps", 2),
+    ],
+)
+def test_malformed_input_exits_with_documented_code(case, code, workspace, tmp_path, capsys):
+    _, cfg = workspace
+    assert run(_malformed_argv(case, cfg, tmp_path)) == code
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_config_values_are_type_checked():
+    assert load_config(None, {"train_days": 14, "eta": 60, "cutoffs": (5, 10), "k": 10}).eta == 60
+    for key, value in (("binarize", 1), ("t_split", 1.5), ("cutoffs", (5, "10")), ("method", 3)):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: value})
+
+
+def test_bundle_built_by_python_m_loads_in_process(workspace, tmp_path, capsys):
+    # `python -m tvrec.cli` runs the module as __main__; its bundle must still
+    # unpickle as tvrec.cli.ModelBundle in a process that imported tvrec.cli.
+    _, cfg = workspace
+    model = tmp_path / "model.pkl"
+    src = str(Path(tvrec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    build = subprocess.run(
+        [sys.executable, "-m", "tvrec.cli", "build", "--config", str(cfg),
+         "--out-dir", str(tmp_path), "--model", str(model)],
+        env=env, capture_output=True, text=True,
+    )
+    assert build.returncode == 0, build.stderr
+    assert run(["recommend", "--config", cfg, "--model", model, "--method", "behavior",
+                "--out", tmp_path / "recs.jsonl"]) == 0
+    capsys.readouterr()
 
 
 def test_unknown_method_rejected_by_parser(workspace, capsys):

@@ -9,7 +9,6 @@ from tvrec.datamodel import (
     ViewingLog,
     build_tensor,
     filter_flips,
-    ground_truth,
     ground_truth_map,
     parse_logs,
     parse_programs,
@@ -164,6 +163,10 @@ def test_split_item_sets_always_disjoint():
 # tensor construction
 
 
+def total(tensor):
+    return sum(sum(cells.values()) for cells in tensor.by_user.values())
+
+
 def test_build_tensor_counts_repeated_views_in_one_slot():
     metas = {"p1": meta()}
     logs = [log(t=MONDAY + 4 * 900), log(t=MONDAY + 4 * 900 + 30)]
@@ -174,7 +177,7 @@ def test_build_tensor_counts_repeated_views_in_one_slot():
 def test_build_tensor_single_log_single_cell():
     tensor = build_tensor([log(t=MONDAY)], {"p1": meta()}, GRID)
     assert tensor.by_user["u1"] == {("p1", 1, "c1"): 1}
-    assert tensor.total() == 1
+    assert total(tensor) == 1
 
 
 def test_build_tensor_unknown_program_error_lists_ids():
@@ -187,7 +190,7 @@ def test_build_tensor_restricts_users_and_items():
     logs = [log(user="u1", program="p1"), log(user="u2", program="p1"), log(user="u1", program="p2")]
     tensor = build_tensor(logs, metas, GRID, items=frozenset({"p1"}), users=frozenset({"u1"}))
     assert tensor.users == {"u1"}
-    assert tensor.total() == 1
+    assert total(tensor) == 1
 
 
 def test_tensor_total_matches_restricted_log_count():
@@ -201,7 +204,7 @@ def test_tensor_total_matches_restricted_log_count():
     items = frozenset({"p0", "p1", "p2"})
     tensor = build_tensor(logs, metas, GRID, items=items, users=users)
     expected = sum(1 for g in logs if g.user in users and g.program in items)
-    assert tensor.total() == expected
+    assert total(tensor) == expected
 
 
 def test_binarize_flattens_counts_and_keeps_support():
@@ -218,16 +221,15 @@ def test_binarize_flattens_counts_and_keeps_support():
 
 def test_ground_truth_set_semantics():
     d_test = [log(program="p1"), log(program="p1", t=MONDAY + 60), log(program="p2")]
-    assert ground_truth(d_test, "u1") == {"p1", "p2"}
+    assert ground_truth_map(d_test) == {"u1": frozenset({"p1", "p2"})}
 
 
 def test_ground_truth_single_log():
-    assert ground_truth([log(program="p7")], "u1") == {"p7"}
+    assert ground_truth_map([log(program="p7")]) == {"u1": frozenset({"p7"})}
 
 
 def test_ground_truth_respects_item_restriction():
     d_test = [log(program="p1"), log(program="p-old")]
-    assert ground_truth(d_test, "u1", items=frozenset({"p1"})) == {"p1"}
     assert ground_truth_map(d_test, items=frozenset({"p1"})) == {"u1": frozenset({"p1"})}
 
 

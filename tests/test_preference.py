@@ -5,7 +5,8 @@ import pytest
 from oracles import MONDAY
 from tvrec.datamodel import InteractionTensor, ProgramMeta
 from tvrec.errors import DataError
-from tvrec.preference import build, score, user_vector
+from tvrec.preference import build
+from tvrec.ranker import build_candidates, build_item_index, rank_preference
 from tvrec.textenc import l2_norm
 from tvrec.timegrid import TimeGrid
 
@@ -23,6 +24,12 @@ def tensor_from(cells: dict[str, dict]) -> InteractionTensor:
 def meta(pid, start_slot=5, channel="c1"):
     start = MONDAY + (start_slot - 1) * 900
     return ProgramMeta(pid, channel, start, start + 1799, "")
+
+
+def score(model, user, m):
+    """The program's preference score, computed over a one-row candidate index."""
+    cand = build_candidates([m], GRID)
+    return float(rank_preference(model, user, cand, build_item_index(model.item_embeddings, cand)).scores[0])
 
 
 E1 = {0: 1.0}
@@ -71,34 +78,36 @@ def test_missing_embedding_error_lists_ids():
 def test_score_is_dot_product():
     tensor = tensor_from({"u": {("p1", 5, "c1"): 1}})
     model = build(tensor, {"p1": {0: 1.0}, "px": {0: 0.5, 1: 0.5}})
-    assert score(model, "u", meta("px"), GRID) == pytest.approx(0.5)
+    assert score(model, "u", meta("px")) == pytest.approx(0.5)
 
 
 def test_score_orthogonal_is_zero():
     model = build(tensor_from({"u": {("p1", 5, "c1"): 1}}), {"p1": {0: 1.0}, "px": {1: 1.0}})
-    assert score(model, "u", meta("px"), GRID) == 0.0
+    assert score(model, "u", meta("px")) == 0.0
 
 
 def test_score_identical_unit_vectors_is_one():
     model = build(tensor_from({"u": {("p1", 5, "c1"): 1}}), {"p1": {3: 1.0}, "px": {3: 1.0}})
-    assert score(model, "u", meta("px"), GRID) == pytest.approx(1.0)
+    assert score(model, "u", meta("px")) == pytest.approx(1.0)
 
 
 def test_time_aware_scoring_keys_on_start_slot_with_global_fallback():
     tensor = tensor_from({"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}})
     embs = {"p1": E1, "p2": E2, "px": {0: 1.0, 1: 1.0}}
     model = build(tensor, embs, mode="time-aware")
-    assert score(model, "u", meta("px", start_slot=5), GRID) == pytest.approx(1.0)
-    assert score(model, "u", meta("px", start_slot=9), GRID) == pytest.approx(1.0)
+    assert score(model, "u", meta("px", start_slot=5)) == pytest.approx(1.0)
+    assert score(model, "u", meta("px", start_slot=9)) == pytest.approx(1.0)
     # slot 20 has no history: falls back to the global mean (0.5, 0.5)
-    assert score(model, "u", meta("px", start_slot=20), GRID) == pytest.approx(1.0)
-    assert user_vector(model, "u", 20) == model.global_prefs["u"]
+    assert score(model, "u", meta("px", start_slot=20)) == pytest.approx(1.0)
+    # p1 = (1, 0) scores 1 in its own slot 5 but only 0.5 against the mean
+    assert score(model, "u", meta("p1", start_slot=5)) == pytest.approx(1.0)
+    assert score(model, "u", meta("p1", start_slot=20)) == pytest.approx(0.5)
 
 
 def test_unknown_user_is_error():
     model = build(tensor_from({"u": {("p1", 5, "c1"): 1}}), {"p1": E1})
     with pytest.raises(DataError):
-        user_vector(model, "ghost")
+        score(model, "ghost", meta("p1"))
 
 
 def test_scaling_item_embeddings_scales_scores_and_keeps_argsort():
@@ -111,8 +120,8 @@ def test_scaling_item_embeddings_scales_scores_and_keeps_argsort():
     scaled = {pid: {d: lam * v for d, v in vec.items()} for pid, vec in items.items()}
     base_model = build(tensor, items)
     scaled_model = build(tensor, scaled)
-    base = [score(base_model, "u", m, GRID) for m in metas]
-    after = [score(scaled_model, "u", m, GRID) for m in metas]
+    base = [score(base_model, "u", m) for m in metas]
+    after = [score(scaled_model, "u", m) for m in metas]
     for b, a in zip(base, after):
         # user mean scales by lambda too, so scores scale by lambda^2
         assert a == pytest.approx(lam * lam * b, rel=1e-12)
@@ -130,7 +139,7 @@ def test_unit_norm_embeddings_bound_scores_by_one():
     cells = {(f"p{i}", rng.randint(1, 20), "c1"): 1 for i in range(12)}
     model = build(tensor_from({"u": cells}), items, mode="time-aware")
     for i in range(30):
-        s = score(model, "u", meta(f"p{i}", start_slot=rng.randint(1, 30)), GRID)
+        s = score(model, "u", meta(f"p{i}", start_slot=rng.randint(1, 30)))
         assert abs(s) <= 1.0 + 1e-12
 
 

@@ -1,13 +1,22 @@
 import random
 
+import numpy as np
 import pytest
 
-from oracles import MONDAY, brute_rank, brute_two_stage, random_instance, scalar_preference
+from oracles import (
+    MONDAY,
+    brute_rank,
+    brute_two_stage,
+    random_instance,
+    scalar_behavior,
+    scalar_preference,
+)
 from tvrec.behavior import BehaviorMatrix
 from tvrec.datamodel import ProgramMeta
 from tvrec.errors import DataError
 from tvrec.preference import PreferenceModel
 from tvrec.ranker import (
+    Ranking,
     TwoStageStats,
     build_candidates,
     build_item_index,
@@ -15,6 +24,7 @@ from tvrec.ranker import (
     rank_preference,
     rrf,
     rrf_weighted,
+    top_k,
     tune_rrf,
     two_stage,
 )
@@ -34,8 +44,17 @@ def global_model(user_vec, items):
     )
 
 
-def ids(ranked):
-    return [pid for pid, _ in ranked]
+def ranked(cand, ranking):
+    """Every row of ``ranking`` as (program id, score) pairs."""
+    return top_k(cand, ranking, len(cand))
+
+
+def ids(cand, ranking):
+    return [pid for pid, _ in ranked(cand, ranking)]
+
+
+def pref_index(model, cand):
+    return build_item_index(model.item_embeddings, cand)
 
 
 def test_build_candidates_rejects_duplicates():
@@ -47,7 +66,7 @@ def test_rank_behavior_orders_by_score():
     metas = [meta("A", start_slot=1), meta("B", start_slot=5)]
     bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (5, "c1"): 0.3, (6, "c1"): 0.2})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert rank_behavior(bm, cand) == [("A", 0.5), ("B", 0.3)]
+    assert ranked(cand, rank_behavior(bm, cand)) == [("A", 0.5), ("B", 0.3)]
 
 
 def test_rank_behavior_tie_breaks_by_earlier_start_then_id():
@@ -58,7 +77,7 @@ def test_rank_behavior_tie_breaks_by_earlier_start_then_id():
     ]
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(rank_behavior(bm, cand)) == ["B", "C", "A"]
+    assert ids(cand, rank_behavior(bm, cand)) == ["B", "C", "A"]
 
 
 def test_rank_behavior_all_zero_scores_sorted_by_start_then_id():
@@ -69,7 +88,7 @@ def test_rank_behavior_all_zero_scores_sorted_by_start_then_id():
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     cand = build_candidates(metas, GRID, {"c1"})
     expected = [m.program for m in sorted(metas, key=lambda m: (m.start, m.program))]
-    assert ids(rank_behavior(bm, cand)) == expected
+    assert ids(cand, rank_behavior(bm, cand)) == expected
 
 
 def test_rank_preference_matches_dot_and_sort_oracle():
@@ -77,9 +96,9 @@ def test_rank_preference_matches_dot_and_sort_oracle():
     model = global_model({0: 1.0}, items)
     metas = [meta(p, start_slot=i + 1) for i, p in enumerate("ABC")]
     cand = build_candidates(metas, GRID, {"c1"})
-    ranked = rank_preference(model, "u", cand)
-    assert ids(ranked) == ["A", "B", "C"]
-    assert [s for _, s in ranked] == pytest.approx([1.0, 0.5, 0.0])
+    pairs = ranked(cand, rank_preference(model, "u", cand, pref_index(model, cand)))
+    assert [pid for pid, _ in pairs] == ["A", "B", "C"]
+    assert [s for _, s in pairs] == pytest.approx([1.0, 0.5, 0.0])
 
 
 def test_rank_preference_tie_breaks_by_start_time():
@@ -87,17 +106,21 @@ def test_rank_preference_tie_breaks_by_start_time():
     model = global_model({0: 1.0}, items)
     metas = [meta("A", start_slot=9), meta("B", start_slot=2)]
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(rank_preference(model, "u", cand)) == ["B", "A"]
+    assert ids(cand, rank_preference(model, "u", cand, pref_index(model, cand))) == ["B", "A"]
 
 
 def test_rank_preference_indexed_path_matches_scalar_path():
+    # The batched scores equal the oracle's scalar dot products exactly, and
+    # the order is the oracle's (score desc, start asc, id asc) sort.
     rng = random.Random(17)
     for _ in range(60):
         grid, metas, bm, models = random_instance(rng)
         cand = build_candidates(metas, grid, {c for _, c in bm.probs})
         for model in models.values():
-            index = build_item_index(model.item_embeddings, cand)
-            assert rank_preference(model, "u", cand, index) == rank_preference(model, "u", cand)
+            got = ranked(cand, rank_preference(model, "u", cand, pref_index(model, cand)))
+            want = {m.program: scalar_preference(model, "u", m, grid) for m in metas}
+            assert dict(got) == want
+            assert [pid for pid, _ in got] == brute_rank(want, metas)
 
 
 def test_two_stage_hand_trace():
@@ -110,23 +133,22 @@ def test_two_stage_hand_trace():
     bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (2, "c1"): 0.3})
     model = global_model({0: 1.0}, {"A": {0: 0.2}, "B": {0: 0.9}, "C": {0: 0.1}})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(two_stage(bm, model, cand, 2)) == ["B", "C"]
+    assert ids(cand, two_stage(bm, model, cand, 2)) == ["B", "C"]
 
 
 def test_two_stage_distinct_group_keys_reduce_to_behavior_prefix():
-    from tvrec.behavior import behavior_score
-
     rng = random.Random(23)
     for _ in range(40):
         grid, metas, bm, models = random_instance(rng)
         by_key = {}  # keep one program per group key so every run is a singleton
         for m in metas:
-            s = behavior_score(bm, m, grid)
-            by_key.setdefault((s.argmax_slot, m.channel), m)
+            _, slot, channel = scalar_behavior(bm, m, grid)
+            by_key.setdefault((slot, channel), m)
         distinct = list(by_key.values())
         cand = build_candidates(distinct, grid, {c for _, c in bm.probs})
         k = rng.randint(1, len(distinct))
-        assert two_stage(bm, models["global"], cand, k) == rank_behavior(bm, cand)[:k]
+        got = top_k(cand, two_stage(bm, models["global"], cand, k), k)
+        assert got == top_k(cand, rank_behavior(bm, cand), k)
 
 
 def test_two_stage_k1_single_group_takes_preference_maximum():
@@ -134,7 +156,7 @@ def test_two_stage_k1_single_group_takes_preference_maximum():
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     model = global_model({0: 1.0}, {"A": {0: 0.3}, "B": {0: 0.8}, "C": {0: 0.5}})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(two_stage(bm, model, cand, 1)) == ["B"]
+    assert ids(cand, two_stage(bm, model, cand, 1)) == ["B"]
 
 
 def test_two_stage_flushes_pending_run_at_exhaustion():
@@ -142,7 +164,7 @@ def test_two_stage_flushes_pending_run_at_exhaustion():
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     model = global_model({0: 1.0}, {"A": {0: 0.1}, "B": {0: 0.9}})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(two_stage(bm, model, cand, 5)) == ["B"]
+    assert ids(cand, two_stage(bm, model, cand, 5)) == ["B"]
 
 
 def test_two_stage_emits_behavior_scores_for_winners():
@@ -150,7 +172,7 @@ def test_two_stage_emits_behavior_scores_for_winners():
     bm = BehaviorMatrix("u", {(3, "c1"): 0.7, (1, "c1"): 0.3})
     model = global_model({0: 1.0}, {"A": {0: 0.2}})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert two_stage(bm, model, cand, 1) == [("A", 0.7)]
+    assert top_k(cand, two_stage(bm, model, cand, 1), 1) == [("A", 0.7)]
 
 
 def test_two_stage_matches_brute_force_reference():
@@ -160,7 +182,7 @@ def test_two_stage_matches_brute_force_reference():
         cand = build_candidates(metas, grid, {c for _, c in bm.probs})
         k = rng.choice((1, 2, 5, 30))
         mode = rng.choice(("global", "time-aware"))
-        got = two_stage(bm, models[mode], cand, k)
+        got = top_k(cand, two_stage(bm, models[mode], cand, k), k)
         want = brute_two_stage(bm, models[mode], metas, grid, k)
         assert got == want
 
@@ -170,7 +192,7 @@ def test_two_stage_never_emits_two_items_from_one_run():
     for _ in range(50):
         grid, metas, bm, models = random_instance(rng)
         cand = build_candidates(metas, grid, {c for _, c in bm.probs})
-        winners = ids(two_stage(bm, models["global"], cand, 30))
+        winners = ids(cand, two_stage(bm, models["global"], cand, 30))
         # reference grouping: map each winner to its maximal stage-one run
         from oracles import brute_stage_one
 
@@ -207,18 +229,25 @@ def test_two_stage_k_must_be_positive():
 # fusion
 
 
+def ranking_of(cand, pids, scores=None):
+    """A ranking listing ``pids`` in order, with scores indexed by row;
+    fusion reads only the rows."""
+    rows = np.asarray([cand.pos[p] for p in pids], dtype=np.int64)
+    return Ranking(rows, np.zeros(len(cand)) if scores is None else np.asarray(scores))
+
+
 def fused_fixture():
     metas = [meta(p, start_slot=i + 1) for i, p in enumerate(("A", "B", "C"))]
     cand = build_candidates(metas, GRID, {"c1"})
-    kb = [("A", 0.9), ("B", 0.5), ("C", 0.1)]
-    kp = [("C", 0.8), ("B", 0.6), ("A", 0.2)]
+    kb = ranking_of(cand, "ABC", [0.9, 0.5, 0.1])
+    kp = ranking_of(cand, "CBA", [0.2, 0.6, 0.8])
     return cand, kb, kp
 
 
 def test_rrf_score_arithmetic():
     cand, kb, kp = fused_fixture()
     fused = rrf(kb, kp, cand, eta=60)
-    scores = dict(fused)
+    scores = dict(ranked(cand, fused))
     assert scores["A"] == pytest.approx(1 / 61 + 1 / 63)
     assert scores["A"] == pytest.approx(0.032266, abs=1e-6)
 
@@ -227,15 +256,15 @@ def test_rrf_dominance_is_monotone():
     rng = random.Random(5)
     cand, kb, kp = fused_fixture()
     for eta in (0, 1, 17, 60, 1000):
-        fused = ids(rrf(kb, kp, cand, eta=eta))
+        fused = ids(cand, rrf(kb, kp, cand, eta=eta))
         assert fused.index("B") < fused.index("C") or fused.index("A") < fused.index("C")
         # A is ranked 1st and 3rd; B is 2nd and 2nd; C is 3rd and 1st.
         # An item ranked better in both lists must come first: none here, so
         # just check an explicitly dominated pair built on the fly.
-    kb2 = [("A", 3.0), ("B", 2.0), ("C", 1.0)]
-    kp2 = [("A", 3.0), ("B", 2.0), ("C", 1.0)]
+    kb2 = ranking_of(cand, "ABC", [3.0, 2.0, 1.0])
+    kp2 = ranking_of(cand, "ABC", [3.0, 2.0, 1.0])
     for eta in (0, 0.5, 6, 1e6):
-        assert ids(rrf(kb2, kp2, cand, eta=eta)) == ["A", "B", "C"]
+        assert ids(cand, rrf(kb2, kp2, cand, eta=eta)) == ["A", "B", "C"]
 
 
 def test_rrf_large_eta_matches_brute_force_ordering():
@@ -246,23 +275,24 @@ def test_rrf_large_eta_matches_brute_force_ordering():
         order = [m.program for m in sorted(metas, key=lambda m: (m.start, m.program))]
         perm_b = rng.sample(order, len(order))
         perm_p = rng.sample(order, len(order))
-        kb = [(p, 0.0) for p in perm_b]
-        kp = [(p, 0.0) for p in perm_p]
+        kb = ranking_of(cand, perm_b)
+        kp = ranking_of(cand, perm_p)
         eta = 1e6
         pos_b = {p: i + 1 for i, p in enumerate(perm_b)}
         pos_p = {p: i + 1 for i, p in enumerate(perm_p)}
         scores = {p: 1 / (pos_b[p] + eta) + 1 / (pos_p[p] + eta) for p in order}
-        assert ids(rrf(kb, kp, cand, eta=eta)) == brute_rank(scores, metas)
+        assert ids(cand, rrf(kb, kp, cand, eta=eta)) == brute_rank(scores, metas)
 
 
 def test_rrf_rejects_mismatched_item_sets():
     cand, kb, kp = fused_fixture()
     with pytest.raises(ValueError):
-        rrf(kb[:2], kp, cand)
+        rrf(Ranking(kb.rows[:2], kb.scores), kp, cand)
     with pytest.raises(ValueError):
-        rrf([("A", 1.0), ("A", 0.5), ("B", 0.1)], kp, cand)
-    with pytest.raises(ValueError):
-        rrf([("A", 1.0), ("B", 0.5), ("Z", 0.1)], kp, cand)
+        rrf(ranking_of(cand, "AAB"), kp, cand)
+    for outside in (3, -1):
+        with pytest.raises(ValueError):
+            rrf(Ranking(np.asarray([0, 1, outside]), kb.scores), kp, cand)
 
 
 def test_rrf_weighted_extremes_follow_single_rankers():
@@ -271,11 +301,13 @@ def test_rrf_weighted_extremes_follow_single_rankers():
         grid, metas, bm, models = random_instance(rng, max_programs=25)
         cand = build_candidates(metas, grid, {c for _, c in bm.probs})
         kb = rank_behavior(bm, cand)
-        kp = rank_preference(models["global"], "u", cand)
+        kp = rank_preference(models["global"], "u", cand, pref_index(models["global"], cand))
         eta = rng.randint(1, 100)
-        assert ids(rrf_weighted(kb, kp, cand, eta=eta, xi=1.0)) == ids(kb)
-        assert ids(rrf_weighted(kb, kp, cand, eta=eta, xi=0.0)) == ids(kp)
-        assert ids(rrf_weighted(kb, kp, cand, eta=eta, xi=0.5)) == ids(rrf(kb, kp, cand, eta=eta))
+        assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=1.0)) == ids(cand, kb)
+        assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=0.0)) == ids(cand, kp)
+        assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=0.5)) == ids(
+            cand, rrf(kb, kp, cand, eta=eta)
+        )
 
 
 def test_rrf_weighted_validates_hyperparameters():
@@ -290,11 +322,14 @@ def test_rankers_are_deterministic():
     rng = random.Random(77)
     grid, metas, bm, models = random_instance(rng)
     cand = build_candidates(metas, grid, {c for _, c in bm.probs})
-    assert rank_behavior(bm, cand) == rank_behavior(bm, cand)
-    assert rank_preference(models["time-aware"], "u", cand) == rank_preference(
-        models["time-aware"], "u", cand
+    index = pref_index(models["time-aware"], cand)
+    assert ranked(cand, rank_behavior(bm, cand)) == ranked(cand, rank_behavior(bm, cand))
+    assert ranked(cand, rank_preference(models["time-aware"], "u", cand, index)) == ranked(
+        cand, rank_preference(models["time-aware"], "u", cand, index)
     )
-    assert two_stage(bm, models["global"], cand, 10) == two_stage(bm, models["global"], cand, 10)
+    assert ranked(cand, two_stage(bm, models["global"], cand, 10)) == ranked(
+        cand, two_stage(bm, models["global"], cand, 10)
+    )
 
 
 # tuning
@@ -305,8 +340,8 @@ def tuning_fixture():
     grid, metas, bm, models = random_instance(rng, max_programs=30)
     cand = build_candidates(metas, grid, {c for _, c in bm.probs})
     kb = rank_behavior(bm, cand)
-    kp = rank_preference(models["global"], "u", cand)
-    truth = frozenset(pid for pid, _ in kb[:4])
+    kp = rank_preference(models["global"], "u", cand, pref_index(models["global"], cand))
+    truth = frozenset(pid for pid, _ in top_k(cand, kb, 4))
     return cand, {"u": (kb, kp)}, {"u": truth}
 
 
@@ -322,17 +357,16 @@ def test_tune_rrf_beats_or_matches_untuned_default():
     eta, xi = tune_rrf(rankings, truths, cand, etas, xis, cutoff=10)
     from tvrec.evaluate import recall_at
 
-    tuned = recall_at(rrf_weighted(*rankings["u"], cand, eta=eta, xi=xi), truths["u"], 10)
-    untuned = recall_at(rrf_weighted(*rankings["u"], cand, eta=60, xi=0.5), truths["u"], 10)
+    tuned = recall_at(ranked(cand, rrf_weighted(*rankings["u"], cand, eta=eta, xi=xi)), truths["u"], 10)
+    untuned = recall_at(ranked(cand, rrf_weighted(*rankings["u"], cand, eta=60, xi=0.5)), truths["u"], 10)
     assert tuned >= untuned
 
 
 def test_tune_rrf_ties_resolve_to_smallest_eta_then_xi():
     cand, rankings, truths = tuning_fixture()
     # any grid where every point achieves the same recall: smallest wins
-    kb, kp = rankings["u"]
-    everything = frozenset(pid for pid, _ in kb)
-    eta, xi = tune_rrf(rankings, {"u": everything}, cand, [9, 3, 7], [0.8, 0.2], cutoff=len(kb))
+    everything = frozenset(cand.ids)
+    eta, xi = tune_rrf(rankings, {"u": everything}, cand, [9, 3, 7], [0.8, 0.2], cutoff=len(cand))
     assert (eta, xi) == (3, 0.2)
 
 
