@@ -34,15 +34,7 @@ from . import preference as preference_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
 from . import textenc as textenc_mod
-from .datamodel import (
-    InteractionTensor,
-    Prepared,
-    ProgramMeta,
-    SplitSpec,
-    parse_logs,
-    parse_programs,
-    prepare,
-)
+from .datamodel import Prepared, SplitSpec, parse_logs, parse_programs, prepare
 from .errors import ConfigError, DataError
 from .timegrid import TimeGrid
 
@@ -206,17 +198,20 @@ def load_config(path: str | None, overrides: Mapping[str, object]) -> EngineConf
 
 @dataclass
 class ModelBundle:
-    """Binary model index produced by `build` and consumed by the inference
-    commands; everything derivable ahead of per-user inference lives here."""
+    """The serving index that `build` writes and every inference command reads.
+
+    ``cand`` indexes next week's candidate programs; ``behavior`` holds each
+    training user's (slot, channel) distribution; ``truths`` maps users to
+    their sorted test programs; ``model`` is the time-aware preference model,
+    with embeddings for the candidates only. It serves either scoring mode:
+    global scoring reads it through :func:`tvrec.preference.global_view`.
+    """
 
     provenance: dict
-    grid: TimeGrid
-    tensor: InteractionTensor
-    truths: Mapping[str, frozenset[str]]
-    test_metas: tuple[ProgramMeta, ...]
-    vocab: textenc_mod.Vocabulary
-    prefs: Mapping[str, preference_mod.PreferenceModel]
-    summary: dict
+    cand: ranker_mod.Candidates
+    behavior: Mapping[str, behavior_mod.BehaviorMatrix]
+    truths: Mapping[str, tuple[str, ...]]
+    model: preference_mod.PreferenceModel
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -245,7 +240,8 @@ def _write_jsonl(path: Path, rows: Sequence[dict], provenance: dict | None = Non
     _atomic_write(path, ("\n".join(lines) + "\n").encode() if lines else b"")
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: Path, keys: tuple[str, ...]) -> list[dict]:
+    """The non-``_meta`` rows of a JSONL file; each must be an object holding ``keys``."""
     if not path.exists():
         raise DataError(f"input file {path} does not exist")
     rows = []
@@ -260,6 +256,8 @@ def _read_jsonl(path: Path) -> list[dict]:
                 raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from None
             if isinstance(rec, dict) and "_meta" in rec:
                 continue
+            if not isinstance(rec, dict) or any(key not in rec for key in keys):
+                raise DataError(f"{path}:{lineno}: expected an object with keys {', '.join(keys)}")
             rows.append(rec)
     return rows
 
@@ -367,7 +365,6 @@ def _cmd_prep(args: argparse.Namespace) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
-    modes = (cfg.mode,) if args.mode != "both" else preference_mod.MODES
     prepared, _, _ = _prepare_from_config(cfg)
     sp = prepared.split
 
@@ -380,20 +377,17 @@ def _cmd_build(args: argparse.Namespace) -> None:
         pid: textenc_mod.encode(vocab, prepared.metas[pid].text, l2_normalize=cfg.l2_normalize)
         for pid in corpus_ids
     }
-    prefs = {m: preference_mod.build(prepared.tensor, embeddings, mode=m) for m in modes}
-
-    test_metas = tuple(
-        sorted((prepared.metas[pid] for pid in sp.i_test), key=lambda m: (m.start, m.program))
-    )
+    tensor = prepared.tensor
+    model = preference_mod.build(tensor, embeddings, mode="time-aware")
+    cand = ranker_mod.build_candidates((prepared.metas[pid] for pid in sp.i_test), cfg.grid, tensor.channels)
+    # Ranking reads candidate embeddings only. Sorted containers, not sets,
+    # keep the pickled bytes independent of PYTHONHASHSEED.
     bundle = ModelBundle(
         provenance=cfg.provenance(),
-        grid=cfg.grid,
-        tensor=prepared.tensor,
-        truths=prepared.truths,
-        test_metas=test_metas,
-        vocab=vocab,
-        prefs=prefs,
-        summary=prepared.summary,
+        cand=cand,
+        behavior={u: behavior_mod.behavior_matrix(tensor, u) for u in sorted(tensor.users)},
+        truths={u: tuple(sorted(items)) for u, items in sorted(prepared.truths.items())},
+        model=dataclasses.replace(model, item_embeddings={pid: embeddings[pid] for pid in cand.ids}),
     )
     path = Path(cfg.model_path)
     _atomic_write(path, pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL))
@@ -402,10 +396,9 @@ def _cmd_build(args: argparse.Namespace) -> None:
     _summary_line(
         "build",
         model=str(path),
-        modes=list(modes),
         vocab_size=vocab.size,
-        users=len(prepared.tensor.users),
-        test_items=len(test_metas),
+        users=len(bundle.behavior),
+        test_items=len(cand),
     )
 
 
@@ -417,38 +410,42 @@ def _load_bundle(cfg: EngineConfig) -> ModelBundle:
         bundle = pickle.load(fh)
     if not isinstance(bundle, ModelBundle):
         raise DataError(f"{path} is not a model bundle")
+    # Unpickling restores __dict__ without __init__: check the layout too.
+    if vars(bundle).keys() != {f.name for f in dataclasses.fields(ModelBundle)}:
+        raise DataError(f"{path} has an outdated bundle layout; rebuild with `build`")
     return bundle
 
 
 def _pref_model(bundle: ModelBundle, mode: str) -> preference_mod.PreferenceModel:
-    model = bundle.prefs.get(mode)
-    if model is None:
-        raise DataError(
-            f"model bundle was built without {mode!r} preferences; rebuild with --mode {mode} or both"
+    return bundle.model if mode == "time-aware" else preference_mod.global_view(bundle.model)
+
+
+def _rankings_fn(bundle: ModelBundle, model: preference_mod.PreferenceModel):
+    """Per-user (behavior, preference) full rankings, the inputs of RRF."""
+    cand = bundle.cand
+    index = ranker_mod.build_item_index(model.item_embeddings, cand)
+
+    def rankings(user: str) -> tuple[ranker_mod.Ranking, ranker_mod.Ranking]:
+        return (
+            ranker_mod.rank_behavior(bundle.behavior[user], cand),
+            ranker_mod.rank_preference(model, user, cand, index),
         )
-    return model
+
+    return rankings
 
 
-def _rank_user_fn(cfg: EngineConfig, bundle: ModelBundle, cand: ranker_mod.Candidates, method: str):
+def _rank_user_fn(cfg: EngineConfig, bundle: ModelBundle, method: str):
     """Per-user inference closure for one method; models resolved up front."""
-    tensor = bundle.tensor
+    cand = bundle.cand
+    behavior = bundle.behavior
     k = cfg.k
-    matrices: dict[str, behavior_mod.BehaviorMatrix] = {}
-
-    def bm_of(user: str) -> behavior_mod.BehaviorMatrix:
-        bm = matrices.get(user)
-        if bm is None:
-            bm = behavior_mod.behavior_matrix(tensor, user)
-            matrices[user] = bm
-        return bm
-
     if method == "behavior":
-        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_behavior(bm_of(u), cand), k)
+        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_behavior(behavior[u], cand), k)
     model = _pref_model(bundle, cfg.mode)
     if method == "two-stage":
-        return lambda u: ranker_mod.top_k(cand, ranker_mod.two_stage(bm_of(u), model, cand, k), k)
-    index = ranker_mod.build_item_index(model.item_embeddings, cand)
+        return lambda u: ranker_mod.top_k(cand, ranker_mod.two_stage(behavior[u], model, cand, k), k)
     if method == "preference":
+        index = ranker_mod.build_item_index(model.item_embeddings, cand)
         return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_preference(model, u, cand, index), k)
     if method == "rrf":
         fuse = functools.partial(ranker_mod.rrf, eta=cfg.eta)
@@ -456,22 +453,16 @@ def _rank_user_fn(cfg: EngineConfig, bundle: ModelBundle, cand: ranker_mod.Candi
         fuse = functools.partial(ranker_mod.rrf_weighted, eta=cfg.eta, xi=cfg.xi)
     else:
         raise ConfigError(f"unknown method {method!r}")
-
-    def run_rrf(u: str) -> ranker_mod.RankedList:
-        kb = ranker_mod.rank_behavior(bm_of(u), cand)
-        kp = ranker_mod.rank_preference(model, u, cand, index)
-        return ranker_mod.top_k(cand, fuse(kb, kp, cand), k)
-
-    return run_rrf
+    rankings = _rankings_fn(bundle, model)
+    return lambda u: ranker_mod.top_k(cand, fuse(*rankings(u), cand), k)
 
 
 def _cmd_recommend(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     bundle = _load_bundle(cfg)
-    cand = ranker_mod.build_candidates(bundle.test_metas, bundle.grid, bundle.tensor.channels)
-    rank_user = _rank_user_fn(cfg, bundle, cand, cfg.method)
+    rank_user = _rank_user_fn(cfg, bundle, cfg.method)
     rows = []
-    for user in sorted(bundle.tensor.users):
+    for user in sorted(bundle.behavior):
         ranked = rank_user(user)
         rows.append(
             {
@@ -491,9 +482,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     truth_path = Path(args.truth) if args.truth else Path(cfg.out_dir) / "truth.jsonl"
     recs = {
         row["user"]: list(zip(row["items"], row["scores"]))
-        for row in _read_jsonl(rec_path)
+        for row in _read_jsonl(rec_path, ("user", "items", "scores"))
     }
-    truths = {row["user"]: frozenset(row["items"]) for row in _read_jsonl(truth_path)}
+    truths = {row["user"]: frozenset(row["items"]) for row in _read_jsonl(truth_path, ("user", "items"))}
     report = evaluate_mod.evaluate_rankings(recs, truths, cutoffs=cfg.cutoffs, method=cfg.method)
     print(evaluate_mod.format_table([report]))
     out = Path(args.out) if args.out else Path(cfg.out_dir) / f"metrics_{cfg.method}.json"
@@ -513,8 +504,7 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     if args.users_sample < 1 or args.reps < 1:
         raise ConfigError("--users-sample and --reps must be >= 1")
     bundle = _load_bundle(cfg)
-    cand = ranker_mod.build_candidates(bundle.test_metas, bundle.grid, bundle.tensor.channels)
-    users = sorted(bundle.tensor.users)
+    users = sorted(bundle.behavior)
     rng = np.random.default_rng(cfg.seed)
     size = min(args.users_sample, len(users))
     sample = [users[i] for i in sorted(rng.choice(len(users), size=size, replace=False))]
@@ -524,8 +514,8 @@ def _cmd_bench(args: argparse.Namespace) -> None:
         method = method.strip()
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
-        rank_user = _rank_user_fn(cfg, bundle, cand, method)
-        rank_user(sample[0])  # warm per-user caches outside the timed region
+        rank_user = _rank_user_fn(cfg, bundle, method)
+        rank_user(sample[0])  # one untimed call first
         results[method] = evaluate_mod.bench(rank_user, sample, repetitions=args.reps)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "bench.json"
     _write_json(
@@ -558,22 +548,19 @@ def _parse_grid_spec(spec: str) -> list[float]:
 
 def _cmd_tune(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
+    if not 0 < args.dev_frac <= 1:
+        raise ConfigError(f"--dev-frac must lie in (0, 1], got {args.dev_frac}")
+    if args.cutoff < 1:
+        raise ConfigError(f"--cutoff must be >= 1, got {args.cutoff}")
     bundle = _load_bundle(cfg)
-    cand = ranker_mod.build_candidates(bundle.test_metas, bundle.grid, bundle.tensor.channels)
-    model = _pref_model(bundle, cfg.mode)
-    users = sorted(bundle.tensor.users)
+    cand = bundle.cand
+    users = sorted(bundle.behavior)
     rng = np.random.default_rng(cfg.seed)
     n_dev = max(1, int(len(users) * args.dev_frac))
     dev = [users[i] for i in sorted(rng.choice(len(users), size=n_dev, replace=False))]
 
-    index = ranker_mod.build_item_index(model.item_embeddings, cand)
-    rankings = {}
-    for user in dev:
-        bm = behavior_mod.behavior_matrix(bundle.tensor, user)
-        rankings[user] = (
-            ranker_mod.rank_behavior(bm, cand),
-            ranker_mod.rank_preference(model, user, cand, index),
-        )
+    rankings_of = _rankings_fn(bundle, _pref_model(bundle, cfg.mode))
+    rankings = {user: rankings_of(user) for user in dev}
     etas = _parse_grid_spec(args.eta_grid)
     xis = _parse_grid_spec(args.xi_grid)
     eta, xi = ranker_mod.tune_rrf(rankings, bundle.truths, cand, etas, xis, cutoff=args.cutoff)
@@ -598,7 +585,9 @@ def _cmd_tune(args: argparse.Namespace) -> None:
 def _cmd_inspect_user(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     bundle = _load_bundle(cfg)
-    bm = behavior_mod.behavior_matrix(bundle.tensor, args.user)
+    bm = bundle.behavior.get(args.user)
+    if bm is None:
+        raise DataError(f"user {args.user!r} has no training interactions")
     entries = [[slot, channel, p] for (slot, channel), p in sorted(bm.probs.items())]
     print(json.dumps({"user": args.user, "entries": entries}, sort_keys=True))
 
@@ -628,8 +617,6 @@ _OVERRIDE_KEYS = (
 
 def _config_from_args(args: argparse.Namespace) -> EngineConfig:
     overrides = {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
-    if getattr(args, "mode", None) == "both":
-        overrides["mode"] = None  # `build --mode both` keeps the config's scoring mode
     if overrides.get("cutoffs") is not None:
         try:
             overrides["cutoffs"] = tuple(int(x) for x in str(overrides["cutoffs"]).split(","))
@@ -674,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build and persist the model index")
     _add_common(p)
     _add_prep_flags(p)
-    p.add_argument("--mode", choices=("global", "time-aware", "both"), default="both")
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("recommend", help="write top-k recommendations per user")

@@ -8,7 +8,8 @@ habits; slots without history fall back to the global vector so that every
 program can be scored. A program's preference matching score is the dot
 product of its embedding with the user vector (in time-aware mode, the one for
 the slot in which the program starts); :mod:`tvrec.ranker` computes it over
-the candidate set.
+the candidate set. A time-aware model also serves global scoring through
+:func:`global_view`, since its global means are the global model's.
 """
 
 from __future__ import annotations
@@ -73,3 +74,14 @@ def build(
         item_embeddings=dict(embeddings),
     )
 
+
+
+def global_view(model: PreferenceModel) -> PreferenceModel:
+    """The global-mode model held in a time-aware one: its global means and
+    item embeddings, without the slot vectors."""
+    return PreferenceModel(
+        mode="global",
+        global_prefs=model.global_prefs,
+        slot_prefs={},
+        item_embeddings=model.item_embeddings,
+    )

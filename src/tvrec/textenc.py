@@ -114,10 +114,6 @@ def dot(a: Embedding, b: Embedding) -> float:
     return sum(w * get(i, 0.0) for i, w in a.items())
 
 
-def l2_norm(vec: Embedding) -> float:
-    return math.sqrt(sum(w * w for w in vec.values()))
-
-
 def mean_embedding(vectors: Iterable[Embedding]) -> Embedding:
     """Arithmetic mean of sparse vectors (no re-normalization)."""
     acc: dict[int, float] = {}

@@ -6,6 +6,7 @@ paths: dense matrices, plain dict arithmetic, and python sorts only.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,11 @@ from tvrec.preference import PreferenceModel
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
 
 MONDAY = 1_554_076_800  # 2019-04-01 00:00:00 UTC
+
+
+def l2_norm(vec: dict[int, float]) -> float:
+    """Euclidean norm of a sparse vector."""
+    return math.sqrt(sum(w * w for w in vec.values()))
 
 
 def dense_behavior_matrices(bm: BehaviorMatrix, channels: list[str], n: int) -> np.ndarray:

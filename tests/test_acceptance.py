@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from oracles import brute_two_stage, dense_behavior_score, random_instance
+from oracles import brute_two_stage, dense_behavior_score, l2_norm, random_instance
 from tvrec import behavior, datamodel, evaluate, preference, ranker, synth, textenc
 from tvrec.cli import main as cli_main
 from tvrec.timegrid import SECONDS_PER_WEEK
@@ -56,10 +56,8 @@ def build_dataset(seed: int) -> Dataset:
     corpus_ids = sorted(prep.split.i_train | prep.split.i_test)
     vocab = textenc.fit((pid, prep.metas[pid].text) for pid in corpus_ids)
     embeddings = {pid: textenc.encode(vocab, prep.metas[pid].text) for pid in corpus_ids}
-    models = {
-        mode: preference.build(prep.tensor, embeddings, mode=mode)
-        for mode in ("global", "time-aware")
-    }
+    time_aware = preference.build(prep.tensor, embeddings, mode="time-aware")
+    models = {"global": preference.global_view(time_aware), "time-aware": time_aware}
     test_metas = sorted(
         (prep.metas[pid] for pid in prep.split.i_test), key=lambda m: (m.start, m.program)
     )
@@ -152,7 +150,7 @@ def test_criterion_3_distribution_invariants(dataset_a):
     for emb in dataset_a.embeddings.values():
         if emb:
             nonzero += 1
-            worst_norm = max(worst_norm, abs(textenc.l2_norm(emb) - 1.0))
+            worst_norm = max(worst_norm, abs(l2_norm(emb) - 1.0))
     ok = worst_sum <= 1e-9 and worst_norm <= 1e-9
     _report(
         3,
@@ -330,6 +328,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
             "truth": (out / "truth.jsonl").read_bytes(),
             "prep_summary": (out / "prep_summary.json").read_bytes(),
             "vocab": (out / "vocab.json").read_bytes(),
+            "model": (out / "model.pkl").read_bytes(),
         }
     same = all(artifacts["one"][k] == artifacts["two"][k] for k in artifacts["one"])
     sizes = {k: len(v) for k, v in artifacts["one"].items()}

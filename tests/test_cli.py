@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tvrec
-from tvrec.cli import EngineConfig, load_config, main
+from tvrec.cli import EngineConfig, ModelBundle, load_config, main
 from tvrec.errors import ConfigError
 
 SYNTH_CFG = {
@@ -159,6 +160,21 @@ def _malformed_argv(case, cfg, tmp_path):
         rec.write_text(bad_rows if case.startswith("rec") else good_rows)
         truth.write_text(bad_rows if case.startswith("truth") else good_rows)
         return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
+    if case in ("rec row not an object", "rec row lacks scores", "truth row lacks items"):
+        rec = tmp_path / "recs.jsonl"
+        truth = tmp_path / "truth.jsonl"
+        bad = {"rec row not an object": '["u1", ["p1"], [1.0]]\n',
+               "rec row lacks scores": '{"user": "u1", "items": ["p1"]}\n',
+               "truth row lacks items": '{"user": "u1"}\n'}[case]
+        rec.write_text(good_rows + (bad if case.startswith("rec") else ""))
+        truth.write_text(good_rows + (bad if case.startswith("truth") else ""))
+        return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
+    if case.startswith("tune"):
+        # The missing model would exit 3: the flags are checked before it loads.
+        flag, value = {"tune dev-frac above 1": ("--dev-frac", 2),
+                       "tune dev-frac 0": ("--dev-frac", 0),
+                       "tune cutoff 0": ("--cutoff", 0)}[case]
+        return ["tune", "--config", cfg, "--model", tmp_path / "missing.pkl", flag, value]
     if case == "synth config not JSON":
         bad = tmp_path / "synth.json"
         bad.write_text('{"n_users": 5,')
@@ -187,6 +203,12 @@ def _malformed_argv(case, cfg, tmp_path):
         ("config value str seed", 2),
         ("bench zero users", 2),
         ("bench zero reps", 2),
+        ("rec row not an object", 3),
+        ("rec row lacks scores", 3),
+        ("truth row lacks items", 3),
+        ("tune dev-frac above 1", 2),
+        ("tune dev-frac 0", 2),
+        ("tune cutoff 0", 2),
     ],
 )
 def test_malformed_input_exits_with_documented_code(case, code, workspace, tmp_path, capsys):
@@ -202,22 +224,68 @@ def test_config_values_are_type_checked():
             load_config(None, {key: value})
 
 
+def _python_m_env():
+    src = str(Path(tvrec.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_bundle_built_by_python_m_loads_in_process(workspace, tmp_path, capsys):
     # `python -m tvrec.cli` runs the module as __main__; its bundle must still
     # unpickle as tvrec.cli.ModelBundle in a process that imported tvrec.cli.
     _, cfg = workspace
     model = tmp_path / "model.pkl"
-    src = str(Path(tvrec.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     build = subprocess.run(
         [sys.executable, "-m", "tvrec.cli", "build", "--config", str(cfg),
          "--out-dir", str(tmp_path), "--model", str(model)],
-        env=env, capture_output=True, text=True,
+        env=_python_m_env(), capture_output=True, text=True,
     )
     assert build.returncode == 0, build.stderr
     assert run(["recommend", "--config", cfg, "--model", model, "--method", "behavior",
                 "--out", tmp_path / "recs.jsonl"]) == 0
     capsys.readouterr()
+
+
+def test_bundle_bytes_do_not_depend_on_hash_seed(workspace, tmp_path):
+    _, cfg = workspace
+    blobs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        build = subprocess.run(
+            [sys.executable, "-m", "tvrec.cli", "build", "--config", str(cfg), "--out-dir", str(out)],
+            env={**_python_m_env(), "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True,
+        )
+        assert build.returncode == 0, build.stderr
+        blobs.append((out / "model.pkl").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_one_build_serves_both_scoring_modes(workspace, tmp_path, capsys):
+    _, cfg = workspace
+    for mode in ("global", "time-aware"):
+        assert run(["recommend", "--config", cfg, "--method", "two-stage", "--mode", mode,
+                    "--out", tmp_path / f"recs_{mode}.jsonl"]) == 0
+    capsys.readouterr()
+
+
+def test_old_layout_bundle_exits_with_data_error(workspace, tmp_path, capsys):
+    # Unpickling skips __init__, so a bundle of an earlier layout is still a
+    # ModelBundle instance; it must be refused as data, not fail inside ranking.
+    _, cfg = workspace
+    old = ModelBundle.__new__(ModelBundle)
+    old.__dict__.update(dict.fromkeys(
+        ("provenance", "grid", "tensor", "truths", "test_metas", "vocab", "prefs", "summary")
+    ))
+    model = tmp_path / "model.pkl"
+    model.write_bytes(pickle.dumps(old))
+    assert run(["recommend", "--config", cfg, "--model", model, "--method", "behavior",
+                "--out", tmp_path / "recs.jsonl"]) == 3
+    assert "rebuild with `build`" in capsys.readouterr().err
+
+
+def test_inspect_unknown_user_exits_with_data_error(workspace, capsys):
+    _, cfg = workspace
+    assert run(["inspect-user", "--config", cfg, "--user", "no-such-user"]) == 3
+    assert "no-such-user" in capsys.readouterr().err
 
 
 def test_unknown_method_rejected_by_parser(workspace, capsys):

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from oracles import MONDAY
+from oracles import MONDAY, l2_norm
 from tvrec.datamodel import InteractionTensor, ProgramMeta
 from tvrec.errors import DataError
-from tvrec.preference import build
+from tvrec.preference import build, global_view
 from tvrec.ranker import build_candidates, build_item_index, rank_preference
-from tvrec.textenc import l2_norm
 from tvrec.timegrid import TimeGrid
 
 GRID = TimeGrid(n=672)
@@ -162,3 +161,30 @@ def test_slot_independent_history_collapses_to_global():
     model = build(tensor_from({"u": cells}), items, mode="time-aware")
     for w in (2, 4, 6):
         assert model.slot_prefs["u"][w] == model.global_prefs["u"]
+
+
+def _random_fixture(seed):
+    rng = random.Random(seed)
+    cells = {(f"p{i}", rng.randint(1, 6), f"c{rng.randint(1, 2)}"): rng.randint(1, 3) for i in range(10)}
+    items = {f"p{i}": {d: rng.random() for d in rng.sample(range(6), 3)} for i in range(12)}
+    return {"u": cells, "v": dict(list(cells.items())[:4])}, items
+
+
+@pytest.mark.parametrize(
+    "cells, items",
+    [
+        ({"u": {("p1", 3, "c1"): 2}}, {"p1": E1}),
+        ({"u": {("p1", 3, "c1"): 1, ("p2", 7, "c2"): 1}}, {"p1": E1, "p2": E2}),
+        ({"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}, "w": {("p2", 5, "c1"): 4}}, {"p1": E1, "p2": E2}),
+        _random_fixture(3),
+        _random_fixture(11),
+    ],
+)
+def test_global_view_of_time_aware_model_is_the_global_model(cells, items):
+    view = global_view(build(tensor_from(cells), items, mode="time-aware"))
+    direct = build(tensor_from(cells), items, mode="global")
+    assert view.mode == direct.mode == "global"
+    assert view.global_prefs == direct.global_prefs
+    assert view.slot_prefs == direct.slot_prefs == {}
+    assert view.item_embeddings == direct.item_embeddings
+    assert view == direct

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
+from oracles import l2_norm
 from tvrec.errors import DataError
 from tvrec.textenc import (
     Vocabulary,
     dot,
     encode,
     fit,
-    l2_norm,
     mean_embedding,
     tokenize,
 )
