@@ -39,6 +39,7 @@ from .errors import ConfigError, DataError
 from .timegrid import TimeGrid
 
 METHODS = ("behavior", "preference", "two-stage", "rrf", "rrf-weighted")
+MODES = ("global", "time-aware")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,8 +94,8 @@ class EngineConfig:
             raise ConfigError("train_days and test_days must be positive")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.mode not in preference_mod.MODES:
-            raise ConfigError(f"mode must be one of {preference_mod.MODES}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.min_df < 1:
             raise ConfigError("min_df must be >= 1")
         if self.max_vocab is not None and self.max_vocab < 1:
@@ -367,19 +368,21 @@ def _cmd_build(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     prepared, _, _ = _prepare_from_config(cfg)
     sp = prepared.split
+    tensor = prepared.tensor
+    cand = ranker_mod.build_candidates((prepared.metas[pid] for pid in sp.i_test), cfg.grid, tensor.channels)
 
     # The encoder is fitted on train + test metadata: program text is known
-    # before broadcast, so this leaks no interaction labels.
-    corpus_ids = sorted(sp.i_train | sp.i_test)
-    corpus = [(pid, prepared.metas[pid].text) for pid in corpus_ids]
+    # before broadcast, so this leaks no interaction labels. idf needs every
+    # document, but only the watched training items (for the preference means)
+    # and the candidates (for ranking) are ever encoded.
+    corpus = [(pid, prepared.metas[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
     vocab = textenc_mod.fit(corpus, min_df=cfg.min_df, max_vocab=cfg.max_vocab)
+    watched = {item for cells in tensor.by_user.values() for (item, _, _) in cells}
     embeddings = {
         pid: textenc_mod.encode(vocab, prepared.metas[pid].text, l2_normalize=cfg.l2_normalize)
-        for pid in corpus_ids
+        for pid in sorted(watched.union(cand.ids))
     }
-    tensor = prepared.tensor
-    model = preference_mod.build(tensor, embeddings, mode="time-aware")
-    cand = ranker_mod.build_candidates((prepared.metas[pid] for pid in sp.i_test), cfg.grid, tensor.channels)
+    model = preference_mod.build(tensor, embeddings)
     # Ranking reads candidate embeddings only. Sorted containers, not sets,
     # keep the pickled bytes independent of PYTHONHASHSEED.
     bundle = ModelBundle(
@@ -563,16 +566,7 @@ def _cmd_tune(args: argparse.Namespace) -> None:
     rankings = {user: rankings_of(user) for user in dev}
     etas = _parse_grid_spec(args.eta_grid)
     xis = _parse_grid_spec(args.xi_grid)
-    eta, xi = ranker_mod.tune_rrf(rankings, bundle.truths, cand, etas, xis, cutoff=args.cutoff)
-
-    recalls = []
-    for user in dev:
-        truth = bundle.truths.get(user)
-        if not truth:
-            continue
-        fused = ranker_mod.rrf_weighted(*rankings[user], cand, eta=eta, xi=xi)
-        recalls.append(evaluate_mod.recall_at(ranker_mod.top_k(cand, fused, args.cutoff), truth, args.cutoff))
-    best_recall = sum(recalls) / len(recalls) if recalls else 0.0
+    eta, xi, best_recall = ranker_mod.tune_rrf(rankings, bundle.truths, cand, etas, xis, cutoff=args.cutoff)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "tuned.json"
     _write_json(
         out,
@@ -596,27 +590,9 @@ def _cmd_inspect_user(args: argparse.Namespace) -> None:
 # argument parsing
 
 
-_OVERRIDE_KEYS = (
-    "logs",
-    "programs",
-    "out_dir",
-    "model",
-    "t_split",
-    "train_days",
-    "test_days",
-    "min_duration_secs",
-    "k",
-    "method",
-    "mode",
-    "eta",
-    "xi",
-    "seed",
-    "cutoffs",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> EngineConfig:
-    overrides = {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
+    # Every flag whose destination is an EngineConfig field overrides it.
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(EngineConfig)}
     if overrides.get("cutoffs") is not None:
         try:
             overrides["cutoffs"] = tuple(int(x) for x in str(overrides["cutoffs"]).split(","))
@@ -666,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="write top-k recommendations per user")
     _add_common(p)
     p.add_argument("--method", choices=METHODS)
-    p.add_argument("--mode", choices=preference_mod.MODES)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--k", type=int)
     p.add_argument("--eta", type=float)
     p.add_argument("--xi", type=float)
@@ -689,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="bench_methods",
         help="comma-separated methods (default behavior,two-stage,rrf)",
     )
-    p.add_argument("--mode", choices=preference_mod.MODES)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--users-sample", dest="users_sample", type=int, default=1000)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--eta", type=float)
@@ -699,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="grid-search RRF hyperparameters on a dev split")
     _add_common(p)
-    p.add_argument("--mode", choices=preference_mod.MODES)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--dev-frac", dest="dev_frac", type=float, default=0.1)
     p.add_argument("--eta-grid", dest="eta_grid", default="1:100")
     p.add_argument("--xi-grid", dest="xi_grid", default="0:1:0.1")

@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping, Sequence
 
-from scipy import stats as _scipy_stats
-
 DEFAULT_CUTOFFS = (10, 20, 30)
 
 
@@ -71,7 +69,10 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
     diffs = [x - y for x, y in zip(a, b)]
     if max(diffs) == min(diffs):
         return 1.0 if diffs[0] == 0 else 0.0
-    return float(_scipy_stats.ttest_rel(a, b).pvalue)
+    # Imported here: no pipeline command runs the test, and scipy is slow to load.
+    from scipy import stats
+
+    return float(stats.ttest_rel(a, b).pvalue)
 
 
 def bench(

@@ -196,13 +196,12 @@ def _indexed_pref_scores(
         raise DataError(f"user {user!r} is not in the preference model")
     dense = _dense_user_vec(gv, index.dim)
     scores = (dense[index.idx] * index.weights).sum(axis=1)
-    if model.mode == "time-aware":
-        for slot, vec in (model.slot_prefs.get(user) or {}).items():
-            rows = index.rows_by_slot.get(slot)
-            if rows is None:
-                continue
-            slot_dense = _dense_user_vec(vec, index.dim)
-            scores[rows] = (slot_dense[index.idx[rows]] * index.weights[rows]).sum(axis=1)
+    for slot, vec in (model.slot_prefs.get(user) or {}).items():
+        rows = index.rows_by_slot.get(slot)
+        if rows is None:
+            continue
+        slot_dense = _dense_user_vec(vec, index.dim)
+        scores[rows] = (slot_dense[index.idx[rows]] * index.weights[rows]).sum(axis=1)
     return scores
 
 
@@ -241,24 +240,18 @@ def top_k(cand: Candidates, ranking: Ranking, k: int) -> RankedList:
 
 
 def _pref_scorer(model: PreferenceModel, user: str, cand: Candidates):
-    """Row-wise preference score function, resolving time-aware fallback."""
+    """Row-wise preference score function: the user's vector for the row's
+    start slot, or the global vector where the user has none."""
     gv = model.global_prefs.get(user)
     if gv is None:
         raise DataError(f"user {user!r} is not in the preference model")
     embs = model.item_embeddings
     ids = cand.ids
-    if model.mode == "time-aware":
-        by_slot = model.slot_prefs.get(user) or {}
-        get_vec = by_slot.get
-        start_slots = cand.start_slots
+    get_vec = (model.slot_prefs.get(user) or {}).get
+    start_slots = cand.start_slots
 
-        def score_row(row: int) -> float:
-            return dot(get_vec(start_slots[row], gv), embs[ids[row]])
-
-    else:
-
-        def score_row(row: int) -> float:
-            return dot(gv, embs[ids[row]])
+    def score_row(row: int) -> float:
+        return dot(get_vec(start_slots[row], gv), embs[ids[row]])
 
     return score_row
 
@@ -352,6 +345,11 @@ def _rank_of_row(ranking: Ranking, n: int, name: str) -> np.ndarray:
     return pos
 
 
+def _fused_scores(pb: np.ndarray, pp: np.ndarray, eta: float, w_b: float, w_p: float) -> np.ndarray:
+    # The one fusion rule that recommend and tune_rrf share.
+    return w_b / (pb + eta) + w_p / (pp + eta)
+
+
 def _fuse(
     kappa_b: Ranking,
     kappa_p: Ranking,
@@ -363,7 +361,7 @@ def _fuse(
     n = len(cand.ids)
     pb = _rank_of_row(kappa_b, n, "behavior")
     pp = _rank_of_row(kappa_p, n, "preference")
-    return _ranking(cand, w_b / (pb + eta) + w_p / (pp + eta))
+    return _ranking(cand, _fused_scores(pb, pp, eta, w_b, w_p))
 
 
 def rrf(kappa_b: Ranking, kappa_p: Ranking, cand: Candidates, eta: float = DEFAULT_RRF_ETA) -> Ranking:
@@ -395,9 +393,11 @@ def tune_rrf(
     eta_grid: Iterable[float] | None = None,
     xi_grid: Iterable[float] | None = None,
     cutoff: int = 30,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Grid-search (eta, xi) maximizing mean recall at ``cutoff`` over the
     development users; ties resolve to the smallest eta, then smallest xi.
+    Returns ``(eta, xi, mean recall)`` of the winning cell, scored exactly as
+    :func:`rrf_weighted` fuses.
 
     ``rankings`` maps each development user to their (behavior, preference)
     rankings over the full candidate set.
@@ -423,17 +423,14 @@ def tune_rrf(
     if not per_user:
         raise ValueError("development set is empty or has no ground truth")
 
-    best_score = -1.0
-    best = (etas[0], xis[0])
+    best = (etas[0], xis[0], -1.0)
     for eta in etas:
-        inv = [(1.0 / (pb + eta), 1.0 / (pp + eta), mask, tsize) for pb, pp, mask, tsize in per_user]
         for xi in xis:
             total = 0.0
-            for inv_b, inv_p, mask, tsize in inv:
-                top = _stage_one_order(cand, xi * inv_b + (1.0 - xi) * inv_p)[:cutoff]
+            for pb, pp, mask, tsize in per_user:
+                top = _stage_one_order(cand, _fused_scores(pb, pp, eta, xi, 1.0 - xi))[:cutoff]
                 total += mask[top].sum() / tsize
-            mean_recall = total / len(inv)
-            if mean_recall > best_score:
-                best_score = mean_recall
-                best = (eta, xi)
+            mean_recall = float(total / len(per_user))
+            if mean_recall > best[2]:
+                best = (eta, xi, mean_recall)
     return best

@@ -45,12 +45,6 @@ class Vocabulary:
         tokens = sorted(self.index, key=self.index.__getitem__)
         return {"tokens": [[t, self.index[t], self.idf[t]] for t in tokens]}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Vocabulary":
-        index = {t: i for t, i, _ in data["tokens"]}
-        idf = {t: w for t, _, w in data["tokens"]}
-        return cls(index=index, idf=idf)
-
 
 def fit(
     corpus: Iterable[tuple[str, str]],

@@ -71,9 +71,8 @@ def scalar_behavior(bm: BehaviorMatrix, meta: ProgramMeta, grid: TimeGrid) -> tu
 
 
 def scalar_preference(model: PreferenceModel, user: str, meta: ProgramMeta, grid: TimeGrid) -> float:
-    vec = model.global_prefs[user]
-    if model.mode == "time-aware":
-        vec = model.slot_prefs.get(user, {}).get(slot_of(meta.start, grid), vec)
+    # The user's vector for the start slot if the model has one, else the global vector.
+    vec = model.slot_prefs.get(user, {}).get(slot_of(meta.start, grid), model.global_prefs[user])
     emb = model.item_embeddings[meta.program]
     return sum(w * emb.get(i, 0.0) for i, w in vec.items())
 
@@ -172,11 +171,9 @@ def random_instance(rng: random.Random, max_programs: int = 50, max_channels: in
         "u": {slot: rand_vec() for slot in range(1, n + 1) if rng.random() < 0.4}
     }
     models = {
-        "global": PreferenceModel(
-            mode="global", global_prefs=global_prefs, slot_prefs={}, item_embeddings=items
-        ),
+        "global": PreferenceModel(global_prefs=global_prefs, slot_prefs={}, item_embeddings=items),
         "time-aware": PreferenceModel(
-            mode="time-aware", global_prefs=global_prefs, slot_prefs=slot_prefs, item_embeddings=items
+            global_prefs=global_prefs, slot_prefs=slot_prefs, item_embeddings=items
         ),
     }
     return grid, metas, bm, models

@@ -56,7 +56,7 @@ def build_dataset(seed: int) -> Dataset:
     corpus_ids = sorted(prep.split.i_train | prep.split.i_test)
     vocab = textenc.fit((pid, prep.metas[pid].text) for pid in corpus_ids)
     embeddings = {pid: textenc.encode(vocab, prep.metas[pid].text) for pid in corpus_ids}
-    time_aware = preference.build(prep.tensor, embeddings, mode="time-aware")
+    time_aware = preference.build(prep.tensor, embeddings)
     models = {"global": preference.global_view(time_aware), "time-aware": time_aware}
     test_metas = sorted(
         (prep.metas[pid] for pid in prep.split.i_test), key=lambda m: (m.start, m.program)

@@ -75,7 +75,7 @@ def test_behavior_matrix_invariant_to_log_order():
 def flat_model(metas, items=None):
     """A global preference model; every program scores 0 unless ``items`` says otherwise."""
     items = items or {m.program: {} for m in metas}
-    return PreferenceModel(mode="global", global_prefs={"u": {0: 1.0}}, slot_prefs={}, item_embeddings=items)
+    return PreferenceModel(global_prefs={"u": {0: 1.0}}, slot_prefs={}, item_embeddings=items)
 
 
 def program(pid="px", channel="c2", start_slot=5, n_slots=2):

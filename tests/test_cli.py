@@ -183,7 +183,8 @@ def _malformed_argv(case, cfg, tmp_path):
         value = {"config value str for int": {"ranking": {"k": "30"}},
                  "config value bool for int": {"ranking": {"k": True}},
                  "config value str for float": {"ranking": {"eta": "60"}},
-                 "config value str seed": {"seed": "7"}}[case]
+                 "config value str seed": {"seed": "7"},
+                 "config value unknown mode": {"ranking": {"mode": "hourly"}}}[case]
         bad = tmp_path / "engine.json"
         bad.write_text(json.dumps(value))
         return ["prep", "--config", bad]
@@ -201,6 +202,7 @@ def _malformed_argv(case, cfg, tmp_path):
         ("config value bool for int", 2),
         ("config value str for float", 2),
         ("config value str seed", 2),
+        ("config value unknown mode", 2),
         ("bench zero users", 2),
         ("bench zero reps", 2),
         ("rec row not an object", 3),
@@ -259,6 +261,14 @@ def test_bundle_bytes_do_not_depend_on_hash_seed(workspace, tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_importing_the_cli_does_not_load_scipy():
+    # Only evaluate.paired_ttest needs scipy; no pipeline command should pay for loading it.
+    probe = "import sys, tvrec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=_python_m_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_one_build_serves_both_scoring_modes(workspace, tmp_path, capsys):
     _, cfg = workspace
     for mode in ("global", "time-aware"):
@@ -290,9 +300,10 @@ def test_inspect_unknown_user_exits_with_data_error(workspace, capsys):
 
 def test_unknown_method_rejected_by_parser(workspace, capsys):
     root, cfg = workspace
-    with pytest.raises(SystemExit) as err:
-        run(["recommend", "--config", cfg, "--method", "magic"])
-    assert err.value.code == 2
+    for flag, value in (("--method", "magic"), ("--mode", "hourly")):
+        with pytest.raises(SystemExit) as err:
+            run(["recommend", "--config", cfg, flag, value])
+        assert err.value.code == 2
     capsys.readouterr()
 
 

@@ -1,8 +1,10 @@
 import math
 import time
+import types
 
 import pytest
 
+import tvrec.evaluate as evaluate_mod
 from tvrec.evaluate import (
     MetricReport,
     bench,
@@ -129,11 +131,30 @@ def test_bench_superset_work_takes_longer():
     assert large >= small
 
 
-def test_bench_repeat_measurement_is_stable():
+def _scripted_clock(monkeypatch, durations):
+    """Make ``time.perf_counter``, as tvrec.evaluate sees it, time each
+    repetition at the next of ``durations`` seconds (all exact binary fractions)."""
+    ticks, now = [], 0.0
+    for d in durations:
+        ticks += [now, now + d]
+        now += d
+    reads = iter(ticks)
+    monkeypatch.setattr(evaluate_mod, "time", types.SimpleNamespace(perf_counter=lambda: next(reads)))
+    return reads
+
+
+def test_bench_repeat_measurement_is_stable(monkeypatch):
     users = [f"u{i}" for i in range(25)]
-    first = bench(lambda u: _busy(4), users, repetitions=5)
-    second = bench(lambda u: _busy(4), users, repetitions=5)
-    assert abs(first - second) <= 0.25 * max(first, second)
+    calls = []
+    steady = _scripted_clock(monkeypatch, [0.25, 0.375, 0.5, 0.375, 0.25])
+    first = bench(calls.append, users, repetitions=5)
+    assert next(steady, None) is None
+    # One repetition slowed 16-fold, as by a busy neighbour, leaves the median where it was.
+    slowed = _scripted_clock(monkeypatch, [0.25, 0.375, 8.0, 0.375, 0.25])
+    second = bench(calls.append, users, repetitions=5)
+    assert next(slowed, None) is None
+    assert first == second == 0.375 / 25
+    assert calls == users * 10
 
 
 def test_bench_rejects_empty_sample():

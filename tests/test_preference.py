@@ -54,7 +54,7 @@ def test_repeat_views_do_not_upweight_distinct_items():
 
 def test_time_aware_slot_sets_are_exact():
     tensor = tensor_from({"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}})
-    model = build(tensor, {"p1": E1, "p2": E2}, mode="time-aware")
+    model = build(tensor, {"p1": E1, "p2": E2})
     assert model.slot_prefs["u"][5] == E1
     assert model.slot_prefs["u"][9] == E2
     assert 6 not in model.slot_prefs["u"]
@@ -93,7 +93,7 @@ def test_score_identical_unit_vectors_is_one():
 def test_time_aware_scoring_keys_on_start_slot_with_global_fallback():
     tensor = tensor_from({"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}})
     embs = {"p1": E1, "p2": E2, "px": {0: 1.0, 1: 1.0}}
-    model = build(tensor, embs, mode="time-aware")
+    model = build(tensor, embs)
     assert score(model, "u", meta("px", start_slot=5)) == pytest.approx(1.0)
     assert score(model, "u", meta("px", start_slot=9)) == pytest.approx(1.0)
     # slot 20 has no history: falls back to the global mean (0.5, 0.5)
@@ -136,7 +136,7 @@ def test_unit_norm_embeddings_bound_scores_by_one():
 
     items = {f"p{i}": unit() for i in range(30)}
     cells = {(f"p{i}", rng.randint(1, 20), "c1"): 1 for i in range(12)}
-    model = build(tensor_from({"u": cells}), items, mode="time-aware")
+    model = build(tensor_from({"u": cells}), items)
     for i in range(30):
         s = score(model, "u", meta(f"p{i}", start_slot=rng.randint(1, 30)))
         assert abs(s) <= 1.0 + 1e-12
@@ -148,8 +148,8 @@ def test_build_is_independent_of_cell_insertion_order():
     items = {f"p{i}": {d: rng.random() for d in range(4)} for i in range(10)}
     forward = {"u": {c: 1 for c in cells}}
     backward = {"u": {c: 1 for c in reversed(cells)}}
-    m1 = build(tensor_from(forward), items, mode="time-aware")
-    m2 = build(tensor_from(backward), items, mode="time-aware")
+    m1 = build(tensor_from(forward), items)
+    m2 = build(tensor_from(backward), items)
     assert m1.global_prefs == m2.global_prefs
     assert m1.slot_prefs == m2.slot_prefs
 
@@ -158,7 +158,7 @@ def test_slot_independent_history_collapses_to_global():
     # A user who watches the same programs in every slot has h_{u,w} == h_u.
     cells = {(f"p{i}", w, "c1"): 1 for i in range(3) for w in (2, 4, 6)}
     items = {f"p{i}": {i: 1.0} for i in range(3)}
-    model = build(tensor_from({"u": cells}), items, mode="time-aware")
+    model = build(tensor_from({"u": cells}), items)
     for w in (2, 4, 6):
         assert model.slot_prefs["u"][w] == model.global_prefs["u"]
 
@@ -168,6 +168,19 @@ def _random_fixture(seed):
     cells = {(f"p{i}", rng.randint(1, 6), f"c{rng.randint(1, 2)}"): rng.randint(1, 3) for i in range(10)}
     items = {f"p{i}": {d: rng.random() for d in rng.sample(range(6), 3)} for i in range(12)}
     return {"u": cells, "v": dict(list(cells.items())[:4])}, items
+
+
+def _global_means(cells, items):
+    """Each user's mean embedding over their distinct items, summed in id order."""
+    means = {}
+    for user, user_cells in cells.items():
+        distinct = sorted({i for (i, _, _) in user_cells})
+        acc = {}
+        for i in distinct:
+            for d, v in items[i].items():
+                acc[d] = acc.get(d, 0.0) + v
+        means[user] = {d: v * (1.0 / len(distinct)) for d, v in acc.items()}
+    return means
 
 
 @pytest.mark.parametrize(
@@ -181,10 +194,9 @@ def _random_fixture(seed):
     ],
 )
 def test_global_view_of_time_aware_model_is_the_global_model(cells, items):
-    view = global_view(build(tensor_from(cells), items, mode="time-aware"))
-    direct = build(tensor_from(cells), items, mode="global")
-    assert view.mode == direct.mode == "global"
-    assert view.global_prefs == direct.global_prefs
-    assert view.slot_prefs == direct.slot_prefs == {}
-    assert view.item_embeddings == direct.item_embeddings
-    assert view == direct
+    model = build(tensor_from(cells), items)
+    assert model.slot_prefs.keys() == cells.keys()
+    view = global_view(model)
+    assert view.global_prefs == _global_means(cells, items)
+    assert view.slot_prefs == {}
+    assert view.item_embeddings == items

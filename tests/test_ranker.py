@@ -14,6 +14,7 @@ from oracles import (
 from tvrec.behavior import BehaviorMatrix
 from tvrec.datamodel import ProgramMeta
 from tvrec.errors import DataError
+from tvrec.evaluate import recall_at
 from tvrec.preference import PreferenceModel
 from tvrec.ranker import (
     Ranking,
@@ -39,9 +40,7 @@ def meta(pid, channel="c1", start_slot=1, n_slots=2, offset=0):
 
 
 def global_model(user_vec, items):
-    return PreferenceModel(
-        mode="global", global_prefs={"u": user_vec}, slot_prefs={}, item_embeddings=items
-    )
+    return PreferenceModel(global_prefs={"u": user_vec}, slot_prefs={}, item_embeddings=items)
 
 
 def ranked(cand, ranking):
@@ -345,20 +344,25 @@ def tuning_fixture():
     return cand, {"u": (kb, kp)}, {"u": truth}
 
 
+def fused_recall(cand, rankings, truths, eta, xi, cutoff):
+    """Recall at ``cutoff`` of the weighted-RRF list that recommend writes."""
+    return recall_at(ranked(cand, rrf_weighted(*rankings["u"], cand, eta=eta, xi=xi)), truths["u"], cutoff)
+
+
 def test_tune_rrf_single_point_grid():
     cand, rankings, truths = tuning_fixture()
-    assert tune_rrf(rankings, truths, cand, [42], [0.3]) == (42, 0.3)
+    want = fused_recall(cand, rankings, truths, 42, 0.3, 30)
+    assert tune_rrf(rankings, truths, cand, [42], [0.3]) == (42, 0.3, want)
 
 
 def test_tune_rrf_beats_or_matches_untuned_default():
     cand, rankings, truths = tuning_fixture()
     etas = list(range(1, 101))
     xis = [i / 10 for i in range(11)]
-    eta, xi = tune_rrf(rankings, truths, cand, etas, xis, cutoff=10)
-    from tvrec.evaluate import recall_at
-
-    tuned = recall_at(ranked(cand, rrf_weighted(*rankings["u"], cand, eta=eta, xi=xi)), truths["u"], 10)
-    untuned = recall_at(ranked(cand, rrf_weighted(*rankings["u"], cand, eta=60, xi=0.5)), truths["u"], 10)
+    eta, xi, recall = tune_rrf(rankings, truths, cand, etas, xis, cutoff=10)
+    tuned = fused_recall(cand, rankings, truths, eta, xi, 10)
+    untuned = fused_recall(cand, rankings, truths, 60, 0.5, 10)
+    assert recall == tuned
     assert tuned >= untuned
 
 
@@ -366,8 +370,8 @@ def test_tune_rrf_ties_resolve_to_smallest_eta_then_xi():
     cand, rankings, truths = tuning_fixture()
     # any grid where every point achieves the same recall: smallest wins
     everything = frozenset(cand.ids)
-    eta, xi = tune_rrf(rankings, {"u": everything}, cand, [9, 3, 7], [0.8, 0.2], cutoff=len(cand))
-    assert (eta, xi) == (3, 0.2)
+    result = tune_rrf(rankings, {"u": everything}, cand, [9, 3, 7], [0.8, 0.2], cutoff=len(cand))
+    assert result == (3, 0.2, 1.0)
 
 
 def test_tune_rrf_is_deterministic():
