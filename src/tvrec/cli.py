@@ -48,8 +48,7 @@ EXIT_INTERNAL = 4
 
 _CONFIG_SECTIONS = {
     "grid": ("n_slots", "utc_offset"),
-    "preprocessing": ("min_duration_secs", "t_split", "train_days", "test_days", "binarize"),
-    "encoder": ("min_df", "max_vocab", "l2_normalize"),
+    "preprocessing": ("min_duration_secs", "t_split", "train_days", "test_days"),
     "ranking": ("k", "method", "mode", "eta", "xi"),
     "evaluation": ("cutoffs",),
     "paths": ("logs", "programs", "out_dir", "model"),
@@ -67,10 +66,6 @@ class EngineConfig:
     t_split: int | None = None
     train_days: float = 90.0
     test_days: float = 7.0
-    binarize: bool = False
-    min_df: int = 1
-    max_vocab: int | None = None
-    l2_normalize: bool = True
     k: int = 30
     method: str = "two-stage"
     mode: str = "time-aware"
@@ -96,10 +91,6 @@ class EngineConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.min_df < 1:
-            raise ConfigError("min_df must be >= 1")
-        if self.max_vocab is not None and self.max_vocab < 1:
-            raise ConfigError("max_vocab must be >= 1 when set")
         if not self.cutoffs or any(n < 1 for n in self.cutoffs):
             raise ConfigError("cutoffs must be positive integers")
         if self.k < max(self.cutoffs):
@@ -164,20 +155,26 @@ def _set_field(cfg: EngineConfig, key: str, value: object) -> None:
     setattr(cfg, key, tuple(value) if key == "cutoffs" else value)
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``. A missing file is a data error; a file that
+    is not JSON, or whose root is not an object, is a config error."""
+    if not Path(path).exists():
+        raise DataError(f"{what} {path!r} does not exist")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {path!r} must hold a JSON object at its root")
+    return raw
+
+
 def load_config(path: str | None, overrides: Mapping[str, object]) -> EngineConfig:
     """Build the effective config: file values first, then flag overrides."""
     cfg = EngineConfig()
     if path is not None:
-        if not Path(path).exists():
-            raise DataError(f"config file {path!r} does not exist")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        for section, value in raw.items():
+        for section, value in _read_json_object(path, "config file").items():
             if section == "seed":
                 _set_field(cfg, "seed", value)
                 continue
@@ -279,9 +276,7 @@ def _prepare_from_config(cfg: EngineConfig) -> tuple[Prepared, int, int]:
         logs, skipped_logs = parse_logs(fh)
     with open(cfg.programs, encoding="utf-8") as fh:
         metas, skipped_programs = parse_programs(fh)
-    prepared = prepare(
-        logs, metas, cfg.grid, cfg.split_spec, dt_min=cfg.min_duration_secs, binarize=cfg.binarize
-    )
+    prepared = prepare(logs, metas, cfg.grid, cfg.split_spec, dt_min=cfg.min_duration_secs)
     return prepared, skipped_logs, skipped_programs
 
 
@@ -294,15 +289,7 @@ def _cmd_synth(args: argparse.Namespace) -> None:
     if args.seed is not None:
         overrides["rng_seed"] = args.seed
     if args.config is not None:
-        if not Path(args.config).exists():
-            raise DataError(f"synth config {args.config!r} does not exist")
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"synth config {args.config!r} is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("synth config root must be a JSON object")
+        raw = _read_json_object(args.config, "synth config")
         raw.update(overrides)
         try:
             cfg = synth_mod.SynthConfig(**raw)
@@ -376,11 +363,10 @@ def _cmd_build(args: argparse.Namespace) -> None:
     # document, but only the watched training items (for the preference means)
     # and the candidates (for ranking) are ever encoded.
     corpus = [(pid, prepared.metas[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
-    vocab = textenc_mod.fit(corpus, min_df=cfg.min_df, max_vocab=cfg.max_vocab)
+    vocab = textenc_mod.fit(corpus)
     watched = {item for cells in tensor.by_user.values() for (item, _, _) in cells}
     embeddings = {
-        pid: textenc_mod.encode(vocab, prepared.metas[pid].text, l2_normalize=cfg.l2_normalize)
-        for pid in sorted(watched.union(cand.ids))
+        pid: textenc_mod.encode(vocab, prepared.metas[pid].text) for pid in sorted(watched.union(cand.ids))
     }
     model = preference_mod.build(tensor, embeddings)
     # Ranking reads candidate embeddings only. Sorted containers, not sets,

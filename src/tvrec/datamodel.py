@@ -17,7 +17,7 @@ DEFAULT_TRAIN_SECS = 90 * 86_400
 DEFAULT_TEST_SECS = 7 * 86_400
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewingLog:
     """One channel-switch event: user switched to ``channel`` broadcasting
     ``program`` at UTC timestamp ``t`` and stayed for ``dt`` seconds."""
@@ -33,7 +33,7 @@ class ViewingLog:
             raise ValueError(f"negative duration {self.dt} for user {self.user!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProgramMeta:
     """Broadcast metadata: channel, broadcast interval, and free text
     (title, artists, abstract concatenated)."""
@@ -78,25 +78,13 @@ class InteractionTensor:
     """Sparse counts over (user, item, slot, channel), indexed by user.
 
     Absent cells are zero; stored counts are positive. ``users`` is the
-    restricted user set U, ``items`` the train item set, ``channels`` the
-    channels observed in the counted logs.
+    restricted user set U, ``channels`` the channels observed in the counted
+    logs.
     """
 
     by_user: Mapping[str, Mapping[tuple[str, int, str], int]]
     users: frozenset[str]
-    items: frozenset[str]
     channels: frozenset[str]
-    n_slots: int
-
-    def binarize(self) -> "InteractionTensor":
-        """Collapse every positive count to 1 (implicit-feedback view)."""
-        return InteractionTensor(
-            by_user={u: {k: 1 for k in cells} for u, cells in self.by_user.items()},
-            users=self.users,
-            items=self.items,
-            channels=self.channels,
-            n_slots=self.n_slots,
-        )
 
 
 def _parse_jsonl(
@@ -184,15 +172,16 @@ def build_tensor(
     metas: Mapping[str, ProgramMeta],
     grid: TimeGrid,
     *,
-    items: frozenset[str] | None = None,
-    users: frozenset[str] | None = None,
+    items: frozenset[str],
+    users: frozenset[str],
 ) -> InteractionTensor:
     """Count interactions per (user, item, slot, channel) cell.
 
-    Every log's program must appear in ``metas``. ``items`` restricts counting
-    to the train item set (logs for other programs are kept in the data but do
-    not enter the tensor); ``users`` restricts to U. Users left without any
-    counted cell are dropped so that every stored user has a positive total.
+    Every log's program must appear in ``metas``. Only logs of a user in
+    ``users`` (the set U) watching a program in ``items`` (the train item set)
+    are counted; the others stay in the data but do not enter the tensor.
+    Users left without any counted cell are dropped so that every stored user
+    has a positive total.
     """
     d_train = list(d_train)
     unknown = sorted({log.program for log in d_train} - metas.keys())
@@ -204,32 +193,22 @@ def build_tensor(
     by_user: dict[str, dict[tuple[str, int, str], int]] = defaultdict(lambda: defaultdict(int))
     channels: set[str] = set()
     for log in d_train:
-        if users is not None and log.user not in users:
-            continue
-        if items is not None and log.program not in items:
+        if log.user not in users or log.program not in items:
             continue
         cell = (log.program, slot_of(log.t, grid), log.channel)
         by_user[log.user][cell] += 1
         channels.add(log.channel)
 
     frozen = {u: dict(cells) for u, cells in by_user.items() if cells}
-    item_set = items if items is not None else frozenset(metas.keys())
-    return InteractionTensor(
-        by_user=frozen,
-        users=frozenset(frozen),
-        items=item_set,
-        channels=frozenset(channels),
-        n_slots=grid.n,
-    )
+    return InteractionTensor(by_user=frozen, users=frozenset(frozen), channels=frozenset(channels))
 
 
-def ground_truth_map(
-    d_test: Iterable[ViewingLog], items: frozenset[str] | None = None
-) -> dict[str, frozenset[str]]:
-    """Per-user ground truth for every user with at least one test interaction."""
+def ground_truth_map(d_test: Iterable[ViewingLog], items: frozenset[str]) -> dict[str, frozenset[str]]:
+    """Per-user ground truth, the test programs in ``items`` each user watched,
+    for every user with at least one such interaction."""
     acc: dict[str, set[str]] = defaultdict(set)
     for log in d_test:
-        if items is None or log.program in items:
+        if log.program in items:
             acc[log.user].add(log.program)
     return {u: frozenset(progs) for u, progs in acc.items()}
 
@@ -242,7 +221,6 @@ class Prepared:
     tensor: InteractionTensor
     truths: Mapping[str, frozenset[str]]
     metas: Mapping[str, ProgramMeta]
-    grid: TimeGrid
     summary: dict = field(compare=False)
 
 
@@ -252,11 +230,10 @@ def prepare(
     grid: TimeGrid,
     spec: SplitSpec,
     dt_min: int = DEFAULT_MIN_DURATION,
-    binarize: bool = False,
 ) -> Prepared:
     """Run flip filtering, splitting, U restriction, tensor construction, and
-    ground-truth extraction in one pass; the summary mirrors the usual
-    dataset-statistics table."""
+    ground-truth extraction in one pass. ``grid`` slots the training logs into
+    the tensor; the summary mirrors the usual dataset-statistics table."""
     meta_list = list(metas)
     by_id: dict[str, ProgramMeta] = {}
     for m in meta_list:
@@ -268,8 +245,6 @@ def prepare(
     sp = split(kept, meta_list, spec)
     users = users_in_both(sp.d_train, sp.d_test)
     tensor = build_tensor(sp.d_train, by_id, grid, items=sp.i_train, users=users)
-    if binarize:
-        tensor = tensor.binarize()
     truths = {
         u: progs
         for u, progs in ground_truth_map(sp.d_test, sp.i_test).items()
@@ -286,4 +261,4 @@ def prepare(
         "users": len(tensor.users),
         "mean_truth_size": (sum(truth_sizes) / len(truth_sizes)) if truth_sizes else 0.0,
     }
-    return Prepared(split=sp, tensor=tensor, truths=truths, metas=by_id, grid=grid, summary=summary)
+    return Prepared(split=sp, tensor=tensor, truths=truths, metas=by_id, summary=summary)

@@ -108,10 +108,9 @@ class MetricReport:
     recall: dict[int, float] = field(default_factory=dict)
     n_users: int = 0
     n_skipped: int = 0
-    seconds_per_user: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "method": self.method,
             "cutoffs": list(self.cutoffs),
             "ndcg": {str(n): v for n, v in self.ndcg.items()},
@@ -120,9 +119,6 @@ class MetricReport:
             "n_users": self.n_users,
             "n_skipped": self.n_skipped,
         }
-        if self.seconds_per_user is not None:
-            out["seconds_per_user"] = self.seconds_per_user
-        return out
 
 
 def evaluate_rankings(
@@ -162,14 +158,14 @@ def evaluate_rankings(
 
 def format_table(reports: Sequence[MetricReport]) -> str:
     """Plain-text metrics table: one row per method, nDCG/precision/recall
-    per cutoff plus seconds/user, mirroring the usual results layout."""
+    per cutoff, mirroring the usual results layout. Latency lives in the
+    ``bench`` command's output, not here."""
     if not reports:
         return "(no results)"
     cutoffs = reports[0].cutoffs
     header = ["method".ljust(22)]
     for n in cutoffs:
         header += [f"nDCG@{n}".rjust(9), f"P@{n}".rjust(8), f"R@{n}".rjust(8)]
-    header.append("sec/user".rjust(10))
     lines = ["".join(header)]
     for r in reports:
         row = [r.method.ljust(22)]
@@ -179,6 +175,5 @@ def format_table(reports: Sequence[MetricReport]) -> str:
                 f"{r.precision.get(n, 0.0):8.4f}",
                 f"{r.recall.get(n, 0.0):8.4f}",
             ]
-        row.append(f"{r.seconds_per_user:10.6f}" if r.seconds_per_user is not None else " " * 10)
         lines.append("".join(row))
     return "\n".join(lines)

@@ -390,8 +390,8 @@ def tune_rrf(
     rankings: Mapping[str, tuple[Ranking, Ranking]],
     truths: Mapping[str, Collection[str]],
     cand: Candidates,
-    eta_grid: Iterable[float] | None = None,
-    xi_grid: Iterable[float] | None = None,
+    eta_grid: Iterable[float],
+    xi_grid: Iterable[float],
     cutoff: int = 30,
 ) -> tuple[float, float, float]:
     """Grid-search (eta, xi) maximizing mean recall at ``cutoff`` over the
@@ -402,8 +402,8 @@ def tune_rrf(
     ``rankings`` maps each development user to their (behavior, preference)
     rankings over the full candidate set.
     """
-    etas = sorted(eta_grid) if eta_grid is not None else list(range(1, 101))
-    xis = sorted(xi_grid) if xi_grid is not None else [i / 10 for i in range(11)]
+    etas = sorted(eta_grid)
+    xis = sorted(xi_grid)
     if not etas or not xis:
         raise ValueError("hyperparameter grids must be non-empty")
 

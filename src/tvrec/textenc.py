@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DataError
@@ -46,17 +46,12 @@ class Vocabulary:
         return {"tokens": [[t, self.index[t], self.idf[t]] for t in tokens]}
 
 
-def fit(
-    corpus: Iterable[tuple[str, str]],
-    *,
-    min_df: int = 1,
-    max_vocab: int | None = None,
-) -> Vocabulary:
+def fit(corpus: Iterable[tuple[str, str]]) -> Vocabulary:
     """Fit idf weights over a corpus of ``(program_id, text)`` pairs.
 
-    ``min_df`` drops rare tokens; ``max_vocab`` caps the vocabulary at the
-    most frequent tokens (ties resolved alphabetically). Raises
-    :class:`DataError` when the corpus is empty or yields no tokens at all.
+    Every token of the corpus enters the vocabulary, indexed in alphabetical
+    order. Raises :class:`DataError` when the corpus is empty or yields no
+    tokens at all.
     """
     df: Counter[str] = Counter()
     n_docs = 0
@@ -68,24 +63,16 @@ def fit(
     if not df:
         raise DataError("corpus contains no tokens; all documents are empty")
 
-    kept = [t for t, c in df.items() if c >= min_df]
-    if max_vocab is not None and len(kept) > max_vocab:
-        kept.sort(key=lambda t: (-df[t], t))
-        kept = kept[:max_vocab]
-    kept.sort()
-    index = {t: i for i, t in enumerate(kept)}
-    idf = {t: math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in kept}
+    tokens = sorted(df)
+    index = {t: i for i, t in enumerate(tokens)}
+    idf = {t: math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in tokens}
     return Vocabulary(index=index, idf=idf)
 
 
-def encode(
-    vocab: Vocabulary,
-    text: str,
-    *,
-    l2_normalize: bool = True,
-) -> Embedding:
-    """Encode text as a sparse tf-idf vector; out-of-vocabulary tokens are
-    ignored and a text with no known tokens encodes to the zero vector."""
+def encode(vocab: Vocabulary, text: str) -> Embedding:
+    """Encode text as an L2-normalized sparse tf-idf vector; out-of-vocabulary
+    tokens are ignored and a text with no known tokens encodes to the zero
+    vector."""
     tf = Counter(tokenize(text))
     vec: Embedding = {}
     index = vocab.index
@@ -94,7 +81,7 @@ def encode(
         i = index.get(token)
         if i is not None:
             vec[i] = count * idf[token]
-    if vec and l2_normalize:
+    if vec:
         inv = 1.0 / math.sqrt(sum(w * w for w in vec.values()))
         vec = {i: w * inv for i, w in vec.items()}
     return vec

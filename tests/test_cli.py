@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tvrec
-from tvrec.cli import EngineConfig, ModelBundle, load_config, main
+from tvrec.cli import _CONFIG_SECTIONS, EngineConfig, ModelBundle, load_config, main
 from tvrec.errors import ConfigError
 
 SYNTH_CFG = {
@@ -53,6 +54,15 @@ def workspace(tmp_path_factory):
     return root, engine_cfg
 
 
+@pytest.fixture(scope="module")
+def built(workspace):
+    """The workspace after `prep` and `build`: its out dir holds truth.jsonl and model.pkl."""
+    _, cfg = workspace
+    assert run(["prep", "--config", cfg]) == 0
+    assert run(["build", "--config", cfg]) == 0
+    return workspace
+
+
 def test_synth_writes_dataset_with_manifest(workspace):
     root, _ = workspace
     data = root / "data"
@@ -92,8 +102,8 @@ def test_prep_build_recommend_evaluate_round_trip(workspace, capsys):
     capsys.readouterr()
 
 
-def test_recommend_is_deterministic_across_runs(workspace):
-    root, cfg = workspace
+def test_recommend_is_deterministic_across_runs(built):
+    root, cfg = built
     out = root / "out"
     a = root / "recs_a.jsonl"
     b = root / "recs_b.jsonl"
@@ -102,8 +112,8 @@ def test_recommend_is_deterministic_across_runs(workspace):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bench_reports_seconds_per_user(workspace):
-    root, cfg = workspace
+def test_bench_reports_seconds_per_user(built):
+    root, cfg = built
     assert run(["bench", "--config", cfg, "--method", "behavior,two-stage",
                 "--users-sample", 5, "--reps", 2]) == 0
     doc = json.loads((root / "out" / "bench.json").read_text())
@@ -111,8 +121,8 @@ def test_bench_reports_seconds_per_user(workspace):
     assert all(v > 0 for v in doc["seconds_per_user"].values())
 
 
-def test_tune_writes_selected_hyperparameters(workspace):
-    root, cfg = workspace
+def test_tune_writes_selected_hyperparameters(built):
+    root, cfg = built
     assert run(["tune", "--config", cfg, "--dev-frac", 0.3,
                 "--eta-grid", "40,60", "--xi-grid", "0:1:0.5", "--cutoff", 10]) == 0
     doc = json.loads((root / "out" / "tuned.json").read_text())
@@ -120,8 +130,8 @@ def test_tune_writes_selected_hyperparameters(workspace):
     assert doc["xi"] in (0.0, 0.5, 1.0)
 
 
-def test_inspect_user_dumps_behavior_matrix(workspace, capsys):
-    root, cfg = workspace
+def test_inspect_user_dumps_behavior_matrix(built, capsys):
+    root, cfg = built
     truth_rows = [json.loads(l) for l in (root / "out" / "truth.jsonl").read_text().splitlines()[1:]]
     user = truth_rows[0]["user"]
     assert run(["inspect-user", "--config", cfg, "--user", user]) == 0
@@ -175,10 +185,15 @@ def _malformed_argv(case, cfg, tmp_path):
                        "tune dev-frac 0": ("--dev-frac", 0),
                        "tune cutoff 0": ("--cutoff", 0)}[case]
         return ["tune", "--config", cfg, "--model", tmp_path / "missing.pkl", flag, value]
-    if case == "synth config not JSON":
+    if case.startswith("synth config"):
         bad = tmp_path / "synth.json"
-        bad.write_text('{"n_users": 5,')
+        bad.write_text({"synth config not JSON": '{"n_users": 5,', "synth config root not an object": "[5]"}[case])
         return ["synth", "--config", bad, "--out-dir", tmp_path / "data"]
+    if case in ("config root not an object", "config file missing"):
+        bad = tmp_path / "engine.json"
+        if case == "config root not an object":
+            bad.write_text("[5]")
+        return ["prep", "--config", bad]
     if case.startswith("config value"):
         value = {"config value str for int": {"ranking": {"k": "30"}},
                  "config value bool for int": {"ranking": {"k": True}},
@@ -198,6 +213,9 @@ def _malformed_argv(case, cfg, tmp_path):
         ("rec line not JSON", 3),
         ("truth line not JSON", 3),
         ("synth config not JSON", 2),
+        ("synth config root not an object", 2),
+        ("config root not an object", 2),
+        ("config file missing", 3),
         ("config value str for int", 2),
         ("config value bool for int", 2),
         ("config value str for float", 2),
@@ -221,9 +239,24 @@ def test_malformed_input_exits_with_documented_code(case, code, workspace, tmp_p
 
 def test_config_values_are_type_checked():
     assert load_config(None, {"train_days": 14, "eta": 60, "cutoffs": (5, 10), "k": 10}).eta == 60
-    for key, value in (("binarize", 1), ("t_split", 1.5), ("cutoffs", (5, "10")), ("method", 3)):
+    for key, value in (("k", True), ("t_split", 1.5), ("cutoffs", (5, "10")), ("method", 3)):
         with pytest.raises(ConfigError, match=key):
             load_config(None, {key: value})
+
+
+def test_removed_config_keys_are_rejected(tmp_path):
+    path = tmp_path / "c.json"
+    for doc, name in (({"encoder": {"min_df": 1}}, "encoder"), ({"preprocessing": {"binarize": False}}, "binarize")):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"unknown .*'{name}'"):
+            load_config(str(path), {})
+
+
+def test_config_sections_declare_every_field_once():
+    # Every EngineConfig field is settable from a config file, and every key sets a field.
+    keys = [key for fields in _CONFIG_SECTIONS.values() for key in fields] + ["seed"]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {f.name for f in dataclasses.fields(EngineConfig)}
 
 
 def _python_m_env():
@@ -269,8 +302,8 @@ def test_importing_the_cli_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_one_build_serves_both_scoring_modes(workspace, tmp_path, capsys):
-    _, cfg = workspace
+def test_one_build_serves_both_scoring_modes(built, tmp_path, capsys):
+    _, cfg = built
     for mode in ("global", "time-aware"):
         assert run(["recommend", "--config", cfg, "--method", "two-stage", "--mode", mode,
                     "--out", tmp_path / f"recs_{mode}.jsonl"]) == 0
@@ -292,8 +325,8 @@ def test_old_layout_bundle_exits_with_data_error(workspace, tmp_path, capsys):
     assert "rebuild with `build`" in capsys.readouterr().err
 
 
-def test_inspect_unknown_user_exits_with_data_error(workspace, capsys):
-    _, cfg = workspace
+def test_inspect_unknown_user_exits_with_data_error(built, capsys):
+    _, cfg = built
     assert run(["inspect-user", "--config", cfg, "--user", "no-such-user"]) == 3
     assert "no-such-user" in capsys.readouterr().err
 

@@ -21,6 +21,7 @@ from tvrec.timegrid import TimeGrid
 
 MONDAY = 1_554_076_800
 GRID = TimeGrid(n=672)
+P1_U1 = {"items": frozenset({"p1"}), "users": frozenset({"u1"})}  # the defaults of log() and meta()
 
 
 def log(user="u1", program="p1", channel="c1", t=MONDAY, dt=1200):
@@ -170,19 +171,19 @@ def total(tensor):
 def test_build_tensor_counts_repeated_views_in_one_slot():
     metas = {"p1": meta()}
     logs = [log(t=MONDAY + 4 * 900), log(t=MONDAY + 4 * 900 + 30)]
-    tensor = build_tensor(logs, metas, GRID)
+    tensor = build_tensor(logs, metas, GRID, **P1_U1)
     assert tensor.by_user["u1"][("p1", 5, "c1")] == 2
 
 
 def test_build_tensor_single_log_single_cell():
-    tensor = build_tensor([log(t=MONDAY)], {"p1": meta()}, GRID)
+    tensor = build_tensor([log(t=MONDAY)], {"p1": meta()}, GRID, **P1_U1)
     assert tensor.by_user["u1"] == {("p1", 1, "c1"): 1}
     assert total(tensor) == 1
 
 
 def test_build_tensor_unknown_program_error_lists_ids():
     with pytest.raises(DataError, match="p-unknown"):
-        build_tensor([log(program="p-unknown")], {"p1": meta()}, GRID)
+        build_tensor([log(program="p-unknown")], {"p1": meta()}, GRID, **P1_U1)
 
 
 def test_build_tensor_restricts_users_and_items():
@@ -207,25 +208,16 @@ def test_tensor_total_matches_restricted_log_count():
     assert total(tensor) == expected
 
 
-def test_binarize_flattens_counts_and_keeps_support():
-    logs = [log(t=MONDAY), log(t=MONDAY + 10)]
-    tensor = build_tensor(logs, {"p1": meta()}, GRID)
-    flat = tensor.binarize()
-    assert flat.by_user["u1"][("p1", 1, "c1")] == 1
-    assert flat.users == tensor.users
-    assert all(v > 0 for cells in flat.by_user.values() for v in cells.values())
-
-
 # ground truth
 
 
 def test_ground_truth_set_semantics():
     d_test = [log(program="p1"), log(program="p1", t=MONDAY + 60), log(program="p2")]
-    assert ground_truth_map(d_test) == {"u1": frozenset({"p1", "p2"})}
+    assert ground_truth_map(d_test, items=frozenset({"p1", "p2"})) == {"u1": frozenset({"p1", "p2"})}
 
 
 def test_ground_truth_single_log():
-    assert ground_truth_map([log(program="p7")]) == {"u1": frozenset({"p7"})}
+    assert ground_truth_map([log(program="p7")], items=frozenset({"p7"})) == {"u1": frozenset({"p7"})}
 
 
 def test_ground_truth_respects_item_restriction():
@@ -275,10 +267,3 @@ def test_prepare_rejects_duplicate_program_ids():
     logs, metas, spec = _two_week_dataset()
     with pytest.raises(DataError):
         prepare(logs, metas + [metas[0]], GRID, spec)
-
-
-def test_binarized_tensor_keeps_denominators_positive():
-    logs, metas, spec = _two_week_dataset()
-    prepared = prepare(logs, metas, GRID, spec, binarize=True)
-    for user in prepared.tensor.users:
-        assert sum(prepared.tensor.by_user[user].values()) > 0

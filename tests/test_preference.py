@@ -14,10 +14,7 @@ GRID = TimeGrid(n=672)
 
 def tensor_from(cells: dict[str, dict]) -> InteractionTensor:
     channels = frozenset(c for u in cells.values() for (_, _, c) in u)
-    items = frozenset(i for u in cells.values() for (i, _, _) in u)
-    return InteractionTensor(
-        by_user=cells, users=frozenset(cells), items=items, channels=channels, n_slots=672
-    )
+    return InteractionTensor(by_user=cells, users=frozenset(cells), channels=channels)
 
 
 def meta(pid, start_slot=5, channel="c1"):

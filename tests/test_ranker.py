@@ -383,6 +383,6 @@ def test_tune_rrf_is_deterministic():
 def test_tune_rrf_empty_dev_set_is_error():
     cand, rankings, truths = tuning_fixture()
     with pytest.raises(ValueError):
-        tune_rrf({}, {}, cand)
+        tune_rrf({}, {}, cand, [60], [0.5])
     with pytest.raises(ValueError):
-        tune_rrf(rankings, {"u": frozenset()}, cand)
+        tune_rrf(rankings, {"u": frozenset()}, cand, [60], [0.5])
