@@ -34,7 +34,7 @@ from . import preference as preference_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
 from . import textenc as textenc_mod
-from .datamodel import Prepared, SplitSpec, parse_logs, parse_programs, prepare
+from .datamodel import Prepared, SplitSpec, open_jsonl, parse_logs, parse_programs, prepare
 from .errors import ConfigError, DataError
 from .timegrid import TimeGrid
 
@@ -163,8 +163,10 @@ def _read_json_object(path: str, what: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{what} {path!r} is not valid UTF-8: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} {path!r} must hold a JSON object at its root")
     return raw
@@ -242,21 +244,25 @@ def _read_jsonl(path: Path, keys: tuple[str, ...]) -> list[dict]:
     """The non-``_meta`` rows of a JSONL file; each must be an object holding ``keys``."""
     if not path.exists():
         raise DataError(f"input file {path} does not exist")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not valid UTF-8: {exc}") from None
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-            if isinstance(rec, dict) and "_meta" in rec:
-                continue
-            if not isinstance(rec, dict) or any(key not in rec for key in keys):
-                raise DataError(f"{path}:{lineno}: expected an object with keys {', '.join(keys)}")
-            rows.append(rec)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+        if isinstance(rec, dict) and "_meta" in rec:
+            continue
+        if not isinstance(rec, dict) or any(key not in rec for key in keys):
+            raise DataError(f"{path}:{lineno}: expected an object with keys {', '.join(keys)}")
+        rows.append(rec)
     return rows
 
 
@@ -272,9 +278,9 @@ def _summary_line(command: str, **payload) -> None:
 
 def _prepare_from_config(cfg: EngineConfig) -> tuple[Prepared, int, int]:
     _require_inputs(cfg.logs, cfg.programs)
-    with open(cfg.logs, encoding="utf-8") as fh:
+    with open_jsonl(cfg.logs) as fh:
         logs, skipped_logs = parse_logs(fh)
-    with open(cfg.programs, encoding="utf-8") as fh:
+    with open_jsonl(cfg.programs) as fh:
         metas, skipped_programs = parse_programs(fh)
     prepared = prepare(logs, metas, cfg.grid, cfg.split_spec, dt_min=cfg.min_duration_secs)
     return prepared, skipped_logs, skipped_programs

@@ -1,26 +1,42 @@
 """Log and program-metadata ingestion, channel-flip filtering, time-based
 train/test splitting, interaction-tensor construction, and ground-truth
-extraction."""
+extraction.
+
+Viewing logs live in one :class:`LogTable` of numpy columns, not one object
+per line. :func:`parse_logs` interns user, program and channel names into
+int32 codes as it reads. The stages after it work on the columns: the flip
+filter and the split are boolean masks over the table, the user and item
+restrictions are lookup arrays indexed by code, and the tensor is one grouping
+of equal (user, program, slot, channel) rows with their counts. Program
+metadata stays a list of :class:`ProgramMeta` records.
+"""
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+import operator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Collection, Iterable, Mapping, TextIO
+
+import numpy as np
 
 from .errors import DataError
-from .timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
+from .timegrid import _EPOCH_TO_MONDAY, SECONDS_PER_WEEK, TimeGrid
 
 DEFAULT_MIN_DURATION = 900  # channel-flip threshold, seconds
 DEFAULT_TRAIN_SECS = 90 * 86_400
 DEFAULT_TEST_SECS = 7 * 86_400
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 
 @dataclass(frozen=True, slots=True)
 class ViewingLog:
     """One channel-switch event: user switched to ``channel`` broadcasting
-    ``program`` at UTC timestamp ``t`` and stayed for ``dt`` seconds."""
+    ``program`` at UTC timestamp ``t`` and stayed for ``dt`` seconds.
+
+    :func:`tvrec.synth.gen_logs` emits these records; ingestion reads logs
+    into a :class:`LogTable` instead."""
 
     user: str
     program: str
@@ -51,6 +67,46 @@ class ProgramMeta:
             raise ValueError(f"program {self.program!r}: broadcast spans a week or more")
 
 
+@dataclass(frozen=True, eq=False)
+class LogTable:
+    """Viewing logs as columns: row ``i`` is one channel-switch event, in file order.
+
+    ``user``, ``program`` and ``channel`` are int32 codes into the name tuples
+    ``user_names``, ``program_names`` and ``channel_names``; ``t`` (UTC
+    seconds) and ``dt`` (seconds watched) are int64. :func:`parse_logs`
+    numbers names in order of first appearance. A table cut from another by
+    :meth:`take` keeps its name tuples, so codes compare across the two and a
+    name may have no row left.
+    """
+
+    user_names: tuple[str, ...]
+    program_names: tuple[str, ...]
+    channel_names: tuple[str, ...]
+    user: np.ndarray
+    program: np.ndarray
+    channel: np.ndarray
+    t: np.ndarray
+    dt: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not len(self.user) == len(self.program) == len(self.channel) == len(self.t) == len(self.dt):
+            raise ValueError("log columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def take(self, rows: np.ndarray) -> LogTable:
+        """The rows a boolean mask or an index array selects, in its order."""
+        return replace(
+            self,
+            user=self.user[rows],
+            program=self.program[rows],
+            channel=self.channel[rows],
+            t=self.t[rows],
+            dt=self.dt[rows],
+        )
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Time-based split: train window ``[t_split - dt_train, t_split)``,
@@ -67,8 +123,8 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class Split:
-    d_train: tuple[ViewingLog, ...]
-    d_test: tuple[ViewingLog, ...]
+    d_train: LogTable
+    d_test: LogTable
     i_train: frozenset[str]
     i_test: frozenset[str]
 
@@ -87,13 +143,37 @@ class InteractionTensor:
     channels: frozenset[str]
 
 
+def open_jsonl(path: str) -> TextIO:
+    """Open a JSONL input for :func:`parse_logs` or :func:`parse_programs`.
+
+    Lines split as in any text file. A byte that is not UTF-8 becomes a lone
+    surrogate instead of failing the read, so the parsers can skip and count
+    just the line that holds it.
+    """
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
 def _parse_jsonl(
     lines: Iterable[str],
-    fields: tuple[tuple[str, type], ...],
-    build,
+    fields: tuple[str, ...],
+    build: Callable[..., None],
     what: str,
-) -> tuple[list, int]:
-    out = []
+) -> int:
+    """Call ``build`` with the ``fields`` of each non-blank line, in order,
+    and return the number of malformed lines.
+
+    A line is malformed when it holds a lone surrogate (a byte that was not
+    UTF-8, see :func:`open_jsonl`), is not exactly one JSON object (or nests
+    too deep to decode), lacks a field, or makes ``build`` raise
+    ``ValueError``. ``build`` checks the field types: the decoder yields exact
+    ``str`` and ``int``, so ``type(v) is int`` is the rule that a bool is not
+    an int. Raises :class:`DataError` when more than half of the lines are
+    malformed.
+    """
+    get = operator.itemgetter(*fields)
     skipped = 0
     total = 0
     for line in lines:
@@ -102,47 +182,80 @@ def _parse_jsonl(
             continue
         total += 1
         try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ValueError("not an object")
-            values = []
-            for name, typ in fields:
-                v = rec[name]
-                if not isinstance(v, typ) or isinstance(v, bool):
-                    raise ValueError(f"field {name!r} has wrong type")
-                values.append(v)
-            out.append(build(*values))
-        except (ValueError, KeyError, TypeError):
+            if not line.isascii():
+                line.encode()  # raises UnicodeEncodeError on a lone surrogate
+            rec, end = _scan_once(line, 0)
+            if end != len(line) or type(rec) is not dict:
+                raise ValueError("not exactly one JSON object")
+            build(*get(rec))
+        except (ValueError, KeyError, TypeError, StopIteration, RecursionError):
             skipped += 1
     if total > 0 and skipped * 2 > total:
         raise DataError(f"{skipped} of {total} {what} lines are malformed; refusing input")
-    return out, skipped
+    return skipped
 
 
-def parse_logs(lines: Iterable[str]) -> tuple[list[ViewingLog], int]:
-    """Parse JSONL viewing logs, in file order.
+def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
+    """Parse JSONL viewing logs into a :class:`LogTable`, in file order.
 
-    Malformed lines are skipped and counted; returns ``(logs, skipped)``.
-    Raises :class:`DataError` when more than half of the lines are malformed.
+    Malformed lines are skipped and counted; returns ``(table, skipped)``.
+    Besides the rules of every JSONL input, a log line is malformed when its
+    ``dt`` is negative or when ``t`` or ``dt`` does not fit in int64, since
+    neither column could hold it. Raises :class:`DataError` when more than
+    half of the lines are malformed.
     """
-    fields = (("user", str), ("program", str), ("channel", str), ("t", int), ("dt", int))
-    return _parse_jsonl(lines, fields, ViewingLog, "log")
+    names: tuple[dict[str, int], ...] = ({}, {}, {})
+    users, programs, channels = names
+    cols: tuple[list[int], ...] = ([], [], [], [], [])
+    add_user, add_program, add_channel, add_t, add_dt = (col.append for col in cols)
+
+    def add(user: str, program: str, channel: str, t: int, dt: int) -> None:
+        if type(user) is not str or type(program) is not str or type(channel) is not str:
+            raise ValueError("a name field is not a string")
+        if type(t) is not int or type(dt) is not int:
+            raise ValueError("t or dt is not an integer")
+        if dt < 0:
+            raise ValueError(f"negative duration {dt}")
+        if not (_INT64_MIN <= t <= _INT64_MAX and dt <= _INT64_MAX):
+            raise ValueError("t or dt does not fit in int64")
+        add_user(users.setdefault(user, len(users)))
+        add_program(programs.setdefault(program, len(programs)))
+        add_channel(channels.setdefault(channel, len(channels)))
+        add_t(t)
+        add_dt(dt)
+
+    skipped = _parse_jsonl(lines, ("user", "program", "channel", "t", "dt"), add, "log")
+    table = LogTable(
+        *(tuple(index) for index in names),
+        *(np.array(col, dtype=np.int32) for col in cols[:3]),
+        *(np.array(col, dtype=np.int64) for col in cols[3:]),
+    )
+    return table, skipped
 
 
 def parse_programs(lines: Iterable[str]) -> tuple[list[ProgramMeta], int]:
     """Parse JSONL program metadata; same skip-and-count policy as logs."""
-    fields = (("program", str), ("channel", str), ("start", int), ("end", int), ("text", str))
-    return _parse_jsonl(lines, fields, ProgramMeta, "program")
+    metas: list[ProgramMeta] = []
+
+    def add(program: str, channel: str, start: int, end: int, text: str) -> None:
+        if type(program) is not str or type(channel) is not str or type(text) is not str:
+            raise ValueError("a text field is not a string")
+        if type(start) is not int or type(end) is not int:
+            raise ValueError("start or end is not an integer")
+        metas.append(ProgramMeta(program, channel, start, end, text))
+
+    skipped = _parse_jsonl(lines, ("program", "channel", "start", "end", "text"), add, "program")
+    return metas, skipped
 
 
-def filter_flips(logs: Iterable[ViewingLog], dt_min: int = DEFAULT_MIN_DURATION) -> list[ViewingLog]:
+def filter_flips(logs: LogTable, dt_min: int = DEFAULT_MIN_DURATION) -> LogTable:
     """Drop channel-flip events: keep exactly the logs with ``dt >= dt_min``."""
     if dt_min < 0:
         raise ValueError("dt_min must be non-negative")
-    return [log for log in logs if log.dt >= dt_min]
+    return logs.take(logs.dt >= dt_min)
 
 
-def split(logs: Iterable[ViewingLog], metas: Iterable[ProgramMeta], spec: SplitSpec) -> Split:
+def split(logs: LogTable, metas: Iterable[ProgramMeta], spec: SplitSpec) -> Split:
     """Split logs and programs by time around ``spec.t_split``.
 
     A program belongs to the train (test) item set when its broadcast *start*
@@ -151,24 +264,45 @@ def split(logs: Iterable[ViewingLog], metas: Iterable[ProgramMeta], spec: SplitS
     """
     lo, mid = spec.t_split - spec.dt_train, spec.t_split
     hi = spec.t_split + spec.dt_test
-    d_train = tuple(log for log in logs if lo <= log.t < mid)
-    d_test = tuple(log for log in logs if mid <= log.t < hi)
-    if not d_train:
+    t = logs.t
+    d_train = logs.take((lo <= t) & (t < mid))
+    d_test = logs.take((mid <= t) & (t < hi))
+    if not len(d_train):
         raise DataError(f"no logs in train window [{lo}, {mid}); split is outside the data range")
-    if not d_test:
+    if not len(d_test):
         raise DataError(f"no logs in test window [{mid}, {hi}); split is outside the data range")
     i_train = frozenset(m.program for m in metas if lo <= m.start < mid)
     i_test = frozenset(m.program for m in metas if mid <= m.start < hi)
     return Split(d_train, d_test, i_train, i_test)
 
 
-def users_in_both(d_train: Iterable[ViewingLog], d_test: Iterable[ViewingLog]) -> frozenset[str]:
+def _names_of(names: tuple[str, ...], codes: np.ndarray) -> frozenset[str]:
+    return frozenset(names[c] for c in np.unique(codes).tolist())
+
+
+def users_in_both(d_train: LogTable, d_test: LogTable) -> frozenset[str]:
     """Users appearing at least once in both split halves (the user set U)."""
-    return frozenset(log.user for log in d_train) & frozenset(log.user for log in d_test)
+    return _names_of(d_train.user_names, d_train.user) & _names_of(d_test.user_names, d_test.user)
+
+
+def _member(names: tuple[str, ...], keep: Collection[str]) -> np.ndarray:
+    """A lookup array indexed by code: whether each name is in ``keep``."""
+    return np.fromiter(map(keep.__contains__, names), dtype=bool, count=len(names))
+
+
+def _slot_column(t: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """:func:`tvrec.timegrid.slot_of` over an int64 column.
+
+    ``t`` and the offsets are reduced modulo the week first. The grid's slots
+    tile exactly one week, so the slot does not change, and the sum stays far
+    from the int64 limits where numpy would wrap.
+    """
+    shift = (grid.utc_offset + _EPOCH_TO_MONDAY) % SECONDS_PER_WEEK
+    return (t % SECONDS_PER_WEEK + shift) // grid.slot_len % grid.n + 1
 
 
 def build_tensor(
-    d_train: Iterable[ViewingLog],
+    d_train: LogTable,
     metas: Mapping[str, ProgramMeta],
     grid: TimeGrid,
     *,
@@ -181,36 +315,64 @@ def build_tensor(
     ``users`` (the set U) watching a program in ``items`` (the train item set)
     are counted; the others stay in the data but do not enter the tensor.
     Users left without any counted cell are dropped so that every stored user
-    has a positive total.
+    has a positive total. ``by_user`` holds users, and each user's cells, in
+    order of first appearance in ``d_train``.
     """
-    d_train = list(d_train)
-    unknown = sorted({log.program for log in d_train} - metas.keys())
+    present = map(d_train.program_names.__getitem__, np.unique(d_train.program).tolist())
+    unknown = sorted(name for name in present if name not in metas)
     if unknown:
         shown = ", ".join(unknown[:10])
         more = f" (+{len(unknown) - 10} more)" if len(unknown) > 10 else ""
         raise DataError(f"logs reference {len(unknown)} unknown program(s): {shown}{more}")
 
-    by_user: dict[str, dict[tuple[str, int, str], int]] = defaultdict(lambda: defaultdict(int))
-    channels: set[str] = set()
-    for log in d_train:
-        if log.user not in users or log.program not in items:
-            continue
-        cell = (log.program, slot_of(log.t, grid), log.channel)
-        by_user[log.user][cell] += 1
-        channels.add(log.channel)
+    in_users = _member(d_train.user_names, users)
+    in_items = _member(d_train.program_names, items)
+    counted = d_train.take(in_users[d_train.user] & in_items[d_train.program])
+    cols = (counted.user, counted.program, _slot_column(counted.t, grid), counted.channel)
+    # Group equal cells with a stable sort, so the first row of each group is
+    # the cell's first appearance. A key packed into one int64 could overflow.
+    order = np.lexsort(cols[::-1])
+    ordered = [c[order] for c in cols]
+    new_cell = np.ones(len(order), dtype=bool)
+    new_cell[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in ordered])
+    starts = np.flatnonzero(new_cell)
+    first = order[starts]
+    counts = np.diff(starts, append=len(order))
+    user, program, slot, channel = (c[starts] for c in ordered)
+    # Users by their first row, then each user's cells by theirs: the order in
+    # which counting row by row would first meet them.
+    user_first = np.full(len(counted.user_names), len(order))
+    np.minimum.at(user_first, user, first)
+    by_first = np.lexsort((first, user_first[user]))
+    user, program, slot, channel, counts = (a[by_first] for a in (user, program, slot, channel, counts))
 
-    frozen = {u: dict(cells) for u, cells in by_user.items() if cells}
-    return InteractionTensor(by_user=frozen, users=frozenset(frozen), channels=frozenset(channels))
+    cells = list(
+        zip(
+            np.array(counted.program_names, dtype=object)[program].tolist(),
+            slot.tolist(),
+            np.array(counted.channel_names, dtype=object)[channel].tolist(),
+        )
+    )
+    counts = counts.tolist()
+    user_starts = np.flatnonzero(np.diff(user, prepend=-1)).tolist()
+    by_user = {
+        counted.user_names[u]: dict(zip(cells[lo:hi], counts[lo:hi]))
+        for u, lo, hi in zip(user[user_starts].tolist(), user_starts, user_starts[1:] + [len(cells)])
+    }
+    channels = _names_of(counted.channel_names, counted.channel)
+    return InteractionTensor(by_user=by_user, users=frozenset(by_user), channels=channels)
 
 
-def ground_truth_map(d_test: Iterable[ViewingLog], items: frozenset[str]) -> dict[str, frozenset[str]]:
+def ground_truth_map(d_test: LogTable, items: frozenset[str]) -> dict[str, frozenset[str]]:
     """Per-user ground truth, the test programs in ``items`` each user watched,
-    for every user with at least one such interaction."""
-    acc: dict[str, set[str]] = defaultdict(set)
-    for log in d_test:
-        if log.program in items:
-            acc[log.user].add(log.program)
-    return {u: frozenset(progs) for u, progs in acc.items()}
+    for every user with at least one such interaction, in order of first
+    appearance."""
+    rows = _member(d_test.program_names, items)[d_test.program]
+    acc: dict[int, set[int]] = {}
+    for user, program in zip(d_test.user[rows].tolist(), d_test.program[rows].tolist()):
+        acc.setdefault(user, set()).add(program)
+    programs = d_test.program_names
+    return {d_test.user_names[u]: frozenset(programs[p] for p in progs) for u, progs in acc.items()}
 
 
 @dataclass(frozen=True)
@@ -225,7 +387,7 @@ class Prepared:
 
 
 def prepare(
-    logs: Iterable[ViewingLog],
+    logs: LogTable,
     metas: Iterable[ProgramMeta],
     grid: TimeGrid,
     spec: SplitSpec,
@@ -233,7 +395,8 @@ def prepare(
 ) -> Prepared:
     """Run flip filtering, splitting, U restriction, tensor construction, and
     ground-truth extraction in one pass. ``grid`` slots the training logs into
-    the tensor; the summary mirrors the usual dataset-statistics table."""
+    the tensor; the summary mirrors the usual dataset-statistics table, plus
+    the logs dropped as flips and the users of the split halves outside U."""
     meta_list = list(metas)
     by_id: dict[str, ProgramMeta] = {}
     for m in meta_list:
@@ -251,6 +414,7 @@ def prepare(
         if u in tensor.users
     }
     truth_sizes = [len(v) for v in truths.values()]
+    split_users = np.unique(np.concatenate((sp.d_train.user, sp.d_test.user)))
     summary = {
         "t_split": spec.t_split,
         "d_train": len(sp.d_train),
@@ -260,5 +424,7 @@ def prepare(
         "channels": len(tensor.channels),
         "users": len(tensor.users),
         "mean_truth_size": (sum(truth_sizes) / len(truth_sizes)) if truth_sizes else 0.0,
+        "flips_dropped": len(logs) - len(kept),
+        "users_outside_both_halves": len(split_users) - len(users),
     }
     return Prepared(split=sp, tensor=tensor, truths=truths, metas=by_id, summary=summary)

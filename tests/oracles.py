@@ -1,18 +1,23 @@
 """Brute-force reference implementations and random-instance generators.
 
-Everything here is deliberately independent of the library's ranking code
-paths: dense matrices, plain dict arithmetic, and python sorts only.
+Everything here is deliberately independent of the library's ranking and
+ingestion code paths: dense matrices, plain dict arithmetic, python sorts,
+and one `ViewingLog` record per log line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from collections import defaultdict
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from tvrec.behavior import BehaviorMatrix
-from tvrec.datamodel import ProgramMeta
+from tvrec.datamodel import InteractionTensor, LogTable, ProgramMeta, ViewingLog
+from tvrec.errors import DataError
 from tvrec.preference import PreferenceModel
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
 
@@ -177,3 +182,115 @@ def random_instance(rng: random.Random, max_programs: int = 50, max_channels: in
         ),
     }
     return grid, metas, bm, models
+
+
+# ---------------------------------------------------------------------------
+# ingestion, one record per log line
+
+
+def log_table(logs: Iterable[ViewingLog]) -> LogTable:
+    """The records as a LogTable, names numbered in order of first appearance."""
+    logs = list(logs)
+    names = ({}, {}, {})
+    codes = [
+        [index.setdefault(name, len(index)) for name in column]
+        for index, column in zip(
+            names, ([g.user for g in logs], [g.program for g in logs], [g.channel for g in logs])
+        )
+    ]
+    return LogTable(
+        *(tuple(index) for index in names),
+        *(np.array(c, dtype=np.int32) for c in codes),
+        np.array([g.t for g in logs], dtype=np.int64),
+        np.array([g.dt for g in logs], dtype=np.int64),
+    )
+
+
+def table_rows(table: LogTable) -> list[tuple[str, str, str, int, int]]:
+    """The table's rows as (user, program, channel, t, dt) tuples, in order."""
+    return [
+        (table.user_names[u], table.program_names[p], table.channel_names[c], t, dt)
+        for u, p, c, t, dt in zip(
+            *(col.tolist() for col in (table.user, table.program, table.channel, table.t, table.dt))
+        )
+    ]
+
+
+def parse_jsonl_records(lines: Iterable[bytes], fields, build, what: str) -> tuple[list, int]:
+    """The record-per-line JSONL parser, over raw byte lines: a line that is not
+    UTF-8 is malformed like any other."""
+    out = []
+    skipped = 0
+    total = 0
+    for raw in lines:
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            total += 1
+            skipped += 1
+            continue
+        if not line:
+            continue
+        total += 1
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("not an object")
+            values = []
+            for name, typ in fields:
+                v = rec[name]
+                if not isinstance(v, typ) or isinstance(v, bool):
+                    raise ValueError(f"field {name!r} has wrong type")
+                values.append(v)
+            out.append(build(*values))
+        except (ValueError, KeyError, TypeError):
+            skipped += 1
+    if total > 0 and skipped * 2 > total:
+        raise DataError(f"{skipped} of {total} {what} lines are malformed; refusing input")
+    return out, skipped
+
+
+def _int64_log(user: str, program: str, channel: str, t: int, dt: int) -> ViewingLog:
+    if not (-(2**63) <= t < 2**63 and dt < 2**63):
+        raise ValueError("t or dt does not fit in int64")
+    return ViewingLog(user, program, channel, t, dt)
+
+
+def parse_log_records(lines: Iterable[bytes]) -> tuple[list[ViewingLog], int]:
+    """Reference `parse_logs`: one ViewingLog per well-formed line."""
+    fields = (("user", str), ("program", str), ("channel", str), ("t", int), ("dt", int))
+    return parse_jsonl_records(lines, fields, _int64_log, "log")
+
+
+def build_tensor_records(
+    d_train: Iterable[ViewingLog],
+    metas: Mapping[str, ProgramMeta],
+    grid: TimeGrid,
+    *,
+    items: frozenset[str],
+    users: frozenset[str],
+) -> InteractionTensor:
+    """Reference `build_tensor`: nested default dicts filled log by log."""
+    d_train = list(d_train)
+    unknown = sorted({log.program for log in d_train} - metas.keys())
+    if unknown:
+        raise DataError(f"logs reference {len(unknown)} unknown program(s): {', '.join(unknown[:10])}")
+    by_user: dict[str, dict[tuple[str, int, str], int]] = defaultdict(lambda: defaultdict(int))
+    channels: set[str] = set()
+    for log in d_train:
+        if log.user not in users or log.program not in items:
+            continue
+        cell = (log.program, slot_of(log.t, grid), log.channel)
+        by_user[log.user][cell] += 1
+        channels.add(log.channel)
+    frozen = {u: dict(cells) for u, cells in by_user.items() if cells}
+    return InteractionTensor(by_user=frozen, users=frozenset(frozen), channels=frozenset(channels))
+
+
+def ground_truth_records(d_test: Iterable[ViewingLog], items: frozenset[str]) -> dict[str, frozenset[str]]:
+    """Reference `ground_truth_map`: a set per user, filled log by log."""
+    acc: dict[str, set[str]] = defaultdict(set)
+    for log in d_test:
+        if log.program in items:
+            acc[log.user].add(log.program)
+    return {u: frozenset(progs) for u, progs in acc.items()}

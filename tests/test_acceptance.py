@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from oracles import brute_two_stage, dense_behavior_score, l2_norm, random_instance
+from oracles import brute_two_stage, dense_behavior_score, l2_norm, log_table, random_instance
 from tvrec import behavior, datamodel, evaluate, preference, ranker, synth, textenc
 from tvrec.cli import main as cli_main
 from tvrec.timegrid import SECONDS_PER_WEEK
@@ -52,7 +52,7 @@ def build_dataset(seed: int) -> Dataset:
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=cfg.weeks_test * SECONDS_PER_WEEK,
     )
-    prep = datamodel.prepare(logs, world.metas, cfg.grid, spec)
+    prep = datamodel.prepare(log_table(logs), world.metas, cfg.grid, spec)
     corpus_ids = sorted(prep.split.i_train | prep.split.i_test)
     vocab = textenc.fit((pid, prep.metas[pid].text) for pid in corpus_ids)
     embeddings = {pid: textenc.encode(vocab, prep.metas[pid].text) for pid in corpus_ids}

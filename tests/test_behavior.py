@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import MONDAY, dense_behavior_score, random_instance
+from oracles import MONDAY, dense_behavior_score, log_table, random_instance
 from tvrec.behavior import BehaviorMatrix, behavior_matrix
 from tvrec.datamodel import InteractionTensor, ProgramMeta, ViewingLog, build_tensor
 from tvrec.errors import DataError
@@ -65,8 +65,8 @@ def test_behavior_matrix_invariant_to_log_order():
     shuffled = logs[:]
     random.Random(0).shuffle(shuffled)
     restrict = {"items": frozenset(metas), "users": frozenset({"u"})}
-    bm1 = behavior_matrix(build_tensor(logs, metas, GRID, **restrict), "u")
-    bm2 = behavior_matrix(build_tensor(shuffled, metas, GRID, **restrict), "u")
+    bm1 = behavior_matrix(build_tensor(log_table(logs), metas, GRID, **restrict), "u")
+    bm2 = behavior_matrix(build_tensor(log_table(shuffled), metas, GRID, **restrict), "u")
     assert bm1.probs == bm2.probs
 
 

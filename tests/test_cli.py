@@ -185,14 +185,42 @@ def _malformed_argv(case, cfg, tmp_path):
                        "tune dev-frac 0": ("--dev-frac", 0),
                        "tune cutoff 0": ("--cutoff", 0)}[case]
         return ["tune", "--config", cfg, "--model", tmp_path / "missing.pkl", flag, value]
+    if case == "rec line nested too deep":
+        rec = tmp_path / "recs.jsonl"
+        rec.write_text(good_rows + "[" * 100_000 + "\n")
+        return ["evaluate", "--rec", rec, "--truth", rec, "--out-dir", tmp_path]
+    if case in ("rec file not UTF-8", "truth file not UTF-8"):
+        rec = tmp_path / "recs.jsonl"
+        truth = tmp_path / "truth.jsonl"
+        rec.write_bytes(good_rows.encode() + (b'{"user": "\xff"}\n' if case.startswith("rec") else b""))
+        truth.write_bytes(good_rows.encode() + (b'{"user": "\xff"}\n' if case.startswith("truth") else b""))
+        return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
+    if case.startswith(("logs ", "programs ")):
+        # One bad line is skipped and counted; mostly bad lines are refused.
+        data = cfg.parent / "data"
+        inputs = {name: (data / f"{name}.jsonl").read_bytes() for name in ("logs", "programs")}
+        name = case.split()[0]
+        bad = b"[" * 100_000 + b"\n" if "nested" in case else b'{"user": "\xff"}\n'
+        first_line = inputs[name][: inputs[name].index(b"\n") + 1]
+        inputs[name] = bad * 3 + first_line if "mostly" in case else inputs[name] + bad
+        for key, blob in inputs.items():
+            (tmp_path / f"{key}.jsonl").write_bytes(blob)
+        return ["prep", "--config", cfg, "--logs", tmp_path / "logs.jsonl",
+                "--programs", tmp_path / "programs.jsonl", "--out-dir", tmp_path / "out"]
     if case.startswith("synth config"):
         bad = tmp_path / "synth.json"
-        bad.write_text({"synth config not JSON": '{"n_users": 5,', "synth config root not an object": "[5]"}[case])
+        bad.write_bytes({"synth config not JSON": b'{"n_users": 5,',
+                         "synth config root not an object": b"[5]",
+                         "synth config not UTF-8": b'{"n_users": 5, "\xff": 1}'}[case])
         return ["synth", "--config", bad, "--out-dir", tmp_path / "data"]
-    if case in ("config root not an object", "config file missing"):
+    if case.startswith("config file") or case == "config root not an object":
         bad = tmp_path / "engine.json"
         if case == "config root not an object":
             bad.write_text("[5]")
+        if case == "config file not UTF-8":
+            bad.write_bytes(b'{"seed": 7, "\xff": 1}')
+        if case == "config file nested too deep":
+            bad.write_text("[" * 100_000)
         return ["prep", "--config", bad]
     if case.startswith("config value"):
         value = {"config value str for int": {"ranking": {"k": "30"}},
@@ -214,8 +242,19 @@ def _malformed_argv(case, cfg, tmp_path):
         ("truth line not JSON", 3),
         ("synth config not JSON", 2),
         ("synth config root not an object", 2),
+        ("synth config not UTF-8", 2),
         ("config root not an object", 2),
         ("config file missing", 3),
+        ("config file not UTF-8", 2),
+        ("config file nested too deep", 2),
+        ("logs line nested too deep", 0),
+        ("rec line nested too deep", 3),
+        ("logs line not UTF-8", 0),
+        ("logs lines mostly not UTF-8", 3),
+        ("programs line not UTF-8", 0),
+        ("programs lines mostly not UTF-8", 3),
+        ("rec file not UTF-8", 3),
+        ("truth file not UTF-8", 3),
         ("config value str for int", 2),
         ("config value bool for int", 2),
         ("config value str for float", 2),

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import build_tensor_records, ground_truth_records, log_table, parse_log_records, table_rows
 from tvrec.datamodel import (
     ProgramMeta,
     SplitSpec,
@@ -10,6 +11,7 @@ from tvrec.datamodel import (
     build_tensor,
     filter_flips,
     ground_truth_map,
+    open_jsonl,
     parse_logs,
     parse_programs,
     prepare,
@@ -17,7 +19,7 @@ from tvrec.datamodel import (
     users_in_both,
 )
 from tvrec.errors import DataError
-from tvrec.timegrid import TimeGrid
+from tvrec.timegrid import TimeGrid, slot_of
 
 MONDAY = 1_554_076_800
 GRID = TimeGrid(n=672)
@@ -38,12 +40,13 @@ def meta(program="p1", channel="c1", start=MONDAY, dur=1800, text=""):
 def test_parse_logs_direct_field_mapping():
     line = '{"user":"u1","program":"p9","channel":"c3","t":1554076800,"dt":1200}'
     logs, skipped = parse_logs([line])
-    assert logs == [ViewingLog("u1", "p9", "c3", 1554076800, 1200)]
+    assert table_rows(logs) == [("u1", "p9", "c3", 1554076800, 1200)]
     assert skipped == 0
 
 
 def test_parse_logs_empty_input():
-    assert parse_logs([]) == ([], 0)
+    logs, skipped = parse_logs([])
+    assert len(logs) == 0 and skipped == 0
 
 
 def test_parse_logs_missing_field_skipped_and_counted():
@@ -96,28 +99,81 @@ def test_parse_programs_invalid_interval_skipped():
     assert skipped == 2
 
 
+VALID_LOG = '{"user":"u1","program":"p9","channel":"c3","t":1554076800,"dt":1200}'
+
+
+def _read(tmp_path, lines: list[bytes], parse=parse_logs):
+    """Parse byte lines the way the CLI reads a file."""
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with open_jsonl(path) as fh:
+        return parse(fh)
+
+
+def test_parse_logs_skips_and_counts_non_utf8_lines(tmp_path):
+    bad = [b'{"user":"\xff","program":"p9","channel":"c3","t":1,"dt":1}', b"\xed\xa0\x80", b"\xe2\x82"]
+    logs, skipped = _read(tmp_path, [VALID_LOG.encode()] * 3 + bad + [VALID_LOG.encode()])
+    assert len(logs) == 4 and skipped == 3
+
+
+def test_non_utf8_lines_count_toward_the_refusal(tmp_path):
+    with pytest.raises(DataError, match="2 of 3 log lines"):
+        _read(tmp_path, [b"\xff", VALID_LOG.encode(), b"{\"user\": \"\xc3\"}"])
+
+
+def test_parse_programs_skips_and_counts_non_utf8_lines(tmp_path):
+    good = json.dumps({"program": "p", "channel": "c", "start": 10, "end": 20, "text": "caf\u00e9"}).encode()
+    metas, skipped = _read(tmp_path, [good, good.replace(b"p", b"\xfe", 1), good], parse_programs)
+    assert len(metas) == 2 and skipped == 1
+    assert metas[0].text == "caf\u00e9"
+
+
+def test_parse_logs_skips_t_and_dt_outside_int64():
+    def line(t, dt):
+        return json.dumps({"user": "u", "program": "p", "channel": "c", "t": t, "dt": dt})
+
+    kept = [(2**63 - 1, 0), (-(2**63), 5), (0, 2**63 - 1)]
+    outside = [(2**63, 0), (-(2**63) - 1, 0), (0, 2**63)]
+    logs, skipped = parse_logs([line(t, dt) for t, dt in kept + outside])
+    assert [(t, dt) for *_, t, dt in table_rows(logs)] == kept
+    assert skipped == 3
+
+
+def test_parse_logs_skips_a_line_nested_too_deep_to_decode():
+    logs, skipped = parse_logs([VALID_LOG, "[" * 100_000, VALID_LOG])
+    assert len(logs) == 2 and skipped == 1
+
+
+def test_parse_logs_decodes_each_line_on_its_own():
+    # Joined with commas inside [...] these three lines would decode as three rows.
+    fields = '"user":"u1","program":"p9","channel":"c3","t":1554076800,"dt":1200'
+    trap = ["{" + fields + ',"z":"', '"}', "{" + fields + "},{" + fields + "}"]
+    logs, skipped = parse_logs(trap + [VALID_LOG] * 4)
+    assert len(logs) == 4 and skipped == 3
+
+
 # flip filtering
 
 
 def test_filter_flips_boundary_inclusive():
-    kept = filter_flips([log(dt=900)], dt_min=900)
+    kept = filter_flips(log_table([log(dt=900)]), dt_min=900)
     assert len(kept) == 1
 
 
 def test_filter_flips_below_threshold_dropped():
-    assert filter_flips([log(dt=899)], dt_min=900) == []
+    assert len(filter_flips(log_table([log(dt=899)]), dt_min=900)) == 0
 
 
 def test_filter_flips_zero_threshold_is_identity():
-    logs = [log(dt=0), log(dt=5), log(dt=10_000)]
-    assert filter_flips(logs, dt_min=0) == logs
+    logs = log_table([log(dt=0), log(dt=5), log(dt=10_000)])
+    assert table_rows(filter_flips(logs, dt_min=0)) == table_rows(logs)
 
 
 def test_filter_flips_idempotent():
     rng = random.Random(3)
-    logs = [log(dt=rng.randrange(0, 3000)) for _ in range(200)]
+    logs = log_table([log(dt=rng.randrange(0, 3000)) for _ in range(200)])
     once = filter_flips(logs)
-    assert filter_flips(once) == once
+    assert table_rows(filter_flips(once)) == table_rows(once)
 
 
 # splitting
@@ -127,7 +183,7 @@ def test_split_program_starting_exactly_at_t_split_is_test():
     t = MONDAY + 14 * 86_400
     metas = [meta(program="pA", start=t), meta(program="pB", start=t - 1, dur=1800)]
     logs = [log(program="pA", t=t), log(program="pB", t=t - 1)]
-    sp = split(logs, metas, SplitSpec(t_split=t, dt_train=7 * 86_400, dt_test=7 * 86_400))
+    sp = split(log_table(logs), metas, SplitSpec(t_split=t, dt_train=7 * 86_400, dt_test=7 * 86_400))
     assert "pA" in sp.i_test and "pA" not in sp.i_train
     assert "pB" in sp.i_train and "pB" not in sp.i_test
 
@@ -136,14 +192,14 @@ def test_split_log_at_window_end_excluded():
     t = MONDAY + 14 * 86_400
     spec = SplitSpec(t_split=t, dt_train=7 * 86_400, dt_test=7 * 86_400)
     logs = [log(t=t - 1), log(t=t), log(t=t + spec.dt_test)]
-    sp = split(logs, [meta(start=t - 1, dur=600)], spec)
+    sp = split(log_table(logs), [meta(start=t - 1, dur=600)], spec)
     assert len(sp.d_train) == 1 and len(sp.d_test) == 1
 
 
 def test_split_empty_window_is_error():
     spec = SplitSpec(t_split=MONDAY)
     with pytest.raises(DataError):
-        split([log(t=MONDAY - 86_400)], [meta()], spec)
+        split(log_table([log(t=MONDAY - 86_400)]), [meta()], spec)
 
 
 def test_split_item_sets_always_disjoint():
@@ -157,7 +213,7 @@ def test_split_item_sets_always_disjoint():
             meta(program=f"p{i}", start=MONDAY + rng.randrange(40 * 86_400)) for i in range(60)
         ]
         logs = [log(program="p0", t=t - 1), log(program="p0", t=t)]
-        sp = split(logs, metas, spec)
+        sp = split(log_table(logs), metas, spec)
         assert not sp.i_train & sp.i_test
 
 
@@ -171,25 +227,25 @@ def total(tensor):
 def test_build_tensor_counts_repeated_views_in_one_slot():
     metas = {"p1": meta()}
     logs = [log(t=MONDAY + 4 * 900), log(t=MONDAY + 4 * 900 + 30)]
-    tensor = build_tensor(logs, metas, GRID, **P1_U1)
+    tensor = build_tensor(log_table(logs), metas, GRID, **P1_U1)
     assert tensor.by_user["u1"][("p1", 5, "c1")] == 2
 
 
 def test_build_tensor_single_log_single_cell():
-    tensor = build_tensor([log(t=MONDAY)], {"p1": meta()}, GRID, **P1_U1)
+    tensor = build_tensor(log_table([log(t=MONDAY)]), {"p1": meta()}, GRID, **P1_U1)
     assert tensor.by_user["u1"] == {("p1", 1, "c1"): 1}
     assert total(tensor) == 1
 
 
 def test_build_tensor_unknown_program_error_lists_ids():
     with pytest.raises(DataError, match="p-unknown"):
-        build_tensor([log(program="p-unknown")], {"p1": meta()}, GRID, **P1_U1)
+        build_tensor(log_table([log(program="p-unknown")]), {"p1": meta()}, GRID, **P1_U1)
 
 
 def test_build_tensor_restricts_users_and_items():
     metas = {"p1": meta(program="p1"), "p2": meta(program="p2")}
     logs = [log(user="u1", program="p1"), log(user="u2", program="p1"), log(user="u1", program="p2")]
-    tensor = build_tensor(logs, metas, GRID, items=frozenset({"p1"}), users=frozenset({"u1"}))
+    tensor = build_tensor(log_table(logs), metas, GRID, items=frozenset({"p1"}), users=frozenset({"u1"}))
     assert tensor.users == {"u1"}
     assert total(tensor) == 1
 
@@ -203,9 +259,21 @@ def test_tensor_total_matches_restricted_log_count():
     ]
     users = frozenset({"u0", "u1"})
     items = frozenset({"p0", "p1", "p2"})
-    tensor = build_tensor(logs, metas, GRID, items=items, users=users)
+    tensor = build_tensor(log_table(logs), metas, GRID, items=items, users=users)
     expected = sum(1 for g in logs if g.user in users and g.program in items)
     assert total(tensor) == expected
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [GRID, TimeGrid(n=7, utc_offset=-5 * 3600), TimeGrid(n=1), TimeGrid(n=96, utc_offset=10**20 + 1)],
+)
+def test_build_tensor_slots_match_slot_of_at_int64_edges(grid):
+    ts = [2**63 - 1, -(2**63 - 1), -(2**63), -1, 0, MONDAY + 4 * 900]
+    logs = log_table([log(program=f"p{i}", t=t) for i, t in enumerate(ts)])
+    metas = {f"p{i}": meta(program=f"p{i}") for i in range(len(ts))}
+    tensor = build_tensor(logs, metas, grid, items=frozenset(metas), users=frozenset({"u1"}))
+    assert list(tensor.by_user["u1"]) == [(f"p{i}", slot_of(t, grid), "c1") for i, t in enumerate(ts)]
 
 
 # ground truth
@@ -213,16 +281,18 @@ def test_tensor_total_matches_restricted_log_count():
 
 def test_ground_truth_set_semantics():
     d_test = [log(program="p1"), log(program="p1", t=MONDAY + 60), log(program="p2")]
-    assert ground_truth_map(d_test, items=frozenset({"p1", "p2"})) == {"u1": frozenset({"p1", "p2"})}
+    truth = ground_truth_map(log_table(d_test), items=frozenset({"p1", "p2"}))
+    assert truth == {"u1": frozenset({"p1", "p2"})}
 
 
 def test_ground_truth_single_log():
-    assert ground_truth_map([log(program="p7")], items=frozenset({"p7"})) == {"u1": frozenset({"p7"})}
+    truth = ground_truth_map(log_table([log(program="p7")]), items=frozenset({"p7"}))
+    assert truth == {"u1": frozenset({"p7"})}
 
 
 def test_ground_truth_respects_item_restriction():
     d_test = [log(program="p1"), log(program="p-old")]
-    assert ground_truth_map(d_test, items=frozenset({"p1"})) == {"u1": frozenset({"p1"})}
+    assert ground_truth_map(log_table(d_test), items=frozenset({"p1"})) == {"u1": frozenset({"p1"})}
 
 
 # full preprocessing
@@ -241,7 +311,7 @@ def _two_week_dataset():
         log(user="flip", program="p-train", t=MONDAY + 3600, dt=100),
     ]
     spec = SplitSpec(t_split=t_split, dt_train=7 * 86_400, dt_test=7 * 86_400)
-    return logs, metas, spec
+    return log_table(logs), metas, spec
 
 
 def test_prepare_excludes_users_missing_from_either_half():
@@ -263,7 +333,110 @@ def test_prepare_summary_reports_dataset_statistics():
     assert summary["mean_truth_size"] == 1.0
 
 
+def test_prepare_counters_reconcile_with_parsed_rows():
+    logs, metas, spec = _two_week_dataset()
+    keys = ("user", "program", "channel", "t", "dt")
+    lines = [json.dumps(dict(zip(keys, row))) for row in table_rows(logs)]
+    parsed, skipped = parse_logs(lines + ["{not json"])
+    summary = prepare(parsed, metas, GRID, spec).summary
+    assert len(parsed) + skipped == len(lines) + 1
+    # Every log of this dataset falls inside one of the two windows.
+    assert len(parsed) - summary["flips_dropped"] == summary["d_train"] + summary["d_test"]
+    assert summary["flips_dropped"] == 1
+    # "train-only" is in one half only; "flip" has no log left in either.
+    assert summary["users_outside_both_halves"] == 1
+
+
 def test_prepare_rejects_duplicate_program_ids():
     logs, metas, spec = _two_week_dataset()
     with pytest.raises(DataError):
         prepare(logs, metas + [metas[0]], GRID, spec)
+
+
+# the record oracle
+
+ORACLE_USERS = ["u0", "u1", "u2", "\u00fc3", "u4"]
+ORACLE_PROGRAMS = [f"p{i}" for i in range(12)] + ["pr\u00f6g"]
+ORACLE_CHANNELS = ["c0", "c1", "c2"]
+ORACLE_GRIDS = [GRID, TimeGrid(n=7, utc_offset=3600), TimeGrid(n=96, utc_offset=-(10**19))]
+INT64_EDGES = [2**63 - 1, -(2**63 - 1), -(2**63), 2**63, -(2**63) - 1]
+
+
+def _row(rng, **fields):
+    row = {
+        "user": rng.choice(ORACLE_USERS),
+        "program": rng.choice(ORACLE_PROGRAMS),
+        "channel": rng.choice(ORACLE_CHANNELS),
+        "t": MONDAY + rng.randrange(-3 * 604_800, 3 * 604_800),
+        "dt": rng.randrange(0, 3000),
+    }
+    return {**row, **fields}
+
+
+def _dumps(row) -> bytes:
+    return json.dumps(row, ensure_ascii=False).encode()
+
+
+def _mixed_lines(rng, kind) -> list[bytes]:
+    """Raw lines of one kind: a valid row or one way for a line to be malformed or blank."""
+    valid = _dumps(_row(rng))
+    if kind == "valid":
+        return [valid]
+    if kind == "bad type":
+        bad = rng.choice([True, False, 1.5, 1e3, "123", None, float("nan")])
+        return [_dumps(_row(rng, **{rng.choice(("t", "dt", "user")): bad}))]
+    if kind == "negative dt":
+        return [_dumps(_row(rng, dt=-rng.randrange(1, 100)))]
+    if kind == "missing key":
+        row = _row(rng)
+        del row[rng.choice(list(row))]
+        return [_dumps(row)]
+    if kind == "not an object":
+        return [rng.choice([b"[1, 2]", b'"row"', b"5", b"null", b"true", b"{}"])]
+    if kind == "extra data":
+        return [valid + rng.choice([b" x", b"{}", b" 1", b","])]
+    if kind == "joined-decode trap":
+        fields = valid[1:-1]
+        return [b"{" + fields + b',"z":"', b'"}', valid + b"," + valid]
+    if kind == "blank":
+        return [rng.choice([b"", b"   ", b"\t", " \u00a0 ".encode()])]
+    if kind == "not UTF-8":
+        return [rng.choice([valid.replace(b'"u', b'"\xff', 1), valid + b"\xed\xa0\x80", b"\xe2\x82" + valid])]
+    assert kind == "int64 edge"
+    return [_dumps(_row(rng, **{rng.choice(("t", "dt")): rng.choice(INT64_EDGES)}))]
+
+
+MALFORMED_KINDS = [
+    "bad type", "negative dt", "missing key", "not an object", "extra data",
+    "joined-decode trap", "blank", "not UTF-8", "int64 edge",
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ingestion_matches_record_oracle(seed, tmp_path):
+    rng = random.Random(seed)
+    lines = [b"\xef\xbb\xbf" + _dumps(_row(rng))]  # a leading BOM makes the first line malformed
+    while len(lines) < 500:
+        kind = "valid" if rng.random() < 0.6 else rng.choice(MALFORMED_KINDS)
+        lines += _mixed_lines(rng, kind)
+    blob = b"".join(line + rng.choice((b"\n", b"\r\n")) for line in lines)
+    path = tmp_path / "logs.jsonl"
+    path.write_bytes(blob)
+
+    with open_jsonl(path) as fh:
+        table, skipped = parse_logs(fh)
+    records, want_skipped = parse_log_records(blob.split(b"\n"))
+    assert table_rows(table) == [(g.user, g.program, g.channel, g.t, g.dt) for g in records]
+    assert skipped == want_skipped and skipped > 0
+
+    grid = ORACLE_GRIDS[seed % len(ORACLE_GRIDS)]
+    metas = {pid: meta(program=pid) for pid in ORACLE_PROGRAMS}
+    items = frozenset(rng.sample(ORACLE_PROGRAMS, 8))
+    users = frozenset(rng.sample(ORACLE_USERS, 3))
+    got = build_tensor(table, metas, grid, items=items, users=users)
+    want = build_tensor_records(records, metas, grid, items=items, users=users)
+    assert [(u, list(cells.items())) for u, cells in got.by_user.items()] == [
+        (u, list(cells.items())) for u, cells in want.by_user.items()
+    ]
+    assert got.users == want.users and got.channels == want.channels
+    assert list(ground_truth_map(table, items).items()) == list(ground_truth_records(records, items).items())
