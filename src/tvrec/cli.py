@@ -24,7 +24,7 @@ import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class EngineConfig:
     k: int = 30
     method: str = "two-stage"
     mode: str = "time-aware"
-    eta: float = 60.0
+    eta: float = ranker_mod.DEFAULT_RRF_ETA
     xi: float = 0.5
     cutoffs: tuple[int, ...] = (10, 20, 30)
     seed: int = 0
@@ -81,6 +81,8 @@ class EngineConfig:
     def validate(self) -> None:
         try:
             TimeGrid(n=self.n_slots, utc_offset=self.utc_offset)
+            ranker_mod.check_eta(self.eta)
+            ranker_mod.check_xi(self.xi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.min_duration_secs < 0:
@@ -95,10 +97,6 @@ class EngineConfig:
             raise ConfigError("cutoffs must be positive integers")
         if self.k < max(self.cutoffs):
             raise ConfigError(f"k={self.k} must be >= the largest cutoff {max(self.cutoffs)}")
-        if self.eta < 0:
-            raise ConfigError("eta must be non-negative")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ConfigError("xi must lie in [0, 1]")
 
     @property
     def grid(self) -> TimeGrid:
@@ -397,6 +395,11 @@ def _cmd_build(args: argparse.Namespace) -> None:
     )
 
 
+def _has_layout(obj: object, cls: type) -> bool:
+    # Unpickling skips __init__: an object of an earlier layout is still an instance.
+    return isinstance(obj, cls) and vars(obj).keys() == {f.name for f in dataclasses.fields(cls)}
+
+
 def _load_bundle(cfg: EngineConfig) -> ModelBundle:
     path = Path(cfg.model_path)
     if not path.exists():
@@ -405,8 +408,7 @@ def _load_bundle(cfg: EngineConfig) -> ModelBundle:
         bundle = pickle.load(fh)
     if not isinstance(bundle, ModelBundle):
         raise DataError(f"{path} is not a model bundle")
-    # Unpickling restores __dict__ without __init__: check the layout too.
-    if vars(bundle).keys() != {f.name for f in dataclasses.fields(ModelBundle)}:
+    if not _has_layout(bundle, ModelBundle) or not _has_layout(bundle.cand, ranker_mod.Candidates):
         raise DataError(f"{path} has an outdated bundle layout; rebuild with `build`")
     return bundle
 
@@ -521,23 +523,26 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     _summary_line("bench", users=size, reps=args.reps, **{f"sec_per_user_{m}": v for m, v in results.items()})
 
 
-def _parse_grid_spec(spec: str) -> list[float]:
-    if "," in spec or (":" not in spec):
-        values = [float(x) for x in spec.split(",") if x.strip()]
-    else:
-        parts = [float(x) for x in spec.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1.0
-        elif len(parts) == 3:
-            lo, hi, step = parts
+def _parse_grid_spec(spec: str, flag: str, check: Callable[[float], None]) -> list[float]:
+    """A comma list or ``lo:hi[:step]`` range; ``check`` rejects a value with ValueError."""
+    try:
+        if "," in spec or ":" not in spec:
+            values = [float(x) for x in spec.split(",") if x.strip()]
         else:
-            raise ConfigError(f"bad grid spec {spec!r}; use lo:hi[:step] or comma list")
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"bad grid spec {spec!r}")
-        n = int(round((hi - lo) / step))
-        values = [lo + i * step for i in range(n + 1) if lo + i * step <= hi + 1e-9]
+            parts = [float(x) for x in spec.split(":")]
+            if len(parts) not in (2, 3):
+                raise ValueError("use lo:hi[:step] or a comma list")
+            lo, hi, step = parts if len(parts) == 3 else (*parts, 1.0)
+            if not step > 0 or hi < lo:
+                raise ValueError("a range needs lo <= hi and a positive step")
+            n = int(round((hi - lo) / step))
+            values = [lo + i * step for i in range(n + 1) if lo + i * step <= hi + 1e-9]
+        for value in values:
+            check(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {flag} {spec!r}: {exc}") from None
     if not values:
-        raise ConfigError(f"grid spec {spec!r} is empty")
+        raise ConfigError(f"{flag} {spec!r} is empty")
     return values
 
 
@@ -547,6 +552,8 @@ def _cmd_tune(args: argparse.Namespace) -> None:
         raise ConfigError(f"--dev-frac must lie in (0, 1], got {args.dev_frac}")
     if args.cutoff < 1:
         raise ConfigError(f"--cutoff must be >= 1, got {args.cutoff}")
+    etas = _parse_grid_spec(args.eta_grid, "--eta-grid", ranker_mod.check_eta)
+    xis = _parse_grid_spec(args.xi_grid, "--xi-grid", ranker_mod.check_xi)
     bundle = _load_bundle(cfg)
     cand = bundle.cand
     users = sorted(bundle.behavior)
@@ -556,8 +563,6 @@ def _cmd_tune(args: argparse.Namespace) -> None:
 
     rankings_of = _rankings_fn(bundle, _pref_model(bundle, cfg.mode))
     rankings = {user: rankings_of(user) for user in dev}
-    etas = _parse_grid_spec(args.eta_grid)
-    xis = _parse_grid_spec(args.xi_grid)
     eta, xi, best_recall = ranker_mod.tune_rrf(rankings, bundle.truths, cand, etas, xis, cutoff=args.cutoff)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "tuned.json"
     _write_json(

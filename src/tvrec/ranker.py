@@ -5,6 +5,8 @@ All rankers consume a prebuilt :class:`Candidates` index so that per-user
 inference touches only precomputed arrays, mirroring a production setup where
 everything derivable from the schedule is indexed in advance. Every ranker is
 deterministic: score ties break by earlier start time, then by program id.
+Candidate rows are stored in that (start, id) order, so the row number is the
+tie-break: a stable sort by score alone applies it.
 
 Rankers take and return a :class:`Ranking`: ``rows``, candidate rows best
 first, and ``scores``, indexed by row. RRF reads its input ranks off the rows
@@ -31,7 +33,7 @@ from .datamodel import ProgramMeta
 from .errors import DataError
 from .preference import PreferenceModel
 from .textenc import dot
-from .timegrid import TimeGrid, slot_of, slots_of_span
+from .timegrid import TimeGrid, slots_of_span
 
 RankedList = list[tuple[str, float]]
 
@@ -60,28 +62,33 @@ class TwoStageStats:
 class Candidates:
     """Precomputed index over candidate programs on a fixed slot grid.
 
-    Rows are ordered by (start, program id). ``span_flat`` concatenates each
-    program's (slot, channel) cells as flat offsets into a dense
-    slots-by-channels grid; ``seg_starts``/``span_lens`` delimit the
-    per-program segments.
+    Rows are in (start, program id) order, so a lower row number is the
+    earlier start, then the smaller id: the tie-break of every ranker.
+    ``span_flat`` concatenates each program's (slot, channel) cells, in slot
+    order, as flat offsets ``(slot - 1) * ncols + column`` into a dense
+    slots-by-channels grid; row ``r``'s cells are
+    ``span_flat[span_ptr[r]:span_ptr[r + 1]]``, and its first cell holds its
+    start slot.
     """
 
     n_slots: int
     ids: tuple[str, ...]
-    pos: Mapping[str, int]
     channels: tuple[str, ...]
     chan_col_of: Mapping[str, int]
-    starts: np.ndarray
-    id_rank: np.ndarray
-    chan_col: np.ndarray
     span_flat: np.ndarray
-    span_slots: np.ndarray
-    span_lens: np.ndarray
-    seg_starts: np.ndarray
-    start_slots: tuple[int, ...]
+    span_ptr: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def ncols(self) -> int:
+        """Columns of the flat grid: one per channel, at least one."""
+        return max(len(self.channels), 1)
+
+    def start_slots(self) -> np.ndarray:
+        """The 1-based start slot of every row."""
+        return self.span_flat[self.span_ptr[:-1]] // self.ncols + 1
 
 
 def build_candidates(
@@ -102,36 +109,19 @@ def build_candidates(
     ncols = max(len(all_channels), 1)
 
     flat: list[int] = []
-    span_slots: list[int] = []
-    span_lens: list[int] = []
-    chan_col: list[int] = []
+    ptr = [0]
     for m in ms:
         col = col_of[m.channel]
-        span = slots_of_span(m.start, m.end, grid)
-        flat.extend((s - 1) * ncols + col for s in span)
-        span_slots.extend(span)
-        span_lens.append(len(span))
-        chan_col.append(col)
+        flat.extend((s - 1) * ncols + col for s in slots_of_span(m.start, m.end, grid))
+        ptr.append(len(flat))
 
-    lens = np.asarray(span_lens, dtype=np.int64)
-    seg_starts = np.zeros(len(ms), dtype=np.int64)
-    if len(ms) > 1:
-        np.cumsum(lens[:-1], out=seg_starts[1:])
-    order_of_id = {pid: r for r, pid in enumerate(sorted(ids))}
     return Candidates(
         n_slots=grid.n,
         ids=ids,
-        pos={pid: i for i, pid in enumerate(ids)},
         channels=all_channels,
         chan_col_of=col_of,
-        starts=np.asarray([m.start for m in ms], dtype=np.int64),
-        id_rank=np.asarray([order_of_id[pid] for pid in ids], dtype=np.int64),
-        chan_col=np.asarray(chan_col, dtype=np.int64),
         span_flat=np.asarray(flat, dtype=np.int64),
-        span_slots=np.asarray(span_slots, dtype=np.int64),
-        span_lens=lens,
-        seg_starts=seg_starts,
-        start_slots=tuple(slot_of(m.start, grid) for m in ms),
+        span_ptr=np.asarray(ptr, dtype=np.int64),
     )
 
 
@@ -171,7 +161,7 @@ def build_item_index(embeddings: Mapping[str, Mapping[int, float]], cand: Candid
         weights[row, : len(vec)] = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
         dim = max(dim, int(keys.max()) + 1)
     by_slot: dict[int, list[int]] = {}
-    for row, slot in enumerate(cand.start_slots):
+    for row, slot in enumerate(cand.start_slots().tolist()):
         by_slot.setdefault(slot, []).append(row)
     rows_by_slot = {slot: np.asarray(rows, dtype=np.int64) for slot, rows in by_slot.items()}
     return ItemIndex(dim=dim, idx=idx, weights=weights, rows_by_slot=rows_by_slot)
@@ -206,7 +196,7 @@ def _indexed_pref_scores(
 
 
 def _dense_grid(bm: BehaviorMatrix, cand: Candidates) -> np.ndarray:
-    ncols = max(len(cand.channels), 1)
+    ncols = cand.ncols
     dense = np.zeros(cand.n_slots * ncols)
     col_of = cand.chan_col_of
     for (slot, channel), p in bm.probs.items():
@@ -219,17 +209,17 @@ def _dense_grid(bm: BehaviorMatrix, cand: Candidates) -> np.ndarray:
 
 
 def _span_values(bm: BehaviorMatrix, cand: Candidates) -> np.ndarray:
-    # The user's probability at every span cell, segmented per row by seg_starts.
+    # The user's probability at every span cell, segmented per row by span_ptr.
     return _dense_grid(bm, cand)[cand.span_flat]
 
 
-def _stage_one_order(cand: Candidates, scores: np.ndarray) -> np.ndarray:
-    # Primary key last in lexsort: score desc, then start asc, then id asc.
-    return np.lexsort((cand.id_rank, cand.starts, -scores))
+def _stage_one_order(scores: np.ndarray) -> np.ndarray:
+    # Score desc; a stable sort keeps ties in row order, i.e. (start, id).
+    return np.argsort(-scores, kind="stable")
 
 
-def _ranking(cand: Candidates, scores: np.ndarray) -> Ranking:
-    return Ranking(_stage_one_order(cand, scores), scores)
+def _ranking(scores: np.ndarray) -> Ranking:
+    return Ranking(_stage_one_order(scores), scores)
 
 
 def top_k(cand: Candidates, ranking: Ranking, k: int) -> RankedList:
@@ -248,17 +238,20 @@ def _pref_scorer(model: PreferenceModel, user: str, cand: Candidates):
     embs = model.item_embeddings
     ids = cand.ids
     get_vec = (model.slot_prefs.get(user) or {}).get
-    start_slots = cand.start_slots
+    flat = cand.span_flat
+    ptr = cand.span_ptr
+    ncols = cand.ncols
 
     def score_row(row: int) -> float:
-        return dot(get_vec(start_slots[row], gv), embs[ids[row]])
+        start_slot = int(flat[ptr[row]]) // ncols + 1
+        return dot(get_vec(start_slot, gv), embs[ids[row]])
 
     return score_row
 
 
 def rank_behavior(bm: BehaviorMatrix, cand: Candidates) -> Ranking:
     """Rank all candidates by behavior score, descending."""
-    return _ranking(cand, np.maximum.reduceat(_span_values(bm, cand), cand.seg_starts))
+    return _ranking(np.maximum.reduceat(_span_values(bm, cand), cand.span_ptr[:-1]))
 
 
 def rank_preference(model: PreferenceModel, user: str, cand: Candidates, index: ItemIndex) -> Ranking:
@@ -266,7 +259,7 @@ def rank_preference(model: PreferenceModel, user: str, cand: Candidates, index: 
     one batched pass over the prebuilt :class:`ItemIndex`."""
     if index.idx.shape[0] != len(cand.ids):
         raise ValueError("item index does not match the candidate set")
-    return _ranking(cand, _indexed_pref_scores(model, user, cand, index))
+    return _ranking(_indexed_pref_scores(model, user, cand, index))
 
 
 def two_stage(
@@ -293,34 +286,27 @@ def two_stage(
         raise ValueError(f"k must be >= 1, got {k}")
     score_row = _pref_scorer(model, bm.user, cand)
     vals = _span_values(bm, cand)
-    seg_starts = cand.seg_starts
-    scores = np.maximum.reduceat(vals, seg_starts)
-    order = _stage_one_order(cand, scores)
-    starts = cand.starts
-    id_rank = cand.id_rank
-    chan_col = cand.chan_col
-    span_ends = seg_starts + cand.span_lens
-    span_slots = cand.span_slots
+    flat = cand.span_flat
+    ptr = cand.span_ptr
+    scores = np.maximum.reduceat(vals, ptr[:-1])
 
     winners: list[int] = []
-    run_key: tuple[int, int] | None = None
+    run_key = -1
     best_row = -1
-    best_key: tuple[float, int, int] | None = None
+    best_key: tuple[float, int] | None = None
     evals = 0
-    for np_row in order:
-        row = int(np_row)
-        lo = int(seg_starts[row])
-        slot = int(span_slots[lo + int(np.argmax(vals[lo : span_ends[row]]))])
-        key = (slot, int(chan_col[row]))
+    for row in _stage_one_order(scores):
+        # The argmax span cell encodes (slot, channel): it is the group key.
+        lo = ptr[row]
+        key = flat[lo + vals[lo : ptr[row + 1]].argmax()]
         if best_row >= 0 and key != run_key:
             winners.append(best_row)
             best_row = -1
             if len(winners) == k:
                 break
         run_key = key
-        sp = score_row(row)
+        entry = (-score_row(row), row)
         evals += 1
-        entry = (-sp, int(starts[row]), int(id_rank[row]))
         if best_row < 0 or entry < best_key:
             best_key = entry
             best_row = row
@@ -361,13 +347,24 @@ def _fuse(
     n = len(cand.ids)
     pb = _rank_of_row(kappa_b, n, "behavior")
     pp = _rank_of_row(kappa_p, n, "preference")
-    return _ranking(cand, _fused_scores(pb, pp, eta, w_b, w_p))
+    return _ranking(_fused_scores(pb, pp, eta, w_b, w_p))
+
+
+def check_eta(eta: float) -> None:
+    """Raise ValueError unless ``eta`` is a finite non-negative number."""
+    if not 0.0 <= eta < float("inf"):
+        raise ValueError(f"eta must be a finite non-negative number, got {eta!r}")
+
+
+def check_xi(xi: float) -> None:
+    """Raise ValueError unless ``xi`` lies in [0, 1]."""
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError(f"xi must lie in [0, 1], got {xi!r}")
 
 
 def rrf(kappa_b: Ranking, kappa_p: Ranking, cand: Candidates, eta: float = DEFAULT_RRF_ETA) -> Ranking:
     """Reciprocal rank fusion of the two rankings: sum of 1/(rank + eta)."""
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
+    check_eta(eta)
     return _fuse(kappa_b, kappa_p, cand, eta, 1.0, 1.0)
 
 
@@ -379,10 +376,8 @@ def rrf_weighted(
     xi: float = 0.5,
 ) -> Ranking:
     """Weighted RRF: xi/(rank_b + eta) + (1 - xi)/(rank_p + eta)."""
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError("xi must lie in [0, 1]")
+    check_eta(eta)
+    check_xi(xi)
     return _fuse(kappa_b, kappa_p, cand, eta, xi, 1.0 - xi)
 
 
@@ -408,6 +403,7 @@ def tune_rrf(
         raise ValueError("hyperparameter grids must be non-empty")
 
     n = len(cand.ids)
+    row_of = {pid: row for row, pid in enumerate(cand.ids)}
     per_user = []
     for user in sorted(rankings):
         truth = truths.get(user)
@@ -415,10 +411,7 @@ def tune_rrf(
             continue
         kb, kp = rankings[user]
         mask = np.zeros(n, dtype=bool)
-        for pid in truth:
-            row = cand.pos.get(pid)
-            if row is not None:
-                mask[row] = True
+        mask[[row_of[pid] for pid in truth if pid in row_of]] = True
         per_user.append((_rank_of_row(kb, n, "behavior"), _rank_of_row(kp, n, "preference"), mask, len(truth)))
     if not per_user:
         raise ValueError("development set is empty or has no ground truth")
@@ -428,7 +421,7 @@ def tune_rrf(
         for xi in xis:
             total = 0.0
             for pb, pp, mask, tsize in per_user:
-                top = _stage_one_order(cand, _fused_scores(pb, pp, eta, xi, 1.0 - xi))[:cutoff]
+                top = _stage_one_order(_fused_scores(pb, pp, eta, xi, 1.0 - xi))[:cutoff]
                 total += mask[top].sum() / tsize
             mean_recall = float(total / len(per_user))
             if mean_recall > best[2]:

@@ -125,7 +125,7 @@ def test_criterion_2_behavior_score_matches_dense_product():
         cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
         scores = ranker.rank_behavior(bm, cand).scores
         for meta in metas:
-            efficient = float(scores[cand.pos[meta.program]])
+            efficient = float(scores[cand.ids.index(meta.program)])
             dense = dense_behavior_score(bm, meta, channels, grid)
             worst = max(worst, abs(efficient - dense))
             assert abs(efficient - dense) <= 1e-12

@@ -85,7 +85,7 @@ def behavior_scores(bm, metas, grid=GRID):
     """Behavior score of each program, computed over the candidate index."""
     cand = build_candidates(metas, grid, {c for _, c in bm.probs})
     scores = rank_behavior(bm, cand).scores
-    return [float(scores[cand.pos[m.program]]) for m in metas]
+    return [float(scores[cand.ids.index(m.program)]) for m in metas]
 
 
 def test_behavior_score_takes_span_maximum():

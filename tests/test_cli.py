@@ -11,6 +11,7 @@ import pytest
 import tvrec
 from tvrec.cli import _CONFIG_SECTIONS, EngineConfig, ModelBundle, load_config, main
 from tvrec.errors import ConfigError
+from tvrec.ranker import Candidates
 
 SYNTH_CFG = {
     "n_users": 25,
@@ -181,9 +182,15 @@ def _malformed_argv(case, cfg, tmp_path):
         return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
     if case.startswith("tune"):
         # The missing model would exit 3: the flags are checked before it loads.
+        # Each grid value must pass the rule that `eta`/`xi` in a config pass.
         flag, value = {"tune dev-frac above 1": ("--dev-frac", 2),
                        "tune dev-frac 0": ("--dev-frac", 0),
-                       "tune cutoff 0": ("--cutoff", 0)}[case]
+                       "tune cutoff 0": ("--cutoff", 0),
+                       "tune eta grid not a number": ("--eta-grid", "abc"),
+                       "tune eta grid up to inf": ("--eta-grid", "1:inf"),
+                       "tune eta grid negative": ("--eta-grid", "-5"),
+                       "tune xi grid above 1": ("--xi-grid", "2"),
+                       "tune eta grid nan": ("--eta-grid", "nan")}[case]
         return ["tune", "--config", cfg, "--model", tmp_path / "missing.pkl", flag, value]
     if case == "rec line nested too deep":
         rec = tmp_path / "recs.jsonl"
@@ -268,6 +275,11 @@ def _malformed_argv(case, cfg, tmp_path):
         ("tune dev-frac above 1", 2),
         ("tune dev-frac 0", 2),
         ("tune cutoff 0", 2),
+        ("tune eta grid not a number", 2),
+        ("tune eta grid up to inf", 2),
+        ("tune eta grid negative", 2),
+        ("tune xi grid above 1", 2),
+        ("tune eta grid nan", 2),
     ],
 )
 def test_malformed_input_exits_with_documented_code(case, code, workspace, tmp_path, capsys):
@@ -357,11 +369,19 @@ def test_old_layout_bundle_exits_with_data_error(workspace, tmp_path, capsys):
     old.__dict__.update(dict.fromkeys(
         ("provenance", "grid", "tensor", "truths", "test_metas", "vocab", "prefs", "summary")
     ))
-    model = tmp_path / "model.pkl"
-    model.write_bytes(pickle.dumps(old))
-    assert run(["recommend", "--config", cfg, "--model", model, "--method", "behavior",
-                "--out", tmp_path / "recs.jsonl"]) == 3
-    assert "rebuild with `build`" in capsys.readouterr().err
+    # A current bundle layout holding a candidate index of an earlier layout.
+    old_cand = Candidates.__new__(Candidates)
+    old_cand.__dict__.update(dict.fromkeys(
+        ("n_slots", "ids", "pos", "channels", "chan_col_of", "starts", "id_rank", "chan_col",
+         "span_flat", "span_slots", "span_lens", "seg_starts", "start_slots")
+    ))
+    old_index = ModelBundle(provenance={}, cand=old_cand, behavior={}, truths={}, model=None)
+    for n, bundle in enumerate((old, old_index)):
+        model = tmp_path / f"model{n}.pkl"
+        model.write_bytes(pickle.dumps(bundle))
+        assert run(["recommend", "--config", cfg, "--model", model, "--method", "behavior",
+                    "--out", tmp_path / "recs.jsonl"]) == 3
+        assert "rebuild with `build`" in capsys.readouterr().err
 
 
 def test_inspect_unknown_user_exits_with_data_error(built, capsys):

@@ -158,6 +158,23 @@ def test_two_stage_k1_single_group_takes_preference_maximum():
     assert ids(cand, two_stage(bm, model, cand, 1)) == ["B"]
 
 
+def test_two_stage_run_preference_tie_breaks_by_earlier_start_then_id():
+    # One run (slot 1, channel c1). A is first in row order but less preferred;
+    # B, C and D tie on preference. C and D share the earliest start of the
+    # three, and C has the smaller id; B has a smaller id but starts later.
+    metas = [
+        meta("D", start_slot=1, n_slots=1, offset=100),
+        meta("B", start_slot=1, n_slots=1, offset=200),
+        meta("A", start_slot=1, n_slots=1, offset=0),
+        meta("C", start_slot=1, n_slots=1, offset=100),
+    ]
+    bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
+    model = global_model({0: 1.0}, {"A": {0: 0.1}, "B": {0: 0.9}, "C": {0: 0.9}, "D": {0: 0.9}})
+    cand = build_candidates(metas, GRID, {"c1"})
+    for k in (1, 5):
+        assert ids(cand, two_stage(bm, model, cand, k)) == ["C"]
+
+
 def test_two_stage_flushes_pending_run_at_exhaustion():
     metas = [meta("A", start_slot=1, n_slots=1), meta("B", start_slot=1, n_slots=1, offset=300)]
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
@@ -231,7 +248,7 @@ def test_two_stage_k_must_be_positive():
 def ranking_of(cand, pids, scores=None):
     """A ranking listing ``pids`` in order, with scores indexed by row;
     fusion reads only the rows."""
-    rows = np.asarray([cand.pos[p] for p in pids], dtype=np.int64)
+    rows = np.asarray([cand.ids.index(p) for p in pids], dtype=np.int64)
     return Ranking(rows, np.zeros(len(cand)) if scores is None else np.asarray(scores))
 
 
