@@ -1,6 +1,13 @@
 """Command-line pipeline: synth -> prep -> build -> recommend -> evaluate ->
 bench -> tune, driven by one JSON config file with flag overrides.
 
+`prep` parses the inputs once and writes, besides its summary and the truths,
+``<out_dir>/prepared.npz``: the prepared columns (see :mod:`tvrec.datamodel`).
+`build` reads that file instead of the inputs. It checks that the file was
+made from the same inputs (by sha256) with the same grid and preprocessing
+values; a missing, stale or damaged file is a data error that asks for `prep`
+to be run again.
+
 Every artifact embeds the effective config hash and seed. The hash covers the
 semantic config only and leaves out file locations, so runs that differ only in
 where their files live embed the same provenance. Output files are written
@@ -12,6 +19,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -24,7 +32,7 @@ import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,9 +42,21 @@ from . import preference as preference_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
 from . import textenc as textenc_mod
-from .datamodel import Prepared, SplitSpec, open_jsonl, parse_logs, parse_programs, prepare
+from .datamodel import (
+    PreparedColumns,
+    SplitSpec,
+    dump_prepared,
+    is_ptr,
+    load_prepared,
+    open_jsonl,
+    parse_logs,
+    parse_programs,
+    prepare,
+)
 from .errors import ConfigError, DataError
 from .timegrid import TimeGrid
+
+PREPARED_FILE = "prepared.npz"
 
 METHODS = ("behavior", "preference", "two-stage", "rrf", "rrf-weighted")
 MODES = ("global", "time-aware")
@@ -212,17 +232,24 @@ class ModelBundle:
     model: preference_mod.PreferenceModel
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: Path) -> Iterator[BinaryIO]:
+    """A binary file that replaces ``path`` once the block completes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def _write_json(path: Path, payload: dict, provenance: dict) -> None:
@@ -238,8 +265,26 @@ def _write_jsonl(path: Path, rows: Sequence[dict], provenance: dict | None = Non
     _atomic_write(path, ("\n".join(lines) + "\n").encode() if lines else b"")
 
 
+def _row_problem(rec: dict, keys: tuple[str, ...]) -> str | None:
+    """What is wrong with the field types of a rec or truth row, if anything."""
+    if type(rec["user"]) is not str:
+        return "user must be a string"
+    items = rec["items"]
+    if type(items) is not list or any(type(item) is not str for item in items):
+        return "items must be a list of strings"
+    if "scores" in keys:
+        scores = rec["scores"]
+        if type(scores) is not list or any(type(s) not in (int, float) for s in scores):
+            return "scores must be a list of numbers"
+        if len(scores) != len(items):
+            return "scores and items must have the same length"
+    return None
+
+
 def _read_jsonl(path: Path, keys: tuple[str, ...]) -> list[dict]:
-    """The non-``_meta`` rows of a JSONL file; each must be an object holding ``keys``."""
+    """The non-``_meta`` rows of a rec or truth file: each must be an object
+    holding ``keys``, with a string ``user``, a list of string ``items`` and,
+    in a rec row, as many number ``scores``."""
     if not path.exists():
         raise DataError(f"input file {path} does not exist")
     try:
@@ -260,6 +305,9 @@ def _read_jsonl(path: Path, keys: tuple[str, ...]) -> list[dict]:
             continue
         if not isinstance(rec, dict) or any(key not in rec for key in keys):
             raise DataError(f"{path}:{lineno}: expected an object with keys {', '.join(keys)}")
+        problem = _row_problem(rec, keys)
+        if problem is not None:
+            raise DataError(f"{path}:{lineno}: {problem}")
         rows.append(rec)
     return rows
 
@@ -274,14 +322,31 @@ def _summary_line(command: str, **payload) -> None:
     print(json.dumps({"command": command, "status": "ok", **payload}, sort_keys=True))
 
 
-def _prepare_from_config(cfg: EngineConfig) -> tuple[Prepared, int, int]:
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _prepared_manifest(cfg: EngineConfig) -> dict:
+    """What a prepared file must have been made from: the grid, the
+    preprocessing values and the sha256 of both inputs."""
     _require_inputs(cfg.logs, cfg.programs)
-    with open_jsonl(cfg.logs) as fh:
-        logs, skipped_logs = parse_logs(fh)
-    with open_jsonl(cfg.programs) as fh:
-        metas, skipped_programs = parse_programs(fh)
-    prepared = prepare(logs, metas, cfg.grid, cfg.split_spec, dt_min=cfg.min_duration_secs)
-    return prepared, skipped_logs, skipped_programs
+    return {
+        "grid": {"n_slots": cfg.n_slots, "utc_offset": cfg.utc_offset},
+        "preprocessing": {"min_duration_secs": cfg.min_duration_secs, **dataclasses.asdict(cfg.split_spec)},
+        "inputs": {"logs": _sha256(cfg.logs), "programs": _sha256(cfg.programs)},
+    }
+
+
+def _load_prepared(cfg: EngineConfig) -> PreparedColumns:
+    path = Path(cfg.out_dir) / PREPARED_FILE
+    manifest = _prepared_manifest(cfg)
+    if not path.exists():
+        raise DataError(f"prepared file {path} does not exist; run `prep` first")
+    try:
+        return load_prepared(path, manifest, cfg.grid)
+    except DataError as exc:
+        raise DataError(f"{exc}; run `prep` again") from None
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +402,16 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 
 def _cmd_prep(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
-    prepared, skipped_logs, skipped_programs = _prepare_from_config(cfg)
+    manifest = _prepared_manifest(cfg)
+    with open_jsonl(cfg.logs) as fh:
+        logs, skipped_logs = parse_logs(fh)
+    with open_jsonl(cfg.programs) as fh:
+        metas, skipped_programs = parse_programs(fh)
+    prepared = prepare(logs, metas, cfg.grid, cfg.split_spec, dt_min=cfg.min_duration_secs)
+    del logs, metas
     out = Path(cfg.out_dir)
+    with _atomic_file(out / PREPARED_FILE) as fh:
+        dump_prepared(fh, prepared, manifest)
     _write_json(
         out / "prep_summary.json",
         {
@@ -357,31 +430,32 @@ def _cmd_prep(args: argparse.Namespace) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
-    prepared, _, _ = _prepare_from_config(cfg)
-    sp = prepared.split
-    tensor = prepared.tensor
-    cand = ranker_mod.build_candidates((prepared.metas[pid] for pid in sp.i_test), cfg.grid, tensor.channels)
+    columns = _load_prepared(cfg)
+    tensor = columns.cells.to_tensor()
+    cand = ranker_mod.build_candidates(columns.test_metas(), cfg.grid, tensor.channels)
+    truths = columns.truths()
 
     # The encoder is fitted on train + test metadata: program text is known
     # before broadcast, so this leaks no interaction labels. idf needs every
     # document, but only the watched training items (for the preference means)
-    # and the candidates (for ranking) are ever encoded.
-    corpus = [(pid, prepared.metas[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
-    vocab = textenc_mod.fit(corpus)
-    watched = {item for cells in tensor.by_user.values() for (item, _, _) in cells}
-    embeddings = {
-        pid: textenc_mod.encode(vocab, prepared.metas[pid].text) for pid in sorted(watched.union(cand.ids))
-    }
+    # and the candidates (for ranking) are ever encoded, from the term counts
+    # the fit kept.
+    encoded = columns.watched().union(cand.ids)
+    vocab, counts = textenc_mod.fit(columns.corpus(), keep=encoded)
+    del columns
+    embeddings = {pid: textenc_mod.encode(vocab, counts.pop(pid)) for pid in sorted(encoded)}
     model = preference_mod.build(tensor, embeddings)
     # Ranking reads candidate embeddings only. Sorted containers, not sets,
-    # keep the pickled bytes independent of PYTHONHASHSEED.
+    # keep the pickled bytes independent of PYTHONHASHSEED. Truths and
+    # candidate ids share the strings of one name table, which pickle writes once.
     bundle = ModelBundle(
         provenance=cfg.provenance(),
         cand=cand,
         behavior={u: behavior_mod.behavior_matrix(tensor, u) for u in sorted(tensor.users)},
-        truths={u: tuple(sorted(items)) for u, items in sorted(prepared.truths.items())},
+        truths=truths,
         model=dataclasses.replace(model, item_embeddings={pid: embeddings[pid] for pid in cand.ids}),
     )
+    del tensor, embeddings, model
     path = Path(cfg.model_path)
     _atomic_write(path, pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL))
     vocab_path = Path(cfg.out_dir) / "vocab.json"
@@ -400,16 +474,34 @@ def _has_layout(obj: object, cls: type) -> bool:
     return isinstance(obj, cls) and vars(obj).keys() == {f.name for f in dataclasses.fields(cls)}
 
 
+# What unpickling a damaged or foreign file raises, besides OSError.
+_UNPICKLE_ERRORS = (
+    pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError, KeyError, TypeError, ValueError,
+    OverflowError,
+)
+
+
 def _load_bundle(cfg: EngineConfig) -> ModelBundle:
     path = Path(cfg.model_path)
     if not path.exists():
         raise DataError(f"model file {path} does not exist; run `build` first")
     with open(path, "rb") as fh:
-        bundle = pickle.load(fh)
+        try:
+            bundle = pickle.load(fh)
+        except _UNPICKLE_ERRORS as exc:
+            raise DataError(f"{path} is not a readable model bundle ({type(exc).__name__}: {exc}); "
+                            "rebuild with `build`") from None
     if not isinstance(bundle, ModelBundle):
         raise DataError(f"{path} is not a model bundle")
     if not _has_layout(bundle, ModelBundle) or not _has_layout(bundle.cand, ranker_mod.Candidates):
         raise DataError(f"{path} has an outdated bundle layout; rebuild with `build`")
+    cand = bundle.cand
+    if not (
+        isinstance(cand.ids, tuple)
+        and isinstance(cand.span_flat, np.ndarray)
+        and is_ptr(cand.span_ptr, len(cand.ids), len(cand.span_flat))
+    ):
+        raise DataError(f"{path} has a damaged candidate index; rebuild with `build`")
     return bundle
 
 

@@ -7,16 +7,41 @@ per line. :func:`parse_logs` interns user, program and channel names into
 int32 codes as it reads. The stages after it work on the columns: the flip
 filter and the split are boolean masks over the table, the user and item
 restrictions are lookup arrays indexed by code, and the tensor is one grouping
-of equal (user, program, slot, channel) rows with their counts. Program
-metadata stays a list of :class:`ProgramMeta` records.
+of equal (user, program, slot, channel) rows with their counts, kept as the
+columns of :class:`TensorCells`. Program metadata stays a list of
+:class:`ProgramMeta` records.
+
+The prepared file carries a prepared dataset from `prep` to `build`, so the
+inputs are parsed once. :func:`dump_prepared` writes it and
+:func:`load_prepared` reads it back as :class:`PreparedColumns`; no other
+module knows the format. It is an uncompressed ``.npz`` of one-dimensional
+arrays, loaded with ``allow_pickle=False``:
+
+- ``manifest``: UTF-8 JSON holding the schema version and what the caller
+  passed, which the loader must match exactly (the CLI passes the grid, the
+  preprocessing values and the sha256 of both inputs);
+- name tables ``users`` (in ``by_user`` order), ``programs`` (every train
+  and test program id, sorted), ``texts`` (one per program) and ``channels``
+  (sorted): UTF-8 bytes, with int64 ``<table>_off`` offsets counted in code
+  points;
+- the tensor cells in ``by_user`` order: ``cell_ptr`` (int64 user offsets),
+  ``cell_program`` and ``cell_channel`` (int32 codes), ``cell_slot`` and
+  ``cell_count`` (int64);
+- the test programs, by id: ``test_program`` and ``test_channel`` (int32
+  codes), ``test_start`` and ``test_end`` (int64);
+- the truths as CSR (compressed sparse row) over the users: ``truth_ptr``
+  (int64) and ``truth_program`` (int32 codes, ascending in each row).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
+import zipfile
 from dataclasses import dataclass, field, replace
-from typing import Callable, Collection, Iterable, Mapping, TextIO
+from pathlib import Path
+from typing import BinaryIO, Callable, Collection, Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -141,6 +166,44 @@ class InteractionTensor:
     by_user: Mapping[str, Mapping[tuple[str, int, str], int]]
     users: frozenset[str]
     channels: frozenset[str]
+
+
+@dataclass(frozen=True, eq=False)
+class TensorCells:
+    """The cells of an :class:`InteractionTensor` as columns, in ``by_user`` order.
+
+    User ``users[i]``'s cells are rows ``ptr[i]:ptr[i + 1]``. ``program`` and
+    ``channel`` are int32 codes into ``program_names`` and ``channel_names``,
+    ``slot`` the int64 1-based slot, ``count`` the positive int64 count. A name
+    may have no cell.
+    """
+
+    users: tuple[str, ...]
+    program_names: tuple[str, ...]
+    channel_names: tuple[str, ...]
+    ptr: np.ndarray
+    program: np.ndarray
+    slot: np.ndarray
+    channel: np.ndarray
+    count: np.ndarray
+
+    def channels(self) -> frozenset[str]:
+        """The channels of the counted logs: those with a cell."""
+        return _names_of(self.channel_names, self.channel)
+
+    def to_tensor(self) -> InteractionTensor:
+        """The dict form, keeping the order of users and of each user's cells."""
+        cells = list(
+            zip(
+                np.array(self.program_names, dtype=object)[self.program].tolist(),
+                self.slot.tolist(),
+                np.array(self.channel_names, dtype=object)[self.channel].tolist(),
+            )
+        )
+        counts = self.count.tolist()
+        ptr = self.ptr.tolist()
+        by_user = {u: dict(zip(cells[lo:hi], counts[lo:hi])) for u, lo, hi in zip(self.users, ptr, ptr[1:])}
+        return InteractionTensor(by_user=by_user, users=frozenset(by_user), channels=self.channels())
 
 
 def open_jsonl(path: str) -> TextIO:
@@ -308,15 +371,15 @@ def build_tensor(
     *,
     items: frozenset[str],
     users: frozenset[str],
-) -> InteractionTensor:
-    """Count interactions per (user, item, slot, channel) cell.
+) -> TensorCells:
+    """Count interactions per (user, item, slot, channel) cell, as columns.
 
     Every log's program must appear in ``metas``. Only logs of a user in
     ``users`` (the set U) watching a program in ``items`` (the train item set)
     are counted; the others stay in the data but do not enter the tensor.
     Users left without any counted cell are dropped so that every stored user
-    has a positive total. ``by_user`` holds users, and each user's cells, in
-    order of first appearance in ``d_train``.
+    has a positive total. Users, and each user's cells, are in order of first
+    appearance in ``d_train``; codes index the name tuples of ``d_train``.
     """
     present = map(d_train.program_names.__getitem__, np.unique(d_train.program).tolist())
     unknown = sorted(name for name in present if name not in metas)
@@ -346,21 +409,17 @@ def build_tensor(
     by_first = np.lexsort((first, user_first[user]))
     user, program, slot, channel, counts = (a[by_first] for a in (user, program, slot, channel, counts))
 
-    cells = list(
-        zip(
-            np.array(counted.program_names, dtype=object)[program].tolist(),
-            slot.tolist(),
-            np.array(counted.channel_names, dtype=object)[channel].tolist(),
-        )
+    user_starts = np.flatnonzero(np.diff(user, prepend=-1))
+    return TensorCells(
+        users=tuple(map(counted.user_names.__getitem__, user[user_starts].tolist())),
+        program_names=counted.program_names,
+        channel_names=counted.channel_names,
+        ptr=np.append(user_starts, len(user)).astype(np.int64),
+        program=program,
+        slot=slot,
+        channel=channel,
+        count=counts.astype(np.int64),
     )
-    counts = counts.tolist()
-    user_starts = np.flatnonzero(np.diff(user, prepend=-1)).tolist()
-    by_user = {
-        counted.user_names[u]: dict(zip(cells[lo:hi], counts[lo:hi]))
-        for u, lo, hi in zip(user[user_starts].tolist(), user_starts, user_starts[1:] + [len(cells)])
-    }
-    channels = _names_of(counted.channel_names, counted.channel)
-    return InteractionTensor(by_user=by_user, users=frozenset(by_user), channels=channels)
 
 
 def ground_truth_map(d_test: LogTable, items: frozenset[str]) -> dict[str, frozenset[str]]:
@@ -377,13 +436,18 @@ def ground_truth_map(d_test: LogTable, items: frozenset[str]) -> dict[str, froze
 
 @dataclass(frozen=True)
 class Prepared:
-    """Output of the full preprocessing pipeline over one dataset."""
+    """Output of the full preprocessing pipeline over one dataset. ``tensor``
+    is built from ``cells`` on first use."""
 
     split: Split
-    tensor: InteractionTensor
+    cells: TensorCells
     truths: Mapping[str, frozenset[str]]
     metas: Mapping[str, ProgramMeta]
     summary: dict = field(compare=False)
+
+    @functools.cached_property
+    def tensor(self) -> InteractionTensor:
+        return self.cells.to_tensor()
 
 
 def prepare(
@@ -407,11 +471,12 @@ def prepare(
     kept = filter_flips(logs, dt_min)
     sp = split(kept, meta_list, spec)
     users = users_in_both(sp.d_train, sp.d_test)
-    tensor = build_tensor(sp.d_train, by_id, grid, items=sp.i_train, users=users)
+    cells = build_tensor(sp.d_train, by_id, grid, items=sp.i_train, users=users)
+    tensor_users = frozenset(cells.users)
     truths = {
         u: progs
         for u, progs in ground_truth_map(sp.d_test, sp.i_test).items()
-        if u in tensor.users
+        if u in tensor_users
     }
     truth_sizes = [len(v) for v in truths.values()]
     split_users = np.unique(np.concatenate((sp.d_train.user, sp.d_test.user)))
@@ -421,10 +486,251 @@ def prepare(
         "d_test": len(sp.d_test),
         "i_train": len(sp.i_train),
         "i_test": len(sp.i_test),
-        "channels": len(tensor.channels),
-        "users": len(tensor.users),
+        "channels": len(cells.channels()),
+        "users": len(cells.users),
         "mean_truth_size": (sum(truth_sizes) / len(truth_sizes)) if truth_sizes else 0.0,
         "flips_dropped": len(logs) - len(kept),
         "users_outside_both_halves": len(split_users) - len(users),
     }
-    return Prepared(split=sp, tensor=tensor, truths=truths, metas=by_id, summary=summary)
+    return Prepared(split=sp, cells=cells, truths=truths, metas=by_id, summary=summary)
+
+
+# ---------------------------------------------------------------------------
+# the prepared file
+
+PREPARED_SCHEMA = 1
+
+# Every array of the file, with its dtype; each is one-dimensional.
+_PREPARED_ARRAYS = {
+    "manifest": np.uint8,
+    **{f"{table}{part}": dtype for table in ("users", "programs", "texts", "channels")
+       for part, dtype in (("", np.uint8), ("_off", np.int64))},
+    "cell_ptr": np.int64,
+    "cell_program": np.int32,
+    "cell_slot": np.int64,
+    "cell_channel": np.int32,
+    "cell_count": np.int64,
+    "test_program": np.int32,
+    "test_channel": np.int32,
+    "test_start": np.int64,
+    "test_end": np.int64,
+    "truth_ptr": np.int64,
+    "truth_program": np.int32,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedColumns:
+    """What :func:`load_prepared` reads back: the tensor, every program's
+    text, the test programs' schedule and the truths, all over one set of
+    name tables.
+
+    ``cells.program_names`` are the train and test program ids, sorted, and
+    ``texts`` their texts. ``test`` holds the test programs as codes into
+    them, with ``test_channel`` codes into ``cells.channel_names`` and their
+    ``test_start`` and ``test_end``. User ``cells.users[i]``'s truths are the
+    program codes ``truth[truth_ptr[i]:truth_ptr[i + 1]]``, ascending.
+    """
+
+    cells: TensorCells
+    texts: tuple[str, ...]
+    test: np.ndarray
+    test_channel: np.ndarray
+    test_start: np.ndarray
+    test_end: np.ndarray
+    truth_ptr: np.ndarray
+    truth: np.ndarray
+
+    def corpus(self) -> list[tuple[str, str]]:
+        """``(program id, text)`` of every train and test program, by id."""
+        return list(zip(self.cells.program_names, self.texts))
+
+    def watched(self) -> frozenset[str]:
+        """The programs with a tensor cell."""
+        return _names_of(self.cells.program_names, self.cells.program)
+
+    def test_metas(self) -> list[ProgramMeta]:
+        """The test programs, by id."""
+        programs, channels = self.cells.program_names, self.cells.channel_names
+        return [
+            ProgramMeta(programs[p], channels[c], start, end, self.texts[p])
+            for p, c, start, end in zip(
+                self.test.tolist(), self.test_channel.tolist(), self.test_start.tolist(), self.test_end.tolist()
+            )
+        ]
+
+    def truths(self) -> dict[str, tuple[str, ...]]:
+        """Each user with a truth, in sorted order, to their sorted test programs."""
+        items = list(map(self.cells.program_names.__getitem__, self.truth.tolist()))
+        ptr = self.truth_ptr.tolist()
+        rows = {u: tuple(items[lo:hi]) for u, lo, hi in zip(self.cells.users, ptr, ptr[1:]) if hi > lo}
+        return dict(sorted(rows.items()))
+
+
+def _encode_names(names: Iterable[str], key: str) -> dict[str, np.ndarray]:
+    # Offsets count code points; "surrogatepass" keeps a lone surrogate that a
+    # JSON escape put in a text.
+    names = list(names)
+    blob = "".join(names).encode("utf-8", "surrogatepass")
+    off = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, names)), out=off[1:])
+    return {key: np.frombuffer(blob, dtype=np.uint8), f"{key}_off": off}
+
+
+def _decode_names(arrays: Mapping[str, np.ndarray], key: str) -> tuple[str, ...] | None:
+    """The name table ``key``, or None when its offsets do not fit its text."""
+    text = arrays[key].tobytes().decode("utf-8", "surrogatepass")
+    off = arrays[f"{key}_off"]
+    if not (len(off) > 0 and is_ptr(off, len(off) - 1, len(text))):
+        return None
+    bounds = off.tolist()
+    return tuple(text[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+
+def dump_prepared(fh: BinaryIO, prepared: Prepared, manifest: Mapping[str, object]) -> None:
+    """Write the prepared file of ``prepared`` to ``fh``: an uncompressed
+    ``.npz`` of the arrays :func:`load_prepared` reads, with ``manifest`` and
+    the schema version stored as JSON in the ``manifest`` array.
+
+    Name tables (users in ``by_user`` order, program ids sorted, channels
+    sorted, texts) are UTF-8 bytes plus int64 offsets. The tensor is
+    ``cells.ptr`` and the cell columns recoded into those tables, and the
+    truths are a CSR (compressed sparse row) array over the users. Equal
+    inputs give equal bytes.
+    """
+    cells, sp = prepared.cells, prepared.split
+    programs = sorted(sp.i_train | sp.i_test)
+    code_of = {p: i for i, p in enumerate(programs)}
+    test = [prepared.metas[p] for p in sorted(sp.i_test)]
+    channels = sorted(cells.channels() | {m.channel for m in test})
+    channel_of = {c: i for i, c in enumerate(channels)}
+
+    def recode(names: tuple[str, ...], table: Mapping[str, int], codes: np.ndarray) -> np.ndarray:
+        lookup = np.fromiter((table.get(n, -1) for n in names), dtype=np.int32, count=len(names))
+        return lookup[codes]
+
+    truth_rows = [sorted(map(code_of.__getitem__, prepared.truths.get(u, ()))) for u in cells.users]
+    truth_ptr = np.zeros(len(truth_rows) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, truth_rows)), out=truth_ptr[1:])
+    doc = json.dumps({"schema": PREPARED_SCHEMA, **manifest}, sort_keys=True).encode()
+    arrays = {
+        "manifest": np.frombuffer(doc, dtype=np.uint8),
+        **_encode_names(cells.users, "users"),
+        **_encode_names(programs, "programs"),
+        **_encode_names((prepared.metas[p].text for p in programs), "texts"),
+        **_encode_names(channels, "channels"),
+        "cell_ptr": cells.ptr,
+        "cell_program": recode(cells.program_names, code_of, cells.program),
+        "cell_slot": cells.slot,
+        "cell_channel": recode(cells.channel_names, channel_of, cells.channel),
+        "cell_count": cells.count,
+        "test_program": np.array([code_of[m.program] for m in test], dtype=np.int32),
+        "test_channel": np.array([channel_of[m.channel] for m in test], dtype=np.int32),
+        "test_start": np.array([m.start for m in test], dtype=np.int64),
+        "test_end": np.array([m.end for m in test], dtype=np.int64),
+        "truth_ptr": truth_ptr,
+        "truth_program": np.array([c for row in truth_rows for c in row], dtype=np.int32),
+    }
+    np.savez(fh, **{key: arrays[key].astype(dtype, copy=False) for key, dtype in _PREPARED_ARRAYS.items()})
+
+
+def _require(ok: bool, problem: str) -> None:
+    if not ok:
+        raise DataError(problem)
+
+
+def is_ptr(ptr: object, rows: int, end: int) -> bool:
+    """Whether ``ptr`` is the offsets array of ``rows`` rows over ``end``
+    entries: a 1-D integer array of ``rows + 1`` offsets that starts at 0,
+    never decreases and ends at ``end``."""
+    return (
+        isinstance(ptr, np.ndarray)
+        and ptr.ndim == 1
+        and ptr.dtype.kind in "iu"
+        and len(ptr) == rows + 1
+        and ptr[0] == 0
+        and ptr[-1] == end
+        and bool(np.all(ptr[1:] >= ptr[:-1]))
+    )
+
+
+def _in_range(codes: np.ndarray, lo: int, hi: int) -> bool:
+    return not len(codes) or (int(codes.min()) >= lo and int(codes.max()) < hi)
+
+
+def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGrid) -> PreparedColumns:
+    """Read a file of :func:`dump_prepared` without running any code from it.
+
+    Raises :class:`DataError` when the file is not one, has another schema
+    version, was written with a manifest other than ``manifest`` (other
+    inputs or settings), or fails a check: dtypes and shapes, offsets that
+    start at 0, never decrease and end at their table's length, codes in
+    range, slots on ``grid``, positive counts, unique user and program names,
+    and test broadcasts that start before they end, within a week.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            _require(sorted(npz.files) == sorted(_PREPARED_ARRAYS), f"{path} holds other arrays")
+            arrays = {key: npz[key] for key in _PREPARED_ARRAYS}
+        stored = json.loads(arrays["manifest"].tobytes())
+    except (OSError, ValueError, EOFError, KeyError, RecursionError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path} is not a readable prepared file: {exc}") from None
+    _require(type(stored) is dict, f"{path} has no manifest")
+    _require(
+        stored.get("schema") == PREPARED_SCHEMA,
+        f"{path} has schema version {stored.get('schema')!r}, expected {PREPARED_SCHEMA}",
+    )
+    differ = sorted(key for key, value in manifest.items() if stored.get(key) != json.loads(json.dumps(value)))
+    _require(not differ, f"{path} was prepared with other {', '.join(differ)}")
+    for key, dtype in _PREPARED_ARRAYS.items():
+        a = arrays[key]
+        _require(a.dtype == dtype and a.ndim == 1, f"{path}: array {key} is not one-dimensional {np.dtype(dtype)}")
+
+    try:
+        users, programs, texts, channels = (
+            _decode_names(arrays, key) for key in ("users", "programs", "texts", "channels")
+        )
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: a name table is not UTF-8: {exc}") from None
+    n_cells, n_test = len(arrays["cell_program"]), len(arrays["test_program"])
+
+    def check(ok: bool, what: str) -> None:
+        _require(ok, f"{path} is damaged: bad {what}")
+
+    for key, names in zip(("users", "programs", "texts", "channels"), (users, programs, texts, channels)):
+        check(names is not None, f"{key} offsets")
+
+    check(len(set(users)) == len(users) and len(set(programs)) == len(programs), "names: some repeat")
+    check(len(texts) == len(programs), "texts: not one per program")
+    check(is_ptr(arrays["cell_ptr"], len(users), n_cells), "cell offsets")
+    check(all(len(arrays[k]) == n_cells for k in ("cell_slot", "cell_channel", "cell_count")), "cell columns")
+    check(_in_range(arrays["cell_program"], 0, len(programs)), "cell program codes")
+    check(_in_range(arrays["cell_channel"], 0, len(channels)), "cell channel codes")
+    check(_in_range(arrays["cell_slot"], 1, grid.n + 1), "cell slots")
+    check(_in_range(arrays["cell_count"], 1, _INT64_MAX), "cell counts")
+    check(all(len(arrays[k]) == n_test for k in ("test_channel", "test_start", "test_end")), "test columns")
+    check(_in_range(arrays["test_program"], 0, len(programs)), "test program codes")
+    check(_in_range(arrays["test_channel"], 0, len(channels)), "test channel codes")
+    check(_in_range(arrays["test_end"] - arrays["test_start"], 1, SECONDS_PER_WEEK), "test broadcasts")
+    check(is_ptr(arrays["truth_ptr"], len(users), len(arrays["truth_program"])), "truth offsets")
+    check(_in_range(arrays["truth_program"], 0, len(programs)), "truth program codes")
+    cells = TensorCells(
+        users=users,
+        program_names=programs,
+        channel_names=channels,
+        ptr=arrays["cell_ptr"],
+        program=arrays["cell_program"],
+        slot=arrays["cell_slot"],
+        channel=arrays["cell_channel"],
+        count=arrays["cell_count"],
+    )
+    return PreparedColumns(
+        cells=cells,
+        texts=texts,
+        test=arrays["test_program"],
+        test_channel=arrays["test_channel"],
+        test_start=arrays["test_start"],
+        test_end=arrays["test_end"],
+        truth_ptr=arrays["truth_ptr"],
+        truth=arrays["truth_program"],
+    )

@@ -12,7 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import DataError
 
@@ -27,7 +27,6 @@ _TOKEN_RE = re.compile(f"[{_CJK}]|[^\\W_{_CJK}]+")
 def tokenize(text: str) -> list[str]:
     """Lowercased alphanumeric runs, CJK chars as unigrams."""
     return _TOKEN_RE.findall(text.lower())
-
 
 
 @dataclass(frozen=True)
@@ -46,18 +45,32 @@ class Vocabulary:
         return {"tokens": [[t, self.index[t], self.idf[t]] for t in tokens]}
 
 
-def fit(corpus: Iterable[tuple[str, str]]) -> Vocabulary:
+def term_counts(text: str) -> Counter[str]:
+    """How often each token occurs in ``text``, in order of first occurrence."""
+    return Counter(tokenize(text))
+
+
+def fit(
+    corpus: Iterable[tuple[str, str]], keep: Container[str] = frozenset()
+) -> tuple[Vocabulary, dict[str, Counter[str]]]:
     """Fit idf weights over a corpus of ``(program_id, text)`` pairs.
 
     Every token of the corpus enters the vocabulary, indexed in alphabetical
-    order. Raises :class:`DataError` when the corpus is empty or yields no
-    tokens at all.
+    order. Each text is tokenized once: the :func:`term_counts` of the
+    documents whose id is in ``keep`` come back with the vocabulary, keyed by
+    id, for :func:`encode`. Raises :class:`DataError` when the corpus is empty
+    or yields no tokens at all.
     """
     df: Counter[str] = Counter()
+    counts: dict[str, Counter[str]] = {}
     n_docs = 0
-    for _, text in corpus:
+    for pid, text in corpus:
         n_docs += 1
-        df.update(set(tokenize(text)))
+        if pid in keep:
+            tf = counts[pid] = term_counts(text)
+            df.update(tf.keys())
+        else:
+            df.update(set(tokenize(text)))
     if n_docs == 0:
         raise DataError("cannot fit a vocabulary on an empty corpus")
     if not df:
@@ -66,14 +79,13 @@ def fit(corpus: Iterable[tuple[str, str]]) -> Vocabulary:
     tokens = sorted(df)
     index = {t: i for i, t in enumerate(tokens)}
     idf = {t: math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in tokens}
-    return Vocabulary(index=index, idf=idf)
+    return Vocabulary(index=index, idf=idf), counts
 
 
-def encode(vocab: Vocabulary, text: str) -> Embedding:
-    """Encode text as an L2-normalized sparse tf-idf vector; out-of-vocabulary
-    tokens are ignored and a text with no known tokens encodes to the zero
-    vector."""
-    tf = Counter(tokenize(text))
+def encode(vocab: Vocabulary, tf: Mapping[str, int]) -> Embedding:
+    """Encode a text's :func:`term_counts` as an L2-normalized sparse tf-idf
+    vector; out-of-vocabulary tokens are ignored and a text with no known
+    tokens encodes to the zero vector."""
     vec: Embedding = {}
     index = vocab.index
     idf = vocab.idf

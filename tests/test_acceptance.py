@@ -54,8 +54,8 @@ def build_dataset(seed: int) -> Dataset:
     )
     prep = datamodel.prepare(log_table(logs), world.metas, cfg.grid, spec)
     corpus_ids = sorted(prep.split.i_train | prep.split.i_test)
-    vocab = textenc.fit((pid, prep.metas[pid].text) for pid in corpus_ids)
-    embeddings = {pid: textenc.encode(vocab, prep.metas[pid].text) for pid in corpus_ids}
+    vocab, _ = textenc.fit((pid, prep.metas[pid].text) for pid in corpus_ids)
+    embeddings = {pid: textenc.encode(vocab, textenc.term_counts(prep.metas[pid].text)) for pid in corpus_ids}
     time_aware = preference.build(prep.tensor, embeddings)
     models = {"global": preference.global_view(time_aware), "time-aware": time_aware}
     test_metas = sorted(
@@ -329,6 +329,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
             "prep_summary": (out / "prep_summary.json").read_bytes(),
             "vocab": (out / "vocab.json").read_bytes(),
             "model": (out / "model.pkl").read_bytes(),
+            "prepared": (out / "prepared.npz").read_bytes(),
         }
     same = all(artifacts["one"][k] == artifacts["two"][k] for k in artifacts["one"])
     sizes = {k: len(v) for k, v in artifacts["one"].items()}

@@ -65,8 +65,8 @@ def test_behavior_matrix_invariant_to_log_order():
     shuffled = logs[:]
     random.Random(0).shuffle(shuffled)
     restrict = {"items": frozenset(metas), "users": frozenset({"u"})}
-    bm1 = behavior_matrix(build_tensor(log_table(logs), metas, GRID, **restrict), "u")
-    bm2 = behavior_matrix(build_tensor(log_table(shuffled), metas, GRID, **restrict), "u")
+    bm1 = behavior_matrix(build_tensor(log_table(logs), metas, GRID, **restrict).to_tensor(), "u")
+    bm2 = behavior_matrix(build_tensor(log_table(shuffled), metas, GRID, **restrict).to_tensor(), "u")
     assert bm1.probs == bm2.probs
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tvrec
@@ -171,12 +172,18 @@ def _malformed_argv(case, cfg, tmp_path):
         rec.write_text(bad_rows if case.startswith("rec") else good_rows)
         truth.write_text(bad_rows if case.startswith("truth") else good_rows)
         return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
-    if case in ("rec row not an object", "rec row lacks scores", "truth row lacks items"):
+    if case.startswith(("rec row", "truth row")):
         rec = tmp_path / "recs.jsonl"
         truth = tmp_path / "truth.jsonl"
         bad = {"rec row not an object": '["u1", ["p1"], [1.0]]\n',
                "rec row lacks scores": '{"user": "u1", "items": ["p1"]}\n',
-               "truth row lacks items": '{"user": "u1"}\n'}[case]
+               "truth row lacks items": '{"user": "u1"}\n',
+               "rec row items not a list": '{"user": "u1", "items": 5, "scores": [1.0]}\n',
+               "rec row user a list": '{"user": ["x"], "items": ["p1"], "scores": [1.0]}\n',
+               "rec row item not a string": '{"user": "u1", "items": [7], "scores": [1.0]}\n',
+               "rec row score a string": '{"user": "u1", "items": ["p1"], "scores": ["1.0"]}\n',
+               "rec row scores shorter than items": '{"user": "u1", "items": ["p1", "p2"], "scores": [1.0]}\n',
+               "truth row items a string": '{"user": "u1", "items": "abc"}\n'}[case]
         rec.write_text(good_rows + (bad if case.startswith("rec") else ""))
         truth.write_text(good_rows + (bad if case.startswith("truth") else ""))
         return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
@@ -238,6 +245,21 @@ def _malformed_argv(case, cfg, tmp_path):
         bad = tmp_path / "engine.json"
         bad.write_text(json.dumps(value))
         return ["prep", "--config", bad]
+    if case.startswith("bundle"):
+        # Damaged copies of the bundle that `build` wrote.
+        blob = (cfg.parent / "out" / "model.pkl").read_bytes()
+        if case == "bundle span_ptr short":
+            bundle = pickle.loads(blob)
+            bundle.cand = dataclasses.replace(bundle.cand, span_ptr=bundle.cand.span_ptr[:-5])
+            blob = pickle.dumps(bundle)
+        else:
+            blob = {"bundle cut short": blob[: len(blob) // 2],
+                    "bundle is text": b"garbage",
+                    "bundle empty": b""}[case]
+        model = tmp_path / "model.pkl"
+        model.write_bytes(blob)
+        return ["recommend", "--config", cfg, "--model", model, "--method", "behavior",
+                "--out", tmp_path / "recs.jsonl"]
     flag = {"bench zero users": "--users-sample", "bench zero reps": "--reps"}[case]
     return ["bench", "--config", cfg, "--method", "behavior", flag, 0]
 
@@ -272,6 +294,16 @@ def _malformed_argv(case, cfg, tmp_path):
         ("rec row not an object", 3),
         ("rec row lacks scores", 3),
         ("truth row lacks items", 3),
+        ("rec row items not a list", 3),
+        ("rec row user a list", 3),
+        ("rec row item not a string", 3),
+        ("rec row score a string", 3),
+        ("rec row scores shorter than items", 3),
+        ("truth row items a string", 3),
+        ("bundle cut short", 3),
+        ("bundle is text", 3),
+        ("bundle empty", 3),
+        ("bundle span_ptr short", 3),
         ("tune dev-frac above 1", 2),
         ("tune dev-frac 0", 2),
         ("tune cutoff 0", 2),
@@ -282,8 +314,8 @@ def _malformed_argv(case, cfg, tmp_path):
         ("tune eta grid nan", 2),
     ],
 )
-def test_malformed_input_exits_with_documented_code(case, code, workspace, tmp_path, capsys):
-    _, cfg = workspace
+def test_malformed_input_exits_with_documented_code(case, code, built, tmp_path, capsys):
+    _, cfg = built
     assert run(_malformed_argv(case, cfg, tmp_path)) == code
     assert "internal error" not in capsys.readouterr().err
 
@@ -320,6 +352,7 @@ def test_bundle_built_by_python_m_loads_in_process(workspace, tmp_path, capsys):
     # unpickle as tvrec.cli.ModelBundle in a process that imported tvrec.cli.
     _, cfg = workspace
     model = tmp_path / "model.pkl"
+    assert run(["prep", "--config", cfg, "--out-dir", tmp_path]) == 0
     build = subprocess.run(
         [sys.executable, "-m", "tvrec.cli", "build", "--config", str(cfg),
          "--out-dir", str(tmp_path), "--model", str(model)],
@@ -331,11 +364,12 @@ def test_bundle_built_by_python_m_loads_in_process(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_bundle_bytes_do_not_depend_on_hash_seed(workspace, tmp_path):
+def test_bundle_bytes_do_not_depend_on_hash_seed(workspace, tmp_path, capsys):
     _, cfg = workspace
     blobs = []
     for hash_seed in ("1", "2"):
         out = tmp_path / hash_seed
+        assert run(["prep", "--config", cfg, "--out-dir", out]) == 0
         build = subprocess.run(
             [sys.executable, "-m", "tvrec.cli", "build", "--config", str(cfg), "--out-dir", str(out)],
             env={**_python_m_env(), "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True,
@@ -343,6 +377,78 @@ def test_bundle_bytes_do_not_depend_on_hash_seed(workspace, tmp_path):
         assert build.returncode == 0, build.stderr
         blobs.append((out / "model.pkl").read_bytes())
     assert blobs[0] == blobs[1]
+    capsys.readouterr()
+
+
+def _damage_prepared(case, root, cfg, out):
+    """Run `prep` into ``out``, then make its prepared file unfit for `build`
+    in the way ``case`` names; returns the flags `build` runs with."""
+    data = root / "data"
+    flags = ["--out-dir", out]
+    if case == "inputs edited after prep":
+        for name in ("logs", "programs"):
+            (out.parent / f"{name}.jsonl").write_bytes((data / f"{name}.jsonl").read_bytes())
+        flags += ["--logs", out.parent / "logs.jsonl", "--programs", out.parent / "programs.jsonl"]
+    if case == "prepared with another n_slots":
+        doc = json.loads(cfg.read_text())
+        other = out.parent / "engine.json"
+        other.write_text(json.dumps({**doc, "grid": {"n_slots": 168}}))
+        assert run(["prep", "--config", other, *flags]) == 0
+    elif case != "no prepared file":
+        extra = ["--t-split", T_SPLIT - 86_400] if case == "prepared with another t_split" else []
+        assert run(["prep", "--config", cfg, *flags, *extra]) == 0
+    prepared = out / "prepared.npz"
+    if case == "inputs edited after prep":
+        with open(out.parent / "logs.jsonl", "ab") as fh:
+            fh.write(b"\n")
+    if case == "prepared file truncated":
+        blob = prepared.read_bytes()
+        prepared.write_bytes(blob[: len(blob) // 2])
+    if "offset out of range" in case:
+        with np.load(prepared) as npz:
+            arrays = dict(npz)
+        key = {"prepared offset out of range": "cell_ptr", "prepared name offset out of range": "users_off"}[case]
+        arrays[key] = arrays[key].copy()
+        arrays[key][-2] = arrays[key][-1] + 1
+        with open(prepared, "wb") as fh:
+            np.savez(fh, **arrays)
+    return flags
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "no prepared file",
+        "inputs edited after prep",
+        "prepared with another t_split",
+        "prepared with another n_slots",
+        "prepared file truncated",
+        "prepared offset out of range",
+        "prepared name offset out of range",
+    ],
+)
+def test_build_refuses_a_missing_stale_or_damaged_prepared_file(case, workspace, tmp_path, capsys):
+    root, cfg = workspace
+    flags = _damage_prepared(case, root, cfg, tmp_path / "out")
+    capsys.readouterr()
+    assert run(["build", "--config", cfg, *flags]) == 3
+    err = capsys.readouterr().err
+    assert "run `prep`" in err and "internal error" not in err
+    assert not (tmp_path / "out" / "model.pkl").exists()
+
+
+def test_build_reads_what_prep_wrote_without_parsing(workspace, tmp_path, monkeypatch, capsys):
+    # `build` works from prepared.npz alone: the parsers and `prepare` are not called.
+    import tvrec.cli as cli
+
+    _, cfg = workspace
+    out = tmp_path / "out"
+    assert run(["prep", "--config", cfg, "--out-dir", out]) == 0
+    for name in ("parse_logs", "parse_programs", "prepare"):
+        monkeypatch.setattr(cli, name, None)
+    assert run(["build", "--config", cfg, "--out-dir", out]) == 0
+    assert (out / "model.pkl").exists()
+    capsys.readouterr()
 
 
 def test_importing_the_cli_does_not_load_scipy():

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,8 +10,10 @@ from tvrec.datamodel import (
     SplitSpec,
     ViewingLog,
     build_tensor,
+    dump_prepared,
     filter_flips,
     ground_truth_map,
+    load_prepared,
     open_jsonl,
     parse_logs,
     parse_programs,
@@ -18,8 +21,9 @@ from tvrec.datamodel import (
     split,
     users_in_both,
 )
+from tvrec import synth
 from tvrec.errors import DataError
-from tvrec.timegrid import TimeGrid, slot_of
+from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
 
 MONDAY = 1_554_076_800
 GRID = TimeGrid(n=672)
@@ -227,12 +231,12 @@ def total(tensor):
 def test_build_tensor_counts_repeated_views_in_one_slot():
     metas = {"p1": meta()}
     logs = [log(t=MONDAY + 4 * 900), log(t=MONDAY + 4 * 900 + 30)]
-    tensor = build_tensor(log_table(logs), metas, GRID, **P1_U1)
+    tensor = build_tensor(log_table(logs), metas, GRID, **P1_U1).to_tensor()
     assert tensor.by_user["u1"][("p1", 5, "c1")] == 2
 
 
 def test_build_tensor_single_log_single_cell():
-    tensor = build_tensor(log_table([log(t=MONDAY)]), {"p1": meta()}, GRID, **P1_U1)
+    tensor = build_tensor(log_table([log(t=MONDAY)]), {"p1": meta()}, GRID, **P1_U1).to_tensor()
     assert tensor.by_user["u1"] == {("p1", 1, "c1"): 1}
     assert total(tensor) == 1
 
@@ -245,7 +249,8 @@ def test_build_tensor_unknown_program_error_lists_ids():
 def test_build_tensor_restricts_users_and_items():
     metas = {"p1": meta(program="p1"), "p2": meta(program="p2")}
     logs = [log(user="u1", program="p1"), log(user="u2", program="p1"), log(user="u1", program="p2")]
-    tensor = build_tensor(log_table(logs), metas, GRID, items=frozenset({"p1"}), users=frozenset({"u1"}))
+    restrict = {"items": frozenset({"p1"}), "users": frozenset({"u1"})}
+    tensor = build_tensor(log_table(logs), metas, GRID, **restrict).to_tensor()
     assert tensor.users == {"u1"}
     assert total(tensor) == 1
 
@@ -259,7 +264,7 @@ def test_tensor_total_matches_restricted_log_count():
     ]
     users = frozenset({"u0", "u1"})
     items = frozenset({"p0", "p1", "p2"})
-    tensor = build_tensor(log_table(logs), metas, GRID, items=items, users=users)
+    tensor = build_tensor(log_table(logs), metas, GRID, items=items, users=users).to_tensor()
     expected = sum(1 for g in logs if g.user in users and g.program in items)
     assert total(tensor) == expected
 
@@ -272,7 +277,7 @@ def test_build_tensor_slots_match_slot_of_at_int64_edges(grid):
     ts = [2**63 - 1, -(2**63 - 1), -(2**63), -1, 0, MONDAY + 4 * 900]
     logs = log_table([log(program=f"p{i}", t=t) for i, t in enumerate(ts)])
     metas = {f"p{i}": meta(program=f"p{i}") for i in range(len(ts))}
-    tensor = build_tensor(logs, metas, grid, items=frozenset(metas), users=frozenset({"u1"}))
+    tensor = build_tensor(logs, metas, grid, items=frozenset(metas), users=frozenset({"u1"})).to_tensor()
     assert list(tensor.by_user["u1"]) == [(f"p{i}", slot_of(t, grid), "c1") for i, t in enumerate(ts)]
 
 
@@ -351,6 +356,41 @@ def test_prepare_rejects_duplicate_program_ids():
     logs, metas, spec = _two_week_dataset()
     with pytest.raises(DataError):
         prepare(logs, metas + [metas[0]], GRID, spec)
+
+
+# the prepared file
+
+
+def test_prepared_file_round_trips_in_order(tmp_path):
+    cfg = synth.SynthConfig(n_users=30, n_channels=4, n_topics=5, weeks_train=2, weeks_test=1, rng_seed=5)
+    world = synth.gen_world(cfg)
+    # Texts with non-ASCII characters and a lone surrogate, as a JSON escape can give.
+    metas = [replace(m, text=m.text + " T\u00e9l\u00e9 \u6771\u4eac \ud800") if i % 5 == 0 else m
+             for i, m in enumerate(world.metas)]
+    spec = SplitSpec(t_split=cfg.t_split, dt_train=2 * SECONDS_PER_WEEK, dt_test=SECONDS_PER_WEEK)
+    prepared = prepare(log_table(synth.gen_logs(world)), metas, cfg.grid, spec)
+    manifest = {"inputs": {"logs": "a", "programs": "b"}, "grid": [cfg.grid.n, 0]}
+    paths = [tmp_path / "one.npz", tmp_path / "two.npz"]
+    for path in paths:
+        with open(path, "wb") as fh:
+            dump_prepared(fh, prepared, manifest)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    loaded = load_prepared(paths[0], manifest, cfg.grid)
+    want, got = prepared.tensor, loaded.cells.to_tensor()
+    # Same users, cells and counts, in the same order of users and of each user's cells.
+    assert [(u, list(cells.items())) for u, cells in got.by_user.items()] == [
+        (u, list(cells.items())) for u, cells in want.by_user.items()
+    ]
+    assert got.users == want.users and got.channels == want.channels
+    sp, by_id = prepared.split, prepared.metas
+    assert loaded.corpus() == [(pid, by_id[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
+    assert any("\ud800" in text for _, text in loaded.corpus())
+    assert loaded.test_metas() == [by_id[pid] for pid in sorted(sp.i_test)]
+    assert list(loaded.truths().items()) == [(u, tuple(sorted(v))) for u, v in sorted(prepared.truths.items())]
+    assert loaded.watched() == {item for cells in want.by_user.values() for item, _, _ in cells}
+    with pytest.raises(DataError, match="other inputs"):
+        load_prepared(paths[0], {**manifest, "inputs": {"logs": "a", "programs": "c"}}, cfg.grid)
 
 
 # the record oracle
@@ -433,7 +473,7 @@ def test_ingestion_matches_record_oracle(seed, tmp_path):
     metas = {pid: meta(program=pid) for pid in ORACLE_PROGRAMS}
     items = frozenset(rng.sample(ORACLE_PROGRAMS, 8))
     users = frozenset(rng.sample(ORACLE_USERS, 3))
-    got = build_tensor(table, metas, grid, items=items, users=users)
+    got = build_tensor(table, metas, grid, items=items, users=users).to_tensor()
     want = build_tensor_records(records, metas, grid, items=items, users=users)
     assert [(u, list(cells.items())) for u, cells in got.by_user.items()] == [
         (u, list(cells.items())) for u, cells in want.by_user.items()

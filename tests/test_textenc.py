@@ -11,6 +11,7 @@ from tvrec.textenc import (
     encode,
     fit,
     mean_embedding,
+    term_counts,
     tokenize,
 )
 
@@ -39,19 +40,19 @@ def test_tokenize_keeps_accented_word_runs():
 
 
 def test_idf_token_in_every_document():
-    vocab = fit(CORPUS)
+    vocab, _ = fit(CORPUS)
     assert vocab.idf["news"] == pytest.approx(1.0)
     assert min(vocab.idf.values()) == vocab.idf["news"]
 
 
 def test_idf_token_in_half_the_documents():
-    vocab = fit(CORPUS)
+    vocab, _ = fit(CORPUS)
     assert vocab.idf["tokyo"] == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
 
 
 def test_encode_weights_and_normalization():
-    vocab = fit(CORPUS)
-    emb = encode(vocab, "news tokyo")
+    vocab, _ = fit(CORPUS)
+    emb = encode(vocab, term_counts("news tokyo"))
     weights = {tok: emb[vocab.index[tok]] for tok in ("news", "tokyo")}
     assert weights["news"] == pytest.approx(0.580, abs=1e-3)
     assert weights["tokyo"] == pytest.approx(0.815, abs=1e-3)
@@ -62,17 +63,17 @@ def test_encode_weights_and_normalization():
 
 
 def test_encode_empty_text_is_zero_vector():
-    assert encode(fit(CORPUS), "") == {}
+    assert encode(fit(CORPUS)[0], term_counts("")) == {}
 
 
 def test_encode_out_of_vocabulary_ignored():
-    vocab = fit(CORPUS)
-    assert encode(vocab, "quantum flux") == {}
+    vocab, _ = fit(CORPUS)
+    assert encode(vocab, term_counts("quantum flux")) == {}
 
 
 def test_encode_deterministic():
-    vocab = fit(CORPUS)
-    assert encode(vocab, "news sports tokyo") == encode(vocab, "news sports tokyo")
+    vocab, _ = fit(CORPUS)
+    assert encode(vocab, term_counts("news sports tokyo")) == encode(vocab, term_counts("news sports tokyo"))
 
 
 def test_fit_empty_corpus_rejected():
@@ -83,7 +84,7 @@ def test_fit_empty_corpus_rejected():
 
 
 def test_vocabulary_indices_are_a_bijection():
-    vocab = fit([("a", "x y z"), ("b", "y z w"), ("c", "z w v")])
+    vocab, _ = fit([("a", "x y z"), ("b", "y z w"), ("c", "z w v")])
     assert sorted(vocab.index.values()) == list(range(vocab.size))
 
 
@@ -93,9 +94,9 @@ def test_nonzero_embeddings_have_unit_norm():
     corpus = [
         (f"d{i}", " ".join(rng.choices(words, k=rng.randint(1, 12)))) for i in range(60)
     ]
-    vocab = fit(corpus)
+    vocab, _ = fit(corpus)
     for _, text in corpus:
-        emb = encode(vocab, text)
+        emb = encode(vocab, term_counts(text))
         if emb:
             assert abs(l2_norm(emb) - 1.0) <= 1e-9
 
@@ -107,7 +108,7 @@ def test_adding_a_document_recomputes_idf_per_formula():
     for cut in range(1, len(docs)):
         base = [(str(i), d) for i, d in enumerate(docs[:cut])]
         grown = base + [("new", docs[cut])]
-        v0, v1 = fit(base), fit(grown)
+        (v0, _), (v1, _) = fit(base), fit(grown)
         n, df1 = cut + 1, {}
         for _, text in grown:
             for tok in set(tokenize(text)):
@@ -117,7 +118,7 @@ def test_adding_a_document_recomputes_idf_per_formula():
 
 
 def test_vocabulary_json_round_trip():
-    vocab = fit(CORPUS)
+    vocab, _ = fit(CORPUS)
     tokens = json.loads(json.dumps(vocab.to_dict()))["tokens"]
     assert [t for t, _, _ in tokens] == sorted(vocab.index, key=vocab.index.__getitem__)
     assert {t: i for t, i, _ in tokens} == vocab.index
@@ -133,3 +134,12 @@ def test_dot_and_mean_helpers():
     assert mean == {0: 0.75, 2: 1.0, 1: 1.5}
     with pytest.raises(ValueError):
         mean_embedding([])
+
+
+def test_fit_keeps_the_term_counts_of_kept_documents():
+    corpus = [("a", "News TOKYO news"), ("b", "news sports"), ("c", "東京 news")]
+    vocab, counts = fit(corpus, keep={"a", "c"})
+    assert vocab == fit(corpus)[0]
+    assert counts == {"a": term_counts("News TOKYO news"), "c": term_counts("東京 news")}
+    assert list(counts["a"].items()) == [("news", 2), ("tokyo", 1)]
+    assert encode(vocab, counts["a"]) == encode(vocab, term_counts("News TOKYO news"))
