@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .datamodel import InteractionTensor
+import numpy as np
+
+from .datamodel import TensorCells
 from .errors import DataError
 
 
@@ -25,16 +27,24 @@ class BehaviorMatrix:
     probs: Mapping[tuple[int, str], float]
 
 
-def behavior_matrix(tensor: InteractionTensor, user: str) -> BehaviorMatrix:
-    """Marginalize the user's counts over items and normalize to a
-    probability distribution over (slot, channel)."""
-    cells = tensor.by_user.get(user)
-    if not cells:
-        raise DataError(f"user {user!r} has no training interactions")
-    marginal: dict[tuple[int, str], int] = {}
-    for (_, slot, channel), count in cells.items():
-        key = (slot, channel)
-        marginal[key] = marginal.get(key, 0) + count
-    total = sum(marginal.values())
-    return BehaviorMatrix(user=user, probs={k: v / total for k, v in marginal.items()})
+def behavior_matrix(cells: TensorCells) -> dict[str, BehaviorMatrix]:
+    """Every user's behavior matrix, by user name in sorted order.
 
+    Each user's counts are marginalized over items and normalized to a
+    probability distribution over (slot, channel), keyed in the order of the
+    user's cells. Raises :class:`DataError` for a user without cells.
+    """
+    keys = list(zip(cells.slot.tolist(), np.array(cells.channel_names, dtype=object)[cells.channel].tolist()))
+    counts = cells.count.tolist()
+    ptr = cells.ptr.tolist()
+    matrices = {}
+    for i in sorted(range(len(cells.users)), key=cells.users.__getitem__):
+        user, lo, hi = cells.users[i], ptr[i], ptr[i + 1]
+        if lo == hi:
+            raise DataError(f"user {user!r} has no training interactions")
+        marginal: dict[tuple[int, str], int] = {}
+        for key, count in zip(keys[lo:hi], counts[lo:hi]):
+            marginal[key] = marginal.get(key, 0) + count
+        total = sum(marginal.values())
+        matrices[user] = BehaviorMatrix(user=user, probs={k: v / total for k, v in marginal.items()})
+    return matrices

@@ -2,7 +2,7 @@
 bench -> tune, driven by one JSON config file with flag overrides.
 
 `prep` parses the inputs once and writes, besides its summary and the truths,
-``<out_dir>/prepared.npz``: the prepared columns (see :mod:`tvrec.datamodel`).
+``<out_dir>/prepared.npz``: the prepared dataset (see :mod:`tvrec.datamodel`).
 `build` reads that file instead of the inputs. It checks that the file was
 made from the same inputs (by sha256) with the same grid and preprocessing
 values; a missing, stale or damaged file is a data error that asks for `prep`
@@ -43,7 +43,7 @@ from . import ranker as ranker_mod
 from . import synth as synth_mod
 from . import textenc as textenc_mod
 from .datamodel import (
-    PreparedColumns,
+    Prepared,
     SplitSpec,
     dump_prepared,
     is_ptr,
@@ -115,6 +115,8 @@ class EngineConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.cutoffs or any(n < 1 for n in self.cutoffs):
             raise ConfigError("cutoffs must be positive integers")
+        if len(set(self.cutoffs)) != len(self.cutoffs):
+            raise ConfigError(f"cutoffs must not repeat, got {list(self.cutoffs)}")
         if self.k < max(self.cutoffs):
             raise ConfigError(f"k={self.k} must be >= the largest cutoff {max(self.cutoffs)}")
 
@@ -273,6 +275,8 @@ def _row_problem(rec: dict, keys: tuple[str, ...]) -> str | None:
     if type(items) is not list or any(type(item) is not str for item in items):
         return "items must be a list of strings"
     if "scores" in keys:
+        if len(set(items)) != len(items):
+            return "items must not repeat"
         scores = rec["scores"]
         if type(scores) is not list or any(type(s) not in (int, float) for s in scores):
             return "scores must be a list of numbers"
@@ -283,8 +287,9 @@ def _row_problem(rec: dict, keys: tuple[str, ...]) -> str | None:
 
 def _read_jsonl(path: Path, keys: tuple[str, ...]) -> list[dict]:
     """The non-``_meta`` rows of a rec or truth file: each must be an object
-    holding ``keys``, with a string ``user``, a list of string ``items`` and,
-    in a rec row, as many number ``scores``."""
+    holding ``keys``, with a string ``user`` that no other row has, a list of
+    string ``items`` and, in a rec row, distinct items and as many number
+    ``scores``."""
     if not path.exists():
         raise DataError(f"input file {path} does not exist")
     try:
@@ -293,6 +298,7 @@ def _read_jsonl(path: Path, keys: tuple[str, ...]) -> list[dict]:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from None
     rows = []
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -308,6 +314,9 @@ def _read_jsonl(path: Path, keys: tuple[str, ...]) -> list[dict]:
         problem = _row_problem(rec, keys)
         if problem is not None:
             raise DataError(f"{path}:{lineno}: {problem}")
+        first = line_of.setdefault(rec["user"], lineno)
+        if first != lineno:
+            raise DataError(f"{path}:{lineno}: user {rec['user']!r} already has a row, on line {first}")
         rows.append(rec)
     return rows
 
@@ -338,7 +347,7 @@ def _prepared_manifest(cfg: EngineConfig) -> dict:
     }
 
 
-def _load_prepared(cfg: EngineConfig) -> PreparedColumns:
+def _load_prepared(cfg: EngineConfig) -> Prepared:
     path = Path(cfg.out_dir) / PREPARED_FILE
     manifest = _prepared_manifest(cfg)
     if not path.exists():
@@ -407,7 +416,7 @@ def _cmd_prep(args: argparse.Namespace) -> None:
         logs, skipped_logs = parse_logs(fh)
     with open_jsonl(cfg.programs) as fh:
         metas, skipped_programs = parse_programs(fh)
-    prepared = prepare(logs, metas, cfg.grid, cfg.split_spec, dt_min=cfg.min_duration_secs)
+    prepared, summary = prepare(logs, metas, cfg.grid, cfg.split_spec, dt_min=cfg.min_duration_secs)
     del logs, metas
     out = Path(cfg.out_dir)
     with _atomic_file(out / PREPARED_FILE) as fh:
@@ -415,47 +424,45 @@ def _cmd_prep(args: argparse.Namespace) -> None:
     _write_json(
         out / "prep_summary.json",
         {
-            "summary": prepared.summary,
+            "summary": summary,
             "skipped_logs": skipped_logs,
             "skipped_programs": skipped_programs,
         },
         cfg.provenance(),
     )
-    truth_rows = [
-        {"user": u, "items": sorted(items)} for u, items in sorted(prepared.truths.items())
-    ]
+    truth_rows = [{"user": u, "items": items} for u, items in prepared.truths().items()]
     _write_jsonl(out / "truth.jsonl", truth_rows, cfg.provenance())
-    _summary_line("prep", **prepared.summary, skipped_logs=skipped_logs, skipped_programs=skipped_programs)
+    _summary_line("prep", **summary, skipped_logs=skipped_logs, skipped_programs=skipped_programs)
 
 
 def _cmd_build(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
-    columns = _load_prepared(cfg)
-    tensor = columns.cells.to_tensor()
-    cand = ranker_mod.build_candidates(columns.test_metas(), cfg.grid, tensor.channels)
-    truths = columns.truths()
+    prepared = _load_prepared(cfg)
+    cells = prepared.cells
+    cand = ranker_mod.build_candidates(prepared.test_metas(), cfg.grid, cells.channels())
+    truths = prepared.truths()
 
     # The encoder is fitted on train + test metadata: program text is known
     # before broadcast, so this leaks no interaction labels. idf needs every
     # document, but only the watched training items (for the preference means)
     # and the candidates (for ranking) are ever encoded, from the term counts
     # the fit kept.
-    encoded = columns.watched().union(cand.ids)
-    vocab, counts = textenc_mod.fit(columns.corpus(), keep=encoded)
-    del columns
+    encoded = cells.programs().union(cand.ids)
+    vocab, counts = textenc_mod.fit(prepared.corpus(), keep=encoded)
+    del prepared
     embeddings = {pid: textenc_mod.encode(vocab, counts.pop(pid)) for pid in sorted(encoded)}
-    model = preference_mod.build(tensor, embeddings)
+    model = preference_mod.build(cells, embeddings)
     # Ranking reads candidate embeddings only. Sorted containers, not sets,
     # keep the pickled bytes independent of PYTHONHASHSEED. Truths and
     # candidate ids share the strings of one name table, which pickle writes once.
     bundle = ModelBundle(
         provenance=cfg.provenance(),
         cand=cand,
-        behavior={u: behavior_mod.behavior_matrix(tensor, u) for u in sorted(tensor.users)},
+        behavior=behavior_mod.behavior_matrix(cells),
         truths=truths,
         model=dataclasses.replace(model, item_embeddings={pid: embeddings[pid] for pid in cand.ids}),
     )
-    del tensor, embeddings, model
+    del cells, embeddings, model
     path = Path(cfg.model_path)
     _atomic_write(path, pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL))
     vocab_path = Path(cfg.out_dir) / "vocab.json"

@@ -11,35 +11,39 @@ of equal (user, program, slot, channel) rows with their counts, kept as the
 columns of :class:`TensorCells`. Program metadata stays a list of
 :class:`ProgramMeta` records.
 
-The prepared file carries a prepared dataset from `prep` to `build`, so the
-inputs are parsed once. :func:`dump_prepared` writes it and
-:func:`load_prepared` reads it back as :class:`PreparedColumns`; no other
-module knows the format. It is an uncompressed ``.npz`` of one-dimensional
-arrays, loaded with ``allow_pickle=False``:
+A prepared dataset has one type, :class:`Prepared`: the tensor cells over
+sorted program and channel name tables, every program's text, the test
+programs' schedule and the truths as CSR (compressed sparse row) arrays.
+:func:`prepare` returns it, and the model is built from it as it is. The
+prepared file carries it from `prep` to `build`, so the inputs are parsed
+once: :func:`dump_prepared` writes its arrays as they are and
+:func:`load_prepared` reads them back; no other module knows the format. It
+is an uncompressed ``.npz`` of one-dimensional arrays, loaded with
+``allow_pickle=False``:
 
 - ``manifest``: UTF-8 JSON holding the schema version and what the caller
   passed, which the loader must match exactly (the CLI passes the grid, the
   preprocessing values and the sha256 of both inputs);
-- name tables ``users`` (in ``by_user`` order), ``programs`` (every train
-  and test program id, sorted), ``texts`` (one per program) and ``channels``
+- name tables ``users`` (in tensor order), ``programs`` (every train and
+  test program id, sorted), ``texts`` (one per program) and ``channels``
   (sorted): UTF-8 bytes, with int64 ``<table>_off`` offsets counted in code
   points;
-- the tensor cells in ``by_user`` order: ``cell_ptr`` (int64 user offsets),
-  ``cell_program`` and ``cell_channel`` (int32 codes), ``cell_slot`` and
-  ``cell_count`` (int64);
+- the tensor cells, ``cell_<column>`` for each column of
+  :class:`TensorCells`: ``cell_ptr`` (int64 user offsets), ``cell_program``
+  and ``cell_channel`` (int32 codes), ``cell_slot`` and ``cell_count``
+  (int64);
 - the test programs, by id: ``test_program`` and ``test_channel`` (int32
   codes), ``test_start`` and ``test_end`` (int64);
-- the truths as CSR (compressed sparse row) over the users: ``truth_ptr``
-  (int64) and ``truth_program`` (int32 codes, ascending in each row).
+- the truths as CSR over the users: ``truth_ptr`` (int64) and
+  ``truth_program`` (int32 codes, ascending in each row).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import operator
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Mapping, TextIO
 
@@ -154,28 +158,16 @@ class Split:
     i_test: frozenset[str]
 
 
-@dataclass(frozen=True)
-class InteractionTensor:
-    """Sparse counts over (user, item, slot, channel), indexed by user.
-
-    Absent cells are zero; stored counts are positive. ``users`` is the
-    restricted user set U, ``channels`` the channels observed in the counted
-    logs.
-    """
-
-    by_user: Mapping[str, Mapping[tuple[str, int, str], int]]
-    users: frozenset[str]
-    channels: frozenset[str]
-
-
 @dataclass(frozen=True, eq=False)
 class TensorCells:
-    """The cells of an :class:`InteractionTensor` as columns, in ``by_user`` order.
+    """The interaction tensor: positive counts over (user, item, slot, channel)
+    cells, as columns. Absent cells are zero.
 
-    User ``users[i]``'s cells are rows ``ptr[i]:ptr[i + 1]``. ``program`` and
-    ``channel`` are int32 codes into ``program_names`` and ``channel_names``,
-    ``slot`` the int64 1-based slot, ``count`` the positive int64 count. A name
-    may have no cell.
+    User ``users[i]``'s cells are rows ``ptr[i]:ptr[i + 1]``. Users come in
+    the order of their first counted log, and each user's cells in the order
+    of their first log. ``program`` and ``channel`` are int32 codes into
+    ``program_names`` and ``channel_names``, ``slot`` the int64 1-based slot,
+    ``count`` the positive int64 count. A name may have no cell.
     """
 
     users: tuple[str, ...]
@@ -187,23 +179,13 @@ class TensorCells:
     channel: np.ndarray
     count: np.ndarray
 
+    def programs(self) -> frozenset[str]:
+        """The programs with a cell."""
+        return _names_of(self.program_names, self.program)
+
     def channels(self) -> frozenset[str]:
         """The channels of the counted logs: those with a cell."""
         return _names_of(self.channel_names, self.channel)
-
-    def to_tensor(self) -> InteractionTensor:
-        """The dict form, keeping the order of users and of each user's cells."""
-        cells = list(
-            zip(
-                np.array(self.program_names, dtype=object)[self.program].tolist(),
-                self.slot.tolist(),
-                np.array(self.channel_names, dtype=object)[self.channel].tolist(),
-            )
-        )
-        counts = self.count.tolist()
-        ptr = self.ptr.tolist()
-        by_user = {u: dict(zip(cells[lo:hi], counts[lo:hi])) for u, lo, hi in zip(self.users, ptr, ptr[1:])}
-        return InteractionTensor(by_user=by_user, users=frozenset(by_user), channels=self.channels())
 
 
 def open_jsonl(path: str) -> TextIO:
@@ -434,20 +416,54 @@ def ground_truth_map(d_test: LogTable, items: frozenset[str]) -> dict[str, froze
     return {d_test.user_names[u]: frozenset(programs[p] for p in progs) for u, progs in acc.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prepared:
-    """Output of the full preprocessing pipeline over one dataset. ``tensor``
-    is built from ``cells`` on first use."""
+    """A prepared dataset: the tensor, every program's text, the test
+    programs' schedule and the truths, all over one set of name tables.
 
-    split: Split
+    ``cells.program_names`` are the train and test program ids, sorted, and
+    ``texts`` their texts; ``cells.channel_names`` are the channels of the
+    cells and of the test programs, sorted. The test programs, by id, are the
+    program codes ``test_program``, with ``test_channel`` codes and their
+    ``test_start`` and ``test_end``. User ``cells.users[i]``'s truths are the
+    program codes ``truth_program[truth_ptr[i]:truth_ptr[i + 1]]``, ascending.
+    """
+
     cells: TensorCells
-    truths: Mapping[str, frozenset[str]]
-    metas: Mapping[str, ProgramMeta]
-    summary: dict = field(compare=False)
+    texts: tuple[str, ...]
+    test_program: np.ndarray
+    test_channel: np.ndarray
+    test_start: np.ndarray
+    test_end: np.ndarray
+    truth_ptr: np.ndarray
+    truth_program: np.ndarray
 
-    @functools.cached_property
-    def tensor(self) -> InteractionTensor:
-        return self.cells.to_tensor()
+    def corpus(self) -> list[tuple[str, str]]:
+        """``(program id, text)`` of every train and test program, by id."""
+        return list(zip(self.cells.program_names, self.texts))
+
+    def test_metas(self) -> list[ProgramMeta]:
+        """The test programs, by id."""
+        programs, channels = self.cells.program_names, self.cells.channel_names
+        return [
+            ProgramMeta(programs[p], channels[c], start, end, self.texts[p])
+            for p, c, start, end in zip(
+                *(a.tolist() for a in (self.test_program, self.test_channel, self.test_start, self.test_end))
+            )
+        ]
+
+    def truths(self) -> dict[str, tuple[str, ...]]:
+        """Each user with a truth, in sorted order, to their sorted test programs."""
+        items = list(map(self.cells.program_names.__getitem__, self.truth_program.tolist()))
+        ptr = self.truth_ptr.tolist()
+        rows = {u: tuple(items[lo:hi]) for u, lo, hi in zip(self.cells.users, ptr, ptr[1:]) if hi > lo}
+        return dict(sorted(rows.items()))
+
+
+def _recode(names: tuple[str, ...], code_of: Mapping[str, int], codes: np.ndarray) -> np.ndarray:
+    """``codes`` into ``names`` as codes into the table that ``code_of`` numbers."""
+    lookup = np.fromiter((code_of.get(n, -1) for n in names), dtype=np.int32, count=len(names))
+    return lookup[codes]
 
 
 def prepare(
@@ -456,11 +472,12 @@ def prepare(
     grid: TimeGrid,
     spec: SplitSpec,
     dt_min: int = DEFAULT_MIN_DURATION,
-) -> Prepared:
+) -> tuple[Prepared, dict]:
     """Run flip filtering, splitting, U restriction, tensor construction, and
-    ground-truth extraction in one pass. ``grid`` slots the training logs into
-    the tensor; the summary mirrors the usual dataset-statistics table, plus
-    the logs dropped as flips and the users of the split halves outside U."""
+    ground-truth extraction in one pass; returns the :class:`Prepared`
+    dataset and its summary. ``grid`` slots the training logs into the
+    tensor; the summary mirrors the usual dataset-statistics table, plus the
+    logs dropped as flips and the users of the split halves outside U."""
     meta_list = list(metas)
     by_id: dict[str, ProgramMeta] = {}
     for m in meta_list:
@@ -472,13 +489,31 @@ def prepare(
     sp = split(kept, meta_list, spec)
     users = users_in_both(sp.d_train, sp.d_test)
     cells = build_tensor(sp.d_train, by_id, grid, items=sp.i_train, users=users)
-    tensor_users = frozenset(cells.users)
-    truths = {
-        u: progs
-        for u, progs in ground_truth_map(sp.d_test, sp.i_test).items()
-        if u in tensor_users
-    }
-    truth_sizes = [len(v) for v in truths.values()]
+    truths = ground_truth_map(sp.d_test, sp.i_test)
+
+    programs = tuple(sorted(sp.i_train | sp.i_test))
+    test = [by_id[p] for p in sorted(sp.i_test)]
+    channels = tuple(sorted(cells.channels() | {m.channel for m in test}))
+    program_of = {p: i for i, p in enumerate(programs)}
+    channel_of = {c: i for i, c in enumerate(channels)}
+    truth_rows = [sorted(map(program_of.__getitem__, truths.get(u, ()))) for u in cells.users]
+    prepared = Prepared(
+        cells=replace(
+            cells,
+            program_names=programs,
+            channel_names=channels,
+            program=_recode(cells.program_names, program_of, cells.program),
+            channel=_recode(cells.channel_names, channel_of, cells.channel),
+        ),
+        texts=tuple(by_id[p].text for p in programs),
+        test_program=np.array([program_of[m.program] for m in test], dtype=np.int32),
+        test_channel=np.array([channel_of[m.channel] for m in test], dtype=np.int32),
+        test_start=np.array([m.start for m in test], dtype=np.int64),
+        test_end=np.array([m.end for m in test], dtype=np.int64),
+        truth_ptr=np.cumsum([0, *map(len, truth_rows)], dtype=np.int64),
+        truth_program=np.array([c for row in truth_rows for c in row], dtype=np.int32),
+    )
+    truth_sizes = [len(row) for row in truth_rows if row]
     split_users = np.unique(np.concatenate((sp.d_train.user, sp.d_test.user)))
     summary = {
         "t_split": spec.t_split,
@@ -492,7 +527,7 @@ def prepare(
         "flips_dropped": len(logs) - len(kept),
         "users_outside_both_halves": len(split_users) - len(users),
     }
-    return Prepared(split=sp, cells=cells, truths=truths, metas=by_id, summary=summary)
+    return prepared, summary
 
 
 # ---------------------------------------------------------------------------
@@ -517,54 +552,9 @@ _PREPARED_ARRAYS = {
     "truth_ptr": np.int64,
     "truth_program": np.int32,
 }
-
-
-@dataclass(frozen=True, eq=False)
-class PreparedColumns:
-    """What :func:`load_prepared` reads back: the tensor, every program's
-    text, the test programs' schedule and the truths, all over one set of
-    name tables.
-
-    ``cells.program_names`` are the train and test program ids, sorted, and
-    ``texts`` their texts. ``test`` holds the test programs as codes into
-    them, with ``test_channel`` codes into ``cells.channel_names`` and their
-    ``test_start`` and ``test_end``. User ``cells.users[i]``'s truths are the
-    program codes ``truth[truth_ptr[i]:truth_ptr[i + 1]]``, ascending.
-    """
-
-    cells: TensorCells
-    texts: tuple[str, ...]
-    test: np.ndarray
-    test_channel: np.ndarray
-    test_start: np.ndarray
-    test_end: np.ndarray
-    truth_ptr: np.ndarray
-    truth: np.ndarray
-
-    def corpus(self) -> list[tuple[str, str]]:
-        """``(program id, text)`` of every train and test program, by id."""
-        return list(zip(self.cells.program_names, self.texts))
-
-    def watched(self) -> frozenset[str]:
-        """The programs with a tensor cell."""
-        return _names_of(self.cells.program_names, self.cells.program)
-
-    def test_metas(self) -> list[ProgramMeta]:
-        """The test programs, by id."""
-        programs, channels = self.cells.program_names, self.cells.channel_names
-        return [
-            ProgramMeta(programs[p], channels[c], start, end, self.texts[p])
-            for p, c, start, end in zip(
-                self.test.tolist(), self.test_channel.tolist(), self.test_start.tolist(), self.test_end.tolist()
-            )
-        ]
-
-    def truths(self) -> dict[str, tuple[str, ...]]:
-        """Each user with a truth, in sorted order, to their sorted test programs."""
-        items = list(map(self.cells.program_names.__getitem__, self.truth.tolist()))
-        ptr = self.truth_ptr.tolist()
-        rows = {u: tuple(items[lo:hi]) for u, lo, hi in zip(self.cells.users, ptr, ptr[1:]) if hi > lo}
-        return dict(sorted(rows.items()))
+# The arrays stored as they are: TensorCells columns (as ``cell_<column>``) and Prepared fields.
+_CELL_COLUMNS = ("ptr", "program", "slot", "channel", "count")
+_PREPARED_COLUMNS = ("test_program", "test_channel", "test_start", "test_end", "truth_ptr", "truth_program")
 
 
 def _encode_names(names: Iterable[str], key: str) -> dict[str, np.ndarray]:
@@ -588,48 +578,20 @@ def _decode_names(arrays: Mapping[str, np.ndarray], key: str) -> tuple[str, ...]
 
 
 def dump_prepared(fh: BinaryIO, prepared: Prepared, manifest: Mapping[str, object]) -> None:
-    """Write the prepared file of ``prepared`` to ``fh``: an uncompressed
-    ``.npz`` of the arrays :func:`load_prepared` reads, with ``manifest`` and
-    the schema version stored as JSON in the ``manifest`` array.
-
-    Name tables (users in ``by_user`` order, program ids sorted, channels
-    sorted, texts) are UTF-8 bytes plus int64 offsets. The tensor is
-    ``cells.ptr`` and the cell columns recoded into those tables, and the
-    truths are a CSR (compressed sparse row) array over the users. Equal
-    inputs give equal bytes.
-    """
-    cells, sp = prepared.cells, prepared.split
-    programs = sorted(sp.i_train | sp.i_test)
-    code_of = {p: i for i, p in enumerate(programs)}
-    test = [prepared.metas[p] for p in sorted(sp.i_test)]
-    channels = sorted(cells.channels() | {m.channel for m in test})
-    channel_of = {c: i for i, c in enumerate(channels)}
-
-    def recode(names: tuple[str, ...], table: Mapping[str, int], codes: np.ndarray) -> np.ndarray:
-        lookup = np.fromiter((table.get(n, -1) for n in names), dtype=np.int32, count=len(names))
-        return lookup[codes]
-
-    truth_rows = [sorted(map(code_of.__getitem__, prepared.truths.get(u, ()))) for u in cells.users]
-    truth_ptr = np.zeros(len(truth_rows) + 1, dtype=np.int64)
-    np.cumsum(list(map(len, truth_rows)), out=truth_ptr[1:])
+    """Write ``prepared`` to ``fh`` as the prepared file: an uncompressed
+    ``.npz`` of its arrays as they are and of its name tables as UTF-8 bytes
+    plus offsets, with ``manifest`` and the schema version stored as JSON in
+    the ``manifest`` array. Equal datasets give equal bytes."""
+    cells = prepared.cells
     doc = json.dumps({"schema": PREPARED_SCHEMA, **manifest}, sort_keys=True).encode()
     arrays = {
         "manifest": np.frombuffer(doc, dtype=np.uint8),
         **_encode_names(cells.users, "users"),
-        **_encode_names(programs, "programs"),
-        **_encode_names((prepared.metas[p].text for p in programs), "texts"),
-        **_encode_names(channels, "channels"),
-        "cell_ptr": cells.ptr,
-        "cell_program": recode(cells.program_names, code_of, cells.program),
-        "cell_slot": cells.slot,
-        "cell_channel": recode(cells.channel_names, channel_of, cells.channel),
-        "cell_count": cells.count,
-        "test_program": np.array([code_of[m.program] for m in test], dtype=np.int32),
-        "test_channel": np.array([channel_of[m.channel] for m in test], dtype=np.int32),
-        "test_start": np.array([m.start for m in test], dtype=np.int64),
-        "test_end": np.array([m.end for m in test], dtype=np.int64),
-        "truth_ptr": truth_ptr,
-        "truth_program": np.array([c for row in truth_rows for c in row], dtype=np.int32),
+        **_encode_names(cells.program_names, "programs"),
+        **_encode_names(prepared.texts, "texts"),
+        **_encode_names(cells.channel_names, "channels"),
+        **{f"cell_{col}": getattr(cells, col) for col in _CELL_COLUMNS},
+        **{key: getattr(prepared, key) for key in _PREPARED_COLUMNS},
     }
     np.savez(fh, **{key: arrays[key].astype(dtype, copy=False) for key, dtype in _PREPARED_ARRAYS.items()})
 
@@ -658,15 +620,17 @@ def _in_range(codes: np.ndarray, lo: int, hi: int) -> bool:
     return not len(codes) or (int(codes.min()) >= lo and int(codes.max()) < hi)
 
 
-def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGrid) -> PreparedColumns:
-    """Read a file of :func:`dump_prepared` without running any code from it.
+def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGrid) -> Prepared:
+    """Read a file of :func:`dump_prepared` back as the :class:`Prepared` it
+    was written from, without running any code from it.
 
     Raises :class:`DataError` when the file is not one, has another schema
     version, was written with a manifest other than ``manifest`` (other
     inputs or settings), or fails a check: dtypes and shapes, offsets that
-    start at 0, never decrease and end at their table's length, codes in
-    range, slots on ``grid``, positive counts, unique user and program names,
-    and test broadcasts that start before they end, within a week.
+    start at 0, never decrease and end at their table's length, a cell for
+    every user, codes in range, slots on ``grid``, positive counts, unique
+    user names, sorted unique program and channel names, and test broadcasts
+    that start before they end, within a week.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -700,9 +664,11 @@ def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGr
     for key, names in zip(("users", "programs", "texts", "channels"), (users, programs, texts, channels)):
         check(names is not None, f"{key} offsets")
 
-    check(len(set(users)) == len(users) and len(set(programs)) == len(programs), "names: some repeat")
+    check(len(set(users)) == len(users), "user names: some repeat")
+    check(all(a < b for names in (programs, channels) for a, b in zip(names, names[1:])), "names: not sorted")
     check(len(texts) == len(programs), "texts: not one per program")
     check(is_ptr(arrays["cell_ptr"], len(users), n_cells), "cell offsets")
+    check(bool(np.all(arrays["cell_ptr"][1:] > arrays["cell_ptr"][:-1])), "cell offsets: a user without cells")
     check(all(len(arrays[k]) == n_cells for k in ("cell_slot", "cell_channel", "cell_count")), "cell columns")
     check(_in_range(arrays["cell_program"], 0, len(programs)), "cell program codes")
     check(_in_range(arrays["cell_channel"], 0, len(channels)), "cell channel codes")
@@ -718,19 +684,6 @@ def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGr
         users=users,
         program_names=programs,
         channel_names=channels,
-        ptr=arrays["cell_ptr"],
-        program=arrays["cell_program"],
-        slot=arrays["cell_slot"],
-        channel=arrays["cell_channel"],
-        count=arrays["cell_count"],
+        **{col: arrays[f"cell_{col}"] for col in _CELL_COLUMNS},
     )
-    return PreparedColumns(
-        cells=cells,
-        texts=texts,
-        test=arrays["test_program"],
-        test_channel=arrays["test_channel"],
-        test_start=arrays["test_start"],
-        test_end=arrays["test_end"],
-        truth_ptr=arrays["truth_ptr"],
-        truth=arrays["truth_program"],
-    )
+    return Prepared(cells=cells, texts=texts, **{key: arrays[key] for key in _PREPARED_COLUMNS})

@@ -130,8 +130,10 @@ def evaluate_rankings(
     """Aggregate the three metrics over users as unweighted means.
 
     Users missing from ``truths`` or with empty truth sets are skipped and
-    counted in ``n_skipped``.
+    counted in ``n_skipped``. Raises ``ValueError`` when a cutoff repeats.
     """
+    if len(set(cutoffs)) != len(cutoffs):
+        raise ValueError(f"cutoffs must not repeat, got {list(cutoffs)}")
     report = MetricReport(method=method, cutoffs=tuple(cutoffs))
     sums = {n: [0.0, 0.0, 0.0] for n in cutoffs}
     counted = 0

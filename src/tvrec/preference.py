@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .datamodel import InteractionTensor
+import numpy as np
+
+from .datamodel import TensorCells
 from .errors import DataError
 from .textenc import Embedding, mean_embedding
 
@@ -39,29 +41,30 @@ class PreferenceModel:
     item_embeddings: Mapping[str, Embedding]
 
 
-def build(tensor: InteractionTensor, embeddings: Mapping[str, Embedding]) -> PreferenceModel:
+def build(cells: TensorCells, embeddings: Mapping[str, Embedding]) -> PreferenceModel:
     """Build per-user global and per-slot preference vectors from the
-    interaction tensor.
+    interaction tensor, walking each user's cells.
 
     Membership in a user's item set means any positive count; repeated
     viewing of one program does not up-weight it (distinct-item semantics).
-    Items are averaged in sorted order so the result is independent of log
-    ordering, bit for bit.
+    Items are averaged in id order so the result is independent of log
+    ordering, bit for bit. Users keep the tensor's order and slots ascend.
     """
-    referenced = {item for cells in tensor.by_user.values() for (item, _, _) in cells}
-    missing = sorted(referenced - embeddings.keys())
+    missing = sorted(cells.programs() - embeddings.keys())
     if missing:
         shown = ", ".join(missing[:10])
         more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
         raise DataError(f"{len(missing)} tensor item(s) lack embeddings: {shown}{more}")
 
+    items = np.array(cells.program_names, dtype=object)[cells.program].tolist()
+    slots = cells.slot.tolist()
+    ptr = cells.ptr.tolist()
     global_prefs: dict[str, Embedding] = {}
     slot_prefs: dict[str, dict[int, Embedding]] = {}
-    for user, cells in tensor.by_user.items():
-        items = sorted({item for (item, _, _) in cells})
-        global_prefs[user] = mean_embedding(embeddings[i] for i in items)
+    for user, lo, hi in zip(cells.users, ptr, ptr[1:]):
+        global_prefs[user] = mean_embedding(embeddings[i] for i in sorted(set(items[lo:hi])))
         by_slot: dict[int, set[str]] = {}
-        for (item, slot, _) in cells:
+        for item, slot in zip(items[lo:hi], slots[lo:hi]):
             by_slot.setdefault(slot, set()).add(item)
         slot_prefs[user] = {
             slot: mean_embedding(embeddings[i] for i in sorted(slot_items))

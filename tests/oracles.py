@@ -1,8 +1,9 @@
 """Brute-force reference implementations and random-instance generators.
 
-Everything here is deliberately independent of the library's ranking and
-ingestion code paths: dense matrices, plain dict arithmetic, python sorts,
-and one `ViewingLog` record per log line.
+Everything here is deliberately independent of the library's ranking,
+ingestion and model-building code paths: dense matrices, plain dict
+arithmetic, python sorts, one `ViewingLog` record per log line, and the
+interaction tensor as nested dicts, ``{user: {(program, slot, channel): count}}``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from tvrec.behavior import BehaviorMatrix
-from tvrec.datamodel import InteractionTensor, LogTable, ProgramMeta, ViewingLog
+from tvrec.datamodel import LogTable, ProgramMeta, TensorCells, ViewingLog
 from tvrec.errors import DataError
 from tvrec.preference import PreferenceModel
+from tvrec.textenc import Embedding, mean_embedding
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
 
 MONDAY = 1_554_076_800  # 2019-04-01 00:00:00 UTC
@@ -269,22 +271,19 @@ def build_tensor_records(
     *,
     items: frozenset[str],
     users: frozenset[str],
-) -> InteractionTensor:
+) -> dict[str, dict[tuple[str, int, str], int]]:
     """Reference `build_tensor`: nested default dicts filled log by log."""
     d_train = list(d_train)
     unknown = sorted({log.program for log in d_train} - metas.keys())
     if unknown:
         raise DataError(f"logs reference {len(unknown)} unknown program(s): {', '.join(unknown[:10])}")
     by_user: dict[str, dict[tuple[str, int, str], int]] = defaultdict(lambda: defaultdict(int))
-    channels: set[str] = set()
     for log in d_train:
         if log.user not in users or log.program not in items:
             continue
         cell = (log.program, slot_of(log.t, grid), log.channel)
         by_user[log.user][cell] += 1
-        channels.add(log.channel)
-    frozen = {u: dict(cells) for u, cells in by_user.items() if cells}
-    return InteractionTensor(by_user=frozen, users=frozenset(frozen), channels=frozenset(channels))
+    return {u: dict(cells) for u, cells in by_user.items() if cells}
 
 
 def ground_truth_records(d_test: Iterable[ViewingLog], items: frozenset[str]) -> dict[str, frozenset[str]]:
@@ -294,3 +293,65 @@ def ground_truth_records(d_test: Iterable[ViewingLog], items: frozenset[str]) ->
         if log.program in items:
             acc[log.user].add(log.program)
     return {u: frozenset(progs) for u, progs in acc.items()}
+
+
+# ---------------------------------------------------------------------------
+# the model, built from the tensor as nested dicts
+
+
+def tensor_dicts(cells: TensorCells) -> dict[str, dict[tuple[str, int, str], int]]:
+    """The cells as nested dicts, keeping the order of users and of each user's cells."""
+    ptr = cells.ptr.tolist()
+    rows = [
+        ((cells.program_names[p], s, cells.channel_names[c]), n)
+        for p, s, c, n in zip(*(a.tolist() for a in (cells.program, cells.slot, cells.channel, cells.count)))
+    ]
+    return {u: dict(rows[lo:hi]) for u, lo, hi in zip(cells.users, ptr, ptr[1:])}
+
+
+def tensor_cells(by_user: Mapping[str, Mapping[tuple[str, int, str], int]]) -> TensorCells:
+    """Nested dicts as TensorCells, names numbered in order of first appearance."""
+    programs: dict[str, int] = {}
+    channels: dict[str, int] = {}
+    rows = [
+        (programs.setdefault(p, len(programs)), s, channels.setdefault(c, len(channels)), n)
+        for cells in by_user.values()
+        for (p, s, c), n in cells.items()
+    ]
+    cols = list(zip(*rows))
+    return TensorCells(
+        users=tuple(by_user),
+        program_names=tuple(programs),
+        channel_names=tuple(channels),
+        ptr=np.cumsum([0, *map(len, by_user.values())], dtype=np.int64),
+        program=np.array(cols[0], dtype=np.int32),
+        slot=np.array(cols[1], dtype=np.int64),
+        channel=np.array(cols[2], dtype=np.int32),
+        count=np.array(cols[3], dtype=np.int64),
+    )
+
+
+def behavior_matrix_dicts(by_user: Mapping[str, Mapping[tuple[str, int, str], int]], user: str) -> BehaviorMatrix:
+    """Reference `behavior_matrix` for one user: the counts summed per (slot,
+    channel) in the order of the user's cells, over their total."""
+    marginal: dict[tuple[int, str], int] = {}
+    for (_, slot, channel), count in by_user[user].items():
+        marginal[(slot, channel)] = marginal.get((slot, channel), 0) + count
+    total = sum(marginal.values())
+    return BehaviorMatrix(user=user, probs={k: v / total for k, v in marginal.items()})
+
+
+def preference_dicts(
+    by_user: Mapping[str, Mapping[tuple[str, int, str], int]], embeddings: Mapping[str, Embedding]
+) -> PreferenceModel:
+    """Reference `preference.build`: each user's distinct items, and each
+    (user, slot)'s, averaged in id order; slots ascending."""
+    global_prefs = {}
+    slot_prefs = {}
+    for user, cells in by_user.items():
+        global_prefs[user] = mean_embedding(embeddings[i] for i in sorted({i for (i, _, _) in cells}))
+        slots = sorted({s for (_, s, _) in cells})
+        slot_prefs[user] = {
+            s: mean_embedding(embeddings[i] for i in sorted({i for (i, w, _) in cells if w == s})) for s in slots
+        }
+    return PreferenceModel(global_prefs=global_prefs, slot_prefs=slot_prefs, item_embeddings=dict(embeddings))

@@ -35,6 +35,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 class Dataset:
     cfg: synth.SynthConfig
     prep: datamodel.Prepared
+    behavior: dict
     embeddings: dict
     models: dict
     cand: ranker.Candidates
@@ -52,25 +53,22 @@ def build_dataset(seed: int) -> Dataset:
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=cfg.weeks_test * SECONDS_PER_WEEK,
     )
-    prep = datamodel.prepare(log_table(logs), world.metas, cfg.grid, spec)
-    corpus_ids = sorted(prep.split.i_train | prep.split.i_test)
-    vocab, _ = textenc.fit((pid, prep.metas[pid].text) for pid in corpus_ids)
-    embeddings = {pid: textenc.encode(vocab, textenc.term_counts(prep.metas[pid].text)) for pid in corpus_ids}
-    time_aware = preference.build(prep.tensor, embeddings)
+    prep, _ = datamodel.prepare(log_table(logs), world.metas, cfg.grid, spec)
+    corpus = prep.corpus()
+    vocab, _ = textenc.fit(corpus)
+    embeddings = {pid: textenc.encode(vocab, textenc.term_counts(text)) for pid, text in corpus}
+    time_aware = preference.build(prep.cells, embeddings)
     models = {"global": preference.global_view(time_aware), "time-aware": time_aware}
-    test_metas = sorted(
-        (prep.metas[pid] for pid in prep.split.i_test), key=lambda m: (m.start, m.program)
-    )
-    cand = ranker.build_candidates(test_metas, cfg.grid, prep.tensor.channels)
+    cand = ranker.build_candidates(prep.test_metas(), cfg.grid, prep.cells.channels())
     index = ranker.build_item_index(embeddings, cand)
-    return Dataset(cfg, prep, embeddings, models, cand, index, time.perf_counter() - t0)
+    matrices = behavior.behavior_matrix(prep.cells)
+    return Dataset(cfg, prep, matrices, embeddings, models, cand, index, time.perf_counter() - t0)
 
 
 def rank_and_score(ds: Dataset) -> dict[str, float]:
     """nDCG@10 for the four methods of the directional criterion."""
     recs = {name: {} for name in ("behavior", "preferences", "two-stage-global", "two-stage-time")}
-    for user in sorted(ds.prep.tensor.users):
-        bm = behavior.behavior_matrix(ds.prep.tensor, user)
+    for user, bm in ds.behavior.items():
         recs["behavior"][user] = ranker.top_k(ds.cand, ranker.rank_behavior(bm, ds.cand), K)
         recs["preferences"][user] = ranker.top_k(
             ds.cand, ranker.rank_preference(ds.models["time-aware"], user, ds.cand, ds.index), K
@@ -82,7 +80,7 @@ def rank_and_score(ds: Dataset) -> dict[str, float]:
             ds.cand, ranker.two_stage(bm, ds.models["time-aware"], ds.cand, K), K
         )
     return {
-        name: evaluate.evaluate_rankings(r, ds.prep.truths, cutoffs=(10,), method=name).ndcg[10]
+        name: evaluate.evaluate_rankings(r, ds.prep.truths(), cutoffs=(10,), method=name).ndcg[10]
         for name, r in recs.items()
     }
 
@@ -141,8 +139,7 @@ def test_criterion_2_behavior_score_matches_dense_product():
 
 def test_criterion_3_distribution_invariants(dataset_a):
     worst_sum = 0.0
-    for user in dataset_a.prep.tensor.users:
-        bm = behavior.behavior_matrix(dataset_a.prep.tensor, user)
+    for bm in dataset_a.behavior.values():
         worst_sum = max(worst_sum, abs(sum(bm.probs.values()) - 1.0))
         assert all(p > 0 for p in bm.probs.values())
     worst_norm = 0.0
@@ -156,7 +153,7 @@ def test_criterion_3_distribution_invariants(dataset_a):
         3,
         "distribution invariants",
         ok,
-        f"{len(dataset_a.prep.tensor.users)} behavior matrices sum to 1 "
+        f"{len(dataset_a.behavior)} behavior matrices sum to 1 "
         f"(worst dev {worst_sum:.2e}), {nonzero} non-zero embeddings unit-norm "
         f"(worst dev {worst_norm:.2e})",
     )
@@ -195,13 +192,13 @@ def test_criterion_4_directional_reproduction(dataset_a):
 
 
 def test_criterion_5_efficiency_ratios(dataset_a):
-    users = sorted(dataset_a.prep.tensor.users)
+    users = sorted(dataset_a.behavior)
     rng = random.Random(4242)
     sample = sorted(rng.sample(users, 200))
     model = dataset_a.models["time-aware"]
     cand = dataset_a.cand
     index = dataset_a.index
-    matrices = {u: behavior.behavior_matrix(dataset_a.prep.tensor, u) for u in sample}
+    matrices = {u: dataset_a.behavior[u] for u in sample}
 
     t_behavior = evaluate.bench(
         lambda u: ranker.top_k(cand, ranker.rank_behavior(matrices[u], cand), K), sample, 3

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from oracles import MONDAY, dense_behavior_score, log_table, random_instance
+from oracles import MONDAY, dense_behavior_score, log_table, random_instance, tensor_cells
 from tvrec.behavior import BehaviorMatrix, behavior_matrix
-from tvrec.datamodel import InteractionTensor, ProgramMeta, ViewingLog, build_tensor
+from tvrec.datamodel import ProgramMeta, ViewingLog, build_tensor
 from tvrec.errors import DataError
 from tvrec.preference import PreferenceModel
 from tvrec.ranker import build_candidates, rank_behavior, top_k, two_stage
@@ -13,25 +13,21 @@ from tvrec.timegrid import TimeGrid
 GRID = TimeGrid(n=672)
 
 
-def tensor_from(cells: dict[str, dict]) -> InteractionTensor:
-    channels = frozenset(c for u in cells.values() for (_, _, c) in u)
-    return InteractionTensor(by_user=cells, users=frozenset(cells), channels=channels)
-
-
 def test_behavior_matrix_normalizes_marginal_counts():
-    tensor = tensor_from({"u": {("pa", 5, "c2"): 2, ("pb", 5, "c2"): 1, ("pc", 9, "c1"): 1}})
-    bm = behavior_matrix(tensor, "u")
+    cells = tensor_cells({"u": {("pa", 5, "c2"): 2, ("pb", 5, "c2"): 1, ("pc", 9, "c1"): 1}})
+    bm = behavior_matrix(cells)["u"]
     assert bm.probs == {(5, "c2"): 0.75, (9, "c1"): 0.25}
 
 
 def test_behavior_matrix_single_event():
-    bm = behavior_matrix(tensor_from({"u": {("p", 1, "c1"): 1}}), "u")
+    bm = behavior_matrix(tensor_cells({"u": {("p", 1, "c1"): 1}}))["u"]
     assert bm.probs == {(1, "c1"): 1.0}
 
 
 def test_behavior_matrix_unknown_user_is_error():
-    with pytest.raises(DataError):
-        behavior_matrix(tensor_from({"u": {("p", 1, "c1"): 1}}), "ghost")
+    # A user the tensor lists without any cell has no distribution.
+    with pytest.raises(DataError, match="ghost"):
+        behavior_matrix(tensor_cells({"u": {("p", 1, "c1"): 1}, "ghost": {}}))
 
 
 def test_behavior_matrix_matches_dense_formula_on_toy_tensor():
@@ -43,8 +39,7 @@ def test_behavior_matrix_matches_dense_formula_on_toy_tensor():
             for channel in ("a", "b"):
                 if rng.random() < 0.6:
                     cells[(item, slot, channel)] = rng.randint(1, 4)
-    tensor = tensor_from({"u": cells})
-    bm = behavior_matrix(tensor, "u")
+    bm = behavior_matrix(tensor_cells({"u": cells}))["u"]
     total = sum(cells.values())
     for slot in range(1, 5):
         for channel in ("a", "b"):
@@ -65,8 +60,8 @@ def test_behavior_matrix_invariant_to_log_order():
     shuffled = logs[:]
     random.Random(0).shuffle(shuffled)
     restrict = {"items": frozenset(metas), "users": frozenset({"u"})}
-    bm1 = behavior_matrix(build_tensor(log_table(logs), metas, GRID, **restrict).to_tensor(), "u")
-    bm2 = behavior_matrix(build_tensor(log_table(shuffled), metas, GRID, **restrict).to_tensor(), "u")
+    bm1 = behavior_matrix(build_tensor(log_table(logs), metas, GRID, **restrict))["u"]
+    bm2 = behavior_matrix(build_tensor(log_table(shuffled), metas, GRID, **restrict))["u"]
     assert bm1.probs == bm2.probs
 
 

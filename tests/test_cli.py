@@ -183,7 +183,10 @@ def _malformed_argv(case, cfg, tmp_path):
                "rec row item not a string": '{"user": "u1", "items": [7], "scores": [1.0]}\n',
                "rec row score a string": '{"user": "u1", "items": ["p1"], "scores": ["1.0"]}\n',
                "rec row scores shorter than items": '{"user": "u1", "items": ["p1", "p2"], "scores": [1.0]}\n',
-               "truth row items a string": '{"user": "u1", "items": "abc"}\n'}[case]
+               "truth row items a string": '{"user": "u1", "items": "abc"}\n',
+               "rec row repeats an item": '{"user": "u2", "items": ["a", "a", "b"], "scores": [3, 2, 1]}\n',
+               "rec row repeats a user": '{"user": "u1", "items": ["p2"], "scores": [1.0]}\n',
+               "truth row repeats a user": '{"user": "u1", "items": ["p2"]}\n'}[case]
         rec.write_text(good_rows + (bad if case.startswith("rec") else ""))
         truth.write_text(good_rows + (bad if case.startswith("truth") else ""))
         return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
@@ -199,6 +202,10 @@ def _malformed_argv(case, cfg, tmp_path):
                        "tune xi grid above 1": ("--xi-grid", "2"),
                        "tune eta grid nan": ("--eta-grid", "nan")}[case]
         return ["tune", "--config", cfg, "--model", tmp_path / "missing.pkl", flag, value]
+    if case == "cutoffs flag repeats":
+        rec = tmp_path / "recs.jsonl"
+        rec.write_text(good_rows)
+        return ["evaluate", "--rec", rec, "--truth", rec, "--out-dir", tmp_path, "--cutoffs", "10,10"]
     if case == "rec line nested too deep":
         rec = tmp_path / "recs.jsonl"
         rec.write_text(good_rows + "[" * 100_000 + "\n")
@@ -241,7 +248,8 @@ def _malformed_argv(case, cfg, tmp_path):
                  "config value bool for int": {"ranking": {"k": True}},
                  "config value str for float": {"ranking": {"eta": "60"}},
                  "config value str seed": {"seed": "7"},
-                 "config value unknown mode": {"ranking": {"mode": "hourly"}}}[case]
+                 "config value unknown mode": {"ranking": {"mode": "hourly"}},
+                 "config value repeated cutoffs": {"evaluation": {"cutoffs": [10, 10]}}}[case]
         bad = tmp_path / "engine.json"
         bad.write_text(json.dumps(value))
         return ["prep", "--config", bad]
@@ -300,6 +308,11 @@ def _malformed_argv(case, cfg, tmp_path):
         ("rec row score a string", 3),
         ("rec row scores shorter than items", 3),
         ("truth row items a string", 3),
+        ("rec row repeats an item", 3),
+        ("rec row repeats a user", 3),
+        ("truth row repeats a user", 3),
+        ("config value repeated cutoffs", 2),
+        ("cutoffs flag repeats", 2),
         ("bundle cut short", 3),
         ("bundle is text", 3),
         ("bundle empty", 3),
@@ -318,6 +331,14 @@ def test_malformed_input_exits_with_documented_code(case, code, built, tmp_path,
     _, cfg = built
     assert run(_malformed_argv(case, cfg, tmp_path)) == code
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_repeated_user_error_names_both_lines(tmp_path, capsys):
+    rec = tmp_path / "recs.jsonl"
+    rec.write_text('{"_meta": {}}\n{"user": "u1", "items": ["b"], "scores": [1.0]}\n'
+                   '{"user": "u1", "items": ["a"], "scores": [1.0]}\n')
+    assert run(["evaluate", "--rec", rec, "--truth", rec, "--out-dir", tmp_path]) == 3
+    assert "recs.jsonl:3: user 'u1' already has a row, on line 2" in capsys.readouterr().err
 
 
 def test_config_values_are_type_checked():
@@ -404,12 +425,15 @@ def _damage_prepared(case, root, cfg, out):
     if case == "prepared file truncated":
         blob = prepared.read_bytes()
         prepared.write_bytes(blob[: len(blob) // 2])
-    if "offset out of range" in case:
+    if "offset out of range" in case or case == "prepared user without cells":
         with np.load(prepared) as npz:
             arrays = dict(npz)
-        key = {"prepared offset out of range": "cell_ptr", "prepared name offset out of range": "users_off"}[case]
+        key = {"prepared name offset out of range": "users_off"}.get(case, "cell_ptr")
         arrays[key] = arrays[key].copy()
-        arrays[key][-2] = arrays[key][-1] + 1
+        if case == "prepared user without cells":
+            arrays[key][1] = arrays[key][0]
+        else:
+            arrays[key][-2] = arrays[key][-1] + 1
         with open(prepared, "wb") as fh:
             np.savez(fh, **arrays)
     return flags
@@ -425,6 +449,7 @@ def _damage_prepared(case, root, cfg, out):
         "prepared file truncated",
         "prepared offset out of range",
         "prepared name offset out of range",
+        "prepared user without cells",
     ],
 )
 def test_build_refuses_a_missing_stale_or_damaged_prepared_file(case, workspace, tmp_path, capsys):

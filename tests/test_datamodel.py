@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import random
 from dataclasses import replace
 
 import pytest
 
-from oracles import build_tensor_records, ground_truth_records, log_table, parse_log_records, table_rows
+import numpy as np
+
+from oracles import build_tensor_records, ground_truth_records, log_table, parse_log_records, table_rows, tensor_dicts
 from tvrec.datamodel import (
+    Prepared,
     ProgramMeta,
     SplitSpec,
     ViewingLog,
@@ -225,19 +229,19 @@ def test_split_item_sets_always_disjoint():
 
 
 def total(tensor):
-    return sum(sum(cells.values()) for cells in tensor.by_user.values())
+    return sum(sum(cells.values()) for cells in tensor.values())
 
 
 def test_build_tensor_counts_repeated_views_in_one_slot():
     metas = {"p1": meta()}
     logs = [log(t=MONDAY + 4 * 900), log(t=MONDAY + 4 * 900 + 30)]
-    tensor = build_tensor(log_table(logs), metas, GRID, **P1_U1).to_tensor()
-    assert tensor.by_user["u1"][("p1", 5, "c1")] == 2
+    tensor = tensor_dicts(build_tensor(log_table(logs), metas, GRID, **P1_U1))
+    assert tensor["u1"][("p1", 5, "c1")] == 2
 
 
 def test_build_tensor_single_log_single_cell():
-    tensor = build_tensor(log_table([log(t=MONDAY)]), {"p1": meta()}, GRID, **P1_U1).to_tensor()
-    assert tensor.by_user["u1"] == {("p1", 1, "c1"): 1}
+    tensor = tensor_dicts(build_tensor(log_table([log(t=MONDAY)]), {"p1": meta()}, GRID, **P1_U1))
+    assert tensor["u1"] == {("p1", 1, "c1"): 1}
     assert total(tensor) == 1
 
 
@@ -250,8 +254,8 @@ def test_build_tensor_restricts_users_and_items():
     metas = {"p1": meta(program="p1"), "p2": meta(program="p2")}
     logs = [log(user="u1", program="p1"), log(user="u2", program="p1"), log(user="u1", program="p2")]
     restrict = {"items": frozenset({"p1"}), "users": frozenset({"u1"})}
-    tensor = build_tensor(log_table(logs), metas, GRID, **restrict).to_tensor()
-    assert tensor.users == {"u1"}
+    tensor = tensor_dicts(build_tensor(log_table(logs), metas, GRID, **restrict))
+    assert tensor.keys() == {"u1"}
     assert total(tensor) == 1
 
 
@@ -264,7 +268,7 @@ def test_tensor_total_matches_restricted_log_count():
     ]
     users = frozenset({"u0", "u1"})
     items = frozenset({"p0", "p1", "p2"})
-    tensor = build_tensor(log_table(logs), metas, GRID, items=items, users=users).to_tensor()
+    tensor = tensor_dicts(build_tensor(log_table(logs), metas, GRID, items=items, users=users))
     expected = sum(1 for g in logs if g.user in users and g.program in items)
     assert total(tensor) == expected
 
@@ -277,8 +281,8 @@ def test_build_tensor_slots_match_slot_of_at_int64_edges(grid):
     ts = [2**63 - 1, -(2**63 - 1), -(2**63), -1, 0, MONDAY + 4 * 900]
     logs = log_table([log(program=f"p{i}", t=t) for i, t in enumerate(ts)])
     metas = {f"p{i}": meta(program=f"p{i}") for i in range(len(ts))}
-    tensor = build_tensor(logs, metas, grid, items=frozenset(metas), users=frozenset({"u1"})).to_tensor()
-    assert list(tensor.by_user["u1"]) == [(f"p{i}", slot_of(t, grid), "c1") for i, t in enumerate(ts)]
+    tensor = tensor_dicts(build_tensor(logs, metas, grid, items=frozenset(metas), users=frozenset({"u1"})))
+    assert list(tensor["u1"]) == [(f"p{i}", slot_of(t, grid), "c1") for i, t in enumerate(ts)]
 
 
 # ground truth
@@ -321,15 +325,16 @@ def _two_week_dataset():
 
 def test_prepare_excludes_users_missing_from_either_half():
     logs, metas, spec = _two_week_dataset()
-    prepared = prepare(logs, metas, GRID, spec)
-    assert prepared.tensor.users == {"both"}
-    assert users_in_both(prepared.split.d_train, prepared.split.d_test) == {"both"}
-    assert prepared.truths == {"both": frozenset({"p-test"})}
+    prepared, _ = prepare(logs, metas, GRID, spec)
+    assert prepared.cells.users == ("both",)
+    sp = split(filter_flips(logs), metas, spec)
+    assert users_in_both(sp.d_train, sp.d_test) == {"both"}
+    assert prepared.truths() == {"both": ("p-test",)}
 
 
 def test_prepare_summary_reports_dataset_statistics():
     logs, metas, spec = _two_week_dataset()
-    summary = prepare(logs, metas, GRID, spec).summary
+    _, summary = prepare(logs, metas, GRID, spec)
     assert summary["d_train"] == 2
     assert summary["d_test"] == 1
     assert summary["i_train"] == 1
@@ -343,7 +348,7 @@ def test_prepare_counters_reconcile_with_parsed_rows():
     keys = ("user", "program", "channel", "t", "dt")
     lines = [json.dumps(dict(zip(keys, row))) for row in table_rows(logs)]
     parsed, skipped = parse_logs(lines + ["{not json"])
-    summary = prepare(parsed, metas, GRID, spec).summary
+    _, summary = prepare(parsed, metas, GRID, spec)
     assert len(parsed) + skipped == len(lines) + 1
     # Every log of this dataset falls inside one of the two windows.
     assert len(parsed) - summary["flips_dropped"] == summary["d_train"] + summary["d_test"]
@@ -361,6 +366,17 @@ def test_prepare_rejects_duplicate_program_ids():
 # the prepared file
 
 
+def assert_same_prepared(got: Prepared, want: Prepared) -> None:
+    """Every name table and every array equal, arrays in dtype too."""
+    for a, b in ((got, want), (got.cells, want.cells)):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+            elif f.name != "cells":
+                assert type(x) is tuple and x == y, f.name
+
+
 def test_prepared_file_round_trips_in_order(tmp_path):
     cfg = synth.SynthConfig(n_users=30, n_channels=4, n_topics=5, weeks_train=2, weeks_test=1, rng_seed=5)
     world = synth.gen_world(cfg)
@@ -368,29 +384,32 @@ def test_prepared_file_round_trips_in_order(tmp_path):
     metas = [replace(m, text=m.text + " T\u00e9l\u00e9 \u6771\u4eac \ud800") if i % 5 == 0 else m
              for i, m in enumerate(world.metas)]
     spec = SplitSpec(t_split=cfg.t_split, dt_train=2 * SECONDS_PER_WEEK, dt_test=SECONDS_PER_WEEK)
-    prepared = prepare(log_table(synth.gen_logs(world)), metas, cfg.grid, spec)
+    logs = log_table(synth.gen_logs(world))
+    prepared, _ = prepare(logs, metas, cfg.grid, spec)
     manifest = {"inputs": {"logs": "a", "programs": "b"}, "grid": [cfg.grid.n, 0]}
     paths = [tmp_path / "one.npz", tmp_path / "two.npz"]
     for path in paths:
         with open(path, "wb") as fh:
             dump_prepared(fh, prepared, manifest)
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    loaded = load_prepared(paths[0], manifest, cfg.grid)
-    want, got = prepared.tensor, loaded.cells.to_tensor()
-    # Same users, cells and counts, in the same order of users and of each user's cells.
-    assert [(u, list(cells.items())) for u, cells in got.by_user.items()] == [
-        (u, list(cells.items())) for u, cells in want.by_user.items()
-    ]
-    assert got.users == want.users and got.channels == want.channels
-    sp, by_id = prepared.split, prepared.metas
-    assert loaded.corpus() == [(pid, by_id[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
-    assert any("\ud800" in text for _, text in loaded.corpus())
-    assert loaded.test_metas() == [by_id[pid] for pid in sorted(sp.i_test)]
-    assert list(loaded.truths().items()) == [(u, tuple(sorted(v))) for u, v in sorted(prepared.truths.items())]
-    assert loaded.watched() == {item for cells in want.by_user.values() for item, _, _ in cells}
+    assert_same_prepared(load_prepared(paths[0], manifest, cfg.grid), prepared)
     with pytest.raises(DataError, match="other inputs"):
         load_prepared(paths[0], {**manifest, "inputs": {"logs": "a", "programs": "c"}}, cfg.grid)
+
+    # What the prepared dataset holds, against the stages it comes from.
+    sp = split(filter_flips(logs), metas, spec)
+    by_id = {m.program: m for m in metas}
+    tensor = tensor_dicts(
+        build_tensor(sp.d_train, by_id, cfg.grid, items=sp.i_train, users=users_in_both(sp.d_train, sp.d_test))
+    )
+    # Same users, cells and counts, in the same order of users and of each user's cells.
+    assert list(tensor_dicts(prepared.cells).items()) == list(tensor.items())
+    assert prepared.corpus() == [(pid, by_id[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
+    assert any("\ud800" in text for _, text in prepared.corpus())
+    assert prepared.test_metas() == [by_id[pid] for pid in sorted(sp.i_test)]
+    truths = ground_truth_map(sp.d_test, sp.i_test)
+    assert list(prepared.truths().items()) == [(u, tuple(sorted(truths[u]))) for u in sorted(tensor) if u in truths]
+    assert prepared.cells.programs() == {item for cells in tensor.values() for item, _, _ in cells}
 
 
 # the record oracle
@@ -473,10 +492,10 @@ def test_ingestion_matches_record_oracle(seed, tmp_path):
     metas = {pid: meta(program=pid) for pid in ORACLE_PROGRAMS}
     items = frozenset(rng.sample(ORACLE_PROGRAMS, 8))
     users = frozenset(rng.sample(ORACLE_USERS, 3))
-    got = build_tensor(table, metas, grid, items=items, users=users).to_tensor()
+    cells = build_tensor(table, metas, grid, items=items, users=users)
     want = build_tensor_records(records, metas, grid, items=items, users=users)
-    assert [(u, list(cells.items())) for u, cells in got.by_user.items()] == [
-        (u, list(cells.items())) for u, cells in want.by_user.items()
+    assert [(u, list(c.items())) for u, c in tensor_dicts(cells).items()] == [
+        (u, list(c.items())) for u, c in want.items()
     ]
-    assert got.users == want.users and got.channels == want.channels
+    assert cells.channels() == {channel for c in want.values() for _, _, channel in c}
     assert list(ground_truth_map(table, items).items()) == list(ground_truth_records(records, items).items())

@@ -173,6 +173,11 @@ def test_evaluate_rankings_aggregates_and_skips_empty_truth():
     assert all(0.0 <= v <= 1.0 for d in (report.ndcg, report.precision, report.recall) for v in d.values())
 
 
+def test_evaluate_rankings_rejects_repeated_cutoffs():
+    with pytest.raises(ValueError, match="repeat"):
+        evaluate_rankings({"u1": REC}, {"u1": TRUTH}, cutoffs=(3, 3))
+
+
 def test_format_table_mentions_every_method_and_cutoff():
     r = MetricReport(method="two-stage", cutoffs=(10, 20), ndcg={10: 0.5, 20: 0.4},
                      precision={10: 0.3, 20: 0.2}, recall={10: 0.1, 20: 0.2},

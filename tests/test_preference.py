@@ -2,19 +2,17 @@ import random
 
 import pytest
 
-from oracles import MONDAY, l2_norm
-from tvrec.datamodel import InteractionTensor, ProgramMeta
+from oracles import MONDAY, behavior_matrix_dicts, l2_norm, log_table, preference_dicts, tensor_cells, tensor_dicts
+from tvrec import synth
+from tvrec.behavior import behavior_matrix
+from tvrec.datamodel import ProgramMeta, SplitSpec, prepare
 from tvrec.errors import DataError
 from tvrec.preference import build, global_view
 from tvrec.ranker import build_candidates, build_item_index, rank_preference
-from tvrec.timegrid import TimeGrid
+from tvrec.textenc import encode, fit, term_counts
+from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
 
 GRID = TimeGrid(n=672)
-
-
-def tensor_from(cells: dict[str, dict]) -> InteractionTensor:
-    channels = frozenset(c for u in cells.values() for (_, _, c) in u)
-    return InteractionTensor(by_user=cells, users=frozenset(cells), channels=channels)
 
 
 def meta(pid, start_slot=5, channel="c1"):
@@ -33,31 +31,31 @@ E2 = {1: 1.0}
 
 
 def test_single_program_user_vector_is_that_embedding():
-    model = build(tensor_from({"u": {("p1", 3, "c1"): 2}}), {"p1": E1})
+    model = build(tensor_cells({"u": {("p1", 3, "c1"): 2}}), {"p1": E1})
     assert model.global_prefs["u"] == E1
 
 
 def test_global_vector_is_plain_mean():
-    tensor = tensor_from({"u": {("p1", 3, "c1"): 1, ("p2", 7, "c2"): 1}})
+    tensor = tensor_cells({"u": {("p1", 3, "c1"): 1, ("p2", 7, "c2"): 1}})
     model = build(tensor, {"p1": E1, "p2": E2})
     assert model.global_prefs["u"] == {0: 0.5, 1: 0.5}
 
 
 def test_repeat_views_do_not_upweight_distinct_items():
-    tensor = tensor_from({"u": {("p1", 3, "c1"): 99, ("p2", 7, "c2"): 1}})
+    tensor = tensor_cells({"u": {("p1", 3, "c1"): 99, ("p2", 7, "c2"): 1}})
     model = build(tensor, {"p1": E1, "p2": E2})
     assert model.global_prefs["u"] == {0: 0.5, 1: 0.5}
 
 
 def test_time_aware_slot_sets_are_exact():
-    tensor = tensor_from({"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}})
-    model = build(tensor, {"p1": E1, "p2": E2})
+    by_user = {"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}}
+    model = build(tensor_cells(by_user), {"p1": E1, "p2": E2})
     assert model.slot_prefs["u"][5] == E1
     assert model.slot_prefs["u"][9] == E2
     assert 6 not in model.slot_prefs["u"]
     # brute-force scan of the tensor reproduces the slot item sets
     for slot, vec in model.slot_prefs["u"].items():
-        items = sorted({i for (i, w, _) in tensor.by_user["u"] if w == slot})
+        items = sorted({i for (i, w, _) in by_user["u"] if w == slot})
         expected = {}
         for i in items:
             for d, v in {"p1": E1, "p2": E2}[i].items():
@@ -66,29 +64,29 @@ def test_time_aware_slot_sets_are_exact():
 
 
 def test_missing_embedding_error_lists_ids():
-    tensor = tensor_from({"u": {("p1", 5, "c1"): 1, ("p-naked", 5, "c1"): 1}})
+    tensor = tensor_cells({"u": {("p1", 5, "c1"): 1, ("p-naked", 5, "c1"): 1}})
     with pytest.raises(DataError, match="p-naked"):
         build(tensor, {"p1": E1})
 
 
 def test_score_is_dot_product():
-    tensor = tensor_from({"u": {("p1", 5, "c1"): 1}})
+    tensor = tensor_cells({"u": {("p1", 5, "c1"): 1}})
     model = build(tensor, {"p1": {0: 1.0}, "px": {0: 0.5, 1: 0.5}})
     assert score(model, "u", meta("px")) == pytest.approx(0.5)
 
 
 def test_score_orthogonal_is_zero():
-    model = build(tensor_from({"u": {("p1", 5, "c1"): 1}}), {"p1": {0: 1.0}, "px": {1: 1.0}})
+    model = build(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": {0: 1.0}, "px": {1: 1.0}})
     assert score(model, "u", meta("px")) == 0.0
 
 
 def test_score_identical_unit_vectors_is_one():
-    model = build(tensor_from({"u": {("p1", 5, "c1"): 1}}), {"p1": {3: 1.0}, "px": {3: 1.0}})
+    model = build(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": {3: 1.0}, "px": {3: 1.0}})
     assert score(model, "u", meta("px")) == pytest.approx(1.0)
 
 
 def test_time_aware_scoring_keys_on_start_slot_with_global_fallback():
-    tensor = tensor_from({"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}})
+    tensor = tensor_cells({"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}})
     embs = {"p1": E1, "p2": E2, "px": {0: 1.0, 1: 1.0}}
     model = build(tensor, embs)
     assert score(model, "u", meta("px", start_slot=5)) == pytest.approx(1.0)
@@ -101,7 +99,7 @@ def test_time_aware_scoring_keys_on_start_slot_with_global_fallback():
 
 
 def test_unknown_user_is_error():
-    model = build(tensor_from({"u": {("p1", 5, "c1"): 1}}), {"p1": E1})
+    model = build(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": E1})
     with pytest.raises(DataError):
         score(model, "ghost", meta("p1"))
 
@@ -110,7 +108,7 @@ def test_scaling_item_embeddings_scales_scores_and_keeps_argsort():
     rng = random.Random(6)
     items = {f"p{i}": {d: rng.random() for d in rng.sample(range(8), 3)} for i in range(20)}
     cells = {(f"p{i}", rng.randint(1, 10), "c1"): 1 for i in range(8)}
-    tensor = tensor_from({"u": cells})
+    tensor = tensor_cells({"u": cells})
     metas = [meta(f"p{i}", start_slot=rng.randint(1, 12)) for i in range(20)]
     lam = 3.7
     scaled = {pid: {d: lam * v for d, v in vec.items()} for pid, vec in items.items()}
@@ -133,7 +131,7 @@ def test_unit_norm_embeddings_bound_scores_by_one():
 
     items = {f"p{i}": unit() for i in range(30)}
     cells = {(f"p{i}", rng.randint(1, 20), "c1"): 1 for i in range(12)}
-    model = build(tensor_from({"u": cells}), items)
+    model = build(tensor_cells({"u": cells}), items)
     for i in range(30):
         s = score(model, "u", meta(f"p{i}", start_slot=rng.randint(1, 30)))
         assert abs(s) <= 1.0 + 1e-12
@@ -145,8 +143,8 @@ def test_build_is_independent_of_cell_insertion_order():
     items = {f"p{i}": {d: rng.random() for d in range(4)} for i in range(10)}
     forward = {"u": {c: 1 for c in cells}}
     backward = {"u": {c: 1 for c in reversed(cells)}}
-    m1 = build(tensor_from(forward), items)
-    m2 = build(tensor_from(backward), items)
+    m1 = build(tensor_cells(forward), items)
+    m2 = build(tensor_cells(backward), items)
     assert m1.global_prefs == m2.global_prefs
     assert m1.slot_prefs == m2.slot_prefs
 
@@ -155,7 +153,7 @@ def test_slot_independent_history_collapses_to_global():
     # A user who watches the same programs in every slot has h_{u,w} == h_u.
     cells = {(f"p{i}", w, "c1"): 1 for i in range(3) for w in (2, 4, 6)}
     items = {f"p{i}": {i: 1.0} for i in range(3)}
-    model = build(tensor_from({"u": cells}), items)
+    model = build(tensor_cells({"u": cells}), items)
     for w in (2, 4, 6):
         assert model.slot_prefs["u"][w] == model.global_prefs["u"]
 
@@ -191,9 +189,58 @@ def _global_means(cells, items):
     ],
 )
 def test_global_view_of_time_aware_model_is_the_global_model(cells, items):
-    model = build(tensor_from(cells), items)
+    model = build(tensor_cells(cells), items)
     assert model.slot_prefs.keys() == cells.keys()
     view = global_view(model)
     assert view.global_prefs == _global_means(cells, items)
     assert view.slot_prefs == {}
     assert view.item_embeddings == items
+
+
+def assert_model_matches_the_dict_oracles(cells, embeddings):
+    """Behavior matrices and preference vectors built from the cells equal the
+    dict builders' over the same tensor: values, and the order of users,
+    (slot, channel) keys, slots and dims."""
+    by_user = tensor_dicts(cells)
+    behavior = behavior_matrix(cells)
+    assert [(u, bm.user, list(bm.probs.items())) for u, bm in behavior.items()] == [
+        (u, u, list(behavior_matrix_dicts(by_user, u).probs.items())) for u in sorted(by_user)
+    ]
+    got, want = build(cells, embeddings), preference_dicts(by_user, embeddings)
+    assert [(u, list(v.items())) for u, v in got.global_prefs.items()] == [
+        (u, list(v.items())) for u, v in want.global_prefs.items()
+    ]
+
+    def slot_vectors(model):
+        return [(u, [(s, list(v.items())) for s, v in slots.items()]) for u, slots in model.slot_prefs.items()]
+
+    assert slot_vectors(got) == slot_vectors(want)
+    assert got.item_embeddings == want.item_embeddings
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_model_from_cells_equals_the_dict_oracles(seed):
+    rng = random.Random(seed)
+    programs = [f"p{i:02d}" for i in range(15)]
+    embeddings = {p: {d: rng.random() for d in rng.sample(range(8), rng.randint(1, 4))} for p in programs}
+    embeddings["p07"] = {}  # a text with no known token encodes to the zero vector
+    by_user = {}
+    for u in rng.sample(range(100), 8):  # users, programs and channels out of name order
+        cells = {}
+        for _ in range(rng.randint(1, 12)):
+            cell = (rng.choice(programs), rng.randint(1, 6), rng.choice(("c2", "c1", "c3")))
+            cells[cell] = cells.get(cell, 0) + rng.randint(1, 3)
+        by_user[f"u{u}"] = cells
+    by_user["one-slot"] = {**{(p, 4, "c1"): 1 for p in rng.sample(programs, 3)}, ("p07", 4, "c2"): 2}
+    assert_model_matches_the_dict_oracles(tensor_cells(by_user), embeddings)
+
+
+def test_model_from_a_prepared_dataset_equals_the_dict_oracles():
+    cfg = synth.SynthConfig(n_users=30, n_channels=4, n_topics=5, weeks_train=2, weeks_test=1, rng_seed=8)
+    world = synth.gen_world(cfg)
+    spec = SplitSpec(t_split=cfg.t_split, dt_train=2 * SECONDS_PER_WEEK, dt_test=SECONDS_PER_WEEK)
+    prepared, _ = prepare(log_table(synth.gen_logs(world)), world.metas, cfg.grid, spec)
+    corpus = prepared.corpus()
+    vocab, _ = fit(corpus)
+    embeddings = {pid: encode(vocab, term_counts(text)) for pid, text in corpus}
+    assert_model_matches_the_dict_oracles(prepared.cells, embeddings)

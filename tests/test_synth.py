@@ -89,10 +89,9 @@ def test_generated_data_passes_ingestion_unmodified(small_world, small_logs):
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=cfg.weeks_test * SECONDS_PER_WEEK,
     )
-    prepared = prepare(log_table(small_logs), small_world.metas, cfg.grid, spec)
-    assert prepared.summary["users"] > 0
-    for user in prepared.tensor.users:
-        bm = behavior_matrix(prepared.tensor, user)
+    prepared, summary = prepare(log_table(small_logs), small_world.metas, cfg.grid, spec)
+    assert summary["users"] > 0
+    for bm in behavior_matrix(prepared.cells).values():
         assert abs(sum(bm.probs.values()) - 1.0) <= 1e-9
         assert all(1 <= slot <= cfg.n_slots for (slot, _) in bm.probs)
 
@@ -139,13 +138,14 @@ def test_heavy_user_behavior_argmax_recovers_planted_mode():
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=SECONDS_PER_WEEK,
     )
-    prepared = prepare(log_table(logs), world.metas, cfg.grid, spec)
+    prepared, _ = prepare(log_table(logs), world.metas, cfg.grid, spec)
+    matrices = behavior_matrix(prepared.cells)
     hits = total = 0
     for account in world.accounts:
-        if account.user not in prepared.tensor.users:
+        if account.user not in matrices:
             continue
         persona = account.personas[0]
-        bm = behavior_matrix(prepared.tensor, account.user)
+        bm = matrices[account.user]
         got = max(bm.probs, key=lambda cell: (bm.probs[cell], -cell[0]))
         top3 = sorted(persona.habit, key=persona.habit.__getitem__, reverse=True)[:3]
         total += 1
@@ -191,8 +191,8 @@ def test_mean_truth_size_matches_deterministic_walk_of_planted_world(small_world
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=SECONDS_PER_WEEK,
     )
-    prepared = prepare(log_table(small_logs), small_world.metas, cfg.grid, spec)
-    sizes = [len(v) for v in prepared.truths.values()]
+    prepared, _ = prepare(log_table(small_logs), small_world.metas, cfg.grid, spec)
+    sizes = [len(v) for v in prepared.truths().values()]
     # every generated account appears; accounts can drop out of U only by
     # having no test-week watch, which the expectation already prices in
     empirical_mean = sum(sizes) / len(small_world.accounts)
