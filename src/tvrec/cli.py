@@ -8,6 +8,39 @@ made from the same inputs (by sha256) with the same grid and preprocessing
 values; a missing, stale or damaged file is a data error that asks for `prep`
 to be run again.
 
+`build` writes the model bundle that `recommend`, `bench`, `tune` and
+`inspect-user` read: the serving state as row-indexed arrays over the
+candidates, with nothing pickled in it: an uncompressed ``.npz`` in the format
+of :mod:`tvrec.arrays`, loaded with ``allow_pickle=False``, so loading it runs
+no code from it. Every array is checked (dtype, length, offsets that start at 0,
+never decrease and end at their table's length, codes in range, finite
+values); any failure, a pickled bundle of an earlier version or another
+schema version included, is a data error that asks for `build` to be run
+again. The file keeps the name ``<out_dir>/model.pkl`` of the pickled bundles
+before it, which the benchmark harness measures. It holds:
+
+- ``manifest``: JSON with the schema version, the provenance and the
+  ``shapes``: ``users``, ``candidates``, ``slots``, ``channels`` and ``dims``
+  (the vocabulary size);
+- name tables ``users`` (sorted), ``ids`` (the candidates in row order) and
+  ``channels`` (sorted, one grid column each);
+- the candidates' spans: ``span_ptr`` and ``span_flat``, as in
+  :class:`tvrec.ranker.Candidates`;
+- four CSR blocks, each ``<block>_ptr`` (int64), ``<block>_col`` and
+  ``<block>_val`` (float64): ``behavior`` (one row per user over the flat grid
+  cells ``(slot - 1) * channels + channel``), ``global`` (one preference
+  vector per user), ``slot_vecs`` (one preference vector per (user, slot),
+  user ``i``'s being rows ``slots_ptr[i]:slots_ptr[i + 1]``, for the slots in
+  the same slice of ``slots``) and ``embeddings`` (one per candidate row);
+  the columns of the last three are dimension codes, in the order the means
+  and encodings made them;
+- the truths: user ``i``'s test programs are the candidate rows
+  ``truth_rows[truth_ptr[i]:truth_ptr[i + 1]]``, ascending.
+
+Codes (cells, dimensions, slots, rows) are stored in the narrowest unsigned
+dtype that holds their table's size; weights stay float64, so scores are
+those of the vectors as built.
+
 Every artifact embeds the effective config hash and seed. The hash covers the
 semantic config only and leaves out file locations, so runs that differ only in
 where their files live embed the same provenance. Output files are written
@@ -25,7 +58,6 @@ import functools
 import hashlib
 import json
 import os
-import pickle
 import sys
 import tempfile
 import types
@@ -42,11 +74,23 @@ from . import preference as preference_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
 from . import textenc as textenc_mod
+from .arrays import (
+    Rows,
+    check_arrays,
+    decode_names,
+    encode_names,
+    in_range,
+    index_dtype,
+    is_ptr,
+    name_arrays,
+    read_npz,
+    require,
+    write_npz,
+)
 from .datamodel import (
     Prepared,
     SplitSpec,
     dump_prepared,
-    is_ptr,
     load_prepared,
     open_jsonl,
     parse_logs,
@@ -216,22 +260,25 @@ def load_config(path: str | None, overrides: Mapping[str, object]) -> EngineConf
     return cfg
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelBundle:
     """The serving index that `build` writes and every inference command reads.
 
     ``cand`` indexes next week's candidate programs; ``behavior`` holds each
-    training user's (slot, channel) distribution; ``truths`` maps users to
-    their sorted test programs; ``model`` is the time-aware preference model,
-    with embeddings for the candidates only. It serves either scoring mode:
-    global scoring reads it through :func:`tvrec.preference.global_view`.
+    training user's (slot, channel) distribution over ``cand``'s grid;
+    ``model`` is the time-aware preference model of the same users, with
+    embeddings for the candidates only. It serves either scoring mode: global
+    scoring reads it through :func:`tvrec.preference.global_view`. User
+    ``behavior.users[i]``'s test programs are the candidate rows
+    ``truth_rows[truth_ptr[i]:truth_ptr[i + 1]]``.
     """
 
     provenance: dict
     cand: ranker_mod.Candidates
-    behavior: Mapping[str, behavior_mod.BehaviorMatrix]
-    truths: Mapping[str, tuple[str, ...]]
+    behavior: behavior_mod.Behavior
     model: preference_mod.PreferenceModel
+    truth_ptr: np.ndarray
+    truth_rows: np.ndarray
 
 
 @contextlib.contextmanager
@@ -439,8 +486,10 @@ def _cmd_build(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     prepared = _load_prepared(cfg)
     cells = prepared.cells
-    cand = ranker_mod.build_candidates(prepared.test_metas(), cfg.grid, cells.channels())
-    truths = prepared.truths()
+    # Every channel of the prepared file gets its grid column, so a cell of
+    # the tensor is a cell of the candidates' grid, channel code for column.
+    cand = ranker_mod.build_candidates(prepared.test_metas(), cfg.grid, cells.channel_names)
+    truth_ptr, truth_rows = _truth_rows(prepared, cand)
 
     # The encoder is fitted on train + test metadata: program text is known
     # before broadcast, so this leaks no interaction labels. idf needs every
@@ -451,65 +500,184 @@ def _cmd_build(args: argparse.Namespace) -> None:
     vocab, counts = textenc_mod.fit(prepared.corpus(), keep=encoded)
     del prepared
     embeddings = {pid: textenc_mod.encode(vocab, counts.pop(pid)) for pid in sorted(encoded)}
-    model = preference_mod.build(cells, embeddings)
-    # Ranking reads candidate embeddings only. Sorted containers, not sets,
-    # keep the pickled bytes independent of PYTHONHASHSEED. Truths and
-    # candidate ids share the strings of one name table, which pickle writes once.
-    bundle = ModelBundle(
-        provenance=cfg.provenance(),
-        cand=cand,
-        behavior=behavior_mod.behavior_matrix(cells),
-        truths=truths,
-        model=dataclasses.replace(model, item_embeddings={pid: embeddings[pid] for pid in cand.ids}),
-    )
-    del cells, embeddings, model
+    prefs = preference_mod.build(cells, embeddings)
+    behavior = behavior_mod.behavior_matrix(cells)
+    # Ranking reads candidate embeddings only, one row per candidate row.
+    items = preference_mod.embedding_rows(embeddings[pid] for pid in cand.ids)
+    del cells, embeddings
     path = Path(cfg.model_path)
-    _atomic_write(path, pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL))
+    with _atomic_file(path) as fh:
+        _dump_bundle(fh, cfg.provenance(), cand, behavior, prefs, items, vocab.size, truth_ptr, truth_rows)
     vocab_path = Path(cfg.out_dir) / "vocab.json"
     _write_json(vocab_path, {"vocabulary": vocab.to_dict()}, cfg.provenance())
     _summary_line(
         "build",
         model=str(path),
         vocab_size=vocab.size,
-        users=len(bundle.behavior),
+        users=len(behavior.users),
         test_items=len(cand),
     )
 
 
-def _has_layout(obj: object, cls: type) -> bool:
-    # Unpickling skips __init__: an object of an earlier layout is still an instance.
-    return isinstance(obj, cls) and vars(obj).keys() == {f.name for f in dataclasses.fields(cls)}
+def _truth_rows(prepared: Prepared, cand: ranker_mod.Candidates) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's truths as ascending candidate rows, users in name order:
+    ``(ptr, rows)``."""
+    row_of = {pid: row for row, pid in enumerate(cand.ids)}
+    truths = prepared.truths()
+    try:
+        rows = [sorted(row_of[pid] for pid in truths.get(user, ())) for user in sorted(prepared.cells.users)]
+    except KeyError as exc:
+        raise DataError(f"truth {exc} is not a candidate") from None
+    return np.cumsum([0, *map(len, rows)], dtype=np.int64), np.array([r for row in rows for r in row], np.int64)
 
 
-# What unpickling a damaged or foreign file raises, besides OSError.
-_UNPICKLE_ERRORS = (
-    pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError, KeyError, TypeError, ValueError,
-    OverflowError,
-)
+# ---------------------------------------------------------------------------
+# the model bundle
+
+BUNDLE_SCHEMA = 1
+_SHAPES = ("users", "candidates", "slots", "channels", "dims")
+# The CSR blocks of the bundle: the arrays <block>_ptr, <block>_col and <block>_val.
+_BLOCKS = ("behavior", "global", "slot_vecs", "embeddings")
+
+
+def _bundle_dtypes(shapes: Mapping[str, int]) -> dict[str, object]:
+    """Every array of a bundle after the manifest, with its dtype. Codes are
+    stored in the narrowest unsigned dtype that holds them; pointers are
+    int64 and values float64."""
+    cell = index_dtype(shapes["slots"] * max(shapes["channels"], 1))
+    dim = index_dtype(shapes["dims"])
+    cols = {"behavior": cell, "global": dim, "slot_vecs": dim, "embeddings": dim}
+    return {
+        **name_arrays("users"),
+        **name_arrays("ids"),
+        **name_arrays("channels"),
+        "span_ptr": np.int64,
+        "span_flat": cell,
+        **{f"{block}_{part}": dtype for block in _BLOCKS
+           for part, dtype in (("ptr", np.int64), ("col", cols[block]), ("val", np.float64))},
+        "slots_ptr": np.int64,
+        "slots": index_dtype(shapes["slots"] + 1),
+        "truth_ptr": np.int64,
+        "truth_rows": index_dtype(shapes["candidates"]),
+    }
+
+
+def _dump_bundle(
+    fh: BinaryIO,
+    provenance: dict,
+    cand: ranker_mod.Candidates,
+    behavior: behavior_mod.Behavior,
+    prefs: preference_mod.Preferences,
+    items: Rows,
+    dims: int,
+    truth_ptr: np.ndarray,
+    truth_rows: np.ndarray,
+) -> None:
+    """Write the bundle: an uncompressed ``.npz`` (format in the module docstring)."""
+    shapes = dict(zip(_SHAPES, (len(behavior.users), len(cand), cand.n_slots, len(cand.channels), dims)))
+    blocks = dict(zip(_BLOCKS, (behavior.rows, prefs.global_vecs, prefs.slot_vecs, items)))
+    arrays = {
+        **encode_names(behavior.users, "users"),
+        **encode_names(cand.ids, "ids"),
+        **encode_names(cand.channels, "channels"),
+        "span_ptr": cand.span_ptr,
+        "span_flat": cand.span_flat,
+        **{f"{block}_{part}": a for block, rows in blocks.items() for part, a in zip(("ptr", "col", "val"), rows)},
+        "slots_ptr": prefs.slot_ptr,
+        "slots": prefs.slots,
+        "truth_ptr": truth_ptr,
+        "truth_rows": truth_rows,
+    }
+    manifest = {"schema": BUNDLE_SCHEMA, "provenance": provenance, "shapes": shapes}
+    dtypes = _bundle_dtypes(shapes)
+    write_npz(fh, manifest, {key: arrays[key].astype(dtype, copy=False) for key, dtype in dtypes.items()})
+
+
+def _read_bundle(path: Path) -> ModelBundle:
+    """The bundle in ``path``, checked array by array; raises :class:`DataError`
+    for a file that is not one of this schema or fails a check."""
+    manifest, arrays = read_npz(path, "model bundle")
+    schema = manifest.get("schema")
+    require(schema == BUNDLE_SCHEMA, f"{path} has bundle schema {schema!r}, expected {BUNDLE_SCHEMA}")
+    shapes = manifest.get("shapes")
+    require(
+        type(shapes) is dict and shapes.keys() == set(_SHAPES)
+        and all(type(v) is int and v >= 0 for v in shapes.values()) and type(manifest.get("provenance")) is dict,
+        f"{path} has a damaged manifest",
+    )
+    check_arrays(path, arrays, _bundle_dtypes(shapes))
+    users, ids, channels = (decode_names(arrays, key) for key in ("users", "ids", "channels"))
+
+    def check(ok: bool, what: str) -> None:
+        require(ok, f"{path} is damaged: bad {what}")
+
+    check(users is not None and ids is not None and channels is not None, "name table")
+    require(len(users) > 0, f"{path} holds no users")
+    n_slots, dims = shapes["slots"], shapes["dims"]
+    n_cells = n_slots * max(len(channels), 1)
+    check(
+        (len(users), len(ids), len(channels)) == (shapes["users"], shapes["candidates"], shapes["channels"])
+        and n_slots > 0 and dims > 0,
+        "shapes",
+    )
+    check(all(a < b for a, b in zip(users, users[1:])), "user names: not sorted")
+    check(len(set(ids)) == len(ids), "candidate ids: some repeat")
+    span_ptr = arrays["span_ptr"]
+    check(is_ptr(span_ptr, len(ids), len(arrays["span_flat"])) and bool(np.all(span_ptr[1:] > span_ptr[:-1])),
+          "span offsets")
+    check(in_range(arrays["span_flat"], 0, n_cells), "span cells")
+    blocks = {block: Rows(*(arrays[f"{block}_{part}"] for part in ("ptr", "col", "val"))) for block in _BLOCKS}
+    for block, rows, n_cols in (
+        ("behavior", len(users), n_cells),
+        ("global", len(users), dims),
+        ("slot_vecs", len(arrays["slots"]), dims),
+        ("embeddings", len(ids), dims),
+    ):
+        ptr, col, val = blocks[block]
+        check(is_ptr(ptr, rows, len(col)) and len(val) == len(col), f"{block} offsets")
+        check(in_range(col, 0, n_cols), f"{block} columns")
+        check(bool(np.all(np.isfinite(val))), f"{block} values")
+    probs = blocks["behavior"].val
+    check(bool(np.all((probs > 0) & (probs <= 1))), "behavior probabilities")
+    check(is_ptr(arrays["slots_ptr"], len(users), len(arrays["slots"])), "slot offsets")
+    check(in_range(arrays["slots"], 1, n_slots + 1), "slots")
+    check(is_ptr(arrays["truth_ptr"], len(users), len(arrays["truth_rows"])), "truth offsets")
+    check(in_range(arrays["truth_rows"], 0, len(ids)), "truth rows")
+
+    cand = ranker_mod.Candidates(
+        n_slots=n_slots,
+        ids=ids,
+        channels=channels,
+        span_flat=arrays["span_flat"].astype(np.int64),
+        span_ptr=span_ptr,
+    )
+    prefs = preference_mod.Preferences(
+        users=users,
+        global_vecs=blocks["global"],
+        slot_ptr=arrays["slots_ptr"],
+        slots=arrays["slots"],
+        slot_vecs=blocks["slot_vecs"],
+    )
+    return ModelBundle(
+        provenance=manifest["provenance"],
+        cand=cand,
+        behavior=behavior_mod.Behavior(users=users, channels=channels, rows=blocks["behavior"]),
+        model=preference_mod.PreferenceModel(
+            prefs=prefs, dims=dims, items=ranker_mod.build_item_index(blocks["embeddings"], cand)
+        ),
+        truth_ptr=arrays["truth_ptr"],
+        truth_rows=arrays["truth_rows"],
+    )
 
 
 def _load_bundle(cfg: EngineConfig) -> ModelBundle:
     path = Path(cfg.model_path)
     if not path.exists():
         raise DataError(f"model file {path} does not exist; run `build` first")
-    with open(path, "rb") as fh:
-        try:
-            bundle = pickle.load(fh)
-        except _UNPICKLE_ERRORS as exc:
-            raise DataError(f"{path} is not a readable model bundle ({type(exc).__name__}: {exc}); "
-                            "rebuild with `build`") from None
-    if not isinstance(bundle, ModelBundle):
-        raise DataError(f"{path} is not a model bundle")
-    if not _has_layout(bundle, ModelBundle) or not _has_layout(bundle.cand, ranker_mod.Candidates):
-        raise DataError(f"{path} has an outdated bundle layout; rebuild with `build`")
-    cand = bundle.cand
-    if not (
-        isinstance(cand.ids, tuple)
-        and isinstance(cand.span_flat, np.ndarray)
-        and is_ptr(cand.span_ptr, len(cand.ids), len(cand.span_flat))
-    ):
-        raise DataError(f"{path} has a damaged candidate index; rebuild with `build`")
-    return bundle
+    try:
+        return _read_bundle(path)
+    except DataError as exc:
+        raise DataError(f"{exc}; rebuild with `build`") from None
 
 
 def _pref_model(bundle: ModelBundle, mode: str) -> preference_mod.PreferenceModel:
@@ -519,12 +687,12 @@ def _pref_model(bundle: ModelBundle, mode: str) -> preference_mod.PreferenceMode
 def _rankings_fn(bundle: ModelBundle, model: preference_mod.PreferenceModel):
     """Per-user (behavior, preference) full rankings, the inputs of RRF."""
     cand = bundle.cand
-    index = ranker_mod.build_item_index(model.item_embeddings, cand)
+    behavior = bundle.behavior
 
     def rankings(user: str) -> tuple[ranker_mod.Ranking, ranker_mod.Ranking]:
         return (
-            ranker_mod.rank_behavior(bundle.behavior[user], cand),
-            ranker_mod.rank_preference(model, user, cand, index),
+            ranker_mod.rank_behavior(behavior.of(user), cand),
+            ranker_mod.rank_preference(model, user, cand),
         )
 
     return rankings
@@ -536,13 +704,12 @@ def _rank_user_fn(cfg: EngineConfig, bundle: ModelBundle, method: str):
     behavior = bundle.behavior
     k = cfg.k
     if method == "behavior":
-        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_behavior(behavior[u], cand), k)
+        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_behavior(behavior.of(u), cand), k)
     model = _pref_model(bundle, cfg.mode)
     if method == "two-stage":
-        return lambda u: ranker_mod.top_k(cand, ranker_mod.two_stage(behavior[u], model, cand, k), k)
+        return lambda u: ranker_mod.top_k(cand, ranker_mod.two_stage(behavior.of(u), model, cand, k), k)
     if method == "preference":
-        index = ranker_mod.build_item_index(model.item_embeddings, cand)
-        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_preference(model, u, cand, index), k)
+        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_preference(model, u, cand), k)
     if method == "rrf":
         fuse = functools.partial(ranker_mod.rrf, eta=cfg.eta)
     elif method == "rrf-weighted":
@@ -558,7 +725,7 @@ def _cmd_recommend(args: argparse.Namespace) -> None:
     bundle = _load_bundle(cfg)
     rank_user = _rank_user_fn(cfg, bundle, cfg.method)
     rows = []
-    for user in sorted(bundle.behavior):
+    for user in bundle.behavior.users:
         ranked = rank_user(user)
         rows.append(
             {
@@ -600,7 +767,7 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     if args.users_sample < 1 or args.reps < 1:
         raise ConfigError("--users-sample and --reps must be >= 1")
     bundle = _load_bundle(cfg)
-    users = sorted(bundle.behavior)
+    users = bundle.behavior.users
     rng = np.random.default_rng(cfg.seed)
     size = min(args.users_sample, len(users))
     sample = [users[i] for i in sorted(rng.choice(len(users), size=size, replace=False))]
@@ -655,14 +822,19 @@ def _cmd_tune(args: argparse.Namespace) -> None:
     xis = _parse_grid_spec(args.xi_grid, "--xi-grid", ranker_mod.check_xi)
     bundle = _load_bundle(cfg)
     cand = bundle.cand
-    users = sorted(bundle.behavior)
+    users = bundle.behavior.users
     rng = np.random.default_rng(cfg.seed)
     n_dev = max(1, int(len(users) * args.dev_frac))
-    dev = [users[i] for i in sorted(rng.choice(len(users), size=n_dev, replace=False))]
+    picks = sorted(rng.choice(len(users), size=n_dev, replace=False).tolist())
+    dev = [users[i] for i in picks]
+    ptr = bundle.truth_ptr
+    truths = {users[i]: [cand.ids[r] for r in bundle.truth_rows[ptr[i] : ptr[i + 1]].tolist()] for i in picks}
+    if not any(truths.values()):
+        raise DataError(f"none of the {len(dev)} development user(s) drawn has ground truth; nothing to tune on")
 
     rankings_of = _rankings_fn(bundle, _pref_model(bundle, cfg.mode))
     rankings = {user: rankings_of(user) for user in dev}
-    eta, xi, best_recall = ranker_mod.tune_rrf(rankings, bundle.truths, cand, etas, xis, cutoff=args.cutoff)
+    eta, xi, best_recall = ranker_mod.tune_rrf(rankings, truths, cand, etas, xis, cutoff=args.cutoff)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "tuned.json"
     _write_json(
         out,
@@ -675,10 +847,7 @@ def _cmd_tune(args: argparse.Namespace) -> None:
 def _cmd_inspect_user(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     bundle = _load_bundle(cfg)
-    bm = bundle.behavior.get(args.user)
-    if bm is None:
-        raise DataError(f"user {args.user!r} has no training interactions")
-    entries = [[slot, channel, p] for (slot, channel), p in sorted(bm.probs.items())]
+    entries = bundle.behavior.entries(args.user)
     print(json.dumps({"user": args.user, "entries": entries}, sort_keys=True))
 
 
@@ -808,8 +977,4 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # Run through the imported module, not this `__main__` copy of it, so that
-    # pickled bundles name the class `tvrec.cli.ModelBundle` however they were built.
-    from tvrec import cli
-
-    sys.exit(cli.main())
+    sys.exit(main())

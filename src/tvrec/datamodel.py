@@ -18,8 +18,8 @@ programs' schedule and the truths as CSR (compressed sparse row) arrays.
 prepared file carries it from `prep` to `build`, so the inputs are parsed
 once: :func:`dump_prepared` writes its arrays as they are and
 :func:`load_prepared` reads them back; no other module knows the format. It
-is an uncompressed ``.npz`` of one-dimensional arrays, loaded with
-``allow_pickle=False``:
+is an uncompressed ``.npz`` of one-dimensional arrays, written and read
+through the codec of :mod:`tvrec.arrays` with ``allow_pickle=False``:
 
 - ``manifest``: UTF-8 JSON holding the schema version and what the caller
   passed, which the loader must match exactly (the CLI passes the grid, the
@@ -42,13 +42,23 @@ from __future__ import annotations
 
 import json
 import operator
-import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Mapping, TextIO
 
 import numpy as np
 
+from .arrays import (
+    check_arrays,
+    decode_names,
+    encode_names,
+    in_range,
+    is_ptr,
+    name_arrays,
+    read_npz,
+    require,
+    write_npz,
+)
 from .errors import DataError
 from .timegrid import _EPOCH_TO_MONDAY, SECONDS_PER_WEEK, TimeGrid
 
@@ -477,7 +487,8 @@ def prepare(
     ground-truth extraction in one pass; returns the :class:`Prepared`
     dataset and its summary. ``grid`` slots the training logs into the
     tensor; the summary mirrors the usual dataset-statistics table, plus the
-    logs dropped as flips and the users of the split halves outside U."""
+    logs dropped as flips and the users of the split halves outside U.
+    Raises :class:`DataError` when no user enters the tensor."""
     meta_list = list(metas)
     by_id: dict[str, ProgramMeta] = {}
     for m in meta_list:
@@ -489,6 +500,11 @@ def prepare(
     sp = split(kept, meta_list, spec)
     users = users_in_both(sp.d_train, sp.d_test)
     cells = build_tensor(sp.d_train, by_id, grid, items=sp.i_train, users=users)
+    if not cells.users:
+        raise DataError(
+            f"no user has a training log on a train program and a log in both halves "
+            f"({len(users)} user(s) in both); there is nothing to model"
+        )
     truths = ground_truth_map(sp.d_test, sp.i_test)
 
     programs = tuple(sorted(sp.i_train | sp.i_test))
@@ -535,11 +551,12 @@ def prepare(
 
 PREPARED_SCHEMA = 1
 
-# Every array of the file, with its dtype; each is one-dimensional.
+# Every array of the file after the manifest, with its dtype; each is one-dimensional.
 _PREPARED_ARRAYS = {
-    "manifest": np.uint8,
-    **{f"{table}{part}": dtype for table in ("users", "programs", "texts", "channels")
-       for part, dtype in (("", np.uint8), ("_off", np.int64))},
+    **name_arrays("users"),
+    **name_arrays("programs"),
+    **name_arrays("texts"),
+    **name_arrays("channels"),
     "cell_ptr": np.int64,
     "cell_program": np.int32,
     "cell_slot": np.int64,
@@ -557,67 +574,25 @@ _CELL_COLUMNS = ("ptr", "program", "slot", "channel", "count")
 _PREPARED_COLUMNS = ("test_program", "test_channel", "test_start", "test_end", "truth_ptr", "truth_program")
 
 
-def _encode_names(names: Iterable[str], key: str) -> dict[str, np.ndarray]:
-    # Offsets count code points; "surrogatepass" keeps a lone surrogate that a
-    # JSON escape put in a text.
-    names = list(names)
-    blob = "".join(names).encode("utf-8", "surrogatepass")
-    off = np.zeros(len(names) + 1, dtype=np.int64)
-    np.cumsum(list(map(len, names)), out=off[1:])
-    return {key: np.frombuffer(blob, dtype=np.uint8), f"{key}_off": off}
-
-
-def _decode_names(arrays: Mapping[str, np.ndarray], key: str) -> tuple[str, ...] | None:
-    """The name table ``key``, or None when its offsets do not fit its text."""
-    text = arrays[key].tobytes().decode("utf-8", "surrogatepass")
-    off = arrays[f"{key}_off"]
-    if not (len(off) > 0 and is_ptr(off, len(off) - 1, len(text))):
-        return None
-    bounds = off.tolist()
-    return tuple(text[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-
-
 def dump_prepared(fh: BinaryIO, prepared: Prepared, manifest: Mapping[str, object]) -> None:
     """Write ``prepared`` to ``fh`` as the prepared file: an uncompressed
     ``.npz`` of its arrays as they are and of its name tables as UTF-8 bytes
     plus offsets, with ``manifest`` and the schema version stored as JSON in
     the ``manifest`` array. Equal datasets give equal bytes."""
     cells = prepared.cells
-    doc = json.dumps({"schema": PREPARED_SCHEMA, **manifest}, sort_keys=True).encode()
     arrays = {
-        "manifest": np.frombuffer(doc, dtype=np.uint8),
-        **_encode_names(cells.users, "users"),
-        **_encode_names(cells.program_names, "programs"),
-        **_encode_names(prepared.texts, "texts"),
-        **_encode_names(cells.channel_names, "channels"),
+        **encode_names(cells.users, "users"),
+        **encode_names(cells.program_names, "programs"),
+        **encode_names(prepared.texts, "texts"),
+        **encode_names(cells.channel_names, "channels"),
         **{f"cell_{col}": getattr(cells, col) for col in _CELL_COLUMNS},
         **{key: getattr(prepared, key) for key in _PREPARED_COLUMNS},
     }
-    np.savez(fh, **{key: arrays[key].astype(dtype, copy=False) for key, dtype in _PREPARED_ARRAYS.items()})
-
-
-def _require(ok: bool, problem: str) -> None:
-    if not ok:
-        raise DataError(problem)
-
-
-def is_ptr(ptr: object, rows: int, end: int) -> bool:
-    """Whether ``ptr`` is the offsets array of ``rows`` rows over ``end``
-    entries: a 1-D integer array of ``rows + 1`` offsets that starts at 0,
-    never decreases and ends at ``end``."""
-    return (
-        isinstance(ptr, np.ndarray)
-        and ptr.ndim == 1
-        and ptr.dtype.kind in "iu"
-        and len(ptr) == rows + 1
-        and ptr[0] == 0
-        and ptr[-1] == end
-        and bool(np.all(ptr[1:] >= ptr[:-1]))
+    write_npz(
+        fh,
+        {"schema": PREPARED_SCHEMA, **manifest},
+        {key: arrays[key].astype(dtype, copy=False) for key, dtype in _PREPARED_ARRAYS.items()},
     )
-
-
-def _in_range(codes: np.ndarray, lo: int, hi: int) -> bool:
-    return not len(codes) or (int(codes.min()) >= lo and int(codes.max()) < hi)
 
 
 def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGrid) -> Prepared:
@@ -630,56 +605,45 @@ def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGr
     start at 0, never decrease and end at their table's length, a cell for
     every user, codes in range, slots on ``grid``, positive counts, unique
     user names, sorted unique program and channel names, and test broadcasts
-    that start before they end, within a week.
+    that start before they end, within a week. A file without users fails
+    too.
     """
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            _require(sorted(npz.files) == sorted(_PREPARED_ARRAYS), f"{path} holds other arrays")
-            arrays = {key: npz[key] for key in _PREPARED_ARRAYS}
-        stored = json.loads(arrays["manifest"].tobytes())
-    except (OSError, ValueError, EOFError, KeyError, RecursionError, zipfile.BadZipFile) as exc:
-        raise DataError(f"{path} is not a readable prepared file: {exc}") from None
-    _require(type(stored) is dict, f"{path} has no manifest")
-    _require(
+    stored, arrays = read_npz(path, "prepared file")
+    require(
         stored.get("schema") == PREPARED_SCHEMA,
         f"{path} has schema version {stored.get('schema')!r}, expected {PREPARED_SCHEMA}",
     )
     differ = sorted(key for key, value in manifest.items() if stored.get(key) != json.loads(json.dumps(value)))
-    _require(not differ, f"{path} was prepared with other {', '.join(differ)}")
-    for key, dtype in _PREPARED_ARRAYS.items():
-        a = arrays[key]
-        _require(a.dtype == dtype and a.ndim == 1, f"{path}: array {key} is not one-dimensional {np.dtype(dtype)}")
-
-    try:
-        users, programs, texts, channels = (
-            _decode_names(arrays, key) for key in ("users", "programs", "texts", "channels")
-        )
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: a name table is not UTF-8: {exc}") from None
+    require(not differ, f"{path} was prepared with other {', '.join(differ)}")
+    check_arrays(path, arrays, _PREPARED_ARRAYS)
+    users, programs, texts, channels = (
+        decode_names(arrays, key) for key in ("users", "programs", "texts", "channels")
+    )
     n_cells, n_test = len(arrays["cell_program"]), len(arrays["test_program"])
 
     def check(ok: bool, what: str) -> None:
-        _require(ok, f"{path} is damaged: bad {what}")
+        require(ok, f"{path} is damaged: bad {what}")
 
     for key, names in zip(("users", "programs", "texts", "channels"), (users, programs, texts, channels)):
-        check(names is not None, f"{key} offsets")
+        check(names is not None, f"{key} table")
 
+    check(len(users) > 0, "user names: none")
     check(len(set(users)) == len(users), "user names: some repeat")
     check(all(a < b for names in (programs, channels) for a, b in zip(names, names[1:])), "names: not sorted")
     check(len(texts) == len(programs), "texts: not one per program")
     check(is_ptr(arrays["cell_ptr"], len(users), n_cells), "cell offsets")
     check(bool(np.all(arrays["cell_ptr"][1:] > arrays["cell_ptr"][:-1])), "cell offsets: a user without cells")
     check(all(len(arrays[k]) == n_cells for k in ("cell_slot", "cell_channel", "cell_count")), "cell columns")
-    check(_in_range(arrays["cell_program"], 0, len(programs)), "cell program codes")
-    check(_in_range(arrays["cell_channel"], 0, len(channels)), "cell channel codes")
-    check(_in_range(arrays["cell_slot"], 1, grid.n + 1), "cell slots")
-    check(_in_range(arrays["cell_count"], 1, _INT64_MAX), "cell counts")
+    check(in_range(arrays["cell_program"], 0, len(programs)), "cell program codes")
+    check(in_range(arrays["cell_channel"], 0, len(channels)), "cell channel codes")
+    check(in_range(arrays["cell_slot"], 1, grid.n + 1), "cell slots")
+    check(in_range(arrays["cell_count"], 1, _INT64_MAX), "cell counts")
     check(all(len(arrays[k]) == n_test for k in ("test_channel", "test_start", "test_end")), "test columns")
-    check(_in_range(arrays["test_program"], 0, len(programs)), "test program codes")
-    check(_in_range(arrays["test_channel"], 0, len(channels)), "test channel codes")
-    check(_in_range(arrays["test_end"] - arrays["test_start"], 1, SECONDS_PER_WEEK), "test broadcasts")
+    check(in_range(arrays["test_program"], 0, len(programs)), "test program codes")
+    check(in_range(arrays["test_channel"], 0, len(channels)), "test channel codes")
+    check(in_range(arrays["test_end"] - arrays["test_start"], 1, SECONDS_PER_WEEK), "test broadcasts")
     check(is_ptr(arrays["truth_ptr"], len(users), len(arrays["truth_program"])), "truth offsets")
-    check(_in_range(arrays["truth_program"], 0, len(programs)), "truth program codes")
+    check(in_range(arrays["truth_program"], 0, len(programs)), "truth program codes")
     cells = TensorCells(
         users=users,
         program_names=programs,

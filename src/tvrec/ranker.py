@@ -15,10 +15,14 @@ the first ``k`` rows of a ranking into ``(program id, score)`` pairs.
 
 Two-stage ranking scans the behavior-ordered candidates and collapses each
 maximal consecutive run sharing one (slot, channel) group key down to the run
-member with the highest preference score. Preference scores are evaluated
-lazily during the scan, so only a small prefix of the candidate set ever
-incurs a dot product; the evaluation count is exposed via
-:class:`TwoStageStats`.
+member with the highest preference score. The scan reads only the group keys:
+it collects the rows of the first ``k`` runs, then scores them in one batch,
+so only a small prefix of the candidate set ever incurs a dot product; the
+evaluation count is exposed via :class:`TwoStageStats`.
+
+Preference scores follow one rule in both rankers that read them (see
+:mod:`tvrec.preference`): each row's zero-padded embedding against the
+densified vector of the user for the row's start slot, else the global one.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from typing import Collection, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .behavior import BehaviorMatrix
+from .arrays import Rows
+from .behavior import UserBehavior
 from .datamodel import ProgramMeta
 from .errors import DataError
-from .preference import PreferenceModel
-from .textenc import dot
+from .preference import ItemIndex, PreferenceModel
 from .timegrid import TimeGrid, slots_of_span
 
 RankedList = list[tuple[str, float]]
@@ -74,7 +78,6 @@ class Candidates:
     n_slots: int
     ids: tuple[str, ...]
     channels: tuple[str, ...]
-    chan_col_of: Mapping[str, int]
     span_flat: np.ndarray
     span_ptr: np.ndarray
 
@@ -119,96 +122,53 @@ def build_candidates(
         n_slots=grid.n,
         ids=ids,
         channels=all_channels,
-        chan_col_of=col_of,
         span_flat=np.asarray(flat, dtype=np.int64),
         span_ptr=np.asarray(ptr, dtype=np.int64),
     )
 
 
-@dataclass(frozen=True)
-class ItemIndex:
-    """Candidate embeddings pre-extracted in candidate row order and
-    zero-padded for batched scoring, with candidate rows grouped by start
-    slot for time-aware preference lookup.
-
-    Pad cells carry weight 0, so they never contribute to a dot product.
-    """
-
-    dim: int
-    idx: np.ndarray
-    weights: np.ndarray
-    rows_by_slot: Mapping[int, np.ndarray]
-
-
-def build_item_index(embeddings: Mapping[str, Mapping[int, float]], cand: Candidates) -> ItemIndex:
-    """Extract candidate embeddings into padded arrays for fast scoring."""
-    missing = sorted(pid for pid in cand.ids if pid not in embeddings)
-    if missing:
-        shown = ", ".join(missing[:10])
-        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
-        raise DataError(f"{len(missing)} candidate(s) lack embeddings: {shown}{more}")
-    vecs = [embeddings[pid] for pid in cand.ids]
-    n = len(vecs)
-    width = max((len(v) for v in vecs), default=0) or 1
+def build_item_index(embeddings: Rows, cand: Candidates) -> ItemIndex:
+    """Pad the candidate embeddings, one CSR row per candidate row, into the
+    arrays of an :class:`ItemIndex`, and group the rows by start slot."""
+    n = len(cand)
+    if len(embeddings.ptr) != n + 1:
+        raise ValueError(f"{len(embeddings.ptr) - 1} embeddings for {n} candidates")
+    lens = np.diff(embeddings.ptr)
+    width = int(lens.max(initial=0)) or 1
+    row = np.repeat(np.arange(n), lens)
+    pos = np.arange(len(embeddings.col)) - np.repeat(embeddings.ptr[:-1], lens)
     idx = np.zeros((n, width), dtype=np.int64)
+    idx[row, pos] = embeddings.col
     weights = np.zeros((n, width))
-    dim = 1
-    for row, vec in enumerate(vecs):
-        if not vec:
-            continue
-        keys = np.fromiter(vec.keys(), dtype=np.int64, count=len(vec))
-        idx[row, : len(vec)] = keys
-        weights[row, : len(vec)] = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
-        dim = max(dim, int(keys.max()) + 1)
-    by_slot: dict[int, list[int]] = {}
-    for row, slot in enumerate(cand.start_slots().tolist()):
-        by_slot.setdefault(slot, []).append(row)
-    rows_by_slot = {slot: np.asarray(rows, dtype=np.int64) for slot, rows in by_slot.items()}
-    return ItemIndex(dim=dim, idx=idx, weights=weights, rows_by_slot=rows_by_slot)
+    weights[row, pos] = embeddings.val
+    start = cand.start_slots()
+    slot_rows = np.argsort(start, kind="stable")
+    slot_ptr = np.searchsorted(start[slot_rows], np.arange(1, cand.n_slots + 2))
+    return ItemIndex(idx=idx, weights=weights, slot_rows=slot_rows, slot_ptr=slot_ptr)
 
 
-def _dense_user_vec(vec: Mapping[int, float], dim: int) -> np.ndarray:
-    # Components beyond dim cannot match any candidate dimension; drop them.
-    dense = np.zeros(dim)
-    if vec:
-        keys = np.fromiter(vec.keys(), dtype=np.int64, count=len(vec))
-        vals = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
-        in_range = keys < dim
-        dense[keys[in_range]] = vals[in_range]
+def _user_vectors(model: PreferenceModel, user: str) -> tuple[np.ndarray, np.ndarray]:
+    """The user's slots, ascending, and a matrix of their vectors densified:
+    one row per slot, then the global vector in the last row."""
+    u = model.user_row(user)
+    p = model.prefs
+    lo, hi = p.slot_ptr[u], p.slot_ptr[u + 1]
+    vec_ptr = p.slot_vecs.ptr[lo : hi + 1]
+    a, b = vec_ptr[0], vec_ptr[-1]
+    dense = np.zeros((hi - lo + 1, model.dims))
+    dense[np.repeat(np.arange(hi - lo), np.diff(vec_ptr)), p.slot_vecs.col[a:b]] = p.slot_vecs.val[a:b]
+    col, val = p.global_vecs.row(u)
+    dense[-1, col] = val
+    return p.slots[lo:hi], dense
+
+
+def _dense_grid(bm: UserBehavior, cand: Candidates) -> np.ndarray:
+    dense = np.zeros(cand.n_slots * cand.ncols)
+    dense[bm.cells] = bm.probs
     return dense
 
 
-def _indexed_pref_scores(
-    model: PreferenceModel, user: str, cand: Candidates, index: ItemIndex
-) -> np.ndarray:
-    gv = model.global_prefs.get(user)
-    if gv is None:
-        raise DataError(f"user {user!r} is not in the preference model")
-    dense = _dense_user_vec(gv, index.dim)
-    scores = (dense[index.idx] * index.weights).sum(axis=1)
-    for slot, vec in (model.slot_prefs.get(user) or {}).items():
-        rows = index.rows_by_slot.get(slot)
-        if rows is None:
-            continue
-        slot_dense = _dense_user_vec(vec, index.dim)
-        scores[rows] = (slot_dense[index.idx[rows]] * index.weights[rows]).sum(axis=1)
-    return scores
-
-
-def _dense_grid(bm: BehaviorMatrix, cand: Candidates) -> np.ndarray:
-    ncols = cand.ncols
-    dense = np.zeros(cand.n_slots * ncols)
-    col_of = cand.chan_col_of
-    for (slot, channel), p in bm.probs.items():
-        if not 1 <= slot <= cand.n_slots:
-            raise DataError(f"behavior matrix slot {slot} outside grid of {cand.n_slots}")
-        col = col_of.get(channel)
-        if col is not None:  # channels without candidates can never match
-            dense[(slot - 1) * ncols + col] = p
-    return dense
-
-
-def _span_values(bm: BehaviorMatrix, cand: Candidates) -> np.ndarray:
+def _span_values(bm: UserBehavior, cand: Candidates) -> np.ndarray:
     # The user's probability at every span cell, segmented per row by span_ptr.
     return _dense_grid(bm, cand)[cand.span_flat]
 
@@ -229,41 +189,30 @@ def top_k(cand: Candidates, ranking: Ranking, k: int) -> RankedList:
     return [(ids[r], s) for r, s in zip(rows.tolist(), ranking.scores[rows].tolist())]
 
 
-def _pref_scorer(model: PreferenceModel, user: str, cand: Candidates):
-    """Row-wise preference score function: the user's vector for the row's
-    start slot, or the global vector where the user has none."""
-    gv = model.global_prefs.get(user)
-    if gv is None:
-        raise DataError(f"user {user!r} is not in the preference model")
-    embs = model.item_embeddings
-    ids = cand.ids
-    get_vec = (model.slot_prefs.get(user) or {}).get
-    flat = cand.span_flat
-    ptr = cand.span_ptr
-    ncols = cand.ncols
-
-    def score_row(row: int) -> float:
-        start_slot = int(flat[ptr[row]]) // ncols + 1
-        return dot(get_vec(start_slot, gv), embs[ids[row]])
-
-    return score_row
-
-
-def rank_behavior(bm: BehaviorMatrix, cand: Candidates) -> Ranking:
+def rank_behavior(bm: UserBehavior, cand: Candidates) -> Ranking:
     """Rank all candidates by behavior score, descending."""
     return _ranking(np.maximum.reduceat(_span_values(bm, cand), cand.span_ptr[:-1]))
 
 
-def rank_preference(model: PreferenceModel, user: str, cand: Candidates, index: ItemIndex) -> Ranking:
-    """Rank all candidates by preference score, descending, scoring them in
-    one batched pass over the prebuilt :class:`ItemIndex`."""
-    if index.idx.shape[0] != len(cand.ids):
+def rank_preference(model: PreferenceModel, user: str, cand: Candidates) -> Ranking:
+    """Rank all candidates by preference score, descending: one batched pass
+    with the global vector, then the rows of each slot the user has a vector
+    for again with that vector."""
+    items = model.items
+    if items.idx.shape[0] != len(cand.ids):
         raise ValueError("item index does not match the candidate set")
-    return _ranking(_indexed_pref_scores(model, user, cand, index))
+    slots, dense = _user_vectors(model, user)
+    idx, weights, bounds = items.idx, items.weights, items.slot_ptr
+    scores = (dense[-1][idx] * weights).sum(axis=1)
+    for vec, slot in zip(dense, slots.tolist()):
+        rows = items.slot_rows[bounds[slot - 1] : bounds[slot]]
+        if len(rows):
+            scores[rows] = (vec[idx[rows]] * weights[rows]).sum(axis=1)
+    return _ranking(scores)
 
 
 def two_stage(
-    bm: BehaviorMatrix,
+    bm: UserBehavior,
     model: PreferenceModel,
     cand: Candidates,
     k: int,
@@ -280,41 +229,49 @@ def two_stage(
     with a run still pending, that run is flushed, so the output only falls
     short of ``k`` when the candidate groups themselves run out. The returned
     scores are the behavior scores. The argmax slot is found only for the
-    rows the scan visits, earliest slot first on ties.
+    rows the scan visits, earliest slot first on ties; the rows of the first
+    ``k`` runs are then scored in one batch.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    score_row = _pref_scorer(model, bm.user, cand)
+    slots, dense = _user_vectors(model, bm.user)
     vals = _span_values(bm, cand)
     flat = cand.span_flat
     ptr = cand.span_ptr
     scores = np.maximum.reduceat(vals, ptr[:-1])
+    order = _stage_one_order(scores)
 
-    winners: list[int] = []
+    run_starts: list[int] = []
     run_key = -1
-    best_row = -1
-    best_key: tuple[float, int] | None = None
-    evals = 0
-    for row in _stage_one_order(scores):
+    end = len(order)
+    for n, row in enumerate(order):
         # The argmax span cell encodes (slot, channel): it is the group key.
         lo = ptr[row]
         key = flat[lo + vals[lo : ptr[row + 1]].argmax()]
-        if best_row >= 0 and key != run_key:
-            winners.append(best_row)
-            best_row = -1
-            if len(winners) == k:
+        if key != run_key:
+            if len(run_starts) == k:
+                end = n
                 break
-        run_key = key
-        entry = (-score_row(row), row)
-        evals += 1
-        if best_row < 0 or entry < best_key:
-            best_key = entry
-            best_row = row
-    if best_row >= 0 and len(winners) < k:
-        winners.append(best_row)  # flush the pending run
+            run_starts.append(n)
+            run_key = key
+    rows = order[:end]
     if stats is not None:
-        stats.preference_evals += evals
-    return Ranking(np.asarray(winners, dtype=np.int64), scores)
+        stats.preference_evals += end
+    if not end:
+        return Ranking(rows, scores)
+
+    # Each row's vector: the user's for its start slot, else the global one.
+    vec_of_slot = np.full(cand.n_slots + 1, len(slots))
+    vec_of_slot[slots] = np.arange(len(slots))
+    vec = vec_of_slot[flat[ptr[rows]] // cand.ncols + 1]
+    items = model.items
+    pref = (dense[vec[:, None], items.idx[rows]] * items.weights[rows]).sum(axis=1)
+    # A run's rows share one behavior score, so they are in row order, and
+    # the first row with the run's best preference is the tie-break's winner.
+    starts = np.asarray(run_starts)
+    best = np.maximum.reduceat(pref, starts)
+    hits = np.flatnonzero(pref == np.repeat(best, np.diff(starts, append=end)))
+    return Ranking(rows[hits[np.searchsorted(hits, starts)]], scores)
 
 
 def _rank_of_row(ranking: Ranking, n: int, name: str) -> np.ndarray:

@@ -99,14 +99,6 @@ def encode(vocab: Vocabulary, tf: Mapping[str, int]) -> Embedding:
     return vec
 
 
-def dot(a: Embedding, b: Embedding) -> float:
-    """Sparse dot product."""
-    if len(a) > len(b):
-        a, b = b, a
-    get = b.get
-    return sum(w * get(i, 0.0) for i, w in a.items())
-
-
 def mean_embedding(vectors: Iterable[Embedding]) -> Embedding:
     """Arithmetic mean of sparse vectors (no re-normalization)."""
     acc: dict[int, float] = {}

@@ -2,8 +2,12 @@
 
 Everything here is deliberately independent of the library's ranking,
 ingestion and model-building code paths: dense matrices, plain dict
-arithmetic, python sorts, one `ViewingLog` record per log line, and the
-interaction tensor as nested dicts, ``{user: {(program, slot, channel): count}}``.
+arithmetic, python sorts, one `ViewingLog` record per log line, the
+interaction tensor as nested dicts, ``{user: {(program, slot, channel): count}}``,
+and the model as dicts: :class:`BehaviorMatrix` and :class:`PreferenceDicts`.
+:func:`behavior_row` and :func:`preference_model` turn the dict model into
+the arrays the rankers read; :func:`behavior_dicts` and
+:func:`preference_vectors` turn built arrays back into dicts.
 """
 
 from __future__ import annotations
@@ -12,18 +16,98 @@ import json
 import math
 import random
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from tvrec.behavior import BehaviorMatrix
+from tvrec.arrays import Rows
+from tvrec.behavior import Behavior, UserBehavior
 from tvrec.datamodel import LogTable, ProgramMeta, TensorCells, ViewingLog
 from tvrec.errors import DataError
-from tvrec.preference import PreferenceModel
+from tvrec.preference import PreferenceModel, Preferences, embedding_rows
+from tvrec.ranker import Candidates, build_item_index
 from tvrec.textenc import Embedding, mean_embedding
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
 
 MONDAY = 1_554_076_800  # 2019-04-01 00:00:00 UTC
+
+
+@dataclass(frozen=True)
+class BehaviorMatrix:
+    """A user's viewing probability distribution over (slot, channel) pairs, as a dict."""
+
+    user: str
+    probs: Mapping[tuple[int, str], float]
+
+
+@dataclass(frozen=True)
+class PreferenceDicts:
+    """Per-user preference vectors and item embeddings as dicts; a slot
+    without a vector, or a user without any, falls back to the global one."""
+
+    global_prefs: Mapping[str, Embedding]
+    slot_prefs: Mapping[str, Mapping[int, Embedding]]
+    item_embeddings: Mapping[str, Embedding]
+
+
+def dot(a: Embedding, b: Embedding) -> float:
+    """Sparse dot product, summed over the shorter vector in its order."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    return sum(w * get(i, 0.0) for i, w in a.items())
+
+
+def behavior_row(bm: BehaviorMatrix, cand: Candidates) -> UserBehavior:
+    """The dict distribution as a row over ``cand``'s grid cells, ascending;
+    channels without a grid column can never match and are left out."""
+    col_of = {c: j for j, c in enumerate(cand.channels)}
+    entries = sorted(((s - 1) * cand.ncols + col_of[c], p) for (s, c), p in bm.probs.items() if c in col_of)
+    cells = np.array([c for c, _ in entries], dtype=np.int64)
+    return UserBehavior(bm.user, cells, np.array([p for _, p in entries]))
+
+
+def preference_model(model: PreferenceDicts, cand: Candidates) -> PreferenceModel:
+    """The dict model as arrays, scoring the candidates of ``cand``."""
+    users = sorted(model.global_prefs)
+    slot_items = [sorted((model.slot_prefs.get(u) or {}).items()) for u in users]
+    vectors = [*model.global_prefs.values(), *model.item_embeddings.values()]
+    vectors += [v for s in slot_items for _, v in s]
+    prefs = Preferences(
+        users=tuple(users),
+        global_vecs=embedding_rows(model.global_prefs[u] for u in users),
+        slot_ptr=np.cumsum([0, *map(len, slot_items)], dtype=np.int64),
+        slots=np.array([slot for s in slot_items for slot, _ in s], dtype=np.int64),
+        slot_vecs=embedding_rows(v for s in slot_items for _, v in s),
+    )
+    dims = 1 + max((d for vec in vectors for d in vec), default=0)
+    items = build_item_index(embedding_rows(model.item_embeddings[pid] for pid in cand.ids), cand)
+    return PreferenceModel(prefs=prefs, dims=dims, items=items)
+
+
+def behavior_dicts(behavior: Behavior) -> dict[str, BehaviorMatrix]:
+    """Every user's row as a dict, keyed in (slot, channel) order."""
+    return {
+        u: BehaviorMatrix(u, {(slot, c): p for slot, c, p in behavior.entries(u)}) for u in behavior.users
+    }
+
+
+def _vector(rows: Rows, i: int) -> Embedding:
+    col, val = rows.row(i)
+    return dict(zip(col.tolist(), val.tolist()))
+
+
+def preference_vectors(prefs: Preferences) -> tuple[dict[str, Embedding], dict[str, dict[int, Embedding]]]:
+    """The global and the slot vectors as dicts, in stored order."""
+    slots = prefs.slots.tolist()
+    ptr = prefs.slot_ptr.tolist()
+    global_prefs = {u: _vector(prefs.global_vecs, i) for i, u in enumerate(prefs.users)}
+    slot_prefs = {
+        u: {slots[j]: _vector(prefs.slot_vecs, j) for j in range(ptr[i], ptr[i + 1])}
+        for i, u in enumerate(prefs.users)
+    }
+    return global_prefs, slot_prefs
 
 
 def l2_norm(vec: dict[int, float]) -> float:
@@ -77,7 +161,7 @@ def scalar_behavior(bm: BehaviorMatrix, meta: ProgramMeta, grid: TimeGrid) -> tu
     return best, best_slot, meta.channel
 
 
-def scalar_preference(model: PreferenceModel, user: str, meta: ProgramMeta, grid: TimeGrid) -> float:
+def scalar_preference(model: PreferenceDicts, user: str, meta: ProgramMeta, grid: TimeGrid) -> float:
     # The user's vector for the start slot if the model has one, else the global vector.
     vec = model.slot_prefs.get(user, {}).get(slot_of(meta.start, grid), model.global_prefs[user])
     emb = model.item_embeddings[meta.program]
@@ -97,7 +181,7 @@ def brute_stage_one(
 
 def brute_two_stage(
     bm: BehaviorMatrix,
-    model: PreferenceModel,
+    model: PreferenceDicts,
     metas: list[ProgramMeta],
     grid: TimeGrid,
     k: int,
@@ -133,7 +217,7 @@ def brute_rank(scores: dict[str, float], metas: list[ProgramMeta]) -> list[str]:
 def random_instance(rng: random.Random, max_programs: int = 50, max_channels: int = 8, max_slots: int = 12):
     """A random toy ranking instance with frequent score ties.
 
-    Returns (grid, metas, behavior matrix, preference models by mode).
+    Returns (grid, metas, behavior matrix, preference models by mode), as dicts.
     Spans never wrap the week so the dense oracle applies.
     """
     n = rng.choice([s for s in (4, 6, 8, 12) if s <= max_slots])
@@ -178,8 +262,8 @@ def random_instance(rng: random.Random, max_programs: int = 50, max_channels: in
         "u": {slot: rand_vec() for slot in range(1, n + 1) if rng.random() < 0.4}
     }
     models = {
-        "global": PreferenceModel(global_prefs=global_prefs, slot_prefs={}, item_embeddings=items),
-        "time-aware": PreferenceModel(
+        "global": PreferenceDicts(global_prefs=global_prefs, slot_prefs={}, item_embeddings=items),
+        "time-aware": PreferenceDicts(
             global_prefs=global_prefs, slot_prefs=slot_prefs, item_embeddings=items
         ),
     }
@@ -343,7 +427,7 @@ def behavior_matrix_dicts(by_user: Mapping[str, Mapping[tuple[str, int, str], in
 
 def preference_dicts(
     by_user: Mapping[str, Mapping[tuple[str, int, str], int]], embeddings: Mapping[str, Embedding]
-) -> PreferenceModel:
+) -> PreferenceDicts:
     """Reference `preference.build`: each user's distinct items, and each
     (user, slot)'s, averaged in id order; slots ascending."""
     global_prefs = {}
@@ -354,4 +438,4 @@ def preference_dicts(
         slot_prefs[user] = {
             s: mean_embedding(embeddings[i] for i in sorted({i for (i, w, _) in cells if w == s})) for s in slots
         }
-    return PreferenceModel(global_prefs=global_prefs, slot_prefs=slot_prefs, item_embeddings=dict(embeddings))
+    return PreferenceDicts(global_prefs=global_prefs, slot_prefs=slot_prefs, item_embeddings=dict(embeddings))

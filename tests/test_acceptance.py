@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import pytest
 
-from oracles import brute_two_stage, dense_behavior_score, l2_norm, log_table, random_instance
+from oracles import (
+    behavior_row,
+    brute_two_stage,
+    dense_behavior_score,
+    l2_norm,
+    log_table,
+    preference_model,
+    random_instance,
+)
 from tvrec import behavior, datamodel, evaluate, preference, ranker, synth, textenc
 from tvrec.cli import main as cli_main
 from tvrec.timegrid import SECONDS_PER_WEEK
@@ -35,11 +43,10 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 class Dataset:
     cfg: synth.SynthConfig
     prep: datamodel.Prepared
-    behavior: dict
+    behavior: behavior.Behavior
     embeddings: dict
     models: dict
     cand: ranker.Candidates
-    index: ranker.ItemIndex
     build_seconds: float
 
 
@@ -57,21 +64,22 @@ def build_dataset(seed: int) -> Dataset:
     corpus = prep.corpus()
     vocab, _ = textenc.fit(corpus)
     embeddings = {pid: textenc.encode(vocab, textenc.term_counts(text)) for pid, text in corpus}
-    time_aware = preference.build(prep.cells, embeddings)
+    cand = ranker.build_candidates(prep.test_metas(), cfg.grid, prep.cells.channel_names)
+    items = ranker.build_item_index(preference.embedding_rows(embeddings[pid] for pid in cand.ids), cand)
+    time_aware = preference.PreferenceModel(preference.build(prep.cells, embeddings), vocab.size, items)
     models = {"global": preference.global_view(time_aware), "time-aware": time_aware}
-    cand = ranker.build_candidates(prep.test_metas(), cfg.grid, prep.cells.channels())
-    index = ranker.build_item_index(embeddings, cand)
     matrices = behavior.behavior_matrix(prep.cells)
-    return Dataset(cfg, prep, matrices, embeddings, models, cand, index, time.perf_counter() - t0)
+    return Dataset(cfg, prep, matrices, embeddings, models, cand, time.perf_counter() - t0)
 
 
 def rank_and_score(ds: Dataset) -> dict[str, float]:
     """nDCG@10 for the four methods of the directional criterion."""
     recs = {name: {} for name in ("behavior", "preferences", "two-stage-global", "two-stage-time")}
-    for user, bm in ds.behavior.items():
+    for user in ds.behavior.users:
+        bm = ds.behavior.of(user)
         recs["behavior"][user] = ranker.top_k(ds.cand, ranker.rank_behavior(bm, ds.cand), K)
         recs["preferences"][user] = ranker.top_k(
-            ds.cand, ranker.rank_preference(ds.models["time-aware"], user, ds.cand, ds.index), K
+            ds.cand, ranker.rank_preference(ds.models["time-aware"], user, ds.cand), K
         )
         recs["two-stage-global"][user] = ranker.top_k(
             ds.cand, ranker.two_stage(bm, ds.models["global"], ds.cand, K), K
@@ -99,7 +107,8 @@ def test_criterion_1_two_stage_matches_brute_force_oracle():
         cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
         k = rng.choice((1, 3, 10, 30))
         mode = rng.choice(("global", "time-aware"))
-        got = ranker.top_k(cand, ranker.two_stage(bm, models[mode], cand, k), k)
+        ranking = ranker.two_stage(behavior_row(bm, cand), preference_model(models[mode], cand), cand, k)
+        got = ranker.top_k(cand, ranking, k)
         want = brute_two_stage(bm, models[mode], metas, grid, k)
         assert got == want, f"two-stage mismatch on instance {checked}"
         checked += 1
@@ -121,7 +130,7 @@ def test_criterion_2_behavior_score_matches_dense_product():
         grid, metas, bm, _ = random_instance(rng, max_programs=10)
         channels = sorted({m.channel for m in metas} | {c for _, c in bm.probs})
         cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
-        scores = ranker.rank_behavior(bm, cand).scores
+        scores = ranker.rank_behavior(behavior_row(bm, cand), cand).scores
         for meta in metas:
             efficient = float(scores[cand.ids.index(meta.program)])
             dense = dense_behavior_score(bm, meta, channels, grid)
@@ -139,9 +148,10 @@ def test_criterion_2_behavior_score_matches_dense_product():
 
 def test_criterion_3_distribution_invariants(dataset_a):
     worst_sum = 0.0
-    for bm in dataset_a.behavior.values():
-        worst_sum = max(worst_sum, abs(sum(bm.probs.values()) - 1.0))
-        assert all(p > 0 for p in bm.probs.values())
+    for user in dataset_a.behavior.users:
+        probs = dataset_a.behavior.of(user).probs.tolist()
+        worst_sum = max(worst_sum, abs(sum(probs) - 1.0))
+        assert all(p > 0 for p in probs)
     worst_norm = 0.0
     nonzero = 0
     for emb in dataset_a.embeddings.values():
@@ -153,7 +163,7 @@ def test_criterion_3_distribution_invariants(dataset_a):
         3,
         "distribution invariants",
         ok,
-        f"{len(dataset_a.behavior)} behavior matrices sum to 1 "
+        f"{len(dataset_a.behavior.users)} behavior matrices sum to 1 "
         f"(worst dev {worst_sum:.2e}), {nonzero} non-zero embeddings unit-norm "
         f"(worst dev {worst_norm:.2e})",
     )
@@ -192,13 +202,12 @@ def test_criterion_4_directional_reproduction(dataset_a):
 
 
 def test_criterion_5_efficiency_ratios(dataset_a):
-    users = sorted(dataset_a.behavior)
+    users = list(dataset_a.behavior.users)
     rng = random.Random(4242)
     sample = sorted(rng.sample(users, 200))
     model = dataset_a.models["time-aware"]
     cand = dataset_a.cand
-    index = dataset_a.index
-    matrices = {u: dataset_a.behavior[u] for u in sample}
+    matrices = {u: dataset_a.behavior.of(u) for u in sample}
 
     t_behavior = evaluate.bench(
         lambda u: ranker.top_k(cand, ranker.rank_behavior(matrices[u], cand), K), sample, 3
@@ -209,7 +218,7 @@ def test_criterion_5_efficiency_ratios(dataset_a):
 
     def rrf_pipeline(u):
         kb = ranker.rank_behavior(matrices[u], cand)
-        kp = ranker.rank_preference(model, u, cand, index)
+        kp = ranker.rank_preference(model, u, cand)
         return ranker.top_k(cand, ranker.rrf(kb, kp, cand), K)
 
     t_rrf = evaluate.bench(rrf_pipeline, sample, 3)
@@ -268,9 +277,8 @@ def test_criterion_7_rrf_algebra():
     for trial in range(100):
         grid, metas, bm, models = random_instance(rng, max_programs=40)
         cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
-        index = ranker.build_item_index(models["global"].item_embeddings, cand)
-        kb = ranker.rank_behavior(bm, cand)
-        kp = ranker.rank_preference(models["global"], "u", cand, index)
+        kb = ranker.rank_behavior(behavior_row(bm, cand), cand)
+        kp = ranker.rank_preference(preference_model(models["global"], cand), "u", cand)
         eta = rng.randint(1, 100)
         rows_b = kb.rows.tolist()
         rows_p = kp.rows.tolist()

@@ -2,25 +2,40 @@ import random
 
 import pytest
 
-from oracles import MONDAY, dense_behavior_score, log_table, random_instance, tensor_cells
-from tvrec.behavior import BehaviorMatrix, behavior_matrix
+from oracles import (
+    MONDAY,
+    BehaviorMatrix,
+    PreferenceDicts,
+    behavior_dicts,
+    behavior_row,
+    dense_behavior_score,
+    log_table,
+    preference_model,
+    random_instance,
+    tensor_cells,
+)
+from tvrec.behavior import behavior_matrix
 from tvrec.datamodel import ProgramMeta, ViewingLog, build_tensor
 from tvrec.errors import DataError
-from tvrec.preference import PreferenceModel
 from tvrec.ranker import build_candidates, rank_behavior, top_k, two_stage
 from tvrec.timegrid import TimeGrid
 
 GRID = TimeGrid(n=672)
 
 
+def matrix_of(cells, user="u"):
+    """``user``'s row of ``behavior_matrix(cells)`` as a dict."""
+    return behavior_dicts(behavior_matrix(cells))[user]
+
+
 def test_behavior_matrix_normalizes_marginal_counts():
     cells = tensor_cells({"u": {("pa", 5, "c2"): 2, ("pb", 5, "c2"): 1, ("pc", 9, "c1"): 1}})
-    bm = behavior_matrix(cells)["u"]
+    bm = matrix_of(cells)
     assert bm.probs == {(5, "c2"): 0.75, (9, "c1"): 0.25}
 
 
 def test_behavior_matrix_single_event():
-    bm = behavior_matrix(tensor_cells({"u": {("p", 1, "c1"): 1}}))["u"]
+    bm = matrix_of(tensor_cells({"u": {("p", 1, "c1"): 1}}))
     assert bm.probs == {(1, "c1"): 1.0}
 
 
@@ -39,7 +54,7 @@ def test_behavior_matrix_matches_dense_formula_on_toy_tensor():
             for channel in ("a", "b"):
                 if rng.random() < 0.6:
                     cells[(item, slot, channel)] = rng.randint(1, 4)
-    bm = behavior_matrix(tensor_cells({"u": cells}))["u"]
+    bm = matrix_of(tensor_cells({"u": cells}))
     total = sum(cells.values())
     for slot in range(1, 5):
         for channel in ("a", "b"):
@@ -60,15 +75,15 @@ def test_behavior_matrix_invariant_to_log_order():
     shuffled = logs[:]
     random.Random(0).shuffle(shuffled)
     restrict = {"items": frozenset(metas), "users": frozenset({"u"})}
-    bm1 = behavior_matrix(build_tensor(log_table(logs), metas, GRID, **restrict))["u"]
-    bm2 = behavior_matrix(build_tensor(log_table(shuffled), metas, GRID, **restrict))["u"]
+    bm1 = matrix_of(build_tensor(log_table(logs), metas, GRID, **restrict))
+    bm2 = matrix_of(build_tensor(log_table(shuffled), metas, GRID, **restrict))
     assert bm1.probs == bm2.probs
 
 
 def flat_model(metas, items=None):
     """A global preference model; every program scores 0 unless ``items`` says otherwise."""
     items = items or {m.program: {} for m in metas}
-    return PreferenceModel(global_prefs={"u": {0: 1.0}}, slot_prefs={}, item_embeddings=items)
+    return PreferenceDicts(global_prefs={"u": {0: 1.0}}, slot_prefs={}, item_embeddings=items)
 
 
 def program(pid="px", channel="c2", start_slot=5, n_slots=2):
@@ -79,7 +94,7 @@ def program(pid="px", channel="c2", start_slot=5, n_slots=2):
 def behavior_scores(bm, metas, grid=GRID):
     """Behavior score of each program, computed over the candidate index."""
     cand = build_candidates(metas, grid, {c for _, c in bm.probs})
-    scores = rank_behavior(bm, cand).scores
+    scores = rank_behavior(behavior_row(bm, cand), cand).scores
     return [float(scores[cand.ids.index(m.program)]) for m in metas]
 
 
@@ -95,7 +110,7 @@ def test_behavior_score_unwatched_channel_is_zero_with_total_argmax():
     metas = [program("pa", channel="c1", n_slots=1), program("pz", channel="c9")]
     assert behavior_scores(bm, metas) == [1.0, 0.0]
     cand = build_candidates(metas, GRID, {"c1"})
-    ranked = top_k(cand, two_stage(bm, flat_model(metas), cand, 5), 5)
+    ranked = top_k(cand, two_stage(behavior_row(bm, cand), preference_model(flat_model(metas), cand), cand, 5), 5)
     assert ranked == [("pa", 1.0), ("pz", 0.0)]
 
 
@@ -108,7 +123,8 @@ def test_behavior_score_tie_takes_earliest_slot():
     metas = [program("A", channel="c1", start_slot=1), program("B", channel="c1", start_slot=2, n_slots=1)]
     model = flat_model(metas, {"A": {0: 0.1}, "B": {0: 0.9}})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert top_k(cand, two_stage(bm, model, cand, 5), 5) == [("A", 0.5), ("B", 0.5)]
+    ranking = two_stage(behavior_row(bm, cand), preference_model(model, cand), cand, 5)
+    assert top_k(cand, ranking, 5) == [("A", 0.5), ("B", 0.5)]
 
 
 def test_behavior_score_equals_dense_elementwise_product_oracle():

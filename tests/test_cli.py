@@ -1,18 +1,22 @@
 import dataclasses
+import io
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tvrec
-from tvrec.cli import _CONFIG_SECTIONS, EngineConfig, ModelBundle, load_config, main
+from oracles import behavior_matrix_dicts, tensor_dicts
+from tvrec.cli import _CONFIG_SECTIONS, EngineConfig, _prepared_manifest, load_config, main
+from tvrec.datamodel import load_prepared
 from tvrec.errors import ConfigError
-from tvrec.ranker import Candidates
 
 SYNTH_CFG = {
     "n_users": 25,
@@ -140,8 +144,12 @@ def test_inspect_user_dumps_behavior_matrix(built, capsys):
     out = capsys.readouterr().out
     doc = json.loads(out.strip().splitlines()[-1])
     assert doc["user"] == user
-    assert doc["entries"]
     assert abs(sum(p for _, _, p in doc["entries"]) - 1.0) < 1e-9
+    # The entries are the oracle's distribution, exactly, in (slot, channel) order.
+    engine = load_config(str(cfg), {})
+    prepared = load_prepared(root / "out" / "prepared.npz", _prepared_manifest(engine), engine.grid)
+    want = behavior_matrix_dicts(tensor_dicts(prepared.cells), user)
+    assert doc["entries"] == [[slot, channel, p] for (slot, channel), p in sorted(want.probs.items())]
 
 
 def test_missing_input_exits_with_data_error(tmp_path):
@@ -162,8 +170,70 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert run(["prep", "--config", bad]) == 2
 
 
+def _bundle_arrays(path):
+    """Every array of a bundle, in file order, the manifest decoded."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    arrays["manifest"] = json.loads(arrays["manifest"].tobytes())
+    return arrays
+
+
+def _write_arrays(path, arrays):
+    """Write what :func:`_bundle_arrays` read, in its order."""
+    doc = json.dumps(arrays["manifest"], sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        np.savez(fh, **{**arrays, "manifest": np.frombuffer(doc, dtype=np.uint8)})
+
+
+def _without_users(arrays):
+    """A consistent bundle of the same candidates without a single user."""
+    out = dict(arrays, manifest={**arrays["manifest"], "shapes": {**arrays["manifest"]["shapes"], "users": 0}})
+    for key in ("users_off", "behavior_ptr", "global_ptr", "slots_ptr", "slot_vecs_ptr", "truth_ptr"):
+        out[key] = arrays[key][:1]
+    for key in ("users", "behavior_col", "behavior_val", "global_col", "global_val", "slots", "slot_vecs_col",
+                "slot_vecs_val", "truth_rows"):
+        out[key] = arrays[key][:0]
+    return out
+
+
+def _no_truth_argv(case, tmp_path):
+    """Inputs in which ``u1`` is in both halves, but its only test log is on
+    a program that started before the split, so ``u1`` has no truth; ``u2``
+    has one. With ``prep no user in both halves``, ``u3`` alone has a test log."""
+    day = 86_400
+    programs = [("pa", T_SPLIT - 7 * day), ("pb", T_SPLIT - 3_600), ("pc", T_SPLIT + 3_600)]
+    logs = [("u1", "pa", T_SPLIT - 7 * day + 60), ("u2", "pa", T_SPLIT - 7 * day + 60)]
+    if case.startswith("tune"):
+        logs += [("u1", "pb", T_SPLIT + 60), ("u2", "pc", T_SPLIT + 3_660)]
+    else:
+        logs += [("u3", "pc", T_SPLIT + 3_660)]
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "programs.jsonl").write_text("".join(
+        json.dumps({"program": p, "channel": "c1", "start": t, "end": t + 3_000, "text": f"show {p}"}) + "\n"
+        for p, t in programs
+    ))
+    (data / "logs.jsonl").write_text("".join(
+        json.dumps({"user": u, "program": p, "channel": "c1", "t": t, "dt": 1_200}) + "\n" for u, p, t in logs
+    ))
+    flags = ["--logs", data / "logs.jsonl", "--programs", data / "programs.jsonl", "--t-split", T_SPLIT,
+             "--out-dir", tmp_path / "out"]
+    if case.startswith("prep"):
+        return ["prep", *flags]
+    assert run(["prep", *flags]) == 0
+    assert run(["build", *flags]) == 0
+    return ["tune", "--out-dir", tmp_path / "out", "--dev-frac", 0.5, "--seed", 1,
+            "--eta-grid", 1, "--xi-grid", 0.5]
+
+
 def _malformed_argv(case, cfg, tmp_path):
     """The argv of one malformed-input case; its bad file goes in tmp_path."""
+    if case in ("tune no dev user with truth", "prep no user in both halves"):
+        return _no_truth_argv(case, tmp_path)
+    if case in ("bench bundle without users", "tune bundle without users"):
+        model = tmp_path / "model.pkl"
+        _write_arrays(model, _without_users(_bundle_arrays(cfg.parent / "out" / "model.pkl")))
+        return [case.split()[0], "--config", cfg, "--model", model, "--out", tmp_path / "out.json"]
     good_rows = '{"_meta": {}}\n{"user": "u1", "items": ["p1"], "scores": [1.0]}\n'
     bad_rows = good_rows + "{not json\n"
     if case in ("rec line not JSON", "truth line not JSON"):
@@ -255,17 +325,17 @@ def _malformed_argv(case, cfg, tmp_path):
         return ["prep", "--config", bad]
     if case.startswith("bundle"):
         # Damaged copies of the bundle that `build` wrote.
-        blob = (cfg.parent / "out" / "model.pkl").read_bytes()
-        if case == "bundle span_ptr short":
-            bundle = pickle.loads(blob)
-            bundle.cand = dataclasses.replace(bundle.cand, span_ptr=bundle.cand.span_ptr[:-5])
-            blob = pickle.dumps(bundle)
-        else:
-            blob = {"bundle cut short": blob[: len(blob) // 2],
-                    "bundle is text": b"garbage",
-                    "bundle empty": b""}[case]
+        built_model = cfg.parent / "out" / "model.pkl"
         model = tmp_path / "model.pkl"
-        model.write_bytes(blob)
+        if case == "bundle span_ptr short":
+            arrays = _bundle_arrays(built_model)
+            arrays["span_ptr"] = arrays["span_ptr"][:-5]
+            _write_arrays(model, arrays)
+        else:
+            blob = built_model.read_bytes()
+            model.write_bytes({"bundle cut short": blob[: len(blob) // 2],
+                               "bundle is text": b"garbage",
+                               "bundle empty": b""}[case])
         return ["recommend", "--config", cfg, "--model", model, "--method", "behavior",
                 "--out", tmp_path / "recs.jsonl"]
     flag = {"bench zero users": "--users-sample", "bench zero reps": "--reps"}[case]
@@ -317,6 +387,10 @@ def _malformed_argv(case, cfg, tmp_path):
         ("bundle is text", 3),
         ("bundle empty", 3),
         ("bundle span_ptr short", 3),
+        ("bench bundle without users", 3),
+        ("tune bundle without users", 3),
+        ("tune no dev user with truth", 3),
+        ("prep no user in both halves", 3),
         ("tune dev-frac above 1", 2),
         ("tune dev-frac 0", 2),
         ("tune cutoff 0", 2),
@@ -369,8 +443,8 @@ def _python_m_env():
 
 
 def test_bundle_built_by_python_m_loads_in_process(workspace, tmp_path, capsys):
-    # `python -m tvrec.cli` runs the module as __main__; its bundle must still
-    # unpickle as tvrec.cli.ModelBundle in a process that imported tvrec.cli.
+    # `python -m tvrec.cli` runs the module as __main__; the bundle it writes
+    # must load in a process that imported tvrec.cli.
     _, cfg = workspace
     model = tmp_path / "model.pkl"
     assert run(["prep", "--config", cfg, "--out-dir", tmp_path]) == 0
@@ -492,27 +566,96 @@ def test_one_build_serves_both_scoring_modes(built, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_old_layout_bundle_exits_with_data_error(workspace, tmp_path, capsys):
-    # Unpickling skips __init__, so a bundle of an earlier layout is still a
-    # ModelBundle instance; it must be refused as data, not fail inside ranking.
-    _, cfg = workspace
-    old = ModelBundle.__new__(ModelBundle)
-    old.__dict__.update(dict.fromkeys(
-        ("provenance", "grid", "tensor", "truths", "test_metas", "vocab", "prefs", "summary")
-    ))
-    # A current bundle layout holding a candidate index of an earlier layout.
-    old_cand = Candidates.__new__(Candidates)
-    old_cand.__dict__.update(dict.fromkeys(
-        ("n_slots", "ids", "pos", "channels", "chan_col_of", "starts", "id_rank", "chan_col",
-         "span_flat", "span_slots", "span_lens", "seg_starts", "start_slots")
-    ))
-    old_index = ModelBundle(provenance={}, cand=old_cand, behavior={}, truths={}, model=None)
-    for n, bundle in enumerate((old, old_index)):
-        model = tmp_path / f"model{n}.pkl"
-        model.write_bytes(pickle.dumps(bundle))
+class _Trap:
+    """Unpickling this makes the directory ``path``: proof that a loader ran it."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return os.mkdir, (str(self.path),)
+
+
+def test_old_layout_bundle_exits_with_data_error(built, tmp_path, capsys):
+    # A pickled bundle, as earlier versions wrote, is refused without being
+    # unpickled, and so is a bundle of another schema version.
+    _, cfg = built
+    trap = tmp_path / "unpickled"
+    pickled = tmp_path / "pickled.pkl"
+    pickled.write_bytes(pickle.dumps({"provenance": {}, "cand": _Trap(trap), "behavior": {}, "truths": {}}))
+    arrays = _bundle_arrays(cfg.parent / "out" / "model.pkl")
+    other_schema = tmp_path / "schema.pkl"
+    _write_arrays(other_schema, {**arrays, "manifest": {**arrays["manifest"], "schema": 0}})
+    for model in (pickled, other_schema):
         assert run(["recommend", "--config", cfg, "--model", model, "--method", "behavior",
                     "--out", tmp_path / "recs.jsonl"]) == 3
         assert "rebuild with `build`" in capsys.readouterr().err
+    assert not trap.exists()
+
+
+def _mutants(blob, arrays, rng):
+    """Damaged copies of a bundle, each ``(what, bytes or arrays)``."""
+    shapes = arrays["manifest"]["shapes"]
+    n_cells = shapes["slots"] * shapes["channels"]
+    bounds = {"span_flat": n_cells, "behavior_col": n_cells, "global_col": shapes["dims"],
+              "slot_vecs_col": shapes["dims"], "embeddings_col": shapes["dims"],
+              "truth_rows": shapes["candidates"], "slots": shapes["slots"] + 1}
+    members = zipfile.ZipFile(io.BytesIO(blob)).infolist()
+    for _ in range(25):
+        cut = rng.randrange(len(blob))
+        yield f"truncated at byte {cut}", blob[:cut]
+        # A byte of an array's stored data: the archive's checksum no longer holds.
+        info = rng.choice(members)
+        name_len, extra_len = np.frombuffer(blob, dtype="<u2", count=2, offset=info.header_offset + 26)
+        at = info.header_offset + 30 + int(name_len) + int(extra_len) + rng.randrange(info.file_size)
+        yield f"byte {at} of {info.filename} flipped", blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :]
+        key = rng.choice([k for k in arrays if k != "manifest"])
+        yield f"{key} dropped", {k: v for k, v in arrays.items() if k != key}
+        other = np.float32 if arrays[key].dtype.kind != "f" else np.int64
+        yield f"{key} as {np.dtype(other)}", {**arrays, key: arrays[key].astype(other)}
+        key = rng.choice([k for k in arrays if k.endswith(("_ptr", "_off")) and len(arrays[k]) > 2])
+        ptr = arrays[key].copy()
+        j = rng.randrange(1, len(ptr) - 1)
+        ptr[j] = ptr[j - 1] - 1
+        yield f"{key}[{j}] below {key}[{j - 1}]", {**arrays, key: ptr}
+        key = rng.choice(sorted(bounds))
+        codes = arrays[key].copy()
+        codes[rng.randrange(len(codes))] = 0 if key == "slots" and rng.random() < 0.5 else bounds[key]
+        yield f"{key} out of range", {**arrays, key: codes}
+        key = rng.choice(("users", "ids", "channels"))
+        yield f"{key} emptied", {**arrays, key: arrays[key][:0]}
+        yield f"{key} and offsets emptied", {
+            **arrays, key: arrays[key][:0], f"{key}_off": arrays[f"{key}_off"][:1]
+        }
+
+
+def test_damaged_bundles_exit_with_data_error(built, tmp_path, capsys):
+    # A seeded mutation check of the bundle loader: every damaged copy is a
+    # data error (exit 3), never an internal one (exit 4).
+    _, cfg = built
+    path = cfg.parent / "out" / "model.pkl"
+    blob, arrays = path.read_bytes(), _bundle_arrays(path)
+    model = tmp_path / "model.pkl"
+    for n, (what, mutant) in enumerate(_mutants(blob, arrays, random.Random(20_261_019))):
+        if isinstance(mutant, bytes):
+            model.write_bytes(mutant)
+        else:
+            _write_arrays(model, mutant)
+        method = ("two-stage", "rrf", "behavior")[n % 3]
+        code = run(["recommend", "--config", cfg, "--model", model, "--method", method,
+                    "--out", tmp_path / "recs.jsonl"])
+        err = capsys.readouterr().err
+        assert code == 3 and "rebuild with `build`" in err, f"{what}: exit {code}: {err}"
+
+
+def test_build_writes_the_bundle_where_the_benchmark_reads_it(built):
+    # perfbench/run.py measures bundle_mb at <out_dir>/model.pkl.
+    root, cfg = built
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    assert '(out / "model.pkl")' in bench.read_text(encoding="utf-8")
+    assert load_config(str(cfg), {}).model_path == str(root / "out" / "model.pkl")
+    with np.load(root / "out" / "model.pkl", allow_pickle=False) as npz:
+        assert "manifest" in npz.files
 
 
 def test_inspect_unknown_user_exits_with_data_error(built, capsys):

@@ -2,13 +2,25 @@ import random
 
 import pytest
 
-from oracles import MONDAY, behavior_matrix_dicts, l2_norm, log_table, preference_dicts, tensor_cells, tensor_dicts
+from oracles import (
+    MONDAY,
+    PreferenceDicts,
+    behavior_dicts,
+    behavior_matrix_dicts,
+    l2_norm,
+    log_table,
+    preference_dicts,
+    preference_model,
+    preference_vectors,
+    tensor_cells,
+    tensor_dicts,
+)
 from tvrec import synth
 from tvrec.behavior import behavior_matrix
 from tvrec.datamodel import ProgramMeta, SplitSpec, prepare
 from tvrec.errors import DataError
 from tvrec.preference import build, global_view
-from tvrec.ranker import build_candidates, build_item_index, rank_preference
+from tvrec.ranker import build_candidates, rank_preference
 from tvrec.textenc import encode, fit, term_counts
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
 
@@ -20,10 +32,15 @@ def meta(pid, start_slot=5, channel="c1"):
     return ProgramMeta(pid, channel, start, start + 1799, "")
 
 
+def model_of(cells, embeddings):
+    """What ``build(cells, embeddings)`` makes, as dicts, with the embeddings."""
+    return PreferenceDicts(*preference_vectors(build(cells, embeddings)), embeddings)
+
+
 def score(model, user, m):
     """The program's preference score, computed over a one-row candidate index."""
     cand = build_candidates([m], GRID)
-    return float(rank_preference(model, user, cand, build_item_index(model.item_embeddings, cand)).scores[0])
+    return float(rank_preference(preference_model(model, cand), user, cand).scores[0])
 
 
 E1 = {0: 1.0}
@@ -31,25 +48,25 @@ E2 = {1: 1.0}
 
 
 def test_single_program_user_vector_is_that_embedding():
-    model = build(tensor_cells({"u": {("p1", 3, "c1"): 2}}), {"p1": E1})
+    model = model_of(tensor_cells({"u": {("p1", 3, "c1"): 2}}), {"p1": E1})
     assert model.global_prefs["u"] == E1
 
 
 def test_global_vector_is_plain_mean():
     tensor = tensor_cells({"u": {("p1", 3, "c1"): 1, ("p2", 7, "c2"): 1}})
-    model = build(tensor, {"p1": E1, "p2": E2})
+    model = model_of(tensor, {"p1": E1, "p2": E2})
     assert model.global_prefs["u"] == {0: 0.5, 1: 0.5}
 
 
 def test_repeat_views_do_not_upweight_distinct_items():
     tensor = tensor_cells({"u": {("p1", 3, "c1"): 99, ("p2", 7, "c2"): 1}})
-    model = build(tensor, {"p1": E1, "p2": E2})
+    model = model_of(tensor, {"p1": E1, "p2": E2})
     assert model.global_prefs["u"] == {0: 0.5, 1: 0.5}
 
 
 def test_time_aware_slot_sets_are_exact():
     by_user = {"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}}
-    model = build(tensor_cells(by_user), {"p1": E1, "p2": E2})
+    model = model_of(tensor_cells(by_user), {"p1": E1, "p2": E2})
     assert model.slot_prefs["u"][5] == E1
     assert model.slot_prefs["u"][9] == E2
     assert 6 not in model.slot_prefs["u"]
@@ -71,24 +88,24 @@ def test_missing_embedding_error_lists_ids():
 
 def test_score_is_dot_product():
     tensor = tensor_cells({"u": {("p1", 5, "c1"): 1}})
-    model = build(tensor, {"p1": {0: 1.0}, "px": {0: 0.5, 1: 0.5}})
+    model = model_of(tensor, {"p1": {0: 1.0}, "px": {0: 0.5, 1: 0.5}})
     assert score(model, "u", meta("px")) == pytest.approx(0.5)
 
 
 def test_score_orthogonal_is_zero():
-    model = build(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": {0: 1.0}, "px": {1: 1.0}})
+    model = model_of(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": {0: 1.0}, "px": {1: 1.0}})
     assert score(model, "u", meta("px")) == 0.0
 
 
 def test_score_identical_unit_vectors_is_one():
-    model = build(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": {3: 1.0}, "px": {3: 1.0}})
+    model = model_of(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": {3: 1.0}, "px": {3: 1.0}})
     assert score(model, "u", meta("px")) == pytest.approx(1.0)
 
 
 def test_time_aware_scoring_keys_on_start_slot_with_global_fallback():
     tensor = tensor_cells({"u": {("p1", 5, "c1"): 1, ("p2", 9, "c1"): 1}})
     embs = {"p1": E1, "p2": E2, "px": {0: 1.0, 1: 1.0}}
-    model = build(tensor, embs)
+    model = model_of(tensor, embs)
     assert score(model, "u", meta("px", start_slot=5)) == pytest.approx(1.0)
     assert score(model, "u", meta("px", start_slot=9)) == pytest.approx(1.0)
     # slot 20 has no history: falls back to the global mean (0.5, 0.5)
@@ -99,7 +116,7 @@ def test_time_aware_scoring_keys_on_start_slot_with_global_fallback():
 
 
 def test_unknown_user_is_error():
-    model = build(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": E1})
+    model = model_of(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": E1})
     with pytest.raises(DataError):
         score(model, "ghost", meta("p1"))
 
@@ -112,8 +129,8 @@ def test_scaling_item_embeddings_scales_scores_and_keeps_argsort():
     metas = [meta(f"p{i}", start_slot=rng.randint(1, 12)) for i in range(20)]
     lam = 3.7
     scaled = {pid: {d: lam * v for d, v in vec.items()} for pid, vec in items.items()}
-    base_model = build(tensor, items)
-    scaled_model = build(tensor, scaled)
+    base_model = model_of(tensor, items)
+    scaled_model = model_of(tensor, scaled)
     base = [score(base_model, "u", m) for m in metas]
     after = [score(scaled_model, "u", m) for m in metas]
     for b, a in zip(base, after):
@@ -131,7 +148,7 @@ def test_unit_norm_embeddings_bound_scores_by_one():
 
     items = {f"p{i}": unit() for i in range(30)}
     cells = {(f"p{i}", rng.randint(1, 20), "c1"): 1 for i in range(12)}
-    model = build(tensor_cells({"u": cells}), items)
+    model = model_of(tensor_cells({"u": cells}), items)
     for i in range(30):
         s = score(model, "u", meta(f"p{i}", start_slot=rng.randint(1, 30)))
         assert abs(s) <= 1.0 + 1e-12
@@ -143,8 +160,8 @@ def test_build_is_independent_of_cell_insertion_order():
     items = {f"p{i}": {d: rng.random() for d in range(4)} for i in range(10)}
     forward = {"u": {c: 1 for c in cells}}
     backward = {"u": {c: 1 for c in reversed(cells)}}
-    m1 = build(tensor_cells(forward), items)
-    m2 = build(tensor_cells(backward), items)
+    m1 = model_of(tensor_cells(forward), items)
+    m2 = model_of(tensor_cells(backward), items)
     assert m1.global_prefs == m2.global_prefs
     assert m1.slot_prefs == m2.slot_prefs
 
@@ -153,7 +170,7 @@ def test_slot_independent_history_collapses_to_global():
     # A user who watches the same programs in every slot has h_{u,w} == h_u.
     cells = {(f"p{i}", w, "c1"): 1 for i in range(3) for w in (2, 4, 6)}
     items = {f"p{i}": {i: 1.0} for i in range(3)}
-    model = build(tensor_cells({"u": cells}), items)
+    model = model_of(tensor_cells({"u": cells}), items)
     for w in (2, 4, 6):
         assert model.slot_prefs["u"][w] == model.global_prefs["u"]
 
@@ -189,33 +206,39 @@ def _global_means(cells, items):
     ],
 )
 def test_global_view_of_time_aware_model_is_the_global_model(cells, items):
-    model = build(tensor_cells(cells), items)
+    model = model_of(tensor_cells(cells), items)
     assert model.slot_prefs.keys() == cells.keys()
-    view = global_view(model)
-    assert view.global_prefs == _global_means(cells, items)
-    assert view.slot_prefs == {}
-    assert view.item_embeddings == items
+    time_aware = preference_model(model, build_candidates([meta(p) for p in items], GRID))
+    view = global_view(time_aware)
+    global_prefs, slot_prefs = preference_vectors(view.prefs)
+    assert global_prefs == _global_means(cells, items)
+    assert slot_prefs == {u: {} for u in sorted(cells)}
+    assert view.items is time_aware.items
 
 
 def assert_model_matches_the_dict_oracles(cells, embeddings):
     """Behavior matrices and preference vectors built from the cells equal the
-    dict builders' over the same tensor: values, and the order of users,
-    (slot, channel) keys, slots and dims."""
+    dict builders' over the same tensor: values, and the order of users (by
+    name), (slot, channel) keys (by slot, then channel code), slots and dims."""
     by_user = tensor_dicts(cells)
-    behavior = behavior_matrix(cells)
+    users = sorted(by_user)
+    behavior = behavior_dicts(behavior_matrix(cells))
+    code = cells.channel_names.index
     assert [(u, bm.user, list(bm.probs.items())) for u, bm in behavior.items()] == [
-        (u, u, list(behavior_matrix_dicts(by_user, u).probs.items())) for u in sorted(by_user)
+        (u, u, sorted(behavior_matrix_dicts(by_user, u).probs.items(), key=lambda e: (e[0][0], code(e[0][1]))))
+        for u in users
     ]
-    got, want = build(cells, embeddings), preference_dicts(by_user, embeddings)
+    got = model_of(cells, embeddings)
+    want = preference_dicts(by_user, embeddings)
     assert [(u, list(v.items())) for u, v in got.global_prefs.items()] == [
-        (u, list(v.items())) for u, v in want.global_prefs.items()
+        (u, list(want.global_prefs[u].items())) for u in users
     ]
 
     def slot_vectors(model):
-        return [(u, [(s, list(v.items())) for s, v in slots.items()]) for u, slots in model.slot_prefs.items()]
+        return [(u, [(s, list(v.items())) for s, v in model.slot_prefs[u].items()]) for u in users]
 
+    assert list(got.slot_prefs) == users
     assert slot_vectors(got) == slot_vectors(want)
-    assert got.item_embeddings == want.item_embeddings
 
 
 @pytest.mark.parametrize("seed", range(4))

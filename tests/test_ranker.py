@@ -5,22 +5,23 @@ import pytest
 
 from oracles import (
     MONDAY,
+    BehaviorMatrix,
+    PreferenceDicts,
+    behavior_row,
     brute_rank,
     brute_two_stage,
+    preference_model,
     random_instance,
     scalar_behavior,
     scalar_preference,
 )
-from tvrec.behavior import BehaviorMatrix
 from tvrec.datamodel import ProgramMeta
 from tvrec.errors import DataError
 from tvrec.evaluate import recall_at
-from tvrec.preference import PreferenceModel
 from tvrec.ranker import (
     Ranking,
     TwoStageStats,
     build_candidates,
-    build_item_index,
     rank_behavior,
     rank_preference,
     rrf,
@@ -40,7 +41,7 @@ def meta(pid, channel="c1", start_slot=1, n_slots=2, offset=0):
 
 
 def global_model(user_vec, items):
-    return PreferenceModel(global_prefs={"u": user_vec}, slot_prefs={}, item_embeddings=items)
+    return PreferenceDicts(global_prefs={"u": user_vec}, slot_prefs={}, item_embeddings=items)
 
 
 def ranked(cand, ranking):
@@ -52,8 +53,19 @@ def ids(cand, ranking):
     return [pid for pid, _ in ranked(cand, ranking)]
 
 
-def pref_index(model, cand):
-    return build_item_index(model.item_embeddings, cand)
+def by_behavior(bm, cand):
+    """``rank_behavior`` of a dict distribution."""
+    return rank_behavior(behavior_row(bm, cand), cand)
+
+
+def by_preference(model, cand):
+    """``rank_preference`` of user "u" of a dict model."""
+    return rank_preference(preference_model(model, cand), "u", cand)
+
+
+def two_stage_of(bm, model, cand, k, stats=None):
+    """``two_stage`` of a dict distribution and a dict model."""
+    return two_stage(behavior_row(bm, cand), preference_model(model, cand), cand, k, stats)
 
 
 def test_build_candidates_rejects_duplicates():
@@ -65,7 +77,7 @@ def test_rank_behavior_orders_by_score():
     metas = [meta("A", start_slot=1), meta("B", start_slot=5)]
     bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (5, "c1"): 0.3, (6, "c1"): 0.2})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ranked(cand, rank_behavior(bm, cand)) == [("A", 0.5), ("B", 0.3)]
+    assert ranked(cand, by_behavior(bm, cand)) == [("A", 0.5), ("B", 0.3)]
 
 
 def test_rank_behavior_tie_breaks_by_earlier_start_then_id():
@@ -76,7 +88,7 @@ def test_rank_behavior_tie_breaks_by_earlier_start_then_id():
     ]
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(cand, rank_behavior(bm, cand)) == ["B", "C", "A"]
+    assert ids(cand, by_behavior(bm, cand)) == ["B", "C", "A"]
 
 
 def test_rank_behavior_all_zero_scores_sorted_by_start_then_id():
@@ -87,7 +99,7 @@ def test_rank_behavior_all_zero_scores_sorted_by_start_then_id():
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     cand = build_candidates(metas, GRID, {"c1"})
     expected = [m.program for m in sorted(metas, key=lambda m: (m.start, m.program))]
-    assert ids(cand, rank_behavior(bm, cand)) == expected
+    assert ids(cand, by_behavior(bm, cand)) == expected
 
 
 def test_rank_preference_matches_dot_and_sort_oracle():
@@ -95,7 +107,7 @@ def test_rank_preference_matches_dot_and_sort_oracle():
     model = global_model({0: 1.0}, items)
     metas = [meta(p, start_slot=i + 1) for i, p in enumerate("ABC")]
     cand = build_candidates(metas, GRID, {"c1"})
-    pairs = ranked(cand, rank_preference(model, "u", cand, pref_index(model, cand)))
+    pairs = ranked(cand, by_preference(model, cand))
     assert [pid for pid, _ in pairs] == ["A", "B", "C"]
     assert [s for _, s in pairs] == pytest.approx([1.0, 0.5, 0.0])
 
@@ -105,7 +117,7 @@ def test_rank_preference_tie_breaks_by_start_time():
     model = global_model({0: 1.0}, items)
     metas = [meta("A", start_slot=9), meta("B", start_slot=2)]
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(cand, rank_preference(model, "u", cand, pref_index(model, cand))) == ["B", "A"]
+    assert ids(cand, by_preference(model, cand)) == ["B", "A"]
 
 
 def test_rank_preference_indexed_path_matches_scalar_path():
@@ -116,7 +128,7 @@ def test_rank_preference_indexed_path_matches_scalar_path():
         grid, metas, bm, models = random_instance(rng)
         cand = build_candidates(metas, grid, {c for _, c in bm.probs})
         for model in models.values():
-            got = ranked(cand, rank_preference(model, "u", cand, pref_index(model, cand)))
+            got = ranked(cand, by_preference(model, cand))
             want = {m.program: scalar_preference(model, "u", m, grid) for m in metas}
             assert dict(got) == want
             assert [pid for pid, _ in got] == brute_rank(want, metas)
@@ -132,7 +144,7 @@ def test_two_stage_hand_trace():
     bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (2, "c1"): 0.3})
     model = global_model({0: 1.0}, {"A": {0: 0.2}, "B": {0: 0.9}, "C": {0: 0.1}})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(cand, two_stage(bm, model, cand, 2)) == ["B", "C"]
+    assert ids(cand, two_stage_of(bm, model, cand, 2)) == ["B", "C"]
 
 
 def test_two_stage_distinct_group_keys_reduce_to_behavior_prefix():
@@ -146,8 +158,8 @@ def test_two_stage_distinct_group_keys_reduce_to_behavior_prefix():
         distinct = list(by_key.values())
         cand = build_candidates(distinct, grid, {c for _, c in bm.probs})
         k = rng.randint(1, len(distinct))
-        got = top_k(cand, two_stage(bm, models["global"], cand, k), k)
-        assert got == top_k(cand, rank_behavior(bm, cand), k)
+        got = top_k(cand, two_stage_of(bm, models["global"], cand, k), k)
+        assert got == top_k(cand, by_behavior(bm, cand), k)
 
 
 def test_two_stage_k1_single_group_takes_preference_maximum():
@@ -155,7 +167,7 @@ def test_two_stage_k1_single_group_takes_preference_maximum():
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     model = global_model({0: 1.0}, {"A": {0: 0.3}, "B": {0: 0.8}, "C": {0: 0.5}})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(cand, two_stage(bm, model, cand, 1)) == ["B"]
+    assert ids(cand, two_stage_of(bm, model, cand, 1)) == ["B"]
 
 
 def test_two_stage_run_preference_tie_breaks_by_earlier_start_then_id():
@@ -172,7 +184,7 @@ def test_two_stage_run_preference_tie_breaks_by_earlier_start_then_id():
     model = global_model({0: 1.0}, {"A": {0: 0.1}, "B": {0: 0.9}, "C": {0: 0.9}, "D": {0: 0.9}})
     cand = build_candidates(metas, GRID, {"c1"})
     for k in (1, 5):
-        assert ids(cand, two_stage(bm, model, cand, k)) == ["C"]
+        assert ids(cand, two_stage_of(bm, model, cand, k)) == ["C"]
 
 
 def test_two_stage_flushes_pending_run_at_exhaustion():
@@ -180,7 +192,7 @@ def test_two_stage_flushes_pending_run_at_exhaustion():
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     model = global_model({0: 1.0}, {"A": {0: 0.1}, "B": {0: 0.9}})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert ids(cand, two_stage(bm, model, cand, 5)) == ["B"]
+    assert ids(cand, two_stage_of(bm, model, cand, 5)) == ["B"]
 
 
 def test_two_stage_emits_behavior_scores_for_winners():
@@ -188,7 +200,7 @@ def test_two_stage_emits_behavior_scores_for_winners():
     bm = BehaviorMatrix("u", {(3, "c1"): 0.7, (1, "c1"): 0.3})
     model = global_model({0: 1.0}, {"A": {0: 0.2}})
     cand = build_candidates(metas, GRID, {"c1"})
-    assert top_k(cand, two_stage(bm, model, cand, 1), 1) == [("A", 0.7)]
+    assert top_k(cand, two_stage_of(bm, model, cand, 1), 1) == [("A", 0.7)]
 
 
 def test_two_stage_matches_brute_force_reference():
@@ -198,7 +210,7 @@ def test_two_stage_matches_brute_force_reference():
         cand = build_candidates(metas, grid, {c for _, c in bm.probs})
         k = rng.choice((1, 2, 5, 30))
         mode = rng.choice(("global", "time-aware"))
-        got = top_k(cand, two_stage(bm, models[mode], cand, k), k)
+        got = top_k(cand, two_stage_of(bm, models[mode], cand, k), k)
         want = brute_two_stage(bm, models[mode], metas, grid, k)
         assert got == want
 
@@ -208,7 +220,7 @@ def test_two_stage_never_emits_two_items_from_one_run():
     for _ in range(50):
         grid, metas, bm, models = random_instance(rng)
         cand = build_candidates(metas, grid, {c for _, c in bm.probs})
-        winners = ids(cand, two_stage(bm, models["global"], cand, 30))
+        winners = ids(cand, two_stage_of(bm, models["global"], cand, 30))
         # reference grouping: map each winner to its maximal stage-one run
         from oracles import brute_stage_one
 
@@ -228,18 +240,18 @@ def test_two_stage_is_lazy_and_instrumented():
     grid, metas, bm, models = random_instance(rng, max_programs=50)
     cand = build_candidates(metas, grid, {c for _, c in bm.probs})
     stats = TwoStageStats()
-    two_stage(bm, models["global"], cand, 1, stats)
+    two_stage_of(bm, models["global"], cand, 1, stats)
     # one emitted group: only the first run plus one trigger item get scored
     assert 1 <= stats.preference_evals <= len(metas)
     full = TwoStageStats()
-    two_stage(bm, models["global"], cand, len(metas), full)
+    two_stage_of(bm, models["global"], cand, len(metas), full)
     assert full.preference_evals <= len(metas)
 
 
 def test_two_stage_k_must_be_positive():
     cand = build_candidates([meta("A")], GRID, {"c1"})
     with pytest.raises(ValueError):
-        two_stage(BehaviorMatrix("u", {(1, "c1"): 1.0}), global_model({}, {"A": {}}), cand, 0)
+        two_stage_of(BehaviorMatrix("u", {(1, "c1"): 1.0}), global_model({}, {"A": {}}), cand, 0)
 
 
 # fusion
@@ -316,8 +328,8 @@ def test_rrf_weighted_extremes_follow_single_rankers():
     for _ in range(30):
         grid, metas, bm, models = random_instance(rng, max_programs=25)
         cand = build_candidates(metas, grid, {c for _, c in bm.probs})
-        kb = rank_behavior(bm, cand)
-        kp = rank_preference(models["global"], "u", cand, pref_index(models["global"], cand))
+        kb = by_behavior(bm, cand)
+        kp = by_preference(models["global"], cand)
         eta = rng.randint(1, 100)
         assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=1.0)) == ids(cand, kb)
         assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=0.0)) == ids(cand, kp)
@@ -338,13 +350,11 @@ def test_rankers_are_deterministic():
     rng = random.Random(77)
     grid, metas, bm, models = random_instance(rng)
     cand = build_candidates(metas, grid, {c for _, c in bm.probs})
-    index = pref_index(models["time-aware"], cand)
-    assert ranked(cand, rank_behavior(bm, cand)) == ranked(cand, rank_behavior(bm, cand))
-    assert ranked(cand, rank_preference(models["time-aware"], "u", cand, index)) == ranked(
-        cand, rank_preference(models["time-aware"], "u", cand, index)
-    )
-    assert ranked(cand, two_stage(bm, models["global"], cand, 10)) == ranked(
-        cand, two_stage(bm, models["global"], cand, 10)
+    model = preference_model(models["time-aware"], cand)
+    assert ranked(cand, by_behavior(bm, cand)) == ranked(cand, by_behavior(bm, cand))
+    assert ranked(cand, rank_preference(model, "u", cand)) == ranked(cand, rank_preference(model, "u", cand))
+    assert ranked(cand, two_stage_of(bm, models["global"], cand, 10)) == ranked(
+        cand, two_stage_of(bm, models["global"], cand, 10)
     )
 
 
@@ -355,8 +365,8 @@ def tuning_fixture():
     rng = random.Random(55)
     grid, metas, bm, models = random_instance(rng, max_programs=30)
     cand = build_candidates(metas, grid, {c for _, c in bm.probs})
-    kb = rank_behavior(bm, cand)
-    kp = rank_preference(models["global"], "u", cand, pref_index(models["global"], cand))
+    kb = by_behavior(bm, cand)
+    kp = by_preference(models["global"], cand)
     truth = frozenset(pid for pid, _ in top_k(cand, kb, 4))
     return cand, {"u": (kb, kp)}, {"u": truth}
 

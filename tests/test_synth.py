@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import log_table
+from oracles import behavior_dicts, log_table
 from tvrec.behavior import behavior_matrix
 from tvrec.datamodel import SplitSpec, filter_flips, prepare
 from tvrec.synth import SynthConfig, World, gen_logs, gen_world, manifest
@@ -91,7 +91,7 @@ def test_generated_data_passes_ingestion_unmodified(small_world, small_logs):
     )
     prepared, summary = prepare(log_table(small_logs), small_world.metas, cfg.grid, spec)
     assert summary["users"] > 0
-    for bm in behavior_matrix(prepared.cells).values():
+    for bm in behavior_dicts(behavior_matrix(prepared.cells)).values():
         assert abs(sum(bm.probs.values()) - 1.0) <= 1e-9
         assert all(1 <= slot <= cfg.n_slots for (slot, _) in bm.probs)
 
@@ -139,7 +139,7 @@ def test_heavy_user_behavior_argmax_recovers_planted_mode():
         dt_test=SECONDS_PER_WEEK,
     )
     prepared, _ = prepare(log_table(logs), world.metas, cfg.grid, spec)
-    matrices = behavior_matrix(prepared.cells)
+    matrices = behavior_dicts(behavior_matrix(prepared.cells))
     hits = total = 0
     for account in world.accounts:
         if account.user not in matrices:

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from oracles import l2_norm
+from oracles import dot, l2_norm
 from tvrec.errors import DataError
 from tvrec.textenc import (
-    dot,
     encode,
     fit,
     mean_embedding,
