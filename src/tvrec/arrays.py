@@ -38,6 +38,14 @@ class Rows(NamedTuple):
         lo, hi = self.ptr[i], self.ptr[i + 1]
         return self.col[lo:hi], self.val[lo:hi]
 
+    def take(self, rows: np.ndarray) -> Rows:
+        """The rows ``rows`` names, in its order, each entry in its order."""
+        lens = np.diff(self.ptr)[rows]
+        ptr = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(lens, out=ptr[1:])
+        pos = np.repeat(self.ptr[:-1][rows] - ptr[:-1], lens) + np.arange(ptr[-1])
+        return Rows(ptr, self.col[pos], self.val[pos])
+
 
 def sorted_index(names: Sequence[str], name: str) -> int | None:
     """The position of ``name`` in the sorted ``names``, or None when absent."""

@@ -151,8 +151,8 @@ class EngineConfig:
             raise ConfigError(str(exc)) from None
         if self.min_duration_secs < 0:
             raise ConfigError("min_duration_secs must be non-negative")
-        if self.train_days <= 0 or self.test_days <= 0:
-            raise ConfigError("train_days and test_days must be positive")
+        if not all(1 <= days * 86_400 < 2**63 for days in (self.train_days, self.test_days)):  # NaN fails
+            raise ConfigError("train_days and test_days must each give a window of 1 to 2**63 - 1 seconds")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.mode not in MODES:
@@ -197,6 +197,7 @@ class EngineConfig:
 
 
 _FIELD_TYPES = typing.get_type_hints(EngineConfig)
+_SYNTH_TYPES = typing.get_type_hints(synth_mod.SynthConfig)
 
 
 def _fits(value: object, hint: object) -> bool:
@@ -211,11 +212,14 @@ def _fits(value: object, hint: object) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _set_field(cfg: EngineConfig, key: str, value: object) -> None:
-    hint = _FIELD_TYPES[key]
+def _require_fits(key: str, value: object, hint: object, what: str = "config value") -> None:
     if not _fits(value, hint):
         name = hint.__name__ if isinstance(hint, type) else str(hint)
-        raise ConfigError(f"config value {key}={value!r} is not of type {name}")
+        raise ConfigError(f"{what} {key}={value!r} is not of type {name}")
+
+
+def _set_field(cfg: EngineConfig, key: str, value: object) -> None:
+    _require_fits(key, value, _FIELD_TYPES[key])
     setattr(cfg, key, tuple(value) if key == "cutoffs" else value)
 
 
@@ -416,6 +420,9 @@ def _cmd_synth(args: argparse.Namespace) -> None:
     if args.config is not None:
         raw = _read_json_object(args.config, "synth config")
         raw.update(overrides)
+        for key, value in raw.items():
+            if key in _SYNTH_TYPES:
+                _require_fits(key, value, _SYNTH_TYPES[key], "synth config value")
         try:
             cfg = synth_mod.SynthConfig(**raw)
         except (TypeError, ValueError) as exc:
@@ -489,21 +496,19 @@ def _cmd_build(args: argparse.Namespace) -> None:
     # Every channel of the prepared file gets its grid column, so a cell of
     # the tensor is a cell of the candidates' grid, channel code for column.
     cand = ranker_mod.build_candidates(prepared.test_metas(), cfg.grid, cells.channel_names)
-    truth_ptr, truth_rows = _truth_rows(prepared, cand)
+    cand_codes = prepared.candidate_codes()
+    truth_ptr, truth_rows = _truth_rows(prepared, cand_codes)
 
     # The encoder is fitted on train + test metadata: program text is known
-    # before broadcast, so this leaks no interaction labels. idf needs every
-    # document, but only the watched training items (for the preference means)
-    # and the candidates (for ranking) are ever encoded, from the term counts
-    # the fit kept.
-    encoded = cells.programs().union(cand.ids)
-    vocab, counts = textenc_mod.fit(prepared.corpus(), keep=encoded)
+    # before broadcast, so this leaks no interaction labels.
+    vocab, counts = textenc_mod.fit(prepared.texts)
     del prepared
-    embeddings = {pid: textenc_mod.encode(vocab, counts.pop(pid)) for pid in sorted(encoded)}
+    embeddings = textenc_mod.encode(vocab, counts)
+    del counts
     prefs = preference_mod.build(cells, embeddings)
     behavior = behavior_mod.behavior_matrix(cells)
     # Ranking reads candidate embeddings only, one row per candidate row.
-    items = preference_mod.embedding_rows(embeddings[pid] for pid in cand.ids)
+    items = embeddings.take(cand_codes)
     del cells, embeddings
     path = Path(cfg.model_path)
     with _atomic_file(path) as fh:
@@ -519,16 +524,19 @@ def _cmd_build(args: argparse.Namespace) -> None:
     )
 
 
-def _truth_rows(prepared: Prepared, cand: ranker_mod.Candidates) -> tuple[np.ndarray, np.ndarray]:
+def _truth_rows(prepared: Prepared, cand_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each user's truths as ascending candidate rows, users in name order:
-    ``(ptr, rows)``."""
-    row_of = {pid: row for row, pid in enumerate(cand.ids)}
-    truths = prepared.truths()
-    try:
-        rows = [sorted(row_of[pid] for pid in truths.get(user, ())) for user in sorted(prepared.cells.users)]
-    except KeyError as exc:
-        raise DataError(f"truth {exc} is not a candidate") from None
-    return np.cumsum([0, *map(len, rows)], dtype=np.int64), np.array([r for row in rows for r in row], np.int64)
+    ``(ptr, rows)``. ``cand_codes`` are the candidates' program codes, in row
+    order."""
+    names, users = prepared.cells.program_names, prepared.cells.users
+    row_of = np.full(len(names), -1, dtype=np.int64)
+    row_of[cand_codes] = np.arange(len(cand_codes))
+    truths = Rows(prepared.truth_ptr, row_of[prepared.truth_program], prepared.truth_program)
+    truths = truths.take(np.array(sorted(range(len(users)), key=users.__getitem__), dtype=np.int64))
+    if len(truths.col) and truths.col.min() < 0:
+        raise DataError(f"truth {names[truths.val[truths.col.argmin()]]!r} is not a candidate")
+    user = np.repeat(np.arange(len(users)), np.diff(truths.ptr))
+    return truths.ptr, truths.col[np.lexsort((truths.col, user))]
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +765,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         method=cfg.method,
         users=report.n_users,
         skipped=report.n_skipped,
+        missing=report.n_missing,
         out=str(out),
         **{f"ndcg@{n}": report.ndcg[n] for n in cfg.cutoffs},
     )

@@ -189,10 +189,6 @@ class TensorCells:
     channel: np.ndarray
     count: np.ndarray
 
-    def programs(self) -> frozenset[str]:
-        """The programs with a cell."""
-        return _names_of(self.program_names, self.program)
-
     def channels(self) -> frozenset[str]:
         """The channels of the counted logs: those with a cell."""
         return _names_of(self.channel_names, self.channel)
@@ -448,9 +444,10 @@ class Prepared:
     truth_ptr: np.ndarray
     truth_program: np.ndarray
 
-    def corpus(self) -> list[tuple[str, str]]:
-        """``(program id, text)`` of every train and test program, by id."""
-        return list(zip(self.cells.program_names, self.texts))
+    def candidate_codes(self) -> np.ndarray:
+        """The test programs' codes in candidate row order, by (start, id):
+        program codes ascend with the ids."""
+        return self.test_program[np.lexsort((self.test_program, self.test_start))]
 
     def test_metas(self) -> list[ProgramMeta]:
         """The test programs, by id."""
@@ -603,10 +600,10 @@ def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGr
     version, was written with a manifest other than ``manifest`` (other
     inputs or settings), or fails a check: dtypes and shapes, offsets that
     start at 0, never decrease and end at their table's length, a cell for
-    every user, codes in range, slots on ``grid``, positive counts, unique
-    user names, sorted unique program and channel names, and test broadcasts
-    that start before they end, within a week. A file without users fails
-    too.
+    every user, codes in range, slots on ``grid``, positive counts that sum
+    to less than 2**63, unique user names, sorted unique program and channel
+    names, and test broadcasts that start before they end, within a week. A
+    file without users fails too.
     """
     stored, arrays = read_npz(path, "prepared file")
     require(
@@ -637,7 +634,7 @@ def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGr
     check(in_range(arrays["cell_program"], 0, len(programs)), "cell program codes")
     check(in_range(arrays["cell_channel"], 0, len(channels)), "cell channel codes")
     check(in_range(arrays["cell_slot"], 1, grid.n + 1), "cell slots")
-    check(in_range(arrays["cell_count"], 1, _INT64_MAX), "cell counts")
+    check(in_range(arrays["cell_count"], 1, 2**63) and sum(arrays["cell_count"].tolist()) < 2**63, "cell counts")
     check(all(len(arrays[k]) == n_test for k in ("test_channel", "test_start", "test_end")), "test columns")
     check(in_range(arrays["test_program"], 0, len(programs)), "test program codes")
     check(in_range(arrays["test_channel"], 0, len(channels)), "test channel codes")

@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping, Sequence
 
+from .errors import DataError
+
 DEFAULT_CUTOFFS = (10, 20, 30)
 
 
@@ -108,6 +110,7 @@ class MetricReport:
     recall: dict[int, float] = field(default_factory=dict)
     n_users: int = 0
     n_skipped: int = 0
+    n_missing: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -118,6 +121,7 @@ class MetricReport:
             "recall": {str(n): v for n, v in self.recall.items()},
             "n_users": self.n_users,
             "n_skipped": self.n_skipped,
+            "n_missing": self.n_missing,
         }
 
 
@@ -127,14 +131,17 @@ def evaluate_rankings(
     cutoffs: Sequence[int] = DEFAULT_CUTOFFS,
     method: str = "",
 ) -> MetricReport:
-    """Aggregate the three metrics over users as unweighted means.
+    """Aggregate the three metrics over the users of ``recs`` as unweighted means.
 
     Users missing from ``truths`` or with empty truth sets are skipped and
-    counted in ``n_skipped``. Raises ``ValueError`` when a cutoff repeats.
+    counted in ``n_skipped``; users of ``truths`` with a truth but no ranking
+    are counted in ``n_missing``. Raises ``ValueError`` when a cutoff repeats
+    and :class:`DataError` when no user is scored.
     """
     if len(set(cutoffs)) != len(cutoffs):
         raise ValueError(f"cutoffs must not repeat, got {list(cutoffs)}")
     report = MetricReport(method=method, cutoffs=tuple(cutoffs))
+    report.n_missing = sum(1 for user, truth in truths.items() if truth and user not in recs)
     sums = {n: [0.0, 0.0, 0.0] for n in cutoffs}
     counted = 0
     for user in sorted(recs):
@@ -149,12 +156,14 @@ def evaluate_rankings(
             acc[0] += ndcg_at(rec, truth, n)
             acc[1] += precision_at(rec, truth, n)
             acc[2] += recall_at(rec, truth, n)
+    if not counted:
+        raise DataError(f"no ranked user has a truth ({report.n_missing} with one are unranked); nothing to score")
     report.n_users = counted
     for n in cutoffs:
         acc = sums[n]
-        report.ndcg[n] = acc[0] / counted if counted else 0.0
-        report.precision[n] = acc[1] / counted if counted else 0.0
-        report.recall[n] = acc[2] / counted if counted else 0.0
+        report.ndcg[n] = acc[0] / counted
+        report.precision[n] = acc[1] / counted
+        report.recall[n] = acc[2] / counted
     return report
 
 

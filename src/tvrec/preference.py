@@ -12,8 +12,8 @@ over the candidate embeddings zero-padded to one width (:class:`ItemIndex`),
 each row's score is ``(vec[idx] * weights).sum()`` with ``vec`` the user's
 vector densified.
 
-Vectors are CSR rows (:class:`tvrec.arrays.Rows`) of dimension codes, in the
-order :func:`tvrec.textenc.mean_embedding` made them, and float64 weights.
+Vectors are CSR rows (:class:`tvrec.arrays.Rows`) of dimension codes, in
+order of first appearance over the mean's items, and float64 weights.
 The scoring mode is data, not a flag: a model without slot vectors scores
 every program against the global vector, which is global scoring.
 :func:`global_view` drops the slot vectors of a time-aware model to serve
@@ -23,15 +23,13 @@ global scoring from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .arrays import Rows, sorted_index
 from .datamodel import TensorCells
 from .errors import DataError
-from .textenc import Embedding, mean_embedding
 
 
 class Preferences(NamedTuple):
@@ -87,69 +85,63 @@ class PreferenceModel:
         return i
 
 
-def build(cells: TensorCells, embeddings: Mapping[str, Embedding]) -> Preferences:
+def build(cells: TensorCells, embeddings: Rows) -> Preferences:
     """Build per-user global and per-slot preference vectors from the
-    interaction tensor, walking each user's cells in user name order.
+    interaction tensor and the embeddings, row ``p`` of ``embeddings`` being
+    program code ``p``'s.
 
     Membership in a user's item set means any positive count; repeated
     viewing of one program does not up-weight it (distinct-item semantics).
-    Items are averaged in id order so the result is independent of log
-    ordering, bit for bit. Each mean is appended to the rows as it is made;
-    slots ascend.
+    A mean adds its items in id order, so the result is independent of log
+    ordering, bit for bit. Users come in name order, each user's slots
+    ascending.
     """
-    missing = sorted(cells.programs() - embeddings.keys())
-    if missing:
-        shown = ", ".join(missing[:10])
-        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
-        raise DataError(f"{len(missing)} tensor item(s) lack embeddings: {shown}{more}")
-
-    items = np.array(cells.program_names, dtype=object)[cells.program].tolist()
-    slots = cells.slot.tolist()
-    ptr = cells.ptr.tolist()
-    global_ptr, global_col, global_val = [0], [], []
-    vec_ptr, vec_col, vec_val = [0], [], []
-    slot_ptr, slot_of = [0], []
-
-    def append(vec: Embedding, row_ptr: list[int], col: list[int], val: list[float]) -> None:
-        col.extend(vec)
-        val.extend(vec.values())
-        row_ptr.append(len(col))
-
+    lacking = cells.program_names[len(embeddings.ptr) - 1 :]
+    if lacking:
+        raise DataError(f"{len(lacking)} program(s) lack embeddings: {', '.join(lacking[:10])}")
     by_name = sorted(range(len(cells.users)), key=cells.users.__getitem__)
-    for i in by_name:
-        lo, hi = ptr[i], ptr[i + 1]
-        user_items = sorted(set(items[lo:hi]))
-        append(mean_embedding(embeddings[p] for p in user_items), global_ptr, global_col, global_val)
-        by_slot: dict[int, set[str]] = {}
-        for item, slot in zip(items[lo:hi], slots[lo:hi]):
-            by_slot.setdefault(slot, set()).add(item)
-        for slot, slot_items in sorted(by_slot.items()):
-            append(mean_embedding(embeddings[p] for p in sorted(slot_items)), vec_ptr, vec_col, vec_val)
-            slot_of.append(slot)
-        slot_ptr.append(len(slot_of))
-
-    def rows(row_ptr: list[int], col: list[int], val: list[float]) -> Rows:
-        return Rows(np.array(row_ptr, dtype=np.int64), np.array(col, dtype=np.int64), np.array(val))
-
+    by_id = np.array(sorted(range(len(cells.program_names)), key=cells.program_names.__getitem__), dtype=np.int64)
+    user = np.repeat(np.argsort(by_name), np.diff(cells.ptr))
+    item = np.argsort(by_id)[cells.program]
+    # The distinct (group, item) pairs, ascending, each packed into one int64.
+    n_items, n_slots = len(by_id), int(cells.slot.max(initial=0)) + 1
+    pairs = np.unique(user * n_items + item)
+    global_vecs = _means(pairs // n_items, by_id[pairs % n_items], embeddings)
+    pairs = np.unique((user * n_slots + cells.slot) * n_items + item)
+    groups, group = np.unique(pairs // n_items, return_inverse=True)
     return Preferences(
         users=tuple(cells.users[i] for i in by_name),
-        global_vecs=rows(global_ptr, global_col, global_val),
-        slot_ptr=np.array(slot_ptr, dtype=np.int64),
-        slots=np.array(slot_of, dtype=np.int64),
-        slot_vecs=rows(vec_ptr, vec_col, vec_val),
+        global_vecs=global_vecs,
+        slot_ptr=np.searchsorted(groups // n_slots, np.arange(len(by_name) + 1)),
+        slots=groups % n_slots,
+        slot_vecs=_means(group, by_id[pairs % n_items], embeddings),
     )
 
 
-def embedding_rows(vecs: Iterable[Embedding]) -> Rows:
-    """Embeddings as CSR rows, one per vector, dims in their dict order."""
-    vecs = list(vecs)
-    ptr = np.cumsum([0, *map(len, vecs)], dtype=np.int64)
-    n = int(ptr[-1])
-    return Rows(
-        ptr,
-        np.fromiter(chain.from_iterable(vecs), dtype=np.int64, count=n),
-        np.fromiter(chain.from_iterable(map(dict.values, vecs)), dtype=np.float64, count=n),
-    )
+def _means(group: np.ndarray, item: np.ndarray, embeddings: Rows) -> Rows:
+    """Row ``g``: the mean of the embeddings of the items paired with group
+    ``g``. ``group`` ascends from 0 and skips no group. A mean adds its items'
+    entries in pair and row order, as a sum of Python floats does, and lists
+    its dimensions in order of first appearance."""
+    dims = int(embeddings.col.max(initial=0)) + 1
+    inv = 1.0 / np.bincount(group)
+    sizes, cols, vals = [], [], []
+    # Blocks of whole groups, about 2**14 pairs each, bound the working arrays.
+    cuts = np.unique([0, *np.searchsorted(group, group[2**14 :: 2**14]), len(group)]).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        entries = embeddings.take(item[lo:hi])
+        key = np.repeat(group[lo:hi], np.diff(entries.ptr)) * dims + entries.col
+        key, first, into = np.unique(key, return_index=True, return_inverse=True)
+        acc = np.zeros(len(key))
+        np.add.at(acc, into, entries.val)  # ufunc.at adds in index order: entry order
+        by_first = np.argsort(first)
+        key, acc = key[by_first], acc[by_first]
+        sizes.append(np.bincount(key // dims - group[lo], minlength=group[hi - 1] - group[lo] + 1))
+        cols.append((key % dims).astype(embeddings.col.dtype))
+        vals.append(acc * inv[key // dims])
+    ptr = np.zeros(len(inv) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=ptr[1:])
+    return Rows(ptr, np.concatenate(cols), np.concatenate(vals))
 
 
 def global_view(model: PreferenceModel) -> PreferenceModel:

@@ -94,11 +94,11 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.personas_max < self.personas_min:
             raise ValueError("personas_max must be >= personas_min")
-        if self.programs_per_slot_target <= 1.0:
+        if not self.programs_per_slot_target > 1.0:  # NaN too
             raise ValueError("programs_per_slot_target must exceed 1 (gap-free schedules)")
         if not 0.0 <= self.attention <= 1.0:
             raise ValueError("attention must lie in [0, 1]")
-        if SECONDS_PER_WEEK % self.n_slots != 0 or self.n_slots % 7 != 0:
+        if self.n_slots < 1 or SECONDS_PER_WEEK % self.n_slots != 0 or self.n_slots % 7 != 0:
             raise ValueError("n_slots must divide the week and be a multiple of 7")
         local = self.origin + self.utc_offset
         if (local + 3 * 86_400) % SECONDS_PER_WEEK != 0:

@@ -1,22 +1,24 @@
 """Tokenization and tf-idf encoding of program text into sparse embeddings.
 
-Embeddings are sparse vectors represented as ``{dimension_index: weight}``
-dicts. The idf scheme is the smoothed form ``ln((1+N)/(1+df)) + 1`` with raw
-term counts for tf and L2 normalization of non-zero vectors, which bounds
-dot-product scores and avoids division by zero for unseen tokens.
+Embeddings are CSR rows (:class:`tvrec.arrays.Rows`), one per text, of the
+dimension codes of its distinct tokens and float64 weights. The idf scheme is
+the smoothed form ``ln((1+N)/(1+df)) + 1`` with raw term counts for tf and L2
+normalization of non-zero rows, which bounds dot-product scores.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Mapping, Sequence
 
+import numpy as np
+
+from .arrays import Rows
 from .errors import DataError
-
-Embedding = dict[int, float]
 
 # Hiragana, katakana, and the main CJK ideograph blocks: treated as unigrams;
 # everything else tokenizes as lowercased alphanumeric runs.
@@ -45,69 +47,56 @@ class Vocabulary:
         return {"tokens": [[t, self.index[t], self.idf[t]] for t in tokens]}
 
 
-def term_counts(text: str) -> Counter[str]:
-    """How often each token occurs in ``text``, in order of first occurrence."""
-    return Counter(tokenize(text))
+class _Codes(dict):
+    """Token -> code, numbering a token it has not seen by its arrival."""
+
+    def __missing__(self, token: str) -> int:
+        code = self[token] = len(self)
+        return code
 
 
-def fit(
-    corpus: Iterable[tuple[str, str]], keep: Container[str] = frozenset()
-) -> tuple[Vocabulary, dict[str, Counter[str]]]:
-    """Fit idf weights over a corpus of ``(program_id, text)`` pairs.
+def fit(texts: Sequence[str]) -> tuple[Vocabulary, Rows]:
+    """Fit idf weights over ``texts``, tokenizing each text once.
 
-    Every token of the corpus enters the vocabulary, indexed in alphabetical
-    order. Each text is tokenized once: the :func:`term_counts` of the
-    documents whose id is in ``keep`` come back with the vocabulary, keyed by
-    id, for :func:`encode`. Raises :class:`DataError` when the corpus is empty
-    or yields no tokens at all.
+    Every token of the texts enters the vocabulary, indexed in alphabetical
+    order. Returns the vocabulary and every text's term counts, for
+    :func:`encode`: row ``i`` holds the dimension codes of text ``i``'s
+    distinct tokens, in order of first occurrence, and how often each occurs.
+    Raises :class:`DataError` when the texts hold no token at all.
     """
-    df: Counter[str] = Counter()
-    counts: dict[str, Counter[str]] = {}
-    n_docs = 0
-    for pid, text in corpus:
-        n_docs += 1
-        if pid in keep:
-            tf = counts[pid] = term_counts(text)
-            df.update(tf.keys())
-        else:
-            df.update(set(tokenize(text)))
-    if n_docs == 0:
-        raise DataError("cannot fit a vocabulary on an empty corpus")
-    if not df:
-        raise DataError("corpus contains no tokens; all documents are empty")
+    codes = _Codes()
+    ptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    col, counts = array("i"), array("i")
+    for i, text in enumerate(texts, 1):
+        tf = Counter(tokenize(text))
+        col.extend(map(codes.__getitem__, tf))
+        counts.extend(tf.values())
+        ptr[i] = len(col)
+    if not codes:
+        raise DataError("the corpus holds no token: it has no text, or only empty ones")
 
-    tokens = sorted(df)
-    index = {t: i for i, t in enumerate(tokens)}
-    idf = {t: math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in tokens}
-    return Vocabulary(index=index, idf=idf), counts
-
-
-def encode(vocab: Vocabulary, tf: Mapping[str, int]) -> Embedding:
-    """Encode a text's :func:`term_counts` as an L2-normalized sparse tf-idf
-    vector; out-of-vocabulary tokens are ignored and a text with no known
-    tokens encodes to the zero vector."""
-    vec: Embedding = {}
-    index = vocab.index
-    idf = vocab.idf
-    for token, count in tf.items():
-        i = index.get(token)
-        if i is not None:
-            vec[i] = count * idf[token]
-    if vec:
-        inv = 1.0 / math.sqrt(sum(w * w for w in vec.values()))
-        vec = {i: w * inv for i, w in vec.items()}
-    return vec
+    tokens = sorted(codes)
+    dim_of = np.argsort([codes[t] for t in tokens]).astype(np.int32)
+    dims = dim_of[np.frombuffer(col, dtype=np.int32)]
+    df = np.bincount(dims, minlength=len(tokens)).tolist()
+    # math.log, not np.log, whose last bit may differ.
+    vocab = Vocabulary(
+        index={t: i for i, t in enumerate(tokens)},
+        idf={t: math.log((1 + len(texts)) / (1 + d)) + 1.0 for t, d in zip(tokens, df)},
+    )
+    return vocab, Rows(ptr, dims, np.frombuffer(counts, dtype=np.int32))
 
 
-def mean_embedding(vectors: Iterable[Embedding]) -> Embedding:
-    """Arithmetic mean of sparse vectors (no re-normalization)."""
-    acc: dict[int, float] = {}
-    count = 0
-    for vec in vectors:
-        count += 1
-        for i, w in vec.items():
-            acc[i] = acc.get(i, 0.0) + w
-    if count == 0:
-        raise ValueError("mean of zero embeddings is undefined")
-    inv = 1.0 / count
-    return {i: w * inv for i, w in acc.items()}
+def encode(vocab: Vocabulary, counts: Rows) -> Rows:
+    """Encode rows of :func:`fit`'s term counts as L2-normalized tf-idf rows,
+    entries in the same order; a row without tokens stays empty."""
+    idf = np.array([vocab.idf[t] for t in vocab.index])
+    weights = counts.val * idf[counts.col]
+    # Each row's squared norm, added in entry order as Python's sum adds
+    # (numpy's sum regroups the additions).
+    lens = np.diff(counts.ptr)
+    norm2 = np.zeros(len(lens))
+    np.add.at(norm2, np.repeat(np.arange(len(lens)), lens), weights * weights)
+    inv = np.zeros(len(lens))
+    np.divide(1.0, np.sqrt(norm2), out=inv, where=norm2 > 0)
+    return Rows(counts.ptr, counts.col, weights * np.repeat(inv, lens))

@@ -4,10 +4,13 @@ Everything here is deliberately independent of the library's ranking,
 ingestion and model-building code paths: dense matrices, plain dict
 arithmetic, python sorts, one `ViewingLog` record per log line, the
 interaction tensor as nested dicts, ``{user: {(program, slot, channel): count}}``,
-and the model as dicts: :class:`BehaviorMatrix` and :class:`PreferenceDicts`.
-:func:`behavior_row` and :func:`preference_model` turn the dict model into
-the arrays the rankers read; :func:`behavior_dicts` and
-:func:`preference_vectors` turn built arrays back into dicts.
+the model as dicts: :class:`BehaviorMatrix` and :class:`PreferenceDicts`,
+and tf-idf embeddings as ``{dimension: weight}`` dicts (:func:`fit_dicts`,
+:func:`encode_dict`, :func:`mean_embedding`).
+:func:`behavior_row`, :func:`preference_model` and :func:`embedding_rows`
+turn the dicts into the arrays the library reads; :func:`behavior_dicts`,
+:func:`preference_vectors` and :func:`row_dicts` turn built arrays back into
+dicts.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -25,12 +29,14 @@ from tvrec.arrays import Rows
 from tvrec.behavior import Behavior, UserBehavior
 from tvrec.datamodel import LogTable, ProgramMeta, TensorCells, ViewingLog
 from tvrec.errors import DataError
-from tvrec.preference import PreferenceModel, Preferences, embedding_rows
+from tvrec.preference import PreferenceModel, Preferences
 from tvrec.ranker import Candidates, build_item_index
-from tvrec.textenc import Embedding, mean_embedding
+from tvrec.textenc import Vocabulary, tokenize
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
 
 MONDAY = 1_554_076_800  # 2019-04-01 00:00:00 UTC
+
+Embedding = dict[int, float]
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,28 @@ def preference_model(model: PreferenceDicts, cand: Candidates) -> PreferenceMode
     dims = 1 + max((d for vec in vectors for d in vec), default=0)
     items = build_item_index(embedding_rows(model.item_embeddings[pid] for pid in cand.ids), cand)
     return PreferenceModel(prefs=prefs, dims=dims, items=items)
+
+
+def embedding_rows(vecs: Iterable[Embedding]) -> Rows:
+    """Embeddings as CSR rows, one per vector, dims in their dict order."""
+    vecs = list(vecs)
+    ptr = np.cumsum([0, *map(len, vecs)], dtype=np.int64)
+    n = int(ptr[-1])
+    return Rows(
+        ptr,
+        np.fromiter(chain.from_iterable(vecs), dtype=np.int64, count=n),
+        np.fromiter(chain.from_iterable(map(dict.values, vecs)), dtype=np.float64, count=n),
+    )
+
+
+def program_rows(cells: TensorCells, embeddings: Mapping[str, Embedding]) -> Rows:
+    """The embeddings of the programs of ``cells`` as rows, by program code."""
+    return embedding_rows(embeddings[p] for p in cells.program_names)
+
+
+def row_dicts(rows: Rows) -> list[dict]:
+    """Every row as a ``{column: value}`` dict, in stored order."""
+    return [_vector(rows, i) for i in range(len(rows.ptr) - 1)]
 
 
 def behavior_dicts(behavior: Behavior) -> dict[str, BehaviorMatrix]:
@@ -268,6 +296,63 @@ def random_instance(rng: random.Random, max_programs: int = 50, max_channels: in
         ),
     }
     return grid, metas, bm, models
+
+
+# ---------------------------------------------------------------------------
+# tf-idf embeddings as dicts
+
+
+def term_counts(text: str) -> Counter[str]:
+    """How often each token occurs in ``text``, in order of first occurrence."""
+    return Counter(tokenize(text))
+
+
+def fit_dicts(texts: Iterable[str]) -> Vocabulary:
+    """Reference `textenc.fit`: document frequencies counted text by text in a
+    Counter, tokens indexed in alphabetical order."""
+    df: Counter[str] = Counter()
+    n_docs = 0
+    for text in texts:
+        n_docs += 1
+        df.update(set(tokenize(text)))
+    if n_docs == 0:
+        raise DataError("cannot fit a vocabulary on an empty corpus")
+    if not df:
+        raise DataError("corpus contains no tokens; all documents are empty")
+    tokens = sorted(df)
+    return Vocabulary(
+        index={t: i for i, t in enumerate(tokens)},
+        idf={t: math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in tokens},
+    )
+
+
+def encode_dict(vocab: Vocabulary, tf: Mapping[str, int]) -> Embedding:
+    """Reference `textenc.encode` of one text's :func:`term_counts`: the
+    L2-normalized tf-idf vector; out-of-vocabulary tokens are ignored and a
+    text with no known tokens encodes to the zero vector."""
+    vec: Embedding = {}
+    for token, count in tf.items():
+        i = vocab.index.get(token)
+        if i is not None:
+            vec[i] = count * vocab.idf[token]
+    if vec:
+        inv = 1.0 / math.sqrt(sum(w * w for w in vec.values()))
+        vec = {i: w * inv for i, w in vec.items()}
+    return vec
+
+
+def mean_embedding(vectors: Iterable[Embedding]) -> Embedding:
+    """Arithmetic mean of sparse vectors (no re-normalization)."""
+    acc: dict[int, float] = {}
+    count = 0
+    for vec in vectors:
+        count += 1
+        for i, w in vec.items():
+            acc[i] = acc.get(i, 0.0) + w
+    if count == 0:
+        raise ValueError("mean of zero embeddings is undefined")
+    inv = 1.0 / count
+    return {i: w * inv for i, w in acc.items()}
 
 
 # ---------------------------------------------------------------------------

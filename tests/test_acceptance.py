@@ -24,8 +24,10 @@ from oracles import (
     log_table,
     preference_model,
     random_instance,
+    row_dicts,
 )
 from tvrec import behavior, datamodel, evaluate, preference, ranker, synth, textenc
+from tvrec.arrays import Rows
 from tvrec.cli import main as cli_main
 from tvrec.timegrid import SECONDS_PER_WEEK
 
@@ -44,7 +46,7 @@ class Dataset:
     cfg: synth.SynthConfig
     prep: datamodel.Prepared
     behavior: behavior.Behavior
-    embeddings: dict
+    embeddings: Rows
     models: dict
     cand: ranker.Candidates
     build_seconds: float
@@ -61,11 +63,10 @@ def build_dataset(seed: int) -> Dataset:
         dt_test=cfg.weeks_test * SECONDS_PER_WEEK,
     )
     prep, _ = datamodel.prepare(log_table(logs), world.metas, cfg.grid, spec)
-    corpus = prep.corpus()
-    vocab, _ = textenc.fit(corpus)
-    embeddings = {pid: textenc.encode(vocab, textenc.term_counts(text)) for pid, text in corpus}
+    vocab, counts = textenc.fit(prep.texts)
+    embeddings = textenc.encode(vocab, counts)
     cand = ranker.build_candidates(prep.test_metas(), cfg.grid, prep.cells.channel_names)
-    items = ranker.build_item_index(preference.embedding_rows(embeddings[pid] for pid in cand.ids), cand)
+    items = ranker.build_item_index(embeddings.take(prep.candidate_codes()), cand)
     time_aware = preference.PreferenceModel(preference.build(prep.cells, embeddings), vocab.size, items)
     models = {"global": preference.global_view(time_aware), "time-aware": time_aware}
     matrices = behavior.behavior_matrix(prep.cells)
@@ -154,7 +155,7 @@ def test_criterion_3_distribution_invariants(dataset_a):
         assert all(p > 0 for p in probs)
     worst_norm = 0.0
     nonzero = 0
-    for emb in dataset_a.embeddings.values():
+    for emb in row_dicts(dataset_a.embeddings):
         if emb:
             nonzero += 1
             worst_norm = max(worst_norm, abs(l2_norm(emb) - 1.0))

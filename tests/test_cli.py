@@ -108,6 +108,23 @@ def test_prep_build_recommend_evaluate_round_trip(workspace, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_reports_truth_users_without_a_rec_row(built, tmp_path, capsys):
+    root, cfg = built
+    full, cut = tmp_path / "recs.jsonl", tmp_path / "cut.jsonl"
+    assert run(["recommend", "--config", cfg, "--method", "behavior", "--out", full]) == 0
+    truth_rows = map(json.loads, (root / "out" / "truth.jsonl").read_text().splitlines()[1:])
+    with_truth = {row["user"] for row in truth_rows if row["items"]}
+    lines = full.read_text().splitlines()
+    cut.write_text("\n".join([lines[0], *[line for line in lines if json.loads(line).get("user") in with_truth][:2]]))
+    for rec, users, missing in ((full, len(with_truth), 0), (cut, 2, len(with_truth) - 2)):
+        capsys.readouterr()
+        assert run(["evaluate", "--config", cfg, "--rec", rec, "--out", tmp_path / "metrics.json"]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        report = json.loads((tmp_path / "metrics.json").read_text())["report"]
+        assert (summary["users"], summary["missing"]) == (report["n_users"], report["n_missing"]) == (users, missing)
+    assert len(with_truth) > 2
+
+
 def test_recommend_is_deterministic_across_runs(built):
     root, cfg = built
     out = root / "out"
@@ -236,6 +253,12 @@ def _malformed_argv(case, cfg, tmp_path):
         return [case.split()[0], "--config", cfg, "--model", model, "--out", tmp_path / "out.json"]
     good_rows = '{"_meta": {}}\n{"user": "u1", "items": ["p1"], "scores": [1.0]}\n'
     bad_rows = good_rows + "{not json\n"
+    if case == "rec file user without truth":
+        rec = tmp_path / "recs.jsonl"
+        truth = tmp_path / "truth.jsonl"
+        rec.write_text(good_rows)
+        truth.write_text('{"user": "u2", "items": ["p1"]}\n{"user": "u1", "items": []}\n')
+        return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
     if case in ("rec line not JSON", "truth line not JSON"):
         rec = tmp_path / "recs.jsonl"
         truth = tmp_path / "truth.jsonl"
@@ -302,8 +325,18 @@ def _malformed_argv(case, cfg, tmp_path):
         bad = tmp_path / "synth.json"
         bad.write_bytes({"synth config not JSON": b'{"n_users": 5,',
                          "synth config root not an object": b"[5]",
-                         "synth config not UTF-8": b'{"n_users": 5, "\xff": 1}'}[case])
+                         "synth config not UTF-8": b'{"n_users": 5, "\xff": 1}',
+                         "synth config n_users a float": b'{"n_users": 2.5}',
+                         "synth config n_channels a whole float": b'{"n_channels": 2.0}',
+                         "synth config rng_seed a float": b'{"rng_seed": 1.5}',
+                         "synth config n_users a bool": b'{"n_users": true}',
+                         "synth config n_slots a whole float": b'{"n_slots": 672.0}',
+                         "synth config n_slots 0": b'{"n_slots": 0}',
+                         "synth config target NaN": b'{"programs_per_slot_target": NaN}'}[case])
         return ["synth", "--config", bad, "--out-dir", tmp_path / "data"]
+    if case.startswith(("train days", "test days")):
+        which, _, value = case.split()
+        return ["prep", "--config", cfg, f"--{which}-days", value, "--out-dir", tmp_path / "out"]
     if case.startswith("config file") or case == "config root not an object":
         bad = tmp_path / "engine.json"
         if case == "config root not an object":
@@ -350,6 +383,17 @@ def _malformed_argv(case, cfg, tmp_path):
         ("synth config not JSON", 2),
         ("synth config root not an object", 2),
         ("synth config not UTF-8", 2),
+        ("synth config n_users a float", 2),
+        ("synth config n_channels a whole float", 2),
+        ("synth config rng_seed a float", 2),
+        ("synth config n_users a bool", 2),
+        ("synth config n_slots a whole float", 2),
+        ("synth config n_slots 0", 2),
+        ("synth config target NaN", 2),
+        ("train days nan", 2),
+        ("train days 1e308", 2),
+        ("test days inf", 2),
+        ("train days 1e-9", 2),
         ("config root not an object", 2),
         ("config file missing", 3),
         ("config file not UTF-8", 2),
@@ -381,6 +425,7 @@ def _malformed_argv(case, cfg, tmp_path):
         ("rec row repeats an item", 3),
         ("rec row repeats a user", 3),
         ("truth row repeats a user", 3),
+        ("rec file user without truth", 3),
         ("config value repeated cutoffs", 2),
         ("cutoffs flag repeats", 2),
         ("bundle cut short", 3),
@@ -593,13 +638,10 @@ def test_old_layout_bundle_exits_with_data_error(built, tmp_path, capsys):
     assert not trap.exists()
 
 
-def _mutants(blob, arrays, rng):
-    """Damaged copies of a bundle, each ``(what, bytes or arrays)``."""
-    shapes = arrays["manifest"]["shapes"]
-    n_cells = shapes["slots"] * shapes["channels"]
-    bounds = {"span_flat": n_cells, "behavior_col": n_cells, "global_col": shapes["dims"],
-              "slot_vecs_col": shapes["dims"], "embeddings_col": shapes["dims"],
-              "truth_rows": shapes["candidates"], "slots": shapes["slots"] + 1}
+def _mutants(blob, arrays, rng, bounds, names):
+    """Damaged copies of a file of arrays, each ``(what, bytes or arrays)``.
+    ``bounds`` maps arrays of codes to the ``[lo, hi)`` range each code must
+    lie in; ``names`` are the keys of the file's name tables."""
     members = zipfile.ZipFile(io.BytesIO(blob)).infolist()
     for _ in range(25):
         cut = rng.randrange(len(blob))
@@ -620,9 +662,10 @@ def _mutants(blob, arrays, rng):
         yield f"{key}[{j}] below {key}[{j - 1}]", {**arrays, key: ptr}
         key = rng.choice(sorted(bounds))
         codes = arrays[key].copy()
-        codes[rng.randrange(len(codes))] = 0 if key == "slots" and rng.random() < 0.5 else bounds[key]
+        lo, hi = bounds[key]
+        codes[rng.randrange(len(codes))] = lo - 1 if lo > 0 and rng.random() < 0.5 else hi
         yield f"{key} out of range", {**arrays, key: codes}
-        key = rng.choice(("users", "ids", "channels"))
+        key = rng.choice(names)
         yield f"{key} emptied", {**arrays, key: arrays[key][:0]}
         yield f"{key} and offsets emptied", {
             **arrays, key: arrays[key][:0], f"{key}_off": arrays[f"{key}_off"][:1]
@@ -635,8 +678,14 @@ def test_damaged_bundles_exit_with_data_error(built, tmp_path, capsys):
     _, cfg = built
     path = cfg.parent / "out" / "model.pkl"
     blob, arrays = path.read_bytes(), _bundle_arrays(path)
+    shapes = arrays["manifest"]["shapes"]
+    n_cells = shapes["slots"] * shapes["channels"]
+    bounds = {"span_flat": (0, n_cells), "behavior_col": (0, n_cells), "global_col": (0, shapes["dims"]),
+              "slot_vecs_col": (0, shapes["dims"]), "embeddings_col": (0, shapes["dims"]),
+              "truth_rows": (0, shapes["candidates"]), "slots": (1, shapes["slots"] + 1)}
+    mutants = _mutants(blob, arrays, random.Random(20_261_019), bounds, ("users", "ids", "channels"))
     model = tmp_path / "model.pkl"
-    for n, (what, mutant) in enumerate(_mutants(blob, arrays, random.Random(20_261_019))):
+    for n, (what, mutant) in enumerate(mutants):
         if isinstance(mutant, bytes):
             model.write_bytes(mutant)
         else:
@@ -646,6 +695,46 @@ def test_damaged_bundles_exit_with_data_error(built, tmp_path, capsys):
                     "--out", tmp_path / "recs.jsonl"])
         err = capsys.readouterr().err
         assert code == 3 and "rebuild with `build`" in err, f"{what}: exit {code}: {err}"
+
+
+def test_damaged_prepared_files_exit_with_data_error(built, tmp_path, capsys):
+    # A seeded mutation check of `build`'s read path: every damaged copy of
+    # the prepared file is a data error (exit 3), never an internal one.
+    _, cfg = built
+    path = cfg.parent / "out" / "prepared.npz"
+    blob, arrays = path.read_bytes(), _bundle_arrays(path)
+    n = {key: len(arrays[f"{key}_off"]) - 1 for key in ("programs", "channels")}
+    bounds = {"cell_program": (0, n["programs"]), "cell_channel": (0, n["channels"]), "cell_slot": (1, 673),
+              "cell_count": (1, 2**63 - 1), "test_program": (0, n["programs"]),
+              "test_channel": (0, n["channels"]), "truth_program": (0, n["programs"])}
+    rng = random.Random(20_261_020)
+    mutants = _mutants(blob, arrays, rng, bounds, ("users", "programs", "texts", "channels"))
+    out = tmp_path / "out"
+    out.mkdir()
+    for what, mutant in mutants:
+        if isinstance(mutant, bytes):
+            (out / "prepared.npz").write_bytes(mutant)
+        else:
+            _write_arrays(out / "prepared.npz", mutant)
+        code = run(["build", "--config", cfg, "--out-dir", out])
+        err = capsys.readouterr().err
+        assert code == 3 and "run `prep` again" in err, f"{what}: exit {code}: {err}"
+    # Counts each in range whose sum would wrap in int64.
+    counts = arrays["cell_count"].copy()
+    counts[:2] = 2**62
+    _write_arrays(out / "prepared.npz", {**arrays, "cell_count": counts})
+    assert run(["build", "--config", cfg, "--out-dir", out]) == 3
+    assert "bad cell counts" in capsys.readouterr().err
+    # A code moved to another value in range passes the file's checks; `build`
+    # then either models it (exit 0) or refuses what it makes of it (exit 3).
+    for _ in range(40):
+        key = rng.choice(sorted(bounds))
+        codes = arrays[key].copy()
+        codes[rng.randrange(len(codes))] = rng.randrange(*bounds[key])
+        _write_arrays(out / "prepared.npz", {**arrays, key: codes})
+        code = run(["build", "--config", cfg, "--out-dir", out])
+        err = capsys.readouterr().err
+        assert code in (0, 3) and "internal error" not in err, f"{key} changed in range: exit {code}: {err}"
 
 
 def test_build_writes_the_bundle_where_the_benchmark_reads_it(built):

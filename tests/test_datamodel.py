@@ -404,12 +404,17 @@ def test_prepared_file_round_trips_in_order(tmp_path):
     )
     # Same users, cells and counts, in the same order of users and of each user's cells.
     assert list(tensor_dicts(prepared.cells).items()) == list(tensor.items())
-    assert prepared.corpus() == [(pid, by_id[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
-    assert any("\ud800" in text for _, text in prepared.corpus())
+    corpus = list(zip(prepared.cells.program_names, prepared.texts))
+    assert corpus == [(pid, by_id[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
+    assert any("\ud800" in text for text in prepared.texts)
     assert prepared.test_metas() == [by_id[pid] for pid in sorted(sp.i_test)]
+    by_start = sorted(sp.i_test, key=lambda pid: (by_id[pid].start, pid))
+    assert [prepared.cells.program_names[c] for c in prepared.candidate_codes().tolist()] == by_start
     truths = ground_truth_map(sp.d_test, sp.i_test)
     assert list(prepared.truths().items()) == [(u, tuple(sorted(truths[u]))) for u in sorted(tensor) if u in truths]
-    assert prepared.cells.programs() == {item for cells in tensor.values() for item, _, _ in cells}
+    cells = prepared.cells
+    watched = {item for c in tensor.values() for item, _, _ in c}
+    assert {cells.program_names[p] for p in cells.program.tolist()} == watched
 
 
 # the record oracle

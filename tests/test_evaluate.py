@@ -5,6 +5,7 @@ import types
 import pytest
 
 import tvrec.evaluate as evaluate_mod
+from tvrec.errors import DataError
 from tvrec.evaluate import (
     MetricReport,
     bench,
@@ -171,6 +172,20 @@ def test_evaluate_rankings_aggregates_and_skips_empty_truth():
     assert report.precision[3] == pytest.approx((2 / 3 + 1 / 3) / 2)
     assert report.recall[3] == pytest.approx((1.0 + 1.0) / 2)
     assert all(0.0 <= v <= 1.0 for d in (report.ndcg, report.precision, report.recall) for v in d.values())
+
+
+def test_evaluate_rankings_counts_truth_users_without_a_ranking():
+    truths = {"u1": TRUTH, "u2": {"i2"}, "u3": set(), "u4": {"i9"}}
+    report = evaluate_rankings({"u1": REC, "u5": REC}, truths, cutoffs=(3,))
+    assert (report.n_users, report.n_skipped, report.n_missing) == (1, 1, 2)
+    assert report.to_dict()["n_missing"] == 2
+    assert report.ndcg[3] == ndcg_at(REC, TRUTH, 3)
+
+
+def test_evaluate_rankings_refuses_when_no_ranked_user_has_truth():
+    for recs in ({"u9": REC}, {"u3": REC}, {}):
+        with pytest.raises(DataError, match="nothing to score"):
+            evaluate_rankings(recs, {"u1": TRUTH, "u3": set()}, cutoffs=(3,))
 
 
 def test_evaluate_rankings_rejects_repeated_cutoffs():

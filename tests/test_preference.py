@@ -7,13 +7,19 @@ from oracles import (
     PreferenceDicts,
     behavior_dicts,
     behavior_matrix_dicts,
+    embedding_rows,
+    encode_dict,
+    fit_dicts,
     l2_norm,
     log_table,
     preference_dicts,
     preference_model,
     preference_vectors,
+    program_rows,
+    row_dicts,
     tensor_cells,
     tensor_dicts,
+    term_counts,
 )
 from tvrec import synth
 from tvrec.behavior import behavior_matrix
@@ -21,7 +27,7 @@ from tvrec.datamodel import ProgramMeta, SplitSpec, prepare
 from tvrec.errors import DataError
 from tvrec.preference import build, global_view
 from tvrec.ranker import build_candidates, rank_preference
-from tvrec.textenc import encode, fit, term_counts
+from tvrec.textenc import encode, fit
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
 
 GRID = TimeGrid(n=672)
@@ -33,8 +39,9 @@ def meta(pid, start_slot=5, channel="c1"):
 
 
 def model_of(cells, embeddings):
-    """What ``build(cells, embeddings)`` makes, as dicts, with the embeddings."""
-    return PreferenceDicts(*preference_vectors(build(cells, embeddings)), embeddings)
+    """What ``build`` makes of the cells and the dict embeddings, as dicts,
+    with the embeddings."""
+    return PreferenceDicts(*preference_vectors(build(cells, program_rows(cells, embeddings))), embeddings)
 
 
 def score(model, user, m):
@@ -83,7 +90,7 @@ def test_time_aware_slot_sets_are_exact():
 def test_missing_embedding_error_lists_ids():
     tensor = tensor_cells({"u": {("p1", 5, "c1"): 1, ("p-naked", 5, "c1"): 1}})
     with pytest.raises(DataError, match="p-naked"):
-        build(tensor, {"p1": E1})
+        build(tensor, embedding_rows([E1]))  # a row for p1 only
 
 
 def test_score_is_dot_product():
@@ -263,7 +270,8 @@ def test_model_from_a_prepared_dataset_equals_the_dict_oracles():
     world = synth.gen_world(cfg)
     spec = SplitSpec(t_split=cfg.t_split, dt_train=2 * SECONDS_PER_WEEK, dt_test=SECONDS_PER_WEEK)
     prepared, _ = prepare(log_table(synth.gen_logs(world)), world.metas, cfg.grid, spec)
-    corpus = prepared.corpus()
-    vocab, _ = fit(corpus)
-    embeddings = {pid: encode(vocab, term_counts(text)) for pid, text in corpus}
-    assert_model_matches_the_dict_oracles(prepared.cells, embeddings)
+    texts = prepared.texts
+    rows = row_dicts(encode(*fit(texts)))
+    vocab = fit_dicts(texts)
+    assert [list(row.items()) for row in rows] == [list(encode_dict(vocab, term_counts(t)).items()) for t in texts]
+    assert_model_matches_the_dict_oracles(prepared.cells, dict(zip(prepared.cells.program_names, rows)))

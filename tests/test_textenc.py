@@ -4,17 +4,20 @@ import random
 
 import pytest
 
-from oracles import dot, l2_norm
+from oracles import dot, encode_dict, fit_dicts, l2_norm, mean_embedding, row_dicts, term_counts
 from tvrec.errors import DataError
 from tvrec.textenc import (
     encode,
     fit,
-    mean_embedding,
-    term_counts,
     tokenize,
 )
 
-CORPUS = [("a", "news tokyo"), ("b", "news sports")]
+CORPUS = ["news tokyo", "news sports"]
+
+
+def embeddings(texts):
+    """Every text's tf-idf embedding as a dict, fitted on ``texts``."""
+    return row_dicts(encode(*fit(texts)))
 
 
 def test_tokenize_lowercases_and_splits():
@@ -50,8 +53,8 @@ def test_idf_token_in_half_the_documents():
 
 
 def test_encode_weights_and_normalization():
-    vocab, _ = fit(CORPUS)
-    emb = encode(vocab, term_counts("news tokyo"))
+    vocab, counts = fit(CORPUS)
+    emb = row_dicts(encode(vocab, counts))[0]  # "news tokyo"
     weights = {tok: emb[vocab.index[tok]] for tok in ("news", "tokyo")}
     assert weights["news"] == pytest.approx(0.580, abs=1e-3)
     assert weights["tokyo"] == pytest.approx(0.815, abs=1e-3)
@@ -62,40 +65,31 @@ def test_encode_weights_and_normalization():
 
 
 def test_encode_empty_text_is_zero_vector():
-    assert encode(fit(CORPUS)[0], term_counts("")) == {}
-
-
-def test_encode_out_of_vocabulary_ignored():
-    vocab, _ = fit(CORPUS)
-    assert encode(vocab, term_counts("quantum flux")) == {}
+    assert embeddings([*CORPUS, "", "  ...  "])[2:] == [{}, {}]
 
 
 def test_encode_deterministic():
-    vocab, _ = fit(CORPUS)
-    assert encode(vocab, term_counts("news sports tokyo")) == encode(vocab, term_counts("news sports tokyo"))
+    vocab, counts = fit(["news sports tokyo"])
+    assert row_dicts(encode(vocab, counts)) == row_dicts(encode(vocab, counts))
 
 
 def test_fit_empty_corpus_rejected():
     with pytest.raises(DataError):
         fit([])
     with pytest.raises(DataError):
-        fit([("a", ""), ("b", "  ")])
+        fit(["", "  "])
 
 
 def test_vocabulary_indices_are_a_bijection():
-    vocab, _ = fit([("a", "x y z"), ("b", "y z w"), ("c", "z w v")])
+    vocab, _ = fit(["x y z", "y z w", "z w v"])
     assert sorted(vocab.index.values()) == list(range(vocab.size))
 
 
 def test_nonzero_embeddings_have_unit_norm():
     rng = random.Random(2)
     words = [f"w{i}" for i in range(40)]
-    corpus = [
-        (f"d{i}", " ".join(rng.choices(words, k=rng.randint(1, 12)))) for i in range(60)
-    ]
-    vocab, _ = fit(corpus)
-    for _, text in corpus:
-        emb = encode(vocab, term_counts(text))
+    corpus = [" ".join(rng.choices(words, k=rng.randint(1, 12))) for _ in range(60)]
+    for emb in embeddings(corpus):
         if emb:
             assert abs(l2_norm(emb) - 1.0) <= 1e-9
 
@@ -105,11 +99,11 @@ def test_adding_a_document_recomputes_idf_per_formula():
     words = [f"w{i}" for i in range(10)]
     docs = [" ".join(rng.choices(words, k=5)) for _ in range(8)]
     for cut in range(1, len(docs)):
-        base = [(str(i), d) for i, d in enumerate(docs[:cut])]
-        grown = base + [("new", docs[cut])]
+        base = docs[:cut]
+        grown = base + [docs[cut]]
         (v0, _), (v1, _) = fit(base), fit(grown)
         n, df1 = cut + 1, {}
-        for _, text in grown:
+        for text in grown:
             for tok in set(tokenize(text)):
                 df1[tok] = df1.get(tok, 0) + 1
         for tok in v0.index:
@@ -135,10 +129,46 @@ def test_dot_and_mean_helpers():
         mean_embedding([])
 
 
-def test_fit_keeps_the_term_counts_of_kept_documents():
-    corpus = [("a", "News TOKYO news"), ("b", "news sports"), ("c", "東京 news")]
-    vocab, counts = fit(corpus, keep={"a", "c"})
-    assert vocab == fit(corpus)[0]
-    assert counts == {"a": term_counts("News TOKYO news"), "c": term_counts("東京 news")}
-    assert list(counts["a"].items()) == [("news", 2), ("tokyo", 1)]
-    assert encode(vocab, counts["a"]) == encode(vocab, term_counts("News TOKYO news"))
+def test_fit_returns_every_texts_term_counts_in_first_occurrence_order():
+    texts = ["News TOKYO news", "", "news sports", "東京 news"]
+    vocab, counts = fit(texts)
+    token = sorted(vocab.index, key=vocab.index.__getitem__)
+    rows = [[(token[dim], n) for dim, n in row.items()] for row in row_dicts(counts)]
+    assert rows == [list(term_counts(text).items()) for text in texts]
+    assert rows[0] == [("news", 2), ("tokyo", 1)]
+
+
+_WORDS = ["news", "tokyo", "Café", "olé", "東京", "ニュース", "drama", "x2", "naïve", "über", "a_b", "42"]
+_WORDS += [f"w{i}" for i in range(60)]
+
+
+def _random_text(rng):
+    """A text of repeated words, CJK runs, accents and punctuation; or an
+    empty or token-less one."""
+    kind = rng.random()
+    if kind < 0.1:
+        return ""
+    if kind < 0.2:
+        return rng.choice([" ", "...", "-- _ --", "\t!?"])
+    return rng.choice([" ", ", ", "; "]).join(rng.choices(_WORDS, k=rng.randint(1, 40)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_array_builders_equal_the_dict_references(seed):
+    # fit and encode against the dict references, bit for bit: idf, the
+    # vocabulary file, term counts and embeddings, values and column order.
+    rng = random.Random(seed)
+    if seed == 0:  # a one-text corpus
+        texts = ["Café 東京 café news news"]
+    else:
+        texts = [_random_text(rng) for _ in range(rng.randint(2, 80))]
+    vocab, counts = fit(texts)
+    want = fit_dicts(texts)
+    assert vocab == want
+    assert json.dumps(vocab.to_dict()) == json.dumps(want.to_dict())
+    token = sorted(vocab.index, key=vocab.index.__getitem__)
+    assert [[(token[d], n) for d, n in row.items()] for row in row_dicts(counts)] == [
+        list(term_counts(text).items()) for text in texts
+    ]
+    got = row_dicts(encode(vocab, counts))
+    assert [list(row.items()) for row in got] == [list(encode_dict(want, term_counts(t)).items()) for t in texts]
