@@ -39,7 +39,9 @@ before it, which the benchmark harness measures. It holds:
 
 Codes (cells, dimensions, slots, rows) are stored in the narrowest unsigned
 dtype that holds their table's size; weights stay float64, so scores are
-those of the vectors as built.
+those of the vectors as built. Every stored weight is finite and > 0 (tf-idf
+rows and means of them are positive, behavior probabilities lie in (0, 1]),
+so no preference score is NaN: the preference order relies on that.
 
 Every artifact embeds the effective config hash and seed. The hash covers the
 semantic config only and leaves out file locations, so runs that differ only in
@@ -647,6 +649,8 @@ def _read_bundle(path: Path) -> ModelBundle:
         check(bool(np.all(np.isfinite(val))), f"{block} values")
     probs = blocks["behavior"].val
     check(bool(np.all((probs > 0) & (probs <= 1))), "behavior probabilities")
+    for block in ("global", "slot_vecs", "embeddings"):
+        check(bool(np.all(blocks[block].val > 0)), f"{block} weights: not all > 0")
     check(is_ptr(arrays["slots_ptr"], len(users), len(arrays["slots"])), "slot offsets")
     check(in_range(arrays["slots"], 1, n_slots + 1), "slots")
     check(is_ptr(arrays["truth_ptr"], len(users), len(arrays["truth_rows"])), "truth offsets")
@@ -719,9 +723,9 @@ def _rank_user_fn(cfg: EngineConfig, bundle: ModelBundle, method: str):
     if method == "preference":
         return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_preference(model, u, cand), k)
     if method == "rrf":
-        fuse = functools.partial(ranker_mod.rrf, eta=cfg.eta)
+        fuse = functools.partial(ranker_mod.rrf, eta=cfg.eta, k=k)
     elif method == "rrf-weighted":
-        fuse = functools.partial(ranker_mod.rrf_weighted, eta=cfg.eta, xi=cfg.xi)
+        fuse = functools.partial(ranker_mod.rrf_weighted, eta=cfg.eta, xi=cfg.xi, k=k)
     else:
         raise ConfigError(f"unknown method {method!r}")
     rankings = _rankings_fn(bundle, model)

@@ -10,8 +10,19 @@ tie-break: a stable sort by score alone applies it.
 
 Rankers take and return a :class:`Ranking`: ``rows``, candidate rows best
 first, and ``scores``, indexed by row. RRF reads its input ranks off the rows
-by inverse permutation. Program ids appear only in :func:`top_k`, which turns
-the first ``k`` rows of a ranking into ``(program id, score)`` pairs.
+by inverse permutation, so the behavior and preference rankers order every
+row. Fusion writes only ``k`` items, so :func:`rrf`, :func:`rrf_weighted`
+and :func:`tune_rrf` order only a frontier: every row scoring at least the
+``k``-th best fused score (found with ``np.partition``), stable-sorted. That
+is a prefix of the full order, ties at the ``k``-th place included. Program
+ids appear only in :func:`top_k`, which turns the first ``k`` rows of a
+ranking into ``(program id, score)`` pairs.
+
+The preference order skips the stable sort: an unstable sort, then one sort
+of distinct (tie group, row) keys, gives the stable order exactly as long as
+no score is NaN, which the bundle's positive weights guarantee. Behavior
+scores keep the stable sort: most of them are zero, and for those the stable
+sort measured faster than the two-sort order.
 
 Two-stage ranking scans the behavior-ordered candidates and collapses each
 maximal consecutive run sharing one (slot, channel) group key down to the run
@@ -47,8 +58,10 @@ DEFAULT_RRF_ETA = 60.0  # customary damping constant when no tuning is run
 class Ranking(NamedTuple):
     """Candidate rows in rank order, best first, plus scores indexed by row.
 
-    Full-list rankers order every row; :func:`two_stage` returns only its
-    winners. ``scores`` always covers every row.
+    :func:`rank_behavior` and :func:`rank_preference` order every row;
+    :func:`two_stage` returns only its winners, and the fusions a prefix of
+    their full order: the ``k`` best rows plus every row tied with the
+    ``k``-th. ``scores`` always covers every row.
     """
 
     rows: np.ndarray
@@ -178,8 +191,39 @@ def _stage_one_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _ranking(scores: np.ndarray) -> Ranking:
-    return Ranking(_stage_one_order(scores), scores)
+def _preference_order(scores: np.ndarray) -> np.ndarray:
+    """``_stage_one_order(scores)`` for NaN-free scores, without a stable sort.
+
+    An unstable sort puts the scores in order; a cumulative sum numbers each
+    run of equal scores (so -0.0 and 0.0 share one), and the keys
+    ``group * n + row`` are all distinct, so sorting them puts each group's
+    rows in row order whichever algorithm numpy picks. NaN compares unequal
+    to itself and would split its group, hence the NaN-free precondition.
+    """
+    n = len(scores)
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    keys = np.zeros(n, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=keys[1:])
+    keys *= n
+    keys += order
+    keys.sort()
+    keys %= n
+    return keys
+
+
+def _top_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """The prefix of ``_stage_one_order(scores)`` that ends with the last row
+    tied with the ``k``-th best score: the ``k`` best rows and every tie of
+    the ``k``-th, best first, or every row when ``k >= len(scores)``."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = len(scores)
+    if k >= n:
+        return _stage_one_order(scores)
+    kth = np.partition(scores, n - k)[n - k]
+    rows = np.flatnonzero(scores >= kth)
+    return rows[_stage_one_order(scores[rows])]
 
 
 def top_k(cand: Candidates, ranking: Ranking, k: int) -> RankedList:
@@ -191,7 +235,8 @@ def top_k(cand: Candidates, ranking: Ranking, k: int) -> RankedList:
 
 def rank_behavior(bm: UserBehavior, cand: Candidates) -> Ranking:
     """Rank all candidates by behavior score, descending."""
-    return _ranking(np.maximum.reduceat(_span_values(bm, cand), cand.span_ptr[:-1]))
+    scores = np.maximum.reduceat(_span_values(bm, cand), cand.span_ptr[:-1])
+    return Ranking(_stage_one_order(scores), scores)
 
 
 def rank_preference(model: PreferenceModel, user: str, cand: Candidates) -> Ranking:
@@ -208,7 +253,7 @@ def rank_preference(model: PreferenceModel, user: str, cand: Candidates) -> Rank
         rows = items.slot_rows[bounds[slot - 1] : bounds[slot]]
         if len(rows):
             scores[rows] = (vec[idx[rows]] * weights[rows]).sum(axis=1)
-    return _ranking(scores)
+    return Ranking(_preference_order(scores), scores)
 
 
 def two_stage(
@@ -297,6 +342,7 @@ def _fuse(
     kappa_b: Ranking,
     kappa_p: Ranking,
     cand: Candidates,
+    k: int,
     eta: float,
     w_b: float,
     w_p: float,
@@ -304,7 +350,8 @@ def _fuse(
     n = len(cand.ids)
     pb = _rank_of_row(kappa_b, n, "behavior")
     pp = _rank_of_row(kappa_p, n, "preference")
-    return _ranking(_fused_scores(pb, pp, eta, w_b, w_p))
+    scores = _fused_scores(pb, pp, eta, w_b, w_p)
+    return Ranking(_top_rows(scores, k), scores)
 
 
 def check_eta(eta: float) -> None:
@@ -319,10 +366,13 @@ def check_xi(xi: float) -> None:
         raise ValueError(f"xi must lie in [0, 1], got {xi!r}")
 
 
-def rrf(kappa_b: Ranking, kappa_p: Ranking, cand: Candidates, eta: float = DEFAULT_RRF_ETA) -> Ranking:
-    """Reciprocal rank fusion of the two rankings: sum of 1/(rank + eta)."""
+def rrf(
+    kappa_b: Ranking, kappa_p: Ranking, cand: Candidates, eta: float = DEFAULT_RRF_ETA, *, k: int
+) -> Ranking:
+    """Reciprocal rank fusion of the two rankings: sum of 1/(rank + eta).
+    Orders only the first ``k`` rows and their ties (see :class:`Ranking`)."""
     check_eta(eta)
-    return _fuse(kappa_b, kappa_p, cand, eta, 1.0, 1.0)
+    return _fuse(kappa_b, kappa_p, cand, k, eta, 1.0, 1.0)
 
 
 def rrf_weighted(
@@ -331,11 +381,14 @@ def rrf_weighted(
     cand: Candidates,
     eta: float = DEFAULT_RRF_ETA,
     xi: float = 0.5,
+    *,
+    k: int,
 ) -> Ranking:
-    """Weighted RRF: xi/(rank_b + eta) + (1 - xi)/(rank_p + eta)."""
+    """Weighted RRF: xi/(rank_b + eta) + (1 - xi)/(rank_p + eta). Orders
+    only the first ``k`` rows and their ties (see :class:`Ranking`)."""
     check_eta(eta)
     check_xi(xi)
-    return _fuse(kappa_b, kappa_p, cand, eta, xi, 1.0 - xi)
+    return _fuse(kappa_b, kappa_p, cand, k, eta, xi, 1.0 - xi)
 
 
 def tune_rrf(
@@ -378,7 +431,7 @@ def tune_rrf(
         for xi in xis:
             total = 0.0
             for pb, pp, mask, tsize in per_user:
-                top = _stage_one_order(_fused_scores(pb, pp, eta, xi, 1.0 - xi))[:cutoff]
+                top = _top_rows(_fused_scores(pb, pp, eta, xi, 1.0 - xi), cutoff)[:cutoff]
                 total += mask[top].sum() / tsize
             mean_recall = float(total / len(per_user))
             if mean_recall > best[2]:

@@ -220,7 +220,7 @@ def test_criterion_5_efficiency_ratios(dataset_a):
     def rrf_pipeline(u):
         kb = ranker.rank_behavior(matrices[u], cand)
         kp = ranker.rank_preference(model, u, cand)
-        return ranker.top_k(cand, ranker.rrf(kb, kp, cand), K)
+        return ranker.top_k(cand, ranker.rrf(kb, kp, cand, k=K), K)
 
     t_rrf = evaluate.bench(rrf_pipeline, sample, 3)
 
@@ -283,11 +283,12 @@ def test_criterion_7_rrf_algebra():
         eta = rng.randint(1, 100)
         rows_b = kb.rows.tolist()
         rows_p = kp.rows.tolist()
-        assert ranker.rrf_weighted(kb, kp, cand, eta, xi=1.0).rows.tolist() == rows_b
-        assert ranker.rrf_weighted(kb, kp, cand, eta, xi=0.0).rows.tolist() == rows_p
+        n = len(cand)
+        assert ranker.rrf_weighted(kb, kp, cand, eta, xi=1.0, k=n).rows.tolist() == rows_b
+        assert ranker.rrf_weighted(kb, kp, cand, eta, xi=0.0, k=n).rows.tolist() == rows_p
         assert (
-            ranker.rrf_weighted(kb, kp, cand, eta, xi=0.5).rows.tolist()
-            == ranker.rrf(kb, kp, cand, eta).rows.tolist()
+            ranker.rrf_weighted(kb, kp, cand, eta, xi=0.5, k=n).rows.tolist()
+            == ranker.rrf(kb, kp, cand, eta, k=n).rows.tolist()
         )
     _report(7, "RRF algebra", True, "xi in {1, 0, 0.5} reproduced kb / kp / unweighted orders on 100 instances each")
 

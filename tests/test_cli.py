@@ -697,6 +697,23 @@ def test_damaged_bundles_exit_with_data_error(built, tmp_path, capsys):
         assert code == 3 and "rebuild with `build`" in err, f"{what}: exit {code}: {err}"
 
 
+def test_bundle_weights_not_above_zero_exit_with_data_error(built, tmp_path, capsys):
+    # Preference scores are exact and ordered without NaN only if every
+    # embedding, global and slot-vector weight is > 0.
+    _, cfg = built
+    arrays = _bundle_arrays(cfg.parent / "out" / "model.pkl")
+    model = tmp_path / "model.pkl"
+    for block in ("embeddings", "global", "slot_vecs"):
+        for weight in (0.0, -0.5):
+            val = arrays[f"{block}_val"].copy()
+            val[len(val) // 2] = weight
+            _write_arrays(model, {**arrays, f"{block}_val": val})
+            code = run(["recommend", "--config", cfg, "--model", model, "--method", "rrf",
+                        "--out", tmp_path / "recs.jsonl"])
+            err = capsys.readouterr().err
+            assert code == 3 and f"bad {block} weights" in err, f"{block} weight {weight}: exit {code}: {err}"
+
+
 def test_damaged_prepared_files_exit_with_data_error(built, tmp_path, capsys):
     # A seeded mutation check of `build`'s read path: every damaged copy of
     # the prepared file is a data error (exit 3), never an internal one.

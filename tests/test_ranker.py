@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -21,6 +22,8 @@ from tvrec.evaluate import recall_at
 from tvrec.ranker import (
     Ranking,
     TwoStageStats,
+    _preference_order,
+    _top_rows,
     build_candidates,
     rank_behavior,
     rank_preference,
@@ -274,7 +277,7 @@ def fused_fixture():
 
 def test_rrf_score_arithmetic():
     cand, kb, kp = fused_fixture()
-    fused = rrf(kb, kp, cand, eta=60)
+    fused = rrf(kb, kp, cand, eta=60, k=len(cand))
     scores = dict(ranked(cand, fused))
     assert scores["A"] == pytest.approx(1 / 61 + 1 / 63)
     assert scores["A"] == pytest.approx(0.032266, abs=1e-6)
@@ -284,7 +287,7 @@ def test_rrf_dominance_is_monotone():
     rng = random.Random(5)
     cand, kb, kp = fused_fixture()
     for eta in (0, 1, 17, 60, 1000):
-        fused = ids(cand, rrf(kb, kp, cand, eta=eta))
+        fused = ids(cand, rrf(kb, kp, cand, eta=eta, k=len(cand)))
         assert fused.index("B") < fused.index("C") or fused.index("A") < fused.index("C")
         # A is ranked 1st and 3rd; B is 2nd and 2nd; C is 3rd and 1st.
         # An item ranked better in both lists must come first: none here, so
@@ -292,7 +295,7 @@ def test_rrf_dominance_is_monotone():
     kb2 = ranking_of(cand, "ABC", [3.0, 2.0, 1.0])
     kp2 = ranking_of(cand, "ABC", [3.0, 2.0, 1.0])
     for eta in (0, 0.5, 6, 1e6):
-        assert ids(cand, rrf(kb2, kp2, cand, eta=eta)) == ["A", "B", "C"]
+        assert ids(cand, rrf(kb2, kp2, cand, eta=eta, k=len(cand))) == ["A", "B", "C"]
 
 
 def test_rrf_large_eta_matches_brute_force_ordering():
@@ -309,18 +312,18 @@ def test_rrf_large_eta_matches_brute_force_ordering():
         pos_b = {p: i + 1 for i, p in enumerate(perm_b)}
         pos_p = {p: i + 1 for i, p in enumerate(perm_p)}
         scores = {p: 1 / (pos_b[p] + eta) + 1 / (pos_p[p] + eta) for p in order}
-        assert ids(cand, rrf(kb, kp, cand, eta=eta)) == brute_rank(scores, metas)
+        assert ids(cand, rrf(kb, kp, cand, eta=eta, k=len(cand))) == brute_rank(scores, metas)
 
 
 def test_rrf_rejects_mismatched_item_sets():
     cand, kb, kp = fused_fixture()
     with pytest.raises(ValueError):
-        rrf(Ranking(kb.rows[:2], kb.scores), kp, cand)
+        rrf(Ranking(kb.rows[:2], kb.scores), kp, cand, k=len(cand))
     with pytest.raises(ValueError):
-        rrf(ranking_of(cand, "AAB"), kp, cand)
+        rrf(ranking_of(cand, "AAB"), kp, cand, k=len(cand))
     for outside in (3, -1):
         with pytest.raises(ValueError):
-            rrf(Ranking(np.asarray([0, 1, outside]), kb.scores), kp, cand)
+            rrf(Ranking(np.asarray([0, 1, outside]), kb.scores), kp, cand, k=len(cand))
 
 
 def test_rrf_weighted_extremes_follow_single_rankers():
@@ -331,19 +334,114 @@ def test_rrf_weighted_extremes_follow_single_rankers():
         kb = by_behavior(bm, cand)
         kp = by_preference(models["global"], cand)
         eta = rng.randint(1, 100)
-        assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=1.0)) == ids(cand, kb)
-        assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=0.0)) == ids(cand, kp)
-        assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=0.5)) == ids(
-            cand, rrf(kb, kp, cand, eta=eta)
+        n = len(cand)
+        assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=1.0, k=n)) == ids(cand, kb)
+        assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=0.0, k=n)) == ids(cand, kp)
+        assert ids(cand, rrf_weighted(kb, kp, cand, eta=eta, xi=0.5, k=n)) == ids(
+            cand, rrf(kb, kp, cand, eta=eta, k=n)
         )
+
+
+def test_rrf_every_k_is_a_prefix_of_the_full_order():
+    # At xi = 0.5 the fused score is symmetric in (rank_b, rank_p), so rows
+    # with swapped rank pairs tie; with kp the reverse of kb every row but
+    # the middle one has such a partner.
+    rng = random.Random(31)
+    for trial in range(40):
+        grid, metas, bm, models = random_instance(rng, max_programs=30)
+        cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+        n = len(cand)
+        kb = by_behavior(bm, cand)
+        kp = Ranking(kb.rows[::-1].copy(), kb.scores) if trial % 2 else by_preference(models["global"], cand)
+        eta = rng.choice((0, 1, 60))
+        weighted = functools.partial(rrf_weighted, kb, kp, cand, eta=eta, xi=0.5)
+        for fuse in (weighted, functools.partial(rrf, kb, kp, cand, eta=eta)):
+            full = fuse(k=n)
+            assert sorted(full.rows.tolist()) == list(range(n))
+            for k in range(1, n + 1):
+                top = fuse(k=k)
+                m = len(top.rows)
+                assert k <= m <= n
+                assert top.rows.tolist() == full.rows[:m].tolist()
+                assert np.array_equal(top.scores, full.scores)
+                assert top.scores[top.rows[-1]] == full.scores[full.rows[k - 1]]
+                if m < n:
+                    assert full.scores[full.rows[m]] < full.scores[full.rows[k - 1]]
+
+
+def test_rrf_rejects_k_below_one():
+    cand, kb, kp = fused_fixture()
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            rrf(kb, kp, cand, k=k)
+
+
+def _stable_order(x):
+    return np.argsort(-x, kind="stable")
+
+
+SPECIAL_SCORES = [0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 0.25, 1e-300, 3.5]
+
+
+def _tie_heavy_vectors(rng):
+    """Seeded score vectors: few distinct values, signed zeros, infinities,
+    lengths 0 and 1, and distinct floats."""
+    yield np.zeros(0)
+    yield np.asarray([0.5])
+    yield np.asarray([-0.0, 0.0, -0.0, 0.0])
+    yield np.asarray([np.inf, 1.0, -np.inf, np.inf, 0.0, -0.0, -np.inf])
+    for _ in range(300):
+        n = int(rng.integers(0, 300))
+        pool = rng.choice(SPECIAL_SCORES, size=int(rng.integers(1, 9)))
+        x = rng.choice(pool, size=n)
+        if rng.random() < 0.5:
+            x = np.where(rng.random(n) < 0.4, rng.random(n).round(2), x)
+        yield x
+    for _ in range(20):
+        yield rng.standard_normal(int(rng.integers(1, 2000)))
+
+
+def test_preference_order_equals_the_stable_sort():
+    for x in _tie_heavy_vectors(np.random.default_rng(19)):
+        order = _preference_order(x)
+        assert order.dtype == np.int64
+        assert order.tolist() == _stable_order(x).tolist(), x
+
+
+def test_top_rows_is_the_prefix_of_the_full_order():
+    rng = np.random.default_rng(23)
+    assert _top_rows(np.zeros(0), 1).tolist() == []
+    for x in _tie_heavy_vectors(rng):
+        n = len(x)
+        full = _stable_order(x)
+        ks = {1, n, n + 1, n + 7}
+        if n:
+            # a k whose k-th score is tied with its neighbours
+            values, counts = np.unique(x, return_counts=True)
+            if (counts > 1).any():
+                tied = values[counts > 1][0]
+                ks.add(int(np.flatnonzero(x[full] == tied)[0]) + 1)
+            ks.add(int(rng.integers(1, n + 1)))
+        for k in sorted(ks - {0}):
+            top = _top_rows(x, k)
+            m = len(top)
+            assert min(k, n) <= m <= n
+            assert top.tolist() == full[:m].tolist()
+            if k < m:
+                assert (x[top[k - 1 :]] == x[full[k - 1]]).all()
+            if m < n:
+                assert x[full[m]] < x[full[min(k, n) - 1]]
+    for k in (0, -3):
+        with pytest.raises(ValueError):
+            _top_rows(np.ones(4), k)
 
 
 def test_rrf_weighted_validates_hyperparameters():
     cand, kb, kp = fused_fixture()
     with pytest.raises(ValueError):
-        rrf_weighted(kb, kp, cand, eta=-1)
+        rrf_weighted(kb, kp, cand, eta=-1, k=len(cand))
     with pytest.raises(ValueError):
-        rrf_weighted(kb, kp, cand, xi=1.5)
+        rrf_weighted(kb, kp, cand, xi=1.5, k=len(cand))
 
 
 def test_rankers_are_deterministic():
@@ -373,7 +471,8 @@ def tuning_fixture():
 
 def fused_recall(cand, rankings, truths, eta, xi, cutoff):
     """Recall at ``cutoff`` of the weighted-RRF list that recommend writes."""
-    return recall_at(ranked(cand, rrf_weighted(*rankings["u"], cand, eta=eta, xi=xi)), truths["u"], cutoff)
+    fused = rrf_weighted(*rankings["u"], cand, eta=eta, xi=xi, k=len(cand))
+    return recall_at(ranked(cand, fused), truths["u"], cutoff)
 
 
 def test_tune_rrf_single_point_grid():
