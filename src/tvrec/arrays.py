@@ -40,11 +40,26 @@ class Rows(NamedTuple):
 
     def take(self, rows: np.ndarray) -> Rows:
         """The rows ``rows`` names, in its order, each entry in its order."""
-        lens = np.diff(self.ptr)[rows]
-        ptr = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=ptr[1:])
-        pos = np.repeat(self.ptr[:-1][rows] - ptr[:-1], lens) + np.arange(ptr[-1])
+        lo, hi = self.ptr[:-1][rows], self.ptr[1:][rows]
+        ptr = np.zeros(len(lo) + 1, dtype=np.int64)
+        np.cumsum(hi - lo, out=ptr[1:])
+        pos = ranges(lo, hi)
         return Rows(ptr, self.col[pos], self.val[pos])
+
+    def ascending(self) -> bool:
+        """Whether every row's columns strictly ascend."""
+        col = self.col
+        row_start = np.zeros(len(col), dtype=bool)
+        row_start[self.ptr[:-1][self.ptr[:-1] < len(col)]] = True
+        return bool(np.all((col[1:] > col[:-1]) | row_start[1:]))
+
+
+def ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The int64 positions ``lo[i]``, ..., ``hi[i] - 1`` of every ``i`` in
+    turn: the entries of CSR segments, concatenated. Needs ``lo <= hi``."""
+    lens = hi - lo
+    ends = np.cumsum(lens, dtype=np.int64)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - (ends - lens), lens)
 
 
 def sorted_index(names: Sequence[str], name: str) -> int | None:

@@ -25,15 +25,15 @@ before it, which the benchmark harness measures. It holds:
 - name tables ``users`` (sorted), ``ids`` (the candidates in row order) and
   ``channels`` (sorted, one grid column each);
 - the candidates' spans: ``span_ptr`` and ``span_flat``, as in
-  :class:`tvrec.ranker.Candidates`;
+  :class:`tvrec.ranker.Candidates`, no span listing a cell twice;
 - four CSR blocks, each ``<block>_ptr`` (int64), ``<block>_col`` and
   ``<block>_val`` (float64): ``behavior`` (one row per user over the flat grid
-  cells ``(slot - 1) * channels + channel``), ``global`` (one preference
-  vector per user), ``slot_vecs`` (one preference vector per (user, slot),
-  user ``i``'s being rows ``slots_ptr[i]:slots_ptr[i + 1]``, for the slots in
-  the same slice of ``slots``) and ``embeddings`` (one per candidate row);
-  the columns of the last three are dimension codes, in the order the means
-  and encodings made them;
+  cells ``(slot - 1) * channels + channel``, strictly ascending), ``global``
+  (one preference vector per user), ``slot_vecs`` (one preference vector per
+  (user, slot), user ``i``'s being rows ``slots_ptr[i]:slots_ptr[i + 1]``,
+  for the slots in the same slice of ``slots``) and ``embeddings`` (one per
+  candidate row); the columns of the last three are dimension codes, in the
+  order the means and encodings made them;
 - the truths: user ``i``'s test programs are the candidate rows
   ``truth_rows[truth_ptr[i]:truth_ptr[i + 1]]``, ascending.
 
@@ -649,6 +649,8 @@ def _read_bundle(path: Path) -> ModelBundle:
         check(bool(np.all(np.isfinite(val))), f"{block} values")
     probs = blocks["behavior"].val
     check(bool(np.all((probs > 0) & (probs <= 1))), "behavior probabilities")
+    # One probability per cell: a repeated cell would have two.
+    check(blocks["behavior"].ascending(), "behavior cells: a row does not strictly ascend")
     for block in ("global", "slot_vecs", "embeddings"):
         check(bool(np.all(blocks[block].val > 0)), f"{block} weights: not all > 0")
     check(is_ptr(arrays["slots_ptr"], len(users), len(arrays["slots"])), "slot offsets")
@@ -663,6 +665,7 @@ def _read_bundle(path: Path) -> ModelBundle:
         span_flat=arrays["span_flat"].astype(np.int64),
         span_ptr=span_ptr,
     )
+    check(not cand.repeats_a_cell(), "span cells: a span lists one cell twice")
     prefs = preference_mod.Preferences(
         users=users,
         global_vecs=blocks["global"],

@@ -9,8 +9,12 @@ embedding with the user's vector for the slot in which the program starts,
 or with the global vector when the user has no vector for that slot.
 :mod:`tvrec.ranker` computes it with one rule for both rankers that read it:
 over the candidate embeddings zero-padded to one width (:class:`ItemIndex`),
-each row's score is ``(vec[idx] * weights).sum()`` with ``vec`` the user's
-vector densified.
+each row's score is the sum of its products ``vec[idx] * weights``, with
+``vec`` the user's vector densified, added in the order of numpy's pairwise
+sum. The embeddings are stored transposed, one array per padded position, so
+:meth:`ItemIndex.dots` scores every row with one whole-array operation per
+position (:func:`row_sums`); a batch of a few rows is summed row by row by
+numpy itself, which gives the same bits.
 
 Vectors are CSR rows (:class:`tvrec.arrays.Rows`) of dimension codes, in
 order of first appearance over the mean's items, and float64 weights.
@@ -50,18 +54,58 @@ class Preferences(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class ItemIndex:
     """Candidate embeddings in candidate row order, zero-padded for batched
-    scoring, with the rows grouped by start slot.
+    scoring and stored transposed, with the rows grouped by start slot.
 
-    Row ``r``'s dimensions are ``idx[r]`` and its weights ``weights[r]``; pad
-    cells carry weight 0, so they never contribute to a dot product. The rows
-    that start in slot ``s`` are ``slot_rows[slot_ptr[s - 1]:slot_ptr[s]]``,
-    ascending.
+    ``idx`` and ``weights`` are (width, rows): row ``r``'s dimensions are
+    ``idx[:, r]`` and its weights ``weights[:, r]``; pad cells carry weight 0,
+    so they never contribute to a dot product. The rows that start in slot
+    ``s`` are ``slot_rows[slot_ptr[s - 1]:slot_ptr[s]]``, ascending.
     """
 
     idx: np.ndarray
     weights: np.ndarray
     slot_rows: np.ndarray
     slot_ptr: np.ndarray
+
+    def dots(self, vec: np.ndarray) -> np.ndarray:
+        """Every row's score against ``vec``, one densified vector: the
+        products of each padded column summed by :func:`row_sums`."""
+        products = np.take(vec, self.idx)
+        products *= self.weights
+        return row_sums(products)
+
+
+def row_sums(cols: np.ndarray) -> np.ndarray:
+    """``cols.T.sum(axis=1)``, bit for bit: numpy's pairwise sum over each
+    row of ``cols.T``, done with whole-column operations.
+
+    Below 8 columns it adds them in turn to 0.0. Up to 128 it keeps 8
+    accumulators, each adding every 8th column, joins them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
+    columns past the last multiple of 8 in turn. Above 128 it sums the first
+    half, cut down to a multiple of 8, and the rest separately, and adds the
+    two.
+    """
+    width = len(cols)
+    if width < 8:
+        total = np.zeros(cols.shape[1:])
+        for col in cols:
+            total += col
+        return total
+    if width > 128:
+        half = width // 2
+        half -= half % 8
+        return row_sums(cols[:half]) + row_sums(cols[half:])
+    whole = width - width % 8
+    acc = cols[:8]
+    for i in range(8, whole, 8):
+        acc = acc + cols[i : i + 8]
+    acc = acc[0::2] + acc[1::2]  # the pairs (r0 + r1), (r2 + r3), ...
+    acc = acc[0::2] + acc[1::2]
+    total = acc[0] + acc[1]
+    for col in cols[whole:]:
+        total += col
+    return total
 
 
 @dataclass(frozen=True, eq=False)

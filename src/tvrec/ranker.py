@@ -20,30 +20,47 @@ ranking into ``(program id, score)`` pairs.
 
 The preference order skips the stable sort: an unstable sort, then one sort
 of distinct (tie group, row) keys, gives the stable order exactly as long as
-no score is NaN, which the bundle's positive weights guarantee. Behavior
-scores keep the stable sort: most of them are zero, and for those the stable
-sort measured faster than the two-sort order.
+no score is NaN, which the bundle's positive weights guarantee.
+
+Behavior scores are read off the user's footprint, not the whole grid: the
+cell index of :class:`Candidates` lists the span entries in each of the
+user's cells, and a maximum over those (row, probability) pairs scores the
+rows they touch. Every other row scores 0. Probabilities are positive, so
+the behavior order is the touched rows stable-sorted by score, then every
+other row in row order.
 
 Two-stage ranking scans the behavior-ordered candidates and collapses each
 maximal consecutive run sharing one (slot, channel) group key down to the run
-member with the highest preference score. The scan reads only the group keys:
-it collects the rows of the first ``k`` runs, then scores them in one batch,
-so only a small prefix of the candidate set ever incurs a dot product; the
-evaluation count is exposed via :class:`TwoStageStats`.
+member with the highest preference score. One lexsort of the user's pairs by
+(-probability, span entry), which is (-probability, row, entry) since span
+entries come in row order, puts the touched rows in behavior order at their
+first pair that reaches their score. That pair's cell is the row's key: its
+best cell, the earliest in span order among equals, which stays right for a
+span that wraps the week. A row scoring 0 takes its first span cell as its
+key; the scan reads those rows in row order, through a window of the zero
+tail that doubles until it closes the ``k``-th run. It collects the rows of
+the first ``k`` runs, then scores them in one batch, so only a small prefix
+of the candidate set ever incurs a dot product; the evaluation count is
+exposed via :class:`TwoStageStats`.
 
 Preference scores follow one rule in both rankers that read them (see
 :mod:`tvrec.preference`): each row's zero-padded embedding against the
-densified vector of the user for the row's start slot, else the global one.
+densified vector of the user for the row's start slot, else the global one,
+its products added in numpy's pairwise order. :func:`rank_preference` scores
+every row against the global vector column by column
+(:meth:`ItemIndex.dots`), then the rows of the user's slots in one batch;
+:func:`two_stage` scores the rows it visits in one batch. A batch densifies
+the user's vectors only where its rows read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .arrays import Rows
+from .arrays import Rows, ranges
 from .behavior import UserBehavior
 from .datamodel import ProgramMeta
 from .errors import DataError
@@ -86,6 +103,11 @@ class Candidates:
     slots-by-channels grid; row ``r``'s cells are
     ``span_flat[span_ptr[r]:span_ptr[r + 1]]``, and its first cell holds its
     start slot.
+
+    The cell index is derived from ``span_flat`` on construction: cell
+    ``c``'s span entries are ``cell_entry[cell_ptr[c]:cell_ptr[c + 1]]``,
+    their positions in ``span_flat``, ascending, and their rows the same
+    slice of ``cell_row``. ``start_cell[r]`` is row ``r``'s first cell.
     """
 
     n_slots: int
@@ -93,6 +115,22 @@ class Candidates:
     channels: tuple[str, ...]
     span_flat: np.ndarray
     span_ptr: np.ndarray
+    cell_ptr: np.ndarray = field(init=False, repr=False)
+    cell_entry: np.ndarray = field(init=False, repr=False)
+    cell_row: np.ndarray = field(init=False, repr=False)
+    start_cell: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        flat = self.span_flat
+        entry = np.argsort(flat, kind="stable")
+        row = np.repeat(np.arange(len(self.ids)), np.diff(self.span_ptr))
+        n_cells = self.n_slots * self.ncols
+        cell_ptr = np.zeros(n_cells + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=n_cells), out=cell_ptr[1:])
+        object.__setattr__(self, "cell_ptr", cell_ptr)
+        object.__setattr__(self, "cell_entry", entry)
+        object.__setattr__(self, "cell_row", row[entry])
+        object.__setattr__(self, "start_cell", flat[self.span_ptr[:-1]])
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -102,9 +140,14 @@ class Candidates:
         """Columns of the flat grid: one per channel, at least one."""
         return max(len(self.channels), 1)
 
-    def start_slots(self) -> np.ndarray:
-        """The 1-based start slot of every row."""
-        return self.span_flat[self.span_ptr[:-1]] // self.ncols + 1
+    def start_slots(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The 1-based start slot of each of ``rows``, every row by default."""
+        return self.start_cell[rows] // self.ncols + 1
+
+    def repeats_a_cell(self) -> bool:
+        """Whether some row's span lists one cell twice."""
+        rows, cells = self.cell_row, self.span_flat[self.cell_entry]
+        return bool(np.any((rows[1:] == rows[:-1]) & (cells[1:] == cells[:-1])))
 
 
 def build_candidates(
@@ -128,7 +171,8 @@ def build_candidates(
     ptr = [0]
     for m in ms:
         col = col_of[m.channel]
-        flat.extend((s - 1) * ncols + col for s in slots_of_span(m.start, m.end, grid))
+        # A span just short of a week can touch its first slot again at its end.
+        flat.extend((s - 1) * ncols + col for s in dict.fromkeys(slots_of_span(m.start, m.end, grid)))
         ptr.append(len(flat))
 
     return Candidates(
@@ -142,7 +186,8 @@ def build_candidates(
 
 def build_item_index(embeddings: Rows, cand: Candidates) -> ItemIndex:
     """Pad the candidate embeddings, one CSR row per candidate row, into the
-    arrays of an :class:`ItemIndex`, and group the rows by start slot."""
+    transposed arrays of an :class:`ItemIndex`, and group the rows by start
+    slot."""
     n = len(cand)
     if len(embeddings.ptr) != n + 1:
         raise ValueError(f"{len(embeddings.ptr) - 1} embeddings for {n} candidates")
@@ -150,40 +195,59 @@ def build_item_index(embeddings: Rows, cand: Candidates) -> ItemIndex:
     width = int(lens.max(initial=0)) or 1
     row = np.repeat(np.arange(n), lens)
     pos = np.arange(len(embeddings.col)) - np.repeat(embeddings.ptr[:-1], lens)
-    idx = np.zeros((n, width), dtype=np.int64)
-    idx[row, pos] = embeddings.col
-    weights = np.zeros((n, width))
-    weights[row, pos] = embeddings.val
+    idx = np.zeros((width, n), dtype=np.int64)
+    idx[pos, row] = embeddings.col
+    weights = np.zeros((width, n))
+    weights[pos, row] = embeddings.val
     start = cand.start_slots()
     slot_rows = np.argsort(start, kind="stable")
     slot_ptr = np.searchsorted(start[slot_rows], np.arange(1, cand.n_slots + 2))
     return ItemIndex(idx=idx, weights=weights, slot_rows=slot_rows, slot_ptr=slot_ptr)
 
 
-def _user_vectors(model: PreferenceModel, user: str) -> tuple[np.ndarray, np.ndarray]:
-    """The user's slots, ascending, and a matrix of their vectors densified:
-    one row per slot, then the global vector in the last row."""
-    u = model.user_row(user)
-    p = model.prefs
+def _user_scores(model: PreferenceModel, u: int, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The preference score of each of ``rows``, which start in slots
+    ``starts``, for user row ``u``: against the user's vector for the slot,
+    else the global one.
+
+    The vectors go one after another, the global one last, into a buffer
+    that is zeroed only where the rows read it, so the cost follows the rows
+    and the user's vectors, not the user's slots times the dimensions; no
+    position is read that was not zeroed or written. The products are summed
+    row by row by numpy, whose pairwise rule :func:`tvrec.preference.row_sums`
+    applies column by column.
+    """
+    p, dims, items = model.prefs, model.dims, model.items
     lo, hi = p.slot_ptr[u], p.slot_ptr[u + 1]
+    glob = (hi - lo) * dims
+    offsets = np.arange(0, glob, dims)
+    offset_of_slot = np.full(len(items.slot_ptr), glob)  # slots 0..n_slots
+    offset_of_slot[p.slots[lo:hi]] = offsets
+    reads = offset_of_slot[starts][:, None] + items.idx[:, rows].T
+    buf = np.empty(glob + dims)
+    buf[reads] = 0.0
     vec_ptr = p.slot_vecs.ptr[lo : hi + 1]
     a, b = vec_ptr[0], vec_ptr[-1]
-    dense = np.zeros((hi - lo + 1, model.dims))
-    dense[np.repeat(np.arange(hi - lo), np.diff(vec_ptr)), p.slot_vecs.col[a:b]] = p.slot_vecs.val[a:b]
+    buf[np.repeat(offsets, vec_ptr[1:] - vec_ptr[:-1]) + p.slot_vecs.col[a:b]] = p.slot_vecs.val[a:b]
     col, val = p.global_vecs.row(u)
-    dense[-1, col] = val
-    return p.slots[lo:hi], dense
+    buf[glob + col] = val
+    products = buf[reads]
+    products *= items.weights[:, rows].T
+    return products.sum(axis=1)
 
 
-def _dense_grid(bm: UserBehavior, cand: Candidates) -> np.ndarray:
-    dense = np.zeros(cand.n_slots * cand.ncols)
-    dense[bm.cells] = bm.probs
-    return dense
+def _footprint(bm: UserBehavior, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
+    """The span entries in the user's cells: their places in the cell index,
+    and the user's probability at each."""
+    lo, hi = cand.cell_ptr[:-1][bm.cells], cand.cell_ptr[1:][bm.cells]
+    return ranges(lo, hi), np.repeat(bm.probs, hi - lo)
 
 
-def _span_values(bm: UserBehavior, cand: Candidates) -> np.ndarray:
-    # The user's probability at every span cell, segmented per row by span_ptr.
-    return _dense_grid(bm, cand)[cand.span_flat]
+def _new_runs(keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` starts a run of equal consecutive keys."""
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
 
 
 def _stage_one_order(scores: np.ndarray) -> np.ndarray:
@@ -234,25 +298,35 @@ def top_k(cand: Candidates, ranking: Ranking, k: int) -> RankedList:
 
 
 def rank_behavior(bm: UserBehavior, cand: Candidates) -> Ranking:
-    """Rank all candidates by behavior score, descending."""
-    scores = np.maximum.reduceat(_span_values(bm, cand), cand.span_ptr[:-1])
-    return Ranking(_stage_one_order(scores), scores)
+    """Rank all candidates by behavior score, descending: the rows touching
+    the user's cells by score, then the rest, scoring 0, in row order."""
+    pos, probs = _footprint(bm, cand)
+    touched = cand.cell_row[pos]
+    scores = np.zeros(len(cand))
+    np.maximum.at(scores, touched, probs)
+    head = np.unique(touched)
+    zero = np.ones(len(cand), dtype=bool)
+    zero[head] = False
+    return Ranking(np.concatenate((head[_stage_one_order(scores[head])], np.flatnonzero(zero))), scores)
 
 
 def rank_preference(model: PreferenceModel, user: str, cand: Candidates) -> Ranking:
     """Rank all candidates by preference score, descending: one batched pass
-    with the global vector, then the rows of each slot the user has a vector
-    for again with that vector."""
+    with the global vector, then one over the rows of the slots the user has
+    a vector for, each with its slot's vector."""
     items = model.items
-    if items.idx.shape[0] != len(cand.ids):
+    if items.idx.shape[1] != len(cand.ids):
         raise ValueError("item index does not match the candidate set")
-    slots, dense = _user_vectors(model, user)
-    idx, weights, bounds = items.idx, items.weights, items.slot_ptr
-    scores = (dense[-1][idx] * weights).sum(axis=1)
-    for vec, slot in zip(dense, slots.tolist()):
-        rows = items.slot_rows[bounds[slot - 1] : bounds[slot]]
-        if len(rows):
-            scores[rows] = (vec[idx[rows]] * weights[rows]).sum(axis=1)
+    u = model.user_row(user)
+    p = model.prefs
+    vec = np.zeros(model.dims)
+    col, val = p.global_vecs.row(u)
+    vec[col] = val
+    scores = items.dots(vec)
+    slots = p.slots[p.slot_ptr[u] : p.slot_ptr[u + 1]]
+    lo, hi = items.slot_ptr[slots - 1], items.slot_ptr[slots]
+    rows = items.slot_rows[ranges(lo, hi)]
+    scores[rows] = _user_scores(model, u, rows, np.repeat(slots, hi - lo))
     return Ranking(_preference_order(scores), scores)
 
 
@@ -273,50 +347,59 @@ def two_stage(
     order until ``k`` items are out. When the scan exhausts the candidates
     with a run still pending, that run is flushed, so the output only falls
     short of ``k`` when the candidate groups themselves run out. The returned
-    scores are the behavior scores. The argmax slot is found only for the
-    rows the scan visits, earliest slot first on ties; the rows of the first
-    ``k`` runs are then scored in one batch.
+    scores are the behavior scores. The group keys of the rows touching the
+    user's cells come from their best cell, earliest in span order on ties,
+    and those of the rows scoring 0 from their first span cell, read only as
+    far as the scan goes; the rows of the first ``k`` runs are then scored in
+    one batch.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    slots, dense = _user_vectors(model, bm.user)
-    vals = _span_values(bm, cand)
-    flat = cand.span_flat
-    ptr = cand.span_ptr
-    scores = np.maximum.reduceat(vals, ptr[:-1])
-    order = _stage_one_order(scores)
+    n = len(cand)
+    pos, probs = _footprint(bm, cand)
+    touched, entry = cand.cell_row[pos], cand.cell_entry[pos]
+    scores = np.zeros(n)
+    np.maximum.at(scores, touched, probs)
+    # By (-probability, span entry), which is (-probability, row, entry): each
+    # row's first pair at its score is its best cell, earliest in span order,
+    # and these pairs come in behavior order. A row's pairs at one probability
+    # are adjacent, so a pair at the row's score follows another of its row
+    # only when that one came first.
+    pair = np.lexsort((entry, -probs))
+    pair_row = touched[pair]
+    first = probs[pair] == scores[pair_row]
+    first[1:] &= pair_row[1:] != pair_row[:-1]
+    pair = pair[first.nonzero()[0]]
+    head, head_keys = touched[pair], cand.span_flat[entry[pair]]
 
-    run_starts: list[int] = []
-    run_key = -1
-    end = len(order)
-    for n, row in enumerate(order):
-        # The argmax span cell encodes (slot, channel): it is the group key.
-        lo = ptr[row]
-        key = flat[lo + vals[lo : ptr[row + 1]].argmax()]
-        if key != run_key:
-            if len(run_starts) == k:
-                end = n
-                break
-            run_starts.append(n)
-            run_key = key
-    rows = order[:end]
+    # The zero rows follow in row order, keyed by their first span cell. Read
+    # a window of them, at first as long as the runs still missing, and
+    # double it until it closes the k-th run or holds every row.
+    rows, new = head, _new_runs(head_keys)
+    starts = new.nonzero()[0]
+    window = k + 1 - len(starts)
+    while len(starts) <= k and len(rows) < n:
+        stop = min(len(head) + window, n)
+        free = np.ones(stop, dtype=bool)
+        free[head[head < stop]] = False
+        tail = free.nonzero()[0]
+        rows = np.concatenate((head, tail))
+        new = _new_runs(np.concatenate((head_keys, cand.start_cell[tail])))
+        starts = new.nonzero()[0]
+        window *= 2
+    end = int(starts[k]) if len(starts) > k else n
+    starts = starts[:k]
+    rows = rows[:end]
     if stats is not None:
         stats.preference_evals += end
     if not end:
         return Ranking(rows, scores)
 
-    # Each row's vector: the user's for its start slot, else the global one.
-    vec_of_slot = np.full(cand.n_slots + 1, len(slots))
-    vec_of_slot[slots] = np.arange(len(slots))
-    vec = vec_of_slot[flat[ptr[rows]] // cand.ncols + 1]
-    items = model.items
-    pref = (dense[vec[:, None], items.idx[rows]] * items.weights[rows]).sum(axis=1)
-    # A run's rows share one behavior score, so they are in row order, and
-    # the first row with the run's best preference is the tie-break's winner.
-    starts = np.asarray(run_starts)
-    best = np.maximum.reduceat(pref, starts)
-    hits = np.flatnonzero(pref == np.repeat(best, np.diff(starts, append=end)))
-    return Ranking(rows[hits[np.searchsorted(hits, starts)]], scores)
+    pref = _user_scores(model, model.user_row(bm.user), rows, cand.start_slots(rows))
+    # A run's rows share one behavior score, so they are in row order, and a
+    # stable sort by (run, -preference) puts each run's winner at its start.
+    by_pref = np.lexsort((-pref, np.cumsum(new[:end])))
+    return Ranking(rows[by_pref[starts]], scores)
 
 
 def _rank_of_row(ranking: Ranking, n: int, name: str) -> np.ndarray:

@@ -714,6 +714,32 @@ def test_bundle_weights_not_above_zero_exit_with_data_error(built, tmp_path, cap
             assert code == 3 and f"bad {block} weights" in err, f"{block} weight {weight}: exit {code}: {err}"
 
 
+def test_bundle_repeated_or_unsorted_cells_exit_with_data_error(built, tmp_path, capsys):
+    # A user's behavior row lists each cell once, ascending, and a span lists
+    # each cell once: the rankers take a maximum over those cells, and a
+    # repeated cell would have two values.
+    _, cfg = built
+    arrays = _bundle_arrays(cfg.parent / "out" / "model.pkl")
+    ptr, col = arrays["behavior_ptr"], arrays["behavior_col"]
+    a = int(ptr[np.flatnonzero(np.diff(ptr) >= 2)[0]])
+    repeated, swapped = col.copy(), col.copy()
+    repeated[a + 1] = col[a]
+    swapped[a : a + 2] = col[a + 1], col[a]
+    span_ptr, flat = arrays["span_ptr"], arrays["span_flat"].copy()
+    b = int(span_ptr[np.flatnonzero(np.diff(span_ptr) >= 2)[0]])
+    flat[b + 1] = flat[b]
+    cases = [("behavior_col", repeated, "bad behavior cells"), ("behavior_col", swapped, "bad behavior cells"),
+             ("span_flat", flat, "bad span cells")]
+    model = tmp_path / "model.pkl"
+    for key, damaged, problem in cases:
+        _write_arrays(model, {**arrays, key: damaged})
+        for method in ("behavior", "two-stage", "rrf"):
+            code = run(["recommend", "--config", cfg, "--model", model, "--method", method,
+                        "--out", tmp_path / "recs.jsonl"])
+            err = capsys.readouterr().err
+            assert code == 3 and problem in err, f"{key} {method}: exit {code}: {err}"
+
+
 def test_damaged_prepared_files_exit_with_data_error(built, tmp_path, capsys):
     # A seeded mutation check of `build`'s read path: every damaged copy of
     # the prepared file is a data error (exit 3), never an internal one.

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -25,7 +26,7 @@ from tvrec import synth
 from tvrec.behavior import behavior_matrix
 from tvrec.datamodel import ProgramMeta, SplitSpec, prepare
 from tvrec.errors import DataError
-from tvrec.preference import build, global_view
+from tvrec.preference import build, global_view, row_sums
 from tvrec.ranker import build_candidates, rank_preference
 from tvrec.textenc import encode, fit
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
@@ -275,3 +276,18 @@ def test_model_from_a_prepared_dataset_equals_the_dict_oracles():
     vocab = fit_dicts(texts)
     assert [list(row.items()) for row in rows] == [list(encode_dict(vocab, term_counts(t)).items()) for t in texts]
     assert_model_matches_the_dict_oracles(prepared.cells, dict(zip(prepared.cells.program_names, rows)))
+
+
+def test_row_sums_equal_numpy_row_sums_bit_for_bit():
+    # The preference rule: each row's zero-padded products added in numpy's
+    # pairwise order. Widths up to 300 cover the sequential sum below 8, the
+    # 8 accumulators up to 128 and the split above it.
+    rng = np.random.default_rng(2020)
+    for width in range(1, 301):
+        n = int(rng.integers(1, 40))
+        products = rng.random((n, width)) * 10.0 ** rng.integers(-8, 8, size=(n, width))
+        lens = rng.integers(0, width + 1, size=n)
+        lens[0] = width
+        products[np.arange(width) >= lens[:, None]] = 0.0  # zero padding past each row's length
+        got = row_sums(np.ascontiguousarray(products.T))
+        assert got.tobytes() == products.sum(axis=1).tobytes(), width

@@ -20,6 +20,7 @@ from tvrec.datamodel import ProgramMeta
 from tvrec.errors import DataError
 from tvrec.evaluate import recall_at
 from tvrec.ranker import (
+    Candidates,
     Ranking,
     TwoStageStats,
     _preference_order,
@@ -33,7 +34,7 @@ from tvrec.ranker import (
     tune_rrf,
     two_stage,
 )
-from tvrec.timegrid import TimeGrid
+from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
 
 GRID = TimeGrid(n=672)
 
@@ -74,6 +75,51 @@ def two_stage_of(bm, model, cand, k, stats=None):
 def test_build_candidates_rejects_duplicates():
     with pytest.raises(DataError):
         build_candidates([meta("p1"), meta("p1")], GRID)
+
+
+def test_cell_index_equals_a_walk_of_the_spans():
+    # Random candidates, spans wrapping the week included: each cell lists
+    # the (row, span entry) of every entry that holds it, in entry order.
+    rng = random.Random(41)
+    wrapped = 0
+    for _ in range(80):
+        grid = TimeGrid(n=rng.choice((4, 6, 8, 12)))
+        channels = [f"c{j}" for j in range(rng.randint(1, 5))]
+        metas = []
+        for i in range(rng.randint(0, 40)):
+            start = MONDAY + rng.randrange(SECONDS_PER_WEEK)
+            end = start + rng.randrange(3 * grid.slot_len)
+            metas.append(ProgramMeta(f"p{i:03d}", rng.choice(channels), start, end, ""))
+        cand = build_candidates(metas, grid, channels)
+        walk = [[] for _ in range(grid.n * cand.ncols)]
+        flat, ptr = cand.span_flat.tolist(), cand.span_ptr.tolist()
+        for row in range(len(cand)):
+            cells = flat[ptr[row] : ptr[row + 1]]
+            wrapped += cells != sorted(cells)
+            for entry in range(ptr[row], ptr[row + 1]):
+                walk[flat[entry]].append((row, entry))
+        assert len(cand.cell_ptr) == len(walk) + 1
+        for cell, pairs in enumerate(walk):
+            lo, hi = cand.cell_ptr[cell], cand.cell_ptr[cell + 1]
+            assert list(zip(cand.cell_row[lo:hi].tolist(), cand.cell_entry[lo:hi].tolist())) == pairs
+        assert cand.start_cell.tolist() == [flat[ptr[row]] for row in range(len(cand))]
+        assert not cand.repeats_a_cell()
+    assert wrapped > 20
+
+
+def test_build_candidates_lists_each_cell_of_a_span_once():
+    # Just short of a week, from inside slot 1, the span reaches slot 1 again.
+    start = MONDAY + 1
+    cand = build_candidates([ProgramMeta("A", "c1", start, start + SECONDS_PER_WEEK - 1, "")], GRID)
+    assert cand.span_flat.tolist() == list(range(GRID.n))
+    assert not cand.repeats_a_cell()
+    # One cell in two spans is no repeat; one cell twice in a span is.
+    apart = Candidates(n_slots=4, ids=("A", "B"), channels=("c1",), span_flat=np.array([0, 3, 3, 0]),
+                       span_ptr=np.array([0, 2, 4]))
+    assert not apart.repeats_a_cell()
+    twice = Candidates(n_slots=4, ids=("A",), channels=("c1",), span_flat=np.array([3, 0, 3]),
+                       span_ptr=np.array([0, 3]))
+    assert twice.repeats_a_cell()
 
 
 def test_rank_behavior_orders_by_score():
@@ -204,6 +250,27 @@ def test_two_stage_emits_behavior_scores_for_winners():
     model = global_model({0: 1.0}, {"A": {0: 0.2}})
     cand = build_candidates(metas, GRID, {"c1"})
     assert top_k(cand, two_stage_of(bm, model, cand, 1), 1) == [("A", 0.7)]
+
+
+def test_wrapped_span_groups_under_its_first_slot_at_equal_probability():
+    # A spans slot 672 -> slot 1 with the user's probability equal at both
+    # ends: its behavior score is that probability, and its group key is
+    # (672, c1), the first of the two in span order, not the lower cell
+    # (1, c1). So A shares a run with B, in slot 672, and not with C, in
+    # slot 1; A wins its run on preference.
+    metas = [
+        meta("C", start_slot=1, n_slots=1),
+        meta("A", start_slot=672, n_slots=2),
+        meta("B", start_slot=672, n_slots=1),
+    ]
+    bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (672, "c1"): 0.5})
+    model = global_model({0: 1.0}, {"A": {0: 0.9}, "B": {0: 0.5}, "C": {0: 0.1}})
+    cand = build_candidates(metas, GRID, {"c1"})
+    assert cand.span_flat.tolist() == [0, 671, 0, 671]
+    assert ranked(cand, by_behavior(bm, cand)) == [("C", 0.5), ("A", 0.5), ("B", 0.5)]
+    stats = TwoStageStats()
+    assert top_k(cand, two_stage_of(bm, model, cand, 3, stats), 3) == [("C", 0.5), ("A", 0.5)]
+    assert stats.preference_evals == 3
 
 
 def test_two_stage_matches_brute_force_reference():
