@@ -12,9 +12,9 @@ over the candidate embeddings zero-padded to one width (:class:`ItemIndex`),
 each row's score is the sum of its products ``vec[idx] * weights``, with
 ``vec`` the user's vector densified, added in the order of numpy's pairwise
 sum. The embeddings are stored transposed, one array per padded position, so
-:meth:`ItemIndex.dots` scores every row with one whole-array operation per
-position (:func:`row_sums`); a batch of a few rows is summed row by row by
-numpy itself, which gives the same bits.
+:meth:`ItemIndex.dots` scores every row with about one whole-array
+operation per position (:func:`row_sums`); a batch of rows is summed row by
+row by numpy itself, which gives the same bits.
 
 Vectors are CSR rows (:class:`tvrec.arrays.Rows`) of dimension codes, in
 order of first appearance over the mean's items, and float64 weights.

@@ -223,7 +223,8 @@ def _user_scores(model: PreferenceModel, u: int, rows: np.ndarray, starts: np.nd
     offsets = np.arange(0, glob, dims)
     offset_of_slot = np.full(len(items.slot_ptr), glob)  # slots 0..n_slots
     offset_of_slot[p.slots[lo:hi]] = offsets
-    reads = offset_of_slot[starts][:, None] + items.idx[:, rows].T
+    # Row-major, so that numpy's row sum below is its pairwise sum along each row.
+    reads = np.add(offset_of_slot[starts][:, None], items.idx[:, rows].T, order="C")
     buf = np.empty(glob + dims)
     buf[reads] = 0.0
     vec_ptr = p.slot_vecs.ptr[lo : hi + 1]

@@ -183,6 +183,29 @@ def test_rank_preference_indexed_path_matches_scalar_path():
             assert [pid for pid, _ in got] == brute_rank(want, metas)
 
 
+def test_rank_preference_adds_each_row_in_numpy_pairwise_order():
+    # Embeddings up to 20 wide, so rows sum through the 8 accumulators, both
+    # in the pass over every row and in the batch over the user's slots: each
+    # score equals numpy's row sum of the row's products, zero-padded in
+    # embedding order, bit for bit.
+    rng = random.Random(8)
+    for _ in range(20):
+        starts = [rng.randint(1, 30) for _ in range(40)]
+        metas = [meta(f"p{i:02d}", start_slot=s) for i, s in enumerate(starts)]
+        items = {m.program: {d: rng.random() for d in rng.sample(range(60), rng.randint(1, 20))} for m in metas}
+        global_vec = {d: rng.random() for d in rng.sample(range(60), 30)}
+        slot_vecs = {s: {d: rng.random() for d in rng.sample(range(60), 30)} for s in rng.sample(starts, 8)}
+        model = PreferenceDicts({"u": global_vec}, {"u": slot_vecs}, items)
+        cand = build_candidates(metas, GRID, {"c1"})
+        products = np.zeros((len(cand), max(len(e) for e in items.values())))
+        for row, pid in enumerate(cand.ids):
+            vec = slot_vecs.get(starts[int(pid[1:])], global_vec)
+            for j, (d, w) in enumerate(items[pid].items()):
+                products[row, j] = vec.get(d, 0.0) * w
+        got = rank_preference(preference_model(model, cand), "u", cand).scores
+        assert got.tobytes() == products.sum(axis=1).tobytes()
+
+
 def test_two_stage_hand_trace():
     # stage-1 order [A(w1,c1,.5), B(w1,c1,.5), C(w2,c1,.3)]; preference favors B.
     metas = [
