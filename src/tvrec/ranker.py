@@ -171,8 +171,9 @@ def build_candidates(
     ptr = [0]
     for m in ms:
         col = col_of[m.channel]
-        # A span just short of a week can touch its first slot again at its end.
-        flat.extend((s - 1) * ncols + col for s in dict.fromkeys(slots_of_span(m.start, m.end, grid)))
+        # A span just short of a week can touch its first slot again as its
+        # (n + 1)-th: one cell twice.
+        flat.extend((s - 1) * ncols + col for s in slots_of_span(m.start, m.end, grid)[: grid.n])
         ptr.append(len(flat))
 
     return Candidates(
