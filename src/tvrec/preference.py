@@ -7,14 +7,18 @@ slot, capturing accounts shared by several household members with different
 habits. A program's preference matching score is the dot product of its
 embedding with the user's vector for the slot in which the program starts,
 or with the global vector when the user has no vector for that slot.
-:mod:`tvrec.ranker` computes it with one rule for both rankers that read it:
-over the candidate embeddings zero-padded to one width (:class:`ItemIndex`),
-each row's score is the sum of its products ``vec[idx] * weights``, with
-``vec`` the user's vector densified, added in the order of numpy's pairwise
-sum. The embeddings are stored transposed, one array per padded position, so
-:meth:`ItemIndex.dots` scores every row with about one whole-array
-operation per position (:func:`row_sums`); a batch of rows is summed row by
-row by numpy itself, which gives the same bits.
+
+Every score follows one rule: each entry of the program's embedding, in
+stored order, gives its weight times the vector's value for its dimension
+(0.0 where the vector lacks it), and these products are added one after
+another, starting from 0.0, as a plain loop over the embedding adds them.
+The candidate embeddings are zero-padded to one width and stored transposed,
+one array per padded position (:class:`ItemIndex`). Products are
+non-negative, so a pad cell adds +0.0 and changes no bit: a score does not
+depend on the width the catalogue pads to. :func:`entry_sums` adds the
+products both in :meth:`ItemIndex.dots`, one densified vector against every
+row, and in :meth:`PreferenceModel.scores`, a batch of rows each against its
+start slot's vector.
 
 Vectors are CSR rows (:class:`tvrec.arrays.Rows`) of dimension codes, in
 order of first appearance over the mean's items, and float64 weights.
@@ -57,9 +61,9 @@ class ItemIndex:
     scoring and stored transposed, with the rows grouped by start slot.
 
     ``idx`` and ``weights`` are (width, rows): row ``r``'s dimensions are
-    ``idx[:, r]`` and its weights ``weights[:, r]``; pad cells carry weight 0,
-    so they never contribute to a dot product. The rows that start in slot
-    ``s`` are ``slot_rows[slot_ptr[s - 1]:slot_ptr[s]]``, ascending.
+    ``idx[:, r]`` and its weights ``weights[:, r]``, in embedding order; pad
+    cells carry weight 0, so they add +0.0 to a score. The rows that start in
+    slot ``s`` are ``slot_rows[slot_ptr[s - 1]:slot_ptr[s]]``, ascending.
     """
 
     idx: np.ndarray
@@ -67,45 +71,29 @@ class ItemIndex:
     slot_rows: np.ndarray
     slot_ptr: np.ndarray
 
+    def __len__(self) -> int:
+        return self.idx.shape[1]
+
     def dots(self, vec: np.ndarray) -> np.ndarray:
-        """Every row's score against ``vec``, one densified vector: the
-        products of each padded column summed by :func:`row_sums`."""
+        """Every row's score against ``vec``, one densified vector."""
         products = np.take(vec, self.idx)
         products *= self.weights
-        return row_sums(products)
+        return entry_sums(products)
 
 
-def row_sums(cols: np.ndarray) -> np.ndarray:
-    """``cols.T.sum(axis=1)``, bit for bit: numpy's pairwise sum over each
-    row of ``cols.T``, done with whole-column operations.
+def entry_sums(products: np.ndarray) -> np.ndarray:
+    """The sum of each column of ``products``, a (width, rows) array, its
+    entries added one after another from the first, as a plain loop adds them.
 
-    Below 8 columns it adds them in turn to 0.0. Up to 128 it keeps 8
-    accumulators, each adding every 8th column, joins them as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and adds the
-    columns past the last multiple of 8 in turn. Above 128 it sums the first
-    half, cut down to a multiple of 8, and the rest separately, and adds the
-    two.
+    Reducing a row-major array over its first axis adds one whole row of
+    entries at a time, in order. numpy sums pairwise instead when the array
+    is column-major or has a lone column, so the array is made row-major and
+    a lone column is accumulated.
     """
-    width = len(cols)
-    if width < 8:
-        total = np.zeros(cols.shape[1:])
-        for col in cols:
-            total += col
-        return total
-    if width > 128:
-        half = width // 2
-        half -= half % 8
-        return row_sums(cols[:half]) + row_sums(cols[half:])
-    whole = width - width % 8
-    acc = cols[:8]
-    for i in range(8, whole, 8):
-        acc = acc + cols[i : i + 8]
-    acc = acc[0::2] + acc[1::2]  # the pairs (r0 + r1), (r2 + r3), ...
-    acc = acc[0::2] + acc[1::2]
-    total = acc[0] + acc[1]
-    for col in cols[whole:]:
-        total += col
-    return total
+    products = np.ascontiguousarray(products)
+    if products.shape[1] == 1:
+        return np.add.accumulate(products, axis=0)[-1]
+    return np.add.reduce(products, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +115,34 @@ class PreferenceModel:
         if i is None:
             raise DataError(f"user {user!r} is not in the preference model")
         return i
+
+    def scores(self, u: int, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The score of each of ``rows``, which start in slots ``starts``, for
+        user row ``u``: against the user's vector for the slot, else the
+        global one.
+
+        The vectors go one after another, the global one last, into a buffer
+        that is zeroed only where the rows read it, so the cost follows the
+        rows and the user's vectors, not the user's slots times the
+        dimensions; no position is read that was not zeroed or written.
+        """
+        p, dims, items = self.prefs, self.dims, self.items
+        lo, hi = p.slot_ptr[u], p.slot_ptr[u + 1]
+        glob = (hi - lo) * dims
+        offsets = np.arange(0, glob, dims)
+        offset_of_slot = np.full(len(items.slot_ptr), glob)  # slots 0..n_slots
+        offset_of_slot[p.slots[lo:hi]] = offsets
+        reads = np.take(items.idx, rows, axis=1) + offset_of_slot[starts]
+        buf = np.empty(glob + dims)
+        buf[reads] = 0.0
+        vec_ptr = p.slot_vecs.ptr[lo : hi + 1]
+        a, b = vec_ptr[0], vec_ptr[-1]
+        buf[np.repeat(offsets, vec_ptr[1:] - vec_ptr[:-1]) + p.slot_vecs.col[a:b]] = p.slot_vecs.val[a:b]
+        col, val = p.global_vecs.row(u)
+        buf[glob + col] = val
+        products = buf[reads]
+        products *= np.take(items.weights, rows, axis=1)
+        return entry_sums(products)
 
 
 def build(cells: TensorCells, embeddings: Rows) -> Preferences:

@@ -43,14 +43,11 @@ the first ``k`` runs, then scores them in one batch, so only a small prefix
 of the candidate set ever incurs a dot product; the evaluation count is
 exposed via :class:`TwoStageStats`.
 
-Preference scores follow one rule in both rankers that read them (see
-:mod:`tvrec.preference`): each row's zero-padded embedding against the
-densified vector of the user for the row's start slot, else the global one,
-its products added in numpy's pairwise order. :func:`rank_preference` scores
-every row against the global vector column by column
-(:meth:`ItemIndex.dots`), then the rows of the user's slots in one batch;
-:func:`two_stage` scores the rows it visits in one batch. A batch densifies
-the user's vectors only where its rows read them.
+Preference scores come from :mod:`tvrec.preference`, which owns their one
+rule: :func:`rank_preference` scores every row against the user's global
+vector (:meth:`ItemIndex.dots`), then the rows of the user's slots against
+their slot's vector in one batch (:meth:`PreferenceModel.scores`), and
+:func:`two_stage` scores the rows it visits in one batch.
 """
 
 from __future__ import annotations
@@ -171,9 +168,7 @@ def build_candidates(
     ptr = [0]
     for m in ms:
         col = col_of[m.channel]
-        # A span just short of a week can touch its first slot again as its
-        # (n + 1)-th: one cell twice.
-        flat.extend((s - 1) * ncols + col for s in slots_of_span(m.start, m.end, grid)[: grid.n])
+        flat.extend((s - 1) * ncols + col for s in slots_of_span(m.start, m.end, grid))
         ptr.append(len(flat))
 
     return Candidates(
@@ -204,38 +199,6 @@ def build_item_index(embeddings: Rows, cand: Candidates) -> ItemIndex:
     slot_rows = np.argsort(start, kind="stable")
     slot_ptr = np.searchsorted(start[slot_rows], np.arange(1, cand.n_slots + 2))
     return ItemIndex(idx=idx, weights=weights, slot_rows=slot_rows, slot_ptr=slot_ptr)
-
-
-def _user_scores(model: PreferenceModel, u: int, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The preference score of each of ``rows``, which start in slots
-    ``starts``, for user row ``u``: against the user's vector for the slot,
-    else the global one.
-
-    The vectors go one after another, the global one last, into a buffer
-    that is zeroed only where the rows read it, so the cost follows the rows
-    and the user's vectors, not the user's slots times the dimensions; no
-    position is read that was not zeroed or written. The products are summed
-    row by row by numpy, whose pairwise rule :func:`tvrec.preference.row_sums`
-    applies column by column.
-    """
-    p, dims, items = model.prefs, model.dims, model.items
-    lo, hi = p.slot_ptr[u], p.slot_ptr[u + 1]
-    glob = (hi - lo) * dims
-    offsets = np.arange(0, glob, dims)
-    offset_of_slot = np.full(len(items.slot_ptr), glob)  # slots 0..n_slots
-    offset_of_slot[p.slots[lo:hi]] = offsets
-    # Row-major, so that numpy's row sum below is its pairwise sum along each row.
-    reads = np.add(offset_of_slot[starts][:, None], items.idx[:, rows].T, order="C")
-    buf = np.empty(glob + dims)
-    buf[reads] = 0.0
-    vec_ptr = p.slot_vecs.ptr[lo : hi + 1]
-    a, b = vec_ptr[0], vec_ptr[-1]
-    buf[np.repeat(offsets, vec_ptr[1:] - vec_ptr[:-1]) + p.slot_vecs.col[a:b]] = p.slot_vecs.val[a:b]
-    col, val = p.global_vecs.row(u)
-    buf[glob + col] = val
-    products = buf[reads]
-    products *= items.weights[:, rows].T
-    return products.sum(axis=1)
 
 
 def _footprint(bm: UserBehavior, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +280,7 @@ def rank_preference(model: PreferenceModel, user: str, cand: Candidates) -> Rank
     with the global vector, then one over the rows of the slots the user has
     a vector for, each with its slot's vector."""
     items = model.items
-    if items.idx.shape[1] != len(cand.ids):
+    if len(items) != len(cand):
         raise ValueError("item index does not match the candidate set")
     u = model.user_row(user)
     p = model.prefs
@@ -328,7 +291,7 @@ def rank_preference(model: PreferenceModel, user: str, cand: Candidates) -> Rank
     slots = p.slots[p.slot_ptr[u] : p.slot_ptr[u + 1]]
     lo, hi = items.slot_ptr[slots - 1], items.slot_ptr[slots]
     rows = items.slot_rows[ranges(lo, hi)]
-    scores[rows] = _user_scores(model, u, rows, np.repeat(slots, hi - lo))
+    scores[rows] = model.scores(u, rows, np.repeat(slots, hi - lo))
     return Ranking(_preference_order(scores), scores)
 
 
@@ -397,7 +360,7 @@ def two_stage(
     if not end:
         return Ranking(rows, scores)
 
-    pref = _user_scores(model, model.user_row(bm.user), rows, cand.start_slots(rows))
+    pref = model.scores(model.user_row(bm.user), rows, cand.start_slots(rows))
     # A run's rows share one behavior score, so they are in row order, and a
     # stable sort by (run, -preference) puts each run's winner at its start.
     by_pref = np.lexsort((-pref, np.cumsum(new[:end])))

@@ -53,15 +53,17 @@ def slot_of(t: int, grid: TimeGrid) -> SlotIndex:
 def slots_of_span(s: int, e: int, grid: TimeGrid) -> list[SlotIndex]:
     """Return the chronological slot sequence touched by the span ``[s, e]``.
 
-    Wraps modulo ``n`` across the week boundary. A zero-length span yields the
-    single slot containing ``s``. Spans of a week or longer would touch every
-    slot and signal malformed metadata, so they are rejected.
+    Wraps modulo ``n`` across the week boundary, and lists each slot once: a
+    span just short of a week that ends back in its first slot yields all
+    ``n`` slots, from the first. A zero-length span yields the single slot
+    containing ``s``. Spans of a week or longer would touch every slot and
+    signal malformed metadata, so they are rejected.
     """
     if s > e:
         raise ValueError(f"span start {s} is after end {e}")
     if e - s >= SECONDS_PER_WEEK:
         raise ValueError(f"span of {e - s}s covers the whole week; metadata is malformed")
     first = _abs_slot(s, grid)
-    last = _abs_slot(e, grid)
     n = grid.n
+    last = min(_abs_slot(e, grid), first + n - 1)
     return [a % n + 1 for a in range(first, last + 1)]

@@ -189,11 +189,21 @@ def scalar_behavior(bm: BehaviorMatrix, meta: ProgramMeta, grid: TimeGrid) -> tu
     return best, best_slot, meta.channel
 
 
+def entry_sum(values: Iterable[float]) -> float:
+    """``values`` added one after another to 0.0, as a plain loop adds them
+    (``sum`` compensates its rounding from Python 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def scalar_preference(model: PreferenceDicts, user: str, meta: ProgramMeta, grid: TimeGrid) -> float:
-    # The user's vector for the start slot if the model has one, else the global vector.
+    """The program's embedding against the user's vector for its start slot
+    if the model has one, else the global vector: each entry's weight times
+    the vector's value for its dimension, added in the embedding's order."""
     vec = model.slot_prefs.get(user, {}).get(slot_of(meta.start, grid), model.global_prefs[user])
-    emb = model.item_embeddings[meta.program]
-    return sum(w * emb.get(i, 0.0) for i, w in vec.items())
+    return entry_sum(w * vec.get(i, 0.0) for i, w in model.item_embeddings[meta.program].items())
 
 
 def brute_stage_one(

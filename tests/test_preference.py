@@ -10,6 +10,7 @@ from oracles import (
     behavior_matrix_dicts,
     embedding_rows,
     encode_dict,
+    entry_sum,
     fit_dicts,
     l2_norm,
     log_table,
@@ -26,7 +27,7 @@ from tvrec import synth
 from tvrec.behavior import behavior_matrix
 from tvrec.datamodel import ProgramMeta, SplitSpec, prepare
 from tvrec.errors import DataError
-from tvrec.preference import build, global_view, row_sums
+from tvrec.preference import build, entry_sums, global_view
 from tvrec.ranker import build_candidates, rank_preference
 from tvrec.textenc import encode, fit
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
@@ -278,16 +279,18 @@ def test_model_from_a_prepared_dataset_equals_the_dict_oracles():
     assert_model_matches_the_dict_oracles(prepared.cells, dict(zip(prepared.cells.program_names, rows)))
 
 
-def test_row_sums_equal_numpy_row_sums_bit_for_bit():
-    # The preference rule: each row's zero-padded products added in numpy's
-    # pairwise order. Widths up to 300 cover the sequential sum below 8, the
-    # 8 accumulators up to 128 and the split above it.
+def test_entry_sums_add_each_column_in_entry_order():
+    # The preference rule: each row's products added one after another, in
+    # embedding order, bit for bit. numpy sums pairwise over a lone column
+    # and over a column-major array, so both layouts and row counts 1 and 2
+    # are covered, at every width up to 300.
     rng = np.random.default_rng(2020)
     for width in range(1, 301):
-        n = int(rng.integers(1, 40))
-        products = rng.random((n, width)) * 10.0 ** rng.integers(-8, 8, size=(n, width))
-        lens = rng.integers(0, width + 1, size=n)
-        lens[0] = width
-        products[np.arange(width) >= lens[:, None]] = 0.0  # zero padding past each row's length
-        got = row_sums(np.ascontiguousarray(products.T))
-        assert got.tobytes() == products.sum(axis=1).tobytes(), width
+        for n in (1, 2, int(rng.integers(3, 40))):
+            products = rng.random((width, n)) * 10.0 ** rng.integers(-8, 8, size=(width, n))
+            lens = rng.integers(0, width + 1, size=n)
+            lens[0] = width
+            products[np.arange(width)[:, None] >= lens] = 0.0  # zero padding past each row's length
+            want = np.array([entry_sum(col) for col in products.T.tolist()])
+            for layout in (products, np.asfortranarray(products)):
+                assert entry_sums(layout).tobytes() == want.tobytes(), (width, n)

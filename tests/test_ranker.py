@@ -11,6 +11,7 @@ from oracles import (
     behavior_row,
     brute_rank,
     brute_two_stage,
+    entry_sum,
     preference_model,
     random_instance,
     scalar_behavior,
@@ -19,6 +20,7 @@ from oracles import (
 from tvrec.datamodel import ProgramMeta
 from tvrec.errors import DataError
 from tvrec.evaluate import recall_at
+from tvrec.preference import PreferenceModel
 from tvrec.ranker import (
     Candidates,
     Ranking,
@@ -183,27 +185,81 @@ def test_rank_preference_indexed_path_matches_scalar_path():
             assert [pid for pid, _ in got] == brute_rank(want, metas)
 
 
-def test_rank_preference_adds_each_row_in_numpy_pairwise_order():
-    # Embeddings up to 20 wide, so rows sum through the 8 accumulators, both
-    # in the pass over every row and in the batch over the user's slots: each
-    # score equals numpy's row sum of the row's products, zero-padded in
-    # embedding order, bit for bit.
+def random_embedding(rng, width, dims=60):
+    """``width`` entries over random dimensions, with weights spread over 16
+    orders of magnitude so that the order of a sum shows in its last bits."""
+    return {d: rng.random() * 10.0 ** rng.randint(-8, 8) for d in rng.sample(range(dims), width)}
+
+
+def entry_order_score(model, pid, start_slot):
+    """User "u"'s score for ``pid`` by the preference rule: the products of
+    its embedding entries added in entry order."""
+    vec = model.slot_prefs.get("u", {}).get(start_slot, model.global_prefs["u"])
+    return entry_sum(w * vec.get(d, 0.0) for d, w in model.item_embeddings[pid].items())
+
+
+def test_rank_preference_adds_each_row_in_entry_order():
+    # Embeddings of mixed widths up to 20, both in the pass over every row
+    # and in the batch over the user's slots: each score equals the sum of
+    # the row's products in embedding order, bit for bit.
     rng = random.Random(8)
     for _ in range(20):
         starts = [rng.randint(1, 30) for _ in range(40)]
         metas = [meta(f"p{i:02d}", start_slot=s) for i, s in enumerate(starts)]
-        items = {m.program: {d: rng.random() for d in rng.sample(range(60), rng.randint(1, 20))} for m in metas}
-        global_vec = {d: rng.random() for d in rng.sample(range(60), 30)}
-        slot_vecs = {s: {d: rng.random() for d in rng.sample(range(60), 30)} for s in rng.sample(starts, 8)}
-        model = PreferenceDicts({"u": global_vec}, {"u": slot_vecs}, items)
+        items = {m.program: random_embedding(rng, rng.randint(1, 20)) for m in metas}
+        slot_vecs = {s: random_embedding(rng, 30) for s in rng.sample(starts, 8)}
+        model = PreferenceDicts({"u": random_embedding(rng, 30)}, {"u": slot_vecs}, items)
         cand = build_candidates(metas, GRID, {"c1"})
-        products = np.zeros((len(cand), max(len(e) for e in items.values())))
-        for row, pid in enumerate(cand.ids):
-            vec = slot_vecs.get(starts[int(pid[1:])], global_vec)
-            for j, (d, w) in enumerate(items[pid].items()):
-                products[row, j] = vec.get(d, 0.0) * w
         got = rank_preference(preference_model(model, cand), "u", cand).scores
-        assert got.tobytes() == products.sum(axis=1).tobytes()
+        want = [entry_order_score(model, pid, starts[int(pid[1:])]) for pid in cand.ids]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_two_stage_scores_a_lone_row_in_entry_order(monkeypatch):
+    # The user's one run holds one row, so two-stage scores a batch of one
+    # row: numpy would sum it pairwise, and its score must still be the sum
+    # of its products in embedding order.
+    batches = []
+    scores = PreferenceModel.scores
+
+    def recording(self, u, rows, starts):
+        batches.append(scores(self, u, rows, starts))
+        return batches[-1]
+
+    monkeypatch.setattr(PreferenceModel, "scores", recording)
+    rng = random.Random(12)
+    metas = [meta("A", start_slot=1, n_slots=1), meta("B", start_slot=5, n_slots=1)]
+    bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
+    for _ in range(30):
+        items = {"A": random_embedding(rng, rng.randint(10, 40)), "B": random_embedding(rng, 3)}
+        slot_vecs = {1: random_embedding(rng, 30)} if rng.random() < 0.5 else {}
+        model = PreferenceDicts({"u": random_embedding(rng, 30)}, {"u": slot_vecs}, items)
+        cand = build_candidates(metas, GRID, {"c1"})
+        batches.clear()
+        assert ids(cand, two_stage_of(bm, model, cand, 1)) == ["A"]
+        assert [b.tobytes() for b in batches] == [np.array([entry_order_score(model, "A", 1)]).tobytes()]
+
+
+def test_a_wide_embedding_moves_no_other_score():
+    # One candidate with a 40-entry embedding widens the padding of every
+    # row; every other row's score stays the same, bit for bit, both those
+    # scored against the global vector and those of the user's slots.
+    rng = random.Random(40)
+    starts = [rng.randint(1, 30) for _ in range(150)]
+    metas = [meta(f"p{i:03d}", start_slot=s) for i, s in enumerate(starts)]
+    items = {m.program: random_embedding(rng, rng.randint(1, 15)) for m in metas}
+    slot_vecs = {s: random_embedding(rng, 40) for s in rng.sample(starts, 10)}
+    model = PreferenceDicts({"u": random_embedding(rng, 40)}, {"u": slot_vecs}, items)
+
+    def scores_by_id(metas, model):
+        cand = build_candidates(metas, GRID, {"c1"})
+        return dict(zip(cand.ids, rank_preference(preference_model(model, cand), "u", cand).scores.tolist()))
+
+    before = scores_by_id(metas, model)
+    wide = PreferenceDicts(model.global_prefs, model.slot_prefs, {**items, "wide": random_embedding(rng, 40)})
+    after = scores_by_id([*metas, meta("wide", start_slot=starts[0])], wide)
+    del after["wide"]
+    assert np.array(list(after.values())).tobytes() == np.array([before[pid] for pid in after]).tobytes()
 
 
 def test_two_stage_hand_trace():

@@ -91,5 +91,11 @@ def test_span_endpoints_and_length_bound():
         e = s + rng.randrange(SECONDS_PER_WEEK)
         span = slots_of_span(s, e, grid)
         assert span[0] == slot_of(s, grid)
-        assert span[-1] == slot_of(e, grid)
-        assert len(span) <= -((e - s) // -grid.slot_len) + 1
+        # A span that ends back in its first slot lists that slot once, first.
+        assert span[-1] == slot_of(e, grid) or (len(span) == n and span[0] == slot_of(e, grid))
+        assert len(set(span)) == len(span) <= -((e - s) // -grid.slot_len) + 1
+
+
+def test_span_just_short_of_a_week_lists_every_slot_once():
+    span = slots_of_span(MONDAY + 1, MONDAY + SECONDS_PER_WEEK, TimeGrid(n=672))
+    assert span == list(range(1, 673))
