@@ -6,7 +6,7 @@ distributions, preference vectors and candidate embeddings that ranking reads
 are all :class:`Rows`.
 
 Both files the CLI writes, the prepared dataset (:mod:`tvrec.datamodel`) and
-the model bundle (:mod:`tvrec.cli`), are uncompressed ``.npz`` archives of
+the model bundle (:mod:`tvrec.bundle`), are uncompressed ``.npz`` archives of
 one-dimensional arrays with a ``manifest`` array of UTF-8 JSON, read with
 ``allow_pickle=False``, so loading one runs no code from it. A table of names
 is stored as its UTF-8 bytes plus int64 ``<key>_off`` offsets counted in code

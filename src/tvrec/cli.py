@@ -8,40 +8,11 @@ made from the same inputs (by sha256) with the same grid and preprocessing
 values; a missing, stale or damaged file is a data error that asks for `prep`
 to be run again.
 
-`build` writes the model bundle that `recommend`, `bench`, `tune` and
-`inspect-user` read: the serving state as row-indexed arrays over the
-candidates, with nothing pickled in it: an uncompressed ``.npz`` in the format
-of :mod:`tvrec.arrays`, loaded with ``allow_pickle=False``, so loading it runs
-no code from it. Every array is checked (dtype, length, offsets that start at 0,
-never decrease and end at their table's length, codes in range, finite
-values); any failure, a pickled bundle of an earlier version or another
-schema version included, is a data error that asks for `build` to be run
-again. The file keeps the name ``<out_dir>/model.pkl`` of the pickled bundles
-before it, which the benchmark harness measures. It holds:
-
-- ``manifest``: JSON with the schema version, the provenance and the
-  ``shapes``: ``users``, ``candidates``, ``slots``, ``channels`` and ``dims``
-  (the vocabulary size);
-- name tables ``users`` (sorted), ``ids`` (the candidates in row order) and
-  ``channels`` (sorted, one grid column each);
-- the candidates' spans: ``span_ptr`` and ``span_flat``, as in
-  :class:`tvrec.ranker.Candidates`, no span listing a cell twice;
-- four CSR blocks, each ``<block>_ptr`` (int64), ``<block>_col`` and
-  ``<block>_val`` (float64): ``behavior`` (one row per user over the flat grid
-  cells ``(slot - 1) * channels + channel``, strictly ascending), ``global``
-  (one preference vector per user), ``slot_vecs`` (one preference vector per
-  (user, slot), user ``i``'s being rows ``slots_ptr[i]:slots_ptr[i + 1]``,
-  for the slots in the same slice of ``slots``) and ``embeddings`` (one per
-  candidate row); the columns of the last three are dimension codes, in the
-  order the means and encodings made them;
-- the truths: user ``i``'s test programs are the candidate rows
-  ``truth_rows[truth_ptr[i]:truth_ptr[i + 1]]``, ascending.
-
-Codes (cells, dimensions, slots, rows) are stored in the narrowest unsigned
-dtype that holds their table's size; weights stay float64, so scores are
-those of the vectors as built. Every stored weight is finite and > 0 (tf-idf
-rows and means of them are positive, behavior probabilities lie in (0, 1]),
-so no preference score is NaN: the preference order relies on that.
+`build` writes the model bundle (format: :mod:`tvrec.bundle`) that `recommend`,
+`bench`, `tune` and `inspect-user` read, at ``<out_dir>/model.pkl`` (the name
+of the pickled bundles before it, which the benchmark harness measures) unless
+``--model`` names another path. A missing or damaged bundle is a data error
+that asks for `build` to be run again.
 
 Every artifact embeds the effective config hash and seed. The hash covers the
 semantic config only and leaves out file locations, so runs that differ only in
@@ -70,25 +41,11 @@ from typing import BinaryIO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import behavior as behavior_mod
+from . import bundle as bundle_mod
 from . import evaluate as evaluate_mod
 from . import preference as preference_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
-from . import textenc as textenc_mod
-from .arrays import (
-    Rows,
-    check_arrays,
-    decode_names,
-    encode_names,
-    in_range,
-    index_dtype,
-    is_ptr,
-    name_arrays,
-    read_npz,
-    require,
-    write_npz,
-)
 from .datamodel import (
     Prepared,
     SplitSpec,
@@ -153,6 +110,8 @@ class EngineConfig:
             raise ConfigError(str(exc)) from None
         if self.min_duration_secs < 0:
             raise ConfigError("min_duration_secs must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not all(1 <= days * 86_400 < 2**63 for days in (self.train_days, self.test_days)):  # NaN fails
             raise ConfigError("train_days and test_days must each give a window of 1 to 2**63 - 1 seconds")
         if self.method not in METHODS:
@@ -264,27 +223,6 @@ def load_config(path: str | None, overrides: Mapping[str, object]) -> EngineConf
             _set_field(cfg, key, value)
     cfg.validate()
     return cfg
-
-
-@dataclass(frozen=True, eq=False)
-class ModelBundle:
-    """The serving index that `build` writes and every inference command reads.
-
-    ``cand`` indexes next week's candidate programs; ``behavior`` holds each
-    training user's (slot, channel) distribution over ``cand``'s grid;
-    ``model`` is the time-aware preference model of the same users, with
-    embeddings for the candidates only. It serves either scoring mode: global
-    scoring reads it through :func:`tvrec.preference.global_view`. User
-    ``behavior.users[i]``'s test programs are the candidate rows
-    ``truth_rows[truth_ptr[i]:truth_ptr[i + 1]]``.
-    """
-
-    provenance: dict
-    cand: ranker_mod.Candidates
-    behavior: behavior_mod.Behavior
-    model: preference_mod.PreferenceModel
-    truth_ptr: np.ndarray
-    truth_rows: np.ndarray
 
 
 @contextlib.contextmanager
@@ -416,21 +354,16 @@ def _load_prepared(cfg: EngineConfig) -> Prepared:
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
-    overrides = {}
+    raw = _read_json_object(args.config, "synth config") if args.config is not None else {}
     if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if args.config is not None:
-        raw = _read_json_object(args.config, "synth config")
-        raw.update(overrides)
-        for key, value in raw.items():
-            if key in _SYNTH_TYPES:
-                _require_fits(key, value, _SYNTH_TYPES[key], "synth config value")
-        try:
-            cfg = synth_mod.SynthConfig(**raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid synth config: {exc}") from None
-    else:
-        cfg = synth_mod.SynthConfig(**overrides)
+        raw["rng_seed"] = args.seed
+    for key, value in raw.items():
+        if key in _SYNTH_TYPES:
+            _require_fits(key, value, _SYNTH_TYPES[key], "synth config value")
+    try:
+        cfg = synth_mod.SynthConfig(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid synth config: {exc}") from None
 
     world = synth_mod.gen_world(cfg)
     logs = synth_mod.gen_logs(world)
@@ -493,213 +426,38 @@ def _cmd_prep(args: argparse.Namespace) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
-    prepared = _load_prepared(cfg)
-    cells = prepared.cells
-    # Every channel of the prepared file gets its grid column, so a cell of
-    # the tensor is a cell of the candidates' grid, channel code for column.
-    cand = ranker_mod.build_candidates(prepared.test_metas(), cfg.grid, cells.channel_names)
-    cand_codes = prepared.candidate_codes()
-    truth_ptr, truth_rows = _truth_rows(prepared, cand_codes)
-
-    # The encoder is fitted on train + test metadata: program text is known
-    # before broadcast, so this leaks no interaction labels.
-    vocab, counts = textenc_mod.fit(prepared.texts)
-    del prepared
-    embeddings = textenc_mod.encode(vocab, counts)
-    del counts
-    prefs = preference_mod.build(cells, embeddings)
-    behavior = behavior_mod.behavior_matrix(cells)
-    # Ranking reads candidate embeddings only, one row per candidate row.
-    items = embeddings.take(cand_codes)
-    del cells, embeddings
+    # Passed inline, the prepared dataset is freed as soon as bundle.build lets it go.
+    bundle, vocab = bundle_mod.build(_load_prepared(cfg), cfg.grid, cfg.provenance())
     path = Path(cfg.model_path)
     with _atomic_file(path) as fh:
-        _dump_bundle(fh, cfg.provenance(), cand, behavior, prefs, items, vocab.size, truth_ptr, truth_rows)
+        bundle_mod.dump(fh, bundle)
     vocab_path = Path(cfg.out_dir) / "vocab.json"
     _write_json(vocab_path, {"vocabulary": vocab.to_dict()}, cfg.provenance())
     _summary_line(
         "build",
         model=str(path),
         vocab_size=vocab.size,
-        users=len(behavior.users),
-        test_items=len(cand),
+        users=len(bundle.behavior.users),
+        test_items=len(bundle.cand),
     )
 
 
-def _truth_rows(prepared: Prepared, cand_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's truths as ascending candidate rows, users in name order:
-    ``(ptr, rows)``. ``cand_codes`` are the candidates' program codes, in row
-    order."""
-    names, users = prepared.cells.program_names, prepared.cells.users
-    row_of = np.full(len(names), -1, dtype=np.int64)
-    row_of[cand_codes] = np.arange(len(cand_codes))
-    truths = Rows(prepared.truth_ptr, row_of[prepared.truth_program], prepared.truth_program)
-    truths = truths.take(np.array(sorted(range(len(users)), key=users.__getitem__), dtype=np.int64))
-    if len(truths.col) and truths.col.min() < 0:
-        raise DataError(f"truth {names[truths.val[truths.col.argmin()]]!r} is not a candidate")
-    user = np.repeat(np.arange(len(users)), np.diff(truths.ptr))
-    return truths.ptr, truths.col[np.lexsort((truths.col, user))]
 
-
-# ---------------------------------------------------------------------------
-# the model bundle
-
-BUNDLE_SCHEMA = 1
-_SHAPES = ("users", "candidates", "slots", "channels", "dims")
-# The CSR blocks of the bundle: the arrays <block>_ptr, <block>_col and <block>_val.
-_BLOCKS = ("behavior", "global", "slot_vecs", "embeddings")
-
-
-def _bundle_dtypes(shapes: Mapping[str, int]) -> dict[str, object]:
-    """Every array of a bundle after the manifest, with its dtype. Codes are
-    stored in the narrowest unsigned dtype that holds them; pointers are
-    int64 and values float64."""
-    cell = index_dtype(shapes["slots"] * max(shapes["channels"], 1))
-    dim = index_dtype(shapes["dims"])
-    cols = {"behavior": cell, "global": dim, "slot_vecs": dim, "embeddings": dim}
-    return {
-        **name_arrays("users"),
-        **name_arrays("ids"),
-        **name_arrays("channels"),
-        "span_ptr": np.int64,
-        "span_flat": cell,
-        **{f"{block}_{part}": dtype for block in _BLOCKS
-           for part, dtype in (("ptr", np.int64), ("col", cols[block]), ("val", np.float64))},
-        "slots_ptr": np.int64,
-        "slots": index_dtype(shapes["slots"] + 1),
-        "truth_ptr": np.int64,
-        "truth_rows": index_dtype(shapes["candidates"]),
-    }
-
-
-def _dump_bundle(
-    fh: BinaryIO,
-    provenance: dict,
-    cand: ranker_mod.Candidates,
-    behavior: behavior_mod.Behavior,
-    prefs: preference_mod.Preferences,
-    items: Rows,
-    dims: int,
-    truth_ptr: np.ndarray,
-    truth_rows: np.ndarray,
-) -> None:
-    """Write the bundle: an uncompressed ``.npz`` (format in the module docstring)."""
-    shapes = dict(zip(_SHAPES, (len(behavior.users), len(cand), cand.n_slots, len(cand.channels), dims)))
-    blocks = dict(zip(_BLOCKS, (behavior.rows, prefs.global_vecs, prefs.slot_vecs, items)))
-    arrays = {
-        **encode_names(behavior.users, "users"),
-        **encode_names(cand.ids, "ids"),
-        **encode_names(cand.channels, "channels"),
-        "span_ptr": cand.span_ptr,
-        "span_flat": cand.span_flat,
-        **{f"{block}_{part}": a for block, rows in blocks.items() for part, a in zip(("ptr", "col", "val"), rows)},
-        "slots_ptr": prefs.slot_ptr,
-        "slots": prefs.slots,
-        "truth_ptr": truth_ptr,
-        "truth_rows": truth_rows,
-    }
-    manifest = {"schema": BUNDLE_SCHEMA, "provenance": provenance, "shapes": shapes}
-    dtypes = _bundle_dtypes(shapes)
-    write_npz(fh, manifest, {key: arrays[key].astype(dtype, copy=False) for key, dtype in dtypes.items()})
-
-
-def _read_bundle(path: Path) -> ModelBundle:
-    """The bundle in ``path``, checked array by array; raises :class:`DataError`
-    for a file that is not one of this schema or fails a check."""
-    manifest, arrays = read_npz(path, "model bundle")
-    schema = manifest.get("schema")
-    require(schema == BUNDLE_SCHEMA, f"{path} has bundle schema {schema!r}, expected {BUNDLE_SCHEMA}")
-    shapes = manifest.get("shapes")
-    require(
-        type(shapes) is dict and shapes.keys() == set(_SHAPES)
-        and all(type(v) is int and v >= 0 for v in shapes.values()) and type(manifest.get("provenance")) is dict,
-        f"{path} has a damaged manifest",
-    )
-    check_arrays(path, arrays, _bundle_dtypes(shapes))
-    users, ids, channels = (decode_names(arrays, key) for key in ("users", "ids", "channels"))
-
-    def check(ok: bool, what: str) -> None:
-        require(ok, f"{path} is damaged: bad {what}")
-
-    check(users is not None and ids is not None and channels is not None, "name table")
-    require(len(users) > 0, f"{path} holds no users")
-    n_slots, dims = shapes["slots"], shapes["dims"]
-    n_cells = n_slots * max(len(channels), 1)
-    check(
-        (len(users), len(ids), len(channels)) == (shapes["users"], shapes["candidates"], shapes["channels"])
-        and n_slots > 0 and dims > 0,
-        "shapes",
-    )
-    check(all(a < b for a, b in zip(users, users[1:])), "user names: not sorted")
-    check(len(set(ids)) == len(ids), "candidate ids: some repeat")
-    span_ptr = arrays["span_ptr"]
-    check(is_ptr(span_ptr, len(ids), len(arrays["span_flat"])) and bool(np.all(span_ptr[1:] > span_ptr[:-1])),
-          "span offsets")
-    check(in_range(arrays["span_flat"], 0, n_cells), "span cells")
-    blocks = {block: Rows(*(arrays[f"{block}_{part}"] for part in ("ptr", "col", "val"))) for block in _BLOCKS}
-    for block, rows, n_cols in (
-        ("behavior", len(users), n_cells),
-        ("global", len(users), dims),
-        ("slot_vecs", len(arrays["slots"]), dims),
-        ("embeddings", len(ids), dims),
-    ):
-        ptr, col, val = blocks[block]
-        check(is_ptr(ptr, rows, len(col)) and len(val) == len(col), f"{block} offsets")
-        check(in_range(col, 0, n_cols), f"{block} columns")
-        check(bool(np.all(np.isfinite(val))), f"{block} values")
-    probs = blocks["behavior"].val
-    check(bool(np.all((probs > 0) & (probs <= 1))), "behavior probabilities")
-    # One probability per cell: a repeated cell would have two.
-    check(blocks["behavior"].ascending(), "behavior cells: a row does not strictly ascend")
-    for block in ("global", "slot_vecs", "embeddings"):
-        check(bool(np.all(blocks[block].val > 0)), f"{block} weights: not all > 0")
-    check(is_ptr(arrays["slots_ptr"], len(users), len(arrays["slots"])), "slot offsets")
-    check(in_range(arrays["slots"], 1, n_slots + 1), "slots")
-    check(is_ptr(arrays["truth_ptr"], len(users), len(arrays["truth_rows"])), "truth offsets")
-    check(in_range(arrays["truth_rows"], 0, len(ids)), "truth rows")
-
-    cand = ranker_mod.Candidates(
-        n_slots=n_slots,
-        ids=ids,
-        channels=channels,
-        span_flat=arrays["span_flat"].astype(np.int64),
-        span_ptr=span_ptr,
-    )
-    check(not cand.repeats_a_cell(), "span cells: a span lists one cell twice")
-    prefs = preference_mod.Preferences(
-        users=users,
-        global_vecs=blocks["global"],
-        slot_ptr=arrays["slots_ptr"],
-        slots=arrays["slots"],
-        slot_vecs=blocks["slot_vecs"],
-    )
-    return ModelBundle(
-        provenance=manifest["provenance"],
-        cand=cand,
-        behavior=behavior_mod.Behavior(users=users, channels=channels, rows=blocks["behavior"]),
-        model=preference_mod.PreferenceModel(
-            prefs=prefs, dims=dims, items=ranker_mod.build_item_index(blocks["embeddings"], cand)
-        ),
-        truth_ptr=arrays["truth_ptr"],
-        truth_rows=arrays["truth_rows"],
-    )
-
-
-def _load_bundle(cfg: EngineConfig) -> ModelBundle:
+def _load_bundle(cfg: EngineConfig) -> bundle_mod.ModelBundle:
     path = Path(cfg.model_path)
     if not path.exists():
         raise DataError(f"model file {path} does not exist; run `build` first")
     try:
-        return _read_bundle(path)
+        return bundle_mod.load(path)
     except DataError as exc:
         raise DataError(f"{exc}; rebuild with `build`") from None
 
 
-def _pref_model(bundle: ModelBundle, mode: str) -> preference_mod.PreferenceModel:
+def _pref_model(bundle: bundle_mod.ModelBundle, mode: str) -> preference_mod.PreferenceModel:
     return bundle.model if mode == "time-aware" else preference_mod.global_view(bundle.model)
 
 
-def _rankings_fn(bundle: ModelBundle, model: preference_mod.PreferenceModel):
+def _rankings_fn(bundle: bundle_mod.ModelBundle, model: preference_mod.PreferenceModel):
     """Per-user (behavior, preference) full rankings, the inputs of RRF."""
     cand = bundle.cand
     behavior = bundle.behavior
@@ -713,7 +471,7 @@ def _rankings_fn(bundle: ModelBundle, model: preference_mod.PreferenceModel):
     return rankings
 
 
-def _rank_user_fn(cfg: EngineConfig, bundle: ModelBundle, method: str):
+def _rank_user_fn(cfg: EngineConfig, bundle: bundle_mod.ModelBundle, method: str):
     """Per-user inference closure for one method; models resolved up front."""
     cand = bundle.cand
     behavior = bundle.behavior
@@ -738,9 +496,11 @@ def _rank_user_fn(cfg: EngineConfig, bundle: ModelBundle, method: str):
 def _cmd_recommend(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     bundle = _load_bundle(cfg)
-    rank_user = _rank_user_fn(cfg, bundle, cfg.method)
+    rank_user, users = _rank_user_fn(cfg, bundle, cfg.method), bundle.behavior.users
+    # The closure holds what it serves; the bundle's CSR embeddings, padded into its index, can go.
+    del bundle
     rows = []
-    for user in bundle.behavior.users:
+    for user in users:
         ranked = rank_user(user)
         rows.append(
             {

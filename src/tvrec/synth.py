@@ -92,6 +92,8 @@ class SynthConfig:
         for name in ("n_users", "n_channels", "n_topics", "weeks_train", "weeks_test", "personas_min"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.personas_max < self.personas_min:
             raise ValueError("personas_max must be >= personas_min")
         if not self.programs_per_slot_target > 1.0:  # NaN too

@@ -26,8 +26,7 @@ from oracles import (
     random_instance,
     row_dicts,
 )
-from tvrec import behavior, datamodel, evaluate, preference, ranker, synth, textenc
-from tvrec.arrays import Rows
+from tvrec import behavior, bundle, datamodel, evaluate, preference, ranker, synth, textenc
 from tvrec.cli import main as cli_main
 from tvrec.timegrid import SECONDS_PER_WEEK
 
@@ -46,7 +45,6 @@ class Dataset:
     cfg: synth.SynthConfig
     prep: datamodel.Prepared
     behavior: behavior.Behavior
-    embeddings: Rows
     models: dict
     cand: ranker.Candidates
     build_seconds: float
@@ -63,14 +61,10 @@ def build_dataset(seed: int) -> Dataset:
         dt_test=cfg.weeks_test * SECONDS_PER_WEEK,
     )
     prep, _ = datamodel.prepare(log_table(logs), world.metas, cfg.grid, spec)
-    vocab, counts = textenc.fit(prep.texts)
-    embeddings = textenc.encode(vocab, counts)
-    cand = ranker.build_candidates(prep.test_metas(), cfg.grid, prep.cells.channel_names)
-    items = ranker.build_item_index(embeddings.take(prep.candidate_codes()), cand)
-    time_aware = preference.PreferenceModel(preference.build(prep.cells, embeddings), vocab.size, items)
-    models = {"global": preference.global_view(time_aware), "time-aware": time_aware}
-    matrices = behavior.behavior_matrix(prep.cells)
-    return Dataset(cfg, prep, matrices, embeddings, models, cand, time.perf_counter() - t0)
+    # The model `tvrec build` writes, built the same way.
+    built, _ = bundle.build(prep, cfg.grid, {"seed": seed})
+    models = {"global": preference.global_view(built.model), "time-aware": built.model}
+    return Dataset(cfg, prep, built.behavior, models, built.cand, time.perf_counter() - t0)
 
 
 def rank_and_score(ds: Dataset) -> dict[str, float]:
@@ -155,7 +149,9 @@ def test_criterion_3_distribution_invariants(dataset_a):
         assert all(p > 0 for p in probs)
     worst_norm = 0.0
     nonzero = 0
-    for emb in row_dicts(dataset_a.embeddings):
+    # Every program's embedding: the bundle keeps the candidates' only.
+    embeddings = textenc.encode(*textenc.fit(dataset_a.prep.texts))
+    for emb in row_dicts(embeddings):
         if emb:
             nonzero += 1
             worst_norm = max(worst_norm, abs(l2_norm(emb) - 1.0))

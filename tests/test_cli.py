@@ -14,6 +14,7 @@ import pytest
 
 import tvrec
 from oracles import behavior_matrix_dicts, tensor_dicts
+from tvrec import bundle
 from tvrec.cli import _CONFIG_SECTIONS, EngineConfig, _prepared_manifest, load_config, main
 from tvrec.datamodel import load_prepared
 from tvrec.errors import ConfigError
@@ -247,6 +248,14 @@ def _malformed_argv(case, cfg, tmp_path):
     """The argv of one malformed-input case; its bad file goes in tmp_path."""
     if case in ("tune no dev user with truth", "prep no user in both halves"):
         return _no_truth_argv(case, tmp_path)
+    if case.endswith("seed negative"):
+        # Refused as a config error before the seed is drawn from.
+        if case.startswith("synth"):
+            return ["synth", "--seed", -1, "--out-dir", tmp_path / "data"]
+        engine = json.loads(cfg.read_text())
+        bad = tmp_path / "engine.json"
+        bad.write_text(json.dumps({**engine, "seed": -3}))
+        return [case.split()[0], "--config", bad, "--out", tmp_path / "out.json"]
     if case in ("bench bundle without users", "tune bundle without users"):
         model = tmp_path / "model.pkl"
         _write_arrays(model, _without_users(_bundle_arrays(cfg.parent / "out" / "model.pkl")))
@@ -329,6 +338,7 @@ def _malformed_argv(case, cfg, tmp_path):
                          "synth config n_users a float": b'{"n_users": 2.5}',
                          "synth config n_channels a whole float": b'{"n_channels": 2.0}',
                          "synth config rng_seed a float": b'{"rng_seed": 1.5}',
+                         "synth config rng_seed negative": b'{"rng_seed": -5}',
                          "synth config n_users a bool": b'{"n_users": true}',
                          "synth config n_slots a whole float": b'{"n_slots": 672.0}',
                          "synth config n_slots 0": b'{"n_slots": 0}',
@@ -386,6 +396,10 @@ def _malformed_argv(case, cfg, tmp_path):
         ("synth config n_users a float", 2),
         ("synth config n_channels a whole float", 2),
         ("synth config rng_seed a float", 2),
+        ("synth config rng_seed negative", 2),
+        ("synth seed negative", 2),
+        ("bench seed negative", 2),
+        ("tune seed negative", 2),
         ("synth config n_users a bool", 2),
         ("synth config n_slots a whole float", 2),
         ("synth config n_slots 0", 2),
@@ -778,6 +792,22 @@ def test_damaged_prepared_files_exit_with_data_error(built, tmp_path, capsys):
         code = run(["build", "--config", cfg, "--out-dir", out])
         err = capsys.readouterr().err
         assert code in (0, 3) and "internal error" not in err, f"{key} changed in range: exit {code}: {err}"
+
+
+def test_bundle_module_reproduces_the_built_bytes(built):
+    # `build` and tvrec.bundle are one path: the bundle `build` wrote dumps
+    # back to its own bytes, and so does one built from prepared.npz.
+    _, cfg = built
+    engine = load_config(str(cfg), {})
+    path = Path(engine.model_path)
+    written = path.read_bytes()
+    fh = io.BytesIO()
+    bundle.dump(fh, bundle.load(path))
+    assert fh.getvalue() == written
+    prepared = load_prepared(Path(engine.out_dir) / "prepared.npz", _prepared_manifest(engine), engine.grid)
+    fh = io.BytesIO()
+    bundle.dump(fh, bundle.build(prepared, engine.grid, engine.provenance())[0])
+    assert fh.getvalue() == written
 
 
 def test_build_writes_the_bundle_where_the_benchmark_reads_it(built):
