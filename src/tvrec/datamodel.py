@@ -4,7 +4,13 @@ extraction.
 
 Viewing logs live in one :class:`LogTable` of numpy columns, not one object
 per line. :func:`parse_logs` interns user, program and channel names into
-int32 codes as it reads. The stages after it work on the columns: the flip
+int32 codes as it reads. It reads the lines in blocks: a block whose every
+line has exactly the shape ``tvrec synth`` writes (``json.dumps`` of ``user,
+program, channel, t, dt`` in that order, ASCII names without escapes,
+integers of at most 18 digits) is checked by one regular expression and
+decoded by numpy passes over its bytes; every other block is decoded line by
+line, by the one JSON line decoder that :func:`parse_programs` uses too. The
+stages after it work on the columns: the flip
 filter and the split are boolean masks over the table, the user and item
 restrictions are lookup arrays indexed by code, and the tensor is one grouping
 of equal (user, program, slot, channel) rows with their counts, kept as the
@@ -40,8 +46,12 @@ through the codec of :mod:`tvrec.arrays` with ``allow_pickle=False``:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import operator
+import re
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Mapping, TextIO
@@ -207,22 +217,16 @@ def open_jsonl(path: str) -> TextIO:
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _parse_jsonl(
-    lines: Iterable[str],
-    fields: tuple[str, ...],
-    build: Callable[..., None],
-    what: str,
-) -> int:
-    """Call ``build`` with the ``fields`` of each non-blank line, in order,
-    and return the number of malformed lines.
+def _decode_lines(lines: Iterable[str], fields: tuple[str, ...], build: Callable[..., None]) -> tuple[int, int]:
+    """Call ``build`` with the ``fields`` of each non-blank line, in order;
+    return the number of non-blank lines and how many of them are malformed.
 
-    A line is malformed when it holds a lone surrogate (a byte that was not
-    UTF-8, see :func:`open_jsonl`), is not exactly one JSON object (or nests
-    too deep to decode), lacks a field, or makes ``build`` raise
-    ``ValueError``. ``build`` checks the field types: the decoder yields exact
-    ``str`` and ``int``, so ``type(v) is int`` is the rule that a bool is not
-    an int. Raises :class:`DataError` when more than half of the lines are
-    malformed.
+    This is the one JSON line decoder. A line is malformed when it holds a
+    lone surrogate (a byte that was not UTF-8, see :func:`open_jsonl`), is not
+    exactly one JSON object (or nests too deep to decode), lacks a field, or
+    makes ``build`` raise ``ValueError``. ``build`` checks the field types:
+    the decoder yields exact ``str`` and ``int``, so ``type(v) is int`` is the
+    rule that a bool is not an int.
     """
     get = operator.itemgetter(*fields)
     skipped = 0
@@ -241,9 +245,106 @@ def _parse_jsonl(
             build(*get(rec))
         except (ValueError, KeyError, TypeError, StopIteration, RecursionError):
             skipped += 1
+    return total, skipped
+
+
+def _refuse_mostly_malformed(total: int, skipped: int, what: str) -> None:
     if total > 0 and skipped * 2 > total:
         raise DataError(f"{skipped} of {total} {what} lines are malformed; refusing input")
-    return skipped
+
+
+_LOG_BLOCK_LINES = 2048
+_LOG_FIELDS = ("user", "program", "channel", "t", "dt")
+
+
+@functools.cache
+def _canonical_log_block() -> re.Pattern[str]:
+    """One or more log lines of exactly the shape ``tvrec synth`` writes,
+    each ending in ``"\\n"`` and joined by ``"\\0"``.
+
+    A line is ``json.dumps`` of the fields ``user, program, channel, t, dt``
+    in that order: ASCII names without ``"``, ``\\`` or a control character
+    (so without escapes), and JSON integers of at most 18 digits, ``dt``
+    without a sign. Compiled on first use, so importing the module costs no
+    memory for it.
+    """
+    name = r'"[ !#-\[\]-\x7f]*"'
+    digits = "(?:0|[1-9][0-9]{0,17})"
+    line = f'\\{{"user": {name}, "program": {name}, "channel": {name}, "t": -?{digits}, "dt": {digits}\\}}\n'
+    return re.compile(f"{line}(?:\0{line})*")
+
+
+def _read_canonical_block(block: list[str], names: tuple[dict[str, int], ...], cols: tuple[array, ...]) -> bool:
+    """Append the rows of ``block`` to ``cols`` and return True when every
+    line has the shape of :func:`_canonical_log_block`; otherwise append
+    nothing and return False.
+
+    Such a line decodes as the line decoder would decode it, so the block is
+    read by whole-block numpy passes over its bytes: quote offsets give the
+    spans of the names and the digits, and :func:`_intern` numbers the names.
+    """
+    text = "\0".join(block)
+    # Every "\0" must join two lines: one inside a line would pass for a joint.
+    if text.count("\0") != len(block) - 1 or not text.isascii() or not _canonical_log_block().fullmatch(text):
+        return False
+    data = text.encode("ascii") + bytes(8)  # padded so that every name's last word is whole
+    raw = np.frombuffer(data, dtype=np.uint8)
+    word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # the 8 bytes from each offset
+    quote = np.flatnonzero(raw == ord('"')).reshape(-1, 16)
+    newline = np.flatnonzero(raw == ord("\n"))
+    for col, index, value in zip(cols, names, (2, 6, 10)):
+        col.frombytes(_intern(text, word_at, quote[:, value] + 1, quote[:, value + 1], index).tobytes())
+    # '"t": 12, "dt": 3}': each integer starts 3 bytes after its key's closing quote.
+    cols[3].frombytes(_integers(raw, quote[:, 13] + 3, quote[:, 14] - 2).tobytes())
+    cols[4].frombytes(_integers(raw, quote[:, 15] + 3, newline - 1).tobytes())
+    return True
+
+
+# _BYTE_MASK[k] keeps the first k bytes of a little-endian word.
+_BYTE_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
+
+
+def _intern(text: str, word_at: np.ndarray, start: np.ndarray, stop: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """The int32 codes in ``index`` of the ASCII names ``text[start:stop]``.
+
+    ``word_at[i]`` is the 8 bytes of ``text`` from offset ``i``. Names are
+    grouped by their bytes, packed into as many 8-byte words as the longest
+    needs and zero-padded (a name holds no NUL, so padding cannot make two
+    names equal). Each distinct name is looked up once, in order of first
+    appearance, so a name new to ``index`` gets the code that reading the
+    lines one by one would give it.
+    """
+    width = stop - start
+    words = np.empty((-(-int(width.max()) // 8) or 1, len(start)), dtype="<u8")
+    for j, word in enumerate(words):
+        word[:] = word_at[start + 8 * j] & _BYTE_MASK[np.clip(width - 8 * j, 0, 8)]
+    order = np.lexsort(words)  # stable: each group's first row comes first
+    ranked = words[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    group = np.cumsum(new) - 1
+    first = order[new]
+    by_first = np.argsort(first)
+    found = zip(start[first[by_first]].tolist(), stop[first[by_first]].tolist())
+    group_code = np.empty(len(first), dtype=np.int32)
+    group_code[by_first] = [index.setdefault(text[lo:hi], len(index)) for lo, hi in found]
+    codes = np.empty(len(order), dtype=np.int32)
+    codes[order] = group_code[group]
+    return codes
+
+
+def _integers(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The int64 values of the JSON integers ``raw[start:stop]``, each of at
+    most 18 digits after an optional ``-``, so that none overflows."""
+    negative = raw[start] == ord("-")
+    start = start + negative
+    width = stop - start
+    value = np.zeros(len(start), dtype=np.int64)
+    for k in range(int(width.max())):
+        has = width > k
+        digit = raw[np.where(has, start + k, start)] - ord("0")
+        value = np.where(has, value * 10 + digit, value)
+    return np.where(negative, -value, value)
 
 
 def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
@@ -254,10 +355,21 @@ def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
     ``dt`` is negative or when ``t`` or ``dt`` does not fit in int64, since
     neither column could hold it. Raises :class:`DataError` when more than
     half of the lines are malformed.
+
+    Lines are read in blocks of ``_LOG_BLOCK_LINES``. A block in which every
+    line has exactly the shape ``tvrec synth`` writes is checked with one
+    regular expression and decoded by numpy passes over its bytes. That shape
+    is ``json.dumps`` of ``{"user", "program", "channel", "t", "dt"}`` in that
+    order, with its default separators: ASCII names without ``"``, ``\\``
+    or a control character, JSON integers of at most 18 digits and ``dt >=
+    0``, and nothing else on the line but its newline. Every other block is
+    decoded line by line, by the decoder :func:`parse_programs` uses too.
+    Both give the same rows, skip count and codes.
     """
     names: tuple[dict[str, int], ...] = ({}, {}, {})
     users, programs, channels = names
-    cols: tuple[list[int], ...] = ([], [], [], [], [])
+    # Typed buffers, not lists of ints, so the rows take 28 bytes each.
+    cols = (array("i"), array("i"), array("i"), array("q"), array("q"))
     add_user, add_program, add_channel, add_t, add_dt = (col.append for col in cols)
 
     def add(user: str, program: str, channel: str, t: int, dt: int) -> None:
@@ -275,11 +387,20 @@ def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
         add_t(t)
         add_dt(dt)
 
-    skipped = _parse_jsonl(lines, ("user", "program", "channel", "t", "dt"), add, "log")
+    total = skipped = 0
+    rest = iter(lines)
+    while block := list(itertools.islice(rest, _LOG_BLOCK_LINES)):
+        if _read_canonical_block(block, names, cols):
+            total += len(block)
+        else:
+            n, bad = _decode_lines(block, _LOG_FIELDS, add)
+            total += n
+            skipped += bad
+    _refuse_mostly_malformed(total, skipped, "log")
     table = LogTable(
         *(tuple(index) for index in names),
-        *(np.array(col, dtype=np.int32) for col in cols[:3]),
-        *(np.array(col, dtype=np.int64) for col in cols[3:]),
+        *(np.frombuffer(col, dtype=np.int32) for col in cols[:3]),
+        *(np.frombuffer(col, dtype=np.int64) for col in cols[3:]),
     )
     return table, skipped
 
@@ -295,7 +416,8 @@ def parse_programs(lines: Iterable[str]) -> tuple[list[ProgramMeta], int]:
             raise ValueError("start or end is not an integer")
         metas.append(ProgramMeta(program, channel, start, end, text))
 
-    skipped = _parse_jsonl(lines, ("program", "channel", "start", "end", "text"), add, "program")
+    total, skipped = _decode_lines(lines, ("program", "channel", "start", "end", "text"), add)
+    _refuse_mostly_malformed(total, skipped, "program")
     return metas, skipped
 
 

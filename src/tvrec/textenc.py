@@ -4,6 +4,11 @@ Embeddings are CSR rows (:class:`tvrec.arrays.Rows`), one per text, of the
 dimension codes of its distinct tokens and float64 weights. The idf scheme is
 the smoothed form ``ln((1+N)/(1+df)) + 1`` with raw term counts for tf and L2
 normalization of non-zero rows, which bounds dot-product scores.
+
+:func:`tokenize` defines a token. :func:`fit` gets the same tokens without
+tokenizing text by text or counting in a per-text ``Counter``: it splits
+blocks of texts with one ``findall`` each and counts the (text, token) pairs
+of a block with one ``np.unique``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -55,6 +59,11 @@ class _Codes(dict):
         return code
 
 
+_FIT_BLOCK_TEXTS = 2048
+# A token, or the "\n" that ends a text in a block of texts joined by "\n".
+_BLOCK_TOKEN_RE = re.compile(f"\n|{_TOKEN_RE.pattern}")
+
+
 def fit(texts: Sequence[str]) -> tuple[Vocabulary, Rows]:
     """Fit idf weights over ``texts``, tokenizing each text once.
 
@@ -63,20 +72,43 @@ def fit(texts: Sequence[str]) -> tuple[Vocabulary, Rows]:
     :func:`encode`: row ``i`` holds the dimension codes of text ``i``'s
     distinct tokens, in order of first occurrence, and how often each occurs.
     Raises :class:`DataError` when the texts hold no token at all.
+
+    No text is tokenized on its own. Each block of ``_FIT_BLOCK_TEXTS`` texts
+    is joined by ``"\n"`` (after any ``"\n"`` inside a text becomes a space,
+    which separates tokens as well), lowercased and split with one
+    ``findall`` that also yields each joining ``"\n"``. That gives every
+    text's :func:`tokenize` tokens: neither character is cased or
+    case-ignorable, so lowercasing, Greek final sigma included, sees each
+    text's ends as it would alone. The (text, token) pairs are then counted
+    with ``np.unique``, in order of first occurrence.
     """
     codes = _Codes()
+    end = codes["\n"]
     ptr = np.zeros(len(texts) + 1, dtype=np.int64)
     col, counts = array("i"), array("i")
-    for i, text in enumerate(texts, 1):
-        tf = Counter(tokenize(text))
-        col.extend(map(codes.__getitem__, tf))
-        counts.extend(tf.values())
-        ptr[i] = len(col)
+    for lo in range(0, len(texts), _FIT_BLOCK_TEXTS):
+        block = texts[lo : lo + _FIT_BLOCK_TEXTS]
+        joined = "\n".join(block)
+        if joined.count("\n") != len(block) - 1:
+            joined = "\n".join(text.replace("\n", " ") for text in block)
+        found = np.fromiter(map(codes.__getitem__, _BLOCK_TOKEN_RE.findall(joined.lower())), dtype=np.int64)
+        text = np.cumsum(found == end)  # each token's text in the block
+        token = found != end
+        # One key per (text, token) pair, in text order; unique's first index
+        # orders each text's distinct tokens by first occurrence.
+        pairs, first, n = np.unique(text[token] * len(codes) + found[token], return_index=True, return_counts=True)
+        by_first = np.argsort(first)
+        pairs, n = pairs[by_first], n[by_first]
+        ptr[lo + 1 : lo + len(block) + 1] = len(col) + np.cumsum(np.bincount(pairs // len(codes), minlength=len(block)))
+        col.frombytes((pairs % len(codes)).astype(np.int32).tobytes())
+        counts.frombytes(n.astype(np.int32).tobytes())
+    del codes["\n"]
     if not codes:
         raise DataError("the corpus holds no token: it has no text, or only empty ones")
 
     tokens = sorted(codes)
-    dim_of = np.argsort([codes[t] for t in tokens]).astype(np.int32)
+    dim_of = np.zeros(len(codes) + 1, dtype=np.int32)  # by code; code 0 is the "\n"
+    dim_of[[codes[t] for t in tokens]] = np.arange(len(tokens), dtype=np.int32)
     dims = dim_of[np.frombuffer(col, dtype=np.int32)]
     df = np.bincount(dims, minlength=len(tokens)).tolist()
     # math.log, not np.log, whose last bit may differ.

@@ -424,7 +424,7 @@ def parse_jsonl_records(lines: Iterable[bytes], fields, build, what: str) -> tup
                     raise ValueError(f"field {name!r} has wrong type")
                 values.append(v)
             out.append(build(*values))
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):  # RecursionError: nested too deep
             skipped += 1
     if total > 0 and skipped * 2 > total:
         raise DataError(f"{skipped} of {total} {what} lines are malformed; refusing input")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,7 @@ from tvrec.datamodel import (
     split,
     users_in_both,
 )
-from tvrec import synth
+from tvrec import cli, datamodel, synth
 from tvrec.errors import DataError
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
 
@@ -504,3 +505,183 @@ def test_ingestion_matches_record_oracle(seed, tmp_path):
     ]
     assert cells.channels() == {channel for c in want.values() for _, _, channel in c}
     assert list(ground_truth_map(table, items).items()) == list(ground_truth_records(records, items).items())
+
+
+# the block path of parse_logs
+
+
+@pytest.fixture(scope="module")
+def synth_data(tmp_path_factory):
+    """A `tvrec synth` dataset whose logs span several blocks of parse_logs."""
+    data = tmp_path_factory.mktemp("synth")
+    shape = {"n_users": 50, "n_channels": 4, "n_topics": 5, "weeks_train": 2, "weeks_test": 1, "rng_seed": 11}
+    (data / "synth.json").write_text(json.dumps(shape))
+    assert cli.main(["synth", "--config", str(data / "synth.json"), "--out-dir", str(data)]) == 0
+    return data
+
+
+def _same_rows(table, records):
+    """``table`` holds ``records``, with names coded by first appearance."""
+    assert table_rows(table) == [(g.user, g.program, g.channel, g.t, g.dt) for g in records]
+    for field in ("user", "program", "channel"):
+        first_seen = tuple(dict.fromkeys(getattr(g, field) for g in records))
+        assert getattr(table, f"{field}_names") == first_seen, field
+
+
+def _same_tables(a, b):
+    assert (a.user_names, a.program_names, a.channel_names) == (b.user_names, b.program_names, b.channel_names)
+    for col in ("user", "program", "channel", "t", "dt"):
+        x, y = getattr(a, col), getattr(b, col)
+        assert x.dtype == y.dtype and np.array_equal(x, y), col
+
+
+def test_synth_logs_never_reach_the_line_decoder(synth_data, monkeypatch):
+    # Every block of synth's logs has the canonical shape. A change to synth's
+    # output or to the pattern that sent blocks to the line decoder would
+    # keep every row and lose the block path's speed; this makes it fail.
+    path = synth_data / "logs.jsonl"
+    with open_jsonl(path) as fh:
+        want, skipped = parse_logs(fh)
+    assert len(want) > 2 * datamodel._LOG_BLOCK_LINES and skipped == 0
+    _same_rows(want, parse_log_records(path.read_bytes().split(b"\n"))[0])
+
+    def no_decoder(*args):
+        raise AssertionError("a block of synth's logs went to the line decoder")
+
+    monkeypatch.setattr(datamodel, "_decode_lines", no_decoder)
+    with open_jsonl(path) as fh:
+        got, skipped = parse_logs(fh)
+    assert skipped == 0
+    _same_tables(got, want)
+
+
+def test_a_nul_inside_a_line_is_not_a_line_boundary():
+    # Blocks are joined by NUL; a NUL inside one line must not split it.
+    line = '{"user": "u", "program": "p", "channel": "c", "t": 5, "dt": 6}\n'
+    logs, skipped = parse_logs([line, line + "\0" + line, line])
+    assert len(logs) == 2 and skipped == 1
+    logs, skipped = parse_logs([line, line[:-1] + "\0" + line])
+    assert len(logs) == 1 and skipped == 1
+
+
+def _mutants(rng, line: bytes) -> list[list[bytes]]:
+    """One or two damaged copies of a canonical log line per kind of damage;
+    each copy is a list of lines. No copy holds a line break."""
+    row = json.loads(line)
+    flip_at = rng.randrange(len(line))
+    flipped = line[flip_at] ^ (1 << rng.randrange(8))
+    if flipped in b"\r\n":
+        flipped ^= 0x40
+    insert_at = rng.randrange(len(line) + 1)
+    dropped = dict(row)
+    del dropped[rng.choice(list(row))]
+    deep = b"[" * 100_000 + b"]" * 100_000
+    return [
+        [line[: rng.randrange(1, len(line))]],
+        [line[:flip_at] + bytes([flipped]) + line[flip_at + 1 :]],
+        [json.dumps(dropped).encode()],
+        *([json.dumps({**row, key: rng.choice(["7", 7.5, [7], None, True, {}])}).encode()] for key in ("user", "t")),
+        [line[:-1] + b', "z": ' + deep + b"}"],
+        [deep],
+        [line[:insert_at] + rng.choice([b"\xff", b"\xed\xa0\x80", b"\xc3"]) + line[insert_at:]],
+        [line, line],
+    ]
+
+
+def _edge_lines(line: bytes) -> list[list[bytes]]:
+    """Lines at the edges of the canonical shape: each decodes or fails the
+    same way read alone, but only some have the shape."""
+    row = json.loads(line)
+
+    def dumps(**fields):
+        return json.dumps({**row, **fields}).encode()
+
+    raw_name = dumps(user="@").replace(b'"@"', b'"a\x01b"')
+    edges = [
+        dumps(t=0).replace(b'"t": 0,', b'"t": -0,'),
+        dumps(dt=0).replace(b'"dt": 0}', b'"dt": -0}'),
+        dumps(t=1).replace(b'"t": 1,', b'"t": 01,'),
+        dumps(dt=1).replace(b'"dt": 1}', b'"dt": +1}'),
+        dumps(t=10**17 * 9 + 7),  # 18 digits
+        dumps(t=-(10**18) + 1),
+        dumps(t=10**18 + 3),  # 19 digits
+        dumps(dt=2**63 - 1),
+        dumps(t=-(2**63)),
+        dumps(t=2**63),
+        dumps(dt=2**63),
+        dumps(dt=-5),
+        dumps(user='say "hi"'),
+        dumps(program="a\\b"),
+        dumps(channel="café"),
+        json.dumps({**row, "channel": "café"}, ensure_ascii=False).encode(),
+        dumps(user="del\x7f"),
+        dumps(user="ctl\x01"),
+        raw_name,
+        raw_name.replace(b"\x01", b"\t"),
+        dumps(user=""),
+        dumps(program="", channel=""),
+        dumps(program="p" * 17),
+        dumps(user="u" * 40, channel="c" * 9),
+        json.dumps(row, separators=(",", ":")).encode(),
+        json.dumps(dict(reversed(row.items()))).encode(),
+        dumps(z=1),
+        line[:-1] + b', "user": "twice"}',
+        line + b"\r",  # CRLF, read as a newline
+        b"",
+        b" \t ",
+        b"  " + line,
+        line + b" ",
+        line + b"\x00" + line,
+        b"\x00",
+    ]
+    return [[edge] for edge in edges]
+
+
+def _parse_outcome(parse, source):
+    try:
+        rows, skipped = parse(source)
+    except DataError as exc:
+        return "refused", str(exc)
+    return rows, skipped
+
+
+def test_block_path_matches_the_record_oracle_on_damaged_and_edge_lines(synth_data, tmp_path, monkeypatch):
+    # Each damaged or edge line sits at the first, a middle and the last line
+    # of a block, among canonical lines from synth. Blocks are cut small here
+    # so that the file holds many; every block is cut the same way at any size.
+    rng = random.Random(20231)
+    block = 16
+    monkeypatch.setattr(datamodel, "_LOG_BLOCK_LINES", block)
+    canonical = (synth_data / "logs.jsonl").read_bytes().splitlines()
+    mutants = [unit for line in rng.sample(canonical, 3) for unit in _mutants(rng, line)]
+    lines = []
+    for place in ("first", "middle", "last"):
+        for unit in mutants + _edge_lines(rng.choice(canonical)):
+            rows = [rng.choice(canonical) for _ in range(block - len(unit))]
+            at = {"first": 0, "middle": block // 2, "last": len(rows)}[place]
+            lines += rows[:at] + unit + rows[at:]
+    lines += [rng.choice(canonical) + b"\r" for _ in range(block)]  # a block of CRLF lines
+    mostly_good = b"\n".join(lines)  # without a final newline
+    mostly_bad = b"\n".join(line for unit in mutants for line in unit) + b"\n"
+
+    engine = {
+        "preprocessing": {"t_split": synth.SynthConfig(weeks_train=2).t_split, "train_days": 14, "test_days": 7},
+        "paths": {"programs": str(synth_data / "programs.jsonl"), "out_dir": str(tmp_path / "out")},
+    }
+    for name, blob in (("good", mostly_good), ("bad", mostly_bad)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(blob)
+        with open_jsonl(path) as fh:
+            got = _parse_outcome(parse_logs, fh)
+        want = _parse_outcome(parse_log_records, re.split(rb"\r\n|\r|\n", blob))
+        if want[0] == "refused":
+            assert got == want
+        else:
+            _same_rows(got[0], want[0])
+            assert got[1] == want[1]
+        assert (name, want[0] == "refused") in {("good", False), ("bad", True)}
+
+        engine["paths"]["logs"] = str(path)
+        cfg = tmp_path / f"{name}.engine.json"
+        cfg.write_text(json.dumps(engine))
+        assert cli.main(["prep", "--config", str(cfg)]) in (0, 3)

@@ -2,9 +2,11 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oracles import dot, encode_dict, fit_dicts, l2_norm, mean_embedding, row_dicts, term_counts
+from tvrec import textenc
 from tvrec.errors import DataError
 from tvrec.textenc import (
     encode,
@@ -172,3 +174,39 @@ def test_array_builders_equal_the_dict_references(seed):
     ]
     got = row_dicts(encode(vocab, counts))
     assert [list(row.items()) for row in got] == [list(encode_dict(want, term_counts(t)).items()) for t in texts]
+
+
+# Texts whose tokens depend on how fit joins, splits and lowercases a block.
+_LOWERS_TO_TWO = [c for c in map(chr, range(0x110000)) if c.isprintable() and len(c.lower()) > 1]  # İ
+_EDGE_TEXTS = [
+    "Σ", "ΣΑΣ", "ΑΣ", "ΟΔΟΣ ΣΟΦΟΣ", "ΑΣ'", "Α", "ΑΣ'Β", "'Σ", "Σ'Σ", "ΑΣ’s", "ΑΣ", "ΣΑ",
+    *(f"{c}stanbul x{c} {c}{c}" for c in _LOWERS_TO_TWO), "İ", "Σİ", "İΣ",
+    "a\nb", "\n", "ΑΣ\nΒ", "news\r\nsports", "\r", "Σ\r", "x\n\n",
+    "", "", "東京ニュース", "東京news2019 café", "news東京", " ", "...", "\t", "_", "-- _ --",
+]
+
+
+def _per_text_fit(texts):
+    """fit's result from oracles.term_counts, text by text."""
+    vocab = fit_dicts(texts)
+    rows = [term_counts(text) for text in texts]
+    ptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    col = np.array([vocab.index[token] for row in rows for token in row], dtype=np.int32)
+    val = np.array([n for row in rows for n in row.values()], dtype=np.int32)
+    return vocab, ptr, col, val
+
+
+@pytest.mark.parametrize("corpus", ["edges", "edges without a newline", "several blocks"])
+def test_fit_equals_per_text_term_counts_on_edge_texts(corpus):
+    texts = _EDGE_TEXTS
+    if corpus == "edges without a newline":
+        texts = [text for text in texts if "\n" not in text]
+    elif corpus == "several blocks":
+        rng = random.Random(7)
+        texts = [rng.choice(_EDGE_TEXTS) for _ in range(2 * textenc._FIT_BLOCK_TEXTS + 9)]
+    vocab, counts = fit(texts)
+    want, ptr, col, val = _per_text_fit(texts)
+    assert vocab.index == want.index
+    assert list(vocab.idf.items()) == list(want.idf.items())
+    for got, expected in zip(counts, (ptr, col, val)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)

@@ -60,21 +60,25 @@ def test_parse_logs_result_counts_every_non_blank_line(traced):
     assert tracer.counts["datamodel.log_lines"] == sum(1 for line in lines if line.strip())
 
 
-def test_traced_run_spans_every_model_building_stage(tmp_path, capsys):
-    # The harness rebinds names only in the tvrec modules loaded when it
-    # installs; a stage called through any other name would record no span.
+def _synth_inputs(tmp_path, capsys, n_users=12):
+    """A small synth dataset; returns the CLI flags that point at it."""
     data, out = tmp_path / "data", tmp_path / "out"
     synth_cfg = tmp_path / "synth.json"
-    shape = {"n_users": 12, "n_channels": 3, "n_topics": 4, "weeks_train": 2, "weeks_test": 1, "rng_seed": 5}
+    shape = {"n_users": n_users, "n_channels": 3, "n_topics": 4, "weeks_train": 2, "weeks_test": 1, "rng_seed": 5}
     synth_cfg.write_text(json.dumps(shape))
     assert cli.main(["synth", "--config", str(synth_cfg), "--out-dir", str(data)]) == 0
     capsys.readouterr()
     t_split = synth.SynthConfig(weeks_train=2).t_split
     inputs = ["--logs", str(data / "logs.jsonl"), "--programs", str(data / "programs.jsonl"), "--out-dir", str(out)]
     split = ["--t-split", str(t_split), "--train-days", "14", "--test-days", "7"]
+    return inputs, split
+
+
+def _run_traced(tmp_path, steps):
+    """Run ``steps`` through the traced harness; returns the summary and the span names."""
     plan = {
         "src": str(ROOT / "src"),
-        "steps": [["prep", *inputs, *split], ["build", *inputs, *split], ["recommend", *inputs]],
+        "steps": steps,
         "trace": True,
         "spans": str(tmp_path / "spans.jsonl"),
         "summary": str(tmp_path / "summary.json"),
@@ -83,10 +87,18 @@ def test_traced_run_spans_every_model_building_stage(tmp_path, capsys):
     plan_path.write_text(json.dumps(plan))
     done = subprocess.run([sys.executable, str(TRACED), str(plan_path)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    steps = json.loads((tmp_path / "summary.json").read_text())["steps"]
-    assert [step["rc"] for step in steps] == [0, 0, 0], steps
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [step["rc"] for step in summary["steps"]] == [0] * len(steps), summary["steps"]
     with open(tmp_path / "spans.jsonl", encoding="utf-8") as fh:
         names = {json.loads(line)["name"] for line in fh}
+    return summary, names
+
+
+def test_traced_run_spans_every_model_building_stage(tmp_path, capsys):
+    # The harness rebinds names only in the tvrec modules loaded when it
+    # installs; a stage called through any other name would record no span.
+    inputs, split = _synth_inputs(tmp_path, capsys)
+    _, names = _run_traced(tmp_path, [["prep", *inputs, *split], ["build", *inputs, *split], ["recommend", *inputs]])
     stages = {
         "textenc.fit",
         "textenc.encode",
@@ -96,3 +108,18 @@ def test_traced_run_spans_every_model_building_stage(tmp_path, capsys):
         "ranker.build_item_index",
     }
     assert stages <= names, f"no span for {sorted(stages - names)}"
+
+
+def test_traced_prep_spans_ingestion_and_counts_every_log_line(tmp_path, capsys):
+    # The parser reads logs in blocks; the harness still sees one parse_logs
+    # call and counts every non-blank line, read by the block path or not.
+    inputs, split = _synth_inputs(tmp_path, capsys, n_users=40)
+    logs = Path(inputs[1])
+    with open(logs, "a", encoding="utf-8") as fh:
+        fh.write("\n  \n{not json\n")
+    summary, names = _run_traced(tmp_path, [["prep", *inputs, *split]])
+    stages = {"datamodel.parse_logs", "datamodel.parse_programs", "datamodel.prepare"}
+    assert stages <= names, f"no span for {sorted(stages - names)}"
+    non_blank = sum(1 for line in logs.read_text(encoding="utf-8").splitlines() if line.strip())
+    assert non_blank > 2 * datamodel._LOG_BLOCK_LINES
+    assert summary["metrics"]["datamodel.log_lines"]["value"] == non_blank
