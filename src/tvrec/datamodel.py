@@ -253,7 +253,7 @@ def _refuse_mostly_malformed(total: int, skipped: int, what: str) -> None:
         raise DataError(f"{skipped} of {total} {what} lines are malformed; refusing input")
 
 
-_LOG_BLOCK_LINES = 2048
+_LOG_BLOCK_LINES = 3072
 _LOG_FIELDS = ("user", "program", "channel", "t", "dt")
 
 

@@ -514,7 +514,7 @@ def test_ingestion_matches_record_oracle(seed, tmp_path):
 def synth_data(tmp_path_factory):
     """A `tvrec synth` dataset whose logs span several blocks of parse_logs."""
     data = tmp_path_factory.mktemp("synth")
-    shape = {"n_users": 50, "n_channels": 4, "n_topics": 5, "weeks_train": 2, "weeks_test": 1, "rng_seed": 11}
+    shape = {"n_users": 70, "n_channels": 4, "n_topics": 5, "weeks_train": 2, "weeks_test": 1, "rng_seed": 11}
     (data / "synth.json").write_text(json.dumps(shape))
     assert cli.main(["synth", "--config", str(data / "synth.json"), "--out-dir", str(data)]) == 0
     return data

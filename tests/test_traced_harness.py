@@ -113,7 +113,7 @@ def test_traced_run_spans_every_model_building_stage(tmp_path, capsys):
 def test_traced_prep_spans_ingestion_and_counts_every_log_line(tmp_path, capsys):
     # The parser reads logs in blocks; the harness still sees one parse_logs
     # call and counts every non-blank line, read by the block path or not.
-    inputs, split = _synth_inputs(tmp_path, capsys, n_users=40)
+    inputs, split = _synth_inputs(tmp_path, capsys, n_users=60)
     logs = Path(inputs[1])
     with open(logs, "a", encoding="utf-8") as fh:
         fh.write("\n  \n{not json\n")
