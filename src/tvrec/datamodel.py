@@ -254,7 +254,6 @@ def _refuse_mostly_malformed(total: int, skipped: int, what: str) -> None:
 
 
 _LOG_BLOCK_LINES = 3072
-_LOG_FIELDS = ("user", "program", "channel", "t", "dt")
 
 
 @functools.cache
@@ -292,8 +291,8 @@ def _read_canonical_block(block: list[str], names: tuple[dict[str, int], ...], c
     word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # the 8 bytes from each offset
     quote = np.flatnonzero(raw == ord('"')).reshape(-1, 16)
     newline = np.flatnonzero(raw == ord("\n"))
-    for col, index, value in zip(cols, names, (2, 6, 10)):
-        col.frombytes(_intern(text, word_at, quote[:, value] + 1, quote[:, value + 1], index).tobytes())
+    for col, index, opening in zip(cols, names, (2, 6, 10)):  # the quote that opens each name
+        col.frombytes(_intern(text, word_at, quote[:, opening] + 1, quote[:, opening + 1], index).tobytes())
     # '"t": 12, "dt": 3}': each integer starts 3 bytes after its key's closing quote.
     cols[3].frombytes(_integers(raw, quote[:, 13] + 3, quote[:, 14] - 2).tobytes())
     cols[4].frombytes(_integers(raw, quote[:, 15] + 3, newline - 1).tobytes())
@@ -393,7 +392,7 @@ def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
         if _read_canonical_block(block, names, cols):
             total += len(block)
         else:
-            n, bad = _decode_lines(block, _LOG_FIELDS, add)
+            n, bad = _decode_lines(block, ("user", "program", "channel", "t", "dt"), add)
             total += n
             skipped += bad
     _refuse_mostly_malformed(total, skipped, "log")

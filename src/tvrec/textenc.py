@@ -13,6 +13,7 @@ of a block with one ``np.unique``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from array import array
@@ -60,8 +61,14 @@ class _Codes(dict):
 
 
 _FIT_BLOCK_TEXTS = 2048
-# A token, or the "\n" that ends a text in a block of texts joined by "\n".
-_BLOCK_TOKEN_RE = re.compile(f"\n|{_TOKEN_RE.pattern}")
+
+
+@functools.cache
+def _block_tokens() -> re.Pattern[str]:
+    """A token, or the "\\n" that ends a text in a block of texts joined by
+    "\\n". Compiled on first use, since a process that only serves never
+    fits: compiling it takes about 1.5 ms."""
+    return re.compile(f"\n|{_TOKEN_RE.pattern}")
 
 
 def fit(texts: Sequence[str]) -> tuple[Vocabulary, Rows]:
@@ -91,7 +98,7 @@ def fit(texts: Sequence[str]) -> tuple[Vocabulary, Rows]:
         joined = "\n".join(block)
         if joined.count("\n") != len(block) - 1:
             joined = "\n".join(text.replace("\n", " ") for text in block)
-        found = np.fromiter(map(codes.__getitem__, _BLOCK_TOKEN_RE.findall(joined.lower())), dtype=np.int64)
+        found = np.fromiter(map(codes.__getitem__, _block_tokens().findall(joined.lower())), dtype=np.int64)
         text = np.cumsum(found == end)  # each token's text in the block
         token = found != end
         # One key per (text, token) pair, in text order; unique's first index
