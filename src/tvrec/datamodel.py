@@ -6,12 +6,12 @@ Viewing logs live in one :class:`LogTable` of numpy columns, not one object
 per line. :func:`parse_logs` interns user, program and channel names into
 int32 codes as it reads. It reads the lines in blocks: a block whose every
 line has exactly the shape ``tvrec synth`` writes (``json.dumps`` of ``user,
-program, channel, t, dt`` in that order, ASCII names without escapes,
-integers of at most 18 digits) is checked by one regular expression and
-decoded by numpy passes over its bytes; every other block is decoded line by
-line, by the one JSON line decoder that :func:`parse_programs` uses too. The
-stages after it work on the columns: the flip
-filter and the split are boolean masks over the table, the user and item
+program, channel, t, dt`` in that order, ASCII names of at most 64 bytes
+without escapes, integers of at most 18 digits) is checked by one regular
+expression and decoded by numpy passes over its bytes; every other block is
+decoded line by line, by the one JSON line decoder that :func:`parse_programs`
+uses too. The stages after it work on the columns: the flip filter and the
+split are boolean masks over the table, the user and item
 restrictions are lookup arrays indexed by code, and the tensor is one grouping
 of equal (user, program, slot, channel) rows with their counts, kept as the
 columns of :class:`TensorCells`. Program metadata stays a list of
@@ -254,6 +254,10 @@ def _refuse_mostly_malformed(total: int, skipped: int, what: str) -> None:
 
 
 _LOG_BLOCK_LINES = 3072
+# The longest name the block path reads. _intern's key matrix grows with the
+# longest name in a block times the block's lines, so a longer name sends its
+# block to the line decoder instead.
+_NAME_BYTES = 64
 
 
 @functools.cache
@@ -262,12 +266,12 @@ def _canonical_log_block() -> re.Pattern[str]:
     each ending in ``"\\n"`` and joined by ``"\\0"``.
 
     A line is ``json.dumps`` of the fields ``user, program, channel, t, dt``
-    in that order: ASCII names without ``"``, ``\\`` or a control character
-    (so without escapes), and JSON integers of at most 18 digits, ``dt``
-    without a sign. Compiled on first use, so importing the module costs no
-    memory for it.
+    in that order: ASCII names of at most ``_NAME_BYTES`` bytes without
+    ``"``, ``\\`` or a control character (so without escapes), and JSON
+    integers of at most 18 digits, ``dt`` without a sign. Compiled on first
+    use, so importing the module costs no memory for it.
     """
-    name = r'"[ !#-\[\]-\x7f]*"'
+    name = rf'"[ !#-\[\]-\x7f]{{0,{_NAME_BYTES}}}"'
     digits = "(?:0|[1-9][0-9]{0,17})"
     line = f'\\{{"user": {name}, "program": {name}, "channel": {name}, "t": -?{digits}, "dt": {digits}\\}}\n'
     return re.compile(f"{line}(?:\0{line})*")
@@ -359,9 +363,9 @@ def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
     line has exactly the shape ``tvrec synth`` writes is checked with one
     regular expression and decoded by numpy passes over its bytes. That shape
     is ``json.dumps`` of ``{"user", "program", "channel", "t", "dt"}`` in that
-    order, with its default separators: ASCII names without ``"``, ``\\``
-    or a control character, JSON integers of at most 18 digits and ``dt >=
-    0``, and nothing else on the line but its newline. Every other block is
+    order, with its default separators: ASCII names of at most 64 bytes
+    without ``"``, ``\\`` or a control character, JSON integers of at most
+    18 digits and ``dt >= 0``, and nothing else on the line but its newline. Every other block is
     decoded line by line, by the decoder :func:`parse_programs` uses too.
     Both give the same rows, skip count and codes.
     """

@@ -564,6 +564,24 @@ def test_a_nul_inside_a_line_is_not_a_line_boundary():
     assert len(logs) == 1 and skipped == 1
 
 
+def test_a_name_over_64_bytes_sends_its_block_to_the_line_decoder(monkeypatch):
+    # The block path's name keys take (longest name) x (lines) bytes, so a
+    # long name must not reach it.
+    decode, calls = datamodel._decode_lines, []
+
+    def counting(lines, *rest):
+        calls.append(len(lines))
+        return decode(lines, *rest)
+
+    monkeypatch.setattr(datamodel, "_decode_lines", counting)
+    for width, decoded in ((64, False), (65, True)):
+        calls.clear()
+        line = json.dumps({"user": "u" * width, "program": "p", "channel": "c", "t": 5, "dt": 6}) + "\n"
+        logs, skipped = parse_logs([line] * 3)
+        assert table_rows(logs) == [("u" * width, "p", "c", 5, 6)] * 3 and skipped == 0
+        assert bool(calls) == decoded
+
+
 def _mutants(rng, line: bytes) -> list[list[bytes]]:
     """One or two damaged copies of a canonical log line per kind of damage;
     each copy is a list of lines. No copy holds a line break."""
@@ -622,6 +640,9 @@ def _edge_lines(line: bytes) -> list[list[bytes]]:
         dumps(program="", channel=""),
         dumps(program="p" * 17),
         dumps(user="u" * 40, channel="c" * 9),
+        dumps(program="q" * 64),
+        dumps(channel="r" * 65),
+        dumps(user="v" * 100_000),
         json.dumps(row, separators=(",", ":")).encode(),
         json.dumps(dict(reversed(row.items()))).encode(),
         dumps(z=1),
