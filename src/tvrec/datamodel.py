@@ -4,15 +4,13 @@ extraction.
 
 Viewing logs live in one :class:`LogTable` of numpy columns, not one object
 per line. :func:`parse_logs` interns user, program and channel names into
-int32 codes as it reads. It reads the lines in blocks: a block whose every
-line has exactly the shape ``tvrec synth`` writes (``json.dumps`` of ``user,
-program, channel, t, dt`` in that order, ASCII names of at most 64 bytes
-without escapes, integers of at most 18 digits) is checked by one regular
-expression and decoded by numpy passes over its bytes; every other block is
-decoded line by line, by the one JSON line decoder that :func:`parse_programs`
-uses too. The stages after it work on the columns: the flip filter and the
-split are boolean masks over the table, the user and item
-restrictions are lookup arrays indexed by code, and the tensor is one grouping
+int32 codes as it reads. It reads the lines in blocks: the lines at the
+start of a block that have the shape ``tvrec synth`` writes (see
+``_canonical_log_block``) are decoded by numpy passes over their bytes, and
+the rest of the block line by line, by the one JSON line decoder that
+:func:`parse_programs` uses too. The stages after it work on the columns:
+the flip filter and the split are boolean masks over the table, the user and
+item restrictions are lookup arrays indexed by code, and the tensor is one grouping
 of equal (user, program, slot, channel) rows with their counts, kept as the
 columns of :class:`TensorCells`. Program metadata stays a list of
 :class:`ProgramMeta` records.
@@ -255,8 +253,8 @@ def _refuse_mostly_malformed(total: int, skipped: int, what: str) -> None:
 
 _LOG_BLOCK_LINES = 3072
 # The longest name the block path reads. _intern's key matrix grows with the
-# longest name in a block times the block's lines, so a longer name sends its
-# block to the line decoder instead.
+# longest name in a block times the block's lines, so a line with a longer
+# name goes to the line decoder instead.
 _NAME_BYTES = 64
 
 
@@ -266,10 +264,12 @@ def _canonical_log_block() -> re.Pattern[str]:
     each ending in ``"\\n"`` and joined by ``"\\0"``.
 
     A line is ``json.dumps`` of the fields ``user, program, channel, t, dt``
-    in that order: ASCII names of at most ``_NAME_BYTES`` bytes without
-    ``"``, ``\\`` or a control character (so without escapes), and JSON
-    integers of at most 18 digits, ``dt`` without a sign. Compiled on first
-    use, so importing the module costs no memory for it.
+    in that order, with its default separators, and nothing else but the
+    newline: ASCII names of at most ``_NAME_BYTES`` bytes without ``"``,
+    ``\\`` or a control character other than DEL (so without escapes), and
+    JSON integers of at most 18 digits (so none overflows int64), ``dt``
+    without a sign. Compiled on first use, so importing the module costs no
+    memory for it.
     """
     name = rf'"[ !#-\[\]-\x7f]{{0,{_NAME_BYTES}}}"'
     digits = "(?:0|[1-9][0-9]{0,17})"
@@ -277,20 +277,30 @@ def _canonical_log_block() -> re.Pattern[str]:
     return re.compile(f"{line}(?:\0{line})*")
 
 
-def _read_canonical_block(block: list[str], names: tuple[dict[str, int], ...], cols: tuple[array, ...]) -> bool:
-    """Append the rows of ``block`` to ``cols`` and return True when every
-    line has the shape of :func:`_canonical_log_block`; otherwise append
-    nothing and return False.
+def _read_canonical_lines(block: list[str], names: tuple[dict[str, int], ...], cols: tuple[array, ...]) -> int:
+    """Append to ``cols`` the rows of the longest run of lines at the start
+    of ``block`` that have the shape of :func:`_canonical_log_block`, and
+    return how many lines that is.
 
-    Such a line decodes as the line decoder would decode it, so the block is
+    Such a line decodes as the line decoder would decode it, so the run is
     read by whole-block numpy passes over its bytes: quote offsets give the
     spans of the names and the digits, and :func:`_intern` numbers the names.
     """
+    pattern = _canonical_log_block()
+    if not pattern.fullmatch(block[0]):
+        return 0  # logs of another shape mostly fail here, before the join
     text = "\0".join(block)
     # Every "\0" must join two lines: one inside a line would pass for a joint.
-    if text.count("\0") != len(block) - 1 or not text.isascii() or not _canonical_log_block().fullmatch(text):
-        return False
-    data = text.encode("ascii") + bytes(8)  # padded so that every name's last word is whole
+    if text.count("\0") != len(block) - 1:
+        return 0
+    end = pattern.match(text).end()
+    if end < len(text) and text[end] != "\0":
+        end = text.rfind("\0", 0, end)  # the last line matched runs on past its newline
+    text = text[:end]  # the pattern matches only ASCII
+    # _intern reads every line's column up to the block's longest name, at
+    # most _NAME_BYTES - 8 bytes past a name's start and 8 bytes each, so
+    # _NAME_BYTES of padding keeps those reads in range even on the last line.
+    data = text.encode("ascii") + bytes(_NAME_BYTES)
     raw = np.frombuffer(data, dtype=np.uint8)
     word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # the 8 bytes from each offset
     quote = np.flatnonzero(raw == ord('"')).reshape(-1, 16)
@@ -300,7 +310,7 @@ def _read_canonical_block(block: list[str], names: tuple[dict[str, int], ...], c
     # '"t": 12, "dt": 3}': each integer starts 3 bytes after its key's closing quote.
     cols[3].frombytes(_integers(raw, quote[:, 13] + 3, quote[:, 14] - 2).tobytes())
     cols[4].frombytes(_integers(raw, quote[:, 15] + 3, newline - 1).tobytes())
-    return True
+    return len(newline)
 
 
 # _BYTE_MASK[k] keeps the first k bytes of a little-endian word.
@@ -359,21 +369,20 @@ def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
     neither column could hold it. Raises :class:`DataError` when more than
     half of the lines are malformed.
 
-    Lines are read in blocks of ``_LOG_BLOCK_LINES``. A block in which every
-    line has exactly the shape ``tvrec synth`` writes is checked with one
-    regular expression and decoded by numpy passes over its bytes. That shape
-    is ``json.dumps`` of ``{"user", "program", "channel", "t", "dt"}`` in that
-    order, with its default separators: ASCII names of at most 64 bytes
-    without ``"``, ``\\`` or a control character, JSON integers of at most
-    18 digits and ``dt >= 0``, and nothing else on the line but its newline. Every other block is
-    decoded line by line, by the decoder :func:`parse_programs` uses too.
-    Both give the same rows, skip count and codes.
+    Lines are read in blocks of ``_LOG_BLOCK_LINES``. The lines at the start
+    of a block that have the shape of ``_canonical_log_block`` are decoded by
+    numpy passes over their bytes, the rest of the block by the decoder
+    :func:`parse_programs` uses too. Both give the same rows, skip count and
+    codes.
     """
     names: tuple[dict[str, int], ...] = ({}, {}, {})
     users, programs, channels = names
-    # Typed buffers, not lists of ints, so the rows take 28 bytes each.
+    # Typed buffers, not lists of ints, so the rows take 28 bytes each. The
+    # line decoder appends to lists, which is faster, and each block's lists
+    # then move into the buffers.
     cols = (array("i"), array("i"), array("i"), array("q"), array("q"))
-    add_user, add_program, add_channel, add_t, add_dt = (col.append for col in cols)
+    lists: tuple[list[int], ...] = ([], [], [], [], [])
+    add_user, add_program, add_channel, add_t, add_dt = (rows.append for rows in lists)
 
     def add(user: str, program: str, channel: str, t: int, dt: int) -> None:
         if type(user) is not str or type(program) is not str or type(channel) is not str:
@@ -393,12 +402,15 @@ def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
     total = skipped = 0
     rest = iter(lines)
     while block := list(itertools.islice(rest, _LOG_BLOCK_LINES)):
-        if _read_canonical_block(block, names, cols):
-            total += len(block)
-        else:
-            n, bad = _decode_lines(block, ("user", "program", "channel", "t", "dt"), add)
+        done = _read_canonical_lines(block, names, cols)
+        total += done
+        if done < len(block):
+            n, bad = _decode_lines(block[done:], ("user", "program", "channel", "t", "dt"), add)
             total += n
             skipped += bad
+            for col, rows in zip(cols, lists):
+                col.fromlist(rows)
+                rows.clear()
     _refuse_mostly_malformed(total, skipped, "log")
     table = LogTable(
         *(tuple(index) for index in names),

@@ -564,9 +564,29 @@ def test_a_nul_inside_a_line_is_not_a_line_boundary():
     assert len(logs) == 1 and skipped == 1
 
 
-def test_a_name_over_64_bytes_sends_its_block_to_the_line_decoder(monkeypatch):
+def test_a_line_that_runs_on_past_a_newline_is_one_malformed_line():
+    # A line given as a string may hold a newline; the canonical shape before
+    # it must not be read as the whole line, wherever the line sits.
+    line = '{"user": "u", "program": "p", "channel": "c", "t": 5, "dt": 6}\n'
+    for lines in ([line + "x\n", line, line], [line, line + "x\n", line], [line, line, line + "x\n"]):
+        logs, skipped = parse_logs(lines)
+        assert len(logs) == 2 and skipped == 1
+
+
+def test_a_long_name_before_a_short_last_line_parses():
+    # A name's words are read for every line of the block up to the longest
+    # name's width, so the last line's short channel is read far past its end.
+    for width in (30, 64):
+        long = json.dumps({"user": "u", "program": "p", "channel": "c" * width, "t": 5, "dt": 6}) + "\n"
+        short = '{"user": "u", "program": "p", "channel": "c", "t": 5, "dt": 6}\n'
+        logs, skipped = parse_logs([long, short])
+        assert table_rows(logs) == [("u", "p", "c" * width, 5, 6), ("u", "p", "c", 5, 6)] and skipped == 0
+
+
+def test_a_name_over_64_bytes_sends_its_line_to_the_line_decoder(monkeypatch):
     # The block path's name keys take (longest name) x (lines) bytes, so a
-    # long name must not reach it.
+    # long name must not reach it: its line and the rest of its block go to
+    # the line decoder, and the lines before it do not.
     decode, calls = datamodel._decode_lines, []
 
     def counting(lines, *rest):
@@ -574,12 +594,13 @@ def test_a_name_over_64_bytes_sends_its_block_to_the_line_decoder(monkeypatch):
         return decode(lines, *rest)
 
     monkeypatch.setattr(datamodel, "_decode_lines", counting)
-    for width, decoded in ((64, False), (65, True)):
+    short = json.dumps({"user": "u", "program": "p", "channel": "c", "t": 5, "dt": 6}) + "\n"
+    for width, decoded in ((64, []), (65, [2])):
         calls.clear()
         line = json.dumps({"user": "u" * width, "program": "p", "channel": "c", "t": 5, "dt": 6}) + "\n"
-        logs, skipped = parse_logs([line] * 3)
-        assert table_rows(logs) == [("u" * width, "p", "c", 5, 6)] * 3 and skipped == 0
-        assert bool(calls) == decoded
+        logs, skipped = parse_logs([short, line, short])
+        assert table_rows(logs) == [("u", "p", "c", 5, 6), ("u" * width, "p", "c", 5, 6), ("u", "p", "c", 5, 6)]
+        assert skipped == 0 and calls == decoded
 
 
 def _mutants(rng, line: bytes) -> list[list[bytes]]:
@@ -641,6 +662,8 @@ def _edge_lines(line: bytes) -> list[list[bytes]]:
         dumps(program="p" * 17),
         dumps(user="u" * 40, channel="c" * 9),
         dumps(program="q" * 64),
+        dumps(channel="r" * 30),
+        dumps(channel="r" * 64),
         dumps(channel="r" * 65),
         dumps(user="v" * 100_000),
         json.dumps(row, separators=(",", ":")).encode(),
