@@ -555,32 +555,17 @@ def test_synth_logs_never_reach_the_line_decoder(synth_data, monkeypatch):
     _same_tables(got, want)
 
 
-def test_a_nul_inside_a_line_is_not_a_line_boundary():
-    # Blocks are joined by NUL; a NUL inside one line must not split it.
+def test_a_nul_or_newline_inside_a_line_is_not_a_line_boundary():
+    # Blocks are joined by NUL and each canonical line ends in a newline; a
+    # line given as a string that holds either must stay one line.
     line = '{"user": "u", "program": "p", "channel": "c", "t": 5, "dt": 6}\n'
     logs, skipped = parse_logs([line, line + "\0" + line, line])
     assert len(logs) == 2 and skipped == 1
     logs, skipped = parse_logs([line, line[:-1] + "\0" + line])
     assert len(logs) == 1 and skipped == 1
-
-
-def test_a_line_that_runs_on_past_a_newline_is_one_malformed_line():
-    # A line given as a string may hold a newline; the canonical shape before
-    # it must not be read as the whole line, wherever the line sits.
-    line = '{"user": "u", "program": "p", "channel": "c", "t": 5, "dt": 6}\n'
     for lines in ([line + "x\n", line, line], [line, line + "x\n", line], [line, line, line + "x\n"]):
         logs, skipped = parse_logs(lines)
         assert len(logs) == 2 and skipped == 1
-
-
-def test_a_long_name_before_a_short_last_line_parses():
-    # A name's words are read for every line of the block up to the longest
-    # name's width, so the last line's short channel is read far past its end.
-    for width in (30, 64):
-        long = json.dumps({"user": "u", "program": "p", "channel": "c" * width, "t": 5, "dt": 6}) + "\n"
-        short = '{"user": "u", "program": "p", "channel": "c", "t": 5, "dt": 6}\n'
-        logs, skipped = parse_logs([long, short])
-        assert table_rows(logs) == [("u", "p", "c" * width, 5, 6), ("u", "p", "c", 5, 6)] and skipped == 0
 
 
 def test_a_name_over_64_bytes_sends_its_line_to_the_line_decoder(monkeypatch):
