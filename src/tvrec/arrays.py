@@ -5,6 +5,11 @@ entries ``ptr[i]:ptr[i + 1]`` of ``col`` and ``val``. The behavior
 distributions, preference vectors and candidate embeddings that ranking reads
 are all :class:`Rows`.
 
+:func:`intern` numbers ASCII names cut from one text by whole-array passes
+over their bytes, looking each distinct name up once. The parsers of
+:mod:`tvrec.datamodel` number log names, program ids and channels with it,
+and :func:`tvrec.textenc.fit` numbers tokens.
+
 Both files the CLI writes, the prepared dataset (:mod:`tvrec.datamodel`) and
 the model bundle (:mod:`tvrec.bundle`), are uncompressed ``.npz`` archives of
 one-dimensional arrays with a ``manifest`` array of UTF-8 JSON, read with
@@ -60,6 +65,47 @@ def ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     lens = hi - lo
     ends = np.cumsum(lens, dtype=np.int64)
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - (ends - lens), lens)
+
+
+# The longest name intern reads. Its key matrix grows with the longest name
+# times the number of names, so longer names take another path.
+INTERN_BYTES = 64
+
+# _BYTE_MASK[k] keeps the first k bytes of a little-endian word.
+_BYTE_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
+
+
+def intern(text: str, data: bytes, start: np.ndarray, stop: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """The int32 codes in ``index`` of the ASCII names ``text[start:stop]``.
+
+    ``data`` is ``text`` encoded as ASCII and followed by ``INTERN_BYTES``
+    or more zero bytes, and no name is longer than ``INTERN_BYTES``. Names
+    are grouped by their bytes, packed into as many 8-byte words as the
+    longest needs and zero-padded (a name holds no NUL, so padding cannot
+    make two names equal). Each distinct name is looked up once, in order of
+    first appearance, so a name new to ``index`` gets the code that reading
+    the names one by one would give it.
+    """
+    if not len(start):
+        return np.empty(0, dtype=np.int32)
+    word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # the 8 bytes from each offset
+    width = stop - start
+    words = np.empty((-(-int(width.max()) // 8) or 1, len(start)), dtype="<u8")
+    for j, word in enumerate(words):
+        word[:] = word_at[start + 8 * j] & _BYTE_MASK[np.clip(width - 8 * j, 0, 8)]
+    order = np.lexsort(words)  # stable: each group's first row comes first
+    ranked = words[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    group = np.cumsum(new) - 1
+    first = order[new]
+    by_first = np.argsort(first)
+    found = zip(start[first[by_first]].tolist(), stop[first[by_first]].tolist())
+    group_code = np.empty(len(first), dtype=np.int32)
+    group_code[by_first] = [index.setdefault(text[lo:hi], len(index)) for lo, hi in found]
+    codes = np.empty(len(order), dtype=np.int32)
+    codes[order] = group_code[group]
+    return codes
 
 
 def sorted_index(names: Sequence[str], name: str) -> int | None:

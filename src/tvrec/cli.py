@@ -404,9 +404,9 @@ def _cmd_prep(args: argparse.Namespace) -> None:
     with open_jsonl(cfg.logs) as fh:
         logs, skipped_logs = parse_logs(fh)
     with open_jsonl(cfg.programs) as fh:
-        metas, skipped_programs = parse_programs(fh)
-    prepared, summary = prepare(logs, metas, cfg.grid, cfg.split_spec, dt_min=cfg.min_duration_secs)
-    del logs, metas
+        programs, skipped_programs = parse_programs(fh)
+    prepared, summary = prepare(logs, programs, cfg.grid, cfg.split_spec, dt_min=cfg.min_duration_secs)
+    del logs, programs
     out = Path(cfg.out_dir)
     with _atomic_file(out / PREPARED_FILE) as fh:
         dump_prepared(fh, prepared, manifest)

@@ -2,18 +2,19 @@
 train/test splitting, interaction-tensor construction, and ground-truth
 extraction.
 
-Viewing logs live in one :class:`LogTable` of numpy columns, not one object
-per line. :func:`parse_logs` interns user, program and channel names into
-int32 codes as it reads. It reads the lines in blocks: the lines at the
-start of a block that have the shape ``tvrec synth`` writes (see
-``_canonical_log_block``) are decoded by numpy passes over their bytes, and
-the rest of the block line by line, by the one JSON line decoder that
-:func:`parse_programs` uses too. The stages after it work on the columns:
-the flip filter and the split are boolean masks over the table, the user and
-item restrictions are lookup arrays indexed by code, and the tensor is one grouping
-of equal (user, program, slot, channel) rows with their counts, kept as the
-columns of :class:`TensorCells`. Program metadata stays a list of
-:class:`ProgramMeta` records.
+Viewing logs live in one :class:`LogTable` of numpy columns and program
+metadata in one :class:`ProgramTable`, not one object per line.
+:func:`parse_logs` and :func:`parse_programs` intern names into int32 codes
+as they read, through one block reader: the lines at the start of a block
+that have the shape ``tvrec synth`` writes (see ``_canonical_block``) are
+decoded by numpy passes over their bytes, and the rest of the block line by
+line, by the one JSON line decoder. The stages after them work on the
+columns: the flip filter and the split are boolean masks over the tables, the
+user and item restrictions are lookup arrays indexed by code, and the tensor
+is one grouping of equal (user, program, slot, channel) rows with their
+counts, kept as the columns of :class:`TensorCells`. :class:`ProgramMeta`
+is one program as a record, as :mod:`tvrec.synth` makes them and
+:meth:`Prepared.test_metas` gives them to the ranker.
 
 A prepared dataset has one type, :class:`Prepared`: the tensor cells over
 sorted program and channel name tables, every program's text, the test
@@ -52,15 +53,17 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterable, Mapping, TextIO
+from typing import BinaryIO, Callable, Collection, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .arrays import (
+    INTERN_BYTES,
     check_arrays,
     decode_names,
     encode_names,
     in_range,
+    intern,
     is_ptr,
     name_arrays,
     read_npz,
@@ -108,10 +111,41 @@ class ProgramMeta:
     text: str
 
     def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise ValueError(f"program {self.program!r}: start must precede end")
-        if self.end - self.start >= SECONDS_PER_WEEK:
-            raise ValueError(f"program {self.program!r}: broadcast spans a week or more")
+        if not _is_broadcast(self.start, self.end):
+            raise ValueError(f"program {self.program!r}: a broadcast starts before it ends, within a week")
+
+
+def _is_broadcast(start, end):
+    """Whether ``[start, end)`` is a broadcast: it starts before it ends, and
+    lasts less than a week. Elementwise over int64 columns."""
+    return (start < end) & (end - start < SECONDS_PER_WEEK)
+
+
+@dataclass(frozen=True, eq=False)
+class ProgramTable:
+    """Program metadata as columns: row ``i`` is one program, in file order.
+
+    ``program`` and ``channel`` are int32 codes into the name tuples
+    ``program_names`` and ``channel_names``, numbered in order of first
+    appearance, so an id that repeats keeps its first code; ``start`` and
+    ``end`` are the int64 broadcast interval, and ``text`` holds each row's
+    free text (title, artists, abstract concatenated).
+    """
+
+    program_names: tuple[str, ...]
+    channel_names: tuple[str, ...]
+    program: np.ndarray
+    channel: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    text: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not len(self.program) == len(self.channel) == len(self.start) == len(self.end) == len(self.text):
+            raise ValueError("program columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.start)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +200,10 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if self.dt_train <= 0 or self.dt_test <= 0:
             raise ValueError("split window durations must be positive")
+
+    def bounds(self) -> tuple[int, int, int]:
+        """The train window's start, the split and the test window's end."""
+        return self.t_split - self.dt_train, self.t_split, self.t_split + self.dt_test
 
 
 @dataclass(frozen=True)
@@ -251,99 +289,110 @@ def _refuse_mostly_malformed(total: int, skipped: int, what: str) -> None:
         raise DataError(f"{skipped} of {total} {what} lines are malformed; refusing input")
 
 
-_LOG_BLOCK_LINES = 3072
-# The longest name the block path reads. _intern's key matrix grows with the
-# longest name in a block times the block's lines, so a line with a longer
-# name goes to the line decoder instead.
-_NAME_BYTES = 64
+_BLOCK_LINES = 3072
+
+# The JSONL layouts the block path reads: each field's key and kind. A name
+# is interned into int32 codes, a text kept as a string, an int held in int64
+# and a count is an int without a sign.
+_NAME, _TEXT, _INT, _COUNT = "name", "text", "int", "count"
+_LOG_FIELDS = (("user", _NAME), ("program", _NAME), ("channel", _NAME), ("t", _INT), ("dt", _COUNT))
+_PROGRAM_FIELDS = (("program", _NAME), ("channel", _NAME), ("start", _INT), ("end", _INT), ("text", _TEXT))
 
 
 @functools.cache
-def _canonical_log_block() -> re.Pattern[str]:
-    """One or more log lines of exactly the shape ``tvrec synth`` writes,
-    each ending in ``"\\n"`` and joined by ``"\\0"``.
+def _canonical_block(fields: tuple[tuple[str, str], ...]) -> re.Pattern[str]:
+    """One or more lines of exactly the shape ``tvrec synth`` writes for the
+    layout ``fields``, each ending in ``"\\n"`` and joined by ``"\\0"``.
 
-    A line is ``json.dumps`` of the fields ``user, program, channel, t, dt``
-    in that order, with its default separators, and nothing else but the
-    newline: ASCII names of at most ``_NAME_BYTES`` bytes without ``"``,
-    ``\\`` or a control character other than DEL (so without escapes), and
-    JSON integers of at most 18 digits (so none overflows int64), ``dt``
-    without a sign. Compiled on first use, so importing the module costs no
-    memory for it.
+    A line is ``json.dumps`` of the fields in that order, with its default
+    separators, and nothing else but the newline: ASCII strings without
+    ``"``, ``\\`` or a control character other than DEL (so without
+    escapes), names among them of at most ``INTERN_BYTES`` bytes, and JSON
+    integers of at most 18 digits (so none overflows int64). Compiled on
+    first use, so importing the module costs no memory for it.
     """
-    name = rf'"[ !#-\[\]-\x7f]{{0,{_NAME_BYTES}}}"'
+    chars = r"[ !#-\[\]-\x7f]"
     digits = "(?:0|[1-9][0-9]{0,17})"
-    line = f'\\{{"user": {name}, "program": {name}, "channel": {name}, "t": -?{digits}, "dt": {digits}\\}}\n'
+    value = {_NAME: f'"{chars}{{0,{INTERN_BYTES}}}"', _TEXT: f'"{chars}*"', _INT: f"-?{digits}", _COUNT: digits}
+    line = "\\{" + ", ".join(f'"{key}": {value[kind]}' for key, kind in fields) + "\\}\n"
     return re.compile(f"{line}(?:\0{line})*")
 
 
-def _read_canonical_lines(block: list[str], names: tuple[dict[str, int], ...], cols: tuple[array, ...]) -> int:
+def _field_spans(fields: tuple[tuple[str, str], ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """Where each field's value lies in a line of :func:`_canonical_block`,
+    as ``(a, da, b, db)``: from ``da`` bytes after the line's ``a``-th quote
+    to ``db`` bytes after its ``b``-th. Its newline counts as the quote after
+    the last.
+
+    A string's value lies between its own two quotes, after its key's two. An
+    integer starts 3 bytes after its key's closing quote (``": ``) and ends 2
+    bytes before the next key's opening quote (``, "``), or 1 byte before the
+    newline (``}``).
+    """
+    spans = []
+    q = 0  # the quote that opens the field's key
+    for i, (_, kind) in enumerate(fields):
+        if kind in (_NAME, _TEXT):
+            spans.append((q + 2, 1, q + 3, 0))
+            q += 4
+        else:
+            spans.append((q + 1, 3, q + 2, -2 if i + 1 < len(fields) else -1))
+            q += 2
+    return tuple(spans)
+
+
+def _read_canonical_lines(
+    block: list[str],
+    fields: tuple[tuple[str, str], ...],
+    names: Sequence[dict[str, int]],
+    cols: Sequence[array | list],
+    valid: Callable[..., np.ndarray] | None,
+) -> tuple[int, int]:
     """Append to ``cols`` the rows of the longest run of lines at the start
-    of ``block`` that have the shape of :func:`_canonical_log_block`, and
-    return how many lines that is.
+    of ``block`` that have the shape of :func:`_canonical_block`; return how
+    many lines that is and how many of them ``valid`` refused.
 
     Such a line decodes as the line decoder would decode it, so the run is
     read by whole-block numpy passes over its bytes: quote offsets give the
-    spans of the names and the digits, and :func:`_intern` numbers the names.
+    spans of the values, :func:`tvrec.arrays.intern` numbers the names into
+    ``names`` (one index per name field, in order) and the digits become
+    int64. ``valid``, given the integer columns in field order, keeps a row
+    when it is true; the names of a refused row are not interned.
     """
-    pattern = _canonical_log_block()
+    pattern = _canonical_block(fields)
     if not pattern.fullmatch(block[0]):
-        return 0  # logs of another shape mostly fail here, before the join
+        return 0, 0  # lines of another shape mostly fail here, before the join
     text = "\0".join(block)
     # Every "\0" must join two lines: one inside a line would pass for a joint.
     if text.count("\0") != len(block) - 1:
-        return 0
+        return 0, 0
     end = pattern.match(text).end()
     if end < len(text) and text[end] != "\0":
         end = text.rfind("\0", 0, end)  # the last line matched runs on past its newline
     text = text[:end]  # the pattern matches only ASCII
-    # _intern reads every line's column up to the block's longest name, at
-    # most _NAME_BYTES - 8 bytes past a name's start and 8 bytes each, so
-    # _NAME_BYTES of padding keeps those reads in range even on the last line.
-    data = text.encode("ascii") + bytes(_NAME_BYTES)
+    data = text.encode("ascii") + bytes(INTERN_BYTES)
     raw = np.frombuffer(data, dtype=np.uint8)
-    word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # the 8 bytes from each offset
-    quote = np.flatnonzero(raw == ord('"')).reshape(-1, 16)
     newline = np.flatnonzero(raw == ord("\n"))
-    for col, index, opening in zip(cols, names, (2, 6, 10)):  # the quote that opens each name
-        col.frombytes(_intern(text, word_at, quote[:, opening] + 1, quote[:, opening + 1], index).tobytes())
-    # '"t": 12, "dt": 3}': each integer starts 3 bytes after its key's closing quote.
-    cols[3].frombytes(_integers(raw, quote[:, 13] + 3, quote[:, 14] - 2).tobytes())
-    cols[4].frombytes(_integers(raw, quote[:, 15] + 3, newline - 1).tobytes())
-    return len(newline)
-
-
-# _BYTE_MASK[k] keeps the first k bytes of a little-endian word.
-_BYTE_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
-
-
-def _intern(text: str, word_at: np.ndarray, start: np.ndarray, stop: np.ndarray, index: dict[str, int]) -> np.ndarray:
-    """The int32 codes in ``index`` of the ASCII names ``text[start:stop]``.
-
-    ``word_at[i]`` is the 8 bytes of ``text`` from offset ``i``. Names are
-    grouped by their bytes, packed into as many 8-byte words as the longest
-    needs and zero-padded (a name holds no NUL, so padding cannot make two
-    names equal). Each distinct name is looked up once, in order of first
-    appearance, so a name new to ``index`` gets the code that reading the
-    lines one by one would give it.
-    """
-    width = stop - start
-    words = np.empty((-(-int(width.max()) // 8) or 1, len(start)), dtype="<u8")
-    for j, word in enumerate(words):
-        word[:] = word_at[start + 8 * j] & _BYTE_MASK[np.clip(width - 8 * j, 0, 8)]
-    order = np.lexsort(words)  # stable: each group's first row comes first
-    ranked = words[:, order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    group = np.cumsum(new) - 1
-    first = order[new]
-    by_first = np.argsort(first)
-    found = zip(start[first[by_first]].tolist(), stop[first[by_first]].tolist())
-    group_code = np.empty(len(first), dtype=np.int32)
-    group_code[by_first] = [index.setdefault(text[lo:hi], len(index)) for lo, hi in found]
-    codes = np.empty(len(order), dtype=np.int32)
-    codes[order] = group_code[group]
-    return codes
+    quote = np.flatnonzero(raw == ord('"')).reshape(len(newline), -1)
+    bound = [*quote.T, newline]  # each line's k-th quote, then its newline
+    spans = [(bound[a] + da, bound[b] + db) for a, da, b, db in _field_spans(fields)]
+    ints = {i: _integers(raw, *spans[i]) for i, (_, kind) in enumerate(fields) if kind in (_INT, _COUNT)}
+    refused = 0
+    if valid is not None:
+        keep = valid(*ints.values())
+        refused = len(keep) - int(np.count_nonzero(keep))
+        if refused:
+            spans = [(lo[keep], hi[keep]) for lo, hi in spans]
+            ints = {i: column[keep] for i, column in ints.items()}
+    index = iter(names)
+    for i, (col, (lo, hi), (_, kind)) in enumerate(zip(cols, spans, fields)):
+        if kind == _NAME:
+            col.frombytes(intern(text, data, lo, hi, next(index)).tobytes())
+        elif kind == _TEXT:
+            col.extend([text[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+        else:
+            col.frombytes(ints[i].tobytes())
+    return len(newline), refused
 
 
 def _integers(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -360,6 +409,50 @@ def _integers(raw: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
     return np.where(negative, -value, value)
 
 
+def _read_jsonl(
+    lines: Iterable[str],
+    fields: tuple[tuple[str, str], ...],
+    names: Sequence[dict[str, int]],
+    add: Callable[..., None],
+    lists: Sequence[list],
+    valid: Callable[..., np.ndarray] | None = None,
+) -> tuple[list[array | list], int, int]:
+    """Read JSONL lines of the layout ``fields`` into columns; return the
+    columns, the number of non-blank lines and how many were malformed.
+
+    This is the one block reader of :func:`parse_logs` and
+    :func:`parse_programs`. A name field's column holds int32 codes into its
+    index in ``names``, an integer's int64 values, a text's strings. Lines
+    are read in blocks of ``_BLOCK_LINES``. The lines at the start of a block
+    that have the shape of :func:`_canonical_block` are decoded by numpy
+    passes over their bytes, with ``valid`` as the rule a row must meet. The
+    rest of the block goes to :func:`_decode_lines`, whose ``add`` checks a
+    row, including the rule ``valid`` applies, and appends its values (codes
+    for names) to ``lists``; they move into the columns after each block.
+    Both paths give the same rows, skip count and codes.
+    """
+    # Typed buffers, not lists of ints, so a row's codes and integers take
+    # 4 and 8 bytes each. The line decoder appends to lists, which is faster.
+    cols: list[array | list] = [
+        array("i") if kind == _NAME else [] if kind == _TEXT else array("q") for _, kind in fields
+    ]
+    keys = tuple(key for key, _ in fields)
+    total = skipped = 0
+    rest = iter(lines)
+    while block := list(itertools.islice(rest, _BLOCK_LINES)):
+        done, refused = _read_canonical_lines(block, fields, names, cols, valid)
+        total += done
+        skipped += refused
+        if done < len(block):
+            n, bad = _decode_lines(block[done:], keys, add)
+            total += n
+            skipped += bad
+            for col, rows in zip(cols, lists):
+                col.extend(rows)
+                rows.clear()
+    return cols, total, skipped
+
+
 def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
     """Parse JSONL viewing logs into a :class:`LogTable`, in file order.
 
@@ -367,20 +460,11 @@ def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
     Besides the rules of every JSONL input, a log line is malformed when its
     ``dt`` is negative or when ``t`` or ``dt`` does not fit in int64, since
     neither column could hold it. Raises :class:`DataError` when more than
-    half of the lines are malformed.
-
-    Lines are read in blocks of ``_LOG_BLOCK_LINES``. The lines at the start
-    of a block that have the shape of ``_canonical_log_block`` are decoded by
-    numpy passes over their bytes, the rest of the block by the decoder
-    :func:`parse_programs` uses too. Both give the same rows, skip count and
-    codes.
+    half of the lines are malformed. Lines go through the block reader
+    :func:`_read_jsonl`; the canonical shape holds no negative ``dt``.
     """
     names: tuple[dict[str, int], ...] = ({}, {}, {})
     users, programs, channels = names
-    # Typed buffers, not lists of ints, so the rows take 28 bytes each. The
-    # line decoder appends to lists, which is faster, and each block's lists
-    # then move into the buffers.
-    cols = (array("i"), array("i"), array("i"), array("q"), array("q"))
     lists: tuple[list[int], ...] = ([], [], [], [], [])
     add_user, add_program, add_channel, add_t, add_dt = (rows.append for rows in lists)
 
@@ -399,18 +483,7 @@ def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
         add_t(t)
         add_dt(dt)
 
-    total = skipped = 0
-    rest = iter(lines)
-    while block := list(itertools.islice(rest, _LOG_BLOCK_LINES)):
-        done = _read_canonical_lines(block, names, cols)
-        total += done
-        if done < len(block):
-            n, bad = _decode_lines(block[done:], ("user", "program", "channel", "t", "dt"), add)
-            total += n
-            skipped += bad
-            for col, rows in zip(cols, lists):
-                col.fromlist(rows)
-                rows.clear()
+    cols, total, skipped = _read_jsonl(lines, _LOG_FIELDS, names, add, lists)
     _refuse_mostly_malformed(total, skipped, "log")
     table = LogTable(
         *(tuple(index) for index in names),
@@ -420,20 +493,44 @@ def parse_logs(lines: Iterable[str]) -> tuple[LogTable, int]:
     return table, skipped
 
 
-def parse_programs(lines: Iterable[str]) -> tuple[list[ProgramMeta], int]:
-    """Parse JSONL program metadata; same skip-and-count policy as logs."""
-    metas: list[ProgramMeta] = []
+def parse_programs(lines: Iterable[str]) -> tuple[ProgramTable, int]:
+    """Parse JSONL program metadata into a :class:`ProgramTable`, in file
+    order; same skip-and-count policy as :func:`parse_logs`.
+
+    Besides the rules of every JSONL input, a program line is malformed when
+    it breaks :class:`ProgramMeta`'s rule (see :func:`_is_broadcast`) or
+    when ``start`` or ``end`` does not fit in int64. A program id that
+    repeats keeps its code; :func:`prepare` refuses it.
+    """
+    names: tuple[dict[str, int], ...] = ({}, {})
+    programs, channels = names
+    lists: tuple[list, ...] = ([], [], [], [], [])
+    add_program, add_channel, add_start, add_end, add_text = (rows.append for rows in lists)
 
     def add(program: str, channel: str, start: int, end: int, text: str) -> None:
         if type(program) is not str or type(channel) is not str or type(text) is not str:
             raise ValueError("a text field is not a string")
         if type(start) is not int or type(end) is not int:
             raise ValueError("start or end is not an integer")
-        metas.append(ProgramMeta(program, channel, start, end, text))
+        if not (_INT64_MIN <= start <= _INT64_MAX and _INT64_MIN <= end <= _INT64_MAX):
+            raise ValueError("start or end does not fit in int64")
+        if not _is_broadcast(start, end):
+            raise ValueError(f"program {program!r}: not a broadcast of less than a week")
+        add_program(programs.setdefault(program, len(programs)))
+        add_channel(channels.setdefault(channel, len(channels)))
+        add_start(start)
+        add_end(end)
+        add_text(text)
 
-    total, skipped = _decode_lines(lines, ("program", "channel", "start", "end", "text"), add)
+    cols, total, skipped = _read_jsonl(lines, _PROGRAM_FIELDS, names, add, lists, valid=_is_broadcast)
     _refuse_mostly_malformed(total, skipped, "program")
-    return metas, skipped
+    table = ProgramTable(
+        *(tuple(index) for index in names),
+        *(np.frombuffer(col, dtype=np.int32) for col in cols[:2]),
+        *(np.frombuffer(col, dtype=np.int64) for col in cols[2:4]),
+        tuple(cols[4]),
+    )
+    return table, skipped
 
 
 def filter_flips(logs: LogTable, dt_min: int = DEFAULT_MIN_DURATION) -> LogTable:
@@ -443,15 +540,14 @@ def filter_flips(logs: LogTable, dt_min: int = DEFAULT_MIN_DURATION) -> LogTable
     return logs.take(logs.dt >= dt_min)
 
 
-def split(logs: LogTable, metas: Iterable[ProgramMeta], spec: SplitSpec) -> Split:
+def split(logs: LogTable, programs: ProgramTable, spec: SplitSpec) -> Split:
     """Split logs and programs by time around ``spec.t_split``.
 
     A program belongs to the train (test) item set when its broadcast *start*
     falls inside the train (test) window; the windows are disjoint, so the two
     item sets are disjoint by construction.
     """
-    lo, mid = spec.t_split - spec.dt_train, spec.t_split
-    hi = spec.t_split + spec.dt_test
+    lo, mid, hi = spec.bounds()
     t = logs.t
     d_train = logs.take((lo <= t) & (t < mid))
     d_test = logs.take((mid <= t) & (t < hi))
@@ -459,13 +555,14 @@ def split(logs: LogTable, metas: Iterable[ProgramMeta], spec: SplitSpec) -> Spli
         raise DataError(f"no logs in train window [{lo}, {mid}); split is outside the data range")
     if not len(d_test):
         raise DataError(f"no logs in test window [{mid}, {hi}); split is outside the data range")
-    i_train = frozenset(m.program for m in metas if lo <= m.start < mid)
-    i_test = frozenset(m.program for m in metas if mid <= m.start < hi)
+    start = programs.start
+    i_train = _names_of(programs.program_names, programs.program[(lo <= start) & (start < mid)])
+    i_test = _names_of(programs.program_names, programs.program[(mid <= start) & (start < hi)])
     return Split(d_train, d_test, i_train, i_test)
 
 
 def _names_of(names: tuple[str, ...], codes: np.ndarray) -> frozenset[str]:
-    return frozenset(names[c] for c in np.unique(codes).tolist())
+    return frozenset(map(names.__getitem__, np.unique(codes).tolist()))
 
 
 def users_in_both(d_train: LogTable, d_test: LogTable) -> frozenset[str]:
@@ -491,7 +588,7 @@ def _slot_column(t: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 def build_tensor(
     d_train: LogTable,
-    metas: Mapping[str, ProgramMeta],
+    programs: ProgramTable,
     grid: TimeGrid,
     *,
     items: frozenset[str],
@@ -499,7 +596,7 @@ def build_tensor(
 ) -> TensorCells:
     """Count interactions per (user, item, slot, channel) cell, as columns.
 
-    Every log's program must appear in ``metas``. Only logs of a user in
+    Every log's program must appear in ``programs``. Only logs of a user in
     ``users`` (the set U) watching a program in ``items`` (the train item set)
     are counted; the others stay in the data but do not enter the tensor.
     Users left without any counted cell are dropped so that every stored user
@@ -507,7 +604,8 @@ def build_tensor(
     appearance in ``d_train``; codes index the name tuples of ``d_train``.
     """
     present = map(d_train.program_names.__getitem__, np.unique(d_train.program).tolist())
-    unknown = sorted(name for name in present if name not in metas)
+    known = set(programs.program_names)
+    unknown = sorted(name for name in present if name not in known)
     if unknown:
         shown = ", ".join(unknown[:10])
         more = f" (+{len(unknown) - 10} more)" if len(unknown) > 10 else ""
@@ -606,13 +704,13 @@ class Prepared:
 
 def _recode(names: tuple[str, ...], code_of: Mapping[str, int], codes: np.ndarray) -> np.ndarray:
     """``codes`` into ``names`` as codes into the table that ``code_of`` numbers."""
-    lookup = np.fromiter((code_of.get(n, -1) for n in names), dtype=np.int32, count=len(names))
+    lookup = np.fromiter(map(code_of.get, names, itertools.repeat(-1)), dtype=np.int32, count=len(names))
     return lookup[codes]
 
 
 def prepare(
     logs: LogTable,
-    metas: Iterable[ProgramMeta],
+    programs: ProgramTable,
     grid: TimeGrid,
     spec: SplitSpec,
     dt_min: int = DEFAULT_MIN_DURATION,
@@ -622,18 +720,18 @@ def prepare(
     dataset and its summary. ``grid`` slots the training logs into the
     tensor; the summary mirrors the usual dataset-statistics table, plus the
     logs dropped as flips and the users of the split halves outside U.
-    Raises :class:`DataError` when no user enters the tensor."""
-    meta_list = list(metas)
-    by_id: dict[str, ProgramMeta] = {}
-    for m in meta_list:
-        if m.program in by_id:
-            raise DataError(f"duplicate program id {m.program!r} in metadata")
-        by_id[m.program] = m
+    Raises :class:`DataError` when a program id repeats or no user enters
+    the tensor."""
+    if len(programs.program_names) < len(programs):
+        is_first = np.zeros(len(programs), dtype=bool)
+        is_first[np.unique(programs.program, return_index=True)[1]] = True
+        repeat = programs.program_names[programs.program[np.argmin(is_first)]]
+        raise DataError(f"duplicate program id {repeat!r} in metadata")
 
     kept = filter_flips(logs, dt_min)
-    sp = split(kept, meta_list, spec)
+    sp = split(kept, programs, spec)
     users = users_in_both(sp.d_train, sp.d_test)
-    cells = build_tensor(sp.d_train, by_id, grid, items=sp.i_train, users=users)
+    cells = build_tensor(sp.d_train, programs, grid, items=sp.i_train, users=users)
     if not cells.users:
         raise DataError(
             f"no user has a training log on a train program and a log in both halves "
@@ -641,25 +739,33 @@ def prepare(
         )
     truths = ground_truth_map(sp.d_test, sp.i_test)
 
-    programs = tuple(sorted(sp.i_train | sp.i_test))
-    test = [by_id[p] for p in sorted(sp.i_test)]
-    channels = tuple(sorted(cells.channels() | {m.channel for m in test}))
-    program_of = {p: i for i, p in enumerate(programs)}
+    # No id repeats, so the program code of row i is i. The train and test
+    # programs are the rows that start in either window, in id order.
+    ids = programs.program_names
+    lo, mid, hi = spec.bounds()
+    rows = np.flatnonzero((lo <= programs.start) & (programs.start < hi)).tolist()
+    rows.sort(key=ids.__getitem__)
+    rows = np.array(rows, dtype=np.int64)
+    test = np.flatnonzero(programs.start[rows] >= mid)  # codes into the id-ordered programs
+    test_rows = rows[test]
+    program_names = tuple(map(ids.__getitem__, rows.tolist()))
+    channels = tuple(sorted(cells.channels() | _names_of(programs.channel_names, programs.channel[test_rows])))
+    program_of = dict(zip(program_names, range(len(program_names))))
     channel_of = {c: i for i, c in enumerate(channels)}
     truth_rows = [sorted(map(program_of.__getitem__, truths.get(u, ()))) for u in cells.users]
     prepared = Prepared(
         cells=replace(
             cells,
-            program_names=programs,
+            program_names=program_names,
             channel_names=channels,
             program=_recode(cells.program_names, program_of, cells.program),
             channel=_recode(cells.channel_names, channel_of, cells.channel),
         ),
-        texts=tuple(by_id[p].text for p in programs),
-        test_program=np.array([program_of[m.program] for m in test], dtype=np.int32),
-        test_channel=np.array([channel_of[m.channel] for m in test], dtype=np.int32),
-        test_start=np.array([m.start for m in test], dtype=np.int64),
-        test_end=np.array([m.end for m in test], dtype=np.int64),
+        texts=tuple(map(programs.text.__getitem__, rows.tolist())),
+        test_program=test.astype(np.int32),
+        test_channel=_recode(programs.channel_names, channel_of, programs.channel[test_rows]),
+        test_start=programs.start[test_rows],
+        test_end=programs.end[test_rows],
         truth_ptr=np.cumsum([0, *map(len, truth_rows)], dtype=np.int64),
         truth_program=np.array([c for row in truth_rows for c in row], dtype=np.int32),
     )

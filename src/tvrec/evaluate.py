@@ -34,12 +34,14 @@ def precision_at(rec: Sequence, truth: Collection[str], n: int) -> float:
 
 
 def recall_at(rec: Sequence, truth: Collection[str], n: int) -> float:
-    """Fraction of the truth set covered by the top-n recommendations."""
+    """Fraction of the truth set covered by the top-n recommendations; a
+    truth id given twice counts once, as in :func:`ndcg_at`."""
     if n < 1:
         raise ValueError("cutoff must be >= 1")
     if not truth:
         raise ValueError("recall is undefined for empty ground truth")
-    return len(set(_ids(rec, n)) & set(truth)) / len(truth)
+    truth_set = set(truth)
+    return len(set(_ids(rec, n)) & truth_set) / len(truth_set)
 
 
 def ndcg_at(rec: Sequence, truth: Collection[str], n: int) -> float:

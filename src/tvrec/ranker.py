@@ -470,7 +470,7 @@ def tune_rrf(
         kb, kp = rankings[user]
         mask = np.zeros(n, dtype=bool)
         mask[[row_of[pid] for pid in truth if pid in row_of]] = True
-        per_user.append((_rank_of_row(kb, n, "behavior"), _rank_of_row(kp, n, "preference"), mask, len(truth)))
+        per_user.append((_rank_of_row(kb, n, "behavior"), _rank_of_row(kp, n, "preference"), mask, len(set(truth))))
     if not per_user:
         raise ValueError("development set is empty or has no ground truth")
 

@@ -6,9 +6,12 @@ the smoothed form ``ln((1+N)/(1+df)) + 1`` with raw term counts for tf and L2
 normalization of non-zero rows, which bounds dot-product scores.
 
 :func:`tokenize` defines a token. :func:`fit` gets the same tokens without
-tokenizing text by text or counting in a per-text ``Counter``: it splits
-blocks of texts with one ``findall`` each and counts the (text, token) pairs
-of a block with one ``np.unique``.
+tokenizing text by text or counting in a per-text ``Counter``. It splits a
+block of texts that is ASCII once lowercased by one pass over its bytes: a
+byte-class table marks ``[a-z0-9]``, each maximal run is a token, and
+:func:`tvrec.arrays.intern` numbers the tokens as it numbers names in the
+parsers. Any other block is split by one ``findall``. Either way the
+(text, token) pairs of a block are counted with one ``np.unique``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .arrays import Rows
+from .arrays import INTERN_BYTES, Rows, intern
 from .errors import DataError
 
 # Hiragana, katakana, and the main CJK ideograph blocks: treated as unigrams;
@@ -71,6 +74,30 @@ def _block_tokens() -> re.Pattern[str]:
     return re.compile(f"\n|{_TOKEN_RE.pattern}")
 
 
+@functools.cache
+def _token_bytes() -> np.ndarray:
+    """Whether each byte value is one of ``[a-z0-9]``: on lowercased ASCII
+    text, a token is a maximal run of them. Built on first use."""
+    table = np.zeros(256, dtype=bool)
+    table[np.frombuffer(b"abcdefghijklmnopqrstuvwxyz0123456789", dtype=np.uint8)] = True
+    return table
+
+
+def _ascii_tokens(lowered: str, codes: _Codes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each token's text and code in ``lowered``, an ASCII block of texts
+    joined by "\\n", found by a byte-class pass and numbered by
+    :func:`tvrec.arrays.intern`; None when a token is longer than
+    ``INTERN_BYTES``."""
+    data = lowered.encode("ascii") + bytes(INTERN_BYTES)  # ends in a byte outside every token
+    raw = np.frombuffer(data, dtype=np.uint8)
+    edge = np.diff(_token_bytes()[raw].view(np.int8), prepend=np.int8(0))
+    start, stop = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    if len(start) and int((stop - start).max()) > INTERN_BYTES:
+        return None
+    text = np.searchsorted(np.flatnonzero(raw == ord("\n")), start)
+    return text, intern(lowered, data, start, stop, codes)
+
+
 def fit(texts: Sequence[str]) -> tuple[Vocabulary, Rows]:
     """Fit idf weights over ``texts``, tokenizing each text once.
 
@@ -82,12 +109,15 @@ def fit(texts: Sequence[str]) -> tuple[Vocabulary, Rows]:
 
     No text is tokenized on its own. Each block of ``_FIT_BLOCK_TEXTS`` texts
     is joined by ``"\n"`` (after any ``"\n"`` inside a text becomes a space,
-    which separates tokens as well), lowercased and split with one
-    ``findall`` that also yields each joining ``"\n"``. That gives every
-    text's :func:`tokenize` tokens: neither character is cased or
-    case-ignorable, so lowercasing, Greek final sigma included, sees each
-    text's ends as it would alone. The (text, token) pairs are then counted
-    with ``np.unique``, in order of first occurrence.
+    which separates tokens as well) and lowercased. That gives every text's
+    :func:`tokenize` tokens: neither character is cased or case-ignorable, so
+    lowercasing, Greek final sigma included, sees each text's ends as it
+    would alone. A block that is ASCII once lowercased, with no token longer
+    than ``INTERN_BYTES``, is split by a byte-class pass (see
+    :func:`_ascii_tokens`); any other block by one ``findall`` that also
+    yields each joining ``"\n"``. Both number tokens in one table, in order
+    of arrival. The (text, token) pairs are then counted with ``np.unique``,
+    in order of first occurrence.
     """
     codes = _Codes()
     end = codes["\n"]
@@ -98,12 +128,16 @@ def fit(texts: Sequence[str]) -> tuple[Vocabulary, Rows]:
         joined = "\n".join(block)
         if joined.count("\n") != len(block) - 1:
             joined = "\n".join(text.replace("\n", " ") for text in block)
-        found = np.fromiter(map(codes.__getitem__, _block_tokens().findall(joined.lower())), dtype=np.int64)
-        text = np.cumsum(found == end)  # each token's text in the block
-        token = found != end
+        lowered = joined.lower()
+        found = _ascii_tokens(lowered, codes) if lowered.isascii() else None
+        if found is None:
+            tokens = np.fromiter(map(codes.__getitem__, _block_tokens().findall(lowered)), dtype=np.int64)
+            is_token = tokens != end
+            found = np.cumsum(~is_token)[is_token], tokens[is_token]
+        text, token = found  # each token's text in the block, and its code
         # One key per (text, token) pair, in text order; unique's first index
         # orders each text's distinct tokens by first occurrence.
-        pairs, first, n = np.unique(text[token] * len(codes) + found[token], return_index=True, return_counts=True)
+        pairs, first, n = np.unique(text * len(codes) + token, return_index=True, return_counts=True)
         by_first = np.argsort(first)
         pairs, n = pairs[by_first], n[by_first]
         ptr[lo + 1 : lo + len(block) + 1] = len(col) + np.cumsum(np.bincount(pairs // len(codes), minlength=len(block)))

@@ -2,7 +2,7 @@
 
 Everything here is deliberately independent of the library's ranking,
 ingestion and model-building code paths: dense matrices, plain dict
-arithmetic, python sorts, one `ViewingLog` record per log line, the
+arithmetic, python sorts, one `ViewingLog` or `ProgramMeta` record per line, the
 interaction tensor as nested dicts, ``{user: {(program, slot, channel): count}}``,
 the model as dicts: :class:`BehaviorMatrix` and :class:`PreferenceDicts`,
 and tf-idf embeddings as ``{dimension: weight}`` dicts (:func:`fit_dicts`,
@@ -27,7 +27,7 @@ import numpy as np
 
 from tvrec.arrays import Rows
 from tvrec.behavior import Behavior, UserBehavior
-from tvrec.datamodel import LogTable, ProgramMeta, TensorCells, ViewingLog
+from tvrec.datamodel import LogTable, ProgramMeta, ProgramTable, TensorCells, ViewingLog
 from tvrec.errors import DataError
 from tvrec.preference import PreferenceModel, Preferences
 from tvrec.ranker import Candidates, build_item_index
@@ -366,7 +366,7 @@ def mean_embedding(vectors: Iterable[Embedding]) -> Embedding:
 
 
 # ---------------------------------------------------------------------------
-# ingestion, one record per log line
+# ingestion, one record per line
 
 
 def log_table(logs: Iterable[ViewingLog]) -> LogTable:
@@ -385,6 +385,33 @@ def log_table(logs: Iterable[ViewingLog]) -> LogTable:
         np.array([g.t for g in logs], dtype=np.int64),
         np.array([g.dt for g in logs], dtype=np.int64),
     )
+
+
+def program_table(metas: Iterable[ProgramMeta]) -> ProgramTable:
+    """The records as a ProgramTable, ids and channels numbered in order of first appearance."""
+    metas = list(metas)
+    names = ({}, {})
+    codes = [
+        [index.setdefault(name, len(index)) for name in column]
+        for index, column in zip(names, ([m.program for m in metas], [m.channel for m in metas]))
+    ]
+    return ProgramTable(
+        *(tuple(index) for index in names),
+        *(np.array(c, dtype=np.int32) for c in codes),
+        np.array([m.start for m in metas], dtype=np.int64),
+        np.array([m.end for m in metas], dtype=np.int64),
+        tuple(m.text for m in metas),
+    )
+
+
+def program_records(table: ProgramTable) -> list[ProgramMeta]:
+    """The table's rows as ProgramMeta records, in order."""
+    return [
+        ProgramMeta(table.program_names[p], table.channel_names[c], start, end, text)
+        for p, c, start, end, text in zip(
+            *(col.tolist() for col in (table.program, table.channel, table.start, table.end)), table.text
+        )
+    ]
 
 
 def table_rows(table: LogTable) -> list[tuple[str, str, str, int, int]]:
@@ -441,6 +468,18 @@ def parse_log_records(lines: Iterable[bytes]) -> tuple[list[ViewingLog], int]:
     """Reference `parse_logs`: one ViewingLog per well-formed line."""
     fields = (("user", str), ("program", str), ("channel", str), ("t", int), ("dt", int))
     return parse_jsonl_records(lines, fields, _int64_log, "log")
+
+
+def _int64_program(program: str, channel: str, start: int, end: int, text: str) -> ProgramMeta:
+    if not (-(2**63) <= start < 2**63 and -(2**63) <= end < 2**63):
+        raise ValueError("start or end does not fit in int64")
+    return ProgramMeta(program, channel, start, end, text)
+
+
+def parse_program_records(lines: Iterable[bytes]) -> tuple[list[ProgramMeta], int]:
+    """Reference `parse_programs`: one ProgramMeta per well-formed line."""
+    fields = (("program", str), ("channel", str), ("start", int), ("end", int), ("text", str))
+    return parse_jsonl_records(lines, fields, _int64_program, "program")
 
 
 def build_tensor_records(

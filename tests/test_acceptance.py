@@ -23,6 +23,7 @@ from oracles import (
     l2_norm,
     log_table,
     preference_model,
+    program_table,
     random_instance,
     row_dicts,
 )
@@ -60,7 +61,7 @@ def build_dataset(seed: int) -> Dataset:
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=cfg.weeks_test * SECONDS_PER_WEEK,
     )
-    prep, _ = datamodel.prepare(log_table(logs), world.metas, cfg.grid, spec)
+    prep, _ = datamodel.prepare(log_table(logs), program_table(world.metas), cfg.grid, spec)
     # The model `tvrec build` writes, built the same way.
     built, _ = bundle.build(prep, cfg.grid, {"seed": seed})
     models = {"global": preference.global_view(built.model), "time-aware": built.model}

@@ -11,6 +11,7 @@ from oracles import (
     dense_behavior_score,
     log_table,
     preference_model,
+    program_table,
     random_instance,
     tensor_cells,
 )
@@ -75,8 +76,9 @@ def test_behavior_matrix_invariant_to_log_order():
     shuffled = logs[:]
     random.Random(0).shuffle(shuffled)
     restrict = {"items": frozenset(metas), "users": frozenset({"u"})}
-    bm1 = matrix_of(build_tensor(log_table(logs), metas, GRID, **restrict))
-    bm2 = matrix_of(build_tensor(log_table(shuffled), metas, GRID, **restrict))
+    programs = program_table(metas.values())
+    bm1 = matrix_of(build_tensor(log_table(logs), programs, GRID, **restrict))
+    bm2 = matrix_of(build_tensor(log_table(shuffled), programs, GRID, **restrict))
     assert bm1.probs == bm2.probs
 
 

@@ -8,7 +8,17 @@ import pytest
 
 import numpy as np
 
-from oracles import build_tensor_records, ground_truth_records, log_table, parse_log_records, table_rows, tensor_dicts
+from oracles import (
+    build_tensor_records,
+    ground_truth_records,
+    log_table,
+    parse_log_records,
+    parse_program_records,
+    program_records,
+    program_table,
+    table_rows,
+    tensor_dicts,
+)
 from tvrec.datamodel import (
     Prepared,
     ProgramMeta,
@@ -94,8 +104,8 @@ def test_parse_programs_round_trip():
     line = json.dumps(
         {"program": m.program, "channel": m.channel, "start": m.start, "end": m.end, "text": m.text}
     )
-    metas, skipped = parse_programs([line])
-    assert metas == [m] and skipped == 0
+    programs, skipped = parse_programs([line])
+    assert program_records(programs) == [m] and skipped == 0
 
 
 def test_parse_programs_invalid_interval_skipped():
@@ -134,7 +144,7 @@ def test_parse_programs_skips_and_counts_non_utf8_lines(tmp_path):
     good = json.dumps({"program": "p", "channel": "c", "start": 10, "end": 20, "text": "caf\u00e9"}).encode()
     metas, skipped = _read(tmp_path, [good, good.replace(b"p", b"\xfe", 1), good], parse_programs)
     assert len(metas) == 2 and skipped == 1
-    assert metas[0].text == "caf\u00e9"
+    assert metas.text[0] == "caf\u00e9"
 
 
 def test_parse_logs_skips_t_and_dt_outside_int64():
@@ -192,7 +202,7 @@ def test_split_program_starting_exactly_at_t_split_is_test():
     t = MONDAY + 14 * 86_400
     metas = [meta(program="pA", start=t), meta(program="pB", start=t - 1, dur=1800)]
     logs = [log(program="pA", t=t), log(program="pB", t=t - 1)]
-    sp = split(log_table(logs), metas, SplitSpec(t_split=t, dt_train=7 * 86_400, dt_test=7 * 86_400))
+    sp = split(log_table(logs), program_table(metas), SplitSpec(t_split=t, dt_train=7 * 86_400, dt_test=7 * 86_400))
     assert "pA" in sp.i_test and "pA" not in sp.i_train
     assert "pB" in sp.i_train and "pB" not in sp.i_test
 
@@ -201,14 +211,14 @@ def test_split_log_at_window_end_excluded():
     t = MONDAY + 14 * 86_400
     spec = SplitSpec(t_split=t, dt_train=7 * 86_400, dt_test=7 * 86_400)
     logs = [log(t=t - 1), log(t=t), log(t=t + spec.dt_test)]
-    sp = split(log_table(logs), [meta(start=t - 1, dur=600)], spec)
+    sp = split(log_table(logs), program_table([meta(start=t - 1, dur=600)]), spec)
     assert len(sp.d_train) == 1 and len(sp.d_test) == 1
 
 
 def test_split_empty_window_is_error():
     spec = SplitSpec(t_split=MONDAY)
     with pytest.raises(DataError):
-        split(log_table([log(t=MONDAY - 86_400)]), [meta()], spec)
+        split(log_table([log(t=MONDAY - 86_400)]), program_table([meta()]), spec)
 
 
 def test_split_item_sets_always_disjoint():
@@ -222,7 +232,7 @@ def test_split_item_sets_always_disjoint():
             meta(program=f"p{i}", start=MONDAY + rng.randrange(40 * 86_400)) for i in range(60)
         ]
         logs = [log(program="p0", t=t - 1), log(program="p0", t=t)]
-        sp = split(log_table(logs), metas, spec)
+        sp = split(log_table(logs), program_table(metas), spec)
         assert not sp.i_train & sp.i_test
 
 
@@ -234,42 +244,41 @@ def total(tensor):
 
 
 def test_build_tensor_counts_repeated_views_in_one_slot():
-    metas = {"p1": meta()}
     logs = [log(t=MONDAY + 4 * 900), log(t=MONDAY + 4 * 900 + 30)]
-    tensor = tensor_dicts(build_tensor(log_table(logs), metas, GRID, **P1_U1))
+    tensor = tensor_dicts(build_tensor(log_table(logs), program_table([meta()]), GRID, **P1_U1))
     assert tensor["u1"][("p1", 5, "c1")] == 2
 
 
 def test_build_tensor_single_log_single_cell():
-    tensor = tensor_dicts(build_tensor(log_table([log(t=MONDAY)]), {"p1": meta()}, GRID, **P1_U1))
+    tensor = tensor_dicts(build_tensor(log_table([log(t=MONDAY)]), program_table([meta()]), GRID, **P1_U1))
     assert tensor["u1"] == {("p1", 1, "c1"): 1}
     assert total(tensor) == 1
 
 
 def test_build_tensor_unknown_program_error_lists_ids():
     with pytest.raises(DataError, match="p-unknown"):
-        build_tensor(log_table([log(program="p-unknown")]), {"p1": meta()}, GRID, **P1_U1)
+        build_tensor(log_table([log(program="p-unknown")]), program_table([meta()]), GRID, **P1_U1)
 
 
 def test_build_tensor_restricts_users_and_items():
-    metas = {"p1": meta(program="p1"), "p2": meta(program="p2")}
+    programs = program_table([meta(program="p1"), meta(program="p2")])
     logs = [log(user="u1", program="p1"), log(user="u2", program="p1"), log(user="u1", program="p2")]
     restrict = {"items": frozenset({"p1"}), "users": frozenset({"u1"})}
-    tensor = tensor_dicts(build_tensor(log_table(logs), metas, GRID, **restrict))
+    tensor = tensor_dicts(build_tensor(log_table(logs), programs, GRID, **restrict))
     assert tensor.keys() == {"u1"}
     assert total(tensor) == 1
 
 
 def test_tensor_total_matches_restricted_log_count():
     rng = random.Random(9)
-    metas = {f"p{i}": meta(program=f"p{i}") for i in range(10)}
+    programs = program_table(meta(program=f"p{i}") for i in range(10))
     logs = [
         log(user=f"u{rng.randrange(4)}", program=f"p{rng.randrange(10)}", t=MONDAY + rng.randrange(86_400))
         for _ in range(300)
     ]
     users = frozenset({"u0", "u1"})
     items = frozenset({"p0", "p1", "p2"})
-    tensor = tensor_dicts(build_tensor(log_table(logs), metas, GRID, items=items, users=users))
+    tensor = tensor_dicts(build_tensor(log_table(logs), programs, GRID, items=items, users=users))
     expected = sum(1 for g in logs if g.user in users and g.program in items)
     assert total(tensor) == expected
 
@@ -281,8 +290,9 @@ def test_tensor_total_matches_restricted_log_count():
 def test_build_tensor_slots_match_slot_of_at_int64_edges(grid):
     ts = [2**63 - 1, -(2**63 - 1), -(2**63), -1, 0, MONDAY + 4 * 900]
     logs = log_table([log(program=f"p{i}", t=t) for i, t in enumerate(ts)])
-    metas = {f"p{i}": meta(program=f"p{i}") for i in range(len(ts))}
-    tensor = tensor_dicts(build_tensor(logs, metas, grid, items=frozenset(metas), users=frozenset({"u1"})))
+    programs = program_table(meta(program=f"p{i}") for i in range(len(ts)))
+    items = frozenset(programs.program_names)
+    tensor = tensor_dicts(build_tensor(logs, programs, grid, items=items, users=frozenset({"u1"})))
     assert list(tensor["u1"]) == [(f"p{i}", slot_of(t, grid), "c1") for i, t in enumerate(ts)]
 
 
@@ -321,7 +331,7 @@ def _two_week_dataset():
         log(user="flip", program="p-train", t=MONDAY + 3600, dt=100),
     ]
     spec = SplitSpec(t_split=t_split, dt_train=7 * 86_400, dt_test=7 * 86_400)
-    return log_table(logs), metas, spec
+    return log_table(logs), program_table(metas), spec
 
 
 def test_prepare_excludes_users_missing_from_either_half():
@@ -360,8 +370,9 @@ def test_prepare_counters_reconcile_with_parsed_rows():
 
 def test_prepare_rejects_duplicate_program_ids():
     logs, metas, spec = _two_week_dataset()
-    with pytest.raises(DataError):
-        prepare(logs, metas + [metas[0]], GRID, spec)
+    rows = program_records(metas)
+    with pytest.raises(DataError, match="duplicate program id 'p-train'"):
+        prepare(logs, program_table(rows + rows[:1]), GRID, spec)
 
 
 # the prepared file
@@ -386,7 +397,7 @@ def test_prepared_file_round_trips_in_order(tmp_path):
              for i, m in enumerate(world.metas)]
     spec = SplitSpec(t_split=cfg.t_split, dt_train=2 * SECONDS_PER_WEEK, dt_test=SECONDS_PER_WEEK)
     logs = log_table(synth.gen_logs(world))
-    prepared, _ = prepare(logs, metas, cfg.grid, spec)
+    prepared, _ = prepare(logs, program_table(metas), cfg.grid, spec)
     manifest = {"inputs": {"logs": "a", "programs": "b"}, "grid": [cfg.grid.n, 0]}
     paths = [tmp_path / "one.npz", tmp_path / "two.npz"]
     for path in paths:
@@ -398,10 +409,11 @@ def test_prepared_file_round_trips_in_order(tmp_path):
         load_prepared(paths[0], {**manifest, "inputs": {"logs": "a", "programs": "c"}}, cfg.grid)
 
     # What the prepared dataset holds, against the stages it comes from.
-    sp = split(filter_flips(logs), metas, spec)
+    programs = program_table(metas)
+    sp = split(filter_flips(logs), programs, spec)
     by_id = {m.program: m for m in metas}
     tensor = tensor_dicts(
-        build_tensor(sp.d_train, by_id, cfg.grid, items=sp.i_train, users=users_in_both(sp.d_train, sp.d_test))
+        build_tensor(sp.d_train, programs, cfg.grid, items=sp.i_train, users=users_in_both(sp.d_train, sp.d_test))
     )
     # Same users, cells and counts, in the same order of users and of each user's cells.
     assert list(tensor_dicts(prepared.cells).items()) == list(tensor.items())
@@ -498,7 +510,7 @@ def test_ingestion_matches_record_oracle(seed, tmp_path):
     metas = {pid: meta(program=pid) for pid in ORACLE_PROGRAMS}
     items = frozenset(rng.sample(ORACLE_PROGRAMS, 8))
     users = frozenset(rng.sample(ORACLE_USERS, 3))
-    cells = build_tensor(table, metas, grid, items=items, users=users)
+    cells = build_tensor(table, program_table(metas.values()), grid, items=items, users=users)
     want = build_tensor_records(records, metas, grid, items=items, users=users)
     assert [(u, list(c.items())) for u, c in tensor_dicts(cells).items()] == [
         (u, list(c.items())) for u, c in want.items()
@@ -542,7 +554,7 @@ def test_synth_logs_never_reach_the_line_decoder(synth_data, monkeypatch):
     path = synth_data / "logs.jsonl"
     with open_jsonl(path) as fh:
         want, skipped = parse_logs(fh)
-    assert len(want) > 2 * datamodel._LOG_BLOCK_LINES and skipped == 0
+    assert len(want) > 2 * datamodel._BLOCK_LINES and skipped == 0
     _same_rows(want, parse_log_records(path.read_bytes().split(b"\n"))[0])
 
     def no_decoder(*args):
@@ -558,14 +570,16 @@ def test_synth_logs_never_reach_the_line_decoder(synth_data, monkeypatch):
 def test_a_nul_or_newline_inside_a_line_is_not_a_line_boundary():
     # Blocks are joined by NUL and each canonical line ends in a newline; a
     # line given as a string that holds either must stay one line.
-    line = '{"user": "u", "program": "p", "channel": "c", "t": 5, "dt": 6}\n'
-    logs, skipped = parse_logs([line, line + "\0" + line, line])
-    assert len(logs) == 2 and skipped == 1
-    logs, skipped = parse_logs([line, line[:-1] + "\0" + line])
-    assert len(logs) == 1 and skipped == 1
-    for lines in ([line + "x\n", line, line], [line, line + "x\n", line], [line, line, line + "x\n"]):
-        logs, skipped = parse_logs(lines)
-        assert len(logs) == 2 and skipped == 1
+    log_line = '{"user": "u", "program": "p", "channel": "c", "t": 5, "dt": 6}\n'
+    program_line = '{"program": "p", "channel": "c", "start": 5, "end": 6, "text": "t"}\n'
+    for parse, line in ((parse_logs, log_line), (parse_programs, program_line)):
+        rows, skipped = parse([line, line + "\0" + line, line])
+        assert len(rows) == 2 and skipped == 1
+        rows, skipped = parse([line, line[:-1] + "\0" + line])
+        assert len(rows) == 1 and skipped == 1
+        for lines in ([line + "x\n", line, line], [line, line + "x\n", line], [line, line, line + "x\n"]):
+            rows, skipped = parse(lines)
+            assert len(rows) == 2 and skipped == 1
 
 
 def test_a_name_over_64_bytes_sends_its_line_to_the_line_decoder(monkeypatch):
@@ -589,9 +603,11 @@ def test_a_name_over_64_bytes_sends_its_line_to_the_line_decoder(monkeypatch):
 
 
 def _mutants(rng, line: bytes) -> list[list[bytes]]:
-    """One or two damaged copies of a canonical log line per kind of damage;
-    each copy is a list of lines. No copy holds a line break."""
+    """One or two damaged copies of a canonical log or program line per kind
+    of damage; each copy is a list of lines. No copy holds a line break."""
     row = json.loads(line)
+    keys = list(row)
+    retyped = (keys[0], keys[3])  # a string and an integer field
     flip_at = rng.randrange(len(line))
     flipped = line[flip_at] ^ (1 << rng.randrange(8))
     if flipped in b"\r\n":
@@ -604,7 +620,7 @@ def _mutants(rng, line: bytes) -> list[list[bytes]]:
         [line[: rng.randrange(1, len(line))]],
         [line[:flip_at] + bytes([flipped]) + line[flip_at + 1 :]],
         [json.dumps(dropped).encode()],
-        *([json.dumps({**row, key: rng.choice(["7", 7.5, [7], None, True, {}])}).encode()] for key in ("user", "t")),
+        *([json.dumps({**row, key: rng.choice(["7", 7.5, [7], None, True, {}])}).encode()] for key in retyped),
         [line[:-1] + b', "z": ' + deep + b"}"],
         [deep],
         [line[:insert_at] + rng.choice([b"\xff", b"\xed\xa0\x80", b"\xc3"]) + line[insert_at:]],
@@ -680,7 +696,7 @@ def test_block_path_matches_the_record_oracle_on_damaged_and_edge_lines(synth_da
     # so that the file holds many; every block is cut the same way at any size.
     rng = random.Random(20231)
     block = 16
-    monkeypatch.setattr(datamodel, "_LOG_BLOCK_LINES", block)
+    monkeypatch.setattr(datamodel, "_BLOCK_LINES", block)
     canonical = (synth_data / "logs.jsonl").read_bytes().splitlines()
     mutants = [unit for line in rng.sample(canonical, 3) for unit in _mutants(rng, line)]
     lines = []
@@ -711,6 +727,134 @@ def test_block_path_matches_the_record_oracle_on_damaged_and_edge_lines(synth_da
         assert (name, want[0] == "refused") in {("good", False), ("bad", True)}
 
         engine["paths"]["logs"] = str(path)
+        cfg = tmp_path / f"{name}.engine.json"
+        cfg.write_text(json.dumps(engine))
+        assert cli.main(["prep", "--config", str(cfg)]) in (0, 3)
+
+
+# the block path of parse_programs
+
+
+def _same_programs(table, records):
+    """``table`` holds ``records``, with ids and channels coded by first appearance."""
+    assert program_records(table) == records
+    assert table.program_names == tuple(dict.fromkeys(m.program for m in records))
+    assert table.channel_names == tuple(dict.fromkeys(m.channel for m in records))
+
+
+def test_synth_programs_never_reach_the_line_decoder(synth_data, monkeypatch):
+    # As for logs: every block of synth's programs has the canonical shape,
+    # so a change that sent one to the line decoder fails here.
+    monkeypatch.setattr(datamodel, "_BLOCK_LINES", 1024)
+    path = synth_data / "programs.jsonl"
+    with open_jsonl(path) as fh:
+        want, skipped = parse_programs(fh)
+    assert len(want) > 2 * datamodel._BLOCK_LINES and skipped == 0
+    _same_programs(want, parse_program_records(path.read_bytes().split(b"\n"))[0])
+
+    def no_decoder(*args):
+        raise AssertionError("a block of synth's programs went to the line decoder")
+
+    monkeypatch.setattr(datamodel, "_decode_lines", no_decoder)
+    with open_jsonl(path) as fh:
+        got, skipped = parse_programs(fh)
+    assert skipped == 0
+    assert (got.program_names, got.channel_names, got.text) == (want.program_names, want.channel_names, want.text)
+    for col in ("program", "channel", "start", "end"):
+        x, y = getattr(got, col), getattr(want, col)
+        assert x.dtype == y.dtype and np.array_equal(x, y), col
+
+
+def _program_edge_lines(line: bytes) -> list[list[bytes]]:
+    """Program lines at the edges of the canonical shape and of a program's
+    rules: each decodes or fails the same way read alone."""
+    row = json.loads(line)
+    start = row["start"]
+
+    def dumps(**fields):
+        return json.dumps({**row, **fields}).encode()
+
+    edges = [
+        *(dumps(**{key: bad}) for key, bad in (("start", "7"), ("end", 7.5), ("text", None), ("channel", True))),
+        dumps(program=["p"]),
+        dumps(start=True),
+        *(json.dumps({k: v for k, v in row.items() if k != key}).encode() for key in ("end", "text")),
+        dumps(end=start),  # start == end
+        dumps(end=start - 1),
+        dumps(end=start + SECONDS_PER_WEEK),  # a week long
+        dumps(end=start + SECONDS_PER_WEEK - 1),
+        dumps(start=-(2**63), end=-(2**63) + 5),
+        dumps(start=2**63 - 10, end=2**63 - 1),
+        dumps(start=2**63 - 10, end=2**63),
+        dumps(start=-(2**63) - 1, end=-(2**63) + 5),
+        dumps(start=10**18 + 3, end=10**18 + 9),  # 19 digits
+        dumps(start=-(10**17) * 9, end=-(10**17) * 9 + 1),  # 18 digits
+        dumps(start=0).replace(b'"start": 0,', b'"start": -0,'),
+        dumps(end=start + 1).replace(b'"end": ', b'"end": 0'),
+        line,  # the same program twice
+        dumps(channel="other", text="another text"),  # the same id, another row
+        dumps(text='say "hi"'),
+        dumps(text="a\\b"),
+        dumps(text="café"),
+        json.dumps({**row, "text": "café 東京"}, ensure_ascii=False).encode(),
+        dumps(text="tab\there"),
+        dumps(text="del\x7f"),
+        dumps(text=""),
+        dumps(text="x" * 5000),
+        dumps(program="p" * 64),
+        dumps(program="p" * 65),
+        dumps(channel="c" * 65),
+        dumps(program="", channel=""),
+        dumps(z=1),
+        json.dumps(row, separators=(",", ":")).encode(),
+        json.dumps(dict(reversed(row.items()))).encode(),
+        line[:-1] + b', "text": "twice"}',
+        line + b"\x00" + line,  # NUL inside a line
+        line[:-1] + b"\x00}",
+        line[:40] + b"\r" + line[40:],  # a line break inside a line
+        line.replace(b'"c', b'"\xff', 1),  # not UTF-8
+        line + b"\xed\xa0\x80",
+        b"  " + line + b" ",
+        b"",
+    ]
+    return [[edge] for edge in edges]
+
+
+def test_program_block_path_matches_the_record_oracle_on_damaged_and_edge_lines(synth_data, tmp_path, monkeypatch):
+    # The programs' twin of the log test above: each damaged or edge line at
+    # the first, a middle and the last line of a small block.
+    rng = random.Random(20241)
+    block = 16
+    monkeypatch.setattr(datamodel, "_BLOCK_LINES", block)
+    canonical = (synth_data / "programs.jsonl").read_bytes().splitlines()
+    mutants = [unit for line in rng.sample(canonical, 3) for unit in _mutants(rng, line)]
+    lines = []
+    for place in ("first", "middle", "last"):
+        for unit in mutants + _program_edge_lines(rng.choice(canonical)):
+            rows = [rng.choice(canonical) for _ in range(block - len(unit))]
+            at = {"first": 0, "middle": block // 2, "last": len(rows)}[place]
+            lines += rows[:at] + unit + rows[at:]
+    mostly_good = b"\n".join(lines) + b"\n"
+    mostly_bad = b"\n".join(line for unit in mutants for line in unit) + b"\n"
+
+    engine = {
+        "preprocessing": {"t_split": synth.SynthConfig(weeks_train=2).t_split, "train_days": 14, "test_days": 7},
+        "paths": {"logs": str(synth_data / "logs.jsonl"), "out_dir": str(tmp_path / "out")},
+    }
+    for name, blob in (("good", mostly_good), ("bad", mostly_bad)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(blob)
+        with open_jsonl(path) as fh:
+            got = _parse_outcome(parse_programs, fh)
+        want = _parse_outcome(parse_program_records, re.split(rb"\r\n|\r|\n", blob))
+        if want[0] == "refused":
+            assert got == want
+        else:
+            _same_programs(got[0], want[0])
+            assert got[1] == want[1]
+        assert (name, want[0] == "refused") in {("good", False), ("bad", True)}
+
+        engine["paths"]["programs"] = str(path)
         cfg = tmp_path / f"{name}.engine.json"
         cfg.write_text(json.dumps(engine))
         assert cli.main(["prep", "--config", str(cfg)]) in (0, 3)

@@ -33,6 +33,11 @@ def test_recall_examples():
     assert recall_at(REC, {"x", "y"}, 3) == 0.0
 
 
+def test_recall_counts_a_repeated_truth_once_as_ndcg_does():
+    assert recall_at(["a"], ["a", "a"], 1) == 1.0 == ndcg_at(["a"], ["a", "a"], 1)
+    assert recall_at(["a", "b"], ["a", "c", "a", "c"], 2) == 0.5
+
+
 def test_recall_full_cutoff_covers_contained_truth():
     rec = [f"i{j}" for j in range(20)]
     truth = {"i3", "i11", "i19"}

@@ -18,6 +18,7 @@ from oracles import (
     preference_model,
     preference_vectors,
     program_rows,
+    program_table,
     row_dicts,
     tensor_cells,
     tensor_dicts,
@@ -271,7 +272,7 @@ def test_model_from_a_prepared_dataset_equals_the_dict_oracles():
     cfg = synth.SynthConfig(n_users=30, n_channels=4, n_topics=5, weeks_train=2, weeks_test=1, rng_seed=8)
     world = synth.gen_world(cfg)
     spec = SplitSpec(t_split=cfg.t_split, dt_train=2 * SECONDS_PER_WEEK, dt_test=SECONDS_PER_WEEK)
-    prepared, _ = prepare(log_table(synth.gen_logs(world)), world.metas, cfg.grid, spec)
+    prepared, _ = prepare(log_table(synth.gen_logs(world)), program_table(world.metas), cfg.grid, spec)
     texts = prepared.texts
     rows = row_dicts(encode(*fit(texts)))
     vocab = fit_dicts(texts)

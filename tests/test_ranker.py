@@ -634,6 +634,13 @@ def test_tune_rrf_beats_or_matches_untuned_default():
     assert tuned >= untuned
 
 
+def test_tune_rrf_counts_a_repeated_truth_once():
+    cand, rankings, truths = tuning_fixture()
+    repeated = {"u": [*truths["u"], *truths["u"]]}
+    grids = ([1, 42], [0.3, 0.7])
+    assert tune_rrf(rankings, repeated, cand, *grids, cutoff=3) == tune_rrf(rankings, truths, cand, *grids, cutoff=3)
+
+
 def test_tune_rrf_ties_resolve_to_smallest_eta_then_xi():
     cand, rankings, truths = tuning_fixture()
     # any grid where every point achieves the same recall: smallest wins

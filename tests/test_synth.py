@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import behavior_dicts, log_table
+from oracles import behavior_dicts, log_table, program_table
 from tvrec.behavior import behavior_matrix
 from tvrec.datamodel import SplitSpec, filter_flips, prepare
 from tvrec.synth import SynthConfig, World, gen_logs, gen_world, manifest
@@ -89,7 +89,7 @@ def test_generated_data_passes_ingestion_unmodified(small_world, small_logs):
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=cfg.weeks_test * SECONDS_PER_WEEK,
     )
-    prepared, summary = prepare(log_table(small_logs), small_world.metas, cfg.grid, spec)
+    prepared, summary = prepare(log_table(small_logs), program_table(small_world.metas), cfg.grid, spec)
     assert summary["users"] > 0
     for bm in behavior_dicts(behavior_matrix(prepared.cells)).values():
         assert abs(sum(bm.probs.values()) - 1.0) <= 1e-9
@@ -138,7 +138,7 @@ def test_heavy_user_behavior_argmax_recovers_planted_mode():
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=SECONDS_PER_WEEK,
     )
-    prepared, _ = prepare(log_table(logs), world.metas, cfg.grid, spec)
+    prepared, _ = prepare(log_table(logs), program_table(world.metas), cfg.grid, spec)
     matrices = behavior_dicts(behavior_matrix(prepared.cells))
     hits = total = 0
     for account in world.accounts:
@@ -191,7 +191,7 @@ def test_mean_truth_size_matches_deterministic_walk_of_planted_world(small_world
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=SECONDS_PER_WEEK,
     )
-    prepared, _ = prepare(log_table(small_logs), small_world.metas, cfg.grid, spec)
+    prepared, _ = prepare(log_table(small_logs), program_table(small_world.metas), cfg.grid, spec)
     sizes = [len(v) for v in prepared.truths().values()]
     # every generated account appears; accounts can drop out of U only by
     # having no test-week watch, which the expectation already prices in

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import dot, encode_dict, fit_dicts, l2_norm, mean_embedding, row_dicts, term_counts
-from tvrec import textenc
+from tvrec import synth, textenc
 from tvrec.errors import DataError
 from tvrec.textenc import (
     encode,
@@ -184,6 +184,17 @@ _EDGE_TEXTS = [
     "a\nb", "\n", "ΑΣ\nΒ", "news\r\nsports", "\r", "Σ\r", "x\n\n",
     "", "", "東京ニュース", "東京news2019 café", "news東京", " ", "...", "\t", "_", "-- _ --",
 ]
+# Texts at the edges of the byte path: token lengths around its word size and
+# its 64-byte limit, "_", digits and case, control bytes, line breaks, no
+# token at all, and a non-ASCII letter that lowercases to ASCII (Kelvin sign).
+_ASCII_EDGE_TEXTS = [
+    *("x" * n for n in (7, 8, 9, 16, 17, 64, 65)), "ab" * 32 + " " + "ab" * 32, "9" * 65 + "z",
+    "a_b", "A_B_c __x__", "UPPER lower MiXeD 123abc", "x_9_Y 0x7F", "2019",
+    "a\x7fb", "c\x00d", "e\x01f\x1fg", "\x1b[0mred\x1b[0m", "\x7f",
+    "ab\rcd", "ab\ncd", "x\r\n\ry",
+    "", " ", "_ _", "\t\x0b\x0c", "\u212aelvin",
+]
+_EDGE_TEXTS += _ASCII_EDGE_TEXTS
 
 
 def _per_text_fit(texts):
@@ -196,17 +207,56 @@ def _per_text_fit(texts):
     return vocab, ptr, col, val
 
 
-@pytest.mark.parametrize("corpus", ["edges", "edges without a newline", "several blocks"])
-def test_fit_equals_per_text_term_counts_on_edge_texts(corpus):
+@pytest.mark.parametrize("corpus", ["edges", "edges without a newline", "several blocks", "small blocks"])
+def test_fit_equals_per_text_term_counts_on_edge_texts(corpus, monkeypatch):
     texts = _EDGE_TEXTS
     if corpus == "edges without a newline":
         texts = [text for text in texts if "\n" not in text]
     elif corpus == "several blocks":
         rng = random.Random(7)
         texts = [rng.choice(_EDGE_TEXTS) for _ in range(2 * textenc._FIT_BLOCK_TEXTS + 9)]
+    elif corpus == "small blocks":
+        # Blocks of three texts, so each path reads many. The first block is
+        # not ASCII and the second is, and shares its tokens: both paths
+        # number tokens in one table.
+        monkeypatch.setattr(textenc, "_FIT_BLOCK_TEXTS", 3)
+        rng = random.Random(8)
+        texts = ["Café News", "ÜBER tokyo", "東京 x2", "news TOKYO", "x2 NEWS", "cafe"]
+        texts += [*_ASCII_EDGE_TEXTS, *(rng.choice(_EDGE_TEXTS) for _ in range(300))]
+        ascii_tokens, blocks = textenc._ascii_tokens, []
+
+        def recording(lowered, codes):
+            found = ascii_tokens(lowered, codes)
+            blocks.append((lowered, found is not None))
+            return found
+
+        monkeypatch.setattr(textenc, "_ascii_tokens", recording)
     vocab, counts = fit(texts)
+    if corpus == "small blocks":
+        assert blocks[0] == ("news tokyo\nx2 news\ncafe", True)  # the first block is not ASCII
+        assert ("x" * 65 + "\n" + "ab" * 32 + " " + "ab" * 32 + "\n" + "9" * 65 + "z", False) in blocks
+        assert len(blocks) < len(texts) // 3  # and other blocks are not ASCII either
     want, ptr, col, val = _per_text_fit(texts)
     assert vocab.index == want.index
     assert list(vocab.idf.items()) == list(want.idf.items())
     for got, expected in zip(counts, (ptr, col, val)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_synth_texts_never_reach_the_findall_path(monkeypatch):
+    # Synth's texts are ASCII with short tokens, so every block takes the byte
+    # path; a change that sent one to findall would keep every row and lose
+    # the byte path's speed. This makes it fail.
+    cfg = synth.SynthConfig(n_users=10, n_channels=4, n_topics=5, weeks_train=2, weeks_test=1, rng_seed=3)
+    texts = [m.text for m in synth.gen_world(cfg).metas]
+    assert len(texts) > textenc._FIT_BLOCK_TEXTS
+    want_vocab, want = fit(texts)
+
+    def no_findall():
+        raise AssertionError("a block of synth's texts went to the findall path")
+
+    monkeypatch.setattr(textenc, "_block_tokens", no_findall)
+    vocab, counts = fit(texts)
+    assert vocab == want_vocab
+    for got, expected in zip(counts, want):
         assert got.dtype == expected.dtype and np.array_equal(got, expected)

@@ -121,5 +121,5 @@ def test_traced_prep_spans_ingestion_and_counts_every_log_line(tmp_path, capsys)
     stages = {"datamodel.parse_logs", "datamodel.parse_programs", "datamodel.prepare"}
     assert stages <= names, f"no span for {sorted(stages - names)}"
     non_blank = sum(1 for line in logs.read_text(encoding="utf-8").splitlines() if line.strip())
-    assert non_blank > 2 * datamodel._LOG_BLOCK_LINES
+    assert non_blank > 2 * datamodel._BLOCK_LINES
     assert summary["metrics"]["datamodel.log_lines"]["value"] == non_blank
