@@ -90,8 +90,15 @@ def _ascii_tokens(lowered: str, codes: _Codes) -> tuple[np.ndarray, np.ndarray] 
     ``INTERN_BYTES``."""
     data = lowered.encode("ascii") + bytes(INTERN_BYTES)  # ends in a byte outside every token
     raw = np.frombuffer(data, dtype=np.uint8)
-    edge = np.diff(_token_bytes()[raw].view(np.int8), prepend=np.int8(0))
-    start, stop = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    is_token = _token_bytes()[raw]
+    # Where a run of token bytes starts or ends, in turn: no run reaches the
+    # padding. One pass and one index array, so the block's working set stays
+    # small.
+    edge = np.flatnonzero(is_token[1:] != is_token[:-1])
+    edge += 1
+    if is_token[0]:
+        edge = np.concatenate(([0], edge))
+    start, stop = edge[0::2], edge[1::2]
     if len(start) and int((stop - start).max()) > INTERN_BYTES:
         return None
     text = np.searchsorted(np.flatnonzero(raw == ord("\n")), start)
