@@ -661,26 +661,30 @@ def _add_prep_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tvrec", description="Linear-TV recommendation pipeline")
+    # No prefix matching: `--out` must not stand for `--out-dir`, nor `--users`
+    # for `--users-sample`; an abbreviated flag is an unknown flag.
+    parser = argparse.ArgumentParser(
+        prog="tvrec", description="Linear-TV recommendation pipeline", allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", help="generate a synthetic dataset", allow_abbrev=False)
     p.add_argument("--config", help="synth config JSON file")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--seed", type=int, help="override the generator seed")
     p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("prep", help="filter, split, and report dataset statistics")
+    p = sub.add_parser("prep", help="filter, split, and report dataset statistics", allow_abbrev=False)
     _add_common(p)
     _add_prep_flags(p)
     p.set_defaults(handler=_cmd_prep)
 
-    p = sub.add_parser("build", help="build and persist the model index")
+    p = sub.add_parser("build", help="build and persist the model index", allow_abbrev=False)
     _add_common(p)
     _add_prep_flags(p)
     p.set_defaults(handler=_cmd_build)
 
-    p = sub.add_parser("recommend", help="write top-k recommendations per user")
+    p = sub.add_parser("recommend", help="write top-k recommendations per user", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--mode", choices=MODES)
@@ -690,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="recommendations JSONL path")
     p.set_defaults(handler=_cmd_recommend)
 
-    p = sub.add_parser("evaluate", help="score recommendations against ground truth")
+    p = sub.add_parser("evaluate", help="score recommendations against ground truth", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--rec", help="recommendations JSONL")
     p.add_argument("--truth", help="ground-truth JSONL")
@@ -699,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="metrics JSON path")
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("bench", help="measure per-user inference latency")
+    p = sub.add_parser("bench", help="measure per-user inference latency", allow_abbrev=False)
     _add_common(p)
     p.add_argument(
         "--method",
@@ -714,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="bench JSON path")
     p.set_defaults(handler=_cmd_bench)
 
-    p = sub.add_parser("tune", help="grid-search RRF hyperparameters on a dev split")
+    p = sub.add_parser("tune", help="grid-search RRF hyperparameters on a dev split", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--dev-frac", dest="dev_frac", type=float, default=0.1)
@@ -724,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="tuned parameters JSON path")
     p.set_defaults(handler=_cmd_tune)
 
-    p = sub.add_parser("inspect-user", help="dump one user's behavior matrix")
+    p = sub.add_parser("inspect-user", help="dump one user's behavior matrix", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--user", required=True)
     p.set_defaults(handler=_cmd_inspect_user)

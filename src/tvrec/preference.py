@@ -12,13 +12,20 @@ Every score follows one rule: each entry of the program's embedding, in
 stored order, gives its weight times the vector's value for its dimension
 (0.0 where the vector lacks it), and these products are added one after
 another, starting from 0.0, as a plain loop over the embedding adds them.
-The candidate embeddings are zero-padded to one width and stored transposed,
-one array per padded position (:class:`ItemIndex`). Products are
-non-negative, so a pad cell adds +0.0 and changes no bit: a score does not
-depend on the width the catalogue pads to. :func:`entry_sums` adds the
-products both in :meth:`ItemIndex.dots`, one densified vector against every
-row, and in :meth:`PreferenceModel.scores`, a batch of rows each against its
-start slot's vector.
+:func:`entry_sums` adds the products, over one of two layouts of the
+candidate embeddings, both stored transposed (:class:`ItemIndex`):
+
+- :meth:`ItemIndex.dots` scores every row against one densified vector. It
+  reads one (L, n_L) array pair per embedding length L, so each row's
+  products are exactly its entries, and scatters the sums to their rows.
+  A row with an empty embedding scores 0.0.
+- :meth:`PreferenceModel.scores` scores a batch of rows, each against its
+  start slot's vector. It reads the embeddings zero-padded to the widest
+  one, where a batch of any rows is one gather.
+
+Products are non-negative, so starting from the first product instead of
+from 0.0, or adding a pad cell's +0.0, changes no bit: a score depends
+neither on the layout nor on the width the catalogue pads to.
 
 Vectors are CSR rows (:class:`tvrec.arrays.Rows`) of dimension codes, in
 order of first appearance over the mean's items, and float64 weights.
@@ -57,17 +64,30 @@ class Preferences(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ItemIndex:
-    """Candidate embeddings in candidate row order, zero-padded for batched
-    scoring and stored transposed, with the rows grouped by start slot.
+    """Candidate embeddings in candidate row order, in two transposed
+    layouts, with the rows grouped by start slot.
 
-    ``idx`` and ``weights`` are (width, rows): row ``r``'s dimensions are
+    Padded, for batches of rows: ``idx`` and ``weights`` are (width, rows),
+    ``idx`` in the embeddings' dimension dtype. Row ``r``'s dimensions are
     ``idx[:, r]`` and its weights ``weights[:, r]``, in embedding order; pad
-    cells carry weight 0, so they add +0.0 to a score. The rows that start in
-    slot ``s`` are ``slot_rows[slot_ptr[s - 1]:slot_ptr[s]]``, ascending.
+    cells carry weight 0, so they add +0.0 to a score.
+
+    By length, for the pass over every row: ``bucket_idx[j]`` and
+    ``bucket_weights[j]`` are C-contiguous (L, n_L) arrays, the intp
+    dimensions and the weights of the n_L rows whose embeddings hold L
+    entries, one L per bucket, ascending. Their rows, ascending within each
+    bucket, are ``bucket_rows``, bucket after bucket. A row with an empty
+    embedding is in no bucket.
+
+    The rows that start in slot ``s`` are
+    ``slot_rows[slot_ptr[s - 1]:slot_ptr[s]]``, ascending.
     """
 
     idx: np.ndarray
     weights: np.ndarray
+    bucket_idx: tuple[np.ndarray, ...]
+    bucket_weights: tuple[np.ndarray, ...]
+    bucket_rows: np.ndarray
     slot_rows: np.ndarray
     slot_ptr: np.ndarray
 
@@ -75,10 +95,17 @@ class ItemIndex:
         return self.idx.shape[1]
 
     def dots(self, vec: np.ndarray) -> np.ndarray:
-        """Every row's score against ``vec``, one densified vector."""
-        products = np.take(vec, self.idx)
-        products *= self.weights
-        return entry_sums(products)
+        """Every row's score against ``vec``, one densified vector: each
+        length bucket summed on its own, the sums written back to their
+        rows in one scatter."""
+        sums = [np.zeros(0)]
+        for idx, weights in zip(self.bucket_idx, self.bucket_weights):
+            products = np.take(vec, idx)
+            products *= weights
+            sums.append(entry_sums(products))
+        out = np.zeros(len(self))
+        out[self.bucket_rows] = np.concatenate(sums)
+        return out
 
 
 def entry_sums(products: np.ndarray) -> np.ndarray:

@@ -18,9 +18,12 @@ is a prefix of the full order, ties at the ``k``-th place included. Program
 ids appear only in :func:`top_k`, which turns the first ``k`` rows of a
 ranking into ``(program id, score)`` pairs.
 
-The preference order skips the stable sort: an unstable sort, then one sort
-of distinct (tie group, row) keys, gives the stable order exactly as long as
-no score is NaN, which the bundle's positive weights guarantee.
+The preference order skips the stable sort: an unstable sort gives the
+order up to its runs of tied scores. The largest run, the zeros, is written
+in row order as ``flatnonzero(scores == 0)``, and one sort of distinct (tie
+run, row) keys orders the rows of the few other runs. That gives the stable
+order exactly as long as no score is NaN, which the bundle's positive
+weights guarantee.
 
 Behavior scores are read off the user's footprint, not the whole grid: the
 cell index of :class:`Candidates` lists the span entries in each of the
@@ -45,8 +48,9 @@ exposed via :class:`TwoStageStats`.
 
 Preference scores come from :mod:`tvrec.preference`, which owns their one
 rule: :func:`rank_preference` scores every row against the user's global
-vector (:meth:`ItemIndex.dots`), then the rows of the user's slots against
-their slot's vector in one batch (:meth:`PreferenceModel.scores`), and
+vector (:meth:`ItemIndex.dots`, over the embeddings grouped by length), then
+the rows of the user's slots against their slot's vector in one batch
+(:meth:`PreferenceModel.scores`, over the padded embeddings), and
 :func:`two_stage` scores the rows it visits in one batch.
 """
 
@@ -181,9 +185,15 @@ def build_candidates(
 
 
 def build_item_index(embeddings: Rows, cand: Candidates) -> ItemIndex:
-    """Pad the candidate embeddings, one CSR row per candidate row, into the
-    transposed arrays of an :class:`ItemIndex`, and group the rows by start
-    slot."""
+    """Lay out the candidate embeddings, one CSR row per candidate row, in
+    the two transposed layouts of an :class:`ItemIndex`, each straight from
+    the CSR rows, and group the rows by start slot.
+
+    The padded arrays are as wide as the longest embedding, their
+    dimensions in the CSR rows' dtype. Each length bucket gathers its rows'
+    entries as one (L, n_L) pair, dimensions as intp: ``np.take`` converts
+    any other index dtype on every call.
+    """
     n = len(cand)
     if len(embeddings.ptr) != n + 1:
         raise ValueError(f"{len(embeddings.ptr) - 1} embeddings for {n} candidates")
@@ -191,14 +201,28 @@ def build_item_index(embeddings: Rows, cand: Candidates) -> ItemIndex:
     width = int(lens.max(initial=0)) or 1
     row = np.repeat(np.arange(n), lens)
     pos = np.arange(len(embeddings.col)) - np.repeat(embeddings.ptr[:-1], lens)
-    idx = np.zeros((width, n), dtype=np.int64)
+    idx = np.zeros((width, n), dtype=embeddings.col.dtype)
     idx[pos, row] = embeddings.col
     weights = np.zeros((width, n))
     weights[pos, row] = embeddings.val
+    buckets = [np.flatnonzero(lens == length) for length in np.unique(lens[lens > 0]).tolist()]
+    bucket_idx, bucket_weights = [], []
+    for rows in buckets:
+        at = np.arange(lens[rows[0]])[:, None] + embeddings.ptr[rows]
+        bucket_idx.append(embeddings.col[at].astype(np.intp))
+        bucket_weights.append(embeddings.val[at])
     start = cand.start_slots()
     slot_rows = np.argsort(start, kind="stable")
     slot_ptr = np.searchsorted(start[slot_rows], np.arange(1, cand.n_slots + 2))
-    return ItemIndex(idx=idx, weights=weights, slot_rows=slot_rows, slot_ptr=slot_ptr)
+    return ItemIndex(
+        idx=idx,
+        weights=weights,
+        bucket_idx=tuple(bucket_idx),
+        bucket_weights=tuple(bucket_weights),
+        bucket_rows=np.concatenate([np.zeros(0, dtype=np.intp), *buckets]),
+        slot_rows=slot_rows,
+        slot_ptr=slot_ptr,
+    )
 
 
 def _footprint(bm: UserBehavior, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -223,22 +247,32 @@ def _stage_one_order(scores: np.ndarray) -> np.ndarray:
 def _preference_order(scores: np.ndarray) -> np.ndarray:
     """``_stage_one_order(scores)`` for NaN-free scores, without a stable sort.
 
-    An unstable sort puts the scores in order; a cumulative sum numbers each
-    run of equal scores (so -0.0 and 0.0 share one), and the keys
-    ``group * n + row`` are all distinct, so sorting them puts each group's
-    rows in row order whichever algorithm numpy picks. NaN compares unequal
-    to itself and would split its group, hence the NaN-free precondition.
+    An unstable sort puts the scores in order; only its runs of equal
+    scores can be out of row order. The run of zeros (-0.0 and 0.0 alike)
+    is exactly ``flatnonzero(scores == 0)``, in row order. Each other run is
+    numbered, and the keys ``run * n + row`` of their rows are all distinct,
+    so sorting them puts each run's rows in row order whichever algorithm
+    numpy picks. NaN compares unequal to itself and would split its run,
+    hence the NaN-free precondition.
     """
     n = len(scores)
     order = np.argsort(-scores)
     ranked = scores[order]
-    keys = np.zeros(n, dtype=np.int64)
-    np.cumsum(ranked[1:] != ranked[:-1], out=keys[1:])
+    tied = ranked[1:] == ranked[:-1]
+    zero = np.flatnonzero(scores == 0)
+    if len(zero):
+        lo = np.count_nonzero(scores > 0)
+        order[lo : lo + len(zero)] = zero
+        tied[lo : lo + len(zero) - 1] = False
+    pairs = np.flatnonzero(tied)
+    at = np.union1d(pairs, pairs + 1)
+    keys = np.zeros(len(at), dtype=np.int64)
+    np.cumsum(ranked[at[1:]] != ranked[at[:-1]], out=keys[1:])
     keys *= n
-    keys += order
+    keys += order[at]
     keys.sort()
-    keys %= n
-    return keys
+    order[at] = keys % n
+    return order
 
 
 def _top_rows(scores: np.ndarray, k: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 import tvrec
 from oracles import behavior_matrix_dicts, tensor_dicts
 from tvrec import bundle
-from tvrec.cli import _CONFIG_SECTIONS, EngineConfig, _prepared_manifest, load_config, main
+from tvrec.cli import _CONFIG_SECTIONS, EngineConfig, _prepared_manifest, build_parser, load_config, main
 from tvrec.datamodel import load_prepared
 from tvrec.errors import ConfigError
 
@@ -292,6 +292,12 @@ def _malformed_argv(case, cfg, tmp_path):
         rec.write_text(good_rows + (bad if case.startswith("rec") else ""))
         truth.write_text(good_rows + (bad if case.startswith("truth") else ""))
         return ["evaluate", "--rec", rec, "--truth", truth, "--out-dir", tmp_path]
+    if case.endswith("flag abbreviated"):
+        # Prefix matching would read `--out` as `--out-dir` and `--users` as
+        # `--users-sample`; both are unknown flags.
+        if case.startswith("bench"):
+            return ["bench", "--config", cfg, "--method", "behavior", "--users", 3, "--out", tmp_path / "b.json"]
+        return [case.split()[0], "--config", cfg, "--out", tmp_path / "out"]
     if case.startswith("tune"):
         # The missing model would exit 3: the flags are checked before it loads.
         # Each grid value must pass the rule that `eta`/`xi` in a config pass.
@@ -458,11 +464,23 @@ def _malformed_argv(case, cfg, tmp_path):
         ("tune eta grid negative", 2),
         ("tune xi grid above 1", 2),
         ("tune eta grid nan", 2),
+        ("build flag abbreviated", 2),
+        ("prep flag abbreviated", 2),
+        ("bench flag abbreviated", 2),
     ],
 )
 def test_malformed_input_exits_with_documented_code(case, code, built, tmp_path, capsys):
     _, cfg = built
-    assert run(_malformed_argv(case, cfg, tmp_path)) == code
+    argv = [str(a) for a in _malformed_argv(case, cfg, tmp_path)]
+    if case.endswith("flag abbreviated"):
+        # An unknown flag stops in the parser, which exits 2.
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
+    else:
+        # Every other argv parses, so its code comes from the check the case names.
+        build_parser().parse_args(argv)
+        assert main(argv) == code
     assert "internal error" not in capsys.readouterr().err
 
 

@@ -17,6 +17,7 @@ from oracles import (
     scalar_behavior,
     scalar_preference,
 )
+from tvrec.arrays import Rows
 from tvrec.datamodel import ProgramMeta
 from tvrec.errors import DataError
 from tvrec.evaluate import recall_at
@@ -28,6 +29,7 @@ from tvrec.ranker import (
     _preference_order,
     _top_rows,
     build_candidates,
+    build_item_index,
     rank_behavior,
     rank_preference,
     rrf,
@@ -260,6 +262,66 @@ def test_a_wide_embedding_moves_no_other_score():
     after = scores_by_id([*metas, meta("wide", start_slot=starts[0])], wide)
     del after["wide"]
     assert np.array(list(after.values())).tobytes() == np.array([before[pid] for pid in after]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "widths",
+    [
+        [0, 3, 0, 5, 1, 0, 5, 0],
+        [4, 4, 7, 2, 4, 2, 1],
+        [6] * 25,
+        [],
+        [0, 0, 0],
+        [15, 3, 15, 8, 1, 15],
+        [2, 9, 20, 9],
+    ],
+    ids=[
+        "empty embeddings",
+        "a bucket of one row",
+        "every row one length",
+        "no candidates",
+        "no entries",
+        "rows as wide as the widest",
+        "a lone row as wide as the widest",
+    ],
+)
+def test_length_buckets_add_each_row_in_entry_order(widths):
+    # The pass over every row sums each length bucket on its own: each score
+    # equals the row's products added in embedding order, bit for bit, and a
+    # row with an empty embedding scores 0.0.
+    rng = random.Random(len(widths))
+    for _ in range(10):
+        metas = [meta(f"p{i:02d}", start_slot=rng.randint(1, 30)) for i in range(len(widths))]
+        items = {m.program: random_embedding(rng, w) for m, w in zip(metas, widths)}
+        model = global_model(random_embedding(rng, 40), items)
+        cand = build_candidates(metas, GRID, {"c1"})
+        index = preference_model(model, cand).items
+        vec = np.zeros(61)
+        vec[list(model.global_prefs["u"])] = list(model.global_prefs["u"].values())
+        want = [entry_order_score(model, pid, 1) for pid in cand.ids]
+        assert index.dots(vec).tobytes() == np.array(want, dtype=np.float64).tobytes()
+        lengths = sorted({w for w in widths if w})
+        assert [idx.shape[0] for idx in index.bucket_idx] == lengths
+        assert [idx.shape[1] for idx in index.bucket_idx] == [widths.count(w) for w in lengths]
+
+
+def test_length_buckets_hold_intp_codes_in_c_order():
+    # np.take converts any other index dtype on every call, which made the
+    # pass over every row up to three times slower; the padded codes keep
+    # the embeddings' own dtype.
+    rng = np.random.default_rng(5)
+    lens = rng.integers(0, 16, size=300)
+    ptr = np.concatenate(([0], np.cumsum(lens)))
+    embeddings = Rows(ptr, rng.integers(0, 500, size=ptr[-1]).astype(np.uint16), rng.random(ptr[-1]))
+    metas = [meta(f"p{i:03d}", start_slot=int(rng.integers(1, 30))) for i in range(len(lens))]
+    index = build_item_index(embeddings, build_candidates(metas, GRID, {"c1"}))
+    assert index.idx.dtype == np.uint16
+    assert len(index.bucket_idx) == len(index.bucket_weights) == len(set(lens.tolist()) - {0})
+    for idx, weights in zip(index.bucket_idx, index.bucket_weights):
+        assert idx.dtype == np.intp and idx.flags.c_contiguous
+        assert weights.dtype == np.float64 and weights.flags.c_contiguous
+        assert idx.shape == weights.shape
+    assert sorted(index.bucket_rows.tolist()) == np.flatnonzero(lens).tolist()
 
 
 def test_two_stage_hand_trace():
@@ -552,6 +614,33 @@ def test_preference_order_equals_the_stable_sort():
         order = _preference_order(x)
         assert order.dtype == np.int64
         assert order.tolist() == _stable_order(x).tolist(), x
+
+
+def _real_shaped_vectors(rng):
+    """Seeded score vectors shaped like a catalogue's preference scores: 30
+    to 60 % zeros, -0.0 among them, a handful of tied positive scores and
+    some negative scores."""
+    for _ in range(40):
+        n = int(rng.integers(50, 3000))
+        x = rng.random(n) * 10.0 ** rng.integers(-3, 3, size=n)
+        zero = rng.permutation(n) < int(n * rng.uniform(0.3, 0.6))
+        x[zero] = np.where(rng.random(zero.sum()) < 0.3, -0.0, 0.0)
+        x[np.flatnonzero(zero)[0]] = -0.0
+        nonzero = rng.permutation(np.flatnonzero(~zero))
+        x[nonzero[: int(rng.integers(1, 20))]] *= -1.0
+        positive = nonzero[20:]
+        for _ in range(int(rng.integers(1, 6))):
+            tie = rng.choice(positive, size=int(rng.integers(2, 5)), replace=False)
+            x[tie] = x[tie[0]]
+        yield x
+
+
+def test_preference_order_equals_the_stable_sort_on_real_shaped_scores():
+    for x in _real_shaped_vectors(np.random.default_rng(29)):
+        positive = np.sort(x[x > 0])
+        assert (x == 0).mean() >= 0.3 and np.signbit(x[x == 0]).any() and (x < 0).any()
+        assert (positive[1:] == positive[:-1]).any()
+        assert _preference_order(x).tolist() == _stable_order(x).tolist()
 
 
 def test_top_rows_is_the_prefix_of_the_full_order():
