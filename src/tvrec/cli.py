@@ -63,6 +63,7 @@ PREPARED_FILE = "prepared.npz"
 
 METHODS = ("behavior", "preference", "two-stage", "rrf", "rrf-weighted")
 MODES = ("global", "time-aware")
+MAX_GRID_VALUES = 10_000  # values one tune grid flag may list or span
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -566,7 +567,9 @@ def _cmd_bench(args: argparse.Namespace) -> None:
 
 
 def _parse_grid_spec(spec: str, flag: str, check: Callable[[float], None]) -> list[float]:
-    """A comma list or ``lo:hi[:step]`` range; ``check`` rejects a value with ValueError."""
+    """A comma list or ``lo:hi[:step]`` range of at most ``MAX_GRID_VALUES``
+    values; ``check`` rejects a value with ValueError. A range is counted
+    before it is built."""
     try:
         if "," in spec or ":" not in spec:
             values = [float(x) for x in spec.split(",") if x.strip()]
@@ -578,7 +581,12 @@ def _parse_grid_spec(spec: str, flag: str, check: Callable[[float], None]) -> li
             if not step > 0 or hi < lo:
                 raise ValueError("a range needs lo <= hi and a positive step")
             n = int(round((hi - lo) / step))
+            # The range holds n or n + 1 values: count them before building it.
+            if n > MAX_GRID_VALUES:
+                raise ValueError(f"more than {MAX_GRID_VALUES} values")
             values = [lo + i * step for i in range(n + 1) if lo + i * step <= hi + 1e-9]
+        if len(values) > MAX_GRID_VALUES:
+            raise ValueError(f"more than {MAX_GRID_VALUES} values")
         for value in values:
             check(value)
     except (ValueError, OverflowError) as exc:

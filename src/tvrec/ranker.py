@@ -9,21 +9,31 @@ Candidate rows are stored in that (start, id) order, so the row number is the
 tie-break: a stable sort by score alone applies it.
 
 Rankers take and return a :class:`Ranking`: ``rows``, candidate rows best
-first, and ``scores``, indexed by row. RRF reads its input ranks off the rows
-by inverse permutation, so the behavior and preference rankers order every
-row. Fusion writes only ``k`` items, so :func:`rrf`, :func:`rrf_weighted`
-and :func:`tune_rrf` order only a frontier: every row scoring at least the
-``k``-th best fused score (found with ``np.partition``), stable-sorted. That
-is a prefix of the full order, ties at the ``k``-th place included. Program
-ids appear only in :func:`top_k`, which turns the first ``k`` rows of a
-ranking into ``(program id, score)`` pairs.
+first, and ``scores``, indexed by row. RRF works on rank weights, not on
+ranks: the weights ``w / (rank + eta)`` of the ranks 1 to n are computed
+once per ``(n, eta, w)`` and cached, and each ranking's weights are
+scattered onto its rows, so the behavior and preference rankers order every
+row. The scatter doubles as the check that a ranking lists every row once;
+only a ranking that fails it is validated, to name it in the error.
+:func:`tune_rrf`, which fuses each user's rankings once per grid cell,
+ranks each user's rows once and gathers the same weights by rank. Fusion
+writes only ``k`` items, so :func:`rrf`, :func:`rrf_weighted` and
+:func:`tune_rrf` order only a frontier: every row scoring at least the
+``k``-th best fused score, stable-sorted. That is a prefix of the full
+order, ties at the ``k``-th place included. Each input ranking's first ``k``
+rows bound the ``k``-th best fused score from below, so only the few rows
+reaching that bound are sorted, and no partition of every score is needed.
+Program ids appear only in :func:`top_k`, which turns the first ``k`` rows
+of a ranking into ``(program id, score)`` pairs.
 
-The preference order skips the stable sort: an unstable sort gives the
-order up to its runs of tied scores. The largest run, the zeros, is written
-in row order as ``flatnonzero(scores == 0)``, and one sort of distinct (tie
-run, row) keys orders the rows of the few other runs. That gives the stable
-order exactly as long as no score is NaN, which the bundle's positive
-weights guarantee.
+The preference order skips the stable sort. Each non-zero score becomes one
+int64 key, its order-preserving bit pattern with the low bits replaced by
+its row, and one ``np.sort`` of the keys orders the scores, equal ones by
+row. Only the rare runs of different scores that share a key once its low
+bits are cut are re-sorted by score. The zeros, the largest run of equal
+scores, are written in row order as ``flatnonzero(scores == 0)``. That gives
+the stable order exactly as long as no score is NaN, which the bundle's
+positive weights guarantee.
 
 Behavior scores are read off the user's footprint, not the whole grid: the
 cell index of :class:`Candidates` lists the span entries in each of the
@@ -56,6 +66,7 @@ the rows of the user's slots against their slot's vector in one batch
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, NamedTuple
 
@@ -247,46 +258,56 @@ def _stage_one_order(scores: np.ndarray) -> np.ndarray:
 def _preference_order(scores: np.ndarray) -> np.ndarray:
     """``_stage_one_order(scores)`` for NaN-free scores, without a stable sort.
 
-    An unstable sort puts the scores in order; only its runs of equal
-    scores can be out of row order. The run of zeros (-0.0 and 0.0 alike)
-    is exactly ``flatnonzero(scores == 0)``, in row order. Each other run is
-    numbered, and the keys ``run * n + row`` of their rows are all distinct,
-    so sorting them puts each run's rows in row order whichever algorithm
-    numpy picks. NaN compares unequal to itself and would split its run,
-    hence the NaN-free precondition.
+    Each non-zero score gets one int64 key: the bits of its negation made
+    order-preserving (a negative float's magnitude bits flipped), with the
+    low ``b`` bits, enough to hold any row, replaced by its row. Sorting the
+    keys orders the scores, and equal scores by row, except where two
+    different scores agree on all but those low bits: such runs of equal
+    cut keys are re-sorted by score. Positive scores have negative keys.
+    The zeros (-0.0 and 0.0 alike) go between the positive and the negative
+    scores in row order, as ``flatnonzero(scores == 0)``. NaN would compare
+    unequal to itself and has no place in the key order, hence the NaN-free
+    precondition.
     """
-    n = len(scores)
-    order = np.argsort(-scores)
-    ranked = scores[order]
-    tied = ranked[1:] == ranked[:-1]
-    zero = np.flatnonzero(scores == 0)
-    if len(zero):
-        lo = np.count_nonzero(scores > 0)
-        order[lo : lo + len(zero)] = zero
-        tied[lo : lo + len(zero) - 1] = False
-    pairs = np.flatnonzero(tied)
-    at = np.union1d(pairs, pairs + 1)
-    keys = np.zeros(len(at), dtype=np.int64)
-    np.cumsum(ranked[at[1:]] != ranked[at[:-1]], out=keys[1:])
-    keys *= n
-    keys += order[at]
+    zero = scores == 0
+    rows = np.flatnonzero(~zero)
+    keys = np.negative(scores[rows]).view(np.int64)
+    keys ^= (keys >> 63) & np.int64(2**63 - 1)
+    b = (len(scores) - 1).bit_length()
+    keys &= np.int64(-(1 << b))
+    keys |= rows
     keys.sort()
-    order[at] = keys % n
-    return order
+    np.bitwise_and(keys, (1 << b) - 1, out=rows)
+    cut = keys >> b
+    pairs = np.flatnonzero(cut[1:] == cut[:-1])
+    if len(pairs):
+        at = np.union1d(pairs, pairs + 1)
+        run = np.zeros(len(at), dtype=np.int64)
+        np.cumsum(cut[at[1:]] != cut[at[:-1]], out=run[1:])
+        tied = rows[at]
+        rows[at] = tied[np.lexsort((-scores[tied], run))]
+    lo = int(np.searchsorted(keys, 0))
+    return np.concatenate((rows[:lo], np.flatnonzero(zero), rows[lo:]))
 
 
-def _top_rows(scores: np.ndarray, k: int) -> np.ndarray:
+def _top_rows(scores: np.ndarray, k: int, heads: Iterable[np.ndarray]) -> np.ndarray:
     """The prefix of ``_stage_one_order(scores)`` that ends with the last row
     tied with the ``k``-th best score: the ``k`` best rows and every tie of
-    the ``k``-th, best first, or every row when ``k >= len(scores)``."""
+    the ``k``-th, best first, or every row when ``k >= len(scores)``.
+
+    Each of ``heads`` lists ``k`` distinct rows, such as a fused ranking's
+    first ``k``, so the ``k``-th best score is at least the lowest score in
+    each. Only the rows reaching the largest of those bounds are sorted,
+    which spares a partition of every score.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = len(scores)
-    if k >= n:
+    if k >= len(scores):
         return _stage_one_order(scores)
-    kth = np.partition(scores, n - k)[n - k]
-    rows = np.flatnonzero(scores >= kth)
-    return rows[_stage_one_order(scores[rows])]
+    rows = np.flatnonzero(scores >= max(scores[head].min() for head in heads))
+    rows = rows[_stage_one_order(scores[rows])]
+    ranked = scores[rows]
+    return rows[: np.count_nonzero(ranked >= ranked[k - 1])]
 
 
 def top_k(cand: Candidates, ranking: Ranking, k: int) -> RankedList:
@@ -401,23 +422,58 @@ def two_stage(
     return Ranking(rows[by_pref[starts]], scores)
 
 
-def _rank_of_row(ranking: Ranking, n: int, name: str) -> np.ndarray:
-    # 1-based rank of every row: the inverse permutation of ranking.rows.
+def _row_ranks(ranking: Ranking, n: int, name: str) -> np.ndarray:
+    """The 0-based rank of every row, the inverse permutation of
+    ``ranking.rows``; a ValueError naming the ``name`` ranking unless it
+    lists each of the ``n`` rows once."""
     rows = ranking.rows
     if len(rows) != n:
         raise ValueError(f"{name} ranking covers {len(rows)} rows, expected {n}")
     if n and (rows.min() < 0 or rows.max() >= n):
         raise ValueError(f"{name} ranking has a row outside the candidate set")
-    pos = np.zeros(n)
-    pos[rows] = np.arange(1, n + 1)
-    if not pos.all():
+    ranks = np.full(n, -1)
+    ranks[rows] = np.arange(n)
+    if (ranks < 0).any():
         raise ValueError(f"{name} ranking lists a row twice")
-    return pos
+    return ranks
 
 
-def _fused_scores(pb: np.ndarray, pp: np.ndarray, eta: float, w_b: float, w_p: float) -> np.ndarray:
-    # The one fusion rule that recommend and tune_rrf share.
-    return w_b / (pb + eta) + w_p / (pp + eta)
+@functools.lru_cache(maxsize=8)
+def _rank_weights(n: int, eta: float, w: float) -> np.ndarray:
+    """``w / (rank + eta)`` for the ranks 1 to ``n``, read-only: the one
+    weight rule that fusion and :func:`tune_rrf` share."""
+    weights = w / (np.arange(1.0, n + 1) + eta)
+    weights.flags.writeable = False
+    return weights
+
+
+def _fused_scores(
+    kappa_b: Ranking, kappa_p: Ranking, n: int, eta: float, w_b: float, w_p: float
+) -> np.ndarray:
+    """Each row's fused score ``w_b / (rank_b + eta) + w_p / (rank_p +
+    eta)``, its behavior weight first, the weights read off
+    :func:`_rank_weights`.
+
+    Each ranking's weights are scattered onto its rows in a NaN-filled
+    buffer: a row outside ``[-n, n)`` makes the scatter raise, and a row the
+    ranking misses leaves a NaN in the sum. A negative row, which the
+    scatter would wrap onto a real one, shows in the rows' minimum. Only
+    when one of these checks fails are the rankings validated, which names
+    the faulty one.
+    """
+    fused = np.full((2, n), np.nan)
+    try:
+        fused[0][kappa_b.rows] = _rank_weights(n, float(eta), float(w_b))
+        fused[1][kappa_p.rows] = _rank_weights(n, float(eta), float(w_p))
+    except (IndexError, ValueError):
+        pass
+    else:
+        scores = fused[0] + fused[1]
+        if min(kappa_b.rows.min(initial=0), kappa_p.rows.min(initial=0)) >= 0 and not np.isnan(scores).any():
+            return scores
+    _row_ranks(kappa_b, n, "behavior")
+    _row_ranks(kappa_p, n, "preference")
+    raise ValueError("rankings do not list each candidate row once")
 
 
 def _fuse(
@@ -429,11 +485,8 @@ def _fuse(
     w_b: float,
     w_p: float,
 ) -> Ranking:
-    n = len(cand.ids)
-    pb = _rank_of_row(kappa_b, n, "behavior")
-    pp = _rank_of_row(kappa_p, n, "preference")
-    scores = _fused_scores(pb, pp, eta, w_b, w_p)
-    return Ranking(_top_rows(scores, k), scores)
+    scores = _fused_scores(kappa_b, kappa_p, len(cand), eta, w_b, w_p)
+    return Ranking(_top_rows(scores, k, (kappa_b.rows[:k], kappa_p.rows[:k])), scores)
 
 
 def check_eta(eta: float) -> None:
@@ -484,7 +537,10 @@ def tune_rrf(
     """Grid-search (eta, xi) maximizing mean recall at ``cutoff`` over the
     development users; ties resolve to the smallest eta, then smallest xi.
     Returns ``(eta, xi, mean recall)`` of the winning cell, scored exactly as
-    :func:`rrf_weighted` fuses.
+    :func:`rrf_weighted` fuses: each user's rows are ranked once, and every
+    cell reads their weights off the same tables by rank. Gathering by rank
+    reuses the ranks across cells, where scattering by row would redo its
+    random writes in every one.
 
     ``rankings`` maps each development user to their (behavior, preference)
     rankings over the full candidate set.
@@ -504,7 +560,8 @@ def tune_rrf(
         kb, kp = rankings[user]
         mask = np.zeros(n, dtype=bool)
         mask[[row_of[pid] for pid in truth if pid in row_of]] = True
-        per_user.append((_rank_of_row(kb, n, "behavior"), _rank_of_row(kp, n, "preference"), mask, len(set(truth))))
+        ranks = (_row_ranks(kb, n, "behavior"), _row_ranks(kp, n, "preference"))
+        per_user.append((*ranks, (kb.rows[:cutoff], kp.rows[:cutoff]), mask, len(set(truth))))
     if not per_user:
         raise ValueError("development set is empty or has no ground truth")
 
@@ -512,8 +569,9 @@ def tune_rrf(
     for eta in etas:
         for xi in xis:
             total = 0.0
-            for pb, pp, mask, tsize in per_user:
-                top = _top_rows(_fused_scores(pb, pp, eta, xi, 1.0 - xi), cutoff)[:cutoff]
+            w_b, w_p = _rank_weights(n, float(eta), float(xi)), _rank_weights(n, float(eta), 1.0 - xi)
+            for rb, rp, heads, mask, tsize in per_user:
+                top = _top_rows(w_b[rb] + w_p[rp], cutoff, heads)[:cutoff]
                 total += mask[top].sum() / tsize
             mean_recall = float(total / len(per_user))
             if mean_recall > best[2]:

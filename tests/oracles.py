@@ -252,6 +252,25 @@ def brute_rank(scores: dict[str, float], metas: list[ProgramMeta]) -> list[str]:
     return sorted(scores, key=lambda pid: (-scores[pid], by_id[pid].start, pid))
 
 
+def brute_rrf(
+    bm: BehaviorMatrix,
+    model: PreferenceDicts,
+    metas: list[ProgramMeta],
+    grid: TimeGrid,
+    eta: float,
+    w_b: float = 1.0,
+    w_p: float = 1.0,
+) -> list[tuple[str, float]]:
+    """Reference (weighted) RRF: each program's 1-based ranks in the brute
+    behavior and preference orders, ``w_b / (rank_b + eta) + w_p / (rank_p
+    + eta)`` added as Python floats, ordered by ``brute_rank``."""
+    rank_b = {m.program: i for i, (m, _, _) in enumerate(brute_stage_one(bm, metas, grid), 1)}
+    pref = {m.program: scalar_preference(model, bm.user, m, grid) for m in metas}
+    rank_p = {pid: i for i, pid in enumerate(brute_rank(pref, metas), 1)}
+    fused = {pid: w_b / (rank_b[pid] + eta) + w_p / (rank_p[pid] + eta) for pid in rank_b}
+    return [(pid, fused[pid]) for pid in brute_rank(fused, metas)]
+
+
 def random_instance(rng: random.Random, max_programs: int = 50, max_channels: int = 8, max_slots: int = 12):
     """A random toy ranking instance with frequent score ties.
 

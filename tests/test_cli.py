@@ -15,9 +15,19 @@ import pytest
 import tvrec
 from oracles import behavior_matrix_dicts, tensor_dicts
 from tvrec import bundle
-from tvrec.cli import _CONFIG_SECTIONS, EngineConfig, _prepared_manifest, build_parser, load_config, main
+from tvrec.cli import (
+    _CONFIG_SECTIONS,
+    MAX_GRID_VALUES,
+    EngineConfig,
+    _parse_grid_spec,
+    _prepared_manifest,
+    build_parser,
+    load_config,
+    main,
+)
 from tvrec.datamodel import load_prepared
 from tvrec.errors import ConfigError
+from tvrec.ranker import check_eta
 
 SYNTH_CFG = {
     "n_users": 25,
@@ -308,7 +318,8 @@ def _malformed_argv(case, cfg, tmp_path):
                        "tune eta grid up to inf": ("--eta-grid", "1:inf"),
                        "tune eta grid negative": ("--eta-grid", "-5"),
                        "tune xi grid above 1": ("--xi-grid", "2"),
-                       "tune eta grid nan": ("--eta-grid", "nan")}[case]
+                       "tune eta grid nan": ("--eta-grid", "nan"),
+                       "tune eta grid too long": ("--eta-grid", "0:1e12")}[case]
         return ["tune", "--config", cfg, "--model", tmp_path / "missing.pkl", flag, value]
     if case == "cutoffs flag repeats":
         rec = tmp_path / "recs.jsonl"
@@ -464,6 +475,7 @@ def _malformed_argv(case, cfg, tmp_path):
         ("tune eta grid negative", 2),
         ("tune xi grid above 1", 2),
         ("tune eta grid nan", 2),
+        ("tune eta grid too long", 2),
         ("build flag abbreviated", 2),
         ("prep flag abbreviated", 2),
         ("bench flag abbreviated", 2),
@@ -490,6 +502,15 @@ def test_repeated_user_error_names_both_lines(tmp_path, capsys):
                    '{"user": "u1", "items": ["a"], "scores": [1.0]}\n')
     assert run(["evaluate", "--rec", rec, "--truth", rec, "--out-dir", tmp_path]) == 3
     assert "recs.jsonl:3: user 'u1' already has a row, on line 2" in capsys.readouterr().err
+
+
+def test_grid_spec_counts_a_range_before_building_it():
+    # A range is refused from its count, before its values exist.
+    for spec in ("0:2e5", "0:1e12", f"0:{MAX_GRID_VALUES}", ",".join(["1"] * (MAX_GRID_VALUES + 1))):
+        with pytest.raises(ConfigError, match=f"more than {MAX_GRID_VALUES} values"):
+            _parse_grid_spec(spec, "--eta-grid", check_eta)
+    assert len(_parse_grid_spec(f"1:{MAX_GRID_VALUES}", "--eta-grid", check_eta)) == MAX_GRID_VALUES
+    assert _parse_grid_spec("0:1:0.25", "--eta-grid", check_eta) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_config_values_are_type_checked():

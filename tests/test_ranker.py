@@ -10,6 +10,7 @@ from oracles import (
     PreferenceDicts,
     behavior_row,
     brute_rank,
+    brute_rrf,
     brute_two_stage,
     entry_sum,
     preference_model,
@@ -523,15 +524,68 @@ def test_rrf_large_eta_matches_brute_force_ordering():
         assert ids(cand, rrf(kb, kp, cand, eta=eta, k=len(cand))) == brute_rank(scores, metas)
 
 
+def test_rrf_matches_the_brute_force_oracle_bit_for_bit():
+    # Every row's fused score equals the oracle's Python-float sum as bits,
+    # and the rows follow the oracle's order, at k = 1, at a k whose k-th
+    # score is tied and at k = n; tune_rrf, which gathers the weights by
+    # rank, finds every one of the oracle's first k rows at each cell.
+    rng = random.Random(41)
+    tied_ks = 0
+    for _ in range(40):
+        grid, metas, bm, models = random_instance(rng, max_programs=30)
+        cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+        model = models[rng.choice(("global", "time-aware"))]
+        kb, kp = by_behavior(bm, cand), by_preference(model, cand)
+        n = len(cand)
+        for eta in (0, 0.5, 60, 1e6):
+            fusions = [(functools.partial(rrf, kb, kp, cand, eta), None, 1.0, 1.0)]
+            for xi in (0, 0.25, 0.5, 1):
+                fusions.append((functools.partial(rrf_weighted, kb, kp, cand, eta, xi), xi, xi, 1.0 - xi))
+            for fuse, xi, w_b, w_p in fusions:
+                want = brute_rrf(bm, model, metas, grid, eta, w_b, w_p)
+                order = [pid for pid, _ in want]
+                bits = np.asarray([dict(want)[pid] for pid in cand.ids]).view(np.int64)
+                ks = {1, n}
+                tied = [i for i in range(1, n) if want[i][1] == want[i - 1][1]]
+                if tied:
+                    ks.add(tied[0])
+                    tied_ks += 1
+                for k in sorted(ks):
+                    got = fuse(k=k)
+                    assert k <= len(got.rows) <= n
+                    assert [cand.ids[r] for r in got.rows] == order[: len(got.rows)]
+                    assert got.scores.view(np.int64).tolist() == bits.tolist()
+                    if xi is not None:
+                        truth = {"u": frozenset(order[:k])}
+                        assert tune_rrf({"u": (kb, kp)}, truth, cand, [eta], [xi], cutoff=k) == (eta, xi, 1.0)
+    assert tied_ks > 0
+
+
 def test_rrf_rejects_mismatched_item_sets():
+    # Each bad ranking is named, in either argument position: one too short,
+    # one listing a row twice, and rows outside the candidate set: 3, 7 and
+    # -4, where a bare scatter raises IndexError, not ValueError, and -1,
+    # which a bare scatter would wrap onto the last row.
     cand, kb, kp = fused_fixture()
-    with pytest.raises(ValueError):
-        rrf(Ranking(kb.rows[:2], kb.scores), kp, cand, k=len(cand))
-    with pytest.raises(ValueError):
-        rrf(ranking_of(cand, "AAB"), kp, cand, k=len(cand))
-    for outside in (3, -1):
-        with pytest.raises(ValueError):
-            rrf(Ranking(np.asarray([0, 1, outside]), kb.scores), kp, cand, k=len(cand))
+    bad = {
+        "covers 2 rows, expected 3": Ranking(kb.rows[:2], kb.scores),
+        "lists a row twice": ranking_of(cand, "AAB"),
+        **{
+            f"has a row outside the candidate set ({outside})": Ranking(np.asarray([0, 1, outside]), kb.scores)
+            for outside in (3, 7, -1, -4)
+        },
+    }
+    for what, ranking in bad.items():
+        message = what.split(" (")[0]
+        for fuse in (functools.partial(rrf, k=len(cand)), functools.partial(rrf_weighted, xi=0.3, k=1)):
+            with pytest.raises(ValueError, match=f"^behavior ranking {message}"):
+                fuse(ranking, kp, cand)
+            with pytest.raises(ValueError, match=f"^preference ranking {message}"):
+                fuse(kb, ranking, cand)
+            with pytest.raises(ValueError, match=f"^behavior ranking {message}"):
+                fuse(ranking, ranking, cand)
+        with pytest.raises(ValueError, match=f"^preference ranking {message}"):
+            tune_rrf({"u": (kb, ranking)}, {"u": {"A"}}, cand, [60], [0.5])
 
 
 def test_rrf_weighted_extremes_follow_single_rankers():
@@ -591,9 +645,28 @@ def _stable_order(x):
 SPECIAL_SCORES = [0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 0.25, 1e-300, 3.5]
 
 
+NEAR_TIE_BASES = [5e-324, 2.2250738585072014e-308, 1e-300, 0.3, 1.0, 3.5, 1e300, np.finfo(float).max]
+
+
+def _near_ties(rng, n):
+    """``n`` scores drawn from runs of ``np.nextafter`` neighbours around a
+    few bases, subnormal to the largest float, of both signs, repeats
+    included: scores that differ only in their last bits."""
+    runs = []
+    for base in rng.choice(NEAR_TIE_BASES, size=int(rng.integers(1, 4))):
+        sign = rng.choice((-1.0, 1.0))
+        run = [sign * base]
+        for _ in range(int(rng.integers(1, 40))):
+            run.append(np.nextafter(run[-1], -sign * np.inf))
+        runs.extend(run)
+    return rng.choice(np.asarray(runs), size=n)
+
+
 def _tie_heavy_vectors(rng):
     """Seeded score vectors: few distinct values, signed zeros, infinities,
-    lengths 0 and 1, and distinct floats."""
+    lengths 0 and 1, distinct floats, and runs of floats one ulp apart,
+    among them at lengths 2^m - 1, 2^m and 2^m + 1, where the row field of
+    a packed (score, row) key changes width."""
     yield np.zeros(0)
     yield np.asarray([0.5])
     yield np.asarray([-0.0, 0.0, -0.0, 0.0])
@@ -607,6 +680,14 @@ def _tie_heavy_vectors(rng):
         yield x
     for _ in range(20):
         yield rng.standard_normal(int(rng.integers(1, 2000)))
+    for m in (1, 2, 3, 5, 8, 11):
+        for n in (2**m - 1, 2**m, 2**m + 1):
+            x = _near_ties(rng, n)
+            if n > 4:
+                x[rng.random(n) < 0.3] = rng.choice(SPECIAL_SCORES)
+            yield x
+    for _ in range(60):
+        yield _near_ties(rng, int(rng.integers(2, 600)))
 
 
 def test_preference_order_equals_the_stable_sort():
@@ -657,7 +738,10 @@ def test_top_rows_is_the_prefix_of_the_full_order():
                 ks.add(int(np.flatnonzero(x[full] == tied)[0]) + 1)
             ks.add(int(rng.integers(1, n + 1)))
         for k in sorted(ks - {0}):
-            top = _top_rows(x, k)
+            # Any k distinct rows bound the k-th best score from below; the
+            # true top k bound it tightly.
+            top = _top_rows(x, k, [rng.permutation(n)[:k]])
+            assert _top_rows(x, k, [full[:k], rng.permutation(n)[:k]]).tolist() == top.tolist()
             m = len(top)
             assert min(k, n) <= m <= n
             assert top.tolist() == full[:m].tolist()

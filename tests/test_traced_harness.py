@@ -123,3 +123,23 @@ def test_traced_prep_spans_ingestion_and_counts_every_log_line(tmp_path, capsys)
     non_blank = sum(1 for line in logs.read_text(encoding="utf-8").splitlines() if line.strip())
     assert non_blank > 2 * datamodel._BLOCK_LINES
     assert summary["metrics"]["datamodel.log_lines"]["value"] == non_blank
+
+
+def test_traced_fusion_spans_each_ranker_and_reads_rrf_latency(tmp_path, capsys):
+    # recommend and bench reach fusion through the module attributes the
+    # harness rebinds; a call around them would record no span, and the
+    # traced run would report ranker.rrf_ms_p50 as not measured.
+    inputs, split = _synth_inputs(tmp_path, capsys)
+    out = Path(inputs[-1])
+    steps = [
+        ["prep", *inputs, *split],
+        ["build", *inputs, *split],
+        ["recommend", *inputs, "--method", "rrf"],
+        ["recommend", *inputs, "--method", "rrf-weighted"],
+        ["bench", *inputs, "--method", "behavior,two-stage,rrf", "--users-sample", "4", "--reps", "1"],
+    ]
+    summary, names = _run_traced(tmp_path, steps)
+    stages = {"ranker.rrf", "ranker.rrf_weighted", "ranker.rank_preference", "ranker.rank_behavior"}
+    assert stages <= names, f"no span for {sorted(stages - names)}"
+    assert summary["metrics"]["ranker.rrf_ms_p50"]["value"] > 0
+    assert {"recs_rrf.jsonl", "recs_rrf-weighted.jsonl", "bench.json"} <= {p.name for p in out.iterdir()}
