@@ -114,6 +114,14 @@ def sorted_index(names: Sequence[str], name: str) -> int | None:
     return i if i < len(names) and names[i] == name else None
 
 
+def name_rank(names: Sequence[str]) -> np.ndarray:
+    """Each code's place among ``names`` sorted: codes compared by rank
+    compare as their names do."""
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return rank
+
+
 def index_dtype(n: int) -> np.dtype:
     """The narrowest unsigned dtype that holds every index below ``n``."""
     return np.min_scalar_type(max(n - 1, 0))

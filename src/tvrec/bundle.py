@@ -107,8 +107,10 @@ def build(prepared: Prepared, grid: TimeGrid, provenance: dict) -> tuple[ModelBu
     cells = prepared.cells
     # Every channel of the prepared file gets its grid column, so a cell of
     # the tensor is a cell of the candidates' grid, channel code for column.
-    cand = ranker_mod.build_candidates(prepared.test_metas(), grid, cells.channel_names)
-    cand_codes = prepared.candidate_codes()
+    test = prepared.test_programs()
+    cand = ranker_mod.build_candidates(test, grid, cells.channel_names)
+    cand_codes = test.program
+    del test
     truth_ptr, truth_rows = _truth_rows(prepared, cand_codes)
 
     # The encoder is fitted on train + test metadata: program text is known

@@ -46,6 +46,7 @@ from . import evaluate as evaluate_mod
 from . import preference as preference_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
+from .arrays import name_rank
 from .datamodel import (
     Prepared,
     SplitSpec,
@@ -369,18 +370,25 @@ def _cmd_synth(args: argparse.Namespace) -> None:
     world = synth_mod.gen_world(cfg)
     logs = synth_mod.gen_logs(world)
     out = Path(args.out_dir)
+    users, ids, channels = logs.user_names, logs.program_names, logs.channel_names
+    columns = (logs.user, logs.program, logs.channel, logs.t, logs.dt)
     _write_jsonl(
         out / "logs.jsonl",
         [
-            {"user": g.user, "program": g.program, "channel": g.channel, "t": g.t, "dt": g.dt}
-            for g in logs
+            {"user": users[u], "program": ids[p], "channel": channels[c], "t": t, "dt": dt}
+            for u, p, c, t, dt in zip(*(a.tolist() for a in columns))
         ],
     )
+    # By channel name, then start: the rows come by channel code.
+    programs = world.programs
+    ids, channels, texts = programs.program_names, programs.channel_names, programs.text
+    order = np.lexsort((programs.start, name_rank(channels)[programs.channel]))
+    columns = (order, programs.program[order], programs.channel[order], programs.start[order], programs.end[order])
     _write_jsonl(
         out / "programs.jsonl",
         [
-            {"program": m.program, "channel": m.channel, "start": m.start, "end": m.end, "text": m.text}
-            for m in sorted(world.metas, key=lambda m: (m.channel, m.start))
+            {"program": ids[p], "channel": channels[c], "start": start, "end": end, "text": texts[i]}
+            for i, p, c, start, end in zip(*(a.tolist() for a in columns))
         ],
     )
     manifest = synth_mod.manifest(world, logs)
@@ -393,7 +401,7 @@ def _cmd_synth(args: argparse.Namespace) -> None:
         out_dir=str(out),
         seed=cfg.rng_seed,
         t_split=cfg.t_split,
-        programs=len(world.metas),
+        programs=len(programs),
         logs=len(logs),
         accounts=len(world.accounts),
     )

@@ -12,9 +12,10 @@ line, by the one JSON line decoder. The stages after them work on the
 columns: the flip filter and the split are boolean masks over the tables, the
 user and item restrictions are lookup arrays indexed by code, and the tensor
 is one grouping of equal (user, program, slot, channel) rows with their
-counts, kept as the columns of :class:`TensorCells`. :class:`ProgramMeta`
-is one program as a record, as :mod:`tvrec.synth` makes them and
-:meth:`Prepared.test_metas` gives them to the ranker.
+counts, kept as the columns of :class:`TensorCells`. No stage holds one
+object per program or per log: :mod:`tvrec.synth` generates these tables
+too, and :meth:`Prepared.test_programs` hands the ranker the test programs
+as a :class:`ProgramTable`.
 
 A prepared dataset has one type, :class:`Prepared`: the tensor cells over
 sorted program and channel name tables, every program's text, the test
@@ -71,48 +72,13 @@ from .arrays import (
     write_npz,
 )
 from .errors import DataError
-from .timegrid import _EPOCH_TO_MONDAY, SECONDS_PER_WEEK, TimeGrid
+from .timegrid import SECONDS_PER_WEEK, TimeGrid, slot_column
 
 DEFAULT_MIN_DURATION = 900  # channel-flip threshold, seconds
 DEFAULT_TRAIN_SECS = 90 * 86_400
 DEFAULT_TEST_SECS = 7 * 86_400
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
-@dataclass(frozen=True, slots=True)
-class ViewingLog:
-    """One channel-switch event: user switched to ``channel`` broadcasting
-    ``program`` at UTC timestamp ``t`` and stayed for ``dt`` seconds.
-
-    :func:`tvrec.synth.gen_logs` emits these records; ingestion reads logs
-    into a :class:`LogTable` instead."""
-
-    user: str
-    program: str
-    channel: str
-    t: int
-    dt: int
-
-    def __post_init__(self) -> None:
-        if self.dt < 0:
-            raise ValueError(f"negative duration {self.dt} for user {self.user!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class ProgramMeta:
-    """Broadcast metadata: channel, broadcast interval, and free text
-    (title, artists, abstract concatenated)."""
-
-    program: str
-    channel: str
-    start: int
-    end: int
-    text: str
-
-    def __post_init__(self) -> None:
-        if not _is_broadcast(self.start, self.end):
-            raise ValueError(f"program {self.program!r}: a broadcast starts before it ends, within a week")
 
 
 def _is_broadcast(start, end):
@@ -498,9 +464,9 @@ def parse_programs(lines: Iterable[str]) -> tuple[ProgramTable, int]:
     order; same skip-and-count policy as :func:`parse_logs`.
 
     Besides the rules of every JSONL input, a program line is malformed when
-    it breaks :class:`ProgramMeta`'s rule (see :func:`_is_broadcast`) or
-    when ``start`` or ``end`` does not fit in int64. A program id that
-    repeats keeps its code; :func:`prepare` refuses it.
+    it is no broadcast (see :func:`_is_broadcast`) or when ``start`` or
+    ``end`` does not fit in int64. A program id that repeats keeps its code;
+    :func:`prepare` refuses it.
     """
     names: tuple[dict[str, int], ...] = ({}, {})
     programs, channels = names
@@ -575,17 +541,6 @@ def _member(names: tuple[str, ...], keep: Collection[str]) -> np.ndarray:
     return np.fromiter(map(keep.__contains__, names), dtype=bool, count=len(names))
 
 
-def _slot_column(t: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """:func:`tvrec.timegrid.slot_of` over an int64 column.
-
-    ``t`` and the offsets are reduced modulo the week first. The grid's slots
-    tile exactly one week, so the slot does not change, and the sum stays far
-    from the int64 limits where numpy would wrap.
-    """
-    shift = (grid.utc_offset + _EPOCH_TO_MONDAY) % SECONDS_PER_WEEK
-    return (t % SECONDS_PER_WEEK + shift) // grid.slot_len % grid.n + 1
-
-
 def build_tensor(
     d_train: LogTable,
     programs: ProgramTable,
@@ -614,7 +569,7 @@ def build_tensor(
     in_users = _member(d_train.user_names, users)
     in_items = _member(d_train.program_names, items)
     counted = d_train.take(in_users[d_train.user] & in_items[d_train.program])
-    cols = (counted.user, counted.program, _slot_column(counted.t, grid), counted.channel)
+    cols = (counted.user, counted.program, slot_column(counted.t, grid), counted.channel)
     # Group equal cells with a stable sort, so the first row of each group is
     # the cell's first appearance. A key packed into one int64 could overflow.
     order = np.lexsort(cols[::-1])
@@ -679,20 +634,21 @@ class Prepared:
     truth_ptr: np.ndarray
     truth_program: np.ndarray
 
-    def candidate_codes(self) -> np.ndarray:
-        """The test programs' codes in candidate row order, by (start, id):
-        program codes ascend with the ids."""
-        return self.test_program[np.lexsort((self.test_program, self.test_start))]
-
-    def test_metas(self) -> list[ProgramMeta]:
-        """The test programs, by id."""
-        programs, channels = self.cells.program_names, self.cells.channel_names
-        return [
-            ProgramMeta(programs[p], channels[c], start, end, self.texts[p])
-            for p, c, start, end in zip(
-                *(a.tolist() for a in (self.test_program, self.test_channel, self.test_start, self.test_end))
-            )
-        ]
+    def test_programs(self) -> ProgramTable:
+        """The test programs over the name tables, in candidate order: by
+        (start, id), the order of :class:`tvrec.ranker.Candidates` rows.
+        Program codes ascend with the ids, so they break the start ties."""
+        order = np.lexsort((self.test_program, self.test_start))
+        program = self.test_program[order]
+        return ProgramTable(
+            program_names=self.cells.program_names,
+            channel_names=self.cells.channel_names,
+            program=program,
+            channel=self.test_channel[order],
+            start=self.test_start[order],
+            end=self.test_end[order],
+            text=tuple(map(self.texts.__getitem__, program.tolist())),
+        )
 
     def truths(self) -> dict[str, tuple[str, ...]]:
         """Each user with a truth, in sorted order, to their sorted test programs."""

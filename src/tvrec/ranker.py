@@ -6,7 +6,10 @@ inference touches only precomputed arrays, mirroring a production setup where
 everything derivable from the schedule is indexed in advance. Every ranker is
 deterministic: score ties break by earlier start time, then by program id.
 Candidate rows are stored in that (start, id) order, so the row number is the
-tie-break: a stable sort by score alone applies it.
+tie-break: a stable sort by score alone applies it. :func:`build_candidates`
+indexes a :class:`tvrec.datamodel.ProgramTable` whose rows already come in
+that order, one candidate row per table row, and lists every row's (slot,
+channel) cells in one pass of :func:`tvrec.timegrid.span_column`.
 
 Rankers take and return a :class:`Ranking`: ``rows``, candidate rows best
 first, and ``scores``, indexed by row. RRF works on rank weights, not on
@@ -74,10 +77,10 @@ import numpy as np
 
 from .arrays import Rows, ranges
 from .behavior import UserBehavior
-from .datamodel import ProgramMeta
+from .datamodel import ProgramTable
 from .errors import DataError
 from .preference import ItemIndex, PreferenceModel
-from .timegrid import TimeGrid, slots_of_span
+from .timegrid import TimeGrid, span_column
 
 RankedList = list[tuple[str, float]]
 
@@ -162,36 +165,32 @@ class Candidates:
         return bool(np.any((rows[1:] == rows[:-1]) & (cells[1:] == cells[:-1])))
 
 
-def build_candidates(
-    metas: Iterable[ProgramMeta], grid: TimeGrid, channels: Collection[str] = ()
-) -> Candidates:
-    """Index candidate programs for ranking.
+def build_candidates(programs: ProgramTable, grid: TimeGrid, channels: Collection[str] = ()) -> Candidates:
+    """Index candidate programs for ranking: row ``r`` of the index is row
+    ``r`` of ``programs``, which must come in (start, id) order.
 
     ``channels`` should include every channel present in the training tensor;
-    channels appearing only in the metadata are added automatically so that
-    distinct channels never share a grid column.
+    the channels of ``programs`` are added automatically so that distinct
+    channels never share a grid column. Raises :class:`DataError` when a
+    program id repeats, and ValueError when the rows are out of order.
     """
-    ms = sorted(metas, key=lambda m: (m.start, m.program))
-    ids = tuple(m.program for m in ms)
-    if len(set(ids)) != len(ids):
+    program, start = programs.program, programs.start
+    if np.bincount(program).max(initial=0) > 1:
         raise DataError("candidate set contains duplicate program ids")
-    all_channels = tuple(sorted(set(channels) | {m.channel for m in ms}))
+    ids = tuple(map(programs.program_names.__getitem__, program.tolist()))
+    tied = np.flatnonzero(start[1:] == start[:-1]).tolist()
+    if np.any(start[1:] < start[:-1]) or any(ids[i] > ids[i + 1] for i in tied):
+        raise ValueError("candidate programs are not in (start, id) order")
+    all_channels = tuple(sorted(set(channels).union(programs.channel_names)))
     col_of = {c: i for i, c in enumerate(all_channels)}
-    ncols = max(len(all_channels), 1)
-
-    flat: list[int] = []
-    ptr = [0]
-    for m in ms:
-        col = col_of[m.channel]
-        flat.extend((s - 1) * ncols + col for s in slots_of_span(m.start, m.end, grid))
-        ptr.append(len(flat))
-
+    column = np.array([col_of[c] for c in programs.channel_names], dtype=np.int64)
+    span_ptr, slots = span_column(start, programs.end, grid)
     return Candidates(
         n_slots=grid.n,
         ids=ids,
         channels=all_channels,
-        span_flat=np.asarray(flat, dtype=np.int64),
-        span_ptr=np.asarray(ptr, dtype=np.int64),
+        span_flat=(slots - 1) * len(all_channels) + np.repeat(column[programs.channel], np.diff(span_ptr)),
+        span_ptr=span_ptr,
     )
 
 

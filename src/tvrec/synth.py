@@ -12,18 +12,25 @@ separates topics without making the preference baseline trivially perfect.
 Generation is deterministic under the configured seed: every channel and
 account draws from its own counter-based stream (Philox keyed by a spawn
 path), so output is independent of iteration or thread order.
+
+The world's schedule is one :class:`tvrec.datamodel.ProgramTable`, channel
+by channel, and the logs one :class:`tvrec.datamodel.LogTable` over the
+world's name tables, in (t, user, channel, program, dt) name order: the
+columns that ingestion reads, with no object per program or per event.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .datamodel import ProgramMeta, ViewingLog
+from .arrays import name_rank
+from .datamodel import LogTable, ProgramTable
 from .timegrid import SECONDS_PER_WEEK, TimeGrid
 
 DURATION_STEP = 300  # schedule lattice, seconds
@@ -121,13 +128,18 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class World:
-    """A generated universe: schedule, topics, and planted personas."""
+    """A generated universe: schedule, topics, and planted personas.
+
+    ``programs`` is the gap-free schedule of every channel, channel by
+    channel: channel code ``c``'s programs are contiguous rows in start
+    order, and the program and channel codes number the ids and channels in
+    order of generation.
+    """
 
     config: SynthConfig
-    metas: tuple[ProgramMeta, ...]
+    programs: ProgramTable
     topics: TopicModel
     accounts: tuple[Account, ...]
-    schedule: Mapping[str, tuple[ProgramMeta, ...]]
 
 
 def _duration_choices(slot_len: int, target: float) -> tuple[int, ...]:
@@ -163,12 +175,14 @@ def gen_world(cfg: SynthConfig) -> World:
     }
 
     durations = _duration_choices(cfg.grid.slot_len, cfg.programs_per_slot_target)
-    metas: list[ProgramMeta] = []
     program_topic: dict[str, int] = {}
-    schedule: dict[str, tuple[ProgramMeta, ...]] = {}
+    ids: list[str] = []
+    channel_codes: list[int] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    texts: list[str] = []
     for ci, ch in enumerate(channels):
         crng = _rng(cfg.rng_seed, _CHANNEL, ci)
-        progs: list[ProgramMeta] = []
         memory: list[tuple[int, tuple[str, ...]]] = []
         # Half-step phase shift keeps program boundaries off the slot
         # boundaries, so the expected per-slot program count stays at
@@ -191,13 +205,23 @@ def gen_world(cfg: SynthConfig) -> World:
                 length = int(crng.integers(5, 16))
                 tokens = _draw_tokens(crng, topic_words[topic], common_words, length)
                 memory.append((topic, tuple(tokens)))
-            meta = ProgramMeta(program=pid, channel=ch, start=t, end=t + dur, text=" ".join(tokens))
-            progs.append(meta)
             program_topic[pid] = topic
+            ids.append(pid)
+            channel_codes.append(ci)
+            starts.append(t)
+            ends.append(t + dur)
+            texts.append(" ".join(tokens))
             t += dur
             idx += 1
-        schedule[ch] = tuple(progs)
-        metas.extend(progs)
+    programs = ProgramTable(
+        program_names=tuple(ids),
+        channel_names=tuple(channels),
+        program=np.arange(len(ids), dtype=np.int32),
+        channel=np.array(channel_codes, dtype=np.int32),
+        start=np.array(starts, dtype=np.int64),
+        end=np.array(ends, dtype=np.int64),
+        text=tuple(texts),
+    )
 
     slots_per_day = cfg.n_slots // 7
     slot_len = cfg.grid.slot_len
@@ -257,24 +281,25 @@ def gen_world(cfg: SynthConfig) -> World:
 
     return World(
         config=cfg,
-        metas=tuple(metas),
+        programs=programs,
         topics=TopicModel(topic_words=topic_words, common_words=common_words, program_topic=program_topic),
         accounts=tuple(accounts),
-        schedule=schedule,
     )
 
 
-def _airing(starts: list[int], progs: tuple[ProgramMeta, ...], lo: int, hi: int) -> list[ProgramMeta]:
-    i = max(bisect_right(starts, lo) - 1, 0)
+def _airing(starts: list[int], ends: list[int], rows: range, lo: int, hi: int) -> list[int]:
+    """The rows among ``rows``, one channel's programs in start order, that
+    air during ``[lo, hi)``."""
+    i = max(bisect_right(starts, lo, rows.start, rows.stop) - 1, rows.start)
     out = []
-    while i < len(progs) and progs[i].start < hi:
-        if progs[i].end > lo:
-            out.append(progs[i])
+    while i < rows.stop and starts[i] < hi:
+        if ends[i] > lo:
+            out.append(i)
         i += 1
     return out
 
 
-def gen_logs(world: World) -> list[ViewingLog]:
+def gen_logs(world: World) -> LogTable:
     """Simulate channel-switch events for every account over the full horizon.
 
     Per persona and weekly slot: with the planted habit probability, the
@@ -283,14 +308,22 @@ def gen_logs(world: World) -> list[ViewingLog]:
     ties). Candidates it passed over become sub-threshold flip events. A
     program matching none of its topics is watched with the attention
     probability, otherwise everything airing is flipped through.
+
+    The logs come sorted by (t, user, channel, program, dt), names compared
+    as strings. Their codes index the accounts' users in order and the
+    program and channel names of ``world.programs``.
     """
     cfg = world.config
     slot_len = cfg.grid.slot_len
     weeks = cfg.weeks_train + cfg.weeks_test
-    channel_starts = {ch: [p.start for p in progs] for ch, progs in world.schedule.items()}
-    topic_of = world.topics.program_topic
+    programs = world.programs
+    channel_of = {ch: ci for ci, ch in enumerate(programs.channel_names)}
+    bounds = np.searchsorted(programs.channel, np.arange(len(programs.channel_names) + 1)).tolist()
+    starts, ends = programs.start.tolist(), programs.end.tolist()
+    topic_of = list(map(world.topics.program_topic.__getitem__, programs.program_names))
 
-    logs: list[ViewingLog] = []
+    events = array("q")  # (user, program, channel, t, dt) per event: codes, then values
+    add = events.extend
     for ui, account in enumerate(world.accounts):
         rng = _rng(cfg.rng_seed, _LOGS, ui)
         plan = [
@@ -309,31 +342,49 @@ def gen_logs(world: World) -> list[ViewingLog]:
                     if not tune:
                         continue
                     t0 = week_start + (slot - 1) * slot_len
-                    progs = world.schedule[channel]
-                    cands = _airing(channel_starts[channel], progs, t0, t0 + slot_len)
+                    ci = channel_of[channel]
+                    cands = _airing(starts, ends, range(bounds[ci], bounds[ci + 1]), t0, t0 + slot_len)
                     if not cands:
                         continue
                     best = cands[0]
-                    best_aff = persona.topics.get(topic_of[best.program], 0.0)
+                    best_aff = persona.topics.get(topic_of[best], 0.0)
                     for p in cands[1:]:
-                        aff = persona.topics.get(topic_of[p.program], 0.0)
+                        aff = persona.topics.get(topic_of[p], 0.0)
                         if aff > best_aff:
                             best, best_aff = p, aff
                     if best_aff <= 0.0 and rng.random() >= persona.attention:
                         for p in cands:
-                            logs.append(ViewingLog(account.user, p.program, channel, max(t0, p.start), FLIP_DT))
+                            add((ui, p, ci, max(t0, starts[p]), FLIP_DT))
                         continue
                     for p in cands:
-                        if p is not best:
-                            logs.append(ViewingLog(account.user, p.program, channel, max(t0, p.start), FLIP_DT))
-                    t_w = max(t0, best.start)
-                    dt = min(best.end, t0 + persona.residence) - t_w
-                    logs.append(ViewingLog(account.user, best.program, channel, t_w, dt))
-    logs.sort(key=lambda log: (log.t, log.user, log.channel, log.program, log.dt))
-    return logs
+                        if p != best:
+                            add((ui, p, ci, max(t0, starts[p]), FLIP_DT))
+                    t_w = max(t0, starts[best])
+                    dt = min(ends[best], t0 + persona.residence) - t_w
+                    add((ui, best, ci, t_w, dt))
+
+    users = tuple(account.user for account in world.accounts)
+    user, program, channel, t, dt = np.frombuffer(events, dtype=np.int64).reshape(-1, 5).T
+    order = np.lexsort((
+        dt,
+        name_rank(programs.program_names)[program],
+        name_rank(programs.channel_names)[channel],
+        name_rank(users)[user],
+        t,
+    ))
+    return LogTable(
+        user_names=users,
+        program_names=programs.program_names,
+        channel_names=programs.channel_names,
+        user=user[order].astype(np.int32),
+        program=program[order].astype(np.int32),
+        channel=channel[order].astype(np.int32),
+        t=t[order],
+        dt=dt[order],
+    )
 
 
-def manifest(world: World, logs: list[ViewingLog]) -> dict:
+def manifest(world: World, logs: LogTable) -> dict:
     """Seed, configuration, and planted parameters, for provenance and for
     oracle checks against the generated data."""
     cfg = world.config
@@ -359,7 +410,7 @@ def manifest(world: World, logs: list[ViewingLog]) -> dict:
         "train_window": [cfg.origin, cfg.t_split],
         "test_window": [cfg.t_split, cfg.horizon_end],
         "counts": {
-            "programs": len(world.metas),
+            "programs": len(world.programs),
             "logs": len(logs),
             "accounts": len(world.accounts),
             "channels": cfg.n_channels,

@@ -3,19 +3,27 @@
 The week is divided into ``n`` equal slots starting Monday 00:00 local time.
 Slot indices are 1-based. Slot intervals are left-closed, right-open: a
 timestamp exactly on a boundary belongs to the slot that starts there.
+
+This module is the one place that knows the slot rule, and it applies it to
+int64 columns: :func:`slot_column` slots each timestamp of a column, and
+:func:`span_column` lists each span's slots as CSR (compressed sparse row)
+arrays. Spans wrap modulo ``n`` across the week boundary and list each slot
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .arrays import ranges
+
 SECONDS_PER_WEEK = 604_800
 
 # The Unix epoch (1970-01-01) is a Thursday; the Monday before it is
 # 1969-12-29 00:00 UTC, i.e. epoch - 3 days.
 _EPOCH_TO_MONDAY = 3 * 86_400
-
-SlotIndex = int
 
 
 @dataclass(frozen=True)
@@ -40,30 +48,39 @@ class TimeGrid:
         return SECONDS_PER_WEEK // self.n
 
 
-def _abs_slot(t: int, grid: TimeGrid) -> int:
-    # Unbounded slot counter; consecutive across week boundaries.
-    return (t + grid.utc_offset + _EPOCH_TO_MONDAY) // grid.slot_len
+def _week_seconds(t: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Each UTC timestamp's local seconds since a Monday 00:00, in ``[0, 2
+    weeks)``. ``t`` and the offsets are reduced modulo the week first: the
+    grid's slots tile exactly one week, so no slot changes, and the sums stay
+    far from the int64 limits where numpy would wrap."""
+    shift = (grid.utc_offset + _EPOCH_TO_MONDAY) % SECONDS_PER_WEEK
+    return t % SECONDS_PER_WEEK + shift
 
 
-def slot_of(t: int, grid: TimeGrid) -> SlotIndex:
-    """Return the 1-based weekly slot containing UTC timestamp ``t``."""
-    return _abs_slot(t, grid) % grid.n + 1
+def slot_column(t: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The 1-based weekly slot containing each UTC timestamp of the int64
+    column ``t``."""
+    return _week_seconds(t, grid) // grid.slot_len % grid.n + 1
 
 
-def slots_of_span(s: int, e: int, grid: TimeGrid) -> list[SlotIndex]:
-    """Return the chronological slot sequence touched by the span ``[s, e]``.
+def span_column(start: np.ndarray, end: np.ndarray, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The slots each span ``[start[i], end[i]]`` touches, as CSR: span
+    ``i``'s slots are ``slots[ptr[i]:ptr[i + 1]]``, in chronological order,
+    1-based, int64.
 
-    Wraps modulo ``n`` across the week boundary, and lists each slot once: a
-    span just short of a week that ends back in its first slot yields all
-    ``n`` slots, from the first. A zero-length span yields the single slot
-    containing ``s``. Spans of a week or longer would touch every slot and
-    signal malformed metadata, so they are rejected.
+    Spans wrap modulo ``n`` across the week boundary, and list each slot
+    once: a span just short of a week that ends back in its first slot yields
+    all ``n`` slots, from the first. A zero-length span yields the single slot
+    containing its start. A span that ends before it starts, or lasts a week
+    or longer, would touch every slot and signal malformed metadata, so it
+    raises ValueError.
     """
-    if s > e:
-        raise ValueError(f"span start {s} is after end {e}")
-    if e - s >= SECONDS_PER_WEEK:
-        raise ValueError(f"span of {e - s}s covers the whole week; metadata is malformed")
-    first = _abs_slot(s, grid)
-    n = grid.n
-    last = min(_abs_slot(e, grid), first + n - 1)
-    return [a % n + 1 for a in range(first, last + 1)]
+    length = end - start
+    if np.any((length < 0) | (length >= SECONDS_PER_WEEK)):
+        raise ValueError("a span ends before it starts or covers the whole week; metadata is malformed")
+    s = _week_seconds(start, grid)
+    first = s // grid.slot_len
+    count = np.minimum((s + length) // grid.slot_len - first + 1, grid.n)
+    ptr = np.zeros(len(count) + 1, dtype=np.int64)
+    np.cumsum(count, out=ptr[1:])
+    return ptr, ranges(first, first + count) % grid.n + 1

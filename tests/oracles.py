@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the library's ranking,
 ingestion and model-building code paths: dense matrices, plain dict
-arithmetic, python sorts, one `ViewingLog` or `ProgramMeta` record per line, the
-interaction tensor as nested dicts, ``{user: {(program, slot, channel): count}}``,
+arithmetic, python sorts, the slot rule one timestamp at a time
+(:func:`slot_of`, :func:`slots_of_span`), one :class:`ViewingLog` or
+:class:`ProgramMeta` record per line, the interaction tensor as nested dicts, ``{user: {(program, slot, channel): count}}``,
 the model as dicts: :class:`BehaviorMatrix` and :class:`PreferenceDicts`,
 and tf-idf embeddings as ``{dimension: weight}`` dicts (:func:`fit_dicts`,
 :func:`encode_dict`, :func:`mean_embedding`).
@@ -21,22 +22,94 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
 from tvrec.arrays import Rows
 from tvrec.behavior import Behavior, UserBehavior
-from tvrec.datamodel import LogTable, ProgramMeta, ProgramTable, TensorCells, ViewingLog
+from tvrec.datamodel import LogTable, ProgramTable, TensorCells
 from tvrec.errors import DataError
 from tvrec.preference import PreferenceModel, Preferences
-from tvrec.ranker import Candidates, build_item_index
+from tvrec.ranker import Candidates, build_candidates, build_item_index
 from tvrec.textenc import Vocabulary, tokenize
-from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
+from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
 
 MONDAY = 1_554_076_800  # 2019-04-01 00:00:00 UTC
 
 Embedding = dict[int, float]
+
+
+# ---------------------------------------------------------------------------
+# records and the slot rule, one at a time
+
+
+@dataclass(frozen=True, slots=True)
+class ViewingLog:
+    """One channel-switch event: user switched to ``channel`` broadcasting
+    ``program`` at UTC timestamp ``t`` and stayed for ``dt`` seconds."""
+
+    user: str
+    program: str
+    channel: str
+    t: int
+    dt: int
+
+    def __post_init__(self) -> None:
+        if self.dt < 0:
+            raise ValueError(f"negative duration {self.dt} for user {self.user!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class ProgramMeta:
+    """Broadcast metadata: channel, broadcast interval, and free text
+    (title, artists, abstract concatenated)."""
+
+    program: str
+    channel: str
+    start: int
+    end: int
+    text: str
+
+    def __post_init__(self) -> None:
+        if not (self.start < self.end and self.end - self.start < SECONDS_PER_WEEK):
+            raise ValueError(f"program {self.program!r}: a broadcast starts before it ends, within a week")
+
+
+# The Unix epoch (1970-01-01) is a Thursday; the Monday before it is
+# 1969-12-29 00:00 UTC, i.e. epoch - 3 days.
+_EPOCH_TO_MONDAY = 3 * 86_400
+
+
+def _abs_slot(t: int, grid: TimeGrid) -> int:
+    # Unbounded slot counter; consecutive across week boundaries.
+    return (t + grid.utc_offset + _EPOCH_TO_MONDAY) // grid.slot_len
+
+
+def slot_of(t: int, grid: TimeGrid) -> int:
+    """Reference `timegrid.slot_column` for one timestamp: the 1-based weekly
+    slot containing UTC timestamp ``t``."""
+    return _abs_slot(t, grid) % grid.n + 1
+
+
+def slots_of_span(s: int, e: int, grid: TimeGrid) -> list[int]:
+    """Reference `timegrid.span_column` for one span: the chronological slot
+    sequence touched by ``[s, e]``.
+
+    Wraps modulo ``n`` across the week boundary, and lists each slot once: a
+    span just short of a week that ends back in its first slot yields all
+    ``n`` slots, from the first. A zero-length span yields the single slot
+    containing ``s``. Spans of a week or longer would touch every slot and
+    signal malformed metadata, so they are rejected.
+    """
+    if s > e:
+        raise ValueError(f"span start {s} is after end {e}")
+    if e - s >= SECONDS_PER_WEEK:
+        raise ValueError(f"span of {e - s}s covers the whole week; metadata is malformed")
+    first = _abs_slot(s, grid)
+    n = grid.n
+    last = min(_abs_slot(e, grid), first + n - 1)
+    return [a % n + 1 for a in range(first, last + 1)]
 
 
 @dataclass(frozen=True)
@@ -421,6 +494,11 @@ def program_table(metas: Iterable[ProgramMeta]) -> ProgramTable:
         np.array([m.end for m in metas], dtype=np.int64),
         tuple(m.text for m in metas),
     )
+
+
+def candidates(metas: Iterable[ProgramMeta], grid: TimeGrid, channels: Collection[str] = ()) -> Candidates:
+    """`build_candidates` of the records, put in candidate order, by (start, id)."""
+    return build_candidates(program_table(sorted(metas, key=lambda m: (m.start, m.program))), grid, channels)
 
 
 def program_records(table: ProgramTable) -> list[ProgramMeta]:

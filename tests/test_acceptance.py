@@ -20,11 +20,10 @@ import pytest
 from oracles import (
     behavior_row,
     brute_two_stage,
+    candidates,
     dense_behavior_score,
     l2_norm,
-    log_table,
     preference_model,
-    program_table,
     random_instance,
     row_dicts,
 )
@@ -62,7 +61,7 @@ def build_dataset(seed: int) -> Dataset:
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=cfg.weeks_test * SECONDS_PER_WEEK,
     )
-    prep, _ = datamodel.prepare(log_table(logs), program_table(world.metas), cfg.grid, spec)
+    prep, _ = datamodel.prepare(logs, world.programs, cfg.grid, spec)
     # The model `tvrec build` writes, built the same way.
     built, _ = bundle.build(prep, cfg.grid, {"seed": seed})
     models = {"global": preference.global_view(built.model), "time-aware": built.model}
@@ -101,7 +100,7 @@ def test_criterion_1_two_stage_matches_brute_force_oracle():
     checked = 0
     for _ in range(1000):
         grid, metas, bm, models = random_instance(rng)
-        cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         k = rng.choice((1, 3, 10, 30))
         mode = rng.choice(("global", "time-aware"))
         ranking = ranker.two_stage(behavior_row(bm, cand), preference_model(models[mode], cand), cand, k)
@@ -126,7 +125,7 @@ def test_criterion_2_behavior_score_matches_dense_product():
     while checked < 1000:
         grid, metas, bm, _ = random_instance(rng, max_programs=10)
         channels = sorted({m.channel for m in metas} | {c for _, c in bm.probs})
-        cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         scores = ranker.rank_behavior(behavior_row(bm, cand), cand).scores
         for meta in metas:
             efficient = float(scores[cand.ids.index(meta.program)])
@@ -277,7 +276,7 @@ def test_criterion_7_rrf_algebra():
     rng = random.Random(777)
     for trial in range(100):
         grid, metas, bm, models = random_instance(rng, max_programs=40)
-        cand = ranker.build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         kb = ranker.rank_behavior(behavior_row(bm, cand), cand)
         kp = ranker.rank_preference(preference_model(models["global"], cand), "u", cand)
         eta = rng.randint(1, 100)

@@ -6,8 +6,11 @@ from oracles import (
     MONDAY,
     BehaviorMatrix,
     PreferenceDicts,
+    ProgramMeta,
+    ViewingLog,
     behavior_dicts,
     behavior_row,
+    candidates,
     dense_behavior_score,
     log_table,
     preference_model,
@@ -16,9 +19,9 @@ from oracles import (
     tensor_cells,
 )
 from tvrec.behavior import behavior_matrix
-from tvrec.datamodel import ProgramMeta, ViewingLog, build_tensor
+from tvrec.datamodel import build_tensor
 from tvrec.errors import DataError
-from tvrec.ranker import build_candidates, rank_behavior, top_k, two_stage
+from tvrec.ranker import rank_behavior, top_k, two_stage
 from tvrec.timegrid import TimeGrid
 
 GRID = TimeGrid(n=672)
@@ -95,7 +98,7 @@ def program(pid="px", channel="c2", start_slot=5, n_slots=2):
 
 def behavior_scores(bm, metas, grid=GRID):
     """Behavior score of each program, computed over the candidate index."""
-    cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+    cand = candidates(metas, grid, {c for _, c in bm.probs})
     scores = rank_behavior(behavior_row(bm, cand), cand).scores
     return [float(scores[cand.ids.index(m.program)]) for m in metas]
 
@@ -111,7 +114,7 @@ def test_behavior_score_unwatched_channel_is_zero_with_total_argmax():
     bm = BehaviorMatrix("u", {(5, "c1"): 1.0})
     metas = [program("pa", channel="c1", n_slots=1), program("pz", channel="c9")]
     assert behavior_scores(bm, metas) == [1.0, 0.0]
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     ranked = top_k(cand, two_stage(behavior_row(bm, cand), preference_model(flat_model(metas), cand), cand, 5), 5)
     assert ranked == [("pa", 1.0), ("pz", 0.0)]
 
@@ -124,7 +127,7 @@ def test_behavior_score_tie_takes_earliest_slot():
     bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (2, "c1"): 0.5})
     metas = [program("A", channel="c1", start_slot=1), program("B", channel="c1", start_slot=2, n_slots=1)]
     model = flat_model(metas, {"A": {0: 0.1}, "B": {0: 0.9}})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     ranking = two_stage(behavior_row(bm, cand), preference_model(model, cand), cand, 5)
     assert top_k(cand, ranking, 5) == [("A", 0.5), ("B", 0.5)]
 

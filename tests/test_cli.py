@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import io
 import json
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import zipfile
@@ -89,6 +91,44 @@ def test_synth_writes_dataset_with_manifest(workspace):
     assert manifest["seed"] == 3
     assert manifest["counts"]["accounts"] == 25
     assert manifest["config_hash"]
+
+
+def _input_digests():
+    """The rows of perfbench/README.md's input digest table: {(workload, file): sha256}."""
+    readme = (Path(__file__).resolve().parents[1] / "perfbench" / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| ([\w-]+) \| (\w+\.jsonl) \| ([0-9a-f]{64}) \|$", readme, re.M)
+    return {(workload, name): digest for workload, name, digest in rows}
+
+
+def test_synth_writes_the_benchmark_inputs_byte_for_byte(tmp_path, capsys):
+    # wide-rrf's shape and synth seed: both files hash to the benchmark's digests.
+    digests = _input_digests()
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"n_users": 80, "n_channels": 60, "n_topics": 20, "weeks_train": 3, "weeks_test": 1}))
+    assert run(["synth", "--config", cfg, "--out-dir", tmp_path, "--seed", 2]) == 0
+    for name in ("logs.jsonl", "programs.jsonl"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[("wide-rrf", name)], name
+    capsys.readouterr()
+
+
+def test_synth_writes_in_name_order_past_100_channels(tmp_path, capsys):
+    # "c100" sorts between "c10" and "c11", unlike its channel number: both
+    # files follow the names.
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(
+        {"n_users": 40, "n_channels": 101, "n_topics": 3, "weeks_train": 1, "weeks_test": 1, "n_slots": 7}
+    ))
+    assert run(["synth", "--config", cfg, "--out-dir", tmp_path, "--seed", 1]) == 0
+    programs = [json.loads(line) for line in (tmp_path / "programs.jsonl").read_text().splitlines()]
+    logs = [json.loads(line) for line in (tmp_path / "logs.jsonl").read_text().splitlines()]
+    by_channel = [(p["channel"], p["start"]) for p in programs]
+    assert by_channel == sorted(by_channel)
+    channels = list(dict.fromkeys(channel for channel, _ in by_channel))
+    assert len(channels) == 101 and channels.index("c100") == channels.index("c10") + 1
+    keys = [(g["t"], g["user"], g["channel"], g["program"], g["dt"]) for g in logs]
+    assert keys == sorted(keys)
+    assert any(g["channel"] == "c100" for g in logs)
+    capsys.readouterr()
 
 
 def test_prep_build_recommend_evaluate_round_trip(workspace, capsys):
@@ -398,6 +438,14 @@ def _malformed_argv(case, cfg, tmp_path):
                                "bundle empty": b""}[case])
         return ["recommend", "--config", cfg, "--model", model, "--method", "behavior",
                 "--out", tmp_path / "recs.jsonl"]
+    if case == "prepared test program repeats a code":
+        # Loads, as every code is in range; the candidate index refuses the repeat.
+        arrays = _bundle_arrays(cfg.parent / "out" / "prepared.npz")
+        arrays["test_program"] = arrays["test_program"].copy()
+        arrays["test_program"][-1] = arrays["test_program"][0]
+        (tmp_path / "out").mkdir()
+        _write_arrays(tmp_path / "out" / "prepared.npz", arrays)
+        return ["build", "--config", cfg, "--out-dir", tmp_path / "out"]
     flag = {"bench zero users": "--users-sample", "bench zero reps": "--reps"}[case]
     return ["bench", "--config", cfg, "--method", "behavior", flag, 0]
 
@@ -464,6 +512,7 @@ def _malformed_argv(case, cfg, tmp_path):
         ("bundle empty", 3),
         ("bundle span_ptr short", 3),
         ("bench bundle without users", 3),
+        ("prepared test program repeats a code", 3),
         ("tune bundle without users", 3),
         ("tune no dev user with truth", 3),
         ("prep no user in both halves", 3),

@@ -9,6 +9,8 @@ import pytest
 import numpy as np
 
 from oracles import (
+    ProgramMeta,
+    ViewingLog,
     build_tensor_records,
     ground_truth_records,
     log_table,
@@ -16,14 +18,13 @@ from oracles import (
     parse_program_records,
     program_records,
     program_table,
+    slot_of,
     table_rows,
     tensor_dicts,
 )
 from tvrec.datamodel import (
     Prepared,
-    ProgramMeta,
     SplitSpec,
-    ViewingLog,
     build_tensor,
     dump_prepared,
     filter_flips,
@@ -38,7 +39,7 @@ from tvrec.datamodel import (
 )
 from tvrec import cli, datamodel, synth
 from tvrec.errors import DataError
-from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid, slot_of
+from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
 
 MONDAY = 1_554_076_800
 GRID = TimeGrid(n=672)
@@ -394,9 +395,9 @@ def test_prepared_file_round_trips_in_order(tmp_path):
     world = synth.gen_world(cfg)
     # Texts with non-ASCII characters and a lone surrogate, as a JSON escape can give.
     metas = [replace(m, text=m.text + " T\u00e9l\u00e9 \u6771\u4eac \ud800") if i % 5 == 0 else m
-             for i, m in enumerate(world.metas)]
+             for i, m in enumerate(program_records(world.programs))]
     spec = SplitSpec(t_split=cfg.t_split, dt_train=2 * SECONDS_PER_WEEK, dt_test=SECONDS_PER_WEEK)
-    logs = log_table(synth.gen_logs(world))
+    logs = synth.gen_logs(world)
     prepared, _ = prepare(logs, program_table(metas), cfg.grid, spec)
     manifest = {"inputs": {"logs": "a", "programs": "b"}, "grid": [cfg.grid.n, 0]}
     paths = [tmp_path / "one.npz", tmp_path / "two.npz"]
@@ -420,9 +421,8 @@ def test_prepared_file_round_trips_in_order(tmp_path):
     corpus = list(zip(prepared.cells.program_names, prepared.texts))
     assert corpus == [(pid, by_id[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
     assert any("\ud800" in text for text in prepared.texts)
-    assert prepared.test_metas() == [by_id[pid] for pid in sorted(sp.i_test)]
     by_start = sorted(sp.i_test, key=lambda pid: (by_id[pid].start, pid))
-    assert [prepared.cells.program_names[c] for c in prepared.candidate_codes().tolist()] == by_start
+    assert program_records(prepared.test_programs()) == [by_id[pid] for pid in by_start]
     truths = ground_truth_map(sp.d_test, sp.i_test)
     assert list(prepared.truths().items()) == [(u, tuple(sorted(truths[u]))) for u in sorted(tensor) if u in truths]
     cells = prepared.cells

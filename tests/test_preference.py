@@ -6,19 +6,19 @@ import pytest
 from oracles import (
     MONDAY,
     PreferenceDicts,
+    ProgramMeta,
     behavior_dicts,
     behavior_matrix_dicts,
+    candidates,
     embedding_rows,
     encode_dict,
     entry_sum,
     fit_dicts,
     l2_norm,
-    log_table,
     preference_dicts,
     preference_model,
     preference_vectors,
     program_rows,
-    program_table,
     row_dicts,
     tensor_cells,
     tensor_dicts,
@@ -26,10 +26,10 @@ from oracles import (
 )
 from tvrec import synth
 from tvrec.behavior import behavior_matrix
-from tvrec.datamodel import ProgramMeta, SplitSpec, prepare
+from tvrec.datamodel import SplitSpec, prepare
 from tvrec.errors import DataError
 from tvrec.preference import build, entry_sums, global_view
-from tvrec.ranker import build_candidates, rank_preference
+from tvrec.ranker import rank_preference
 from tvrec.textenc import encode, fit
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
 
@@ -49,7 +49,7 @@ def model_of(cells, embeddings):
 
 def score(model, user, m):
     """The program's preference score, computed over a one-row candidate index."""
-    cand = build_candidates([m], GRID)
+    cand = candidates([m], GRID)
     return float(rank_preference(preference_model(model, cand), user, cand).scores[0])
 
 
@@ -218,7 +218,7 @@ def _global_means(cells, items):
 def test_global_view_of_time_aware_model_is_the_global_model(cells, items):
     model = model_of(tensor_cells(cells), items)
     assert model.slot_prefs.keys() == cells.keys()
-    time_aware = preference_model(model, build_candidates([meta(p) for p in items], GRID))
+    time_aware = preference_model(model, candidates([meta(p) for p in items], GRID))
     view = global_view(time_aware)
     global_prefs, slot_prefs = preference_vectors(view.prefs)
     assert global_prefs == _global_means(cells, items)
@@ -272,7 +272,7 @@ def test_model_from_a_prepared_dataset_equals_the_dict_oracles():
     cfg = synth.SynthConfig(n_users=30, n_channels=4, n_topics=5, weeks_train=2, weeks_test=1, rng_seed=8)
     world = synth.gen_world(cfg)
     spec = SplitSpec(t_split=cfg.t_split, dt_train=2 * SECONDS_PER_WEEK, dt_test=SECONDS_PER_WEEK)
-    prepared, _ = prepare(log_table(synth.gen_logs(world)), program_table(world.metas), cfg.grid, spec)
+    prepared, _ = prepare(synth.gen_logs(world), world.programs, cfg.grid, spec)
     texts = prepared.texts
     rows = row_dicts(encode(*fit(texts)))
     vocab = fit_dicts(texts)

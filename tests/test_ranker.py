@@ -8,18 +8,20 @@ from oracles import (
     MONDAY,
     BehaviorMatrix,
     PreferenceDicts,
+    ProgramMeta,
     behavior_row,
     brute_rank,
     brute_rrf,
     brute_two_stage,
+    candidates,
     entry_sum,
     preference_model,
+    program_table,
     random_instance,
     scalar_behavior,
     scalar_preference,
 )
 from tvrec.arrays import Rows
-from tvrec.datamodel import ProgramMeta
 from tvrec.errors import DataError
 from tvrec.evaluate import recall_at
 from tvrec.preference import PreferenceModel
@@ -78,8 +80,20 @@ def two_stage_of(bm, model, cand, k, stats=None):
 
 
 def test_build_candidates_rejects_duplicates():
-    with pytest.raises(DataError):
-        build_candidates([meta("p1"), meta("p1")], GRID)
+    with pytest.raises(DataError, match="duplicate program ids"):
+        build_candidates(program_table([meta("p1"), meta("p1")]), GRID)
+    # A repeat is refused wherever it stands, not only next to its twin.
+    with pytest.raises(DataError, match="duplicate program ids"):
+        build_candidates(program_table([meta("p1"), meta("p2", start_slot=2), meta("p1", start_slot=3)]), GRID)
+
+
+def test_build_candidates_keeps_the_table_rows_in_candidate_order():
+    metas = [meta("B"), meta("C"), meta("A", start_slot=2)]
+    assert build_candidates(program_table(metas), GRID).ids == ("B", "C", "A")
+    # Rows out of (start, id) order are refused, by start and by id on a tie.
+    for wrong in ([meta("A", start_slot=2), meta("B")], [meta("C"), meta("B")]):
+        with pytest.raises(ValueError, match=r"not in \(start, id\) order"):
+            build_candidates(program_table(wrong), GRID)
 
 
 def test_cell_index_equals_a_walk_of_the_spans():
@@ -95,7 +109,7 @@ def test_cell_index_equals_a_walk_of_the_spans():
             start = MONDAY + rng.randrange(SECONDS_PER_WEEK)
             end = start + rng.randrange(3 * grid.slot_len)
             metas.append(ProgramMeta(f"p{i:03d}", rng.choice(channels), start, end, ""))
-        cand = build_candidates(metas, grid, channels)
+        cand = candidates(metas, grid, channels)
         walk = [[] for _ in range(grid.n * cand.ncols)]
         flat, ptr = cand.span_flat.tolist(), cand.span_ptr.tolist()
         for row in range(len(cand)):
@@ -115,7 +129,7 @@ def test_cell_index_equals_a_walk_of_the_spans():
 def test_build_candidates_lists_each_cell_of_a_span_once():
     # Just short of a week, from inside slot 1, the span reaches slot 1 again.
     start = MONDAY + 1
-    cand = build_candidates([ProgramMeta("A", "c1", start, start + SECONDS_PER_WEEK - 1, "")], GRID)
+    cand = candidates([ProgramMeta("A", "c1", start, start + SECONDS_PER_WEEK - 1, "")], GRID)
     assert cand.span_flat.tolist() == list(range(GRID.n))
     assert not cand.repeats_a_cell()
     # One cell in two spans is no repeat; one cell twice in a span is.
@@ -130,7 +144,7 @@ def test_build_candidates_lists_each_cell_of_a_span_once():
 def test_rank_behavior_orders_by_score():
     metas = [meta("A", start_slot=1), meta("B", start_slot=5)]
     bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (5, "c1"): 0.3, (6, "c1"): 0.2})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     assert ranked(cand, by_behavior(bm, cand)) == [("A", 0.5), ("B", 0.3)]
 
 
@@ -141,7 +155,7 @@ def test_rank_behavior_tie_breaks_by_earlier_start_then_id():
         meta("C", start_slot=1, offset=0),
     ]
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     assert ids(cand, by_behavior(bm, cand)) == ["B", "C", "A"]
 
 
@@ -151,7 +165,7 @@ def test_rank_behavior_all_zero_scores_sorted_by_start_then_id():
         meta(f"p{i:02d}", channel="c-unwatched", start_slot=rng.randint(1, 20)) for i in range(15)
     ]
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     expected = [m.program for m in sorted(metas, key=lambda m: (m.start, m.program))]
     assert ids(cand, by_behavior(bm, cand)) == expected
 
@@ -160,7 +174,7 @@ def test_rank_preference_matches_dot_and_sort_oracle():
     items = {"A": {0: 1.0}, "B": {0: 0.5, 1: 0.5}, "C": {1: 1.0}}
     model = global_model({0: 1.0}, items)
     metas = [meta(p, start_slot=i + 1) for i, p in enumerate("ABC")]
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     pairs = ranked(cand, by_preference(model, cand))
     assert [pid for pid, _ in pairs] == ["A", "B", "C"]
     assert [s for _, s in pairs] == pytest.approx([1.0, 0.5, 0.0])
@@ -170,7 +184,7 @@ def test_rank_preference_tie_breaks_by_start_time():
     items = {"A": {0: 1.0}, "B": {0: 1.0}}
     model = global_model({0: 1.0}, items)
     metas = [meta("A", start_slot=9), meta("B", start_slot=2)]
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     assert ids(cand, by_preference(model, cand)) == ["B", "A"]
 
 
@@ -180,7 +194,7 @@ def test_rank_preference_indexed_path_matches_scalar_path():
     rng = random.Random(17)
     for _ in range(60):
         grid, metas, bm, models = random_instance(rng)
-        cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         for model in models.values():
             got = ranked(cand, by_preference(model, cand))
             want = {m.program: scalar_preference(model, "u", m, grid) for m in metas}
@@ -212,7 +226,7 @@ def test_rank_preference_adds_each_row_in_entry_order():
         items = {m.program: random_embedding(rng, rng.randint(1, 20)) for m in metas}
         slot_vecs = {s: random_embedding(rng, 30) for s in rng.sample(starts, 8)}
         model = PreferenceDicts({"u": random_embedding(rng, 30)}, {"u": slot_vecs}, items)
-        cand = build_candidates(metas, GRID, {"c1"})
+        cand = candidates(metas, GRID, {"c1"})
         got = rank_preference(preference_model(model, cand), "u", cand).scores
         want = [entry_order_score(model, pid, starts[int(pid[1:])]) for pid in cand.ids]
         assert got.tobytes() == np.array(want).tobytes()
@@ -237,7 +251,7 @@ def test_two_stage_scores_a_lone_row_in_entry_order(monkeypatch):
         items = {"A": random_embedding(rng, rng.randint(10, 40)), "B": random_embedding(rng, 3)}
         slot_vecs = {1: random_embedding(rng, 30)} if rng.random() < 0.5 else {}
         model = PreferenceDicts({"u": random_embedding(rng, 30)}, {"u": slot_vecs}, items)
-        cand = build_candidates(metas, GRID, {"c1"})
+        cand = candidates(metas, GRID, {"c1"})
         batches.clear()
         assert ids(cand, two_stage_of(bm, model, cand, 1)) == ["A"]
         assert [b.tobytes() for b in batches] == [np.array([entry_order_score(model, "A", 1)]).tobytes()]
@@ -255,7 +269,7 @@ def test_a_wide_embedding_moves_no_other_score():
     model = PreferenceDicts({"u": random_embedding(rng, 40)}, {"u": slot_vecs}, items)
 
     def scores_by_id(metas, model):
-        cand = build_candidates(metas, GRID, {"c1"})
+        cand = candidates(metas, GRID, {"c1"})
         return dict(zip(cand.ids, rank_preference(preference_model(model, cand), "u", cand).scores.tolist()))
 
     before = scores_by_id(metas, model)
@@ -295,7 +309,7 @@ def test_length_buckets_add_each_row_in_entry_order(widths):
         metas = [meta(f"p{i:02d}", start_slot=rng.randint(1, 30)) for i in range(len(widths))]
         items = {m.program: random_embedding(rng, w) for m, w in zip(metas, widths)}
         model = global_model(random_embedding(rng, 40), items)
-        cand = build_candidates(metas, GRID, {"c1"})
+        cand = candidates(metas, GRID, {"c1"})
         index = preference_model(model, cand).items
         vec = np.zeros(61)
         vec[list(model.global_prefs["u"])] = list(model.global_prefs["u"].values())
@@ -315,7 +329,7 @@ def test_length_buckets_hold_intp_codes_in_c_order():
     ptr = np.concatenate(([0], np.cumsum(lens)))
     embeddings = Rows(ptr, rng.integers(0, 500, size=ptr[-1]).astype(np.uint16), rng.random(ptr[-1]))
     metas = [meta(f"p{i:03d}", start_slot=int(rng.integers(1, 30))) for i in range(len(lens))]
-    index = build_item_index(embeddings, build_candidates(metas, GRID, {"c1"}))
+    index = build_item_index(embeddings, candidates(metas, GRID, {"c1"}))
     assert index.idx.dtype == np.uint16
     assert len(index.bucket_idx) == len(index.bucket_weights) == len(set(lens.tolist()) - {0})
     for idx, weights in zip(index.bucket_idx, index.bucket_weights):
@@ -334,7 +348,7 @@ def test_two_stage_hand_trace():
     ]
     bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (2, "c1"): 0.3})
     model = global_model({0: 1.0}, {"A": {0: 0.2}, "B": {0: 0.9}, "C": {0: 0.1}})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     assert ids(cand, two_stage_of(bm, model, cand, 2)) == ["B", "C"]
 
 
@@ -347,7 +361,7 @@ def test_two_stage_distinct_group_keys_reduce_to_behavior_prefix():
             _, slot, channel = scalar_behavior(bm, m, grid)
             by_key.setdefault((slot, channel), m)
         distinct = list(by_key.values())
-        cand = build_candidates(distinct, grid, {c for _, c in bm.probs})
+        cand = candidates(distinct, grid, {c for _, c in bm.probs})
         k = rng.randint(1, len(distinct))
         got = top_k(cand, two_stage_of(bm, models["global"], cand, k), k)
         assert got == top_k(cand, by_behavior(bm, cand), k)
@@ -357,7 +371,7 @@ def test_two_stage_k1_single_group_takes_preference_maximum():
     metas = [meta(p, start_slot=1, n_slots=1, offset=o) for p, o in (("A", 0), ("B", 100), ("C", 200))]
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     model = global_model({0: 1.0}, {"A": {0: 0.3}, "B": {0: 0.8}, "C": {0: 0.5}})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     assert ids(cand, two_stage_of(bm, model, cand, 1)) == ["B"]
 
 
@@ -373,7 +387,7 @@ def test_two_stage_run_preference_tie_breaks_by_earlier_start_then_id():
     ]
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     model = global_model({0: 1.0}, {"A": {0: 0.1}, "B": {0: 0.9}, "C": {0: 0.9}, "D": {0: 0.9}})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     for k in (1, 5):
         assert ids(cand, two_stage_of(bm, model, cand, k)) == ["C"]
 
@@ -382,7 +396,7 @@ def test_two_stage_flushes_pending_run_at_exhaustion():
     metas = [meta("A", start_slot=1, n_slots=1), meta("B", start_slot=1, n_slots=1, offset=300)]
     bm = BehaviorMatrix("u", {(1, "c1"): 1.0})
     model = global_model({0: 1.0}, {"A": {0: 0.1}, "B": {0: 0.9}})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     assert ids(cand, two_stage_of(bm, model, cand, 5)) == ["B"]
 
 
@@ -390,7 +404,7 @@ def test_two_stage_emits_behavior_scores_for_winners():
     metas = [meta("A", start_slot=3, n_slots=1)]
     bm = BehaviorMatrix("u", {(3, "c1"): 0.7, (1, "c1"): 0.3})
     model = global_model({0: 1.0}, {"A": {0: 0.2}})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     assert top_k(cand, two_stage_of(bm, model, cand, 1), 1) == [("A", 0.7)]
 
 
@@ -407,7 +421,7 @@ def test_wrapped_span_groups_under_its_first_slot_at_equal_probability():
     ]
     bm = BehaviorMatrix("u", {(1, "c1"): 0.5, (672, "c1"): 0.5})
     model = global_model({0: 1.0}, {"A": {0: 0.9}, "B": {0: 0.5}, "C": {0: 0.1}})
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     assert cand.span_flat.tolist() == [0, 671, 0, 671]
     assert ranked(cand, by_behavior(bm, cand)) == [("C", 0.5), ("A", 0.5), ("B", 0.5)]
     stats = TwoStageStats()
@@ -419,7 +433,7 @@ def test_two_stage_matches_brute_force_reference():
     rng = random.Random(99)
     for _ in range(250):
         grid, metas, bm, models = random_instance(rng)
-        cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         k = rng.choice((1, 2, 5, 30))
         mode = rng.choice(("global", "time-aware"))
         got = top_k(cand, two_stage_of(bm, models[mode], cand, k), k)
@@ -431,7 +445,7 @@ def test_two_stage_never_emits_two_items_from_one_run():
     rng = random.Random(7)
     for _ in range(50):
         grid, metas, bm, models = random_instance(rng)
-        cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         winners = ids(cand, two_stage_of(bm, models["global"], cand, 30))
         # reference grouping: map each winner to its maximal stage-one run
         from oracles import brute_stage_one
@@ -450,7 +464,7 @@ def test_two_stage_never_emits_two_items_from_one_run():
 def test_two_stage_is_lazy_and_instrumented():
     rng = random.Random(31)
     grid, metas, bm, models = random_instance(rng, max_programs=50)
-    cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+    cand = candidates(metas, grid, {c for _, c in bm.probs})
     stats = TwoStageStats()
     two_stage_of(bm, models["global"], cand, 1, stats)
     # one emitted group: only the first run plus one trigger item get scored
@@ -461,7 +475,7 @@ def test_two_stage_is_lazy_and_instrumented():
 
 
 def test_two_stage_k_must_be_positive():
-    cand = build_candidates([meta("A")], GRID, {"c1"})
+    cand = candidates([meta("A")], GRID, {"c1"})
     with pytest.raises(ValueError):
         two_stage_of(BehaviorMatrix("u", {(1, "c1"): 1.0}), global_model({}, {"A": {}}), cand, 0)
 
@@ -478,7 +492,7 @@ def ranking_of(cand, pids, scores=None):
 
 def fused_fixture():
     metas = [meta(p, start_slot=i + 1) for i, p in enumerate(("A", "B", "C"))]
-    cand = build_candidates(metas, GRID, {"c1"})
+    cand = candidates(metas, GRID, {"c1"})
     kb = ranking_of(cand, "ABC", [0.9, 0.5, 0.1])
     kp = ranking_of(cand, "CBA", [0.2, 0.6, 0.8])
     return cand, kb, kp
@@ -511,7 +525,7 @@ def test_rrf_large_eta_matches_brute_force_ordering():
     rng = random.Random(13)
     for _ in range(30):
         grid, metas, bm, _ = random_instance(rng, max_programs=20)
-        cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         order = [m.program for m in sorted(metas, key=lambda m: (m.start, m.program))]
         perm_b = rng.sample(order, len(order))
         perm_p = rng.sample(order, len(order))
@@ -533,7 +547,7 @@ def test_rrf_matches_the_brute_force_oracle_bit_for_bit():
     tied_ks = 0
     for _ in range(40):
         grid, metas, bm, models = random_instance(rng, max_programs=30)
-        cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         model = models[rng.choice(("global", "time-aware"))]
         kb, kp = by_behavior(bm, cand), by_preference(model, cand)
         n = len(cand)
@@ -592,7 +606,7 @@ def test_rrf_weighted_extremes_follow_single_rankers():
     rng = random.Random(21)
     for _ in range(30):
         grid, metas, bm, models = random_instance(rng, max_programs=25)
-        cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         kb = by_behavior(bm, cand)
         kp = by_preference(models["global"], cand)
         eta = rng.randint(1, 100)
@@ -611,7 +625,7 @@ def test_rrf_every_k_is_a_prefix_of_the_full_order():
     rng = random.Random(31)
     for trial in range(40):
         grid, metas, bm, models = random_instance(rng, max_programs=30)
-        cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+        cand = candidates(metas, grid, {c for _, c in bm.probs})
         n = len(cand)
         kb = by_behavior(bm, cand)
         kp = Ranking(kb.rows[::-1].copy(), kb.scores) if trial % 2 else by_preference(models["global"], cand)
@@ -762,7 +776,7 @@ def test_rrf_weighted_validates_hyperparameters():
 def test_rankers_are_deterministic():
     rng = random.Random(77)
     grid, metas, bm, models = random_instance(rng)
-    cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+    cand = candidates(metas, grid, {c for _, c in bm.probs})
     model = preference_model(models["time-aware"], cand)
     assert ranked(cand, by_behavior(bm, cand)) == ranked(cand, by_behavior(bm, cand))
     assert ranked(cand, rank_preference(model, "u", cand)) == ranked(cand, rank_preference(model, "u", cand))
@@ -777,7 +791,7 @@ def test_rankers_are_deterministic():
 def tuning_fixture():
     rng = random.Random(55)
     grid, metas, bm, models = random_instance(rng, max_programs=30)
-    cand = build_candidates(metas, grid, {c for _, c in bm.probs})
+    cand = candidates(metas, grid, {c for _, c in bm.probs})
     kb = by_behavior(bm, cand)
     kp = by_preference(models["global"], cand)
     truth = frozenset(pid for pid, _ in top_k(cand, kb, 4))

@@ -1,13 +1,14 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from oracles import behavior_dicts, log_table, program_table
+from oracles import behavior_dicts, program_records, slot_of, table_rows
 from tvrec.behavior import behavior_matrix
 from tvrec.datamodel import SplitSpec, filter_flips, prepare
 from tvrec.synth import SynthConfig, World, gen_logs, gen_world, manifest
-from tvrec.timegrid import SECONDS_PER_WEEK, slot_of
+from tvrec.timegrid import SECONDS_PER_WEEK
 
 SMALL = SynthConfig(n_users=40, n_channels=5, n_topics=6, weeks_train=3, weeks_test=1, rng_seed=11)
 
@@ -22,20 +23,34 @@ def small_logs(small_world):
     return gen_logs(small_world)
 
 
+def schedules(world):
+    """Each channel's programs as records, read off the channel ranges of
+    ``world.programs``: its rows hold each channel's programs contiguously,
+    channel by channel, in start order."""
+    programs = world.programs
+    assert np.all(np.diff(programs.channel) >= 0)
+    records = program_records(programs)
+    bounds = np.searchsorted(programs.channel, np.arange(len(programs.channel_names) + 1)).tolist()
+    return {channel: records[lo:hi] for channel, lo, hi in zip(programs.channel_names, bounds, bounds[1:])}
+
+
 def test_same_seed_reproduces_world_and_logs(small_world, small_logs):
     again = gen_world(SMALL)
-    assert again.metas == small_world.metas
+    assert program_records(again.programs) == program_records(small_world.programs)
     assert again.accounts == small_world.accounts
-    assert gen_logs(again) == small_logs
+    assert table_rows(gen_logs(again)) == table_rows(small_logs)
 
 
 def test_different_seed_changes_logs(small_world, small_logs):
     other = gen_world(SynthConfig(**{**vars(SMALL), "rng_seed": 12}))
-    assert gen_logs(other) != small_logs
+    assert table_rows(gen_logs(other)) != table_rows(small_logs)
 
 
 def test_schedule_is_gap_free_and_non_overlapping(small_world):
-    for channel, progs in small_world.schedule.items():
+    by_channel = schedules(small_world)
+    assert list(by_channel) == [f"c{ci:02d}" for ci in range(SMALL.n_channels)]
+    for channel, progs in by_channel.items():
+        assert {m.channel for m in progs} == {channel}
         assert progs[0].start <= SMALL.origin < progs[0].end
         assert progs[-1].end >= SMALL.horizon_end
         for a, b in zip(progs, progs[1:]):
@@ -47,7 +62,7 @@ def test_mean_programs_per_slot_matches_target(small_world):
     slot_len = cfg.grid.slot_len
     horizon_slots = (cfg.horizon_end - cfg.origin) // slot_len
     counts = []
-    for progs in small_world.schedule.values():
+    for progs in schedules(small_world).values():
         per_slot = Counter()
         for m in progs:
             first = (m.start - cfg.origin) // slot_len
@@ -60,25 +75,25 @@ def test_mean_programs_per_slot_matches_target(small_world):
 
 
 def test_program_texts_have_5_to_15_tokens(small_world):
-    for m in small_world.metas:
-        assert 5 <= len(m.text.split()) <= 15
+    for text in small_world.programs.text:
+        assert 5 <= len(text.split()) <= 15
 
 
 def test_flip_events_are_below_default_threshold(small_logs):
-    flips = [g for g in small_logs if g.dt < 900]
-    assert flips, "generator should emit sub-threshold flip events"
-    kept = filter_flips(log_table(small_logs))
+    assert (small_logs.dt < 900).any(), "generator should emit sub-threshold flip events"
+    kept = filter_flips(small_logs)
     assert (kept.dt >= 900).all()
 
 
 def test_persona_support_containment(small_world, small_logs):
     # logs of a single-persona account stay on its habitual channels
+    rows = table_rows(small_logs)
     for account in small_world.accounts:
         if len(account.personas) != 1:
             continue
         persona = account.personas[0]
         allowed = {c for (_, c) in persona.habit}
-        seen = {g.channel for g in small_logs if g.user == account.user}
+        seen = {channel for user, _, channel, _, _ in rows if user == account.user}
         assert seen <= allowed
 
 
@@ -89,7 +104,7 @@ def test_generated_data_passes_ingestion_unmodified(small_world, small_logs):
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=cfg.weeks_test * SECONDS_PER_WEEK,
     )
-    prepared, summary = prepare(log_table(small_logs), program_table(small_world.metas), cfg.grid, spec)
+    prepared, summary = prepare(small_logs, small_world.programs, cfg.grid, spec)
     assert summary["users"] > 0
     for bm in behavior_dicts(behavior_matrix(prepared.cells)).values():
         assert abs(sum(bm.probs.values()) - 1.0) <= 1e-9
@@ -106,14 +121,14 @@ def test_test_week_behavior_correlates_with_planted_habit():
     world = gen_world(cfg)
     logs = gen_logs(world)
     xs, ys = [], []
-    watched = [g for g in logs if g.dt >= 900 and g.t >= cfg.t_split]
     by_user = {}
-    for g in watched:
-        by_user.setdefault(g.user, []).append(g)
+    for user, _, channel, t, dt in table_rows(logs):
+        if dt >= 900 and t >= cfg.t_split:
+            by_user.setdefault(user, []).append((t, channel))
     for account in world.accounts:
         persona = account.personas[0]
         counts = Counter(
-            (slot_of(g.t, cfg.grid), g.channel) for g in by_user.get(account.user, [])
+            (slot_of(t, cfg.grid), channel) for t, channel in by_user.get(account.user, [])
         )
         for cell, prob in persona.habit.items():
             xs.append(prob)
@@ -138,7 +153,7 @@ def test_heavy_user_behavior_argmax_recovers_planted_mode():
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=SECONDS_PER_WEEK,
     )
-    prepared, _ = prepare(log_table(logs), program_table(world.metas), cfg.grid, spec)
+    prepared, _ = prepare(logs, world.programs, cfg.grid, spec)
     matrices = behavior_dicts(behavior_matrix(prepared.cells))
     hits = total = 0
     for account in world.accounts:
@@ -162,6 +177,7 @@ def test_mean_truth_size_matches_deterministic_walk_of_planted_world(small_world
     week_start = cfg.t_split
     slot_len = cfg.grid.slot_len
     topic_of = small_world.topics.program_topic
+    by_channel = schedules(small_world)
     expected_sizes = []
     for account in small_world.accounts:
         per_program: dict[str, list[float]] = {}
@@ -169,7 +185,7 @@ def test_mean_truth_size_matches_deterministic_walk_of_planted_world(small_world
             for (slot, channel), prob in persona.habit.items():
                 t0 = week_start + (slot - 1) * slot_len
                 cands = [
-                    m for m in small_world.schedule[channel]
+                    m for m in by_channel[channel]
                     if m.start < t0 + slot_len and m.end > t0
                 ]
                 if not cands:
@@ -191,7 +207,7 @@ def test_mean_truth_size_matches_deterministic_walk_of_planted_world(small_world
         dt_train=cfg.weeks_train * SECONDS_PER_WEEK,
         dt_test=SECONDS_PER_WEEK,
     )
-    prepared, _ = prepare(log_table(small_logs), program_table(small_world.metas), cfg.grid, spec)
+    prepared, _ = prepare(small_logs, small_world.programs, cfg.grid, spec)
     sizes = [len(v) for v in prepared.truths().values()]
     # every generated account appears; accounts can drop out of U only by
     # having no test-week watch, which the expectation already prices in

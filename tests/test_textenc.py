@@ -248,7 +248,7 @@ def test_synth_texts_never_reach_the_findall_path(monkeypatch):
     # path; a change that sent one to findall would keep every row and lose
     # the byte path's speed. This makes it fail.
     cfg = synth.SynthConfig(n_users=10, n_channels=4, n_topics=5, weeks_train=2, weeks_test=1, rng_seed=3)
-    texts = [m.text for m in synth.gen_world(cfg).metas]
+    texts = list(synth.gen_world(cfg).programs.text)
     assert len(texts) > textenc._FIT_BLOCK_TEXTS
     want_vocab, want = fit(texts)
 
