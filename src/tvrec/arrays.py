@@ -114,12 +114,16 @@ def sorted_index(names: Sequence[str], name: str) -> int | None:
     return i if i < len(names) and names[i] == name else None
 
 
-def name_rank(names: Sequence[str]) -> np.ndarray:
-    """Each code's place among ``names`` sorted: codes compared by rank
-    compare as their names do."""
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    return rank
+def sort_names(names: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """``names`` sorted, and each code's int32 rank, its place among them:
+    codes compared by rank compare as their names do, and code ``c`` names
+    ``sorted[rank[c]]``."""
+    # An object array sorts as sorted() would, with no Python int per code.
+    table = np.array(names, dtype=object)
+    order = np.argsort(table, kind="stable")
+    rank = np.empty(len(names), dtype=np.int32)
+    rank[order] = np.arange(len(names))
+    return tuple(table[order].tolist()), rank
 
 
 def index_dtype(n: int) -> np.dtype:

@@ -65,28 +65,27 @@ def behavior_matrix(cells: TensorCells) -> Behavior:
     probability distribution over (slot, channel): an integer count over an
     integer total, so each probability is the correctly rounded quotient.
     Raises :class:`DataError` for a user without cells.
+
+    The cells are read as they come, in the name order of
+    :class:`tvrec.datamodel.TensorCells`: users sorted, and each user's cells
+    by slot, then channel code, so their flat cells ascend and a (slot,
+    channel) pair's cells are adjacent.
     """
     n = len(cells.users)
     lens = np.diff(cells.ptr)
     empty = np.flatnonzero(lens == 0)
     if len(empty):
         raise DataError(f"user {cells.users[empty[0]]!r} has no training interactions")
-    by_name = sorted(range(n), key=cells.users.__getitem__)
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_name] = np.arange(n)
-    user = np.repeat(rank, lens)
     flat = (cells.slot - 1) * len(cells.channel_names) + cells.channel
-    order = np.lexsort((flat, user))
-    user, flat, count = user[order], flat[order], cells.count[order]
-    new_cell = np.ones(len(order), dtype=bool)
-    new_cell[1:] = (user[1:] != user[:-1]) | (flat[1:] != flat[:-1])
+    new_cell = np.ones(len(flat), dtype=bool)
+    new_cell[1:] = flat[1:] != flat[:-1]
+    new_cell[cells.ptr[:-1]] = True
     starts = np.flatnonzero(new_cell)
-    sums = np.add.reduceat(count, starts) if len(starts) else count[:0]
-    owner = user[starts]
-    ptr = np.searchsorted(owner, np.arange(n + 1)).astype(np.int64)
+    sums = np.add.reduceat(cells.count, starts) if len(starts) else cells.count[:0]
+    ptr = np.searchsorted(starts, cells.ptr).astype(np.int64)
     totals = np.add.reduceat(sums, ptr[:-1]) if n else sums
     return Behavior(
-        users=tuple(cells.users[i] for i in by_name),
+        users=cells.users,
         channels=cells.channel_names,
-        rows=Rows(ptr, flat[starts], sums / totals[owner]),
+        rows=Rows(ptr, flat[starts], sums / np.repeat(totals, np.diff(ptr))),
     )

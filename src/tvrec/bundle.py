@@ -127,18 +127,17 @@ def build(prepared: Prepared, grid: TimeGrid, provenance: dict) -> tuple[ModelBu
 
 
 def _truth_rows(prepared: Prepared, cand_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's truths as ascending candidate rows, users in name order:
-    ``(ptr, rows)``. ``cand_codes`` are the candidates' program codes, in row
-    order."""
-    names, users = prepared.cells.program_names, prepared.cells.users
+    """Each user's truths as ascending candidate rows, users in name order,
+    as ``prepared`` holds them: ``(ptr, rows)``. ``cand_codes`` are the
+    candidates' program codes, in row order."""
+    names, ptr = prepared.cells.program_names, prepared.truth_ptr
     row_of = np.full(len(names), -1, dtype=np.int64)
     row_of[cand_codes] = np.arange(len(cand_codes))
-    truths = Rows(prepared.truth_ptr, row_of[prepared.truth_program], prepared.truth_program)
-    truths = truths.take(np.array(sorted(range(len(users)), key=users.__getitem__), dtype=np.int64))
-    if len(truths.col) and truths.col.min() < 0:
-        raise DataError(f"truth {names[truths.val[truths.col.argmin()]]!r} is not a candidate")
-    user = np.repeat(np.arange(len(users)), np.diff(truths.ptr))
-    return truths.ptr, truths.col[np.lexsort((truths.col, user))]
+    rows = row_of[prepared.truth_program]
+    if len(rows) and rows.min() < 0:
+        raise DataError(f"truth {names[prepared.truth_program[rows.argmin()]]!r} is not a candidate")
+    user = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    return ptr, rows[np.lexsort((rows, user))]
 
 
 def _bundle_dtypes(shapes: Mapping[str, int]) -> dict[str, object]:

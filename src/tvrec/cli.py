@@ -29,6 +29,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -37,7 +38,7 @@ import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from . import evaluate as evaluate_mod
 from . import preference as preference_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
-from .arrays import name_rank
+from .arrays import sort_names
 from .datamodel import (
     Prepared,
     SplitSpec,
@@ -252,12 +253,26 @@ def _write_json(path: Path, payload: dict, provenance: dict) -> None:
     _atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _write_jsonl(path: Path, rows: Sequence[dict], provenance: dict | None = None) -> None:
-    lines = []
+_JSONL_BLOCK = 8192  # rows encoded and written at a time
+
+
+def _write_jsonl(path: Path, rows: Iterable[dict], provenance: dict | None = None) -> None:
+    """Write one JSON line per row, after a provenance line when one is given.
+    Rows are taken and written a block at a time, so a row iterator is never
+    held whole."""
+    lines = map(json.dumps, rows)
     if provenance is not None:
-        lines.append(json.dumps({"_meta": provenance}))
-    lines.extend(json.dumps(row) for row in rows)
-    _atomic_write(path, ("\n".join(lines) + "\n").encode() if lines else b"")
+        lines = itertools.chain([json.dumps({"_meta": provenance})], lines)
+    with _atomic_file(path) as fh:
+        while block := list(itertools.islice(lines, _JSONL_BLOCK)):
+            fh.write(("\n".join(block) + "\n").encode())
+
+
+def _column_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """The rows of equal-length columns as tuples of Python values, converted
+    a block at a time."""
+    for lo in range(0, len(columns[0]), _JSONL_BLOCK):
+        yield from zip(*(column[lo : lo + _JSONL_BLOCK].tolist() for column in columns))
 
 
 def _row_problem(rec: dict, keys: tuple[str, ...]) -> str | None:
@@ -371,25 +386,24 @@ def _cmd_synth(args: argparse.Namespace) -> None:
     logs = synth_mod.gen_logs(world)
     out = Path(args.out_dir)
     users, ids, channels = logs.user_names, logs.program_names, logs.channel_names
-    columns = (logs.user, logs.program, logs.channel, logs.t, logs.dt)
     _write_jsonl(
         out / "logs.jsonl",
-        [
+        (
             {"user": users[u], "program": ids[p], "channel": channels[c], "t": t, "dt": dt}
-            for u, p, c, t, dt in zip(*(a.tolist() for a in columns))
-        ],
+            for u, p, c, t, dt in _column_rows(logs.user, logs.program, logs.channel, logs.t, logs.dt)
+        ),
     )
     # By channel name, then start: the rows come by channel code.
     programs = world.programs
     ids, channels, texts = programs.program_names, programs.channel_names, programs.text
-    order = np.lexsort((programs.start, name_rank(channels)[programs.channel]))
+    order = np.lexsort((programs.start, sort_names(channels)[1][programs.channel]))
     columns = (order, programs.program[order], programs.channel[order], programs.start[order], programs.end[order])
     _write_jsonl(
         out / "programs.jsonl",
-        [
+        (
             {"program": ids[p], "channel": channels[c], "start": start, "end": end, "text": texts[i]}
-            for i, p, c, start, end in zip(*(a.tolist() for a in columns))
-        ],
+            for i, p, c, start, end in _column_rows(*columns)
+        ),
     )
     manifest = synth_mod.manifest(world, logs)
     manifest["config_hash"] = hashlib.sha256(

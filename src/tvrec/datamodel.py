@@ -11,14 +11,19 @@ decoded by numpy passes over their bytes, and the rest of the block line by
 line, by the one JSON line decoder. The stages after them work on the
 columns: the flip filter and the split are boolean masks over the tables, the
 user and item restrictions are lookup arrays indexed by code, and the tensor
-is one grouping of equal (user, program, slot, channel) rows with their
+is one grouping of equal (user, slot, channel, program) rows with their
 counts, kept as the columns of :class:`TensorCells`. No stage holds one
 object per program or per log: :mod:`tvrec.synth` generates these tables
 too, and :meth:`Prepared.test_programs` hands the ranker the test programs
 as a :class:`ProgramTable`.
 
+The tensor keeps one name order, and this module alone decides it: users,
+program ids and channels are sorted, so codes compare as their names do, and
+the cells come in (user, slot, channel, program) order. The modules that read
+the tensor rely on that order instead of sorting again.
+
 A prepared dataset has one type, :class:`Prepared`: the tensor cells over
-sorted program and channel name tables, every program's text, the test
+sorted user, program and channel name tables, every program's text, the test
 programs' schedule and the truths as CSR (compressed sparse row) arrays.
 :func:`prepare` returns it, and the model is built from it as it is. The
 prepared file carries it from `prep` to `build`, so the inputs are parsed
@@ -30,14 +35,14 @@ through the codec of :mod:`tvrec.arrays` with ``allow_pickle=False``:
 - ``manifest``: UTF-8 JSON holding the schema version and what the caller
   passed, which the loader must match exactly (the CLI passes the grid, the
   preprocessing values and the sha256 of both inputs);
-- name tables ``users`` (in tensor order), ``programs`` (every train and
-  test program id, sorted), ``texts`` (one per program) and ``channels``
+- name tables ``users`` (sorted), ``programs`` (every train and test
+  program id, sorted), ``texts`` (one per program) and ``channels``
   (sorted): UTF-8 bytes, with int64 ``<table>_off`` offsets counted in code
   points;
-- the tensor cells, ``cell_<column>`` for each column of
-  :class:`TensorCells`: ``cell_ptr`` (int64 user offsets), ``cell_program``
-  and ``cell_channel`` (int32 codes), ``cell_slot`` and ``cell_count``
-  (int64);
+- the tensor cells in (user, slot, channel, program) order,
+  ``cell_<column>`` for each column of :class:`TensorCells`: ``cell_ptr``
+  (int64 user offsets), ``cell_program`` and ``cell_channel`` (int32 codes),
+  ``cell_slot`` and ``cell_count`` (int64);
 - the test programs, by id: ``test_program`` and ``test_channel`` (int32
   codes), ``test_start`` and ``test_end`` (int64);
 - the truths as CSR over the users: ``truth_ptr`` (int64) and
@@ -69,6 +74,7 @@ from .arrays import (
     name_arrays,
     read_npz,
     require,
+    sort_names,
     write_npz,
 )
 from .errors import DataError
@@ -185,11 +191,15 @@ class TensorCells:
     """The interaction tensor: positive counts over (user, item, slot, channel)
     cells, as columns. Absent cells are zero.
 
-    User ``users[i]``'s cells are rows ``ptr[i]:ptr[i + 1]``. Users come in
-    the order of their first counted log, and each user's cells in the order
-    of their first log. ``program`` and ``channel`` are int32 codes into
-    ``program_names`` and ``channel_names``, ``slot`` the int64 1-based slot,
-    ``count`` the positive int64 count. A name may have no cell.
+    User ``users[i]``'s cells are rows ``ptr[i]:ptr[i + 1]``. ``program``
+    and ``channel`` are int32 codes into ``program_names`` and
+    ``channel_names``, ``slot`` the int64 1-based slot, ``count`` the
+    positive int64 count. A name may have no cell.
+
+    The name order is an invariant: ``users``, ``program_names`` and
+    ``channel_names`` are sorted, and the cells come in (user, slot, channel,
+    program) order, each cell once. :func:`build_tensor` makes them so, and
+    the readers of the tensor rely on it instead of sorting again.
     """
 
     users: tuple[str, ...]
@@ -541,6 +551,12 @@ def _member(names: tuple[str, ...], keep: Collection[str]) -> np.ndarray:
     return np.fromiter(map(keep.__contains__, names), dtype=bool, count=len(names))
 
 
+def _lookup(names: tuple[str, ...], code_of: Mapping[str, int]) -> np.ndarray:
+    """A lookup array indexed by code: each name's code in the table that
+    ``code_of`` numbers, or -1 where it has none."""
+    return np.fromiter(map(code_of.get, names, itertools.repeat(-1)), dtype=np.int32, count=len(names))
+
+
 def build_tensor(
     d_train: LogTable,
     programs: ProgramTable,
@@ -549,54 +565,51 @@ def build_tensor(
     items: frozenset[str],
     users: frozenset[str],
 ) -> TensorCells:
-    """Count interactions per (user, item, slot, channel) cell, as columns.
+    """Count interactions per (user, item, slot, channel) cell, as columns,
+    in the name order of :class:`TensorCells`.
 
-    Every log's program must appear in ``programs``. Only logs of a user in
-    ``users`` (the set U) watching a program in ``items`` (the train item set)
-    are counted; the others stay in the data but do not enter the tensor.
-    Users left without any counted cell are dropped so that every stored user
-    has a positive total. Users, and each user's cells, are in order of first
-    appearance in ``d_train``; codes index the name tuples of ``d_train``.
+    ``programs.program_names`` must be sorted, as :func:`prepare` passes
+    them: the cells' program codes index them, so they order the programs
+    without another sort. Users and channels are ``d_train``'s names,
+    sorted. Every log's program must appear in ``programs``. Only logs of a
+    user in ``users`` (the set U) watching a program in ``items`` (the train
+    item set) are counted; the others stay in the data but do not enter the
+    tensor. Users left without any counted cell are dropped so that every
+    stored user has a positive total.
     """
-    present = map(d_train.program_names.__getitem__, np.unique(d_train.program).tolist())
-    known = set(programs.program_names)
-    unknown = sorted(name for name in present if name not in known)
+    ids = programs.program_names
+    program_code = _lookup(d_train.program_names, dict(zip(ids, itertools.count())))
+    missing = np.unique(d_train.program[program_code[d_train.program] < 0])
+    unknown = sorted(map(d_train.program_names.__getitem__, missing.tolist()))
     if unknown:
         shown = ", ".join(unknown[:10])
         more = f" (+{len(unknown) - 10} more)" if len(unknown) > 10 else ""
         raise DataError(f"logs reference {len(unknown)} unknown program(s): {shown}{more}")
 
+    user_names, user_rank = sort_names(d_train.user_names)
+    channel_names, channel_rank = sort_names(d_train.channel_names)
     in_users = _member(d_train.user_names, users)
     in_items = _member(d_train.program_names, items)
     counted = d_train.take(in_users[d_train.user] & in_items[d_train.program])
-    cols = (counted.user, counted.program, slot_column(counted.t, grid), counted.channel)
-    # Group equal cells with a stable sort, so the first row of each group is
-    # the cell's first appearance. A key packed into one int64 could overflow.
+    slot = slot_column(counted.t, grid)
+    cols = (user_rank[counted.user], slot, channel_rank[counted.channel], program_code[counted.program])
+    # One sort groups equal cells in the tensor's order; a packed int64 key could overflow.
     order = np.lexsort(cols[::-1])
     ordered = [c[order] for c in cols]
     new_cell = np.ones(len(order), dtype=bool)
     new_cell[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in ordered])
     starts = np.flatnonzero(new_cell)
-    first = order[starts]
-    counts = np.diff(starts, append=len(order))
-    user, program, slot, channel = (c[starts] for c in ordered)
-    # Users by their first row, then each user's cells by theirs: the order in
-    # which counting row by row would first meet them.
-    user_first = np.full(len(counted.user_names), len(order))
-    np.minimum.at(user_first, user, first)
-    by_first = np.lexsort((first, user_first[user]))
-    user, program, slot, channel, counts = (a[by_first] for a in (user, program, slot, channel, counts))
-
+    user, slot, channel, program = (c[starts] for c in ordered)
     user_starts = np.flatnonzero(np.diff(user, prepend=-1))
     return TensorCells(
-        users=tuple(map(counted.user_names.__getitem__, user[user_starts].tolist())),
-        program_names=counted.program_names,
-        channel_names=counted.channel_names,
+        users=tuple(map(user_names.__getitem__, user[user_starts].tolist())),
+        program_names=ids,
+        channel_names=channel_names,
         ptr=np.append(user_starts, len(user)).astype(np.int64),
         program=program,
         slot=slot,
         channel=channel,
-        count=counts.astype(np.int64),
+        count=np.diff(starts, append=len(order)).astype(np.int64),
     )
 
 
@@ -617,12 +630,14 @@ class Prepared:
     """A prepared dataset: the tensor, every program's text, the test
     programs' schedule and the truths, all over one set of name tables.
 
+    ``cells`` keep the name order of :class:`TensorCells`.
     ``cells.program_names`` are the train and test program ids, sorted, and
     ``texts`` their texts; ``cells.channel_names`` are the channels of the
     cells and of the test programs, sorted. The test programs, by id, are the
     program codes ``test_program``, with ``test_channel`` codes and their
     ``test_start`` and ``test_end``. User ``cells.users[i]``'s truths are the
-    program codes ``truth_program[truth_ptr[i]:truth_ptr[i + 1]]``, ascending.
+    program codes ``truth_program[truth_ptr[i]:truth_ptr[i + 1]]``, ascending,
+    so the truths too come by user name, then id.
     """
 
     cells: TensorCells
@@ -654,14 +669,7 @@ class Prepared:
         """Each user with a truth, in sorted order, to their sorted test programs."""
         items = list(map(self.cells.program_names.__getitem__, self.truth_program.tolist()))
         ptr = self.truth_ptr.tolist()
-        rows = {u: tuple(items[lo:hi]) for u, lo, hi in zip(self.cells.users, ptr, ptr[1:]) if hi > lo}
-        return dict(sorted(rows.items()))
-
-
-def _recode(names: tuple[str, ...], code_of: Mapping[str, int], codes: np.ndarray) -> np.ndarray:
-    """``codes`` into ``names`` as codes into the table that ``code_of`` numbers."""
-    lookup = np.fromiter(map(code_of.get, names, itertools.repeat(-1)), dtype=np.int32, count=len(names))
-    return lookup[codes]
+        return {u: tuple(items[lo:hi]) for u, lo, hi in zip(self.cells.users, ptr, ptr[1:]) if hi > lo}
 
 
 def prepare(
@@ -687,7 +695,10 @@ def prepare(
     kept = filter_flips(logs, dt_min)
     sp = split(kept, programs, spec)
     users = users_in_both(sp.d_train, sp.d_test)
-    cells = build_tensor(sp.d_train, programs, grid, items=sp.i_train, users=users)
+    # The one sort of the program ids: renumbered by it, codes compare as ids do.
+    ids, rank = sort_names(programs.program_names)
+    by_id = replace(programs, program_names=ids, program=rank[programs.program])
+    cells = build_tensor(sp.d_train, by_id, grid, items=sp.i_train, users=users)
     if not cells.users:
         raise DataError(
             f"no user has a training log on a train program and a log in both halves "
@@ -695,16 +706,16 @@ def prepare(
         )
     truths = ground_truth_map(sp.d_test, sp.i_test)
 
-    # No id repeats, so the program code of row i is i. The train and test
-    # programs are the rows that start in either window, in id order.
-    ids = programs.program_names
+    # The rows that start in either window, in id order: recoded cells keep their order.
     lo, mid, hi = spec.bounds()
-    rows = np.flatnonzero((lo <= programs.start) & (programs.start < hi)).tolist()
-    rows.sort(key=ids.__getitem__)
-    rows = np.array(rows, dtype=np.int64)
+    rows = np.flatnonzero((lo <= programs.start) & (programs.start < hi))
+    rows = rows[np.argsort(by_id.program[rows])]
+    codes = by_id.program[rows]
+    program_code = np.full(len(ids), -1, dtype=np.int32)
+    program_code[codes] = np.arange(len(codes), dtype=np.int32)
     test = np.flatnonzero(programs.start[rows] >= mid)  # codes into the id-ordered programs
     test_rows = rows[test]
-    program_names = tuple(map(ids.__getitem__, rows.tolist()))
+    program_names = tuple(map(ids.__getitem__, codes.tolist()))
     channels = tuple(sorted(cells.channels() | _names_of(programs.channel_names, programs.channel[test_rows])))
     program_of = dict(zip(program_names, range(len(program_names))))
     channel_of = {c: i for i, c in enumerate(channels)}
@@ -714,12 +725,12 @@ def prepare(
             cells,
             program_names=program_names,
             channel_names=channels,
-            program=_recode(cells.program_names, program_of, cells.program),
-            channel=_recode(cells.channel_names, channel_of, cells.channel),
+            program=program_code[cells.program],
+            channel=_lookup(cells.channel_names, channel_of)[cells.channel],
         ),
         texts=tuple(map(programs.text.__getitem__, rows.tolist())),
         test_program=test.astype(np.int32),
-        test_channel=_recode(programs.channel_names, channel_of, programs.channel[test_rows]),
+        test_channel=_lookup(programs.channel_names, channel_of)[programs.channel[test_rows]],
         test_start=programs.start[test_rows],
         test_end=programs.end[test_rows],
         truth_ptr=np.cumsum([0, *map(len, truth_rows)], dtype=np.int64),
@@ -745,7 +756,7 @@ def prepare(
 # ---------------------------------------------------------------------------
 # the prepared file
 
-PREPARED_SCHEMA = 1
+PREPARED_SCHEMA = 2
 
 # Every array of the file after the manifest, with its dtype; each is one-dimensional.
 _PREPARED_ARRAYS = {
@@ -800,9 +811,10 @@ def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGr
     inputs or settings), or fails a check: dtypes and shapes, offsets that
     start at 0, never decrease and end at their table's length, a cell for
     every user, codes in range, slots on ``grid``, positive counts that sum
-    to less than 2**63, unique user names, sorted unique program and channel
-    names, and test broadcasts that start before they end, within a week. A
-    file without users fails too.
+    to less than 2**63, the name order of :class:`TensorCells` (sorted
+    unique user, program and channel names, and the cells in (user, slot,
+    channel, program) order, each once), and test broadcasts that start
+    before they end, within a week. A file without users fails too.
     """
     stored, arrays = read_npz(path, "prepared file")
     require(
@@ -824,8 +836,7 @@ def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGr
         check(names is not None, f"{key} table")
 
     check(len(users) > 0, "user names: none")
-    check(len(set(users)) == len(users), "user names: some repeat")
-    check(all(a < b for names in (programs, channels) for a, b in zip(names, names[1:])), "names: not sorted")
+    check(all(a < b for names in (users, programs, channels) for a, b in zip(names, names[1:])), "names: not sorted")
     check(len(texts) == len(programs), "texts: not one per program")
     check(is_ptr(arrays["cell_ptr"], len(users), n_cells), "cell offsets")
     check(bool(np.all(arrays["cell_ptr"][1:] > arrays["cell_ptr"][:-1])), "cell offsets: a user without cells")
@@ -834,6 +845,11 @@ def load_prepared(path: str | Path, manifest: Mapping[str, object], grid: TimeGr
     check(in_range(arrays["cell_channel"], 0, len(channels)), "cell channel codes")
     check(in_range(arrays["cell_slot"], 1, grid.n + 1), "cell slots")
     check(in_range(arrays["cell_count"], 1, 2**63) and sum(arrays["cell_count"].tolist()) < 2**63, "cell counts")
+    # Each user's cells ascend by (slot, channel, program).
+    ds, dc, dp = (np.diff(arrays[f"cell_{col}"]) for col in ("slot", "channel", "program"))
+    later = (ds > 0) | ((ds == 0) & ((dc > 0) | ((dc == 0) & (dp > 0))))
+    later[arrays["cell_ptr"][1:-1] - 1] = True
+    check(bool(np.all(later)), "cells: not in (user, slot, channel, program) order")
     check(all(len(arrays[k]) == n_test for k in ("test_channel", "test_start", "test_end")), "test columns")
     check(in_range(arrays["test_program"], 0, len(programs)), "test program codes")
     check(in_range(arrays["test_channel"], 0, len(channels)), "test channel codes")

@@ -64,7 +64,8 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sided paired t-test p-value over per-dataset means.
 
     Zero-variance differences use the degenerate convention: p = 1.0 when the
-    mean difference is zero, otherwise p = 0.0.
+    mean difference is zero, otherwise p = 0.0. Other samples need scipy,
+    which ``tvrec`` does not require: install the ``stats`` extra.
     """
     if len(a) != len(b):
         raise ValueError(f"paired samples differ in length: {len(a)} vs {len(b)}")
@@ -73,7 +74,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
     diffs = [x - y for x, y in zip(a, b)]
     if max(diffs) == min(diffs):
         return 1.0 if diffs[0] == 0 else 0.0
-    # Imported here: no pipeline command runs the test, and scipy is slow to load.
+    # Imported here: scipy is optional and slow to load, and no pipeline command runs the test.
     from scipy import stats
 
     return float(stats.ttest_rel(a, b).pvalue)

@@ -179,29 +179,28 @@ def build(cells: TensorCells, embeddings: Rows) -> Preferences:
 
     Membership in a user's item set means any positive count; repeated
     viewing of one program does not up-weight it (distinct-item semantics).
-    A mean adds its items in id order, so the result is independent of log
+    The tensor keeps the name order of :class:`tvrec.datamodel.TensorCells`,
+    so its users come sorted and its program codes ascend with the ids: a
+    mean adds its items in id order, and the result is independent of log
     ordering, bit for bit. Users come in name order, each user's slots
     ascending.
     """
     lacking = cells.program_names[len(embeddings.ptr) - 1 :]
     if lacking:
         raise DataError(f"{len(lacking)} program(s) lack embeddings: {', '.join(lacking[:10])}")
-    by_name = sorted(range(len(cells.users)), key=cells.users.__getitem__)
-    by_id = np.array(sorted(range(len(cells.program_names)), key=cells.program_names.__getitem__), dtype=np.int64)
-    user = np.repeat(np.argsort(by_name), np.diff(cells.ptr))
-    item = np.argsort(by_id)[cells.program]
+    user = np.repeat(np.arange(len(cells.users)), np.diff(cells.ptr))
     # The distinct (group, item) pairs, ascending, each packed into one int64.
-    n_items, n_slots = len(by_id), int(cells.slot.max(initial=0)) + 1
-    pairs = np.unique(user * n_items + item)
-    global_vecs = _means(pairs // n_items, by_id[pairs % n_items], embeddings)
-    pairs = np.unique((user * n_slots + cells.slot) * n_items + item)
+    n_items, n_slots = len(cells.program_names), int(cells.slot.max(initial=0)) + 1
+    pairs = np.unique(user * n_items + cells.program)
+    global_vecs = _means(pairs // n_items, pairs % n_items, embeddings)
+    pairs = np.unique((user * n_slots + cells.slot) * n_items + cells.program)
     groups, group = np.unique(pairs // n_items, return_inverse=True)
     return Preferences(
-        users=tuple(cells.users[i] for i in by_name),
+        users=cells.users,
         global_vecs=global_vecs,
-        slot_ptr=np.searchsorted(groups // n_slots, np.arange(len(by_name) + 1)),
+        slot_ptr=np.searchsorted(groups // n_slots, np.arange(len(cells.users) + 1)),
         slots=groups % n_slots,
-        slot_vecs=_means(group, by_id[pairs % n_items], embeddings),
+        slot_vecs=_means(group, pairs % n_items, embeddings),
     )
 
 

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arrays import name_rank
+from .arrays import sort_names
 from .datamodel import LogTable, ProgramTable
 from .timegrid import SECONDS_PER_WEEK, TimeGrid
 
@@ -367,9 +367,9 @@ def gen_logs(world: World) -> LogTable:
     user, program, channel, t, dt = np.frombuffer(events, dtype=np.int64).reshape(-1, 5).T
     order = np.lexsort((
         dt,
-        name_rank(programs.program_names)[program],
-        name_rank(programs.channel_names)[channel],
-        name_rank(users)[user],
+        sort_names(programs.program_names)[1][program],
+        sort_names(programs.channel_names)[1][channel],
+        sort_names(users)[1][user],
         t,
     ))
     return LogTable(

@@ -480,11 +480,14 @@ def log_table(logs: Iterable[ViewingLog]) -> LogTable:
 
 
 def program_table(metas: Iterable[ProgramMeta]) -> ProgramTable:
-    """The records as a ProgramTable, ids and channels numbered in order of first appearance."""
+    """The records as a ProgramTable, in order, ids and channels numbered in name order."""
     metas = list(metas)
-    names = ({}, {})
+    names = tuple(
+        {name: code for code, name in enumerate(sorted(set(column)))}
+        for column in ([m.program for m in metas], [m.channel for m in metas])
+    )
     codes = [
-        [index.setdefault(name, len(index)) for name in column]
+        [index[name] for name in column]
         for index, column in zip(names, ([m.program for m in metas], [m.channel for m in metas]))
     ]
     return ProgramTable(
@@ -587,7 +590,9 @@ def build_tensor_records(
     items: frozenset[str],
     users: frozenset[str],
 ) -> dict[str, dict[tuple[str, int, str], int]]:
-    """Reference `build_tensor`: nested default dicts filled log by log."""
+    """Reference `build_tensor`: nested default dicts filled log by log, then
+    put in the tensor's order: users by name, each user's cells by slot,
+    channel, then program."""
     d_train = list(d_train)
     unknown = sorted({log.program for log in d_train} - metas.keys())
     if unknown:
@@ -598,7 +603,10 @@ def build_tensor_records(
             continue
         cell = (log.program, slot_of(log.t, grid), log.channel)
         by_user[log.user][cell] += 1
-    return {u: dict(cells) for u, cells in by_user.items() if cells}
+    return {
+        u: dict(sorted(by_user[u].items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0])))
+        for u in sorted(by_user)
+    }
 
 
 def ground_truth_records(d_test: Iterable[ViewingLog], items: frozenset[str]) -> dict[str, frozenset[str]]:
@@ -625,24 +633,31 @@ def tensor_dicts(cells: TensorCells) -> dict[str, dict[tuple[str, int, str], int
 
 
 def tensor_cells(by_user: Mapping[str, Mapping[tuple[str, int, str], int]]) -> TensorCells:
-    """Nested dicts as TensorCells, names numbered in order of first appearance."""
-    programs: dict[str, int] = {}
-    channels: dict[str, int] = {}
+    """Nested dicts as TensorCells in the tensor's order: names numbered in
+    name order, users by name, each user's cells by slot, channel, then
+    program."""
+    users = sorted(by_user)
+    programs = sorted({p for cells in by_user.values() for p, _, _ in cells})
+    channels = sorted({c for cells in by_user.values() for _, _, c in cells})
+    program_of = {p: i for i, p in enumerate(programs)}
+    channel_of = {c: i for i, c in enumerate(channels)}
     rows = [
-        (programs.setdefault(p, len(programs)), s, channels.setdefault(c, len(channels)), n)
-        for cells in by_user.values()
-        for (p, s, c), n in cells.items()
+        row
+        for u in users
+        for row in sorted(
+            (s, channel_of[c], program_of[p], n) for (p, s, c), n in by_user[u].items()
+        )
     ]
-    cols = list(zip(*rows))
+    slot, channel, program, count = zip(*rows)
     return TensorCells(
-        users=tuple(by_user),
+        users=tuple(users),
         program_names=tuple(programs),
         channel_names=tuple(channels),
-        ptr=np.cumsum([0, *map(len, by_user.values())], dtype=np.int64),
-        program=np.array(cols[0], dtype=np.int32),
-        slot=np.array(cols[1], dtype=np.int64),
-        channel=np.array(cols[2], dtype=np.int32),
-        count=np.array(cols[3], dtype=np.int64),
+        ptr=np.cumsum([0, *(len(by_user[u]) for u in users)], dtype=np.int64),
+        program=np.array(program, dtype=np.int32),
+        slot=np.array(slot, dtype=np.int64),
+        channel=np.array(channel, dtype=np.int32),
+        count=np.array(count, dtype=np.int64),
     )
 
 

@@ -17,6 +17,7 @@ import pytest
 import tvrec
 from oracles import behavior_matrix_dicts, tensor_dicts
 from tvrec import bundle
+from tvrec.arrays import decode_names, encode_names
 from tvrec.cli import (
     _CONFIG_SECTIONS,
     MAX_GRID_VALUES,
@@ -657,6 +658,22 @@ def _damage_prepared(case, root, cfg, out):
             arrays[key][-2] = arrays[key][-1] + 1
         with open(prepared, "wb") as fh:
             np.savez(fh, **arrays)
+    if case in ("prepared users out of order", "prepared cells out of order", "prepared of schema 1"):
+        arrays = _bundle_arrays(prepared)
+        if case == "prepared users out of order":
+            users = list(decode_names(arrays, "users"))
+            users[:2] = users[1::-1]
+            arrays.update(encode_names(users, "users"))
+        elif case == "prepared cells out of order":
+            # Two cells of one user swapped: the names and codes stay valid.
+            ptr = arrays["cell_ptr"]
+            a = int(ptr[np.flatnonzero(np.diff(ptr) >= 2)[0]])
+            for col in ("program", "slot", "channel", "count"):
+                cells = arrays[f"cell_{col}"] = arrays[f"cell_{col}"].copy()
+                cells[a : a + 2] = cells[a + 1], cells[a]
+        else:
+            arrays["manifest"] = {**arrays["manifest"], "schema": 1}
+        _write_arrays(prepared, arrays)
     return flags
 
 
@@ -671,6 +688,9 @@ def _damage_prepared(case, root, cfg, out):
         "prepared offset out of range",
         "prepared name offset out of range",
         "prepared user without cells",
+        "prepared users out of order",
+        "prepared cells out of order",
+        "prepared of schema 1",
     ],
 )
 def test_build_refuses_a_missing_stale_or_damaged_prepared_file(case, workspace, tmp_path, capsys):
@@ -681,6 +701,31 @@ def test_build_refuses_a_missing_stale_or_damaged_prepared_file(case, workspace,
     err = capsys.readouterr().err
     assert "run `prep`" in err and "internal error" not in err
     assert not (tmp_path / "out" / "model.pkl").exists()
+
+
+def test_prep_does_not_depend_on_input_line_order(workspace, tmp_path, capsys):
+    # Both inputs with their lines shuffled: every prepared array but the
+    # manifest, which holds the inputs' sha256, comes out the same, and so
+    # does every file `prep` and `build` write.
+    root, cfg = workspace
+    rng = random.Random(29)
+    shuffled = []
+    for name in ("logs", "programs"):
+        lines = (root / "data" / f"{name}.jsonl").read_bytes().splitlines(keepends=True)
+        rng.shuffle(lines)
+        (tmp_path / f"{name}.jsonl").write_bytes(b"".join(lines))
+        shuffled += [f"--{name}", tmp_path / f"{name}.jsonl"]
+    outs = [tmp_path / "in-order", tmp_path / "shuffled"]
+    for out, flags in zip(outs, ([], shuffled)):
+        assert run(["prep", "--config", cfg, "--out-dir", out, *flags]) == 0
+        assert run(["build", "--config", cfg, "--out-dir", out, *flags]) == 0
+    capsys.readouterr()
+    a, b = (_bundle_arrays(out / "prepared.npz") for out in outs)
+    assert list(a) == list(b) and a["manifest"]["inputs"] != b["manifest"]["inputs"]
+    differ = [k for k in a if k != "manifest" and not (a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]))]
+    assert differ == []
+    for name in ("model.pkl", "truth.jsonl", "prep_summary.json", "vocab.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_build_reads_what_prep_wrote_without_parsing(workspace, tmp_path, monkeypatch, capsys):

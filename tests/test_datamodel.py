@@ -294,7 +294,9 @@ def test_build_tensor_slots_match_slot_of_at_int64_edges(grid):
     programs = program_table(meta(program=f"p{i}") for i in range(len(ts)))
     items = frozenset(programs.program_names)
     tensor = tensor_dicts(build_tensor(logs, programs, grid, items=items, users=frozenset({"u1"})))
-    assert list(tensor["u1"]) == [(f"p{i}", slot_of(t, grid), "c1") for i, t in enumerate(ts)]
+    # One cell per log, in the tensor's order: by slot, then channel, then program.
+    want = sorted(((f"p{i}", slot_of(t, grid), "c1") for i, t in enumerate(ts)), key=lambda c: (c[1], c[2], c[0]))
+    assert list(tensor["u1"]) == want
 
 
 # ground truth

@@ -7,6 +7,7 @@ from oracles import (
     MONDAY,
     PreferenceDicts,
     ProgramMeta,
+    ViewingLog,
     behavior_dicts,
     behavior_matrix_dicts,
     candidates,
@@ -15,10 +16,12 @@ from oracles import (
     entry_sum,
     fit_dicts,
     l2_norm,
+    log_table,
     preference_dicts,
     preference_model,
     preference_vectors,
     program_rows,
+    program_table,
     row_dicts,
     tensor_cells,
     tensor_dicts,
@@ -26,7 +29,7 @@ from oracles import (
 )
 from tvrec import synth
 from tvrec.behavior import behavior_matrix
-from tvrec.datamodel import SplitSpec, prepare
+from tvrec.datamodel import SplitSpec, build_tensor, prepare
 from tvrec.errors import DataError
 from tvrec.preference import build, entry_sums, global_view
 from tvrec.ranker import rank_preference
@@ -91,9 +94,9 @@ def test_time_aware_slot_sets_are_exact():
 
 
 def test_missing_embedding_error_lists_ids():
-    tensor = tensor_cells({"u": {("p1", 5, "c1"): 1, ("p-naked", 5, "c1"): 1}})
-    with pytest.raises(DataError, match="p-naked"):
-        build(tensor, embedding_rows([E1]))  # a row for p1 only
+    tensor = tensor_cells({"u": {("p1", 5, "c1"): 1, ("pz-naked", 5, "c1"): 1}})
+    with pytest.raises(DataError, match="pz-naked"):
+        build(tensor, embedding_rows([E1]))  # a row for p1, the first id, only
 
 
 def test_score_is_dot_product():
@@ -165,13 +168,26 @@ def test_unit_norm_embeddings_bound_scores_by_one():
 
 
 def test_build_is_independent_of_cell_insertion_order():
+    # Shuffled logs number every name in another order of first appearance;
+    # build_tensor still gives the same cells, in the same order, and the
+    # vectors built from them are the same.
     rng = random.Random(3)
-    cells = [(f"p{i}", rng.randint(1, 6), "c1") for i in range(10)]
-    items = {f"p{i}": {d: rng.random() for d in range(4)} for i in range(10)}
-    forward = {"u": {c: 1 for c in cells}}
-    backward = {"u": {c: 1 for c in reversed(cells)}}
-    m1 = model_of(tensor_cells(forward), items)
-    m2 = model_of(tensor_cells(backward), items)
+    logs = [
+        ViewingLog(f"u{rng.randrange(4)}", f"p{rng.randrange(12)}", f"c{rng.randrange(3)}",
+                   MONDAY + rng.randrange(2 * 86_400), 1000)
+        for _ in range(80)
+    ]
+    shuffled = logs[:]
+    rng.shuffle(shuffled)
+    programs = program_table(meta(f"p{i}") for i in range(12))
+    restrict = {"items": frozenset(programs.program_names), "users": frozenset({"u0", "u1", "u3"})}
+    a, b = (build_tensor(log_table(g), programs, GRID, **restrict) for g in (logs, shuffled))
+    assert (a.users, a.program_names, a.channel_names) == (b.users, b.program_names, b.channel_names)
+    for col in ("ptr", "program", "slot", "channel", "count"):
+        x, y = getattr(a, col), getattr(b, col)
+        assert x.dtype == y.dtype and np.array_equal(x, y), col
+    items = {f"p{i}": {d: rng.random() for d in range(4)} for i in range(12)}
+    m1, m2 = model_of(a, items), model_of(b, items)
     assert m1.global_prefs == m2.global_prefs
     assert m1.slot_prefs == m2.slot_prefs
 
@@ -258,7 +274,7 @@ def test_model_from_cells_equals_the_dict_oracles(seed):
     embeddings = {p: {d: rng.random() for d in rng.sample(range(8), rng.randint(1, 4))} for p in programs}
     embeddings["p07"] = {}  # a text with no known token encodes to the zero vector
     by_user = {}
-    for u in rng.sample(range(100), 8):  # users, programs and channels out of name order
+    for u in rng.sample(range(100), 8):  # dicts with users, programs and channels out of name order
         cells = {}
         for _ in range(rng.randint(1, 12)):
             cell = (rng.choice(programs), rng.randint(1, 6), rng.choice(("c2", "c1", "c3")))
