@@ -48,6 +48,7 @@ from . import preference as preference_mod
 from . import ranker as ranker_mod
 from . import synth as synth_mod
 from .arrays import sort_names
+from .behavior import Behavior
 from .datamodel import (
     Prepared,
     SplitSpec,
@@ -516,25 +517,54 @@ def _rank_user_fn(cfg: EngineConfig, bundle: bundle_mod.ModelBundle, method: str
     return lambda u: ranker_mod.top_k(cand, fuse(*rankings(u), cand), k)
 
 
+def _ranked_lists(rank_user: Callable[[str], ranker_mod.RankedList], users: Iterable[str]):
+    """Each user's ``(user, ids, scores)``, one user at a time."""
+    for user in users:
+        ranked = rank_user(user)
+        yield user, [pid for pid, _ in ranked], [score for _, score in ranked]
+
+
+def _two_stage_lists(
+    behavior: Behavior,
+    model: preference_mod.PreferenceModel,
+    cand: ranker_mod.Candidates,
+    k: int,
+    stats: ranker_mod.TwoStageStats,
+):
+    """Each user's two-stage ``(user, ids, scores)``, ranked a block of users
+    at a time (:func:`tvrec.ranker.two_stage_block`)."""
+    ids, names = cand.ids, behavior.users
+    for users in ranker_mod.user_blocks(behavior, cand):
+        winners = ranker_mod.two_stage_block(behavior, users, model, cand, k, stats)
+        items, scores = list(map(ids.__getitem__, winners.col.tolist())), winners.val.tolist()
+        ptr = winners.ptr.tolist()
+        for user, lo, hi in zip(users.tolist(), ptr, ptr[1:]):
+            yield names[user], items[lo:hi], scores[lo:hi]
+
+
 def _cmd_recommend(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     bundle = _load_bundle(cfg)
-    rank_user, users = _rank_user_fn(cfg, bundle, cfg.method), bundle.behavior.users
-    # The closure holds what it serves; the bundle's CSR embeddings, padded into its index, can go.
+    stats = ranker_mod.TwoStageStats() if cfg.method == "two-stage" else None
+    if stats is not None:
+        lists = _two_stage_lists(bundle.behavior, _pref_model(bundle, cfg.mode), bundle.cand, cfg.k, stats)
+    else:
+        lists = _ranked_lists(_rank_user_fn(cfg, bundle, cfg.method), bundle.behavior.users)
+    # The generator holds what it serves; the bundle's CSR embeddings, padded into its index, can go.
     del bundle
-    rows = []
-    for user in users:
-        ranked = rank_user(user)
-        rows.append(
-            {
-                "user": user,
-                "items": [pid for pid, _ in ranked],
-                "scores": [score for _, score in ranked],
-            }
-        )
+    counts = {"users": 0, "short_lists": 0}
+
+    def rows() -> Iterator[dict]:
+        for user, items, scores in lists:
+            counts["users"] += 1
+            counts["short_lists"] += len(items) < cfg.k
+            yield {"user": user, "items": items, "scores": scores}
+
     out = Path(args.out) if args.out else Path(cfg.out_dir) / f"recs_{cfg.method}.jsonl"
-    _write_jsonl(out, rows, cfg.provenance())
-    _summary_line("recommend", method=cfg.method, mode=cfg.mode, k=cfg.k, users=len(rows), out=str(out))
+    _write_jsonl(out, rows(), cfg.provenance())
+    if stats is not None:
+        counts["preference_evals"] = stats.preference_evals
+    _summary_line("recommend", method=cfg.method, mode=cfg.mode, k=cfg.k, **counts, out=str(out))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:

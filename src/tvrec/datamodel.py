@@ -625,6 +625,26 @@ def ground_truth_map(d_test: LogTable, items: frozenset[str]) -> dict[str, froze
     return {d_test.user_names[u]: frozenset(programs[p] for p in progs) for u, progs in acc.items()}
 
 
+def _truths(
+    d_test: LogTable, users: tuple[str, ...], program_names: tuple[str, ...], test: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The truths of :class:`Prepared`: ``(truth_ptr, truth_program)`` over
+    ``users``, sorted, and the codes of ``program_names``, the test programs
+    being the codes ``test``. As :func:`ground_truth_map` has them, but read
+    off ``d_test``'s codes: only the programs it names are looked up, among
+    the test programs alone."""
+    test_code_of = dict(zip(map(program_names.__getitem__, test.tolist()), test.tolist()))
+    named = np.flatnonzero(np.bincount(d_test.program, minlength=len(d_test.program_names)))
+    code = np.full(len(d_test.program_names), -1, dtype=np.int64)
+    code[named] = _lookup(tuple(map(d_test.program_names.__getitem__, named.tolist())), test_code_of)
+    row = _lookup(d_test.user_names, dict(zip(users, itertools.count())))
+    program, user = code[d_test.program], row[d_test.user].astype(np.int64)
+    watched = (program >= 0) & (user >= 0)
+    pairs = np.unique(user[watched] * len(program_names) + program[watched])
+    ptr = np.searchsorted(pairs // len(program_names), np.arange(len(users) + 1)).astype(np.int64)
+    return ptr, (pairs % len(program_names)).astype(np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """A prepared dataset: the tensor, every program's text, the test
@@ -704,7 +724,6 @@ def prepare(
             f"no user has a training log on a train program and a log in both halves "
             f"({len(users)} user(s) in both); there is nothing to model"
         )
-    truths = ground_truth_map(sp.d_test, sp.i_test)
 
     # The rows that start in either window, in id order: recoded cells keep their order.
     lo, mid, hi = spec.bounds()
@@ -717,9 +736,8 @@ def prepare(
     test_rows = rows[test]
     program_names = tuple(map(ids.__getitem__, codes.tolist()))
     channels = tuple(sorted(cells.channels() | _names_of(programs.channel_names, programs.channel[test_rows])))
-    program_of = dict(zip(program_names, range(len(program_names))))
     channel_of = {c: i for i, c in enumerate(channels)}
-    truth_rows = [sorted(map(program_of.__getitem__, truths.get(u, ()))) for u in cells.users]
+    truth_ptr, truth_program = _truths(sp.d_test, cells.users, program_names, test)
     prepared = Prepared(
         cells=replace(
             cells,
@@ -733,10 +751,10 @@ def prepare(
         test_channel=_lookup(programs.channel_names, channel_of)[programs.channel[test_rows]],
         test_start=programs.start[test_rows],
         test_end=programs.end[test_rows],
-        truth_ptr=np.cumsum([0, *map(len, truth_rows)], dtype=np.int64),
-        truth_program=np.array([c for row in truth_rows for c in row], dtype=np.int32),
+        truth_ptr=truth_ptr,
+        truth_program=truth_program,
     )
-    truth_sizes = [len(row) for row in truth_rows if row]
+    truth_sizes = [size for size in np.diff(truth_ptr).tolist() if size]
     split_users = np.unique(np.concatenate((sp.d_train.user, sp.d_test.user)))
     summary = {
         "t_split": spec.t_split,

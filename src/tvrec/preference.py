@@ -22,6 +22,8 @@ candidate embeddings, both stored transposed (:class:`ItemIndex`):
 - :meth:`PreferenceModel.scores` scores a batch of rows, each against its
   start slot's vector. It reads the embeddings zero-padded to the widest
   one, where a batch of any rows is one gather.
+  :meth:`PreferenceModel.block_scores` does the same for the rows of many
+  users at once.
 
 Products are non-negative, so starting from the first product instead of
 from 0.0, or adding a pad cell's +0.0, changes no bit: a score depends
@@ -37,6 +39,7 @@ global scoring from it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -123,6 +126,9 @@ def entry_sums(products: np.ndarray) -> np.ndarray:
     return np.add.reduce(products, axis=0)
 
 
+BUFFER_FLOATS = 2**16  # the most values PreferenceModel.block_scores densifies at a time
+
+
 @dataclass(frozen=True, eq=False)
 class PreferenceModel:
     """Per-user preference vectors plus the candidate embeddings they score,
@@ -170,6 +176,57 @@ class PreferenceModel:
         products = buf[reads]
         products *= np.take(items.weights, rows, axis=1)
         return entry_sums(products)
+
+    @functools.cached_property
+    def _slot_keys(self) -> np.ndarray:
+        """Each slot vector's (user row, slot) key ``u * len(items.slot_ptr) +
+        slot``, ascending as the vectors are stored, then a key past every
+        (user, slot)."""
+        p = self.prefs
+        n_slots = len(self.items.slot_ptr)
+        keys = np.repeat(np.arange(len(p.users)), np.diff(p.slot_ptr)) * n_slots + p.slots
+        return np.append(keys, len(p.users) * n_slots)
+
+    def block_scores(self, users: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """:meth:`scores` of many users at once, the same bits: the score of
+        each of ``rows``, which start in slots ``starts``, for user row
+        ``users[i]``.
+
+        Each read's vector, the user's slot vector or else their global one,
+        is looked up among the sorted (user, slot) keys. Only the distinct
+        vectors the reads name go into the buffer, so many of them at a time
+        that it holds at most ``BUFFER_FLOATS`` values, with the rows that
+        read them. It is zeroed only where those rows read it, so the cost
+        follows the reads and the vectors' entries, and its size neither the
+        number of vectors nor the dimensions.
+        """
+        p, dims, items = self.prefs, self.dims, self.items
+        q = users * len(items.slot_ptr) + starts
+        j = np.searchsorted(self._slot_keys, q)
+        # Slot vectors are vectors 0..len(slots) - 1, and global ones follow.
+        vecs, which = np.unique(np.where(self._slot_keys[j] == q, j, len(p.slots) + users), return_inverse=True)
+        cut = int(np.searchsorted(vecs, len(p.slots)))
+        slot_vecs, global_vecs = p.slot_vecs.take(vecs[:cut]), p.global_vecs.take(vecs[cut:] - len(p.slots))
+        ptr = np.concatenate((slot_vecs.ptr, global_vecs.ptr[1:] + slot_vecs.ptr[-1]))
+        val = np.concatenate((slot_vecs.val, global_vecs.val))
+        per = max(BUFFER_FLOATS // dims, 1)  # vectors in the buffer at a time
+        at = np.repeat(np.arange(len(vecs)) % per * dims, np.diff(ptr)) + np.concatenate((slot_vecs.col, global_vecs.col))
+        by_vec = np.argsort(which, kind="stable")
+        which, rows = which[by_vec], rows[by_vec]
+        reads = np.take(items.idx, rows, axis=1) + which % per * dims
+        firsts = np.arange(0, len(vecs) + per, per).clip(max=len(vecs))
+        read_at, entry_at = np.searchsorted(which, firsts).tolist(), ptr[firsts].tolist()
+        buf = np.empty(min(len(vecs), per) * dims)
+        products = np.empty(reads.shape)
+        for a, b, e, f in zip(read_at, read_at[1:], entry_at, entry_at[1:]):
+            chunk = reads[:, a:b]
+            buf[chunk] = 0.0
+            buf[at[e:f]] = val[e:f]
+            products[:, a:b] = buf[chunk]
+        products *= np.take(items.weights, rows, axis=1)
+        out = np.empty(len(rows))
+        out[by_vec] = entry_sums(products)
+        return out
 
 
 def build(cells: TensorCells, embeddings: Rows) -> Preferences:

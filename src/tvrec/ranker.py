@@ -59,24 +59,40 @@ the first ``k`` runs, then scores them in one batch, so only a small prefix
 of the candidate set ever incurs a dot product; the evaluation count is
 exposed via :class:`TwoStageStats`.
 
+:func:`two_stage_block` gives the same winners and score bits for a block of
+users in one vectorized scan, and ``recommend`` ranks every user with it, in
+the blocks of about ``BLOCK_PAIRS`` footprint pairs that :func:`user_blocks`
+cuts. One sort by (user, row) groups the block's footprint pairs, and one
+stable sort of (user, score rank) keys orders each user's touched rows. The
+users still short of ``k + 1`` runs read their zero rows through one doubling
+window together, and the rows of every user's first ``k`` runs are scored in
+one batch. Its numpy calls are made once per block, where :func:`two_stage`
+makes about forty per user, but there are more of them: a block of one user
+costs several :func:`two_stage` calls (about 360 against 85 µs on Dataset
+A). The two sit side by side, one per traffic shape: the block scan serves
+the whole population, and :func:`two_stage` serves one user at a time, as
+``bench`` and the acceptance criteria time it. Tests pin the two equal.
+
 Preference scores come from :mod:`tvrec.preference`, which owns their one
 rule: :func:`rank_preference` scores every row against the user's global
 vector (:meth:`ItemIndex.dots`, over the embeddings grouped by length), then
 the rows of the user's slots against their slot's vector in one batch
 (:meth:`PreferenceModel.scores`, over the padded embeddings), and
-:func:`two_stage` scores the rows it visits in one batch.
+:func:`two_stage` scores the rows it visits in one batch, and
+:func:`two_stage_block` those of a block of users
+(:meth:`PreferenceModel.block_scores`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .arrays import Rows, ranges
-from .behavior import UserBehavior
+from .behavior import Behavior, UserBehavior
 from .datamodel import ProgramTable
 from .errors import DataError
 from .preference import ItemIndex, PreferenceModel
@@ -215,7 +231,8 @@ def build_item_index(embeddings: Rows, cand: Candidates) -> ItemIndex:
     idx[pos, row] = embeddings.col
     weights = np.zeros((width, n))
     weights[pos, row] = embeddings.val
-    buckets = [np.flatnonzero(lens == length) for length in np.unique(lens[lens > 0]).tolist()]
+    lengths = np.flatnonzero(np.bincount(lens))  # not np.unique, whose first plain call imports numpy.ma
+    buckets = [np.flatnonzero(lens == length) for length in lengths[lengths > 0].tolist()]
     bucket_idx, bucket_weights = [], []
     for rows in buckets:
         at = np.arange(lens[rows[0]])[:, None] + embeddings.ptr[rows]
@@ -247,6 +264,17 @@ def _new_runs(keys: np.ndarray) -> np.ndarray:
     new = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     return new
+
+
+def _run_max(values: np.ndarray, new: np.ndarray, tiebreak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's largest value, a run starting at each True of ``new``, and
+    the least of ``tiebreak`` over the run's positions holding it."""
+    starts = new.nonzero()[0]
+    if not len(starts):
+        return values, tiebreak
+    top = np.maximum.reduceat(values, starts)
+    at_top = values == top[np.cumsum(new) - 1]
+    return top, np.minimum.reduceat(np.where(at_top, tiebreak, np.iinfo(tiebreak.dtype).max), starts)
 
 
 def _stage_one_order(scores: np.ndarray) -> np.ndarray:
@@ -419,6 +447,118 @@ def two_stage(
     # stable sort by (run, -preference) puts each run's winner at its start.
     by_pref = np.lexsort((-pref, np.cumsum(new[:end])))
     return Ranking(rows[by_pref[starts]], scores)
+
+
+# Footprint pairs of a block of users, about. The block's working arrays grow
+# with it; on Dataset A, 2**12 to 2**14 ranked at one speed, and 2**12 kept
+# `recommend`'s peak RSS lowest.
+BLOCK_PAIRS = 2**12
+
+
+def user_blocks(behavior: Behavior, cand: Candidates) -> Iterator[np.ndarray]:
+    """The rows of ``behavior`` in order, in blocks of whole users of about
+    ``BLOCK_PAIRS`` footprint pairs each, at least one user per block."""
+    rows = behavior.rows
+    pairs = np.zeros(len(rows.col) + 1, dtype=np.int64)
+    np.cumsum(np.diff(cand.cell_ptr)[rows.col], out=pairs[1:])
+    before = pairs[rows.ptr]  # the pairs of the users before each, then of all
+    lo = 0
+    while lo < len(behavior.users):
+        hi = max(int(np.searchsorted(before, before[lo] + BLOCK_PAIRS, "right")) - 1, lo + 1)
+        yield np.arange(lo, hi)
+        lo = hi
+
+
+def two_stage_block(
+    behavior: Behavior,
+    users: np.ndarray,
+    model: PreferenceModel,
+    cand: Candidates,
+    k: int,
+    stats: TwoStageStats | None = None,
+) -> Rows:
+    """:func:`two_stage` for each of ``users``, rows of ``behavior``, in one
+    vectorized scan: user ``behavior.users[users[i]]``'s winners are
+    ``col[ptr[i]:ptr[i + 1]]`` of the result and their behavior scores the
+    same slice of ``val``, the same rows and bits as :func:`two_stage`'s.
+
+    One sort of the block's footprint pairs by (user, row) groups each
+    touched row's pairs: the row's score is their largest probability, and
+    its key the cell of its earliest span entry at that probability. A
+    stable sort of the touched rows by (user, -score) is each user's head.
+    Users whose head holds ``k`` runs or fewer read their zero rows through
+    a window that doubles, all of them at once, a row being free when its
+    (user, row) key is not among the touched ones. The rows of every user's
+    first ``k`` runs are scored in one batch
+    (:meth:`PreferenceModel.block_scores`), and each run's winner is its
+    first row at its largest score, the row a stable sort by (run,
+    -preference) puts first.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n, n_users, n_cells = len(cand), len(users), len(cand.cell_ptr) - 1
+    model_rows = np.array([model.user_row(behavior.users[i]) for i in users.tolist()], dtype=np.int64)
+    beh = behavior.rows.take(users)
+    lo, hi = cand.cell_ptr[:-1][beh.col], cand.cell_ptr[1:][beh.col]
+    pos = ranges(lo, hi)
+    key = np.repeat(np.repeat(np.arange(n_users), np.diff(beh.ptr)), hi - lo) * n + cand.cell_row[pos]
+    by_key = np.argsort(key)
+    key, probs, entry = key[by_key], np.repeat(beh.val, hi - lo)[by_key], cand.cell_entry[pos][by_key]
+    new = _new_runs(key)
+    score, best = _run_max(probs, new, entry)
+    # The touched (user, row) keys, ascending, then a key past every (user, row).
+    touched = np.append(key[new], n_users * n)
+
+    # Each user's touched rows by score, descending, then by row: one stable
+    # sort of (user, score rank) keys.
+    levels, level = np.unique(score, return_inverse=True)
+    head = np.argsort(touched[:-1] // n * len(levels) - level, kind="stable")
+    h_user = touched[head] // n
+    h_key = h_user * n_cells + cand.span_flat[best[head]]
+    h_new = _new_runs(h_key)
+    parts = [(h_user, touched[head] % n, score[head], h_new)]
+    h_len = np.bincount(h_user, minlength=n_users)
+    runs = np.bincount(h_user[h_new], minlength=n_users)
+
+    # The zero rows of the users short of k + 1 runs, in row order and keyed
+    # by their first span cell: a window of them, at first as long as the
+    # runs still missing, doubled until it closes the k-th run or holds every
+    # row. A row is free unless its (user, row) key is a touched one. A
+    # user's first free row starts a run: its cells are none of the user's,
+    # and every head key is one.
+    need = np.flatnonzero(runs <= k)
+    window = k + 1 - runs[need]
+    while len(need):
+        stop = np.minimum(h_len[need] + window, n)
+        t_user, t_row = np.repeat(need, stop), ranges(np.zeros_like(stop), stop)
+        q = t_user * n + t_row
+        free = touched[np.searchsorted(touched, q)] != q
+        t_user, t_row = t_user[free], t_row[free]
+        t_key = t_user * n_cells + cand.start_cell[t_row]
+        t_new = _new_runs(t_key)
+        done = np.zeros(n_users, dtype=bool)
+        done[need] = (runs[need] + np.bincount(t_user[t_new], minlength=n_users)[need] > k) | (stop == n)
+        keep = done[t_user]
+        parts.append((t_user[keep], t_row[keep], np.zeros(np.count_nonzero(keep)), t_new[keep]))
+        window = 2 * window[~done[need]]
+        need = need[~done[need]]
+
+    # Each user's head, then their zero rows; then the rows of their first k runs.
+    s_user, s_row, s_score, s_new = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(s_user, kind="stable")
+    s_user, s_row, s_score, s_new = s_user[order], s_row[order], s_score[order], s_new[order]
+    run_user = s_user[s_new]
+    run_rank = np.arange(len(run_user)) - np.searchsorted(run_user, run_user)
+    sel = (run_rank < k)[np.cumsum(s_new) - 1]
+    s_user, s_row, s_score, s_new = s_user[sel], s_row[sel], s_score[sel], s_new[sel]
+    if stats is not None:
+        stats.preference_evals += len(s_row)
+
+    pref = model.block_scores(model_rows[s_user], s_row, cand.start_slots(s_row))
+    win = _run_max(pref, s_new, np.arange(len(pref)))[1]
+    ptr = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(s_user[s_new], minlength=n_users), out=ptr[1:])
+    return Rows(ptr, s_row[win], s_score[win])
 
 
 def _row_ranks(ranking: Ranking, n: int, name: str) -> np.ndarray:

@@ -368,10 +368,25 @@ def random_instance(rng: random.Random, max_programs: int = 50, max_channels: in
             ProgramMeta(program=f"p{i:03d}", channel=channel, start=start, end=end, text="")
         )
 
-    # Coarse probability levels force plenty of ties in both stages.
+    bm = random_behavior(rng, grid, channels, "u")
+    items = {m.program: _random_vector(rng) for m in metas}
+    global_prefs = {"u": _random_vector(rng)}
+    slot_prefs = {"u": _random_slot_vectors(rng, grid)}
+    models = {
+        "global": PreferenceDicts(global_prefs=global_prefs, slot_prefs={}, item_embeddings=items),
+        "time-aware": PreferenceDicts(
+            global_prefs=global_prefs, slot_prefs=slot_prefs, item_embeddings=items
+        ),
+    }
+    return grid, metas, bm, models
+
+
+def random_behavior(rng: random.Random, grid: TimeGrid, channels: list[str], user: str) -> BehaviorMatrix:
+    """A distribution over about half the (slot, channel) pairs, on coarse
+    probability levels that force plenty of ties in both stages."""
     levels = [0.0, 0.1, 0.2, 0.3]
     weights = {}
-    for slot in range(1, n + 1):
+    for slot in range(1, grid.n + 1):
         for channel in channels:
             if rng.random() < 0.5:
                 w = rng.choice(levels)
@@ -381,23 +396,47 @@ def random_instance(rng: random.Random, max_programs: int = 50, max_channels: in
     if not weights:
         weights = {(1, channels[0]): 1.0}
         total = 1.0
-    bm = BehaviorMatrix(user="u", probs={k: v / total for k, v in weights.items()})
+    return BehaviorMatrix(user=user, probs={k: v / total for k, v in weights.items()})
 
-    def rand_vec() -> dict[int, float]:
-        return {d: rng.choice((0.25, 0.5, 1.0)) for d in rng.sample(range(6), rng.randint(1, 3))}
 
-    items = {m.program: rand_vec() for m in metas}
-    global_prefs = {"u": rand_vec()}
-    slot_prefs = {
-        "u": {slot: rand_vec() for slot in range(1, n + 1) if rng.random() < 0.4}
-    }
-    models = {
+def _random_vector(rng: random.Random) -> dict[int, float]:
+    return {d: rng.choice((0.25, 0.5, 1.0)) for d in rng.sample(range(6), rng.randint(1, 3))}
+
+
+def _random_slot_vectors(rng: random.Random, grid: TimeGrid) -> dict[int, dict[int, float]]:
+    return {slot: _random_vector(rng) for slot in range(1, grid.n + 1) if rng.random() < 0.4}
+
+
+def random_users(
+    rng: random.Random, grid: TimeGrid, metas: list[ProgramMeta], channels: list[str], n_users: int
+) -> tuple[list[BehaviorMatrix], dict[str, PreferenceDicts]]:
+    """``n_users`` random users, ``u00``, ``u01``, ..., of one catalogue, as
+    :func:`random_instance` draws its one user: their distributions and the
+    preference models by mode. Some users get no slot vector at all."""
+    users = [f"u{i:02d}" for i in range(n_users)]
+    bms = [random_behavior(rng, grid, channels, user) for user in users]
+    items = {m.program: _random_vector(rng) for m in metas}
+    global_prefs = {user: _random_vector(rng) for user in users}
+    slot_prefs = {user: _random_slot_vectors(rng, grid) for user in users if rng.random() < 0.8}
+    return bms, {
         "global": PreferenceDicts(global_prefs=global_prefs, slot_prefs={}, item_embeddings=items),
-        "time-aware": PreferenceDicts(
-            global_prefs=global_prefs, slot_prefs=slot_prefs, item_embeddings=items
-        ),
+        "time-aware": PreferenceDicts(global_prefs=global_prefs, slot_prefs=slot_prefs, item_embeddings=items),
     }
-    return grid, metas, bm, models
+
+
+def behavior_rows(bms: Iterable[BehaviorMatrix], cand: Candidates) -> Behavior:
+    """Several dict distributions as one :class:`Behavior` over ``cand``'s
+    grid, users sorted by name."""
+    rows = [behavior_row(bm, cand) for bm in sorted(bms, key=lambda bm: bm.user)]
+    return Behavior(
+        users=tuple(row.user for row in rows),
+        channels=cand.channels,
+        rows=Rows(
+            np.cumsum([0, *(len(row.cells) for row in rows)], dtype=np.int64),
+            np.concatenate([np.zeros(0, dtype=np.int64), *(row.cells for row in rows)]),
+            np.concatenate([np.zeros(0), *(row.probs for row in rows)]),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from tvrec.cli import (
 )
 from tvrec.datamodel import load_prepared
 from tvrec.errors import ConfigError
-from tvrec.ranker import check_eta
+from tvrec.preference import global_view
+from tvrec.ranker import TwoStageStats, check_eta, top_k, two_stage
 
 SYNTH_CFG = {
     "n_users": 25,
@@ -748,6 +749,52 @@ def test_importing_the_cli_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=_python_m_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_two_stage_recommend_does_not_load_numpy_ma(built, tmp_path):
+    # np.unique's first call without return_* imports numpy.ma; nothing on
+    # the two-stage serving path needs it.
+    _, cfg = built
+    probe = (
+        "import sys, tvrec.cli; "
+        f"code = tvrec.cli.main(['recommend', '--config', {str(cfg)!r}, '--method', 'two-stage', "
+        f"'--out', {str(tmp_path / 'recs.jsonl')!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=_python_m_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def _two_stage_loop(model_path, mode, k):
+    """The recs lines of a per-user ``two_stage`` and ``top_k`` loop, its
+    preference evaluations and its lists shorter than ``k``."""
+    served = bundle.load(model_path)
+    model = served.model if mode == "time-aware" else global_view(served.model)
+    stats = TwoStageStats()
+    lines, short = [], 0
+    for user in served.behavior.users:
+        ranked = top_k(served.cand, two_stage(served.behavior.of(user), model, served.cand, k, stats), k)
+        short += len(ranked) < k
+        lines.append(json.dumps({"user": user, "items": [pid for pid, _ in ranked], "scores": [s for _, s in ranked]}))
+    return lines, stats.preference_evals, short
+
+
+def test_two_stage_recommend_equals_a_per_user_loop(built, tmp_path, capsys):
+    _, cfg = built
+    n = len(bundle.load(cfg.parent / "out" / "model.pkl").cand)
+    for mode in ("global", "time-aware"):
+        for k in (10, n + 1):
+            out = tmp_path / f"recs_{mode}_{k}.jsonl"
+            capsys.readouterr()
+            assert run(["recommend", "--config", cfg, "--method", "two-stage", "--mode", mode, "--k", k,
+                        "--out", out]) == 0
+            summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+            lines, evals, short = _two_stage_loop(cfg.parent / "out" / "model.pkl", mode, k)
+            meta = out.read_bytes().split(b"\n", 1)[0].decode()
+            assert out.read_bytes() == "\n".join([meta, *lines, ""]).encode()
+            assert (summary["users"], summary["preference_evals"], summary["short_lists"]) == (len(lines), evals, short)
+            assert short == (k > n) * len(lines)  # no list of n + 1 items out of n
 
 
 def test_one_build_serves_both_scoring_modes(built, tmp_path, capsys):

@@ -10,6 +10,7 @@ from oracles import (
     PreferenceDicts,
     ProgramMeta,
     behavior_row,
+    behavior_rows,
     brute_rank,
     brute_rrf,
     brute_two_stage,
@@ -18,13 +19,16 @@ from oracles import (
     preference_model,
     program_table,
     random_instance,
+    random_users,
     scalar_behavior,
     scalar_preference,
 )
+from tvrec import bundle, preference, synth
 from tvrec.arrays import Rows
+from tvrec.datamodel import SplitSpec, prepare
 from tvrec.errors import DataError
 from tvrec.evaluate import recall_at
-from tvrec.preference import PreferenceModel
+from tvrec.preference import PreferenceModel, global_view
 from tvrec.ranker import (
     Candidates,
     Ranking,
@@ -40,6 +44,8 @@ from tvrec.ranker import (
     top_k,
     tune_rrf,
     two_stage,
+    two_stage_block,
+    user_blocks,
 )
 from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
 
@@ -478,6 +484,160 @@ def test_two_stage_k_must_be_positive():
     cand = candidates([meta("A")], GRID, {"c1"})
     with pytest.raises(ValueError):
         two_stage_of(BehaviorMatrix("u", {(1, "c1"): 1.0}), global_model({}, {"A": {}}), cand, 0)
+
+
+# the block scan
+
+
+def block_lists(behavior, users, model, cand, k, stats=None):
+    """``two_stage_block`` over ``users`` as one (rows, score bytes) pair per user."""
+    got = two_stage_block(behavior, np.asarray(users, dtype=np.int64), model, cand, k, stats)
+    return [
+        (got.col[lo:hi].tolist(), got.val[lo:hi].tobytes()) for lo, hi in zip(got.ptr.tolist(), got.ptr[1:].tolist())
+    ]
+
+
+def assert_blocks_equal_two_stage(behavior, model, cand, k):
+    """The block scan gives every user ``two_stage``'s winners and score bits
+    and the same preference evaluations, in blocks of 1, 2, 7 and all users,
+    and in one block of the users in reverse order."""
+    n_users = len(behavior.users)
+    stats = TwoStageStats()
+    want = []
+    for user in behavior.users:
+        ranking = two_stage(behavior.of(user), model, cand, k, stats)
+        want.append((ranking.rows.tolist(), ranking.scores[ranking.rows].tobytes()))
+    for size in (1, 2, 7, n_users):
+        block_stats = TwoStageStats()
+        got = []
+        for lo in range(0, n_users, size):
+            got += block_lists(behavior, range(lo, min(lo + size, n_users)), model, cand, k, block_stats)
+        assert got == want, f"blocks of {size}"
+        assert block_stats.preference_evals == stats.preference_evals
+    assert block_lists(behavior, range(n_users)[::-1], model, cand, k) == want[::-1]
+    return want
+
+
+def test_block_scan_equals_two_stage_on_edge_users():
+    metas = [
+        meta("A", start_slot=1, n_slots=1),
+        meta("B", start_slot=1, n_slots=1, offset=450),
+        meta("D", "c2", start_slot=2, n_slots=2),
+        *(meta(f"C{i}", start_slot=3, n_slots=1, offset=100 * i) for i in range(4)),
+        meta("E", "c2", start_slot=5, n_slots=1),
+        meta("F", start_slot=10, n_slots=3),
+        meta("W", start_slot=672, n_slots=2),
+    ]
+    cand = candidates(metas, GRID, {"c1", "c2", "c3"})
+    every_cell = {(c // cand.ncols + 1, cand.channels[c % cand.ncols]) for c in cand.span_flat.tolist()}
+    bms = [
+        # Touches every row, so it reads no zero row.
+        BehaviorMatrix("all", {key: 1 / len(every_cell) for key in every_cell}),
+        # Touches no row: its scan starts in the zero rows.
+        BehaviorMatrix("none", {(100, "c3"): 1.0}),
+        # One row, then zero rows in which C0..C3 form one run.
+        BehaviorMatrix("one", {(5, "c2"): 1.0}),
+        # W wraps the week from slot 672 into slot 1, at equal probabilities.
+        BehaviorMatrix("wrap", {(1, "c1"): 0.5, (672, "c1"): 0.5}),
+        BehaviorMatrix("noslot", {(3, "c1"): 0.25, (2, "c2"): 0.75}),
+    ]
+    items = {m.program: {i % 3: 0.5, 3: 0.25 * (i % 2)} for i, m in enumerate(metas)}
+    users = [bm.user for bm in bms]
+    global_prefs = {user: {j % 4: 1.0, (j + 1) % 4: 0.5} for j, user in enumerate(users)}
+    slot_prefs = {user: {1: {0: 1.0}, 3: {3: 2.0}, 672: {2: 1.0}} for user in users if user != "noslot"}
+    behavior = behavior_rows(bms, cand)
+    short = 0
+    for slots in ({}, slot_prefs):
+        model = preference_model(PreferenceDicts(global_prefs, slots, items), cand)
+        for k in (1, 2, 3, 5, 30):
+            want = assert_blocks_equal_two_stage(behavior, model, cand, k)
+            short += sum(len(rows) < k for rows, _ in want)
+    assert short  # k above the user's runs gives a short list
+    u = model.user_row("noslot")
+    assert model.prefs.slot_ptr[u] == model.prefs.slot_ptr[u + 1] and len(model.prefs.slots)
+    assert rank_behavior(behavior.of("all"), cand).scores.all()
+    assert not rank_behavior(behavior.of("none"), cand).scores.any()
+    assert len(set(cand.start_cell[[cand.ids.index(f"C{i}") for i in range(4)]].tolist())) == 1
+    assert (cand.span_flat[cand.span_ptr[cand.ids.index("W")] :] // cand.ncols + 1).tolist() == [672, 1]
+
+
+def test_block_scan_equals_brute_force_for_users_sharing_candidates():
+    rng = random.Random(20_240_402)
+    for _ in range(300):
+        grid, metas, _, _ = random_instance(rng)
+        channels = sorted({m.channel for m in metas} | {"cx"})
+        bms, models = random_users(rng, grid, metas, channels, rng.randint(1, 6))
+        cand = candidates(metas, grid, channels)
+        behavior = behavior_rows(bms, cand)
+        k = rng.choice((1, 3, 10, 30))
+        for mode in ("global", "time-aware"):
+            model = preference_model(models[mode], cand)
+            got = block_lists(behavior, range(len(bms)), model, cand, k)
+            for bm, (rows, score_bytes) in zip(bms, got):
+                scores = np.frombuffer(score_bytes).tolist()
+                assert [(cand.ids[r], s) for r, s in zip(rows, scores)] == brute_two_stage(
+                    bm, models[mode], metas, grid, k
+                )
+            assert_blocks_equal_two_stage(behavior, model, cand, k)
+
+
+@pytest.fixture(scope="module")
+def synthetic_world():
+    """The bundle of a world of the CLI tests' workspace shape and seed, built in-process."""
+    cfg = synth.SynthConfig(n_users=25, n_channels=4, n_topics=5, weeks_train=2, weeks_test=1, rng_seed=3)
+    world = synth.gen_world(cfg)
+    spec = SplitSpec(cfg.t_split, cfg.weeks_train * SECONDS_PER_WEEK, cfg.weeks_test * SECONDS_PER_WEEK)
+    prep, _ = prepare(synth.gen_logs(world), world.programs, cfg.grid, spec)
+    return bundle.build(prep, cfg.grid, {})[0]
+
+
+@pytest.mark.parametrize("buffer_vectors", [None, 1, 3])
+def test_block_scan_equals_two_stage_on_a_synthetic_world(synthetic_world, monkeypatch, buffer_vectors):
+    # The block batches scored with the buffer as it is, or holding 1 or 3 vectors.
+    built = synthetic_world
+    if buffer_vectors:
+        monkeypatch.setattr(preference, "BUFFER_FLOATS", buffer_vectors * built.dims)
+    for model in (built.model, global_view(built.model)):
+        assert len(model.prefs.slots) == (model is built.model) * len(built.prefs.slots)
+        for k in (1, 10, 30):
+            assert_blocks_equal_two_stage(built.behavior, model, built.cand, k)
+
+
+@pytest.mark.parametrize("buffer_vectors", [None, 1, 3])
+def test_block_scores_equal_per_user_scores(synthetic_world, monkeypatch, buffer_vectors):
+    # Every user against every row, in both modes: the same bits as one
+    # `scores` batch per user, whichever vector each row reads.
+    built = synthetic_world
+    if buffer_vectors:
+        monkeypatch.setattr(preference, "BUFFER_FLOATS", buffer_vectors * built.dims)
+    rows = np.arange(len(built.cand))
+    starts = built.cand.start_slots(rows)
+    for model in (built.model, global_view(built.model)):
+        users = np.arange(len(model.prefs.users))
+        want = np.concatenate([model.scores(u, rows, starts) for u in users.tolist()])
+        got = model.block_scores(np.repeat(users, len(rows)), np.tile(rows, len(users)), np.tile(starts, len(users)))
+        assert got.tobytes() == want.tobytes()
+    # The last user reads rows of the last slot without a vector there.
+    p = built.model.prefs
+    assert built.cand.n_slots not in p.slots[p.slot_ptr[-2] :].tolist() and built.cand.n_slots in starts.tolist()
+
+
+def test_user_blocks_cover_the_users_in_order():
+    rng = random.Random(5)
+    grid, metas, _, _ = random_instance(rng, max_programs=50)
+    channels = sorted({m.channel for m in metas})
+    bms, _ = random_users(rng, grid, metas, channels, 9)
+    cand = candidates(metas, grid, channels)
+    blocks = list(user_blocks(behavior_rows(bms, cand), cand))
+    assert np.concatenate(blocks).tolist() == list(range(9))
+    assert all(len(block) for block in blocks)
+
+
+def test_block_scan_k_must_be_positive():
+    cand = candidates([meta("A")], GRID, {"c1"})
+    behavior = behavior_rows([BehaviorMatrix("u", {(1, "c1"): 1.0})], cand)
+    with pytest.raises(ValueError):
+        two_stage_block(behavior, np.arange(1), preference_model(global_model({}, {"A": {}}), cand), cand, 0)
 
 
 # fusion
