@@ -46,8 +46,7 @@ from . import bundle as bundle_mod
 from . import evaluate as evaluate_mod
 from . import preference as preference_mod
 from . import ranker as ranker_mod
-from . import synth as synth_mod
-from .arrays import sort_names
+from .arrays import Rows, sort_names
 from .behavior import Behavior
 from .datamodel import (
     Prepared,
@@ -162,7 +161,6 @@ class EngineConfig:
 
 
 _FIELD_TYPES = typing.get_type_hints(EngineConfig)
-_SYNTH_TYPES = typing.get_type_hints(synth_mod.SynthConfig)
 
 
 def _fits(value: object, hint: object) -> bool:
@@ -372,12 +370,16 @@ def _load_prepared(cfg: EngineConfig) -> Prepared:
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
+    # Imported here: no other subcommand runs the generator.
+    from . import synth as synth_mod
+
+    synth_types = typing.get_type_hints(synth_mod.SynthConfig)
     raw = _read_json_object(args.config, "synth config") if args.config is not None else {}
     if args.seed is not None:
         raw["rng_seed"] = args.seed
     for key, value in raw.items():
-        if key in _SYNTH_TYPES:
-            _require_fits(key, value, _SYNTH_TYPES[key], "synth config value")
+        if key in synth_types:
+            _require_fits(key, value, synth_types[key], "synth config value")
     try:
         cfg = synth_mod.SynthConfig(**raw)
     except (TypeError, ValueError) as exc:
@@ -495,18 +497,18 @@ def _rankings_fn(bundle: bundle_mod.ModelBundle, model: preference_mod.Preferenc
     return rankings
 
 
-def _rank_user_fn(cfg: EngineConfig, bundle: bundle_mod.ModelBundle, method: str):
-    """Per-user inference closure for one method; models resolved up front."""
+def _ranking_fn(cfg: EngineConfig, bundle: bundle_mod.ModelBundle, method: str):
+    """Per-user ranking closure for one method; models resolved up front."""
     cand = bundle.cand
     behavior = bundle.behavior
     k = cfg.k
     if method == "behavior":
-        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_behavior(behavior.of(u), cand), k)
+        return lambda u: ranker_mod.rank_behavior(behavior.of(u), cand)
     model = _pref_model(bundle, cfg.mode)
     if method == "two-stage":
-        return lambda u: ranker_mod.top_k(cand, ranker_mod.two_stage(behavior.of(u), model, cand, k), k)
+        return lambda u: ranker_mod.two_stage(behavior.of(u), model, cand, k)
     if method == "preference":
-        return lambda u: ranker_mod.top_k(cand, ranker_mod.rank_preference(model, u, cand), k)
+        return lambda u: ranker_mod.rank_preference(model, u, cand)
     if method == "rrf":
         fuse = functools.partial(ranker_mod.rrf, eta=cfg.eta, k=k)
     elif method == "rrf-weighted":
@@ -514,54 +516,106 @@ def _rank_user_fn(cfg: EngineConfig, bundle: bundle_mod.ModelBundle, method: str
     else:
         raise ConfigError(f"unknown method {method!r}")
     rankings = _rankings_fn(bundle, model)
-    return lambda u: ranker_mod.top_k(cand, fuse(*rankings(u), cand), k)
+    return lambda u: fuse(*rankings(u), cand)
 
 
-def _ranked_lists(rank_user: Callable[[str], ranker_mod.RankedList], users: Iterable[str]):
-    """Each user's ``(user, ids, scores)``, one user at a time."""
-    for user in users:
-        ranked = rank_user(user)
-        yield user, [pid for pid, _ in ranked], [score for _, score in ranked]
+def _rank_user_fn(cfg: EngineConfig, bundle: bundle_mod.ModelBundle, method: str):
+    """Per-user inference closure for one method: its top-k (id, score) list."""
+    ranking = _ranking_fn(cfg, bundle, method)
+    cand, k = bundle.cand, cfg.k
+    return lambda u: ranker_mod.top_k(cand, ranking(u), k)
 
 
-def _two_stage_lists(
+# A recs block is (user rows, recs): user ``names[users[i]]``'s first k
+# candidate rows are ``recs.col[recs.ptr[i]:recs.ptr[i + 1]]``, best first,
+# and their scores the same slice of ``recs.val``.
+RecsBlock = tuple[np.ndarray, Rows]
+
+_USERS_PER_BLOCK = 256  # users a per-user method ranks into one recs block
+
+
+def _ranking_blocks(ranking: Callable[[str], ranker_mod.Ranking], names: Sequence[str], k: int) -> Iterator[RecsBlock]:
+    """Every user's first ``k`` rows of ``ranking`` and their scores, a block
+    of ``_USERS_PER_BLOCK`` users at a time."""
+    for lo in range(0, len(names), _USERS_PER_BLOCK):
+        users = np.arange(lo, min(lo + _USERS_PER_BLOCK, len(names)))
+        tops, scores = [], []
+        for user in users.tolist():
+            ranked = ranking(names[user])
+            tops.append(ranked.rows[:k].copy())  # a copy: the whole ranking is freed
+            scores.append(ranked.scores[tops[-1]])
+        ptr = np.zeros(len(tops) + 1, dtype=np.int64)
+        np.cumsum([len(top) for top in tops], out=ptr[1:])
+        yield users, Rows(ptr, np.concatenate(tops), np.concatenate(scores))
+
+
+def _two_stage_blocks(
     behavior: Behavior,
     model: preference_mod.PreferenceModel,
     cand: ranker_mod.Candidates,
     k: int,
     stats: ranker_mod.TwoStageStats,
-):
-    """Each user's two-stage ``(user, ids, scores)``, ranked a block of users
-    at a time (:func:`tvrec.ranker.two_stage_block`)."""
-    ids, names = cand.ids, behavior.users
+) -> Iterator[RecsBlock]:
+    """Every user's two-stage winners, a block of users at a time
+    (:func:`tvrec.ranker.two_stage_block`)."""
     for users in ranker_mod.user_blocks(behavior, cand):
-        winners = ranker_mod.two_stage_block(behavior, users, model, cand, k, stats)
-        items, scores = list(map(ids.__getitem__, winners.col.tolist())), winners.val.tolist()
-        ptr = winners.ptr.tolist()
-        for user, lo, hi in zip(users.tolist(), ptr, ptr[1:]):
-            yield names[user], items[lo:hi], scores[lo:hi]
+        yield users, ranker_mod.two_stage_block(behavior, users, model, cand, k, stats)
+
+
+def _write_recs(
+    path: Path, names: Sequence[str], ids: Sequence[str], blocks: Iterable[RecsBlock], k: int, provenance: dict
+) -> dict[str, int]:
+    """Write the recs file, a block of users at a time: a provenance line,
+    then one line per user, the bytes of ``json.dumps({"user": ..., "items":
+    [...], "scores": [...]})``. Return the users written and how many lists
+    are shorter than ``k``.
+
+    Each candidate id is quoted once, with ``json.dumps``. Each distinct
+    score of a block is formatted once, known by its float64 bits so that
+    0.0 and -0.0 stay apart, by one ``json.dumps`` of the block's distinct
+    scores: no float's text holds the ", " that splits the list.
+    """
+    quoted = np.empty(len(ids), dtype=object)
+    unquoted = np.ones(len(ids), dtype=bool)
+    counts = {"users": 0, "short_lists": 0}
+    with _atomic_file(path) as fh:
+        fh.write((json.dumps({"_meta": provenance}) + "\n").encode())
+        for users, recs in blocks:
+            new = np.zeros(len(ids), dtype=bool)
+            new[recs.col] = True
+            new = np.flatnonzero(new & unquoted)
+            unquoted[new] = False
+            quoted[new] = [json.dumps(ids[row]) for row in new.tolist()]
+            items = quoted[recs.col].tolist()
+            bits, at = np.unique(recs.val.view(np.int64), return_inverse=True)
+            texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+            scores = list(map(texts.__getitem__, at.tolist()))
+            ptr = recs.ptr.tolist()
+            fh.write(
+                "".join(
+                    f'{{"user": {json.dumps(names[u])}, "items": [{", ".join(items[lo:hi])}], '
+                    f'"scores": [{", ".join(scores[lo:hi])}]}}\n'
+                    for u, lo, hi in zip(users.tolist(), ptr, ptr[1:])
+                ).encode()
+            )
+            counts["users"] += len(users)
+            counts["short_lists"] += int(np.count_nonzero(np.diff(recs.ptr) < k))
+    return counts
 
 
 def _cmd_recommend(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     bundle = _load_bundle(cfg)
+    names, ids = bundle.behavior.users, bundle.cand.ids
     stats = ranker_mod.TwoStageStats() if cfg.method == "two-stage" else None
     if stats is not None:
-        lists = _two_stage_lists(bundle.behavior, _pref_model(bundle, cfg.mode), bundle.cand, cfg.k, stats)
+        blocks = _two_stage_blocks(bundle.behavior, _pref_model(bundle, cfg.mode), bundle.cand, cfg.k, stats)
     else:
-        lists = _ranked_lists(_rank_user_fn(cfg, bundle, cfg.method), bundle.behavior.users)
+        blocks = _ranking_blocks(_ranking_fn(cfg, bundle, cfg.method), names, cfg.k)
     # The generator holds what it serves; the bundle's CSR embeddings, padded into its index, can go.
     del bundle
-    counts = {"users": 0, "short_lists": 0}
-
-    def rows() -> Iterator[dict]:
-        for user, items, scores in lists:
-            counts["users"] += 1
-            counts["short_lists"] += len(items) < cfg.k
-            yield {"user": user, "items": items, "scores": scores}
-
     out = Path(args.out) if args.out else Path(cfg.out_dir) / f"recs_{cfg.method}.jsonl"
-    _write_jsonl(out, rows(), cfg.provenance())
+    counts = _write_recs(out, names, ids, blocks, cfg.k, cfg.provenance())
     if stats is not None:
         counts["preference_evals"] = stats.preference_evals
     _summary_line("recommend", method=cfg.method, mode=cfg.mode, k=cfg.k, **counts, out=str(out))

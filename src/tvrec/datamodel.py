@@ -613,26 +613,14 @@ def build_tensor(
     )
 
 
-def ground_truth_map(d_test: LogTable, items: frozenset[str]) -> dict[str, frozenset[str]]:
-    """Per-user ground truth, the test programs in ``items`` each user watched,
-    for every user with at least one such interaction, in order of first
-    appearance."""
-    rows = _member(d_test.program_names, items)[d_test.program]
-    acc: dict[int, set[int]] = {}
-    for user, program in zip(d_test.user[rows].tolist(), d_test.program[rows].tolist()):
-        acc.setdefault(user, set()).add(program)
-    programs = d_test.program_names
-    return {d_test.user_names[u]: frozenset(programs[p] for p in progs) for u, progs in acc.items()}
-
-
 def _truths(
     d_test: LogTable, users: tuple[str, ...], program_names: tuple[str, ...], test: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The truths of :class:`Prepared`: ``(truth_ptr, truth_program)`` over
     ``users``, sorted, and the codes of ``program_names``, the test programs
-    being the codes ``test``. As :func:`ground_truth_map` has them, but read
-    off ``d_test``'s codes: only the programs it names are looked up, among
-    the test programs alone."""
+    being the codes ``test``: the test programs each user watched in
+    ``d_test``, read off its codes. Only the programs it names are looked
+    up, among the test programs alone."""
     test_code_of = dict(zip(map(program_names.__getitem__, test.tolist()), test.tolist()))
     named = np.flatnonzero(np.bincount(d_test.program, minlength=len(d_test.program_names)))
     code = np.full(len(d_test.program_names), -1, dtype=np.int64)

@@ -9,7 +9,6 @@ be scored by recall or nDCG and are excluded from aggregation (and counted).
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping, Sequence
@@ -93,6 +92,10 @@ def bench(
         raise ValueError("benchmark user sample is empty")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    # Imported here: statistics loads fractions and decimal, which no other
+    # command needs.
+    import statistics
+
     per_user: list[float] = []
     for _ in range(repetitions):
         t0 = time.perf_counter()

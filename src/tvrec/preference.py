@@ -72,15 +72,15 @@ class ItemIndex:
 
     Padded, for batches of rows: ``idx`` and ``weights`` are (width, rows),
     ``idx`` in the embeddings' dimension dtype. Row ``r``'s dimensions are
-    ``idx[:, r]`` and its weights ``weights[:, r]``, in embedding order; pad
-    cells carry weight 0, so they add +0.0 to a score.
+    ``idx[:lens[r], r]`` and its weights the same cells of ``weights``, in
+    embedding order; pad cells carry weight 0, so they add +0.0 to a score.
 
-    By length, for the pass over every row: ``bucket_idx[j]`` and
-    ``bucket_weights[j]`` are C-contiguous (L, n_L) arrays, the intp
-    dimensions and the weights of the n_L rows whose embeddings hold L
-    entries, one L per bucket, ascending. Their rows, ascending within each
-    bucket, are ``bucket_rows``, bucket after bucket. A row with an empty
-    embedding is in no bucket.
+    By length, for the pass over every row, taken from the padded arrays on
+    first use (:meth:`dots`): ``bucket_idx[j]`` and ``bucket_weights[j]`` are
+    C-contiguous (L, n_L) arrays, the intp dimensions and the weights of the
+    n_L rows whose embeddings hold L entries, one L per bucket, ascending.
+    Their rows, ascending within each bucket, are ``bucket_rows``, bucket
+    after bucket. A row with an empty embedding is in no bucket.
 
     The rows that start in slot ``s`` are
     ``slot_rows[slot_ptr[s - 1]:slot_ptr[s]]``, ascending.
@@ -88,26 +88,51 @@ class ItemIndex:
 
     idx: np.ndarray
     weights: np.ndarray
-    bucket_idx: tuple[np.ndarray, ...]
-    bucket_weights: tuple[np.ndarray, ...]
-    bucket_rows: np.ndarray
+    lens: np.ndarray
     slot_rows: np.ndarray
     slot_ptr: np.ndarray
 
     def __len__(self) -> int:
         return self.idx.shape[1]
 
+    @functools.cached_property
+    def _buckets(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
+        """``(bucket_idx, bucket_weights, bucket_rows)``. ``np.take``
+        converts any index dtype but intp on every call, so the bucket
+        dimensions are intp."""
+        lengths = np.flatnonzero(np.bincount(self.lens))  # not np.unique, whose first plain call imports numpy.ma
+        bucket_idx, bucket_weights, bucket_rows = [], [], [np.zeros(0, dtype=np.intp)]
+        for length in lengths[lengths > 0].tolist():
+            rows = np.flatnonzero(self.lens == length)
+            bucket_idx.append(np.take(self.idx[:length], rows, axis=1).astype(np.intp))
+            bucket_weights.append(np.take(self.weights[:length], rows, axis=1))
+            bucket_rows.append(rows)
+        return tuple(bucket_idx), tuple(bucket_weights), np.concatenate(bucket_rows)
+
+    @property
+    def bucket_idx(self) -> tuple[np.ndarray, ...]:
+        return self._buckets[0]
+
+    @property
+    def bucket_weights(self) -> tuple[np.ndarray, ...]:
+        return self._buckets[1]
+
+    @property
+    def bucket_rows(self) -> np.ndarray:
+        return self._buckets[2]
+
     def dots(self, vec: np.ndarray) -> np.ndarray:
         """Every row's score against ``vec``, one densified vector: each
         length bucket summed on its own, the sums written back to their
         rows in one scatter."""
+        bucket_idx, bucket_weights, bucket_rows = self._buckets
         sums = [np.zeros(0)]
-        for idx, weights in zip(self.bucket_idx, self.bucket_weights):
+        for idx, weights in zip(bucket_idx, bucket_weights):
             products = np.take(vec, idx)
             products *= weights
             sums.append(entry_sums(products))
         out = np.zeros(len(self))
-        out[self.bucket_rows] = np.concatenate(sums)
+        out[bucket_rows] = np.concatenate(sums)
         return out
 
 
@@ -157,25 +182,48 @@ class PreferenceModel:
         The vectors go one after another, the global one last, into a buffer
         that is zeroed only where the rows read it, so the cost follows the
         rows and the user's vectors, not the user's slots times the
-        dimensions; no position is read that was not zeroed or written.
+        dimensions; no position is read that was not zeroed or written. Two
+        per-model tables, built on the first call, give each slot's vector
+        offset (:attr:`_slot_offsets`) and each slot vector entry's
+        (:attr:`_entry_at`).
         """
         p, dims, items = self.prefs, self.dims, self.items
         lo, hi = p.slot_ptr[u], p.slot_ptr[u + 1]
         glob = (hi - lo) * dims
-        offsets = np.arange(0, glob, dims)
-        offset_of_slot = np.full(len(items.slot_ptr), glob)  # slots 0..n_slots
-        offset_of_slot[p.slots[lo:hi]] = offsets
-        reads = np.take(items.idx, rows, axis=1) + offset_of_slot[starts]
+        reads = np.take(items.idx, rows, axis=1) + self._slot_offsets[u].take(starts)
         buf = np.empty(glob + dims)
         buf[reads] = 0.0
-        vec_ptr = p.slot_vecs.ptr[lo : hi + 1]
-        a, b = vec_ptr[0], vec_ptr[-1]
-        buf[np.repeat(offsets, vec_ptr[1:] - vec_ptr[:-1]) + p.slot_vecs.col[a:b]] = p.slot_vecs.val[a:b]
+        a, b = p.slot_vecs.ptr[lo], p.slot_vecs.ptr[hi]
+        buf[self._entry_at[a:b]] = p.slot_vecs.val[a:b]
         col, val = p.global_vecs.row(u)
         buf[glob + col] = val
         products = buf[reads]
         products *= np.take(items.weights, rows, axis=1)
         return entry_sums(products)
+
+    @functools.cached_property
+    def _slot_offsets(self) -> np.ndarray:
+        """Row ``u``, column ``s``: where slot ``s``'s vector starts in user
+        row ``u``'s buffer of :meth:`scores`, the vector's place among the
+        user's vectors times ``dims``, or, for a slot without one, the
+        global vector's, after all of them. int64, as :attr:`_entry_at`."""
+        p = self.prefs
+        counts = np.diff(p.slot_ptr)
+        out = np.repeat(counts * self.dims, len(self.items.slot_ptr)).reshape(len(p.users), -1)
+        place = np.arange(len(p.slots)) - np.repeat(p.slot_ptr[:-1], counts)
+        out[np.repeat(np.arange(len(p.users)), counts), p.slots] = place * self.dims
+        return out
+
+    @functools.cached_property
+    def _entry_at(self) -> np.ndarray:
+        """Each slot vector entry's offset in its user's buffer of
+        :meth:`scores`: the vector's place among the user's vectors times
+        ``dims``, plus the entry's dimension. int64: numpy converts a
+        narrower index dtype on every indexing call, which cost more than
+        the table's size saves."""
+        p = self.prefs
+        place = np.arange(len(p.slots)) - np.repeat(p.slot_ptr[:-1], np.diff(p.slot_ptr))
+        return np.repeat(place, np.diff(p.slot_vecs.ptr)) * self.dims + p.slot_vecs.col
 
     @functools.cached_property
     def _slot_keys(self) -> np.ndarray:

@@ -138,7 +138,9 @@ class Candidates:
     The cell index is derived from ``span_flat`` on construction: cell
     ``c``'s span entries are ``cell_entry[cell_ptr[c]:cell_ptr[c + 1]]``,
     their positions in ``span_flat``, ascending, and their rows the same
-    slice of ``cell_row``. ``start_cell[r]`` is row ``r``'s first cell.
+    slice of ``cell_row``; ``cell_lo`` is ``cell_ptr[:-1]`` and
+    ``cell_len`` the entries of each cell. ``start_cell[r]`` is row ``r``'s
+    first cell.
     """
 
     n_slots: int
@@ -147,6 +149,8 @@ class Candidates:
     span_flat: np.ndarray
     span_ptr: np.ndarray
     cell_ptr: np.ndarray = field(init=False, repr=False)
+    cell_lo: np.ndarray = field(init=False, repr=False)
+    cell_len: np.ndarray = field(init=False, repr=False)
     cell_entry: np.ndarray = field(init=False, repr=False)
     cell_row: np.ndarray = field(init=False, repr=False)
     start_cell: np.ndarray = field(init=False, repr=False)
@@ -159,6 +163,8 @@ class Candidates:
         cell_ptr = np.zeros(n_cells + 1, dtype=np.int64)
         np.cumsum(np.bincount(flat, minlength=n_cells), out=cell_ptr[1:])
         object.__setattr__(self, "cell_ptr", cell_ptr)
+        object.__setattr__(self, "cell_lo", cell_ptr[:-1])
+        object.__setattr__(self, "cell_len", np.diff(cell_ptr))
         object.__setattr__(self, "cell_entry", entry)
         object.__setattr__(self, "cell_row", row[entry])
         object.__setattr__(self, "start_cell", flat[self.span_ptr[:-1]])
@@ -211,14 +217,13 @@ def build_candidates(programs: ProgramTable, grid: TimeGrid, channels: Collectio
 
 
 def build_item_index(embeddings: Rows, cand: Candidates) -> ItemIndex:
-    """Lay out the candidate embeddings, one CSR row per candidate row, in
-    the two transposed layouts of an :class:`ItemIndex`, each straight from
-    the CSR rows, and group the rows by start slot.
+    """Lay out the candidate embeddings, one CSR row per candidate row,
+    zero-padded and transposed as an :class:`ItemIndex` (which takes its
+    length buckets from that layout when it first needs them), and group the
+    rows by start slot.
 
     The padded arrays are as wide as the longest embedding, their
-    dimensions in the CSR rows' dtype. Each length bucket gathers its rows'
-    entries as one (L, n_L) pair, dimensions as intp: ``np.take`` converts
-    any other index dtype on every call.
+    dimensions in the CSR rows' dtype.
     """
     n = len(cand)
     if len(embeddings.ptr) != n + 1:
@@ -231,32 +236,17 @@ def build_item_index(embeddings: Rows, cand: Candidates) -> ItemIndex:
     idx[pos, row] = embeddings.col
     weights = np.zeros((width, n))
     weights[pos, row] = embeddings.val
-    lengths = np.flatnonzero(np.bincount(lens))  # not np.unique, whose first plain call imports numpy.ma
-    buckets = [np.flatnonzero(lens == length) for length in lengths[lengths > 0].tolist()]
-    bucket_idx, bucket_weights = [], []
-    for rows in buckets:
-        at = np.arange(lens[rows[0]])[:, None] + embeddings.ptr[rows]
-        bucket_idx.append(embeddings.col[at].astype(np.intp))
-        bucket_weights.append(embeddings.val[at])
     start = cand.start_slots()
     slot_rows = np.argsort(start, kind="stable")
     slot_ptr = np.searchsorted(start[slot_rows], np.arange(1, cand.n_slots + 2))
-    return ItemIndex(
-        idx=idx,
-        weights=weights,
-        bucket_idx=tuple(bucket_idx),
-        bucket_weights=tuple(bucket_weights),
-        bucket_rows=np.concatenate([np.zeros(0, dtype=np.intp), *buckets]),
-        slot_rows=slot_rows,
-        slot_ptr=slot_ptr,
-    )
+    return ItemIndex(idx=idx, weights=weights, lens=lens, slot_rows=slot_rows, slot_ptr=slot_ptr)
 
 
 def _footprint(bm: UserBehavior, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
     """The span entries in the user's cells: their places in the cell index,
     and the user's probability at each."""
-    lo, hi = cand.cell_ptr[:-1][bm.cells], cand.cell_ptr[1:][bm.cells]
-    return ranges(lo, hi), np.repeat(bm.probs, hi - lo)
+    lo, n = cand.cell_lo[bm.cells], cand.cell_len[bm.cells]
+    return ranges(lo, lo + n), np.repeat(bm.probs, n)
 
 
 def _new_runs(keys: np.ndarray) -> np.ndarray:
@@ -308,7 +298,9 @@ def _preference_order(scores: np.ndarray) -> np.ndarray:
     cut = keys >> b
     pairs = np.flatnonzero(cut[1:] == cut[:-1])
     if len(pairs):
-        at = np.union1d(pairs, pairs + 1)
+        in_pair = np.zeros(len(cut), dtype=bool)
+        in_pair[pairs] = in_pair[pairs + 1] = True
+        at = np.flatnonzero(in_pair)  # not np.union1d, whose first call imports numpy.ma
         run = np.zeros(len(at), dtype=np.int64)
         np.cumsum(cut[at[1:]] != cut[at[:-1]], out=run[1:])
         tied = rows[at]
@@ -351,9 +343,8 @@ def rank_behavior(bm: UserBehavior, cand: Candidates) -> Ranking:
     touched = cand.cell_row[pos]
     scores = np.zeros(len(cand))
     np.maximum.at(scores, touched, probs)
-    head = np.unique(touched)
-    zero = np.ones(len(cand), dtype=bool)
-    zero[head] = False
+    zero = scores == 0
+    head = np.flatnonzero(~zero)  # the touched rows: probabilities are positive
     return Ranking(np.concatenate((head[_stage_one_order(scores[head])], np.flatnonzero(zero))), scores)
 
 
@@ -460,7 +451,7 @@ def user_blocks(behavior: Behavior, cand: Candidates) -> Iterator[np.ndarray]:
     ``BLOCK_PAIRS`` footprint pairs each, at least one user per block."""
     rows = behavior.rows
     pairs = np.zeros(len(rows.col) + 1, dtype=np.int64)
-    np.cumsum(np.diff(cand.cell_ptr)[rows.col], out=pairs[1:])
+    np.cumsum(cand.cell_len[rows.col], out=pairs[1:])
     before = pairs[rows.ptr]  # the pairs of the users before each, then of all
     lo = 0
     while lo < len(behavior.users):
@@ -499,11 +490,11 @@ def two_stage_block(
     n, n_users, n_cells = len(cand), len(users), len(cand.cell_ptr) - 1
     model_rows = np.array([model.user_row(behavior.users[i]) for i in users.tolist()], dtype=np.int64)
     beh = behavior.rows.take(users)
-    lo, hi = cand.cell_ptr[:-1][beh.col], cand.cell_ptr[1:][beh.col]
-    pos = ranges(lo, hi)
-    key = np.repeat(np.repeat(np.arange(n_users), np.diff(beh.ptr)), hi - lo) * n + cand.cell_row[pos]
+    lo, lens = cand.cell_lo[beh.col], cand.cell_len[beh.col]
+    pos = ranges(lo, lo + lens)
+    key = np.repeat(np.repeat(np.arange(n_users), np.diff(beh.ptr)), lens) * n + cand.cell_row[pos]
     by_key = np.argsort(key)
-    key, probs, entry = key[by_key], np.repeat(beh.val, hi - lo)[by_key], cand.cell_entry[pos][by_key]
+    key, probs, entry = key[by_key], np.repeat(beh.val, lens)[by_key], cand.cell_entry[pos][by_key]
     new = _new_runs(key)
     score, best = _run_max(probs, new, entry)
     # The touched (user, row) keys, ascending, then a key past every (user, row).

@@ -648,6 +648,19 @@ def build_tensor_records(
     }
 
 
+def ground_truth_map(d_test: LogTable, items: frozenset[str]) -> dict[str, frozenset[str]]:
+    """Per-user ground truth, the test programs in ``items`` each user watched,
+    for every user with at least one such interaction, in order of first
+    appearance: the names-level truths that `prepare` reads off codes."""
+    keep = np.fromiter(map(items.__contains__, d_test.program_names), dtype=bool, count=len(d_test.program_names))
+    rows = keep[d_test.program]
+    acc: dict[int, set[int]] = {}
+    for user, program in zip(d_test.user[rows].tolist(), d_test.program[rows].tolist()):
+        acc.setdefault(user, set()).add(program)
+    programs = d_test.program_names
+    return {d_test.user_names[u]: frozenset(programs[p] for p in progs) for u, progs in acc.items()}
+
+
 def ground_truth_records(d_test: Iterable[ViewingLog], items: frozenset[str]) -> dict[str, frozenset[str]]:
     """Reference `ground_truth_map`: a set per user, filled log by log."""
     acc: dict[str, set[str]] = defaultdict(set)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -17,13 +18,14 @@ import pytest
 import tvrec
 from oracles import behavior_matrix_dicts, tensor_dicts
 from tvrec import bundle
-from tvrec.arrays import decode_names, encode_names
+from tvrec.arrays import Rows, decode_names, encode_names
 from tvrec.cli import (
     _CONFIG_SECTIONS,
     MAX_GRID_VALUES,
     EngineConfig,
     _parse_grid_spec,
     _prepared_manifest,
+    _write_recs,
     build_parser,
     load_config,
     main,
@@ -31,7 +33,16 @@ from tvrec.cli import (
 from tvrec.datamodel import load_prepared
 from tvrec.errors import ConfigError
 from tvrec.preference import global_view
-from tvrec.ranker import TwoStageStats, check_eta, top_k, two_stage
+from tvrec.ranker import (
+    TwoStageStats,
+    check_eta,
+    rank_behavior,
+    rank_preference,
+    rrf,
+    rrf_weighted,
+    top_k,
+    two_stage,
+)
 
 SYNTH_CFG = {
     "n_users": 25,
@@ -751,30 +762,63 @@ def test_importing_the_cli_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_two_stage_recommend_does_not_load_numpy_ma(built, tmp_path):
-    # np.unique's first call without return_* imports numpy.ma; nothing on
-    # the two-stage serving path needs it.
+@pytest.mark.parametrize("method", ["two-stage", "rrf"])
+def test_recommend_loads_neither_synth_nor_statistics_nor_numpy_ma(method, built, tmp_path):
+    # `recommend` runs no generator and no median, and np.unique's first call
+    # without return_* imports numpy.ma: a fresh process serving recs loads
+    # none of them.
     _, cfg = built
     probe = (
         "import sys, tvrec.cli; "
-        f"code = tvrec.cli.main(['recommend', '--config', {str(cfg)!r}, '--method', 'two-stage', "
+        f"code = tvrec.cli.main(['recommend', '--config', {str(cfg)!r}, '--method', {method!r}, "
         f"'--out', {str(tmp_path / 'recs.jsonl')!r}]); "
-        "print(code, 'numpy.ma' in sys.modules)"
+        "print(code, [m for m in ('tvrec.synth', 'statistics', 'numpy.ma') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=_python_m_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "0 False"
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
 
 
-def _two_stage_loop(model_path, mode, k):
-    """The recs lines of a per-user ``two_stage`` and ``top_k`` loop, its
-    preference evaluations and its lists shorter than ``k``."""
+def test_importing_the_cli_loads_every_module_the_traced_harness_wraps():
+    # perfbench/traced.py imports tvrec.cli, then finds each module it wraps
+    # in sys.modules: the CLI must still import all of them. The harness
+    # file is loaded by path and only read.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_traced", Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    )
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    probe = "import sys, tvrec.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=_python_m_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert [m for m in traced.WRAPPED if f"tvrec.{m}" not in loaded] == []
+
+
+def _per_user_loop(model_path, method, mode, k):
+    """The recs lines of a per-user loop over the rankers and ``top_k``,
+    each row one ``json.dumps``, its two-stage preference evaluations and
+    its lists shorter than ``k``."""
     served = bundle.load(model_path)
+    cand = served.cand
     model = served.model if mode == "time-aware" else global_view(served.model)
     stats = TwoStageStats()
+
+    def ranking(user):
+        bm = served.behavior.of(user)
+        if method == "two-stage":
+            return two_stage(bm, model, cand, k, stats)
+        if method == "behavior":
+            return rank_behavior(bm, cand)
+        kp = rank_preference(model, user, cand)
+        if method == "preference":
+            return kp
+        fuse = rrf if method == "rrf" else rrf_weighted
+        return fuse(rank_behavior(bm, cand), kp, cand, k=k)
+
     lines, short = [], 0
     for user in served.behavior.users:
-        ranked = top_k(served.cand, two_stage(served.behavior.of(user), model, served.cand, k, stats), k)
+        ranked = top_k(cand, ranking(user), k)
         short += len(ranked) < k
         lines.append(json.dumps({"user": user, "items": [pid for pid, _ in ranked], "scores": [s for _, s in ranked]}))
     return lines, stats.preference_evals, short
@@ -790,11 +834,49 @@ def test_two_stage_recommend_equals_a_per_user_loop(built, tmp_path, capsys):
             assert run(["recommend", "--config", cfg, "--method", "two-stage", "--mode", mode, "--k", k,
                         "--out", out]) == 0
             summary = json.loads(capsys.readouterr().out.splitlines()[-1])
-            lines, evals, short = _two_stage_loop(cfg.parent / "out" / "model.pkl", mode, k)
+            lines, evals, short = _per_user_loop(cfg.parent / "out" / "model.pkl", "two-stage", mode, k)
             meta = out.read_bytes().split(b"\n", 1)[0].decode()
             assert out.read_bytes() == "\n".join([meta, *lines, ""]).encode()
             assert (summary["users"], summary["preference_evals"], summary["short_lists"]) == (len(lines), evals, short)
             assert short == (k > n) * len(lines)  # no list of n + 1 items out of n
+
+
+@pytest.mark.parametrize("method", ["behavior", "preference", "two-stage", "rrf", "rrf-weighted"])
+def test_recs_file_is_json_dumps_of_each_row(method, built, tmp_path, capsys):
+    # Every method's recs, in both modes, are the provenance line and then
+    # one `json.dumps` per user, byte for byte.
+    _, cfg = built
+    for mode in ("global", "time-aware"):
+        out = tmp_path / f"recs_{mode}.jsonl"
+        assert run(["recommend", "--config", cfg, "--method", method, "--mode", mode, "--out", out]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        lines, _, short = _per_user_loop(cfg.parent / "out" / "model.pkl", method, mode, 10)
+        meta = json.dumps({"_meta": load_config(str(cfg), {"method": method, "mode": mode}).provenance()})
+        assert out.read_bytes() == "\n".join([meta, *lines, ""]).encode()
+        assert (summary["users"], summary["short_lists"]) == (len(lines), short)
+
+
+def test_recs_writer_is_json_dumps_of_each_row_on_hand_made_blocks(tmp_path):
+    # Names and ids that JSON must escape, scores that format alike but
+    # differ in sign, and lists short, empty and spread over blocks.
+    names = ["plain", 'quo"te', "back\\slash", "ctl\x00\x1f\n\t\x7f", "caf\u00e9", "tv \U0001f4fa", "last"]
+    ids = ["p0", 'i"d', "i\\d", "\x01\u2028", "\u00fc", "\U0001f600", ", ", ""]
+    rows = [[0, 1], [], [5, 6, 7, 2], [3], [4, 0, 1], [7, 6, 5, 4, 3], []]
+    scores = [[-0.0, 0.0], [], [0.0, -0.0, 5e-324, 1e16], [0.1], [0.1, 1 / 3, -0.0], [2.5, 2.5, 1.0, 0.0, -1e-300], []]
+    cuts = [(0, 3), (3, 6), (6, 7)]  # the last block holds one empty list only
+    blocks = []
+    for lo, hi in cuts:
+        ptr = np.concatenate(([0], np.cumsum([len(r) for r in rows[lo:hi]])))
+        col = np.array([r for rr in rows[lo:hi] for r in rr], dtype=np.intp)
+        val = np.array([v for vv in scores[lo:hi] for v in vv], dtype=np.float64)
+        blocks.append((np.arange(lo, hi), Rows(ptr, col, val)))
+    want = [json.dumps({"_meta": {"seed": 1}})] + [
+        json.dumps({"user": names[u], "items": [ids[r] for r in rows[u]], "scores": scores[u]})
+        for u in range(len(names))
+    ]
+    counts = _write_recs(tmp_path / "recs.jsonl", names, ids, blocks, 3, {"seed": 1})
+    assert (tmp_path / "recs.jsonl").read_bytes() == "\n".join([*want, ""]).encode()
+    assert counts == {"users": 7, "short_lists": 4}
 
 
 def test_one_build_serves_both_scoring_modes(built, tmp_path, capsys):

@@ -12,6 +12,7 @@ from oracles import (
     ProgramMeta,
     ViewingLog,
     build_tensor_records,
+    ground_truth_map,
     ground_truth_records,
     log_table,
     parse_log_records,
@@ -28,7 +29,6 @@ from tvrec.datamodel import (
     build_tensor,
     dump_prepared,
     filter_flips,
-    ground_truth_map,
     load_prepared,
     open_jsonl,
     parse_logs,

@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -620,6 +621,22 @@ def test_block_scores_equal_per_user_scores(synthetic_world, monkeypatch, buffer
     # The last user reads rows of the last slot without a vector there.
     p = built.model.prefs
     assert built.cand.n_slots not in p.slots[p.slot_ptr[-2] :].tolist() and built.cand.n_slots in starts.tolist()
+
+
+def test_block_scan_builds_neither_the_scorer_tables_nor_the_length_buckets(synthetic_world):
+    # Two-stage `recommend` serves every user through the block scan, which
+    # reads neither what per-user `scores` nor what `dots` reads: both are
+    # built on their first call only.
+    built = synthetic_world
+    model = replace(built.model, items=replace(built.model.items))
+    for users in user_blocks(built.behavior, built.cand):
+        two_stage_block(built.behavior, users, model, built.cand, 30)
+    lazy = ("_slot_offsets", "_entry_at")
+    assert not any(name in vars(model) for name in lazy) and "_buckets" not in vars(model.items)
+    rows = np.arange(3)
+    model.scores(0, rows, built.cand.start_slots(rows))
+    model.items.dots(np.zeros(model.dims))
+    assert all(name in vars(model) for name in lazy) and "_buckets" in vars(model.items)
 
 
 def test_user_blocks_cover_the_users_in_order():
