@@ -18,9 +18,11 @@ from .errors import DataError
 
 
 class UserBehavior(NamedTuple):
-    """One user's distribution: probability ``probs[j]`` at flat grid cell ``cells[j]``."""
+    """The distribution of user row ``row``: probability ``probs[j]`` at flat
+    grid cell ``cells[j]``. The row is the user's in the preference model
+    too."""
 
-    user: str
+    row: int
     cells: np.ndarray
     probs: np.ndarray
 
@@ -40,12 +42,18 @@ class Behavior:
     channels: tuple[str, ...]
     rows: Rows
 
+    def row(self, i: int) -> UserBehavior:
+        """Row ``i``'s distribution."""
+        return UserBehavior(i, *self.rows.row(i))
+
     def of(self, user: str) -> UserBehavior:
-        """``user``'s row; raises :class:`DataError` for a user without one."""
+        """``user``'s distribution, found by name: the one name lookup of the
+        served model, for ``inspect-user``. Raises :class:`DataError` for a
+        user without a row."""
         i = sorted_index(self.users, user)
         if i is None:
             raise DataError(f"user {user!r} has no training interactions")
-        return UserBehavior(user, *self.rows.row(i))
+        return self.row(i)
 
     def entries(self, user: str) -> list[tuple[int, str, float]]:
         """``user``'s ``(slot, channel, probability)`` triples in cell order:

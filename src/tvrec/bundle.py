@@ -14,7 +14,9 @@ bundle of an earlier version or another schema version included, is a
   ``shapes``: ``users``, ``candidates``, ``slots``, ``channels`` and ``dims``
   (the vocabulary size);
 - name tables ``users`` (sorted), ``ids`` (the candidates in row order) and
-  ``channels`` (sorted, one grid column each);
+  ``channels`` (sorted, one grid column each). ``users`` names the user rows
+  of every per-user block: :class:`tvrec.behavior.Behavior` holds it, and the
+  preference vectors, the rankers and the truths take rows;
 - the candidates' spans: ``span_ptr`` and ``span_flat``, as in
   :class:`tvrec.ranker.Candidates`, no span listing a cell twice;
 - four CSR blocks, each ``<block>_ptr`` (int64), ``<block>_col`` and
@@ -76,11 +78,11 @@ class ModelBundle:
     """What a bundle file holds.
 
     ``cand`` indexes next week's candidate programs; ``behavior`` holds each
-    training user's (slot, channel) distribution over ``cand``'s grid;
-    ``prefs`` the same users' time-aware preference vectors over ``dims``
-    dimensions, and ``embeddings`` one row per candidate row. User
-    ``behavior.users[i]``'s test programs are the candidate rows
-    ``truth_rows[truth_ptr[i]:truth_ptr[i + 1]]``.
+    training user's (slot, channel) distribution over ``cand``'s grid and
+    the one table of their names, ``behavior.users``; ``prefs`` the same
+    user rows' time-aware preference vectors over ``dims`` dimensions, and
+    ``embeddings`` one row per candidate row. User row ``i``'s test programs
+    are the candidate rows ``truth_rows[truth_ptr[i]:truth_ptr[i + 1]]``.
     """
 
     provenance: dict
@@ -131,9 +133,9 @@ def _truth_rows(prepared: Prepared, cand_codes: np.ndarray) -> tuple[np.ndarray,
     as ``prepared`` holds them: ``(ptr, rows)``. ``cand_codes`` are the
     candidates' program codes, in row order."""
     names, ptr = prepared.cells.program_names, prepared.truth_ptr
-    row_of = np.full(len(names), -1, dtype=np.int64)
-    row_of[cand_codes] = np.arange(len(cand_codes))
-    rows = row_of[prepared.truth_program]
+    cand_row = np.full(len(names), -1, dtype=np.int64)
+    cand_row[cand_codes] = np.arange(len(cand_codes))
+    rows = cand_row[prepared.truth_program]
     if len(rows) and rows.min() < 0:
         raise DataError(f"truth {names[prepared.truth_program[rows.argmin()]]!r} is not a candidate")
     user = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
@@ -252,9 +254,7 @@ def load(path: str | Path) -> ModelBundle:
         provenance=manifest["provenance"],
         cand=cand,
         behavior=behavior_mod.Behavior(users=users, channels=channels, rows=blocks["behavior"]),
-        prefs=preference_mod.Preferences(
-            users, blocks["global"], arrays["slots_ptr"], arrays["slots"], blocks["slot_vecs"]
-        ),
+        prefs=preference_mod.Preferences(blocks["global"], arrays["slots_ptr"], arrays["slots"], blocks["slot_vecs"]),
         embeddings=blocks["embeddings"],
         dims=dims,
         truth_ptr=arrays["truth_ptr"],

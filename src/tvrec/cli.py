@@ -47,7 +47,6 @@ from . import evaluate as evaluate_mod
 from . import preference as preference_mod
 from . import ranker as ranker_mod
 from .arrays import Rows, sort_names
-from .behavior import Behavior
 from .datamodel import (
     Prepared,
     SplitSpec,
@@ -293,10 +292,11 @@ def _row_problem(rec: dict, keys: tuple[str, ...]) -> str | None:
 
 
 def _read_jsonl(path: Path, keys: tuple[str, ...]) -> list[dict]:
-    """The non-``_meta`` rows of a rec or truth file: each must be an object
-    holding ``keys``, with a string ``user`` that no other row has, a list of
-    string ``items`` and, in a rec row, distinct items and as many number
-    ``scores``."""
+    """The rows of a rec or truth file: each must be an object holding
+    ``keys``, with a string ``user`` that no other row has, a list of string
+    ``items`` and, in a rec row, distinct items and as many number
+    ``scores``. Other keys are allowed. A provenance line, an object whose
+    one key is ``_meta``, is no row."""
     if not path.exists():
         raise DataError(f"input file {path} does not exist")
     try:
@@ -314,7 +314,7 @@ def _read_jsonl(path: Path, keys: tuple[str, ...]) -> list[dict]:
             rec = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-        if isinstance(rec, dict) and "_meta" in rec:
+        if isinstance(rec, dict) and rec.keys() == {"_meta"}:
             continue
         if not isinstance(rec, dict) or any(key not in rec for key in keys):
             raise DataError(f"{path}:{lineno}: expected an object with keys {', '.join(keys)}")
@@ -484,49 +484,38 @@ def _pref_model(bundle: bundle_mod.ModelBundle, mode: str) -> preference_mod.Pre
 
 
 def _rankings_fn(bundle: bundle_mod.ModelBundle, model: preference_mod.PreferenceModel):
-    """Per-user (behavior, preference) full rankings, the inputs of RRF."""
+    """Per-user-row (behavior, preference) full rankings, the inputs of RRF."""
     cand = bundle.cand
     behavior = bundle.behavior
 
-    def rankings(user: str) -> tuple[ranker_mod.Ranking, ranker_mod.Ranking]:
-        return (
-            ranker_mod.rank_behavior(behavior.of(user), cand),
-            ranker_mod.rank_preference(model, user, cand),
-        )
+    def rankings(u: int) -> tuple[ranker_mod.Ranking, ranker_mod.Ranking]:
+        return ranker_mod.rank_behavior(behavior.row(u), cand), ranker_mod.rank_preference(model, u, cand)
 
     return rankings
 
 
 def _ranking_fn(cfg: EngineConfig, bundle: bundle_mod.ModelBundle, method: str):
-    """Per-user ranking closure for one method; models resolved up front."""
+    """Per-user-row ranking closure for one of ``METHODS``; models resolved
+    up front."""
     cand = bundle.cand
     behavior = bundle.behavior
     k = cfg.k
     if method == "behavior":
-        return lambda u: ranker_mod.rank_behavior(behavior.of(u), cand)
+        return lambda u: ranker_mod.rank_behavior(behavior.row(u), cand)
     model = _pref_model(bundle, cfg.mode)
     if method == "two-stage":
-        return lambda u: ranker_mod.two_stage(behavior.of(u), model, cand, k)
+        return lambda u: ranker_mod.two_stage(behavior.row(u), model, cand, k)
     if method == "preference":
         return lambda u: ranker_mod.rank_preference(model, u, cand)
     if method == "rrf":
         fuse = functools.partial(ranker_mod.rrf, eta=cfg.eta, k=k)
-    elif method == "rrf-weighted":
-        fuse = functools.partial(ranker_mod.rrf_weighted, eta=cfg.eta, xi=cfg.xi, k=k)
     else:
-        raise ConfigError(f"unknown method {method!r}")
+        fuse = functools.partial(ranker_mod.rrf_weighted, eta=cfg.eta, xi=cfg.xi, k=k)
     rankings = _rankings_fn(bundle, model)
     return lambda u: fuse(*rankings(u), cand)
 
 
-def _rank_user_fn(cfg: EngineConfig, bundle: bundle_mod.ModelBundle, method: str):
-    """Per-user inference closure for one method: its top-k (id, score) list."""
-    ranking = _ranking_fn(cfg, bundle, method)
-    cand, k = bundle.cand, cfg.k
-    return lambda u: ranker_mod.top_k(cand, ranking(u), k)
-
-
-# A recs block is (user rows, recs): user ``names[users[i]]``'s first k
+# A recs block is (user rows, recs): user row ``users[i]``'s first k
 # candidate rows are ``recs.col[recs.ptr[i]:recs.ptr[i + 1]]``, best first,
 # and their scores the same slice of ``recs.val``.
 RecsBlock = tuple[np.ndarray, Rows]
@@ -534,32 +523,19 @@ RecsBlock = tuple[np.ndarray, Rows]
 _USERS_PER_BLOCK = 256  # users a per-user method ranks into one recs block
 
 
-def _ranking_blocks(ranking: Callable[[str], ranker_mod.Ranking], names: Sequence[str], k: int) -> Iterator[RecsBlock]:
-    """Every user's first ``k`` rows of ``ranking`` and their scores, a block
-    of ``_USERS_PER_BLOCK`` users at a time."""
-    for lo in range(0, len(names), _USERS_PER_BLOCK):
-        users = np.arange(lo, min(lo + _USERS_PER_BLOCK, len(names)))
+def _ranking_blocks(ranking: Callable[[int], ranker_mod.Ranking], n_users: int, k: int) -> Iterator[RecsBlock]:
+    """Every user row's first ``k`` rows of ``ranking`` and their scores, a
+    block of ``_USERS_PER_BLOCK`` users at a time."""
+    for lo in range(0, n_users, _USERS_PER_BLOCK):
+        users = np.arange(lo, min(lo + _USERS_PER_BLOCK, n_users))
         tops, scores = [], []
         for user in users.tolist():
-            ranked = ranking(names[user])
+            ranked = ranking(user)
             tops.append(ranked.rows[:k].copy())  # a copy: the whole ranking is freed
             scores.append(ranked.scores[tops[-1]])
         ptr = np.zeros(len(tops) + 1, dtype=np.int64)
         np.cumsum([len(top) for top in tops], out=ptr[1:])
         yield users, Rows(ptr, np.concatenate(tops), np.concatenate(scores))
-
-
-def _two_stage_blocks(
-    behavior: Behavior,
-    model: preference_mod.PreferenceModel,
-    cand: ranker_mod.Candidates,
-    k: int,
-    stats: ranker_mod.TwoStageStats,
-) -> Iterator[RecsBlock]:
-    """Every user's two-stage winners, a block of users at a time
-    (:func:`tvrec.ranker.two_stage_block`)."""
-    for users in ranker_mod.user_blocks(behavior, cand):
-        yield users, ranker_mod.two_stage_block(behavior, users, model, cand, k, stats)
 
 
 def _write_recs(
@@ -606,16 +582,20 @@ def _write_recs(
 def _cmd_recommend(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     bundle = _load_bundle(cfg)
-    names, ids = bundle.behavior.users, bundle.cand.ids
+    behavior, cand, k = bundle.behavior, bundle.cand, cfg.k
     stats = ranker_mod.TwoStageStats() if cfg.method == "two-stage" else None
     if stats is not None:
-        blocks = _two_stage_blocks(bundle.behavior, _pref_model(bundle, cfg.mode), bundle.cand, cfg.k, stats)
+        model = _pref_model(bundle, cfg.mode)
+        blocks = (
+            (users, ranker_mod.two_stage_block(behavior, users, model, cand, k, stats))
+            for users in ranker_mod.user_blocks(behavior, cand)
+        )
     else:
-        blocks = _ranking_blocks(_ranking_fn(cfg, bundle, cfg.method), names, cfg.k)
+        blocks = _ranking_blocks(_ranking_fn(cfg, bundle, cfg.method), len(behavior.users), k)
     # The generator holds what it serves; the bundle's CSR embeddings, padded into its index, can go.
     del bundle
     out = Path(args.out) if args.out else Path(cfg.out_dir) / f"recs_{cfg.method}.jsonl"
-    counts = _write_recs(out, names, ids, blocks, cfg.k, cfg.provenance())
+    counts = _write_recs(out, behavior.users, cand.ids, blocks, k, cfg.provenance())
     if stats is not None:
         counts["preference_evals"] = stats.preference_evals
     _summary_line("recommend", method=cfg.method, mode=cfg.mode, k=cfg.k, **counts, out=str(out))
@@ -650,17 +630,18 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     if args.users_sample < 1 or args.reps < 1:
         raise ConfigError("--users-sample and --reps must be >= 1")
     bundle = _load_bundle(cfg)
-    users = bundle.behavior.users
+    n_users = len(bundle.behavior.users)
     rng = np.random.default_rng(cfg.seed)
-    size = min(args.users_sample, len(users))
-    sample = [users[i] for i in sorted(rng.choice(len(users), size=size, replace=False))]
+    size = min(args.users_sample, n_users)
+    sample = sorted(rng.choice(n_users, size=size, replace=False).tolist())
     methods = args.bench_methods.split(",") if args.bench_methods else ["behavior", "two-stage", "rrf"]
     results = {}
     for method in methods:
         method = method.strip()
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
-        rank_user = _rank_user_fn(cfg, bundle, method)
+        ranking = _ranking_fn(cfg, bundle, method)
+        rank_user = lambda u: ranker_mod.top_k(bundle.cand, ranking(u), cfg.k)
         rank_user(sample[0])  # one untimed call first
         results[method] = evaluate_mod.bench(rank_user, sample, repetitions=args.reps)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "bench.json"
@@ -712,18 +693,16 @@ def _cmd_tune(args: argparse.Namespace) -> None:
     xis = _parse_grid_spec(args.xi_grid, "--xi-grid", ranker_mod.check_xi)
     bundle = _load_bundle(cfg)
     cand = bundle.cand
-    users = bundle.behavior.users
+    n_users = len(bundle.behavior.users)
     rng = np.random.default_rng(cfg.seed)
-    n_dev = max(1, int(len(users) * args.dev_frac))
-    picks = sorted(rng.choice(len(users), size=n_dev, replace=False).tolist())
-    dev = [users[i] for i in picks]
+    n_dev = max(1, int(n_users * args.dev_frac))
+    dev = sorted(rng.choice(n_users, size=n_dev, replace=False).tolist())
     ptr = bundle.truth_ptr
-    truths = {users[i]: [cand.ids[r] for r in bundle.truth_rows[ptr[i] : ptr[i + 1]].tolist()] for i in picks}
-    if not any(truths.values()):
+    truths = [bundle.truth_rows[ptr[u] : ptr[u + 1]] for u in dev]
+    if not any(len(truth) for truth in truths):
         raise DataError(f"none of the {len(dev)} development user(s) drawn has ground truth; nothing to tune on")
 
-    rankings_of = _rankings_fn(bundle, _pref_model(bundle, cfg.mode))
-    rankings = {user: rankings_of(user) for user in dev}
+    rankings = list(map(_rankings_fn(bundle, _pref_model(bundle, cfg.mode)), dev))
     eta, xi, best_recall = ranker_mod.tune_rrf(rankings, truths, cand, etas, xis, cutoff=args.cutoff)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "tuned.json"
     _write_json(

@@ -59,7 +59,7 @@ import re
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterable, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -178,12 +178,17 @@ class SplitSpec:
         return self.t_split - self.dt_train, self.t_split, self.t_split + self.dt_test
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Split:
+    """The logs of each window, and the item sets as boolean masks over the
+    program codes of the table :func:`split` was given: ``i_train[p]`` is
+    true when program code ``p`` starts in the train window, ``i_test[p]``
+    when it starts in the test window."""
+
     d_train: LogTable
     d_test: LogTable
-    i_train: frozenset[str]
-    i_test: frozenset[str]
+    i_train: np.ndarray
+    i_test: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,7 +526,8 @@ def split(logs: LogTable, programs: ProgramTable, spec: SplitSpec) -> Split:
 
     A program belongs to the train (test) item set when its broadcast *start*
     falls inside the train (test) window; the windows are disjoint, so the two
-    item sets are disjoint by construction.
+    item sets are disjoint by construction. The item sets are masks over
+    ``programs``' codes; the two log tables keep ``logs``' name tables.
     """
     lo, mid, hi = spec.bounds()
     t = logs.t
@@ -532,23 +538,29 @@ def split(logs: LogTable, programs: ProgramTable, spec: SplitSpec) -> Split:
     if not len(d_test):
         raise DataError(f"no logs in test window [{mid}, {hi}); split is outside the data range")
     start = programs.start
-    i_train = _names_of(programs.program_names, programs.program[(lo <= start) & (start < mid)])
-    i_test = _names_of(programs.program_names, programs.program[(mid <= start) & (start < hi)])
+    n = len(programs.program_names)
+    i_train = _mask(programs.program[(lo <= start) & (start < mid)], n)
+    i_test = _mask(programs.program[(mid <= start) & (start < hi)], n)
     return Split(d_train, d_test, i_train, i_test)
+
+
+def _mask(codes: np.ndarray, n: int) -> np.ndarray:
+    """A lookup array over the codes ``0..n - 1``: whether each is among ``codes``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[codes] = True
+    return mask
 
 
 def _names_of(names: tuple[str, ...], codes: np.ndarray) -> frozenset[str]:
     return frozenset(map(names.__getitem__, np.unique(codes).tolist()))
 
 
-def users_in_both(d_train: LogTable, d_test: LogTable) -> frozenset[str]:
-    """Users appearing at least once in both split halves (the user set U)."""
-    return _names_of(d_train.user_names, d_train.user) & _names_of(d_test.user_names, d_test.user)
-
-
-def _member(names: tuple[str, ...], keep: Collection[str]) -> np.ndarray:
-    """A lookup array indexed by code: whether each name is in ``keep``."""
-    return np.fromiter(map(keep.__contains__, names), dtype=bool, count=len(names))
+def users_in_both(d_train: LogTable, d_test: LogTable) -> np.ndarray:
+    """The users appearing at least once in both split halves (the user set
+    U), as a mask over their codes. The halves share one user name table, as
+    the two of :func:`split` do."""
+    n = len(d_train.user_names)
+    return _mask(d_train.user, n) & _mask(d_test.user, n)
 
 
 def _lookup(names: tuple[str, ...], code_of: Mapping[str, int]) -> np.ndarray:
@@ -562,8 +574,8 @@ def build_tensor(
     programs: ProgramTable,
     grid: TimeGrid,
     *,
-    items: frozenset[str],
-    users: frozenset[str],
+    items: np.ndarray,
+    users: np.ndarray,
 ) -> TensorCells:
     """Count interactions per (user, item, slot, channel) cell, as columns,
     in the name order of :class:`TensorCells`.
@@ -572,10 +584,11 @@ def build_tensor(
     them: the cells' program codes index them, so they order the programs
     without another sort. Users and channels are ``d_train``'s names,
     sorted. Every log's program must appear in ``programs``. Only logs of a
-    user in ``users`` (the set U) watching a program in ``items`` (the train
-    item set) are counted; the others stay in the data but do not enter the
-    tensor. Users left without any counted cell are dropped so that every
-    stored user has a positive total.
+    user in ``users`` (the set U, a mask over ``d_train``'s user codes)
+    watching a program in ``items`` (the train item set, a mask over
+    ``programs``' codes) are counted; the others stay in the data but do not
+    enter the tensor. Users left without any counted cell are dropped so
+    that every stored user has a positive total.
     """
     ids = programs.program_names
     program_code = _lookup(d_train.program_names, dict(zip(ids, itertools.count())))
@@ -588,9 +601,7 @@ def build_tensor(
 
     user_names, user_rank = sort_names(d_train.user_names)
     channel_names, channel_rank = sort_names(d_train.channel_names)
-    in_users = _member(d_train.user_names, users)
-    in_items = _member(d_train.program_names, items)
-    counted = d_train.take(in_users[d_train.user] & in_items[d_train.program])
+    counted = d_train.take(users[d_train.user] & items[program_code[d_train.program]])
     slot = slot_column(counted.t, grid)
     cols = (user_rank[counted.user], slot, channel_rank[counted.channel], program_code[counted.program])
     # One sort groups equal cells in the tensor's order; a packed int64 key could overflow.
@@ -700,17 +711,18 @@ def prepare(
         repeat = programs.program_names[programs.program[np.argmin(is_first)]]
         raise DataError(f"duplicate program id {repeat!r} in metadata")
 
-    kept = filter_flips(logs, dt_min)
-    sp = split(kept, programs, spec)
-    users = users_in_both(sp.d_train, sp.d_test)
     # The one sort of the program ids: renumbered by it, codes compare as ids do.
     ids, rank = sort_names(programs.program_names)
     by_id = replace(programs, program_names=ids, program=rank[programs.program])
+    kept = filter_flips(logs, dt_min)
+    sp = split(kept, by_id, spec)
+    users = users_in_both(sp.d_train, sp.d_test)
+    n_users = int(np.count_nonzero(users))
     cells = build_tensor(sp.d_train, by_id, grid, items=sp.i_train, users=users)
     if not cells.users:
         raise DataError(
             f"no user has a training log on a train program and a log in both halves "
-            f"({len(users)} user(s) in both); there is nothing to model"
+            f"({n_users} user(s) in both); there is nothing to model"
         )
 
     # The rows that start in either window, in id order: recoded cells keep their order.
@@ -748,13 +760,13 @@ def prepare(
         "t_split": spec.t_split,
         "d_train": len(sp.d_train),
         "d_test": len(sp.d_test),
-        "i_train": len(sp.i_train),
-        "i_test": len(sp.i_test),
+        "i_train": int(np.count_nonzero(sp.i_train)),
+        "i_test": int(np.count_nonzero(sp.i_test)),
         "channels": len(cells.channels()),
         "users": len(cells.users),
         "mean_truth_size": (sum(truth_sizes) / len(truth_sizes)) if truth_sizes else 0.0,
         "flips_dropped": len(logs) - len(kept),
-        "users_outside_both_halves": len(split_users) - len(users),
+        "users_outside_both_halves": len(split_users) - n_users,
     }
     return prepared, summary
 

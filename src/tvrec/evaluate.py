@@ -80,10 +80,11 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def bench(
-    rank_user: Callable[[str], object], users: Sequence[str], repetitions: int = 5
+    rank_user: Callable[[int], object], users: Sequence[int], repetitions: int = 5
 ) -> float:
     """Median over repetitions of (single-threaded wall-clock time to rank
-    every user in the sample) / (number of users).
+    every user in the sample, user rows for ``rank_user``) / (number of
+    users).
 
     Models must be prebuilt and indexed by the caller; only per-user inference
     is timed.

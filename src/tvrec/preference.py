@@ -45,20 +45,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import Rows, sorted_index
+from .arrays import Rows
 from .datamodel import TensorCells
 from .errors import DataError
 
 
 class Preferences(NamedTuple):
-    """Every user's preference vectors as CSR rows over dimension codes.
+    """Every user's preference vectors as CSR rows over dimension codes, by
+    user row. User rows are the tensor's users in name order, the rows of
+    :class:`tvrec.behavior.Behavior` too, which holds their names.
 
-    ``users`` are sorted; row ``i`` of ``global_vecs`` is user ``users[i]``'s
-    global vector. Their slot vectors are rows ``slot_ptr[i]:slot_ptr[i + 1]``
-    of ``slot_vecs``, for the ascending slots of the same slice of ``slots``.
+    Row ``i`` of ``global_vecs`` is user row ``i``'s global vector. Their
+    slot vectors are rows ``slot_ptr[i]:slot_ptr[i + 1]`` of ``slot_vecs``,
+    for the ascending slots of the same slice of ``slots``.
     """
 
-    users: tuple[str, ...]
     global_vecs: Rows
     slot_ptr: np.ndarray
     slots: np.ndarray
@@ -167,13 +168,6 @@ class PreferenceModel:
     dims: int
     items: ItemIndex
 
-    def user_row(self, user: str) -> int:
-        """``user``'s row; raises :class:`DataError` for a user without one."""
-        i = sorted_index(self.prefs.users, user)
-        if i is None:
-            raise DataError(f"user {user!r} is not in the preference model")
-        return i
-
     def scores(self, u: int, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """The score of each of ``rows``, which start in slots ``starts``, for
         user row ``u``: against the user's vector for the slot, else the
@@ -209,9 +203,9 @@ class PreferenceModel:
         global vector's, after all of them. int64, as :attr:`_entry_at`."""
         p = self.prefs
         counts = np.diff(p.slot_ptr)
-        out = np.repeat(counts * self.dims, len(self.items.slot_ptr)).reshape(len(p.users), -1)
+        out = np.repeat(counts * self.dims, len(self.items.slot_ptr)).reshape(len(counts), -1)
         place = np.arange(len(p.slots)) - np.repeat(p.slot_ptr[:-1], counts)
-        out[np.repeat(np.arange(len(p.users)), counts), p.slots] = place * self.dims
+        out[np.repeat(np.arange(len(counts)), counts), p.slots] = place * self.dims
         return out
 
     @functools.cached_property
@@ -231,9 +225,9 @@ class PreferenceModel:
         slot``, ascending as the vectors are stored, then a key past every
         (user, slot)."""
         p = self.prefs
-        n_slots = len(self.items.slot_ptr)
-        keys = np.repeat(np.arange(len(p.users)), np.diff(p.slot_ptr)) * n_slots + p.slots
-        return np.append(keys, len(p.users) * n_slots)
+        n_slots, counts = len(self.items.slot_ptr), np.diff(p.slot_ptr)
+        keys = np.repeat(np.arange(len(counts)), counts) * n_slots + p.slots
+        return np.append(keys, len(counts) * n_slots)
 
     def block_scores(self, users: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """:meth:`scores` of many users at once, the same bits: the score of
@@ -287,8 +281,8 @@ def build(cells: TensorCells, embeddings: Rows) -> Preferences:
     The tensor keeps the name order of :class:`tvrec.datamodel.TensorCells`,
     so its users come sorted and its program codes ascend with the ids: a
     mean adds its items in id order, and the result is independent of log
-    ordering, bit for bit. Users come in name order, each user's slots
-    ascending.
+    ordering, bit for bit. Users come in the tensor's rows, which are in name
+    order, each user's slots ascending.
     """
     lacking = cells.program_names[len(embeddings.ptr) - 1 :]
     if lacking:
@@ -301,7 +295,6 @@ def build(cells: TensorCells, embeddings: Rows) -> Preferences:
     pairs = np.unique((user * n_slots + cells.slot) * n_items + cells.program)
     groups, group = np.unique(pairs // n_items, return_inverse=True)
     return Preferences(
-        users=cells.users,
         global_vecs=global_vecs,
         slot_ptr=np.searchsorted(groups // n_slots, np.arange(len(cells.users) + 1)),
         slots=groups % n_slots,

@@ -11,12 +11,13 @@ indexes a :class:`tvrec.datamodel.ProgramTable` whose rows already come in
 that order, one candidate row per table row, and lists every row's (slot,
 channel) cells in one pass of :func:`tvrec.timegrid.span_column`.
 
-Rankers take and return a :class:`Ranking`: ``rows``, candidate rows best
-first, and ``scores``, indexed by row. RRF works on rank weights, not on
-ranks: the weights ``w / (rank + eta)`` of the ranks 1 to n are computed
-once per ``(n, eta, w)`` and cached, and each ranking's weights are
-scattered onto its rows, so the behavior and preference rankers order every
-row. The scatter doubles as the check that a ranking lists every row once;
+Rankers take user rows and return a :class:`Ranking`: ``rows``, candidate
+rows best first, and ``scores``, indexed by row. A user row indexes both the
+behavior and the preference model; no ranker looks up a user's name. RRF
+works on rank weights, not on ranks: the weights ``w / (rank + eta)`` of the
+ranks 1 to n are computed once per ``(n, eta, w)`` and cached, and each
+ranking's weights are scattered onto its rows, so the behavior and
+preference rankers order every row. The scatter doubles as the check that a ranking lists every row once;
 only a ranking that fails it is validated, to name it in the error.
 :func:`tune_rrf`, which fuses each user's rankings once per grid cell,
 ranks each user's rows once and gathers the same weights by rank. Fusion
@@ -87,7 +88,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -348,14 +349,13 @@ def rank_behavior(bm: UserBehavior, cand: Candidates) -> Ranking:
     return Ranking(np.concatenate((head[_stage_one_order(scores[head])], np.flatnonzero(zero))), scores)
 
 
-def rank_preference(model: PreferenceModel, user: str, cand: Candidates) -> Ranking:
-    """Rank all candidates by preference score, descending: one batched pass
-    with the global vector, then one over the rows of the slots the user has
-    a vector for, each with its slot's vector."""
+def rank_preference(model: PreferenceModel, u: int, cand: Candidates) -> Ranking:
+    """Rank all candidates by user row ``u``'s preference score, descending:
+    one batched pass with the global vector, then one over the rows of the
+    slots the user has a vector for, each with its slot's vector."""
     items = model.items
     if len(items) != len(cand):
         raise ValueError("item index does not match the candidate set")
-    u = model.user_row(user)
     p = model.prefs
     vec = np.zeros(model.dims)
     col, val = p.global_vecs.row(u)
@@ -433,7 +433,7 @@ def two_stage(
     if not end:
         return Ranking(rows, scores)
 
-    pref = model.scores(model.user_row(bm.user), rows, cand.start_slots(rows))
+    pref = model.scores(bm.row, rows, cand.start_slots(rows))
     # A run's rows share one behavior score, so they are in row order, and a
     # stable sort by (run, -preference) puts each run's winner at its start.
     by_pref = np.lexsort((-pref, np.cumsum(new[:end])))
@@ -468,10 +468,11 @@ def two_stage_block(
     k: int,
     stats: TwoStageStats | None = None,
 ) -> Rows:
-    """:func:`two_stage` for each of ``users``, rows of ``behavior``, in one
-    vectorized scan: user ``behavior.users[users[i]]``'s winners are
+    """:func:`two_stage` for each of ``users``, user rows of ``behavior`` and
+    ``model``, in one vectorized scan: user row ``users[i]``'s winners are
     ``col[ptr[i]:ptr[i + 1]]`` of the result and their behavior scores the
     same slice of ``val``, the same rows and bits as :func:`two_stage`'s.
+    A user has at most ``len(cand)`` runs, so a larger ``k`` is cut to that.
 
     One sort of the block's footprint pairs by (user, row) groups each
     touched row's pairs: the row's score is their largest probability, and
@@ -488,7 +489,7 @@ def two_stage_block(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n, n_users, n_cells = len(cand), len(users), len(cand.cell_ptr) - 1
-    model_rows = np.array([model.user_row(behavior.users[i]) for i in users.tolist()], dtype=np.int64)
+    k = min(k, n)  # the same runs, and no overflow in the int64 window arithmetic below
     beh = behavior.rows.take(users)
     lo, lens = cand.cell_lo[beh.col], cand.cell_len[beh.col]
     pos = ranges(lo, lo + lens)
@@ -545,7 +546,7 @@ def two_stage_block(
     if stats is not None:
         stats.preference_evals += len(s_row)
 
-    pref = model.block_scores(model_rows[s_user], s_row, cand.start_slots(s_row))
+    pref = model.block_scores(users[s_user], s_row, cand.start_slots(s_row))
     win = _run_max(pref, s_new, np.arange(len(pref)))[1]
     ptr = np.zeros(n_users + 1, dtype=np.int64)
     np.cumsum(np.bincount(s_user[s_new], minlength=n_users), out=ptr[1:])
@@ -657,8 +658,8 @@ def rrf_weighted(
 
 
 def tune_rrf(
-    rankings: Mapping[str, tuple[Ranking, Ranking]],
-    truths: Mapping[str, Collection[str]],
+    rankings: Sequence[tuple[Ranking, Ranking]],
+    truths: Sequence[np.ndarray],
     cand: Candidates,
     eta_grid: Iterable[float],
     xi_grid: Iterable[float],
@@ -672,26 +673,25 @@ def tune_rrf(
     reuses the ranks across cells, where scattering by row would redo its
     random writes in every one.
 
-    ``rankings`` maps each development user to their (behavior, preference)
-    rankings over the full candidate set.
+    ``rankings`` holds each development user's (behavior, preference)
+    rankings over the full candidate set, and ``truths`` the same user's
+    test programs as candidate rows, users in row order. A user without a
+    truth is left out, and a row listed twice counts once.
     """
     etas = sorted(eta_grid)
     xis = sorted(xi_grid)
     if not etas or not xis:
         raise ValueError("hyperparameter grids must be non-empty")
 
-    n = len(cand.ids)
-    row_of = {pid: row for row, pid in enumerate(cand.ids)}
+    n = len(cand)
     per_user = []
-    for user in sorted(rankings):
-        truth = truths.get(user)
-        if not truth:
+    for (kb, kp), truth in zip(rankings, truths, strict=True):
+        if not len(truth):
             continue
-        kb, kp = rankings[user]
         mask = np.zeros(n, dtype=bool)
-        mask[[row_of[pid] for pid in truth if pid in row_of]] = True
+        mask[truth] = True
         ranks = (_row_ranks(kb, n, "behavior"), _row_ranks(kp, n, "preference"))
-        per_user.append((*ranks, (kb.rows[:cutoff], kp.rows[:cutoff]), mask, len(set(truth))))
+        per_user.append((*ranks, (kb.rows[:cutoff], kp.rows[:cutoff]), mask, np.count_nonzero(mask)))
     if not per_user:
         raise ValueError("development set is empty or has no ground truth")
 

@@ -9,7 +9,8 @@ the model as dicts: :class:`BehaviorMatrix` and :class:`PreferenceDicts`,
 and tf-idf embeddings as ``{dimension: weight}`` dicts (:func:`fit_dicts`,
 :func:`encode_dict`, :func:`mean_embedding`).
 :func:`behavior_row`, :func:`preference_model` and :func:`embedding_rows`
-turn the dicts into the arrays the library reads; :func:`behavior_dicts`,
+turn the dicts into the arrays the library reads, and :func:`masks` name sets
+into the code masks of `build_tensor`; :func:`behavior_dicts`,
 :func:`preference_vectors` and :func:`row_dicts` turn built arrays back into
 dicts.
 """
@@ -138,23 +139,29 @@ def dot(a: Embedding, b: Embedding) -> float:
     return sum(w * get(i, 0.0) for i, w in a.items())
 
 
-def behavior_row(bm: BehaviorMatrix, cand: Candidates) -> UserBehavior:
-    """The dict distribution as a row over ``cand``'s grid cells, ascending;
-    channels without a grid column can never match and are left out."""
+def behavior_row(bm: BehaviorMatrix, cand: Candidates, row: int = 0) -> UserBehavior:
+    """The dict distribution as user row ``row`` over ``cand``'s grid cells,
+    ascending; channels without a grid column can never match and are left
+    out. Row 0 is the user of a model with one user."""
     col_of = {c: j for j, c in enumerate(cand.channels)}
     entries = sorted(((s - 1) * cand.ncols + col_of[c], p) for (s, c), p in bm.probs.items() if c in col_of)
     cells = np.array([c for c, _ in entries], dtype=np.int64)
-    return UserBehavior(bm.user, cells, np.array([p for _, p in entries]))
+    return UserBehavior(row, cells, np.array([p for _, p in entries]))
+
+
+def model_row(model: PreferenceDicts, user: str) -> int:
+    """``user``'s row in :func:`preference_model` of ``model``: users come in name order."""
+    return sorted(model.global_prefs).index(user)
 
 
 def preference_model(model: PreferenceDicts, cand: Candidates) -> PreferenceModel:
-    """The dict model as arrays, scoring the candidates of ``cand``."""
+    """The dict model as arrays, scoring the candidates of ``cand``, one user
+    row per user, in name order."""
     users = sorted(model.global_prefs)
     slot_items = [sorted((model.slot_prefs.get(u) or {}).items()) for u in users]
     vectors = [*model.global_prefs.values(), *model.item_embeddings.values()]
     vectors += [v for s in slot_items for _, v in s]
     prefs = Preferences(
-        users=tuple(users),
         global_vecs=embedding_rows(model.global_prefs[u] for u in users),
         slot_ptr=np.cumsum([0, *map(len, slot_items)], dtype=np.int64),
         slots=np.array([slot for s in slot_items for slot, _ in s], dtype=np.int64),
@@ -199,14 +206,18 @@ def _vector(rows: Rows, i: int) -> Embedding:
     return dict(zip(col.tolist(), val.tolist()))
 
 
-def preference_vectors(prefs: Preferences) -> tuple[dict[str, Embedding], dict[str, dict[int, Embedding]]]:
-    """The global and the slot vectors as dicts, in stored order."""
+def preference_vectors(
+    prefs: Preferences, users: Iterable[str]
+) -> tuple[dict[str, Embedding], dict[str, dict[int, Embedding]]]:
+    """The global and the slot vectors as dicts, in stored order, keyed by
+    the names ``users`` of the user rows."""
     slots = prefs.slots.tolist()
     ptr = prefs.slot_ptr.tolist()
-    global_prefs = {u: _vector(prefs.global_vecs, i) for i, u in enumerate(prefs.users)}
+    users = list(users)
+    global_prefs = {u: _vector(prefs.global_vecs, i) for i, u in enumerate(users)}
     slot_prefs = {
         u: {slots[j]: _vector(prefs.slot_vecs, j) for j in range(ptr[i], ptr[i + 1])}
-        for i, u in enumerate(prefs.users)
+        for i, u in enumerate(users)
     }
     return global_prefs, slot_prefs
 
@@ -427,9 +438,10 @@ def random_users(
 def behavior_rows(bms: Iterable[BehaviorMatrix], cand: Candidates) -> Behavior:
     """Several dict distributions as one :class:`Behavior` over ``cand``'s
     grid, users sorted by name."""
-    rows = [behavior_row(bm, cand) for bm in sorted(bms, key=lambda bm: bm.user)]
+    bms = sorted(bms, key=lambda bm: bm.user)
+    rows = [behavior_row(bm, cand, i) for i, bm in enumerate(bms)]
     return Behavior(
-        users=tuple(row.user for row in rows),
+        users=tuple(bm.user for bm in bms),
         channels=cand.channels,
         rows=Rows(
             np.cumsum([0, *(len(row.cells) for row in rows)], dtype=np.int64),
@@ -645,6 +657,18 @@ def build_tensor_records(
     return {
         u: dict(sorted(by_user[u].items(), key=lambda kv: (kv[0][1], kv[0][2], kv[0][0])))
         for u in sorted(by_user)
+    }
+
+
+def masks(
+    d_train: LogTable, programs: ProgramTable, *, items: Collection[str], users: Collection[str]
+) -> dict[str, np.ndarray]:
+    """The keywords of `build_tensor` for the item names ``items`` and the
+    user names ``users``: masks over the codes of ``programs`` and of
+    ``d_train``'s users."""
+    return {
+        "items": np.array([p in items for p in programs.program_names], dtype=bool),
+        "users": np.array([u in users for u in d_train.user_names], dtype=bool),
     }
 
 

@@ -75,7 +75,7 @@ def rank_and_score(ds: Dataset) -> dict[str, float]:
         bm = ds.behavior.of(user)
         recs["behavior"][user] = ranker.top_k(ds.cand, ranker.rank_behavior(bm, ds.cand), K)
         recs["preferences"][user] = ranker.top_k(
-            ds.cand, ranker.rank_preference(ds.models["time-aware"], user, ds.cand), K
+            ds.cand, ranker.rank_preference(ds.models["time-aware"], bm.row, ds.cand), K
         )
         recs["two-stage-global"][user] = ranker.top_k(
             ds.cand, ranker.two_stage(bm, ds.models["global"], ds.cand, K), K
@@ -209,7 +209,7 @@ def test_criterion_5_efficiency_ratios(dataset_a):
 
     def rrf_pipeline(u):
         kb = ranker.rank_behavior(matrices[u], cand)
-        kp = ranker.rank_preference(model, u, cand)
+        kp = ranker.rank_preference(model, matrices[u].row, cand)
         return ranker.top_k(cand, ranker.rrf(kb, kp, cand, k=K), K)
 
     pipelines = (
@@ -278,7 +278,7 @@ def test_criterion_7_rrf_algebra():
         grid, metas, bm, models = random_instance(rng, max_programs=40)
         cand = candidates(metas, grid, {c for _, c in bm.probs})
         kb = ranker.rank_behavior(behavior_row(bm, cand), cand)
-        kp = ranker.rank_preference(preference_model(models["global"], cand), "u", cand)
+        kp = ranker.rank_preference(preference_model(models["global"], cand), 0, cand)
         eta = rng.randint(1, 100)
         rows_b = kb.rows.tolist()
         rows_p = kp.rows.tolist()

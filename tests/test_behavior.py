@@ -13,6 +13,7 @@ from oracles import (
     candidates,
     dense_behavior_score,
     log_table,
+    masks,
     preference_model,
     program_table,
     random_instance,
@@ -80,8 +81,10 @@ def test_behavior_matrix_invariant_to_log_order():
     random.Random(0).shuffle(shuffled)
     restrict = {"items": frozenset(metas), "users": frozenset({"u"})}
     programs = program_table(metas.values())
-    bm1 = matrix_of(build_tensor(log_table(logs), programs, GRID, **restrict))
-    bm2 = matrix_of(build_tensor(log_table(shuffled), programs, GRID, **restrict))
+    bm1, bm2 = (
+        matrix_of(build_tensor(t, programs, GRID, **masks(t, programs, **restrict)))
+        for t in map(log_table, (logs, shuffled))
+    )
     assert bm1.probs == bm2.probs
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import tvrec
 from oracles import behavior_matrix_dicts, tensor_dicts
-from tvrec import bundle
+from tvrec import arrays, bundle
 from tvrec.arrays import Rows, decode_names, encode_names
 from tvrec.cli import (
     _CONFIG_SECTIONS,
@@ -215,6 +215,75 @@ def test_tune_writes_selected_hyperparameters(built):
     doc = json.loads((root / "out" / "tuned.json").read_text())
     assert doc["eta"] in (40, 60)
     assert doc["xi"] in (0.0, 0.5, 1.0)
+
+
+METHODS = ("behavior", "preference", "two-stage", "rrf", "rrf-weighted")
+
+
+def test_recommend_with_a_huge_k_writes_every_run(built, tmp_path, capsys):
+    # A k past int64 ranks as k = the candidate count: every list is whole.
+    _, cfg = built
+    n = len(bundle.load(cfg.parent / "out" / "model.pkl").cand)
+    for method in METHODS:
+        bodies = []
+        for k in (n, 2**63 - 1, 10**22):
+            out = tmp_path / f"recs_{method}_{k}.jsonl"
+            assert run(["recommend", "--config", cfg, "--method", method, "--k", k, "--out", out]) == 0
+            bodies.append(out.read_bytes().split(b"\n", 1)[1])  # the provenance line holds the config hash
+        assert bodies[1] == bodies[2] == bodies[0], method
+    capsys.readouterr()
+
+
+def test_evaluate_reads_a_row_holding_a_meta_key(built, tmp_path, capsys):
+    # Only a line whose one key is "_meta" is a provenance line; a rec or
+    # truth row may carry the key as an extra.
+    root, cfg = built
+    recs, truth = tmp_path / "recs.jsonl", root / "out" / "truth.jsonl"
+    assert run(["recommend", "--config", cfg, "--method", "behavior", "--out", recs]) == 0
+
+    def with_meta(path):
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        assert row["items"]
+        marked = tmp_path / f"meta_{path.name}"
+        marked.write_text("\n".join([lines[0], json.dumps({**row, "_meta": {"seed": 1}}), *lines[2:], ""]))
+        return marked
+
+    reports = []
+    for rec, tru in ((recs, truth), (with_meta(recs), with_meta(truth))):
+        capsys.readouterr()
+        out = tmp_path / "metrics.json"
+        assert run(["evaluate", "--config", cfg, "--rec", rec, "--truth", tru, "--out", out]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        reports.append((summary, json.loads(out.read_text())["report"]))
+    assert reports[1] == reports[0]
+    assert reports[0][0]["missing"] == 0
+
+
+def test_serving_commands_look_up_no_user_name(built, tmp_path, monkeypatch, capsys):
+    # The rankers take user rows: with every binding of sorted_index in
+    # tvrec made to raise, recommend, bench and tune still run.
+    _, cfg = built
+
+    def no_lookup(names, name):
+        raise AssertionError(f"looked up user {name!r} by name")
+
+    bound = [m for m in list(sys.modules.values()) if m.__name__.split(".")[0] == "tvrec"]
+    bound = [m for m in bound if getattr(m, "sorted_index", None) is arrays.sorted_index]
+    assert len(bound) >= 2  # tvrec.arrays and tvrec.behavior
+    for module in bound:
+        monkeypatch.setattr(module, "sorted_index", no_lookup)
+    for method in METHODS:
+        for mode in ("global", "time-aware"):
+            out = tmp_path / f"recs_{method}_{mode}.jsonl"
+            assert run(["recommend", "--config", cfg, "--method", method, "--mode", mode, "--out", out]) == 0
+        assert run(["bench", "--config", cfg, "--method", method, "--users-sample", 3, "--reps", 1,
+                    "--out", tmp_path / "bench.json"]) == 0
+    assert run(["tune", "--config", cfg, "--dev-frac", 0.3, "--eta-grid", "40,60", "--xi-grid", "0:1:0.5",
+                "--out", tmp_path / "tuned.json"]) == 0
+    with pytest.raises(AssertionError, match="looked up user"):
+        bundle.load(cfg.parent / "out" / "model.pkl").behavior.of("anyone")
+    capsys.readouterr()
 
 
 def test_inspect_user_dumps_behavior_matrix(built, capsys):
@@ -810,7 +879,7 @@ def _per_user_loop(model_path, method, mode, k):
             return two_stage(bm, model, cand, k, stats)
         if method == "behavior":
             return rank_behavior(bm, cand)
-        kp = rank_preference(model, user, cand)
+        kp = rank_preference(model, bm.row, cand)
         if method == "preference":
             return kp
         fuse = rrf if method == "rrf" else rrf_weighted

@@ -15,6 +15,7 @@ from oracles import (
     ground_truth_map,
     ground_truth_records,
     log_table,
+    masks,
     parse_log_records,
     parse_program_records,
     program_records,
@@ -44,6 +45,16 @@ from tvrec.timegrid import SECONDS_PER_WEEK, TimeGrid
 MONDAY = 1_554_076_800
 GRID = TimeGrid(n=672)
 P1_U1 = {"items": frozenset({"p1"}), "users": frozenset({"u1"})}  # the defaults of log() and meta()
+
+
+def build_named(d_train, programs, grid, *, items, users):
+    """``build_tensor`` restricted to the item names ``items`` and the user names ``users``."""
+    return build_tensor(d_train, programs, grid, **masks(d_train, programs, items=items, users=users))
+
+
+def named(names, mask):
+    """The names whose codes ``mask`` holds."""
+    return frozenset(name for name, kept in zip(names, mask.tolist()) if kept)
 
 
 def log(user="u1", program="p1", channel="c1", t=MONDAY, dt=1200):
@@ -203,9 +214,11 @@ def test_split_program_starting_exactly_at_t_split_is_test():
     t = MONDAY + 14 * 86_400
     metas = [meta(program="pA", start=t), meta(program="pB", start=t - 1, dur=1800)]
     logs = [log(program="pA", t=t), log(program="pB", t=t - 1)]
-    sp = split(log_table(logs), program_table(metas), SplitSpec(t_split=t, dt_train=7 * 86_400, dt_test=7 * 86_400))
-    assert "pA" in sp.i_test and "pA" not in sp.i_train
-    assert "pB" in sp.i_train and "pB" not in sp.i_test
+    programs = program_table(metas)
+    sp = split(log_table(logs), programs, SplitSpec(t_split=t, dt_train=7 * 86_400, dt_test=7 * 86_400))
+    i_train, i_test = (named(programs.program_names, mask) for mask in (sp.i_train, sp.i_test))
+    assert "pA" in i_test and "pA" not in i_train
+    assert "pB" in i_train and "pB" not in i_test
 
 
 def test_split_log_at_window_end_excluded():
@@ -234,7 +247,7 @@ def test_split_item_sets_always_disjoint():
         ]
         logs = [log(program="p0", t=t - 1), log(program="p0", t=t)]
         sp = split(log_table(logs), program_table(metas), spec)
-        assert not sp.i_train & sp.i_test
+        assert not (sp.i_train & sp.i_test).any()
 
 
 # tensor construction
@@ -246,26 +259,26 @@ def total(tensor):
 
 def test_build_tensor_counts_repeated_views_in_one_slot():
     logs = [log(t=MONDAY + 4 * 900), log(t=MONDAY + 4 * 900 + 30)]
-    tensor = tensor_dicts(build_tensor(log_table(logs), program_table([meta()]), GRID, **P1_U1))
+    tensor = tensor_dicts(build_named(log_table(logs), program_table([meta()]), GRID, **P1_U1))
     assert tensor["u1"][("p1", 5, "c1")] == 2
 
 
 def test_build_tensor_single_log_single_cell():
-    tensor = tensor_dicts(build_tensor(log_table([log(t=MONDAY)]), program_table([meta()]), GRID, **P1_U1))
+    tensor = tensor_dicts(build_named(log_table([log(t=MONDAY)]), program_table([meta()]), GRID, **P1_U1))
     assert tensor["u1"] == {("p1", 1, "c1"): 1}
     assert total(tensor) == 1
 
 
 def test_build_tensor_unknown_program_error_lists_ids():
     with pytest.raises(DataError, match="p-unknown"):
-        build_tensor(log_table([log(program="p-unknown")]), program_table([meta()]), GRID, **P1_U1)
+        build_named(log_table([log(program="p-unknown")]), program_table([meta()]), GRID, **P1_U1)
 
 
 def test_build_tensor_restricts_users_and_items():
     programs = program_table([meta(program="p1"), meta(program="p2")])
     logs = [log(user="u1", program="p1"), log(user="u2", program="p1"), log(user="u1", program="p2")]
     restrict = {"items": frozenset({"p1"}), "users": frozenset({"u1"})}
-    tensor = tensor_dicts(build_tensor(log_table(logs), programs, GRID, **restrict))
+    tensor = tensor_dicts(build_named(log_table(logs), programs, GRID, **restrict))
     assert tensor.keys() == {"u1"}
     assert total(tensor) == 1
 
@@ -279,7 +292,7 @@ def test_tensor_total_matches_restricted_log_count():
     ]
     users = frozenset({"u0", "u1"})
     items = frozenset({"p0", "p1", "p2"})
-    tensor = tensor_dicts(build_tensor(log_table(logs), programs, GRID, items=items, users=users))
+    tensor = tensor_dicts(build_named(log_table(logs), programs, GRID, items=items, users=users))
     expected = sum(1 for g in logs if g.user in users and g.program in items)
     assert total(tensor) == expected
 
@@ -293,7 +306,7 @@ def test_build_tensor_slots_match_slot_of_at_int64_edges(grid):
     logs = log_table([log(program=f"p{i}", t=t) for i, t in enumerate(ts)])
     programs = program_table(meta(program=f"p{i}") for i in range(len(ts)))
     items = frozenset(programs.program_names)
-    tensor = tensor_dicts(build_tensor(logs, programs, grid, items=items, users=frozenset({"u1"})))
+    tensor = tensor_dicts(build_named(logs, programs, grid, items=items, users=frozenset({"u1"})))
     # One cell per log, in the tensor's order: by slot, then channel, then program.
     want = sorted(((f"p{i}", slot_of(t, grid), "c1") for i, t in enumerate(ts)), key=lambda c: (c[1], c[2], c[0]))
     assert list(tensor["u1"]) == want
@@ -342,7 +355,7 @@ def test_prepare_excludes_users_missing_from_either_half():
     prepared, _ = prepare(logs, metas, GRID, spec)
     assert prepared.cells.users == ("both",)
     sp = split(filter_flips(logs), metas, spec)
-    assert users_in_both(sp.d_train, sp.d_test) == {"both"}
+    assert named(sp.d_train.user_names, users_in_both(sp.d_train, sp.d_test)) == {"both"}
     assert prepared.truths() == {"both": ("p-test",)}
 
 
@@ -421,11 +434,12 @@ def test_prepared_file_round_trips_in_order(tmp_path):
     # Same users, cells and counts, in the same order of users and of each user's cells.
     assert list(tensor_dicts(prepared.cells).items()) == list(tensor.items())
     corpus = list(zip(prepared.cells.program_names, prepared.texts))
-    assert corpus == [(pid, by_id[pid].text) for pid in sorted(sp.i_train | sp.i_test)]
+    i_train, i_test = (named(programs.program_names, mask) for mask in (sp.i_train, sp.i_test))
+    assert corpus == [(pid, by_id[pid].text) for pid in sorted(i_train | i_test)]
     assert any("\ud800" in text for text in prepared.texts)
-    by_start = sorted(sp.i_test, key=lambda pid: (by_id[pid].start, pid))
+    by_start = sorted(i_test, key=lambda pid: (by_id[pid].start, pid))
     assert program_records(prepared.test_programs()) == [by_id[pid] for pid in by_start]
-    truths = ground_truth_map(sp.d_test, sp.i_test)
+    truths = ground_truth_map(sp.d_test, i_test)
     assert list(prepared.truths().items()) == [(u, tuple(sorted(truths[u]))) for u in sorted(tensor) if u in truths]
     cells = prepared.cells
     watched = {item for c in tensor.values() for item, _, _ in c}
@@ -512,7 +526,7 @@ def test_ingestion_matches_record_oracle(seed, tmp_path):
     metas = {pid: meta(program=pid) for pid in ORACLE_PROGRAMS}
     items = frozenset(rng.sample(ORACLE_PROGRAMS, 8))
     users = frozenset(rng.sample(ORACLE_USERS, 3))
-    cells = build_tensor(table, program_table(metas.values()), grid, items=items, users=users)
+    cells = build_named(table, program_table(metas.values()), grid, items=items, users=users)
     want = build_tensor_records(records, metas, grid, items=items, users=users)
     assert [(u, list(c.items())) for u, c in tensor_dicts(cells).items()] == [
         (u, list(c.items())) for u, c in want.items()

@@ -17,6 +17,8 @@ from oracles import (
     fit_dicts,
     l2_norm,
     log_table,
+    masks,
+    model_row,
     preference_dicts,
     preference_model,
     preference_vectors,
@@ -47,13 +49,13 @@ def meta(pid, start_slot=5, channel="c1"):
 def model_of(cells, embeddings):
     """What ``build`` makes of the cells and the dict embeddings, as dicts,
     with the embeddings."""
-    return PreferenceDicts(*preference_vectors(build(cells, program_rows(cells, embeddings))), embeddings)
+    return PreferenceDicts(*preference_vectors(build(cells, program_rows(cells, embeddings)), cells.users), embeddings)
 
 
 def score(model, user, m):
     """The program's preference score, computed over a one-row candidate index."""
     cand = candidates([m], GRID)
-    return float(rank_preference(preference_model(model, cand), user, cand).scores[0])
+    return float(rank_preference(preference_model(model, cand), model_row(model, user), cand).scores[0])
 
 
 E1 = {0: 1.0}
@@ -129,9 +131,10 @@ def test_time_aware_scoring_keys_on_start_slot_with_global_fallback():
 
 
 def test_unknown_user_is_error():
-    model = model_of(tensor_cells({"u": {("p1", 5, "c1"): 1}}), {"p1": E1})
-    with pytest.raises(DataError):
-        score(model, "ghost", meta("p1"))
+    # Behavior.of is the one lookup of a user by name; the rankers take rows.
+    cells = tensor_cells({"u": {("p1", 5, "c1"): 1}})
+    with pytest.raises(DataError, match="ghost"):
+        behavior_matrix(cells).of("ghost")
 
 
 def test_scaling_item_embeddings_scales_scores_and_keeps_argsort():
@@ -181,7 +184,9 @@ def test_build_is_independent_of_cell_insertion_order():
     rng.shuffle(shuffled)
     programs = program_table(meta(f"p{i}") for i in range(12))
     restrict = {"items": frozenset(programs.program_names), "users": frozenset({"u0", "u1", "u3"})}
-    a, b = (build_tensor(log_table(g), programs, GRID, **restrict) for g in (logs, shuffled))
+    a, b = (
+        build_tensor(t, programs, GRID, **masks(t, programs, **restrict)) for t in map(log_table, (logs, shuffled))
+    )
     assert (a.users, a.program_names, a.channel_names) == (b.users, b.program_names, b.channel_names)
     for col in ("ptr", "program", "slot", "channel", "count"):
         x, y = getattr(a, col), getattr(b, col)
@@ -236,7 +241,7 @@ def test_global_view_of_time_aware_model_is_the_global_model(cells, items):
     assert model.slot_prefs.keys() == cells.keys()
     time_aware = preference_model(model, candidates([meta(p) for p in items], GRID))
     view = global_view(time_aware)
-    global_prefs, slot_prefs = preference_vectors(view.prefs)
+    global_prefs, slot_prefs = preference_vectors(view.prefs, sorted(cells))
     assert global_prefs == _global_means(cells, items)
     assert slot_prefs == {u: {} for u in sorted(cells)}
     assert view.items is time_aware.items

@@ -77,8 +77,8 @@ def by_behavior(bm, cand):
 
 
 def by_preference(model, cand):
-    """``rank_preference`` of user "u" of a dict model."""
-    return rank_preference(preference_model(model, cand), "u", cand)
+    """``rank_preference`` of user "u", row 0, of a dict model."""
+    return rank_preference(preference_model(model, cand), 0, cand)
 
 
 def two_stage_of(bm, model, cand, k, stats=None):
@@ -234,7 +234,7 @@ def test_rank_preference_adds_each_row_in_entry_order():
         slot_vecs = {s: random_embedding(rng, 30) for s in rng.sample(starts, 8)}
         model = PreferenceDicts({"u": random_embedding(rng, 30)}, {"u": slot_vecs}, items)
         cand = candidates(metas, GRID, {"c1"})
-        got = rank_preference(preference_model(model, cand), "u", cand).scores
+        got = rank_preference(preference_model(model, cand), 0, cand).scores
         want = [entry_order_score(model, pid, starts[int(pid[1:])]) for pid in cand.ids]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -277,7 +277,7 @@ def test_a_wide_embedding_moves_no_other_score():
 
     def scores_by_id(metas, model):
         cand = candidates(metas, GRID, {"c1"})
-        return dict(zip(cand.ids, rank_preference(preference_model(model, cand), "u", cand).scores.tolist()))
+        return dict(zip(cand.ids, rank_preference(preference_model(model, cand), 0, cand).scores.tolist()))
 
     before = scores_by_id(metas, model)
     wide = PreferenceDicts(model.global_prefs, model.slot_prefs, {**items, "wide": random_embedding(rng, 40)})
@@ -554,7 +554,7 @@ def test_block_scan_equals_two_stage_on_edge_users():
             want = assert_blocks_equal_two_stage(behavior, model, cand, k)
             short += sum(len(rows) < k for rows, _ in want)
     assert short  # k above the user's runs gives a short list
-    u = model.user_row("noslot")
+    u = behavior.of("noslot").row
     assert model.prefs.slot_ptr[u] == model.prefs.slot_ptr[u + 1] and len(model.prefs.slots)
     assert rank_behavior(behavior.of("all"), cand).scores.all()
     assert not rank_behavior(behavior.of("none"), cand).scores.any()
@@ -614,7 +614,7 @@ def test_block_scores_equal_per_user_scores(synthetic_world, monkeypatch, buffer
     rows = np.arange(len(built.cand))
     starts = built.cand.start_slots(rows)
     for model in (built.model, global_view(built.model)):
-        users = np.arange(len(model.prefs.users))
+        users = np.arange(len(built.behavior.users))
         want = np.concatenate([model.scores(u, rows, starts) for u in users.tolist()])
         got = model.block_scores(np.repeat(users, len(rows)), np.tile(rows, len(users)), np.tile(starts, len(users)))
         assert got.tobytes() == want.tobytes()
@@ -747,8 +747,8 @@ def test_rrf_matches_the_brute_force_oracle_bit_for_bit():
                     assert [cand.ids[r] for r in got.rows] == order[: len(got.rows)]
                     assert got.scores.view(np.int64).tolist() == bits.tolist()
                     if xi is not None:
-                        truth = {"u": frozenset(order[:k])}
-                        assert tune_rrf({"u": (kb, kp)}, truth, cand, [eta], [xi], cutoff=k) == (eta, xi, 1.0)
+                        truth = truth_rows(cand, order[:k])
+                        assert tune_rrf([(kb, kp)], [truth], cand, [eta], [xi], cutoff=k) == (eta, xi, 1.0)
     assert tied_ks > 0
 
 
@@ -776,7 +776,7 @@ def test_rrf_rejects_mismatched_item_sets():
             with pytest.raises(ValueError, match=f"^behavior ranking {message}"):
                 fuse(ranking, ranking, cand)
         with pytest.raises(ValueError, match=f"^preference ranking {message}"):
-            tune_rrf({"u": (kb, ranking)}, {"u": {"A"}}, cand, [60], [0.5])
+            tune_rrf([(kb, ranking)], [truth_rows(cand, ["A"])], cand, [60], [0.5])
 
 
 def test_rrf_weighted_extremes_follow_single_rankers():
@@ -956,7 +956,7 @@ def test_rankers_are_deterministic():
     cand = candidates(metas, grid, {c for _, c in bm.probs})
     model = preference_model(models["time-aware"], cand)
     assert ranked(cand, by_behavior(bm, cand)) == ranked(cand, by_behavior(bm, cand))
-    assert ranked(cand, rank_preference(model, "u", cand)) == ranked(cand, rank_preference(model, "u", cand))
+    assert ranked(cand, rank_preference(model, 0, cand)) == ranked(cand, rank_preference(model, 0, cand))
     assert ranked(cand, two_stage_of(bm, models["global"], cand, 10)) == ranked(
         cand, two_stage_of(bm, models["global"], cand, 10)
     )
@@ -972,13 +972,18 @@ def tuning_fixture():
     kb = by_behavior(bm, cand)
     kp = by_preference(models["global"], cand)
     truth = frozenset(pid for pid, _ in top_k(cand, kb, 4))
-    return cand, {"u": (kb, kp)}, {"u": truth}
+    return cand, [(kb, kp)], [truth_rows(cand, truth)]
+
+
+def truth_rows(cand, pids):
+    """The candidate rows of the program ids ``pids``, as ``tune_rrf`` takes a truth."""
+    return np.array([cand.ids.index(pid) for pid in pids], dtype=np.int64)
 
 
 def fused_recall(cand, rankings, truths, eta, xi, cutoff):
     """Recall at ``cutoff`` of the weighted-RRF list that recommend writes."""
-    fused = rrf_weighted(*rankings["u"], cand, eta=eta, xi=xi, k=len(cand))
-    return recall_at(ranked(cand, fused), truths["u"], cutoff)
+    fused = rrf_weighted(*rankings[0], cand, eta=eta, xi=xi, k=len(cand))
+    return recall_at(ranked(cand, fused), [cand.ids[r] for r in truths[0].tolist()], cutoff)
 
 
 def test_tune_rrf_single_point_grid():
@@ -1000,7 +1005,7 @@ def test_tune_rrf_beats_or_matches_untuned_default():
 
 def test_tune_rrf_counts_a_repeated_truth_once():
     cand, rankings, truths = tuning_fixture()
-    repeated = {"u": [*truths["u"], *truths["u"]]}
+    repeated = [np.concatenate((truths[0], truths[0]))]
     grids = ([1, 42], [0.3, 0.7])
     assert tune_rrf(rankings, repeated, cand, *grids, cutoff=3) == tune_rrf(rankings, truths, cand, *grids, cutoff=3)
 
@@ -1008,8 +1013,8 @@ def test_tune_rrf_counts_a_repeated_truth_once():
 def test_tune_rrf_ties_resolve_to_smallest_eta_then_xi():
     cand, rankings, truths = tuning_fixture()
     # any grid where every point achieves the same recall: smallest wins
-    everything = frozenset(cand.ids)
-    result = tune_rrf(rankings, {"u": everything}, cand, [9, 3, 7], [0.8, 0.2], cutoff=len(cand))
+    everything = np.arange(len(cand))
+    result = tune_rrf(rankings, [everything], cand, [9, 3, 7], [0.8, 0.2], cutoff=len(cand))
     assert result == (3, 0.2, 1.0)
 
 
@@ -1022,6 +1027,6 @@ def test_tune_rrf_is_deterministic():
 def test_tune_rrf_empty_dev_set_is_error():
     cand, rankings, truths = tuning_fixture()
     with pytest.raises(ValueError):
-        tune_rrf({}, {}, cand, [60], [0.5])
+        tune_rrf([], [], cand, [60], [0.5])
     with pytest.raises(ValueError):
-        tune_rrf(rankings, {"u": frozenset()}, cand, [60], [0.5])
+        tune_rrf(rankings, [np.zeros(0, dtype=np.int64)], cand, [60], [0.5])
